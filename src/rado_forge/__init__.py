@@ -9,7 +9,6 @@ from .poly import (
     Monomial,
     Polynomial,
     PolySyntaxError,
-    ReductForm,
     monomial_gcd,
     parse,
     parse_with_constant,
@@ -29,7 +28,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "PolySyntaxError",
-    "ReductForm",
     "SearchOutcome",
     "Verdict",
     "Witness",

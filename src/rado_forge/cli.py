@@ -8,9 +8,15 @@ Exit codes are a stable API for scripted pipelines:
                  found), 1 = threshold not found within the bound,
                  4 = node budget exhausted (Inconclusive)
   corpus     0 = golden match, 5 = mismatch (diff printed)
-  64 = malformed polynomial (position diagnostics), 70 = internal error
+  2 = malformed arguments (argparse usage error, or a count or budget that
+      is not a positive integer), 64 = malformed polynomial (position
+      diagnostics), 70 = internal error
 
-RADO_FORGE_BUDGET overrides the default search node budget.
+RADO_FORGE_BUDGET overrides the default search node budget.  A polynomial
+that starts with "-" goes after "--", as in
+``rado-forge search --colors 2 --N 5 -- "-h9 - p8 + q3"``; otherwise argparse
+reads "-h9" as the -h option.  --workers is accepted and ignored: the search
+is one sequential depth-first search.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .witness import HypothesisFailure, SearchSpaceTooLargeError, build_witness
 EXIT_PR = 0
 EXIT_NOT_PR = 1
 EXIT_UNKNOWN = 2
+EXIT_USAGE = 2  # argparse's code for malformed argv
 EXIT_METHOD_INAPPLICABLE = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_CORPUS_MISMATCH = 5
@@ -46,14 +53,25 @@ EXIT_ERROR = 70
 _STATUS_EXIT = {"PR": EXIT_PR, "NOT_PR": EXIT_NOT_PR, "UNKNOWN": EXIT_UNKNOWN}
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _default_budget() -> int:
     raw = os.environ.get("RADO_FORGE_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_NODE_BUDGET
+    if not raw:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        print(f"rado-forge: error: RADO_FORGE_BUDGET: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _emit(payload: dict[str, Any]) -> None:
@@ -150,9 +168,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     try:
         if args.threshold is not None:
-            found = rado_number(
-                p, args.colors, args.threshold, args.injective, budget, args.workers
-            )
+            found = rado_number(p, args.colors, args.threshold, args.injective, budget)
             if args.json:
                 _emit(
                     {
@@ -169,9 +185,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             else:
                 print(f"threshold: N = {found} is the least forced size for r={args.colors}")
             return 0 if found is not None else 1
-        outcome = find_bad_coloring(
-            p, args.colors, args.n_bound, args.injective, budget, args.workers
-        )
+        outcome = find_bad_coloring(p, args.colors, args.n_bound, args.injective, budget)
         if args.json:
             _emit(outcome.to_json(str(p), args.colors, args.n_bound, args.injective))
         else:
@@ -251,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("witness", help="construct a verified solution witness")
     w.add_argument("polynomial")
     w.add_argument("--method", choices=["auto", "reduct", "nlp", "brute"], default="auto")
-    w.add_argument("--N", dest="n_bound", type=int, default=20)
+    w.add_argument("--N", dest="n_bound", type=_positive_int, default=20)
     w.add_argument("--injective", action="store_true")
     w.add_argument("--limit", type=int, default=1)
     w.add_argument("--json", action="store_true")
@@ -259,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="search r-colorings of [1..N]")
     s.add_argument("polynomial")
-    s.add_argument("--colors", type=int, required=True)
+    s.add_argument("--colors", type=_positive_int, required=True)
     group = s.add_mutually_exclusive_group(required=True)
-    group.add_argument("--N", dest="n_bound", type=int)
-    group.add_argument("--threshold", type=int, metavar="MAXN")
+    group.add_argument("--N", dest="n_bound", type=_positive_int)
+    group.add_argument("--threshold", type=_positive_int, metavar="MAXN")
     s.add_argument("--injective", action="store_true")
-    s.add_argument("--budget", type=int, default=None)
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--budget", type=_positive_int, default=None)
+    s.add_argument("--workers", type=int, default=1, help="accepted and ignored")
     s.add_argument("--json", action="store_true")
     s.set_defaults(handler=cmd_search)
 
@@ -279,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except SystemExit as exc:
         code = exc.code

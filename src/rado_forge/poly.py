@@ -28,7 +28,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "DegreeProfile",
-    "ReductForm",
     "parse",
     "parse_with_constant",
     "monomial_gcd",
@@ -165,23 +164,6 @@ class DegreeProfile:
     multiplicities: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ReductForm:
-    """The linear polynomial obtained by renaming each monic monomial.
-
-    ``coefficients[i]`` belongs to the i-th canonical monomial of the source;
-    ``variables[i]`` is the fresh linear variable standing in for it.
-    """
-
-    coefficients: tuple[int, ...]
-    variables: tuple[str, ...]
-
-    def as_polynomial(self) -> "Polynomial":
-        return Polynomial.from_terms(
-            (a, {v: 1}) for a, v in zip(self.coefficients, self.variables)
-        )
-
-
 class Polynomial:
     """Canonical multivariate integer polynomial with zero constant term."""
 
@@ -210,10 +192,6 @@ class Polynomial:
             for c, exps in terms
             if c != 0
         )
-
-    @classmethod
-    def parse(cls, text: str) -> "Polynomial":
-        return parse(text)
 
     # -- structure ---------------------------------------------------------
 
@@ -259,15 +237,6 @@ class Polynomial:
         )
         mults = tuple(max(1, l) for l in levels)
         return DegreeProfile(degrees, per_monomial, partial, nonlinear, levels, mults)
-
-    def reduct(self) -> ReductForm:
-        """Replace each monic monomial with a fresh linear variable."""
-        prefix = "y"
-        taken = set(self.variables)
-        while any(f"{prefix}{i + 1}" in taken for i in range(len(self.monomials))):
-            prefix += "y"
-        names = tuple(f"{prefix}{i + 1}" for i in range(len(self.monomials)))
-        return ReductForm(self.coefficients, names)
 
     # -- evaluation --------------------------------------------------------
 

@@ -8,17 +8,16 @@ monochromatic solution.  Exhausting the tree proves the finite statement
 finding a leaf yields a checkable bad coloring.  Neither outcome is ever a
 partition-regularity claim; that language stays in the classifier.
 
-Symmetry breaking: color(1) = 0, and color c may first appear only after
-colors 0..c-1 (canonical representatives only, completeness preserved).
-Worker parallelism splits the tree at the first branching level with
-statically divided budgets, so outcomes and node counts are identical for
-every worker count; only wall-clock time varies.
+The backtracking is one iterative depth-first search, so its depth is not
+bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
+c may first appear only after colors 0..c-1 (canonical representatives only,
+completeness preserved).  Every color tried at a value is one node, and the
+node budget is a strict cap on the nodes spent.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -128,61 +127,54 @@ def enumerate_constraints(
     return out
 
 
-def _value_sets_by_max(
-    constraints: list[SolutionConstraint],
+def _others_by_max(
+    constraints: list[SolutionConstraint], n: int
 ) -> list[list[tuple[int, ...]]]:
-    """Distinct value sets of the constraints, bucketed by their maximum."""
+    """Distinct value sets of the constraints inside [1..n], bucketed by their
+    maximum m: ``buckets[m]`` holds each set's other members as 0-based
+    indices, in lexicographic order of the sets."""
     sets = {tuple(sorted(set(c.values))) for c in constraints}
-    top = max((s[-1] for s in sets), default=0)
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for s in sorted(sets):
-        buckets[s[-1]].append(s)
+        if s[-1] <= n:
+            buckets[s[-1]].append(tuple(v - 1 for v in s[:-1]))
     return buckets
 
 
-class _Budget:
-    __slots__ = ("nodes", "limit", "exhausted")
+def _first_bad_coloring(
+    n: int, r: int, buckets: list[list[tuple[int, ...]]], budget: int
+) -> tuple[Optional[list[int]], int, bool]:
+    """Depth-first search over canonical colorings of 1..n, in branch order.
 
-    def __init__(self, limit: int):
-        self.nodes = 0
-        self.limit = limit
-        self.exhausted = False
-
-
-def _extend(
-    colors: list[int],
-    value: int,
-    n: int,
-    r: int,
-    buckets: list[list[tuple[int, ...]]],
-    budget: _Budget,
-) -> Optional[list[int]]:
-    """Depth-first extension of a partial coloring of 1..value-1; returns the
-    first complete bad coloring in branch order, or None."""
-    if value > n:
-        return list(colors)
-    used = max(colors, default=-1) + 1
-    for color in range(min(used + 1, r)):
-        if budget.nodes >= budget.limit:
-            budget.exhausted = True
-            return None
-        budget.nodes += 1
-        colors.append(color)
-        ok = True
-        if value < len(buckets):
-            for values in buckets[value]:
-                first = colors[values[0] - 1]
-                if all(colors[v - 1] == first for v in values[1:]):
-                    ok = False
-                    break
-        if ok:
-            found = _extend(colors, value + 1, n, r, buckets, budget)
-            if found is not None:
-                return found
-        colors.pop()
-        if budget.exhausted:
-            return None
-    return None
+    Returns (the first bad coloring or None, nodes spent, budget exhausted).
+    """
+    colors: list[int] = []  # colors of 1..len(colors), all checked
+    used = [0]  # used[i]: number of distinct colors among 1..i
+    nodes = 0
+    color = 0  # next color to try at the value len(colors) + 1
+    while len(colors) < n:
+        if color < min(used[-1] + 1, r):
+            if nodes >= budget:
+                return None, nodes, True
+            nodes += 1
+            for others in buckets[len(colors) + 1]:
+                for i in others:
+                    if colors[i] != color:
+                        break
+                else:
+                    break  # every member has this color: monochromatic
+            else:
+                colors.append(color)
+                used.append(max(used[-1], color + 1))
+                color = 0
+                continue
+            color += 1
+        elif colors:
+            used.pop()
+            color = colors.pop() + 1
+        else:
+            return None, nodes, False
+    return colors, nodes, False
 
 
 def find_bad_coloring(
@@ -191,7 +183,6 @@ def find_bad_coloring(
     n_bound: int,
     injective: bool = False,
     budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
     _constraints: Optional[list[SolutionConstraint]] = None,
 ) -> SearchOutcome:
     """Search for an r-coloring of [1..n_bound] with no monochromatic
@@ -205,65 +196,18 @@ def find_bad_coloring(
         if _constraints is not None
         else enumerate_constraints(p, n_bound, injective)
     )
-    buckets = _value_sets_by_max(constraints)
-    stats = SearchStats(constraints=len(constraints))
-
-    def finish(kind: str, coloring: Optional[Coloring], nodes: int) -> SearchOutcome:
-        stats.nodes = nodes
-        stats.ms = (time.perf_counter() - started) * 1000
-        return SearchOutcome(kind, coloring, stats)
-
-    def prefix_mono(prefix: list[int]) -> bool:
-        for value in range(1, len(prefix) + 1):
-            if value < len(buckets):
-                for values in buckets[value]:
-                    first = prefix[values[0] - 1]
-                    if all(prefix[v - 1] == first for v in values[1:]):
-                        return True
-        return False
-
-    # color(1) = 0 by symmetry; a singleton constraint {1} forces immediately
-    if prefix_mono([0]):
-        return finish(FORCED, None, 1)
-    if n_bound == 1:
-        return finish(BAD_COLORING, Coloring((0,)), 1)
-
-    # split at the first branching level: the color of the integer 2
-    base_nodes = 1
-    branches: list[list[int]] = []
-    for color in range(1 if r == 1 else 2):
-        base_nodes += 1
-        prefix = [0, color]
-        if not prefix_mono(prefix):
-            branches.append(prefix)
-    if not branches:
-        return finish(FORCED, None, base_nodes)
-
-    # static budget split keeps outcomes independent of the worker count
-    share = max(1, (budget - base_nodes) // len(branches))
-
-    def run_branch(idx: int) -> tuple[Optional[list[int]], int, bool]:
-        b = _Budget(share)
-        prefix = list(branches[idx])
-        found = _extend(prefix, len(prefix) + 1, n_bound, r, buckets, b)
-        return found, b.nodes, b.exhausted
-
-    if workers > 1 and len(branches) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(branches))) as pool:
-            results = list(pool.map(run_branch, range(len(branches))))
+    found, nodes, exhausted = _first_bad_coloring(
+        n_bound, r, _others_by_max(constraints, n_bound), budget
+    )
+    coloring = None
+    if found is not None:
+        kind, coloring = BAD_COLORING, Coloring(tuple(found))
+        if monochromatic_solution(p, coloring, injective, _constraints=constraints) is not None:
+            raise AssertionError("search produced an invalid bad coloring")
     else:
-        results = [run_branch(i) for i in range(len(branches))]
-
-    nodes = base_nodes + sum(n for _, n, _ in results)
-    for found, _, _ in results:  # branch-order-minimal result
-        if found is not None:
-            coloring = Coloring(tuple(found))
-            if monochromatic_solution(p, coloring, injective, _constraints=constraints) is not None:
-                raise AssertionError("search produced an invalid bad coloring")
-            return finish(BAD_COLORING, coloring, nodes)
-    if any(exhausted for _, _, exhausted in results):
-        return finish(INCONCLUSIVE, None, nodes)
-    return finish(FORCED, None, nodes)
+        kind = INCONCLUSIVE if exhausted else FORCED
+    stats = SearchStats(nodes, len(constraints), (time.perf_counter() - started) * 1000)
+    return SearchOutcome(kind, coloring, stats)
 
 
 def rado_number(
@@ -272,7 +216,6 @@ def rado_number(
     max_n: int,
     injective: bool = False,
     budget: int = DEFAULT_NODE_BUDGET,
-    workers: int = 1,
 ) -> Optional[int]:
     """Smallest N <= max_n proven Forced, scanning N upward and extending the
     constraint list incrementally; None when every scanned N admits a bad
@@ -285,9 +228,7 @@ def rado_number(
             if max(c.values) == n
         ]
         constraints = constraints + fresh
-        outcome = find_bad_coloring(
-            p, r, n, injective, budget, workers, _constraints=constraints
-        )
+        outcome = find_bad_coloring(p, r, n, injective, budget, _constraints=constraints)
         if outcome.kind == FORCED:
             return n
     return None

@@ -22,6 +22,7 @@ from rado_forge.classify import (
     rado_condition,
     replay_certificate,
 )
+from rado_forge.cli import main
 from rado_forge.corpus import run_corpus
 from rado_forge.poly import parse
 from rado_forge.search import (
@@ -226,7 +227,7 @@ def _sha(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def test_criterion_6_determinism():
+def test_criterion_6_determinism(capsys):
     # classify: identical JSON for every reordering of the input terms
     fixtures = {
         "x1*y1*y2 + 4*x2*y1*y2*y3 - 3*x3*y3 - 2*x4*y1 + x5": [
@@ -246,14 +247,14 @@ def test_criterion_6_determinism():
             q = parse(text)
             assert _sha(classify(q).to_json("", str(q))) == reference
 
-    # search: identical JSON across 1/2/8 workers (wall time excluded)
+    # search: identical JSON across --workers 1/2/8 (wall time excluded)
     for text, n in (("x + y - z", 4), ("x + y - z", 5), ("x1 + x2 - y1*y2", 7)):
-        p = parse(text)
         hashes = set()
         for workers in (1, 2, 8):
-            payload = find_bad_coloring(p, 2, n, workers=workers).to_json(
-                str(p), 2, n, False
-            )
+            argv = ["search", text, "--colors", "2", "--N", str(n), "--json",
+                    "--workers", str(workers)]
+            assert main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
             payload["stats"].pop("ms")
             hashes.add(_sha(payload))
         assert len(hashes) == 1, (text, n)

@@ -3,6 +3,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from rado_forge.cli import (
     EXIT_CORPUS_MISMATCH,
@@ -12,8 +13,11 @@ from rado_forge.cli import (
     EXIT_PARSE_ERROR,
     EXIT_PR,
     EXIT_UNKNOWN,
+    EXIT_USAGE,
     main,
 )
+from rado_forge.poly import parse
+from rado_forge.search import Coloring, monochromatic_solution
 
 VERDICT_SCHEMA = {
     "type": "object",
@@ -227,6 +231,44 @@ def test_search_budget_env_override(capsys, monkeypatch):
     )
     assert code == EXIT_INCONCLUSIVE
     assert payload["outcome"] == "inconclusive"
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["search", "x + y - z", "--colors", "0", "--N", "5"], None),
+        (["search", "x + y - z", "--colors", "2", "--N", "0"], None),
+        (["search", "x + y - z", "--colors", "2", "--N", "-4"], None),
+        (["search", "x + y - z", "--colors", "2", "--N", "5", "--budget", "-3"], None),
+        (["search", "x + y - z", "--colors", "2", "--threshold", "0"], None),
+        (["witness", "x + y - z", "--N", "0"], None),
+        (["search", "x + y - z", "--colors", "2", "--N", "5"], "abc"),
+    ],
+    ids=["colors-0", "N-0", "N-neg", "budget-neg", "threshold-0", "witness-N-0", "env-budget"],
+)
+def test_bad_numeric_arguments_exit_usage(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("RADO_FORGE_BUDGET", env)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_search_deep_n_not_recursion_bound(capsys):
+    code, payload = run_json(
+        capsys, ["search", "x-2*y", "--colors", "2", "--N", "1500", "--json"]
+    )
+    assert code == 0
+    assert payload["outcome"] == "bad_coloring"
+    coloring = Coloring(tuple(payload["coloring"]))
+    assert monochromatic_solution(parse("x-2*y"), coloring) is None
+
+
+def test_search_leading_minus_after_double_dash(capsys):
+    assert main(["search", "--colors", "2", "--N", "5", "--", "-h9 - p8 + q3"]) == 0
+    assert "outcome: forced" in capsys.readouterr().out
 
 
 # -- corpus ----------------------------------------------------------

@@ -136,39 +136,6 @@ def test_degree_profile_square():
     assert prof.levels == (2, 2, 0)
 
 
-# -- reduct ----------------------------------------------------------------
-
-
-def test_reduct_coefficients():
-    # canonical order interleaves differently from the source display order:
-    # x1*x2, x2*x3, x2*x5, x4
-    form = parse("x1*x2 + 4*x2*x3 - 2*x4 + x2*x5").reduct()
-    assert form.coefficients == (1, 4, 1, -2)
-    assert form.variables == ("y1", "y2", "y3", "y4")
-
-
-def test_reduct_of_linear_is_itself():
-    p = parse("2*a + 3*b - 5*c")
-    assert p.reduct().coefficients == p.coefficients
-
-
-def test_reduct_reads_off_coefficients():
-    assert parse("x*y + x*z - y*z").reduct().coefficients == (1, 1, -1)
-
-
-def test_reduct_fresh_names_avoid_collision():
-    form = parse("y1*y2 + x - z").reduct()
-    assert not set(form.variables) & {"x", "y1", "y2", "z"}
-
-
-def test_reduct_of_reduct_same_coefficient_multiset():
-    for text in [HEADLINE, WORKED, "x*y + x*z - y*z"]:
-        p = parse(text)
-        form = p.reduct()
-        again = form.as_polynomial().reduct()
-        assert sorted(again.coefficients) == sorted(form.coefficients)
-
-
 # -- evaluation ----------------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 """Coloring search tests: Schur fixtures, oracle equivalence, determinism."""
 
 import itertools
+import json
 
 import pytest
 
+from rado_forge.cli import main
 from rado_forge.poly import parse
 from rado_forge.search import (
     BAD_COLORING,
@@ -185,15 +187,45 @@ def _strip_ms(payload):
 
 
 @pytest.mark.parametrize("text,n", [("x + y - z", 4), ("x + y - z", 5), ("x1 + x2 - y1*y2", 7)])
-def test_outcomes_identical_across_workers(text, n):
-    p = parse(text)
-    payloads = [
-        _strip_ms(
-            find_bad_coloring(p, 2, n, workers=w).to_json(str(p), 2, n, False)
-        )
-        for w in (1, 2, 8)
-    ]
+def test_outcomes_identical_across_workers(text, n, capsys):
+    # --workers is an accepted no-op; the JSON must not depend on it
+    payloads = []
+    for w in (1, 2, 8):
+        argv = ["search", text, "--colors", "2", "--N", str(n), "--workers", str(w), "--json"]
+        assert main(argv) == 0
+        payloads.append(_strip_ms(json.loads(capsys.readouterr().out)))
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+# -- kernel contract ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 10, 20, 50])
+def test_nodes_never_exceed_budget(budget):
+    for p, r, n, injective in [
+        (parse("x + y - z"), 3, 3, False),
+        (SCHUR, 2, 9, True),
+        (parse("x1 + x2 - y1*y2"), 2, 8, False),
+        (parse("x - y"), 2, 4, False),
+    ]:
+        outcome = find_bad_coloring(p, r, n, injective, budget=budget)
+        assert outcome.stats.nodes <= budget
+
+
+def test_first_bad_coloring_in_branch_order_node_count():
+    outcome = find_bad_coloring(parse("x1 + x2 + x3 - x4"), 3, 30)
+    assert outcome.kind == BAD_COLORING
+    assert outcome.coloring.colors == (
+        0, 0, 1, 1, 1, 1, 0, 0, 2, 2, 2, 2, 0, 0, 2,
+        2, 2, 2, 0, 0, 2, 2, 2, 2, 0, 0, 1, 1, 1, 1,
+    )
+    assert outcome.stats.nodes == 977
+
+
+def test_injective_schur_node_count():
+    outcome = find_bad_coloring(SCHUR, 3, 23, injective=True)
+    assert outcome.kind == BAD_COLORING
+    assert outcome.stats.nodes == 2841
 
 
 def test_stats_fields():
