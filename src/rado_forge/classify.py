@@ -1,13 +1,15 @@
 """Decision procedures for partition regularity, with replayable certificates.
 
 Each ``classify_*`` function checks the hypotheses of one sufficient (or
-necessary-and-sufficient) condition and returns a Verdict whose certificate
-carries the witnessing combinatorial data: the zero-sum index set J, the
-exclusive-variable designations, the F_i product sets, the (D, Q1, Q2)
-two-monomial decomposition, or the exponent subset pair (I1, I2).  The
-top-level ``classify`` dispatcher runs them in a fixed order so that exact
-equivalences fire before pure sufficiency conditions, and falls back to
-UNKNOWN with a hypothesis-failure trace when nothing applies.
+necessary-and-sufficient) condition.  When they hold it returns a Verdict
+whose certificate carries the witnessing combinatorial data: the zero-sum
+index set J, the exclusive-variable designations, the F_i product sets, the
+(D, Q1, Q2) two-monomial decomposition, or the exponent subset pair (I1, I2).
+When they fail it returns UNKNOWN, and its trace names the hypotheses that
+failed.  The top-level ``classify`` dispatcher is one loop over a fixed rule
+table, ordered so that exact equivalences fire before pure sufficiency
+conditions: it returns the first conclusive verdict and otherwise collects
+each rule's failure trace, then tries homogeneous necessity.
 
 Status strings: "PR", "NOT_PR", "UNKNOWN".  Injective: "yes"/"no"/"unknown".
 All index sets in payloads are 1-based (matching the usual statement of the
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .poly import Monomial, Polynomial, monomial_gcd, parse
 
@@ -34,6 +36,7 @@ __all__ = [
     "Certificate",
     "Verdict",
     "ExclusiveAssignment",
+    "LevForm",
     "NonlinearShape",
     "rado_condition",
     "classify_linear",
@@ -134,6 +137,22 @@ class ExclusiveAssignment:
 
 
 @dataclass(frozen=True)
+class LevForm:
+    """An l.e.v. polynomial rewritten as sum_i a_i * x_i * prod_{j in F_i} y_j.
+
+    ``linear_vars[i]`` is the designated exclusive variable of canonical
+    monomial i; ``product_vars`` are all remaining variables in name order;
+    ``f_sets[i]`` holds the 1-based product indices dividing monomial i.
+    """
+
+    polynomial: Polynomial
+    coefficients: tuple[int, ...]
+    linear_vars: tuple[str, ...]
+    product_vars: tuple[str, ...]
+    f_sets: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class NonlinearShape:
     """The variable bookkeeping needed to lift solutions through nonlinear
     monomials: chosen degree-1 exclusives per monomial, the nonlinear
@@ -144,6 +163,11 @@ class NonlinearShape:
     passive: tuple[str, ...]
     levels: tuple[int, ...]
     multiplicities: tuple[int, ...]
+
+
+def _unknown(*failures: str) -> Verdict:
+    """A rule's answer when its hypotheses fail: UNKNOWN, tracing why."""
+    return Verdict(UNKNOWN, "unknown", None, failures)
 
 
 # -- zero-sum subsets --------------------------------------------------------
@@ -305,12 +329,12 @@ def _multiplicative_sides(p: Polynomial) -> Optional[tuple[Monomial, Monomial]]:
     return (m1, m2) if m1.coefficient == 1 else (m2, m1)
 
 
-def classify_multiplicative(p: Polynomial) -> Optional[Verdict]:
+def classify_multiplicative(p: Polynomial) -> Verdict:
     """Exact classification of monomial differences: PR iff some nonempty
     exponent subsets of the two sides have equal sums."""
     sides = _multiplicative_sides(p)
     if sides is None:
-        return None
+        return _unknown("multiplicative: shape mismatch")
     left, right = sides
     a = tuple(e for _, e in left.exponents)
     b = tuple(e for _, e in right.exponents)
@@ -380,13 +404,9 @@ def _equal_sum_subsets(
 # -- exclusive variables and l.e.v. shapes -----------------------------------
 
 
-def exclusive_variables(p: Polynomial) -> Optional[ExclusiveAssignment]:
-    """Variables occurring in exactly one monomial, grouped per monomial.
-
-    Returns None unless every monomial owns at least one exclusive variable.
-    ``degree_one`` narrows each group to the degree-1 exclusives needed by
-    the nonlinear lifting condition.
-    """
+def _exclusive_groups(p: Polynomial) -> ExclusiveAssignment:
+    """The per-monomial exclusive lists of ``exclusive_variables``, some of
+    which may be empty."""
     support: dict[str, list[int]] = {}
     for i, m in enumerate(p.monomials):
         for v in m.variables:
@@ -397,18 +417,25 @@ def exclusive_variables(p: Polynomial) -> Optional[ExclusiveAssignment]:
         own = tuple(v for v in m.variables if support[v] == [i])
         exclusives.append(own)
         degree_one.append(tuple(v for v in own if m.degree_of(v) == 1))
-        if not own:
-            return None
     return ExclusiveAssignment(tuple(exclusives), tuple(degree_one))
 
 
-def lev_shape(
-    p: Polynomial, exclusives: ExclusiveAssignment
-) -> tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[int, ...], ...]]:
+def exclusive_variables(p: Polynomial) -> Optional[ExclusiveAssignment]:
+    """Variables occurring in exactly one monomial, grouped per monomial.
+
+    Returns None unless every monomial owns at least one exclusive variable.
+    ``degree_one`` narrows each group to the degree-1 exclusives needed by
+    the nonlinear lifting condition.
+    """
+    excl = _exclusive_groups(p)
+    return excl if all(excl.exclusives) else None
+
+
+def lev_shape(p: Polynomial, exclusives: ExclusiveAssignment) -> LevForm:
     """Designate the lexicographically smallest exclusive variable of each
     monomial as its linear variable; everything else becomes the ordered
-    product-variable list.  Returns (designated, products, F) with F_i the
-    1-based product indices dividing monomial i."""
+    product-variable list, with F_i the 1-based product indices dividing
+    monomial i."""
     designated = tuple(min(own) for own in exclusives.exclusives)
     products = tuple(v for v in p.variables if v not in set(designated))
     index = {v: j + 1 for j, v in enumerate(products)}
@@ -416,10 +443,10 @@ def lev_shape(
         tuple(index[v] for v in products if m.degree_of(v) >= 1)
         for m in p.monomials
     )
-    return designated, products, f_sets
+    return LevForm(p, p.coefficients, designated, products, f_sets)
 
 
-def classify_lev(p: Polynomial) -> Optional[Verdict]:
+def classify_lev(p: Polynomial) -> Verdict:
     """Sufficiency for linear-in-each-variable polynomials: at least three
     monomials, an exclusive variable for every monomial, and the zero-sum
     condition.  Two-monomial l.e.v. polynomials delegate to the
@@ -427,34 +454,34 @@ def classify_lev(p: Polynomial) -> Optional[Verdict]:
     if not p.is_lev:
         raise NotLevError(f"{p} is not linear in each variable")
     if len(p.monomials) == 2:
-        return classify_multiplicative(p)
-    if len(p.monomials) < 2:
-        return None
+        verdict = classify_multiplicative(p)
+        if verdict.status != UNKNOWN:
+            return verdict
     excl = exclusive_variables(p)
     if excl is None:
-        return None
+        return _unknown("lev: some monomial has no exclusive variable")
     j = rado_condition(p.coefficients)
     if j is None:
-        return None
-    designated, products, f_sets = lev_shape(p, excl)
+        return _unknown("lev: coefficients admit no zero-sum subset")
+    if len(p.monomials) < 3:  # a two-monomial form the multiplicative rule left open
+        return _unknown()
+    form = lev_shape(p, excl)
+    f_sets = [list(f) for f in form.f_sets]
     cert = Certificate(
         "Thm3.5",
         {
             "coefficients": list(p.coefficients),
             "J": list(j),
-            "linear_vars": list(designated),
-            "product_vars": list(products),
-            "F": [list(f) for f in f_sets],
+            "linear_vars": list(form.linear_vars),
+            "product_vars": list(form.product_vars),
+            "F": f_sets,
         },
     )
     return Verdict(
         PR,
         "yes",
         cert,
-        (
-            f"lev: exclusive designates {list(designated)}, J={list(j)}, "
-            f"F={[list(f) for f in f_sets]}",
-        ),
+        (f"lev: exclusive designates {list(form.linear_vars)}, J={list(j)}, F={f_sets}",),
     )
 
 
@@ -464,20 +491,15 @@ def classify_lev(p: Polynomial) -> Optional[Verdict]:
 def nonlinear_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], list[str]]:
     """Check the per-monomial supply of exclusive degree-1 variables against
     the multiplicities m_i; returns (shape, failure_trace)."""
-    prof = p.degree_profile()
-    excl = exclusive_variables(p)
-    failures: list[str] = []
-    if excl is None:
-        support: dict[str, set[int]] = {}
-        for i, m in enumerate(p.monomials):
-            for v in m.variables:
-                support.setdefault(v, set()).add(i)
-        for i, m in enumerate(p.monomials):
-            if not any(support[v] == {i} for v in m.variables):
-                failures.append(
-                    f"nonlinear: monomial {i + 1} ({m.monic_text()}) has no exclusive variable"
-                )
+    excl = _exclusive_groups(p)
+    failures = [
+        f"nonlinear: monomial {i + 1} ({m.monic_text()}) has no exclusive variable"
+        for i, (m, own) in enumerate(zip(p.monomials, excl.exclusives))
+        if not own
+    ]
+    if failures:
         return None, failures
+    prof = p.degree_profile()
     chosen: list[tuple[str, ...]] = []
     for i, m in enumerate(p.monomials):
         need = prof.multiplicities[i]
@@ -500,18 +522,18 @@ def nonlinear_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], list[str]]
     return shape, []
 
 
-def classify_nonlinear(p: Polynomial) -> Optional[Verdict]:
+def classify_nonlinear(p: Polynomial) -> Verdict:
     """Sufficiency for polynomials with nonlinear variables: at least three
     monomials, the zero-sum condition, and m_i = max(1, l_i) exclusive
     degree-1 variables in each monomial."""
     if len(p.monomials) < 3:
-        return None
+        return _unknown("nonlinear: fewer than three monomials")
     j = rado_condition(p.coefficients)
     if j is None:
-        return None
-    shape, _failures = nonlinear_shape(p)
+        return _unknown("nonlinear: coefficients admit no zero-sum subset")
+    shape, failures = nonlinear_shape(p)
     if shape is None:
-        return None
+        return _unknown(*failures)
     cert = Certificate(
         "Thm4.2",
         {
@@ -538,14 +560,18 @@ def classify_nonlinear(p: Polynomial) -> Optional[Verdict]:
 # -- two-monomial analysis -----------------------------------------------------
 
 
-def classify_k2(p: Polynomial) -> Optional[Verdict]:
+def classify_k2(p: Polynomial) -> Verdict:
     """Two-monomial analysis: factor out the monomial gcd D and decide on the
     coprime difference R = Q1 - Q2, whose regularity is equivalent to P's."""
     if len(p.monomials) != 2:
         raise NotTwoMonomialsError(f"{p} does not have exactly two monomials")
+    not_applicable = _unknown(
+        "k2: decomposition not applicable (coefficients not (c,-c) or one "
+        "monomial divides the other)"
+    )
     m1, m2 = p.monomials
     if m1.coefficient != -m2.coefficient:
-        return None
+        return not_applicable
     pos, neg = (m1, m2) if m1.coefficient > 0 else (m2, m1)
     d = monomial_gcd(pos, neg)
     d_map = d.exponent_map()
@@ -553,7 +579,7 @@ def classify_k2(p: Polynomial) -> Optional[Verdict]:
     q2 = {v: e - d_map.get(v, 0) for v, e in neg.exponents if e - d_map.get(v, 0) > 0}
     if not q1 or not q2:
         # one monomial divides the other; Q1 - Q2 would carry a constant term
-        return None
+        return not_applicable
     reduced = Polynomial.from_terms([(1, q1), (-1, q2)])
     note = f"regularity of {p} is equivalent to regularity of {reduced}"
     decomposition = {
@@ -580,8 +606,6 @@ def classify_k2(p: Polynomial) -> Optional[Verdict]:
             (note,),
         )
     inner = classify_multiplicative(reduced)
-    if inner is None:  # unreachable for coprime monic sides, kept defensive
-        return None
     if p == reduced:
         return inner
     # p is c * D * (Q1 - Q2): the delegated certificate talks about the
@@ -649,6 +673,19 @@ def _literature_notes(p: Polynomial) -> list[str]:
 
 # -- dispatcher ----------------------------------------------------------------
 
+# The rules for nonlinear polynomials, in dispatch order: (whether the rule
+# applies, the rule, the trace line written in its place when it does not).
+_RULES = (
+    (
+        lambda p: len(p.monomials) == 2,
+        classify_k2,
+        "k2/multiplicative: not applicable (monomial count != 2)",
+    ),
+    (lambda p: len(p.monomials) == 2, classify_multiplicative, None),
+    (lambda p: p.is_lev, classify_lev, "lev: not linear in each variable"),
+    (lambda p: not p.is_lev, classify_nonlinear, None),
+)
+
 
 def classify(p: Polynomial, ring: str = "N") -> Verdict:
     """Run every implemented decision procedure in fixed order and return the
@@ -662,49 +699,23 @@ def classify(p: Polynomial, ring: str = "N") -> Verdict:
         raise ValueError(f"ring must be 'N' or 'Z', got {ring!r}")
     if ring == "Z":
         return _classify_z(p)
-    trace: list[str] = []
     notes = _literature_notes(p)
 
     if p.is_linear:
         return classify_linear(p).with_notes(notes)
-    trace.append("linear: not applicable (nonlinear monomial present)")
+    trace = ["linear: not applicable (nonlinear monomial present)"]
 
-    if len(p.monomials) == 2:
-        verdict = classify_k2(p)
-        if verdict is not None:
+    for applies, rule, skipped in _RULES:
+        if not applies(p):
+            if skipped is not None:
+                trace.append(skipped)
+            continue
+        verdict = rule(p)
+        if verdict.status != UNKNOWN:
             return verdict.with_trace(trace).with_notes(notes)
-        trace.append("k2: decomposition not applicable (coefficients not (c,-c) or one monomial divides the other)")
-        verdict = classify_multiplicative(p)
-        if verdict is not None:
-            return verdict.with_trace(trace).with_notes(notes)
-        trace.append("multiplicative: shape mismatch")
-    else:
-        trace.append("k2/multiplicative: not applicable (monomial count != 2)")
-
-    if p.is_lev:
-        verdict = classify_lev(p)
-        if verdict is not None:
-            return verdict.with_trace(trace).with_notes(notes)
-        excl = exclusive_variables(p)
-        if excl is None:
-            trace.append("lev: some monomial has no exclusive variable")
-        elif rado_condition(p.coefficients) is None:
-            trace.append("lev: coefficients admit no zero-sum subset")
-    else:
-        trace.append("lev: not linear in each variable")
-        verdict = classify_nonlinear(p)
-        if verdict is not None:
-            return verdict.with_trace(trace).with_notes(notes)
-        if len(p.monomials) < 3:
-            trace.append("nonlinear: fewer than three monomials")
-        elif rado_condition(p.coefficients) is None:
-            trace.append("nonlinear: coefficients admit no zero-sum subset")
-        else:
-            _shape, failures = nonlinear_shape(p)
-            trace.extend(failures)
+        trace.extend(verdict.trace)
 
     if p.is_homogeneous and rado_condition(p.coefficients) is None:
-        prof = p.degree_profile()
         cert = Certificate(
             "HomogeneousNecessity",
             {
@@ -789,6 +800,21 @@ def _subset_sum_ok(coeffs: list[int], indices: list[int]) -> bool:
     )
 
 
+def _subset_sums(values: list[int]) -> Iterator[int]:
+    """The sum of every nonempty subset, by exhaustive enumeration."""
+    subsets = (
+        itertools.combinations(values, size) for size in range(1, len(values) + 1)
+    )
+    return map(sum, itertools.chain.from_iterable(subsets))
+
+
+def _exclusive_degree_one(p: Polynomial, i: int, v: str) -> bool:
+    """``v`` has degree 1 in monomial i and occurs in no other monomial."""
+    return all(
+        m.degree_of(v) == (1 if j == i else 0) for j, m in enumerate(p.monomials)
+    )
+
+
 def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate against the polynomial alone,
     without running the classifier: every hypothesis is checked directly on
@@ -809,11 +835,7 @@ def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
     if tag == "LinearNecessity":
         if not p.is_linear or payload["coefficients"] != coeffs:
             return False
-        return not any(
-            sum(combo) == 0
-            for size in range(1, len(coeffs) + 1)
-            for combo in itertools.combinations(coeffs, size)
-        )
+        return 0 not in _subset_sums(coeffs)
     if tag == "RadoAffine":
         constant = payload["constant"]
         if payload["coefficients"] != coeffs or constant == 0 or not p.is_linear:
@@ -849,17 +871,7 @@ def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
         if payload["left_exponents"] != a or payload["right_exponents"] != b:
             return False
         if verdict.status == NOT_PR:
-            sums_a = {
-                sum(c)
-                for size in range(1, len(a) + 1)
-                for c in itertools.combinations(a, size)
-            }
-            sums_b = {
-                sum(c)
-                for size in range(1, len(b) + 1)
-                for c in itertools.combinations(b, size)
-            }
-            return not (sums_a & sums_b)
+            return set(_subset_sums(a)).isdisjoint(_subset_sums(b))
         i1, i2 = payload["I1"], payload["I2"]
         return (
             len(i1) > 0
@@ -887,11 +899,7 @@ def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
         if set(designated) & set(products):
             return False
         for i, m in enumerate(p.monomials):
-            v = designated[i]
-            # exclusive to monomial i, degree 1 there
-            if m.degree_of(v) != 1:
-                return False
-            if any(other.degree_of(v) != 0 for j, other in enumerate(p.monomials) if j != i):
+            if not _exclusive_degree_one(p, i, designated[i]):
                 return False
             f_i = payload["F"][i]
             expected = [j + 1 for j, y in enumerate(products) if m.degree_of(y) >= 1]
@@ -910,19 +918,12 @@ def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
             return False
         if list(prof.nonlinear) != payload["nonlinear_vars"]:
             return False
-        for i, m in enumerate(p.monomials):
+        for i in range(len(p.monomials)):
             group = payload["exclusive_choice"][i]
             if len(group) != prof.multiplicities[i] or len(set(group)) != len(group):
                 return False
-            for v in group:
-                if m.degree_of(v) != 1:
-                    return False
-                if any(
-                    other.degree_of(v) != 0
-                    for j, other in enumerate(p.monomials)
-                    if j != i
-                ):
-                    return False
+            if not all(_exclusive_degree_one(p, i, v) for v in group):
+                return False
         return True
     if tag == "K2Analysis":
         if len(p.monomials) != 2:
@@ -950,28 +951,17 @@ def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
             )
         if payload["case"] == "reduced":
             inner = payload.get("inner")
-            if verdict.status == NOT_PR:
-                inner_verdict = Verdict(
-                    NOT_PR,
-                    "no",
-                    Certificate(inner["theorem"], inner["payload"]) if inner else None,
-                )
-            else:
-                inner_verdict = Verdict(
-                    PR,
-                    verdict.injective,
-                    Certificate(inner["theorem"], inner["payload"]) if inner else None,
-                )
-            return inner is not None and replay_certificate(reduced, inner_verdict)
+            if not inner:
+                return False
+            inner_cert = Certificate(inner["theorem"], inner["payload"])
+            return replay_certificate(
+                reduced, Verdict(verdict.status, verdict.injective, inner_cert)
+            )
         return False
     if tag == "HomogeneousNecessity":
         if not p.is_homogeneous or payload["coefficients"] != coeffs:
             return False
         if payload["degree"] != p.monomials[0].degree:
             return False
-        return not any(
-            sum(combo) == 0
-            for size in range(1, len(coeffs) + 1)
-            for combo in itertools.combinations(coeffs, size)
-        )
+        return 0 not in _subset_sums(coeffs)
     return False

@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--method", choices=["auto", "reduct", "nlp", "brute"], default="auto")
     w.add_argument("--N", dest="n_bound", type=_positive_int, default=20)
     w.add_argument("--injective", action="store_true")
-    w.add_argument("--limit", type=int, default=1)
+    w.add_argument("--limit", type=_positive_int, default=1)
     w.add_argument("--json", action="store_true")
     w.set_defaults(handler=cmd_witness)
 

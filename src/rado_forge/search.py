@@ -183,7 +183,6 @@ def find_bad_coloring(
     n_bound: int,
     injective: bool = False,
     budget: int = DEFAULT_NODE_BUDGET,
-    _constraints: Optional[list[SolutionConstraint]] = None,
 ) -> SearchOutcome:
     """Search for an r-coloring of [1..n_bound] with no monochromatic
     solution of p.  Forced is claimed only on exact exhaustion; running out
@@ -191,11 +190,7 @@ def find_bad_coloring(
     if r < 1:
         raise ValueError("need at least one color")
     started = time.perf_counter()
-    constraints = (
-        _constraints
-        if _constraints is not None
-        else enumerate_constraints(p, n_bound, injective)
-    )
+    constraints = enumerate_constraints(p, n_bound, injective)
     found, nodes, exhausted = _first_bad_coloring(
         n_bound, r, _others_by_max(constraints, n_bound), budget
     )
@@ -217,19 +212,10 @@ def rado_number(
     injective: bool = False,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[int]:
-    """Smallest N <= max_n proven Forced, scanning N upward and extending the
-    constraint list incrementally; None when every scanned N admits a bad
-    coloring (or exhausts its budget) up to max_n."""
-    constraints: list[SolutionConstraint] = []
+    """Smallest N <= max_n proven Forced, scanning N upward; None when every
+    scanned N admits a bad coloring (or exhausts its budget) up to max_n."""
     for n in range(1, max_n + 1):
-        fresh = [
-            c
-            for c in enumerate_constraints(p, n, injective)
-            if max(c.values) == n
-        ]
-        constraints = constraints + fresh
-        outcome = find_bad_coloring(p, r, n, injective, budget, _constraints=constraints)
-        if outcome.kind == FORCED:
+        if find_bad_coloring(p, r, n, injective, budget).kind == FORCED:
             return n
     return None
 

@@ -24,15 +24,16 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
 from .classify import (
-    ExclusiveAssignment,
+    LevForm,
     NonlinearShape,
+    NotLevError,
     exclusive_variables,
     lev_shape,
     negate_all_variables,
     nonlinear_shape,
     rado_condition,
 )
-from .poly import Polynomial
+from .poly import DegreeProfile, Polynomial
 
 __all__ = [
     "NoExclusiveSetError",
@@ -119,36 +120,16 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class LevForm:
-    """An l.e.v. polynomial rewritten as sum_i a_i * x_i * prod_{j in F_i} y_j.
-
-    ``linear_vars[i]`` is the designated exclusive variable of canonical
-    monomial i; ``product_vars`` are all remaining variables in name order;
-    ``f_sets[i]`` holds the 1-based product indices dividing monomial i.
-    """
-
-    polynomial: Polynomial
-    coefficients: tuple[int, ...]
-    linear_vars: tuple[str, ...]
-    product_vars: tuple[str, ...]
-    f_sets: tuple[tuple[int, ...], ...]
-
-
-def to_lev_form(p: Polynomial, exclusives: Optional[ExclusiveAssignment] = None) -> LevForm:
+def to_lev_form(p: Polynomial) -> LevForm:
     """Designate the lexicographically smallest exclusive variable of each
     monomial as its linear variable; every other variable becomes a product
     variable."""
-    from .classify import NotLevError
-
     if not p.is_lev:
         raise NotLevError(f"{p} is not linear in each variable")
-    if exclusives is None:
-        exclusives = exclusive_variables(p)
+    exclusives = exclusive_variables(p)
     if exclusives is None:
         raise NoExclusiveSetError(f"{p}: some monomial has no exclusive variable")
-    designated, products, f_sets = lev_shape(p, exclusives)
-    return LevForm(p, p.coefficients, designated, products, f_sets)
+    return lev_shape(p, exclusives)
 
 
 def reduct_lift(
@@ -246,28 +227,22 @@ def reduct_lift_formal_check(form: LevForm, alpha: Sequence[int]) -> bool:
     return not acc
 
 
-def _nlp_tables(
-    p: Polynomial, shape: NonlinearShape
-) -> tuple[dict[str, int], list[dict[str, int]], list[list[tuple[int, ...]]]]:
-    """Degrees d(y_s), per-monomial degrees d_i(y_s), and the nested index
-    sets I_{i,j} = {s : d(y_s) - d_i(y_s) >= j} for j = 1..m_i (1-based s)."""
-    degrees = {v: p.degree_of(v) for v in shape.nonlinear}
-    per_monomial = [
-        {v: m.degree_of(v) for v in shape.nonlinear} for m in p.monomials
-    ]
-    i_sets: list[list[tuple[int, ...]]] = []
-    for i, deg_i in enumerate(per_monomial):
-        rows = []
-        for j in range(1, shape.multiplicities[i] + 1):
-            rows.append(
-                tuple(
-                    s + 1
-                    for s, v in enumerate(shape.nonlinear)
-                    if degrees[v] - deg_i[v] >= j
-                )
+def _i_sets(
+    prof: DegreeProfile, shape: NonlinearShape
+) -> list[list[tuple[int, ...]]]:
+    """The nested index sets I_{i,j} = {s : d(y_s) - d_i(y_s) >= j} for
+    j = 1..m_i (1-based s over the nonlinear variables y_s)."""
+    return [
+        [
+            tuple(
+                s + 1
+                for s, v in enumerate(shape.nonlinear)
+                if prof.degrees[v] - deg_i[v] >= j
             )
-        i_sets.append(rows)
-    return degrees, per_monomial, i_sets
+            for j in range(1, shape.multiplicities[i] + 1)
+        ]
+        for i, deg_i in enumerate(prof.per_monomial)
+    ]
 
 
 def nlp_lift(
@@ -299,11 +274,11 @@ def nlp_lift(
         raise NotAPTildeSolutionError(
             f"substituted polynomial evaluates to {residue}, not 0"
         )
-    degrees, per_monomial, i_sets = _nlp_tables(p, shape)
-    g_of = {s + 1: g[s] for s in range(h)}
+    prof = p.degree_profile()
+    i_sets = _i_sets(prof, shape)
     eta = 1
     for s, v in enumerate(shape.nonlinear):
-        eta *= g[s] ** degrees[v]
+        eta *= g[s] ** prof.degrees[v]
     eta_i: list[int] = []
     gamma: dict[str, int] = {}
     i_json: dict[str, list[int]] = {}
@@ -313,19 +288,18 @@ def nlp_lift(
             assignment[v] = val
     for s, v in enumerate(shape.nonlinear):
         assignment[v] = g[s]
-    for i, m in enumerate(p.monomials):
+    for i, deg_i in enumerate(prof.per_monomial):
         nl_part = 1
-        for v in shape.nonlinear:
-            nl_part *= g_of[shape.nonlinear.index(v) + 1] ** per_monomial[i][v]
         level_product = 1
         for s, v in enumerate(shape.nonlinear):
-            level_product *= g[s] ** (degrees[v] - per_monomial[i][v])
+            nl_part *= g[s] ** deg_i[v]
+            level_product *= g[s] ** (prof.degrees[v] - deg_i[v])
         eta_i.append(level_product)
         gammas_i = []
         for j, members in enumerate(i_sets[i], start=1):
             value = 1
             for s in members:
-                value *= g_of[s]
+                value *= g[s - 1]
             gammas_i.append(value)
             gamma[f"{i + 1},{j}"] = value
             i_json[f"{i + 1},{j}"] = list(members)
@@ -363,7 +337,8 @@ def nlp_lift_formal_check(
     """With the g-values left as formal variables (reusing the nonlinear
     variable names as symbols), verify  P(assignment(g)) == eta(g) * residue
     by exact cancellation, for an arbitrary substituted-solution candidate."""
-    degrees, _per_monomial, i_sets = _nlp_tables(p, shape)
+    prof = p.degree_profile()
+    i_sets = _i_sets(prof, shape)
     substituted = _substitute_ones(p, shape.nonlinear)
     residue = substituted.evaluate(alpha_beta)
     mapping: dict[str, tuple[int, Mapping[str, int]]] = {}
@@ -382,7 +357,7 @@ def nlp_lift_formal_check(
                 mapping[x_var] = (scale, {})
     acc = _substitute_formal(p, mapping)
     if residue != 0:
-        key = tuple(sorted((v, degrees[v]) for v in shape.nonlinear))
+        key = tuple(sorted((v, prof.degrees[v]) for v in shape.nonlinear))
         acc[key] = acc.get(key, 0) - residue
         if acc[key] == 0:
             del acc[key]
@@ -405,16 +380,21 @@ def negate_transform(p: Polynomial, w: Witness) -> Witness:
 
 
 def _integer_root(value: int, e: int) -> Optional[int]:
-    """Exact e-th root of a positive integer, or None."""
+    """Exact e-th root of a positive integer, or None.  Integer arithmetic
+    only, so no float range limits the size of ``value``."""
     if value < 1:
         return None
     if e == 1:
         return value
-    root = round(value ** (1.0 / e))
-    for candidate in (root - 1, root, root + 1, root + 2):
-        if candidate >= 1 and candidate**e == value:
-            return candidate
-    return None
+    # bisect for the largest root with root**e <= value; value < 2**bits
+    low, high = 1, 1 << (value.bit_length() // e + 1)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if mid**e <= value:
+            low = mid
+        else:
+            high = mid - 1
+    return low if low**e == value else None
 
 
 def _isolation_split(p: Polynomial, var: str):
@@ -604,7 +584,7 @@ def witness_via_reduct(p: Polynomial) -> Witness:
         raise HypothesisFailure(
             [f"coefficients {list(p.coefficients)} admit no zero-sum subset"]
         )
-    form = to_lev_form(p, excl)
+    form = lev_shape(p, excl)
     alpha, _ = _default_alpha(form.coefficients)
     y_values = primes_above(max(alpha), len(form.product_vars))
     return reduct_lift(form, alpha, y_values)

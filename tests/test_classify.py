@@ -1,5 +1,6 @@
 """Classifier tests: frozen verdicts, oracle equivalences, certificate replay."""
 
+import importlib
 import itertools
 import random
 
@@ -12,10 +13,12 @@ from rado_forge.classify import (
     NOT_PR,
     PR,
     UNKNOWN,
+    Certificate,
     NoConstantTermError,
     NotLinearError,
     NotLevError,
     NotTwoMonomialsError,
+    Verdict,
     classify,
     classify_affine,
     classify_k2,
@@ -28,7 +31,7 @@ from rado_forge.classify import (
     rado_condition,
     replay_certificate,
 )
-from rado_forge.poly import parse, parse_with_constant
+from rado_forge.poly import Polynomial, parse, parse_with_constant
 from rado_forge.search import find_bad_coloring
 
 
@@ -145,10 +148,18 @@ def test_classify_multiplicative_examples():
     assert v.certificate.payload["common_sum"] == 2
 
 
+def _assert_unknown(verdict, *trace):
+    assert verdict.status == UNKNOWN
+    assert verdict.injective == "unknown"
+    assert verdict.certificate is None
+    assert verdict.trace == trace
+
+
 def test_classify_multiplicative_shape_gate():
-    assert classify_multiplicative(parse("x + y - z")) is None  # three monomials
-    assert classify_multiplicative(parse("3*x - 2*y")) is None  # coefficients
-    assert classify_multiplicative(parse("x^2*y - x*z")) is None  # shared support
+    mismatch = "multiplicative: shape mismatch"
+    _assert_unknown(classify_multiplicative(parse("x + y - z")), mismatch)  # three monomials
+    _assert_unknown(classify_multiplicative(parse("3*x - 2*y")), mismatch)  # coefficients
+    _assert_unknown(classify_multiplicative(parse("x^2*y - x*z")), mismatch)  # shared support
 
 
 def test_classify_multiplicative_two_variable_equal_exponents():
@@ -197,7 +208,10 @@ def test_classify_lev_examples():
     v = classify_lev(parse("x1 + x2 - y1*y2"))
     assert v.status == PR
 
-    assert classify_lev(parse("x*y + y*z - x*z")) is None
+    _assert_unknown(
+        classify_lev(parse("x*y + y*z - x*z")),
+        "lev: some monomial has no exclusive variable",
+    )
 
 
 def test_classify_lev_two_monomials_delegates():
@@ -225,10 +239,20 @@ def test_classify_nonlinear_examples():
     assert v.status == PR
     assert v.certificate.payload["multiplicities"] == [1, 2, 2, 2]
 
-    assert classify_nonlinear(parse("x + y - z^2")) is None
+    _assert_unknown(
+        classify_nonlinear(parse("x + y - z^2")),
+        "nonlinear: monomial 1 (x) needs 2 exclusive degree-1 variable(s), found 1",
+        "nonlinear: monomial 2 (y) needs 2 exclusive degree-1 variable(s), found 1",
+        "nonlinear: monomial 3 (z^2) needs 1 exclusive degree-1 variable(s), found 0",
+    )
 
 
 # -- classify_k2 ----------------------------------------------------------
+
+K2_NOT_APPLICABLE = (
+    "k2: decomposition not applicable (coefficients not (c,-c) or one monomial "
+    "divides the other)"
+)
 
 
 def test_classify_k2_examples():
@@ -240,12 +264,12 @@ def test_classify_k2_examples():
     v = classify_k2(parse("x*y - z*w"))
     assert (v.status, v.injective) == (PR, "yes")
 
-    assert classify_k2(parse("3*x - 2*y")) is None
+    _assert_unknown(classify_k2(parse("3*x - 2*y")), K2_NOT_APPLICABLE)
     assert classify_linear(parse("3*x - 2*y")).status == NOT_PR
 
 
 def test_classify_k2_divisible_monomials_not_applicable():
-    assert classify_k2(parse("x^2*y - x*y")) is None
+    _assert_unknown(classify_k2(parse("x^2*y - x*y")), K2_NOT_APPLICABLE)
 
 
 def test_classify_k2_requires_two_monomials():
@@ -281,6 +305,131 @@ def test_classify_dispatcher_examples():
     v = classify(parse("2*x^2 - 3*y^2"))
     assert v.status == NOT_PR
     assert v.certificate.theorem == "HomogeneousNecessity"
+
+
+LINEAR_SKIPPED = "linear: not applicable (nonlinear monomial present)"
+K2_SKIPPED = "k2/multiplicative: not applicable (monomial count != 2)"
+LEV_SKIPPED = "lev: not linear in each variable"
+HOMOGENEOUS = (
+    "homogeneous necessity: zero-sum condition fails, which is necessary for "
+    "homogeneous partition regular polynomials"
+)
+
+# Full traces, one case per failure line a rule or the dispatcher can write.
+TRACE_CASES = [
+    ("x*y", "N", [
+        LINEAR_SKIPPED,
+        K2_SKIPPED,
+        "lev: coefficients admit no zero-sum subset",
+        HOMOGENEOUS,
+    ]),
+    ("x*y - x", "N", [
+        LINEAR_SKIPPED,
+        K2_NOT_APPLICABLE,
+        "multiplicative: shape mismatch",
+        "lev: some monomial has no exclusive variable",
+    ]),
+    ("3*x*y - 2*z", "N", [
+        LINEAR_SKIPPED,
+        K2_NOT_APPLICABLE,
+        "multiplicative: shape mismatch",
+        "lev: coefficients admit no zero-sum subset",
+    ]),
+    ("2*x^2 - 3*y^2", "N", [
+        LINEAR_SKIPPED,
+        K2_NOT_APPLICABLE,
+        "multiplicative: shape mismatch",
+        LEV_SKIPPED,
+        "nonlinear: fewer than three monomials",
+        HOMOGENEOUS,
+    ]),
+    ("x*y + x*z - y*z", "N", [
+        LINEAR_SKIPPED,
+        K2_SKIPPED,
+        "lev: some monomial has no exclusive variable",
+    ]),
+    ("x1*y1 + x2*y2 + x3", "N", [
+        LINEAR_SKIPPED,
+        K2_SKIPPED,
+        "lev: coefficients admit no zero-sum subset",
+    ]),
+    ("x + y - z^2", "N", [
+        LINEAR_SKIPPED,
+        K2_SKIPPED,
+        LEV_SKIPPED,
+        "nonlinear: monomial 1 (x) needs 2 exclusive degree-1 variable(s), found 1",
+        "nonlinear: monomial 2 (y) needs 2 exclusive degree-1 variable(s), found 1",
+        "nonlinear: monomial 3 (z^2) needs 1 exclusive degree-1 variable(s), found 0",
+    ]),
+    ("-6*a*c^3*y2 - 5*x^2 - 5*x", "N", [
+        LINEAR_SKIPPED,
+        K2_SKIPPED,
+        LEV_SKIPPED,
+        "nonlinear: coefficients admit no zero-sum subset",
+    ]),
+    ("-2*a*b^3*x + 6*b^3*x + 3*b^2 - 3*b - 4*c^2*z_1", "N", [
+        LINEAR_SKIPPED,
+        K2_SKIPPED,
+        LEV_SKIPPED,
+        "nonlinear: monomial 2 (b^3*x) has no exclusive variable",
+        "nonlinear: monomial 3 (b^2) has no exclusive variable",
+        "nonlinear: monomial 4 (b) has no exclusive variable",
+    ]),
+    ("x^2 + y^2 - z^2", "N", [
+        LINEAR_SKIPPED,
+        K2_SKIPPED,
+        LEV_SKIPPED,
+        "nonlinear: monomial 1 (x^2) needs 2 exclusive degree-1 variable(s), found 0",
+        "nonlinear: monomial 2 (y^2) needs 2 exclusive degree-1 variable(s), found 0",
+        "nonlinear: monomial 3 (z^2) needs 2 exclusive degree-1 variable(s), found 0",
+    ]),
+    ("x^2 + y^2 + z^2", "Z", [
+        LINEAR_SKIPPED,
+        K2_SKIPPED,
+        LEV_SKIPPED,
+        "nonlinear: coefficients admit no zero-sum subset",
+        HOMOGENEOUS,
+        "ring Z: sign-flipped form x^2 + y^2 + z^2 is not certified PR either",
+    ]),
+]
+
+
+@pytest.mark.parametrize("text,ring,trace", TRACE_CASES)
+def test_classify_trace_contract(text, ring, trace):
+    assert list(classify(parse(text), ring).trace) == trace
+
+
+def test_classify_runs_each_shape_check_once(monkeypatch):
+    # the package's ``classify`` attribute is the function, not the module
+    classify_mod = importlib.import_module("rado_forge.classify")
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("exclusive_variables", "nonlinear_shape", "rado_condition"):
+        monkeypatch.setattr(classify_mod, name, counted(name, getattr(classify_mod, name)))
+    monkeypatch.setattr(
+        Polynomial, "degree_profile", counted("degree_profile", Polynomial.degree_profile)
+    )
+    texts = [text for text, _ring, _trace in TRACE_CASES] + [
+        "x1*y1*y2 + 4*x2*y1*y2*y3 - 3*x3*y3 - 2*x4*y1 + x5",
+        "t1*t2*x^2 + t3*t4*y^2 - t5*t6*z^2",
+        "x^2*y - x*y*z",
+        "x + y - z",
+    ]
+    for text in texts:
+        calls.clear()
+        classify(parse(text))
+        assert calls.get("exclusive_variables", 0) <= 1, text
+        assert calls.get("nonlinear_shape", 0) <= 1, text
+        assert calls.get("degree_profile", 0) <= 1, text
+        assert calls.get("rado_condition", 0) <= 2, text
 
 
 def test_classify_square_fixture_never_pr_with_failure_trace():
@@ -380,7 +529,6 @@ def test_replay_corpus_certificates():
 def test_replay_rejects_tampered_payloads():
     p = parse("x + y - z")
     v = classify(p)
-    from rado_forge.classify import Certificate, Verdict
 
     bad = Verdict(v.status, v.injective, Certificate("RadoLinear", {"J": [1, 2], "coefficients": [1, 1, -1]}))
     assert not replay_certificate(p, bad)
@@ -389,6 +537,59 @@ def test_replay_rejects_tampered_payloads():
     w = classify(q)
     payload = dict(w.certificate.payload, exclusive_choice=[["t1", "x"], ["t3", "t4"], ["t5", "t6"]])
     assert not replay_certificate(q, Verdict(PR, "yes", Certificate("Thm4.2", payload)))
+
+
+def _thm35_with_shared_designation():
+    p = parse("x1*y1 + x2*y1*y2 - x3")
+    v = classify(p)
+    assert v.certificate.theorem == "Thm3.5" and replay_certificate(p, v)
+    payload = v.certificate.payload
+    # designate y1, which monomials 1 and 2 share, with F kept consistent
+    linear = ["y1"] + payload["linear_vars"][1:]
+    products = [payload["linear_vars"][0]] + [y for y in payload["product_vars"] if y != "y1"]
+    f_sets = [
+        [j + 1 for j, y in enumerate(products) if m.degree_of(y) >= 1]
+        for m in p.monomials
+    ]
+    return p, Verdict(v.status, v.injective, Certificate("Thm3.5", dict(
+        payload, linear_vars=linear, product_vars=products, F=f_sets
+    )))
+
+
+def _k2_reduced_without_inner():
+    p = parse("2*x*y - 2*z*w")
+    v = classify(p)
+    assert v.certificate.payload["case"] == "reduced" and replay_certificate(p, v)
+    payload = {k: val for k, val in v.certificate.payload.items() if k != "inner"}
+    return p, Verdict(v.status, v.injective, Certificate("K2Analysis", payload))
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [
+        lambda: (parse("x + y - z"), Verdict(NOT_PR, "no", Certificate(
+            "LinearNecessity", {"coefficients": [1, 1, -1]}))),
+        lambda: (parse("x^2 + y^2 - z^2"), Verdict(NOT_PR, "no", Certificate(
+            "HomogeneousNecessity", {"coefficients": [1, 1, -1], "degree": 2}))),
+        lambda: (parse("x*y - z*w"), Verdict(NOT_PR, "no", Certificate(
+            "MultiplicativeRado", {
+                "left": "x*y", "right": "w*z",
+                "left_exponents": [1, 1], "right_exponents": [1, 1],
+            }))),
+        _thm35_with_shared_designation,
+        _k2_reduced_without_inner,
+    ],
+    ids=[
+        "linear-necessity-with-zero-sum",
+        "homogeneous-necessity-with-zero-sum",
+        "multiplicative-not-pr-with-equal-sums",
+        "thm35-shared-designated",
+        "k2-reduced-without-inner",
+    ],
+)
+def test_replay_rejects_false_claims(claim):
+    p, verdict = claim()
+    assert not replay_certificate(p, verdict)
 
 
 def test_replay_random_nonlinear_instances():

@@ -242,9 +242,14 @@ def test_search_budget_env_override(capsys, monkeypatch):
         (["search", "x + y - z", "--colors", "2", "--N", "5", "--budget", "-3"], None),
         (["search", "x + y - z", "--colors", "2", "--threshold", "0"], None),
         (["witness", "x + y - z", "--N", "0"], None),
+        (["witness", "x+y-z", "--method", "brute", "--N", "6", "--limit", "0", "--json"], None),
+        (["witness", "x+y-z", "--method", "brute", "--N", "6", "--limit", "-1", "--json"], None),
         (["search", "x + y - z", "--colors", "2", "--N", "5"], "abc"),
     ],
-    ids=["colors-0", "N-0", "N-neg", "budget-neg", "threshold-0", "witness-N-0", "env-budget"],
+    ids=[
+        "colors-0", "N-0", "N-neg", "budget-neg", "threshold-0", "witness-N-0",
+        "witness-limit-0", "witness-limit-neg", "env-budget",
+    ],
 )
 def test_bad_numeric_arguments_exit_usage(capsys, monkeypatch, argv, env):
     if env is not None:
@@ -264,6 +269,12 @@ def test_search_deep_n_not_recursion_bound(capsys):
     assert payload["outcome"] == "bad_coloring"
     coloring = Coloring(tuple(payload["coloring"]))
     assert monochromatic_solution(parse("x-2*y"), coloring) is None
+
+
+def test_search_root_beyond_float_range(capsys):
+    # isolating y needs the exact 200th root of numbers above 1e308
+    assert main(["search", "x^200-y^200", "--colors", "2", "--N", "50"]) == 0
+    assert "outcome: forced" in capsys.readouterr().out
 
 
 def test_search_leading_minus_after_double_dash(capsys):

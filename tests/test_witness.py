@@ -244,6 +244,14 @@ def test_brute_force_limit_and_order():
     assert len(ws) == 3
 
 
+def test_brute_force_root_beyond_float_range():
+    # 50**200 is far above the largest float; the isolated root stays exact
+    ws = brute_force_solutions(parse("x^200-y^200"), 50)
+    assert [(w.assignment["x"], w.assignment["y"]) for w in ws] == [
+        (n, n) for n in range(1, 51)
+    ]
+
+
 def test_brute_force_budget():
     with pytest.raises(SearchSpaceTooLargeError):
         brute_force_solutions(parse("x + y - z"), 1000, max_candidates=10)
