@@ -818,7 +818,15 @@ def _exclusive_degree_one(p: Polynomial, i: int, v: str) -> bool:
 def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate against the polynomial alone,
     without running the classifier: every hypothesis is checked directly on
-    the payload (exhaustive subset arithmetic, exponent-map lookups)."""
+    the payload (exhaustive subset arithmetic, exponent-map lookups).  A
+    payload with a missing key or a wrong-typed value does not replay."""
+    try:
+        return _replay(p, verdict)
+    except (LookupError, TypeError, ValueError):
+        return False
+
+
+def _replay(p: Polynomial, verdict: Verdict) -> bool:
     cert = verdict.certificate
     if cert is None:
         return verdict.status == UNKNOWN

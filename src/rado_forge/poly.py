@@ -167,9 +167,10 @@ class DegreeProfile:
 class Polynomial:
     """Canonical multivariate integer polynomial with zero constant term."""
 
-    __slots__ = ("monomials",)
+    __slots__ = ("monomials", "variables")
 
     monomials: tuple[Monomial, ...]
+    variables: tuple[str, ...]  # all variables, sorted lexicographically by name
 
     def __init__(self, monomials: Iterable[Monomial]):
         combined, constant = _combine(
@@ -180,6 +181,8 @@ class Polynomial:
         if not combined:
             raise EmptyPolynomialError()
         object.__setattr__(self, "monomials", _canonical_sort(combined))
+        names = {v for m in combined for v in m.variables}
+        object.__setattr__(self, "variables", tuple(sorted(names)))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -198,14 +201,6 @@ class Polynomial:
     @property
     def coefficients(self) -> tuple[int, ...]:
         return tuple(m.coefficient for m in self.monomials)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        """All variables, sorted lexicographically by name."""
-        seen: set[str] = set()
-        for m in self.monomials:
-            seen.update(m.variables)
-        return tuple(sorted(seen))
 
     def degree_of(self, var: str) -> int:
         """Degree of ``var`` in the polynomial: max exponent over monomials."""

@@ -1,12 +1,18 @@
 """Finite coloring search: empirical evidence for partition regularity.
 
 For a polynomial p, r colors and an interval [1..N], the engine enumerates
-every solution tuple of p inside the interval (through the witness module's
-exact enumerator), then backtracks over colorings looking for one with no
-monochromatic solution.  Exhausting the tree proves the finite statement
-"every r-coloring of [1..N] contains a monochromatic solution" (Forced);
-finding a leaf yields a checkable bad coloring.  Neither outcome is ever a
-partition-regularity claim; that language stays in the classifier.
+every solution tuple of p inside the interval, then backtracks over colorings
+looking for one with no monochromatic solution.  Exhausting the tree proves
+the finite statement "every r-coloring of [1..N] contains a monochromatic
+solution" (Forced); finding a leaf yields a checkable bad coloring.  Neither
+outcome is ever a partition-regularity claim; that language stays in the
+classifier.
+
+Solutions are enumerated in layers by their largest value: layer N holds the
+tuples whose largest value is N.  A threshold scan reads one layer per N, so
+each solution is enumerated and re-verified once per scan, not once per N.
+``witness.brute_force_solutions`` is not used here; it stays the independent
+oracle that the layered enumerator is tested against.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
@@ -17,12 +23,19 @@ node budget is a strict cap on the nodes spent.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 from .poly import Polynomial
-from .witness import DEFAULT_ENUM_BUDGET, brute_force_solutions
+from .witness import (  # noqa: F401 - perfbench/tracing.py wraps search.brute_force_solutions
+    DEFAULT_ENUM_BUDGET,
+    SearchSpaceTooLargeError,
+    _integer_root,
+    _isolation_split,
+    brute_force_solutions,
+)
 
 __all__ = [
     "Coloring",
@@ -107,6 +120,100 @@ class SearchOutcome:
         }
 
 
+def _check_bound(p: Polynomial, n_bound: int, max_candidates: int) -> None:
+    """Reject [1..n_bound] when ``brute_force_solutions`` would: the same
+    candidate count, against the same budget, with the same message."""
+    if n_bound < 1:
+        raise ValueError("bound must be >= 1")
+    variables = p.variables
+    k = len(variables)
+    split = _isolation_split(p, variables[-1]) if k >= 2 else None
+    candidates = n_bound ** (k - 1) if split else n_bound**k
+    if candidates > max_candidates:
+        raise SearchSpaceTooLargeError(
+            f"{candidates} candidate tuples exceed the budget of {max_candidates}"
+        )
+
+
+def _with_max(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The n^k - (n-1)^k tuples of [1..n]^k whose largest entry is n, grouped
+    by the position of their first n."""
+    below, upto = range(1, n), range(1, n + 1)
+    for i in range(k):
+        yield from itertools.product(*[below] * i, (n,), *[upto] * (k - 1 - i))
+
+
+def _prefix_value(terms, prefix: tuple[int, ...]) -> int:
+    """Sum over the terms of coeff * prod(prefix[i] ** e)."""
+    total = 0
+    for coeff, exps in terms:
+        for i, e in exps:
+            coeff *= prefix[i] if e == 1 else prefix[i] ** e
+        total += coeff
+    return total
+
+
+def _solution_layers(
+    p: Polynomial, max_n: int, injective: bool, max_candidates: int
+) -> Iterator[list[tuple[int, ...]]]:
+    """For N = 1..max_n, the solution tuples of p (variables in name order)
+    whose largest value is N, in lexicographic order.  The candidate budget
+    is checked for N before layer N is built.
+
+    When the last variable occurs with one common exponent wherever it
+    appears, layer N walks only the prefixes whose largest entry is N and
+    solves for the last variable: a root above N waits for its own layer, and
+    a prefix that every value solves joins each later layer.  Otherwise layer
+    N walks the tuples of [1..N]^k whose largest entry is N.  Every emitted
+    tuple is re-verified through ``evaluate``.
+    """
+    variables = p.variables
+    k = len(variables)
+    split = _isolation_split(p, variables[-1]) if k >= 2 else None
+    if split:
+        e, with_terms, without_terms = split
+        index = {v: i for i, v in enumerate(variables)}
+        lead_terms, rest_terms = (
+            [(c, [(index[v], d) for v, d in rest]) for c, rest in terms]
+            for terms in (with_terms, without_terms)
+        )
+    pending: dict[int, list[tuple[int, ...]]] = {}  # root -> prefixes
+    free: list[tuple[int, ...]] = []  # prefixes that every value solves
+
+    for n in range(1, max_n + 1):
+        _check_bound(p, n, max_candidates)
+        if split:
+            solved = [prefix + (n,) for prefix in pending.pop(n, []) + free]
+            for prefix in _with_max(n, k - 1):
+                lead = _prefix_value(lead_terms, prefix)
+                rest = _prefix_value(rest_terms, prefix)
+                if lead == 0:
+                    if rest == 0:
+                        free.append(prefix)
+                        solved.extend(prefix + (z,) for z in range(1, n + 1))
+                    continue
+                if (-rest) % lead != 0:
+                    continue
+                root = _integer_root((-rest) // lead, e)
+                if root is None or root > max_n:
+                    continue
+                if root <= n:
+                    solved.append(prefix + (root,))
+                else:
+                    pending.setdefault(root, []).append(prefix)
+        solutions = []
+        for t in solved if split else _with_max(n, k):
+            if injective and len(set(t)) < k:
+                continue
+            assignment = dict(zip(variables, t))
+            if p.evaluate(assignment) == 0:
+                solutions.append(t)
+            elif split:  # independent re-verification of a solved tuple
+                raise AssertionError(f"enumerator produced a non-solution: {assignment}")
+        solutions.sort()
+        yield solutions
+
+
 def enumerate_constraints(
     p: Polynomial,
     n_bound: int,
@@ -114,31 +221,20 @@ def enumerate_constraints(
     max_candidates: int = DEFAULT_ENUM_BUDGET,
 ) -> list[SolutionConstraint]:
     """All solution tuples of p in [1..n_bound]^n, lexicographic, deduplicated."""
-    variables = p.variables
-    seen: set[tuple[int, ...]] = set()
-    out: list[SolutionConstraint] = []
-    for w in brute_force_solutions(
-        p, n_bound, injective=injective, max_candidates=max_candidates
-    ):
-        tup = tuple(w.assignment[v] for v in variables)
-        if tup not in seen:
-            seen.add(tup)
-            out.append(SolutionConstraint(tup, injective))
-    return out
+    _check_bound(p, n_bound, max_candidates)
+    layers = _solution_layers(p, n_bound, injective, max_candidates)
+    return [
+        SolutionConstraint(t, injective)
+        for t in sorted(itertools.chain.from_iterable(layers))
+    ]
 
 
-def _others_by_max(
-    constraints: list[SolutionConstraint], n: int
-) -> list[list[tuple[int, ...]]]:
-    """Distinct value sets of the constraints inside [1..n], bucketed by their
-    maximum m: ``buckets[m]`` holds each set's other members as 0-based
-    indices, in lexicographic order of the sets."""
-    sets = {tuple(sorted(set(c.values))) for c in constraints}
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    for s in sorted(sets):
-        if s[-1] <= n:
-            buckets[s[-1]].append(tuple(v - 1 for v in s[:-1]))
-    return buckets
+def _others(layer: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct value sets of one layer, in lexicographic order, each as
+    its members below the layer's value, 0-based: what a search reads when it
+    colors that value."""
+    sets = sorted({tuple(sorted(set(t))) for t in layer})
+    return [tuple(v - 1 for v in s[:-1]) for s in sets]
 
 
 def _first_bad_coloring(
@@ -177,6 +273,30 @@ def _first_bad_coloring(
     return colors, nodes, False
 
 
+def _search_n(
+    p: Polynomial,
+    r: int,
+    n: int,
+    injective: bool,
+    budget: int,
+    buckets: list[list[tuple[int, ...]]],
+    constraints: list[SolutionConstraint],
+    started: float,
+) -> SearchOutcome:
+    """Search the colorings of [1..n] given the buckets and constraints of
+    [1..n]; a bad coloring is re-verified against the constraints."""
+    found, nodes, exhausted = _first_bad_coloring(n, r, buckets, budget)
+    coloring = None
+    if found is not None:
+        kind, coloring = BAD_COLORING, Coloring(tuple(found))
+        if monochromatic_solution(p, coloring, injective, _constraints=constraints) is not None:
+            raise AssertionError("search produced an invalid bad coloring")
+    else:
+        kind = INCONCLUSIVE if exhausted else FORCED
+    stats = SearchStats(nodes, len(constraints), (time.perf_counter() - started) * 1000)
+    return SearchOutcome(kind, coloring, stats)
+
+
 def find_bad_coloring(
     p: Polynomial,
     r: int,
@@ -190,19 +310,11 @@ def find_bad_coloring(
     if r < 1:
         raise ValueError("need at least one color")
     started = time.perf_counter()
-    constraints = enumerate_constraints(p, n_bound, injective)
-    found, nodes, exhausted = _first_bad_coloring(
-        n_bound, r, _others_by_max(constraints, n_bound), budget
-    )
-    coloring = None
-    if found is not None:
-        kind, coloring = BAD_COLORING, Coloring(tuple(found))
-        if monochromatic_solution(p, coloring, injective, _constraints=constraints) is not None:
-            raise AssertionError("search produced an invalid bad coloring")
-    else:
-        kind = INCONCLUSIVE if exhausted else FORCED
-    stats = SearchStats(nodes, len(constraints), (time.perf_counter() - started) * 1000)
-    return SearchOutcome(kind, coloring, stats)
+    _check_bound(p, n_bound, DEFAULT_ENUM_BUDGET)
+    layers = list(_solution_layers(p, n_bound, injective, DEFAULT_ENUM_BUDGET))
+    buckets = [[]] + [_others(layer) for layer in layers]
+    constraints = [SolutionConstraint(t, injective) for layer in layers for t in layer]
+    return _search_n(p, r, n_bound, injective, budget, buckets, constraints, started)
 
 
 def rado_number(
@@ -213,9 +325,21 @@ def rado_number(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[int]:
     """Smallest N <= max_n proven Forced, scanning N upward; None when every
-    scanned N admits a bad coloring (or exhausts its budget) up to max_n."""
-    for n in range(1, max_n + 1):
-        if find_bad_coloring(p, r, n, injective, budget).kind == FORCED:
+    scanned N admits a bad coloring (or exhausts its budget) up to max_n.
+
+    One layered enumeration serves the whole scan: each N adds the solutions
+    whose largest value is N to those of [1..N-1]."""
+    if r < 1:
+        raise ValueError("need at least one color")
+    buckets: list[list[tuple[int, ...]]] = [[]]
+    constraints: list[SolutionConstraint] = []
+    layers = _solution_layers(p, max_n, injective, DEFAULT_ENUM_BUDGET)
+    for n, layer in enumerate(layers, start=1):
+        started = time.perf_counter()
+        buckets.append(_others(layer))
+        constraints += [SolutionConstraint(t, injective) for t in layer]
+        outcome = _search_n(p, r, n, injective, budget, buckets, constraints, started)
+        if outcome.kind == FORCED:
             return n
     return None
 

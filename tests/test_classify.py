@@ -592,6 +592,31 @@ def test_replay_rejects_false_claims(claim):
     assert not replay_certificate(p, verdict)
 
 
+def _thm35_without(key):
+    p = parse("x1*y1 + x2*y1*y2 - x3")
+    payload = dict(classify(p).certificate.payload)
+    del payload[key]
+    return p, Verdict(PR, "yes", Certificate("Thm3.5", payload))
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [
+        lambda: (parse("x + y - z"), Verdict(PR, "yes", Certificate("RadoLinear", {}))),
+        lambda: _thm35_without("F"),
+        lambda: (
+            parse("x + y - z"),
+            Verdict(PR, "yes", Certificate("RadoLinear", {"coefficients": [1, 1, -1], "J": "12"})),
+        ),
+        lambda: (parse("x + y - z"), Verdict(PR, "yes", Certificate("NoSuchTheorem", {}))),
+    ],
+    ids=["radolinear-empty", "thm35-without-F", "radolinear-J-string", "unknown-tag"],
+)
+def test_replay_malformed_payload_is_false(claim):
+    p, verdict = claim()
+    assert replay_certificate(p, verdict) is False
+
+
 def test_replay_random_nonlinear_instances():
     rng = random.Random(20260810)
     for _ in range(60):

@@ -255,6 +255,18 @@ def test_polynomial_immutable():
         p.monomials = ()
 
 
+@given(polynomials())
+@settings(max_examples=100, deadline=None)
+def test_variables_computed_once(p):
+    assert p.variables is p.variables
+    assert p.variables == tuple(sorted({v for m in p.monomials for v, _ in m.exponents}))
+    with pytest.raises(AttributeError):
+        p.variables = ()
+    # equality and the hash still depend on the monomials alone
+    q = Polynomial(p.monomials)
+    assert q == p and hash(q) == hash(p)
+
+
 def test_degree_profile_per_monomial_degrees():
     prof = parse(WORKED).degree_profile()
     assert prof.per_monomial[0]["y1"] == 2

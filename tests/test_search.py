@@ -6,7 +6,7 @@ import json
 import pytest
 
 from rado_forge.cli import main
-from rado_forge.poly import parse
+from rado_forge.poly import Polynomial, parse
 from rado_forge.search import (
     BAD_COLORING,
     FORCED,
@@ -18,6 +18,7 @@ from rado_forge.search import (
     monochromatic_solution,
     rado_number,
 )
+from rado_forge.witness import SearchSpaceTooLargeError, brute_force_solutions
 
 SCHUR = parse("x + y - z")
 
@@ -41,6 +42,40 @@ def test_constraints_lexicographic_and_verified():
     assert [c.values for c in constraints] == sorted(c.values for c in constraints)
     for c in constraints:
         assert SCHUR.evaluate(dict(zip(SCHUR.variables, c.values))) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x + y - z",  # roots above N wait for their own layer
+        "x1 + x2 + x3 - x4",
+        "x1 + x2 - y1*y2",  # roots at or below N join layer N; the lead varies
+        "x*z - y*z + x - y",  # x = y: every z solves
+        "x^2 + y^2 - z^2",  # the solved variable has exponent 2
+        "x*z^2 + z - y",  # z is not isolable: the full grid is walked
+        "x^2 - x",  # one variable
+    ],
+)
+def test_layered_enumeration_matches_oracle(text):
+    p = parse(text)
+    for injective in (False, True):
+        for n in range(1, 11):
+            layered = [c.values for c in enumerate_constraints(p, n, injective)]
+            oracle = [
+                tuple(w.assignment[v] for v in p.variables)
+                for w in brute_force_solutions(p, n, injective)
+            ]
+            assert layered == oracle, (n, injective)
+
+
+@pytest.mark.parametrize("text", ["x + y - z", "x*z^2 + z - y", "x^2 - x"])
+def test_enumeration_budget_message_matches_oracle(text):
+    p = parse(text)
+    with pytest.raises(SearchSpaceTooLargeError) as oracle:
+        brute_force_solutions(p, 40, max_candidates=30)
+    with pytest.raises(SearchSpaceTooLargeError) as layered:
+        enumerate_constraints(p, 40, max_candidates=30)
+    assert str(layered.value) == str(oracle.value)
 
 
 def test_solution_constraint_validates_injectivity():
@@ -139,6 +174,36 @@ def test_hindman_shape_thresholds():
     assert rado_number(p, 2, 6) == 2
     # injective mode: no forced N up to 12 (recorded oracle outcome)
     assert rado_number(p, 2, 12, injective=True) is None
+
+
+def test_threshold_scan_enumerates_each_solution_once(monkeypatch):
+    # x1 + x2 + x3 = x4 has C(11, 3) = 165 solutions in [1..11]; a scan that
+    # re-enumerated [1..N] for each N would evaluate 495 tuples
+    calls = []
+    evaluate = Polynomial.evaluate
+
+    def counted(self, assignment):
+        calls.append(1)
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counted)
+    assert rado_number(parse("x1 + x2 + x3 - x4"), 2, 12) == 11
+    assert len(calls) == 165
+
+
+@pytest.mark.parametrize(
+    "text,injective,max_n",
+    [("x + y - z", False, 8), ("x + y - z", True, 12), ("x + 2*y - z", False, 12)],
+)
+def test_threshold_is_first_standalone_forced(text, injective, max_n):
+    p = parse(text)
+    standalone = next(
+        (n for n in range(1, max_n + 1)
+         if find_bad_coloring(p, 2, n, injective).kind == FORCED),
+        None,
+    )
+    assert standalone is not None
+    assert rado_number(p, 2, max_n, injective) == standalone
 
 
 # -- full-enumeration oracle ----------------------------------------------------------
