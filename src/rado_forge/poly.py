@@ -187,6 +187,10 @@ class Polynomial:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the guarded __setattr__
+        return (Polynomial, (self.monomials,))
+
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Mapping[str, int]]]) -> "Polynomial":
         """Build from (coefficient, {var: exponent}) pairs, canonicalizing."""

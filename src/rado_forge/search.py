@@ -8,11 +8,14 @@ solution" (Forced); finding a leaf yields a checkable bad coloring.  Neither
 outcome is ever a partition-regularity claim; that language stays in the
 classifier.
 
-Solutions are enumerated in layers by their largest value: layer N holds the
-tuples whose largest value is N.  A threshold scan reads one layer per N, so
-each solution is enumerated and re-verified once per scan, not once per N.
-``witness.brute_force_solutions`` is not used here; it stays the independent
-oracle that the layered enumerator is tested against.
+A solution is a plain tuple of values, variables in name order.  Solutions
+are enumerated in layers by their largest value: layer N holds the tuples
+whose largest value is N.  A threshold scan reads one layer per N, so each
+solution is enumerated and re-verified once per scan, not once per N.  The
+isolation split, the term evaluator and the candidate budget live in
+``witness`` beside ``brute_force_solutions``; that oracle keeps its own
+full-prefix walk and is not used here, so the layered enumerator can be
+tested against it.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
@@ -31,15 +34,15 @@ from typing import Any, Iterator, Optional
 from .poly import Polynomial
 from .witness import (  # noqa: F401 - perfbench/tracing.py wraps search.brute_force_solutions
     DEFAULT_ENUM_BUDGET,
-    SearchSpaceTooLargeError,
+    _check_candidates,
     _integer_root,
     _isolation_split,
+    _term_value,
     brute_force_solutions,
 )
 
 __all__ = [
     "Coloring",
-    "SolutionConstraint",
     "SearchStats",
     "SearchOutcome",
     "DEFAULT_NODE_BUDGET",
@@ -77,18 +80,6 @@ class Coloring:
         return out
 
 
-@dataclass(frozen=True)
-class SolutionConstraint:
-    """A solution tuple of p inside [1..N], in variable name order."""
-
-    values: tuple[int, ...]
-    injective: bool
-
-    def __post_init__(self) -> None:
-        if self.injective and len(set(self.values)) != len(self.values):
-            raise ValueError("injective constraint with repeated values")
-
-
 @dataclass
 class SearchStats:
     nodes: int = 0
@@ -120,37 +111,12 @@ class SearchOutcome:
         }
 
 
-def _check_bound(p: Polynomial, n_bound: int, max_candidates: int) -> None:
-    """Reject [1..n_bound] when ``brute_force_solutions`` would: the same
-    candidate count, against the same budget, with the same message."""
-    if n_bound < 1:
-        raise ValueError("bound must be >= 1")
-    variables = p.variables
-    k = len(variables)
-    split = _isolation_split(p, variables[-1]) if k >= 2 else None
-    candidates = n_bound ** (k - 1) if split else n_bound**k
-    if candidates > max_candidates:
-        raise SearchSpaceTooLargeError(
-            f"{candidates} candidate tuples exceed the budget of {max_candidates}"
-        )
-
-
 def _with_max(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """The n^k - (n-1)^k tuples of [1..n]^k whose largest entry is n, grouped
     by the position of their first n."""
     below, upto = range(1, n), range(1, n + 1)
     for i in range(k):
         yield from itertools.product(*[below] * i, (n,), *[upto] * (k - 1 - i))
-
-
-def _prefix_value(terms, prefix: tuple[int, ...]) -> int:
-    """Sum over the terms of coeff * prod(prefix[i] ** e)."""
-    total = 0
-    for coeff, exps in terms:
-        for i, e in exps:
-            coeff *= prefix[i] if e == 1 else prefix[i] ** e
-        total += coeff
-    return total
 
 
 def _solution_layers(
@@ -169,24 +135,19 @@ def _solution_layers(
     """
     variables = p.variables
     k = len(variables)
-    split = _isolation_split(p, variables[-1]) if k >= 2 else None
+    split = _isolation_split(p)
     if split:
-        e, with_terms, without_terms = split
-        index = {v: i for i, v in enumerate(variables)}
-        lead_terms, rest_terms = (
-            [(c, [(index[v], d) for v, d in rest]) for c, rest in terms]
-            for terms in (with_terms, without_terms)
-        )
+        e, lead_terms, rest_terms = split
     pending: dict[int, list[tuple[int, ...]]] = {}  # root -> prefixes
     free: list[tuple[int, ...]] = []  # prefixes that every value solves
 
     for n in range(1, max_n + 1):
-        _check_bound(p, n, max_candidates)
+        _check_candidates(p, n, split, max_candidates)
         if split:
             solved = [prefix + (n,) for prefix in pending.pop(n, []) + free]
             for prefix in _with_max(n, k - 1):
-                lead = _prefix_value(lead_terms, prefix)
-                rest = _prefix_value(rest_terms, prefix)
+                lead = _term_value(lead_terms, prefix)
+                rest = _term_value(rest_terms, prefix)
                 if lead == 0:
                     if rest == 0:
                         free.append(prefix)
@@ -219,14 +180,11 @@ def enumerate_constraints(
     n_bound: int,
     injective: bool = False,
     max_candidates: int = DEFAULT_ENUM_BUDGET,
-) -> list[SolutionConstraint]:
+) -> list[tuple[int, ...]]:
     """All solution tuples of p in [1..n_bound]^n, lexicographic, deduplicated."""
-    _check_bound(p, n_bound, max_candidates)
+    _check_candidates(p, n_bound, _isolation_split(p), max_candidates)
     layers = _solution_layers(p, n_bound, injective, max_candidates)
-    return [
-        SolutionConstraint(t, injective)
-        for t in sorted(itertools.chain.from_iterable(layers))
-    ]
+    return sorted(itertools.chain.from_iterable(layers))
 
 
 def _others(layer: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -274,26 +232,24 @@ def _first_bad_coloring(
 
 
 def _search_n(
-    p: Polynomial,
     r: int,
     n: int,
-    injective: bool,
     budget: int,
     buckets: list[list[tuple[int, ...]]],
-    constraints: list[SolutionConstraint],
+    solutions: list[tuple[int, ...]],
     started: float,
 ) -> SearchOutcome:
-    """Search the colorings of [1..n] given the buckets and constraints of
-    [1..n]; a bad coloring is re-verified against the constraints."""
+    """Search the colorings of [1..n] given the buckets and solutions of
+    [1..n]; a bad coloring is re-verified against the solutions."""
     found, nodes, exhausted = _first_bad_coloring(n, r, buckets, budget)
     coloring = None
     if found is not None:
         kind, coloring = BAD_COLORING, Coloring(tuple(found))
-        if monochromatic_solution(p, coloring, injective, _constraints=constraints) is not None:
+        if _first_monochromatic(solutions, coloring) is not None:
             raise AssertionError("search produced an invalid bad coloring")
     else:
         kind = INCONCLUSIVE if exhausted else FORCED
-    stats = SearchStats(nodes, len(constraints), (time.perf_counter() - started) * 1000)
+    stats = SearchStats(nodes, len(solutions), (time.perf_counter() - started) * 1000)
     return SearchOutcome(kind, coloring, stats)
 
 
@@ -310,11 +266,11 @@ def find_bad_coloring(
     if r < 1:
         raise ValueError("need at least one color")
     started = time.perf_counter()
-    _check_bound(p, n_bound, DEFAULT_ENUM_BUDGET)
+    _check_candidates(p, n_bound, _isolation_split(p), DEFAULT_ENUM_BUDGET)
     layers = list(_solution_layers(p, n_bound, injective, DEFAULT_ENUM_BUDGET))
     buckets = [[]] + [_others(layer) for layer in layers]
-    constraints = [SolutionConstraint(t, injective) for layer in layers for t in layer]
-    return _search_n(p, r, n_bound, injective, budget, buckets, constraints, started)
+    solutions = [t for layer in layers for t in layer]
+    return _search_n(r, n_bound, budget, buckets, solutions, started)
 
 
 def rado_number(
@@ -332,34 +288,31 @@ def rado_number(
     if r < 1:
         raise ValueError("need at least one color")
     buckets: list[list[tuple[int, ...]]] = [[]]
-    constraints: list[SolutionConstraint] = []
+    solutions: list[tuple[int, ...]] = []
     layers = _solution_layers(p, max_n, injective, DEFAULT_ENUM_BUDGET)
     for n, layer in enumerate(layers, start=1):
         started = time.perf_counter()
         buckets.append(_others(layer))
-        constraints += [SolutionConstraint(t, injective) for t in layer]
-        outcome = _search_n(p, r, n, injective, budget, buckets, constraints, started)
+        solutions += layer
+        outcome = _search_n(r, n, budget, buckets, solutions, started)
         if outcome.kind == FORCED:
             return n
     return None
 
 
-def monochromatic_solution(
-    p: Polynomial,
-    coloring: Coloring,
-    injective: bool = False,
-    _constraints: Optional[list[SolutionConstraint]] = None,
-) -> Optional[SolutionConstraint]:
-    """First (lexicographic) solution whose values all share one color."""
-    constraints = (
-        _constraints
-        if _constraints is not None
-        else enumerate_constraints(p, coloring.n, injective)
-    )
-    for c in constraints:
-        if max(c.values) > coloring.n:
-            continue
-        first = coloring.color_of(c.values[0])
-        if all(coloring.color_of(v) == first for v in c.values[1:]):
-            return c
+def _first_monochromatic(
+    solutions: list[tuple[int, ...]], coloring: Coloring
+) -> Optional[tuple[int, ...]]:
+    """The first of ``solutions`` whose values all share one color."""
+    for t in solutions:
+        first = coloring.color_of(t[0])
+        if all(coloring.color_of(v) == first for v in t[1:]):
+            return t
     return None
+
+
+def monochromatic_solution(
+    p: Polynomial, coloring: Coloring, injective: bool = False
+) -> Optional[tuple[int, ...]]:
+    """First (lexicographic) solution whose values all share one color."""
+    return _first_monochromatic(enumerate_constraints(p, coloring.n, injective), coloring)

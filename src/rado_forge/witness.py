@@ -397,32 +397,52 @@ def _integer_root(value: int, e: int) -> Optional[int]:
     return low if low**e == value else None
 
 
-def _isolation_split(p: Polynomial, var: str):
-    """If every monomial containing ``var`` uses the same exponent e, return
-    (e, with_terms, without_terms) where the terms drop ``var``; else None."""
+def _isolation_split(p: Polynomial):
+    """If p has two or more variables and every monomial containing the last
+    one uses the same exponent e, return (e, with_terms, without_terms): the
+    terms drop that variable and key each remaining exponent by its position
+    in ``p.variables``.  Else None."""
+    variables = p.variables
+    if len(variables) < 2:
+        return None
+    var = variables[-1]
     exponents = {m.degree_of(var) for m in p.monomials if m.degree_of(var) >= 1}
     if len(exponents) != 1:
         return None
-    e = exponents.pop()
+    index = {v: i for i, v in enumerate(variables)}
     with_terms = []
     without_terms = []
     for m in p.monomials:
-        rest = [(v, d) for v, d in m.exponents if v != var]
+        rest = [(index[v], d) for v, d in m.exponents if v != var]
         if m.degree_of(var) >= 1:
             with_terms.append((m.coefficient, rest))
         else:
             without_terms.append((m.coefficient, rest))
-    return e, with_terms, without_terms
+    return exponents.pop(), with_terms, without_terms
 
 
-def _term_value(terms, values: dict[str, int]) -> int:
+def _term_value(terms, prefix: tuple[int, ...]) -> int:
+    """Sum over the terms of coeff * prod(prefix[i] ** e)."""
     total = 0
     for coeff, exps in terms:
-        item = coeff
-        for v, e in exps:
-            item *= values[v] ** e
-        total += item
+        for i, e in exps:
+            coeff *= prefix[i] if e == 1 else prefix[i] ** e
+        total += coeff
     return total
+
+
+def _check_candidates(p: Polynomial, n_bound: int, split, max_candidates: int) -> None:
+    """Reject [1..n_bound] when it has more candidate tuples than the budget:
+    n_bound^(k-1) prefixes when the last variable is solved for (``split``
+    from ``_isolation_split``), else the n_bound^k grid."""
+    if n_bound < 1:
+        raise ValueError("bound must be >= 1")
+    k = len(p.variables)
+    candidates = n_bound ** (k - 1) if split else n_bound**k
+    if candidates > max_candidates:
+        raise SearchSpaceTooLargeError(
+            f"{candidates} candidate tuples exceed the budget of {max_candidates}"
+        )
 
 
 def brute_force_solutions(
@@ -440,37 +460,30 @@ def brute_force_solutions(
     root) instead of enumerated; otherwise the full grid is walked.  Every
     emitted tuple is re-verified through ``evaluate``.
     """
-    if n_bound < 1:
-        raise ValueError("bound must be >= 1")
+    split = _isolation_split(p)
+    _check_candidates(p, n_bound, split, max_candidates)
     variables = p.variables
     n = len(variables)
-    split = _isolation_split(p, variables[-1]) if n >= 2 else None
-    candidates = n_bound ** (n - 1) if split else n_bound**n
-    if candidates > max_candidates:
-        raise SearchSpaceTooLargeError(
-            f"{candidates} candidate tuples exceed the budget of {max_candidates}"
-        )
     results: list[Witness] = []
 
-    def emit(assignment: dict[str, int]) -> bool:
-        if injective and len(set(assignment.values())) != n:
+    def emit(values: tuple[int, ...]) -> bool:
+        if injective and len(set(values)) != n:
             return False
+        assignment = dict(zip(variables, values))
         if p.evaluate(assignment) != 0:  # independent re-verification
             raise AssertionError(f"enumerator produced a non-solution: {assignment}")
-        results.append(Witness(dict(assignment), 0, "BruteForce"))
+        results.append(Witness(assignment, 0, "BruteForce"))
         return limit is not None and len(results) >= limit
 
     if split:
         e, with_terms, without_terms = split
-        last = variables[-1]
         for prefix in itertools.product(range(1, n_bound + 1), repeat=n - 1):
-            values = dict(zip(variables[:-1], prefix))
-            lead = _term_value(with_terms, values)
-            rest = _term_value(without_terms, values)
+            lead = _term_value(with_terms, prefix)
+            rest = _term_value(without_terms, prefix)
             if lead == 0:
                 if rest == 0:
                     for z in range(1, n_bound + 1):
-                        if emit({**values, last: z}):
+                        if emit(prefix + (z,)):
                             return results
                 continue
             if (-rest) % lead != 0:
@@ -478,14 +491,13 @@ def brute_force_solutions(
             target = (-rest) // lead
             root = _integer_root(target, e)
             if root is not None and 1 <= root <= n_bound:
-                if emit({**values, last: root}):
+                if emit(prefix + (root,)):
                     return results
         return results
 
     for tup in itertools.product(range(1, n_bound + 1), repeat=n):
-        assignment = dict(zip(variables, tup))
-        if p.evaluate(assignment) == 0:
-            if emit(assignment):
+        if p.evaluate(dict(zip(variables, tup))) == 0:
+            if emit(tup):
                 return results
     return results
 
@@ -510,25 +522,32 @@ def find_reduct_solution(
         lows[i] = lows[i + 1] + lo
         highs[i] = highs[i + 1] + hi
 
+    # iterative depth-first search in lexicographic order, one value
+    # iterator per level: no recursion limit on k
+    values = range(minimum, bound + 1)
     chosen: list[int] = []
-
-    def extend(i: int, partial: int) -> bool:
-        if i == k:
-            return partial == 0
-        for v in range(minimum, bound + 1):
+    partials = [0]  # partials[i]: the weighted sum of chosen[:i]
+    levels = [iter(values)]
+    while len(chosen) < k:
+        i = len(chosen)
+        c, partial, lo, hi = coeffs[i], partials[i], lows[i + 1], highs[i + 1]
+        for v in levels[-1]:
             if distinct and v in chosen:
                 continue
-            nxt = partial + coeffs[i] * v
-            if nxt + lows[i + 1] <= 0 <= nxt + highs[i + 1]:
+            nxt = partial + c * v
+            if nxt + lo <= 0 <= nxt + hi:
                 chosen.append(v)
-                if extend(i + 1, nxt):
-                    return True
-                chosen.pop()
-        return False
-
-    if extend(0, 0):
-        return tuple(chosen)
-    return None
+                partials.append(nxt)
+                levels.append(iter(values))
+                break
+        else:
+            if not chosen:
+                return None
+            levels.pop()
+            partials.pop()
+            chosen.pop()
+    # lows[k] = highs[k] = 0, so the last step left a zero weighted sum
+    return tuple(chosen)
 
 
 def _is_prime(n: int) -> bool:
@@ -575,16 +594,14 @@ def witness_via_reduct(p: Polynomial) -> Witness:
     """Default reduct-lift pipeline: distinct alpha values >= 2 and product
     variables set to distinct primes above them, which makes the witness
     injective whenever the polynomial admits injective solutions."""
-    if not p.is_lev:
-        raise HypothesisFailure([f"{p} is not linear in each variable"])
-    excl = exclusive_variables(p)
-    if excl is None:
-        raise HypothesisFailure([f"{p}: some monomial has no exclusive variable"])
+    try:
+        form = to_lev_form(p)
+    except (NotLevError, NoExclusiveSetError) as exc:
+        raise HypothesisFailure([str(exc)]) from None
     if rado_condition(p.coefficients) is None:
         raise HypothesisFailure(
             [f"coefficients {list(p.coefficients)} admit no zero-sum subset"]
         )
-    form = lev_shape(p, excl)
     alpha, _ = _default_alpha(form.coefficients)
     y_values = primes_above(max(alpha), len(form.product_vars))
     return reduct_lift(form, alpha, y_values)
@@ -628,15 +645,8 @@ def build_witness(
             except HypothesisFailure:
                 continue
         return build_witness(p, "brute", n_bound, injective, limit)
-    if method == "reduct":
-        w = witness_via_reduct(p)
-        if injective and not w.injective:
-            raise HypothesisFailure(
-                ["default generators produced no injective witness"]
-            )
-        return [w]
-    if method == "nlp":
-        w = witness_via_nlp(p)
+    if method in ("reduct", "nlp"):
+        w = witness_via_reduct(p) if method == "reduct" else witness_via_nlp(p)
         if injective and not w.injective:
             raise HypothesisFailure(
                 ["default generators produced no injective witness"]

@@ -148,7 +148,7 @@ def test_criterion_4_schur_thresholds():
 
     def oracle_bad_exists(n, injective):
         sets = {
-            tuple(sorted(set(c.values)))
+            tuple(sorted(set(c)))
             for c in enumerate_constraints(schur, n, injective)
         }
         return any(
@@ -192,7 +192,7 @@ def test_criterion_5_oracle_equivalence():
         p = parse(text)
         for n in range(1, 13):
             sets = {
-                tuple(sorted(set(c.values))) for c in enumerate_constraints(p, n)
+                tuple(sorted(set(c))) for c in enumerate_constraints(p, n)
             }
             oracle_bad = any(
                 all(len({colors[v - 1] for v in s}) > 1 for s in sets)

@@ -1,9 +1,13 @@
 """Command-line interface tests: exit codes, JSON schemas, corpus golden run."""
 
+import contextlib
+import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rado_forge.cli import (
     EXIT_CORPUS_MISMATCH,
@@ -327,3 +331,63 @@ def test_corpus_mismatch_exit(capsys, tmp_path):
     assert code == EXIT_CORPUS_MISMATCH
     out = capsys.readouterr().out
     assert "expected NOT_PR, got PR" in out
+
+
+# -- exit-code contract over generated argv ------------------------------------
+
+EXIT_CODES = {0, 1, 2, 3, 4, 5, 64, 70}
+
+
+@st.composite
+def polynomial_text(draw):
+    """Up to four variables, mostly linear, with small coefficients, zero and
+    constant terms included; one time in four, arbitrary text over the
+    polynomial alphabet."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(alphabet="xyzw0123456789+-*^() ", max_size=14))
+    exponents = st.sampled_from([1, 1, 1, 2, 3])
+    monomial = st.dictionaries(st.sampled_from("xyzw"), exponents, min_size=1, max_size=3)
+    terms = draw(st.lists(st.tuples(st.integers(-4, 4), monomial), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 0:
+        terms.append((draw(st.integers(-4, 4)), {}))
+    text = ""
+    for coeff, exps in terms:
+        factors = [str(abs(coeff))] + [v if e == 1 else f"{v}^{e}" for v, e in sorted(exps.items())]
+        text += f" {'-' if coeff < 0 else '+'} {'*'.join(factors)}"
+    return text.removeprefix(" + ").strip()
+
+
+def flag(*words):
+    return st.sampled_from([[], list(words)])
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["classify", "witness", "search", "corpus"]))
+    if command == "corpus":
+        return ["corpus", draw(st.sampled_from(["run", "list"]))] + draw(flag("--json"))
+    options = draw(flag("--json"))
+    if command == "classify":
+        options += draw(flag("--ring", draw(st.sampled_from("NZ")))) + draw(flag("--allow-constant"))
+    elif command == "witness":
+        method = draw(st.sampled_from(["auto", "reduct", "nlp", "brute"]))
+        options += ["--method", method, "--N", str(draw(st.integers(1, 8)))]
+        options += ["--limit", str(draw(st.integers(1, 3)))] + draw(flag("--injective"))
+    else:
+        bound = draw(st.sampled_from(["--N", "--threshold"]))
+        options += ["--colors", str(draw(st.integers(1, 3))), bound, str(draw(st.integers(1, 8)))]
+        options += ["--budget", "20000"] + draw(flag("--injective")) + draw(flag("--workers", "2"))
+    polynomial = draw(polynomial_text())
+    if draw(st.booleans()):  # a leading "-" needs the "--" separator
+        return [command] + options + ["--", polynomial]
+    return [command, polynomial] + options
+
+
+@given(cli_argv())
+@settings(max_examples=150, deadline=None)
+def test_every_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in EXIT_CODES, (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

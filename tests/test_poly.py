@@ -1,5 +1,7 @@
 """Parser, canonical form, and structural-quantity tests."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -251,6 +253,17 @@ def test_monomial_validation():
 
 def test_polynomial_immutable():
     p = parse("x + y")
+    with pytest.raises(AttributeError):
+        p.monomials = ()
+
+
+@pytest.mark.parametrize("text", ["x + y - z", HEADLINE, WORKED, "x^3 - 2*y^2*z"])
+def test_polynomial_copy_and_pickle_round_trip(text):
+    p = parse(text)
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p
+        assert q.variables == p.variables
+        assert str(q) == str(p)
     with pytest.raises(AttributeError):
         p.monomials = ()
 

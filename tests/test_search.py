@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from rado_forge import search
 from rado_forge.cli import main
 from rado_forge.poly import Polynomial, parse
 from rado_forge.search import (
@@ -12,7 +13,6 @@ from rado_forge.search import (
     FORCED,
     INCONCLUSIVE,
     Coloring,
-    SolutionConstraint,
     enumerate_constraints,
     find_bad_coloring,
     monochromatic_solution,
@@ -27,21 +27,21 @@ SCHUR = parse("x + y - z")
 
 
 def test_enumerate_constraints_examples():
-    values = {c.values for c in enumerate_constraints(SCHUR, 4)}
+    values = set(enumerate_constraints(SCHUR, 4))
     assert values == {(1, 1, 2), (1, 2, 3), (2, 1, 3), (1, 3, 4), (3, 1, 4), (2, 2, 4)}
 
     assert enumerate_constraints(SCHUR, 2, injective=True) == []
 
     p = parse("x1 + x2 - y1*y2")
-    values = {c.values for c in enumerate_constraints(p, 6, injective=True)}
+    values = set(enumerate_constraints(p, 6, injective=True))
     assert (1, 5, 2, 3) in values
 
 
 def test_constraints_lexicographic_and_verified():
     constraints = enumerate_constraints(SCHUR, 6)
-    assert [c.values for c in constraints] == sorted(c.values for c in constraints)
+    assert constraints == sorted(constraints)
     for c in constraints:
-        assert SCHUR.evaluate(dict(zip(SCHUR.variables, c.values))) == 0
+        assert SCHUR.evaluate(dict(zip(SCHUR.variables, c))) == 0
 
 
 @pytest.mark.parametrize(
@@ -60,12 +60,20 @@ def test_layered_enumeration_matches_oracle(text):
     p = parse(text)
     for injective in (False, True):
         for n in range(1, 11):
-            layered = [c.values for c in enumerate_constraints(p, n, injective)]
+            layered = enumerate_constraints(p, n, injective)
             oracle = [
                 tuple(w.assignment[v] for v in p.variables)
                 for w in brute_force_solutions(p, n, injective)
             ]
             assert layered == oracle, (n, injective)
+        # both enumerators share the witness primitives; the full grid shares none
+        grid = [
+            t
+            for t in itertools.product(range(1, 11), repeat=len(p.variables))
+            if p.evaluate(dict(zip(p.variables, t))) == 0
+            and (not injective or len(set(t)) == len(t))
+        ]
+        assert enumerate_constraints(p, 10, injective) == grid, injective
 
 
 @pytest.mark.parametrize("text", ["x + y - z", "x*z^2 + z - y", "x^2 - x"])
@@ -76,11 +84,6 @@ def test_enumeration_budget_message_matches_oracle(text):
     with pytest.raises(SearchSpaceTooLargeError) as layered:
         enumerate_constraints(p, 40, max_candidates=30)
     assert str(layered.value) == str(oracle.value)
-
-
-def test_solution_constraint_validates_injectivity():
-    with pytest.raises(ValueError):
-        SolutionConstraint((1, 1, 2), injective=True)
 
 
 # -- find_bad_coloring ----------------------------------------------------------
@@ -124,6 +127,18 @@ def test_bad_coloring_has_no_monochromatic_solution():
         assert monochromatic_solution(SCHUR, outcome.coloring) is None
 
 
+def test_invalid_bad_coloring_is_rejected(monkeypatch):
+    # a kernel that returned a coloring with a monochromatic solution must
+    # not get past the re-verification, alone or inside a scan
+    def all_zero(n, r, buckets, budget):
+        return [0] * n, 1, False
+
+    monkeypatch.setattr(search, "_first_bad_coloring", all_zero)
+    for run in (find_bad_coloring, rado_number):
+        with pytest.raises(AssertionError, match="search produced an invalid bad coloring"):
+            run(SCHUR, 2, 4)
+
+
 def test_forced_monotone_spot_check():
     assert find_bad_coloring(SCHUR, 2, 5).kind == FORCED
     assert find_bad_coloring(SCHUR, 2, 6).kind == FORCED
@@ -133,7 +148,7 @@ def test_forced_monotone_spot_check():
 
 
 def test_monochromatic_solution_examples():
-    assert monochromatic_solution(SCHUR, Coloring((0, 0, 0))).values == (1, 1, 2)
+    assert monochromatic_solution(SCHUR, Coloring((0, 0, 0))) == (1, 1, 2)
     assert monochromatic_solution(SCHUR, Coloring((0, 1, 1, 0))) is None
     # no solutions at all in [1..1]
     assert monochromatic_solution(SCHUR, Coloring((0,))) is None
@@ -212,7 +227,7 @@ def test_threshold_is_first_standalone_forced(text, injective, max_n):
 def _oracle_bad_coloring(p, r, n, injective=False):
     """Check all r^n colorings; first bad one in lexicographic order."""
     sets = {
-        tuple(sorted(set(c.values)))
+        tuple(sorted(set(c)))
         for c in enumerate_constraints(p, n, injective)
     }
     for colors in itertools.product(range(r), repeat=n):

@@ -302,6 +302,31 @@ def test_find_reduct_solution():
     assert sum(c * a for c, a in zip((2, 3, -5, 1), alpha)) == 0
 
 
+def test_find_reduct_solution_not_recursion_bound():
+    # one search level per coefficient, deeper than the default recursion limit
+    assert find_reduct_solution([1] * 1100 + [-1], bound=2000) == (1,) * 1100 + (1100,)
+
+
+@pytest.mark.parametrize("minimum", [1, 2])
+@pytest.mark.parametrize("distinct", [False, True])
+def test_find_reduct_solution_is_lexicographic_minimum(minimum, distinct):
+    rng = random.Random(minimum * 2 + distinct)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        coeffs = [rng.choice([-1, 1]) * rng.randint(1, 5) for _ in range(k)]
+        bound = rng.randint(minimum, 6)
+        expected = next(
+            (
+                t
+                for t in itertools.product(range(minimum, bound + 1), repeat=k)
+                if sum(c * v for c, v in zip(coeffs, t)) == 0
+                and (not distinct or len(set(t)) == k)
+            ),
+            None,
+        )
+        assert find_reduct_solution(coeffs, bound, minimum, distinct) == expected
+
+
 def test_primes_above():
     assert primes_above(10, 3) == (11, 13, 17)
     assert primes_above(1, 2) == (2, 3)
