@@ -12,6 +12,11 @@ Exit codes are a stable API for scripted pipelines:
       is not a positive integer), 64 = malformed polynomial (position
       diagnostics), 70 = internal error
 
+Exit 2 is both classify's UNKNOWN and a usage error, so a malformed
+``classify`` command line (``classify "x+y-z" --ring Q``) reads as UNKNOWN.
+The codes are frozen; a script that must tell the two apart reads the
+``status`` field of ``classify --json``, which a usage error never prints.
+
 RADO_FORGE_BUDGET overrides the default search node budget.  A polynomial
 that starts with "-" goes after "--", as in
 ``rado-forge search --colors 2 --N 5 -- "-h9 - p8 + q3"``; otherwise argparse
@@ -196,7 +201,8 @@ def cmd_search(args: argparse.Namespace) -> int:
                     print(f"  class {color}: {members}")
             stats = outcome.stats
             print(
-                f"stats: nodes={stats.nodes} constraints={stats.constraints} ms={int(stats.ms)}"
+                f"stats: nodes={stats.nodes} constraints={stats.constraints}"
+                f" ms={int(stats.ms)} depth_max={stats.depth_max}"
             )
         return EXIT_INCONCLUSIVE if outcome.kind == INCONCLUSIVE else 0
     except SearchSpaceTooLargeError as exc:

@@ -1,34 +1,35 @@
 """Finite coloring search: empirical evidence for partition regularity.
 
-For a polynomial p, r colors and an interval [1..N], the engine enumerates
-every solution tuple of p inside the interval, then backtracks over colorings
-looking for one with no monochromatic solution.  Exhausting the tree proves
-the finite statement "every r-coloring of [1..N] contains a monochromatic
-solution" (Forced); finding a leaf yields a checkable bad coloring.  Neither
-outcome is ever a partition-regularity claim; that language stays in the
-classifier.
+For a polynomial p, r colors and an interval [1..N], the engine backtracks
+over colorings of 1, 2, ... looking for one with no monochromatic solution of
+p.  Exhausting the tree proves the finite statement "every r-coloring of
+[1..N] contains a monochromatic solution" (Forced); finding a leaf yields a
+checkable bad coloring.  Neither outcome is ever a partition-regularity
+claim; that language stays in the classifier.
 
 A solution is a plain tuple of values, variables in name order.  Solutions
-are enumerated in layers by their largest value: layer N holds the tuples
-whose largest value is N.  A threshold scan reads one layer per N, so each
-solution is enumerated and re-verified once per scan, not once per N.  The
-isolation split, the term evaluator and the candidate budget live in
-``witness`` beside ``brute_force_solutions``; that oracle keeps its own
-full-prefix walk and is not used here, so the layered enumerator can be
-tested against it.
+are enumerated in layers by their largest value: layer v holds the tuples
+whose largest value is v.  The search reads layer v + 1 when it first colors
+v, and ``stats.constraints`` counts the solutions read.  The isolation split,
+the term evaluator and the candidate budget live in ``witness`` beside
+``brute_force_solutions``, the oracle the layered enumerator is tested against.
+
+A bad coloring of [1..N] restricts to one of [1..N-1], so a threshold is one
+search over [1..max_n]: one more than the length of the deepest bad coloring
+it reaches.  Re-verifying that coloring covers every shorter interval.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
 c may first appear only after colors 0..c-1 (canonical representatives only,
 completeness preserved).  Every color tried at a value is one node, and the
-node budget is a strict cap on the nodes spent.
+node budget is a strict cap on the nodes spent, per call.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Optional
 
 from .poly import Polynomial
@@ -83,11 +84,12 @@ class Coloring:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    constraints: int = 0
+    constraints: int = 0  # solutions read
     ms: float = 0.0
+    depth_max: int = 0  # length of the deepest bad coloring reached
 
     def to_json(self) -> dict[str, Any]:
-        return {"nodes": self.nodes, "constraints": self.constraints, "ms": int(self.ms)}
+        return {**asdict(self), "ms": int(self.ms)}
 
 
 @dataclass(frozen=True)
@@ -196,12 +198,17 @@ def _others(layer: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def _first_bad_coloring(
-    n: int, r: int, buckets: list[list[tuple[int, ...]]], budget: int
-) -> tuple[Optional[list[int]], int, bool]:
-    """Depth-first search over canonical colorings of 1..n, in branch order.
+    layers: Iterator[list[tuple[int, ...]]], r: int, n: int, budget: int
+) -> tuple[list[int], list[list[tuple[int, ...]]], int, bool]:
+    """Depth-first search over canonical colorings of 1..n, in branch order,
+    reading layer v + 1 from ``layers`` when it first reaches depth v.
 
-    Returns (the first bad coloring or None, nodes spent, budget exhausted).
+    Returns (the deepest bad coloring reached, the layers read, nodes spent,
+    budget exhausted).  The search stops at its first coloring of all of 1..n.
     """
+    read = [next(layers, [])]  # layer 1; no layer when n < 1
+    buckets = [[], _others(read[0])]  # buckets[v]: value sets read at value v
+    deepest: list[int] = []
     colors: list[int] = []  # colors of 1..len(colors), all checked
     used = [0]  # used[i]: number of distinct colors among 1..i
     nodes = 0
@@ -209,7 +216,7 @@ def _first_bad_coloring(
     while len(colors) < n:
         if color < min(used[-1] + 1, r):
             if nodes >= budget:
-                return None, nodes, True
+                return deepest, read, nodes, True
             nodes += 1
             for others in buckets[len(colors) + 1]:
                 for i in others:
@@ -221,36 +228,33 @@ def _first_bad_coloring(
                 colors.append(color)
                 used.append(max(used[-1], color + 1))
                 color = 0
+                if len(colors) > len(deepest):
+                    deepest = colors[:]
+                    if len(colors) < n:
+                        read.append(next(layers))
+                        buckets.append(_others(read[-1]))
                 continue
             color += 1
         elif colors:
             used.pop()
             color = colors.pop() + 1
         else:
-            return None, nodes, False
-    return colors, nodes, False
+            break
+    return deepest, read, nodes, False
 
 
-def _search_n(
-    r: int,
-    n: int,
-    budget: int,
-    buckets: list[list[tuple[int, ...]]],
-    solutions: list[tuple[int, ...]],
-    started: float,
-) -> SearchOutcome:
-    """Search the colorings of [1..n] given the buckets and solutions of
-    [1..n]; a bad coloring is re-verified against the solutions."""
-    found, nodes, exhausted = _first_bad_coloring(n, r, buckets, budget)
-    coloring = None
-    if found is not None:
-        kind, coloring = BAD_COLORING, Coloring(tuple(found))
-        if _first_monochromatic(solutions, coloring) is not None:
-            raise AssertionError("search produced an invalid bad coloring")
-    else:
-        kind = INCONCLUSIVE if exhausted else FORCED
-    stats = SearchStats(nodes, len(solutions), (time.perf_counter() - started) * 1000)
-    return SearchOutcome(kind, coloring, stats)
+def _search(
+    p: Polynomial, r: int, n: int, injective: bool, budget: int
+) -> tuple[Coloring, int, int, bool]:
+    """One search over the colorings of [1..n]: (the deepest bad coloring
+    reached, re-verified; solutions read; nodes spent; budget exhausted)."""
+    layers = _solution_layers(p, n, injective, DEFAULT_ENUM_BUDGET)
+    found, read, nodes, exhausted = _first_bad_coloring(layers, r, n, budget)
+    deepest = Coloring(tuple(found))
+    solutions = [t for layer in read[: deepest.n] for t in layer]
+    if _first_monochromatic(solutions, deepest) is not None:
+        raise AssertionError("search produced an invalid bad coloring")
+    return deepest, sum(map(len, read)), nodes, exhausted
 
 
 def find_bad_coloring(
@@ -267,10 +271,11 @@ def find_bad_coloring(
         raise ValueError("need at least one color")
     started = time.perf_counter()
     _check_candidates(p, n_bound, _isolation_split(p), DEFAULT_ENUM_BUDGET)
-    layers = list(_solution_layers(p, n_bound, injective, DEFAULT_ENUM_BUDGET))
-    buckets = [[]] + [_others(layer) for layer in layers]
-    solutions = [t for layer in layers for t in layer]
-    return _search_n(r, n_bound, budget, buckets, solutions, started)
+    deepest, constraints, nodes, exhausted = _search(p, r, n_bound, injective, budget)
+    stats = SearchStats(nodes, constraints, (time.perf_counter() - started) * 1000, deepest.n)
+    if deepest.n == n_bound:
+        return SearchOutcome(BAD_COLORING, deepest, stats)
+    return SearchOutcome(INCONCLUSIVE if exhausted else FORCED, None, stats)
 
 
 def rado_number(
@@ -280,24 +285,14 @@ def rado_number(
     injective: bool = False,
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[int]:
-    """Smallest N <= max_n proven Forced, scanning N upward; None when every
-    scanned N admits a bad coloring (or exhausts its budget) up to max_n.
-
-    One layered enumeration serves the whole scan: each N adds the solutions
-    whose largest value is N to those of [1..N-1]."""
+    """Smallest N <= max_n at which every r-coloring of [1..N] is Forced;
+    None when a bad coloring of [1..max_n] exists or the budget runs out.
+    One search over [1..max_n] decides it, and the budget caps that search:
+    N is one more than the length of the deepest bad coloring reached."""
     if r < 1:
         raise ValueError("need at least one color")
-    buckets: list[list[tuple[int, ...]]] = [[]]
-    solutions: list[tuple[int, ...]] = []
-    layers = _solution_layers(p, max_n, injective, DEFAULT_ENUM_BUDGET)
-    for n, layer in enumerate(layers, start=1):
-        started = time.perf_counter()
-        buckets.append(_others(layer))
-        solutions += layer
-        outcome = _search_n(r, n, budget, buckets, solutions, started)
-        if outcome.kind == FORCED:
-            return n
-    return None
+    deepest, _, _, exhausted = _search(p, r, max_n, injective, budget)
+    return None if exhausted or deepest.n == max_n else deepest.n + 1
 
 
 def _first_monochromatic(

@@ -93,7 +93,7 @@ OUTCOME_SCHEMA = {
         },
         "stats": {
             "type": "object",
-            "required": ["nodes", "constraints", "ms"],
+            "required": ["nodes", "constraints", "ms", "depth_max"],
             "additionalProperties": {"type": "integer"},
         },
     },

@@ -130,13 +130,25 @@ def test_bad_coloring_has_no_monochromatic_solution():
 def test_invalid_bad_coloring_is_rejected(monkeypatch):
     # a kernel that returned a coloring with a monochromatic solution must
     # not get past the re-verification, alone or inside a scan
-    def all_zero(n, r, buckets, budget):
-        return [0] * n, 1, False
+    def all_zero(layers, r, n, budget):
+        return [0] * n, list(layers), 1, False
 
     monkeypatch.setattr(search, "_first_bad_coloring", all_zero)
     for run in (find_bad_coloring, rado_number):
         with pytest.raises(AssertionError, match="search produced an invalid bad coloring"):
             run(SCHUR, 2, 4)
+
+
+def test_reverification_reaches_the_last_value(monkeypatch):
+    # (1, 4, 5) is the only monochromatic solution under this coloring, and
+    # its largest value is the last one colored
+    def last_value_bad(layers, r, n, budget):
+        return [0, 1, 1, 0, 0], list(layers), 1, False
+
+    monkeypatch.setattr(search, "_first_bad_coloring", last_value_bad)
+    for run in (find_bad_coloring, rado_number):
+        with pytest.raises(AssertionError, match="search produced an invalid bad coloring"):
+            run(SCHUR, 2, 5)
 
 
 def test_forced_monotone_spot_check():
@@ -208,17 +220,59 @@ def test_threshold_scan_enumerates_each_solution_once(monkeypatch):
 
 @pytest.mark.parametrize(
     "text,injective,max_n",
-    [("x + y - z", False, 8), ("x + y - z", True, 12), ("x + 2*y - z", False, 12)],
+    [
+        ("x + y - z", False, 8),
+        ("x + y - z", True, 12),
+        ("x + 2*y - z", False, 12),
+        ("x + y - 3*z", False, 8),  # not PR: no threshold
+    ],
 )
 def test_threshold_is_first_standalone_forced(text, injective, max_n):
+    # at every budget the scan answers N exactly when the per-N searches
+    # would: Forced at N with every earlier N conclusive; an Inconclusive N
+    # ends the scan
     p = parse(text)
-    standalone = next(
-        (n for n in range(1, max_n + 1)
-         if find_bad_coloring(p, 2, n, injective).kind == FORCED),
-        None,
-    )
-    assert standalone is not None
-    assert rado_number(p, 2, max_n, injective) == standalone
+    for budget in (1, 5, 50, 1000, None):
+        kwargs = {} if budget is None else {"budget": budget}
+        standalone = None
+        for n in range(1, max_n + 1):
+            kind = find_bad_coloring(p, 2, n, injective, **kwargs).kind
+            if kind != BAD_COLORING:
+                standalone = n if kind == FORCED else None
+                break
+        if budget is None:  # not vacuous: the PR rows have a threshold
+            assert (standalone is None) == (text == "x + y - 3*z")
+        assert rado_number(p, 2, max_n, injective, **kwargs) == standalone, budget
+
+
+def test_threshold_scan_is_one_search(monkeypatch):
+    calls = []
+    kernel = search._first_bad_coloring
+
+    def recorded(layers, r, n, budget):
+        result = kernel(layers, r, n, budget)
+        calls.append(result[2])
+        return result
+
+    monkeypatch.setattr(search, "_first_bad_coloring", recorded)
+    assert rado_number(SCHUR, 3, 20) == 14
+    assert len(calls) == 1
+    forced = find_bad_coloring(SCHUR, 3, 14)
+    assert forced.kind == FORCED
+    assert calls[0] == forced.stats.nodes == 978
+
+
+def test_search_reads_layers_only_as_it_reaches_them():
+    # every 2-coloring of x + y = z dies by value 5: layers 1..5 hold the
+    # 10 solutions read, whatever the bound
+    outcome = find_bad_coloring(SCHUR, 2, 300)
+    assert outcome.kind == FORCED
+    assert outcome.stats.constraints == 10
+    # (1, 1, 1) kills the only color of value 1
+    outcome = find_bad_coloring(parse("x*z - y*z + x - y"), 2, 300)
+    assert outcome.kind == FORCED
+    assert outcome.stats.nodes == 1
+    assert outcome.stats.constraints == 1
 
 
 # -- full-enumeration oracle ----------------------------------------------------------
@@ -312,7 +366,10 @@ def test_stats_fields():
     outcome = find_bad_coloring(SCHUR, 2, 5)
     assert outcome.stats.constraints == 10
     assert outcome.stats.nodes > 0
+    assert outcome.stats.depth_max == 4  # the threshold minus one
+    assert find_bad_coloring(SCHUR, 2, 4).stats.depth_max == 4
     payload = outcome.to_json("x + y - z", 2, 5, False)
     assert payload["outcome"] == "forced"
     assert payload["coloring"] is None
     assert payload["schema"] == 1
+    assert payload["stats"]["depth_max"] == 4
