@@ -7,11 +7,18 @@ p.  Exhausting the tree proves the finite statement "every r-coloring of
 checkable bad coloring.  Neither outcome is ever a partition-regularity
 claim; that language stays in the classifier.
 
-A solution is a plain tuple of values, variables in name order.  Solutions
-are enumerated in layers by their largest value: layer v holds the tuples
-whose largest value is v.  The search reads layer v + 1 when it first colors
-v, and ``stats.constraints`` counts the solutions read.  The isolation split,
-the term evaluator and the candidate budget live in ``witness`` beside
+A solution is a plain tuple of values.  Solutions are enumerated in layers by
+their largest value: layer v holds the tuples whose largest value is v.  The
+search reads only value sets, so it enumerates one representative per orbit
+of interchangeable variables (two are interchangeable when swapping them maps
+p to p or -p): the tuples that are nondecreasing inside each block of them.
+A permutation keeps a tuple's values, so the value sets of every layer are
+those of the full enumeration.  The search reads layer v + 1 when it first
+colors v, ``stats.constraints`` counts the representatives read, and the
+candidate budget is checked at each layer read, against the nondecreasing
+candidates of [1..v].  ``enumerate_constraints`` passes singleton blocks and
+keeps every tuple, variables in name order.  The isolation split, the term
+evaluator and the candidate budget live in ``witness`` beside
 ``brute_force_solutions``, the oracle the layered enumerator is tested against.
 
 A bad coloring of [1..N] restricts to one of [1..N-1], so a threshold is one
@@ -28,6 +35,7 @@ node budget is a strict cap on the nodes spent, per call.
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Optional
@@ -84,12 +92,13 @@ class Coloring:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    constraints: int = 0  # solutions read
+    constraints: int = 0  # solutions read: one representative per orbit
     ms: float = 0.0
     depth_max: int = 0  # length of the deepest bad coloring reached
+    enumerate_ms: float = 0.0  # part of ms spent reading solution layers
 
     def to_json(self) -> dict[str, Any]:
-        return {**asdict(self), "ms": int(self.ms)}
+        return {**asdict(self), "ms": int(self.ms), "enumerate_ms": int(self.enumerate_ms)}
 
 
 @dataclass(frozen=True)
@@ -113,20 +122,77 @@ class SearchOutcome:
         }
 
 
-def _with_max(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """The n^k - (n-1)^k tuples of [1..n]^k whose largest entry is n, grouped
-    by the position of their first n."""
+def _with_max(n: int, sizes: list[int]) -> Iterator[tuple[int, ...]]:
+    """The tuples of [1..n] whose largest entry is n and that are nondecreasing
+    inside each block, for consecutive blocks of the given sizes, singletons
+    last; grouped by the block of their first n.  The singletons are one
+    product, so with all singleton blocks this walks the n^k - (n-1)^k tuples
+    of [1..n]^k whose largest entry is n."""
     below, upto = range(1, n), range(1, n + 1)
-    for i in range(k):
-        yield from itertools.product(*[below] * i, (n,), *[upto] * (k - 1 - i))
+    for first in range(len(sizes)):
+        parts, singles = [], []
+        for j, size in enumerate(sizes):
+            values = below if j < first else upto
+            if size == 1:
+                singles.append((n,) if j == first else values)
+            elif j == first:  # nondecreasing, so n comes last
+                tops = itertools.combinations_with_replacement(upto, size - 1)
+                parts.append(map(operator.add, tops, itertools.repeat((n,))))
+            else:
+                parts.append(itertools.combinations_with_replacement(values, size))
+        if singles:
+            parts.append(itertools.product(*singles))
+        if len(parts) == 1:
+            yield from parts[0]
+        else:  # concatenate one tuple from each part
+            yield from map(sum, itertools.product(*parts), itertools.repeat(()))
+
+
+def _interchangeable_blocks(p: Polynomial) -> list[tuple[int, ...]]:
+    """The enumerated positions of p (every variable but the one solved for
+    when ``_isolation_split`` applies) in blocks of interchangeable variables,
+    largest block first.  Two variables are interchangeable when swapping them
+    maps p to p or -p; that is an equivalence, so each position is tested
+    against the first member of each block.  The test compares the canonical
+    terms that ``Polynomial`` equality compares, without building each
+    renamed polynomial: that costs more than a whole small search."""
+    variables = p.variables
+    terms = {(m.coefficient, m.exponents) for m in p.monomials}
+    negated = {(-c, exps) for c, exps in terms}
+
+    def swapped(u: str, v: str) -> set:
+        swap = {u: v, v: u}
+        return {(c, tuple(sorted((swap.get(x, x), e) for x, e in exps))) for c, exps in terms}
+
+    blocks: list[list[int]] = []
+    for i in range(len(variables) - bool(_isolation_split(p))):
+        for block in blocks:
+            if swapped(variables[block[0]], variables[i]) in (terms, negated):
+                block.append(i)
+                break
+        else:
+            blocks.append([i])
+    return sorted(map(tuple, blocks), key=lambda block: (-len(block), block))
+
+
+def _singleton_blocks(p: Polynomial) -> list[tuple[int, ...]]:
+    """Each enumerated position of p in a block of its own: every tuple."""
+    return [(i,) for i in range(len(p.variables) - bool(_isolation_split(p)))]
 
 
 def _solution_layers(
-    p: Polynomial, max_n: int, injective: bool, max_candidates: int
+    p: Polynomial,
+    max_n: int,
+    injective: bool,
+    max_candidates: int,
+    blocks: list[tuple[int, ...]],
 ) -> Iterator[list[tuple[int, ...]]]:
-    """For N = 1..max_n, the solution tuples of p (variables in name order)
-    whose largest value is N, in lexicographic order.  The candidate budget
-    is checked for N before layer N is built.
+    """For N = 1..max_n, the solutions of p whose largest value is N, in
+    lexicographic order, one per orbit of permutations inside ``blocks``
+    (from ``_interchangeable_blocks`` or ``_singleton_blocks``): the tuples
+    nondecreasing inside each block.  A tuple lists the variables block by
+    block, then the variable solved for; with singleton blocks that is name
+    order.  The candidate budget is checked for N before layer N is built.
 
     When the last variable occurs with one common exponent wherever it
     appears, layer N walks only the prefixes whose largest entry is N and
@@ -135,19 +201,26 @@ def _solution_layers(
     N walks the tuples of [1..N]^k whose largest entry is N.  Every emitted
     tuple is re-verified through ``evaluate``.
     """
-    variables = p.variables
-    k = len(variables)
+    k = len(p.variables)
     split = _isolation_split(p)
+    order = [i for block in blocks for i in block] + [k - 1] * bool(split)
+    variables = [p.variables[i] for i in order]
+    sizes = [len(block) for block in blocks]
     if split:
         e, lead_terms, rest_terms = split
+        at = {i: j for j, i in enumerate(order)}  # name position -> tuple position
+        lead_terms, rest_terms = (
+            [(c, [(at[i], d) for i, d in exps]) for c, exps in terms]
+            for terms in (lead_terms, rest_terms)
+        )
     pending: dict[int, list[tuple[int, ...]]] = {}  # root -> prefixes
     free: list[tuple[int, ...]] = []  # prefixes that every value solves
 
     for n in range(1, max_n + 1):
-        _check_candidates(p, n, split, max_candidates)
+        _check_candidates(n, sizes, max_candidates)
         if split:
             solved = [prefix + (n,) for prefix in pending.pop(n, []) + free]
-            for prefix in _with_max(n, k - 1):
+            for prefix in _with_max(n, sizes):
                 lead = _term_value(lead_terms, prefix)
                 rest = _term_value(rest_terms, prefix)
                 if lead == 0:
@@ -165,7 +238,7 @@ def _solution_layers(
                 else:
                     pending.setdefault(root, []).append(prefix)
         solutions = []
-        for t in solved if split else _with_max(n, k):
+        for t in solved if split else _with_max(n, sizes):
             if injective and len(set(t)) < k:
                 continue
             assignment = dict(zip(variables, t))
@@ -184,8 +257,9 @@ def enumerate_constraints(
     max_candidates: int = DEFAULT_ENUM_BUDGET,
 ) -> list[tuple[int, ...]]:
     """All solution tuples of p in [1..n_bound]^n, lexicographic, deduplicated."""
-    _check_candidates(p, n_bound, _isolation_split(p), max_candidates)
-    layers = _solution_layers(p, n_bound, injective, max_candidates)
+    blocks = _singleton_blocks(p)
+    _check_candidates(n_bound, [1] * len(blocks), max_candidates)
+    layers = _solution_layers(p, n_bound, injective, max_candidates, blocks)
     return sorted(itertools.chain.from_iterable(layers))
 
 
@@ -243,18 +317,31 @@ def _first_bad_coloring(
     return deepest, read, nodes, False
 
 
+def _timed(layers: Iterator[list], stats: SearchStats) -> Iterator[list]:
+    """``layers``, adding the time spent reading each to ``stats.enumerate_ms``."""
+    while True:
+        started = time.perf_counter()
+        layer = next(layers, None)
+        stats.enumerate_ms += (time.perf_counter() - started) * 1000
+        if layer is None:
+            return
+        yield layer
+
+
 def _search(
     p: Polynomial, r: int, n: int, injective: bool, budget: int
-) -> tuple[Coloring, int, int, bool]:
+) -> tuple[Coloring, SearchStats, bool]:
     """One search over the colorings of [1..n]: (the deepest bad coloring
-    reached, re-verified; solutions read; nodes spent; budget exhausted)."""
-    layers = _solution_layers(p, n, injective, DEFAULT_ENUM_BUDGET)
-    found, read, nodes, exhausted = _first_bad_coloring(layers, r, n, budget)
+    reached, re-verified; its stats but ``ms``; budget exhausted)."""
+    stats = SearchStats()
+    layers = _solution_layers(p, n, injective, DEFAULT_ENUM_BUDGET, _interchangeable_blocks(p))
+    found, read, nodes, exhausted = _first_bad_coloring(_timed(layers, stats), r, n, budget)
     deepest = Coloring(tuple(found))
     solutions = [t for layer in read[: deepest.n] for t in layer]
     if _first_monochromatic(solutions, deepest) is not None:
         raise AssertionError("search produced an invalid bad coloring")
-    return deepest, sum(map(len, read)), nodes, exhausted
+    stats.nodes, stats.constraints, stats.depth_max = nodes, sum(map(len, read)), deepest.n
+    return deepest, stats, exhausted
 
 
 def find_bad_coloring(
@@ -266,13 +353,16 @@ def find_bad_coloring(
 ) -> SearchOutcome:
     """Search for an r-coloring of [1..n_bound] with no monochromatic
     solution of p.  Forced is claimed only on exact exhaustion; running out
-    of node budget is the Inconclusive outcome, not an error."""
+    of node budget is the Inconclusive outcome, not an error.  The candidate
+    budget is checked at each layer the search reads, so an oversized bound
+    raises ``SearchSpaceTooLargeError`` only when the search reaches it."""
     if r < 1:
         raise ValueError("need at least one color")
+    if n_bound < 1:
+        raise ValueError("bound must be >= 1")
     started = time.perf_counter()
-    _check_candidates(p, n_bound, _isolation_split(p), DEFAULT_ENUM_BUDGET)
-    deepest, constraints, nodes, exhausted = _search(p, r, n_bound, injective, budget)
-    stats = SearchStats(nodes, constraints, (time.perf_counter() - started) * 1000, deepest.n)
+    deepest, stats, exhausted = _search(p, r, n_bound, injective, budget)
+    stats.ms = (time.perf_counter() - started) * 1000
     if deepest.n == n_bound:
         return SearchOutcome(BAD_COLORING, deepest, stats)
     return SearchOutcome(INCONCLUSIVE if exhausted else FORCED, None, stats)
@@ -291,7 +381,7 @@ def rado_number(
     N is one more than the length of the deepest bad coloring reached."""
     if r < 1:
         raise ValueError("need at least one color")
-    deepest, _, _, exhausted = _search(p, r, max_n, injective, budget)
+    deepest, _, exhausted = _search(p, r, max_n, injective, budget)
     return None if exhausted or deepest.n == max_n else deepest.n + 1
 
 

@@ -20,6 +20,7 @@ independent enumeration oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
@@ -431,14 +432,15 @@ def _term_value(terms, prefix: tuple[int, ...]) -> int:
     return total
 
 
-def _check_candidates(p: Polynomial, n_bound: int, split, max_candidates: int) -> None:
-    """Reject [1..n_bound] when it has more candidate tuples than the budget:
-    n_bound^(k-1) prefixes when the last variable is solved for (``split``
-    from ``_isolation_split``), else the n_bound^k grid."""
+def _check_candidates(n_bound: int, sizes: Sequence[int], max_candidates: int) -> None:
+    """Reject [1..n_bound] when it has more candidate tuples than the budget.
+    ``sizes`` are those of the blocks of enumerated positions, inside each of
+    which a candidate is nondecreasing: prod C(n_bound + s - 1, s) over blocks
+    of size s.  With m singleton blocks that is n_bound^m: the n_bound^(k-1)
+    prefixes when the last variable is solved for, else the n_bound^k grid."""
     if n_bound < 1:
         raise ValueError("bound must be >= 1")
-    k = len(p.variables)
-    candidates = n_bound ** (k - 1) if split else n_bound**k
+    candidates = math.prod(math.comb(n_bound + s - 1, s) for s in sizes)
     if candidates > max_candidates:
         raise SearchSpaceTooLargeError(
             f"{candidates} candidate tuples exceed the budget of {max_candidates}"
@@ -461,7 +463,7 @@ def brute_force_solutions(
     emitted tuple is re-verified through ``evaluate``.
     """
     split = _isolation_split(p)
-    _check_candidates(p, n_bound, split, max_candidates)
+    _check_candidates(n_bound, [1] * (len(p.variables) - bool(split)), max_candidates)
     variables = p.variables
     n = len(variables)
     results: list[Witness] = []

@@ -4,10 +4,12 @@ import itertools
 import json
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rado_forge import search
 from rado_forge.cli import main
-from rado_forge.poly import Polynomial, parse
+from rado_forge.poly import EmptyPolynomialError, Polynomial, parse
 from rado_forge.search import (
     BAD_COLORING,
     FORCED,
@@ -204,8 +206,9 @@ def test_hindman_shape_thresholds():
 
 
 def test_threshold_scan_enumerates_each_solution_once(monkeypatch):
-    # x1 + x2 + x3 = x4 has C(11, 3) = 165 solutions in [1..11]; a scan that
-    # re-enumerated [1..N] for each N would evaluate 495 tuples
+    # x1 + x2 + x3 = x4 has C(11, 3) = 165 solutions in [1..11], and 41 with
+    # x1 <= x2 <= x3, one per orbit of the interchangeable x1, x2, x3; a scan
+    # that re-enumerated [1..N] for each N would evaluate more
     calls = []
     evaluate = Polynomial.evaluate
 
@@ -215,7 +218,7 @@ def test_threshold_scan_enumerates_each_solution_once(monkeypatch):
 
     monkeypatch.setattr(Polynomial, "evaluate", counted)
     assert rado_number(parse("x1 + x2 + x3 - x4"), 2, 12) == 11
-    assert len(calls) == 165
+    assert len(calls) == 41
 
 
 @pytest.mark.parametrize(
@@ -264,15 +267,135 @@ def test_threshold_scan_is_one_search(monkeypatch):
 
 def test_search_reads_layers_only_as_it_reaches_them():
     # every 2-coloring of x + y = z dies by value 5: layers 1..5 hold the
-    # 10 solutions read, whatever the bound
+    # 10 solutions, of which the 6 with x <= y are read, whatever the bound
     outcome = find_bad_coloring(SCHUR, 2, 300)
     assert outcome.kind == FORCED
-    assert outcome.stats.constraints == 10
+    assert outcome.stats.constraints == 6
     # (1, 1, 1) kills the only color of value 1
     outcome = find_bad_coloring(parse("x*z - y*z + x - y"), 2, 300)
     assert outcome.kind == FORCED
     assert outcome.stats.nodes == 1
     assert outcome.stats.constraints == 1
+
+
+# -- interchangeable variables ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("x + y - z", [{"x", "y"}]),
+        ("x + 2*y - z", []),
+        ("x^2 + y^2 - z^2", [{"x", "y"}]),
+        ("x*z - y*z + x - y", [{"x", "y"}]),  # the swap maps p to -p
+        ("x1 + x2 - y1*y2", [{"x1", "x2"}]),  # y2 is solved for, so y1 stands alone
+        ("x1*y1 + x2*y1*y2 - x3", []),
+    ],
+)
+def test_interchangeable_blocks(text, expected):
+    p = parse(text)
+    blocks = search._interchangeable_blocks(p)
+    assert [{p.variables[i] for i in b} for b in blocks if len(b) > 1] == expected
+    # a partition of the enumerated positions, largest block first
+    positions = sorted(i for b in blocks for i in b)
+    assert positions == list(range(len(p.variables) - bool(search._isolation_split(p))))
+    assert [len(b) for b in blocks] == sorted((len(b) for b in blocks), reverse=True)
+
+
+_NAMES = ("a", "b", "c", "d")
+
+
+def _renamed(terms, renaming):
+    return [(c, {renaming.get(v, v): e for v, e in exps.items()}) for c, exps in terms]
+
+
+@st.composite
+def _search_polynomials(draw):
+    """Polynomials in up to 4 variables; most are made symmetric or
+    antisymmetric under a permutation group, so that blocks appear."""
+    names = _NAMES[: draw(st.integers(1, 4))]
+    terms = [
+        (
+            draw(st.integers(-3, 3).filter(bool)),
+            {v: draw(st.integers(1, 2)) for v in draw(
+                st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))},
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    shape = draw(st.sampled_from(["plain", "pair", "antipair", "triple"]))
+    if shape in ("pair", "antipair") and len(names) >= 2:
+        u, v = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        sign = 1 if shape == "pair" else -1
+        terms += [(sign * c, exps) for c, exps in _renamed(terms, {u: v, v: u})]
+    elif shape == "triple" and len(names) >= 3:
+        group = draw(st.lists(st.sampled_from(names), min_size=3, max_size=3, unique=True))
+        terms = [
+            term
+            for perm in itertools.permutations(group)
+            for term in _renamed(terms, dict(zip(group, perm)))
+        ]
+    try:
+        return Polynomial.from_terms(terms)
+    except EmptyPolynomialError:  # an antisymmetric sum of symmetric terms
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_search_polynomials(), st.booleans(), st.integers(1, 12))
+@example(parse("a + 2*b + c - d"), False, 12)  # blocks (a, c), (b): not consecutive
+@example(parse("2*a + b + c - d"), True, 12)  # the larger block comes later by name
+@example(parse("a*c + b*c - c^2"), False, 12)  # no isolation split: the grid is reduced
+def test_reduced_layers_match_singleton_layers(p, injective, n):
+    reduced = search._solution_layers(
+        p, n, injective, search.DEFAULT_ENUM_BUDGET, search._interchangeable_blocks(p))
+    full = search._solution_layers(
+        p, n, injective, search.DEFAULT_ENUM_BUDGET, search._singleton_blocks(p))
+    for value, (few, every) in enumerate(zip(reduced, full, strict=True), start=1):
+        assert search._others(few) == search._others(every), value
+        assert len(few) <= len(every)
+    for r in (1, 2, 3):
+        for budget in (1, 7, 100, None):
+            kwargs = {} if budget is None else {"budget": budget}
+            fast = find_bad_coloring(p, r, n, injective, **kwargs)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(search, "_interchangeable_blocks", search._singleton_blocks)
+                slow = find_bad_coloring(p, r, n, injective, **kwargs)
+            assert (fast.kind, fast.coloring) == (slow.kind, slow.coloring), (r, budget)
+            assert (fast.stats.nodes, fast.stats.depth_max) == (
+                slow.stats.nodes, slow.stats.depth_max), (r, budget)
+            assert fast.stats.constraints <= slow.stats.constraints
+
+
+def test_candidate_wall_counts_representatives():
+    # 48^4 = 5,308,416 prefixes of x1 + x2 + x3 + x4 = x5 exceed the budget at
+    # N = 48; C(63, 4) = 595,665 nondecreasing ones cover [1..60]
+    outcome = find_bad_coloring(parse("x1 + x2 + x3 + x4 - x5"), 3, 60)
+    assert outcome.kind == BAD_COLORING
+    assert outcome.stats.nodes == 132
+    assert 0 < outcome.stats.enumerate_ms <= outcome.stats.ms
+    for members in outcome.coloring.classes():
+        inside = set(members)
+        for quad in itertools.combinations_with_replacement(members, 4):
+            assert sum(quad) not in inside, quad
+
+
+def test_oversized_bound_raises_only_at_the_layer_reached(capsys, monkeypatch):
+    # every 2-coloring dies at 5, so [1..10000] costs five layers
+    outcome = find_bad_coloring(SCHUR, 2, 10_000)
+    assert outcome.kind == FORCED
+    assert outcome.stats.constraints == 6
+    assert main(["search", "x+y-z", "--colors", "2", "--N", "10000", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] == FORCED
+    assert payload["stats"]["constraints"] == 6
+    # the layer reached still meets the candidate budget: x + 2y = z has no
+    # interchangeable pair and its search reaches 10, so with a budget of 30
+    # it raises at layer 6 (6^2 = 36 prefixes); x + y = z counts C(6, 2) = 21
+    # nondecreasing prefixes at its last layer, 5
+    monkeypatch.setattr(search, "DEFAULT_ENUM_BUDGET", 30)
+    assert find_bad_coloring(SCHUR, 2, 10_000).kind == FORCED
+    with pytest.raises(SearchSpaceTooLargeError, match="^36 candidate tuples exceed the budget of 30$"):
+        find_bad_coloring(parse("x + 2*y - z"), 2, 10_000)
 
 
 # -- full-enumeration oracle ----------------------------------------------------------
@@ -364,8 +487,9 @@ def test_injective_schur_node_count():
 
 def test_stats_fields():
     outcome = find_bad_coloring(SCHUR, 2, 5)
-    assert outcome.stats.constraints == 10
+    assert outcome.stats.constraints == 6  # one of (1, 2, 3) and (2, 1, 3), ...
     assert outcome.stats.nodes > 0
+    assert 0 <= outcome.stats.enumerate_ms <= outcome.stats.ms
     assert outcome.stats.depth_max == 4  # the threshold minus one
     assert find_bad_coloring(SCHUR, 2, 4).stats.depth_max == 4
     payload = outcome.to_json("x + y - z", 2, 5, False)
@@ -373,3 +497,4 @@ def test_stats_fields():
     assert payload["coloring"] is None
     assert payload["schema"] == 1
     assert payload["stats"]["depth_max"] == 4
+    assert isinstance(payload["stats"]["enumerate_ms"], int)
