@@ -203,7 +203,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             print(
                 f"stats: nodes={stats.nodes} constraints={stats.constraints}"
                 f" ms={int(stats.ms)} depth_max={stats.depth_max}"
-                f" enumerate_ms={int(stats.enumerate_ms)}"
+                f" enumerate_ms={int(stats.enumerate_ms)} prunes={stats.prunes}"
             )
         return EXIT_INCONCLUSIVE if outcome.kind == INCONCLUSIVE else 0
     except SearchSpaceTooLargeError as exc:

@@ -179,6 +179,13 @@ def test_weak_schur_threshold():
     assert rado_number(SCHUR, 2, 12, injective=True) == 9
 
 
+def test_bound_below_one_is_rejected():
+    for bound in (0, -3):
+        for run in (find_bad_coloring, rado_number):
+            with pytest.raises(ValueError, match="^bound must be >= 1$"):
+                run(SCHUR, 2, bound)
+
+
 def test_not_pr_polynomial_has_no_threshold():
     assert rado_number(parse("x + y - 3*z"), 2, 8) is None
 
@@ -262,7 +269,7 @@ def test_threshold_scan_is_one_search(monkeypatch):
     assert len(calls) == 1
     forced = find_bad_coloring(SCHUR, 3, 14)
     assert forced.kind == FORCED
-    assert calls[0] == forced.stats.nodes == 978
+    assert calls[0] == forced.stats.nodes == 420
 
 
 def test_search_reads_layers_only_as_it_reaches_them():
@@ -413,6 +420,28 @@ def _oracle_bad_coloring(p, r, n, injective=False):
     return None
 
 
+@settings(max_examples=80, deadline=None)
+@given(_search_polynomials(), st.integers(1, 3), st.integers(1, 9), st.booleans())
+@example(SCHUR, 2, 9, False)  # the depth reached is 4, not less
+@example(SCHUR, 3, 9, True)
+@example(parse("x + y - 2*z"), 2, 9, True)  # dead colorings set bits that must clear
+@example(parse("a + b + c - 2*d"), 3, 8, False)
+def test_kernel_returns_the_lexicographically_first_bad_coloring(p, r, n, injective):
+    # relabelling a bad coloring by first appearance gives a canonical one
+    # that is no larger, so the first canonical bad coloring the search
+    # reaches is the first bad coloring in product order, for every length
+    depth = 0  # the largest L <= n with a bad coloring of [1..L]
+    for length in range(1, n + 1):
+        first = _oracle_bad_coloring(p, r, length, injective)
+        if first is None:
+            break
+        depth = length
+        assert find_bad_coloring(p, r, length, injective).coloring.colors == first, length
+    outcome = find_bad_coloring(p, r, n, injective)
+    assert outcome.stats.depth_max == depth
+    assert outcome.kind == (BAD_COLORING if depth == n else FORCED)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_backtracking_matches_full_enumeration_schur(n):
     outcome = find_bad_coloring(SCHUR, 2, n)
@@ -479,13 +508,33 @@ def test_first_bad_coloring_in_branch_order_node_count():
     assert outcome.stats.nodes == 977
 
 
+def test_four_color_schur_node_count():
+    # the coloring of the search without forward checking, after 132,983 nodes
+    outcome = find_bad_coloring(SCHUR, 4, 40)
+    assert outcome.kind == BAD_COLORING
+    assert outcome.coloring.colors == (
+        0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 2, 3, 2, 3, 1, 2, 3, 1, 2, 0,
+        3, 0, 3, 0, 2, 1, 3, 2, 1, 3, 2, 3, 2, 1, 0, 3, 0, 1, 0, 2,
+    )
+    assert outcome.stats.nodes == 11559
+    assert outcome.stats.prunes == 1414
+
+
+def test_four_color_schur_number_inside_the_default_budget():
+    # S(4) = 44: the search without forward checking needs 25,266,598 nodes
+    outcome = find_bad_coloring(SCHUR, 4, 44)
+    assert outcome.kind == BAD_COLORING
+    assert monochromatic_solution(SCHUR, outcome.coloring) is None
+    assert outcome.stats.nodes == 2565894 < search.DEFAULT_NODE_BUDGET
+
+
 def test_injective_schur_node_count():
     outcome = find_bad_coloring(SCHUR, 3, 23, injective=True)
     assert outcome.kind == BAD_COLORING
-    assert outcome.stats.nodes == 2841
+    assert outcome.stats.nodes == 999
 
 
-def test_stats_fields():
+def test_stats_fields(capsys):
     outcome = find_bad_coloring(SCHUR, 2, 5)
     assert outcome.stats.constraints == 6  # one of (1, 2, 3) and (2, 1, 3), ...
     assert outcome.stats.nodes > 0
@@ -498,3 +547,9 @@ def test_stats_fields():
     assert payload["schema"] == 1
     assert payload["stats"]["depth_max"] == 4
     assert isinstance(payload["stats"]["enumerate_ms"], int)
+    # no 2-coloring of [1..5] dies ahead of its value; 74 of the 420 nodes
+    # of three colors at 14 are colorings that left a later value no color
+    assert outcome.stats.prunes == payload["stats"]["prunes"] == 0
+    assert find_bad_coloring(SCHUR, 3, 14).stats.prunes == 74
+    assert main(["search", "x+y-z", "--colors", "3", "--N", "14"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" prunes=74")
