@@ -8,9 +8,10 @@ Exit codes are a stable API for scripted pipelines:
                  found), 1 = threshold not found within the bound,
                  4 = node budget exhausted (Inconclusive)
   corpus     0 = golden match, 5 = mismatch (diff printed)
-  2 = malformed arguments (argparse usage error, or a count or budget that
-      is not a positive integer), 64 = malformed polynomial (position
-      diagnostics), 70 = internal error
+  2 = malformed arguments (argparse usage error, a count or budget that is
+      not a positive integer, or a ``corpus --file`` that cannot be read,
+      has a malformed line or holds a polynomial that does not parse),
+      64 = malformed polynomial (position diagnostics), 70 = internal error
 
 Exit 2 is both classify's UNKNOWN and a usage error, so a malformed
 ``classify`` command line (``classify "x+y-z" --ring Q``) reads as UNKNOWN.
@@ -212,8 +213,15 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    try:
+        if args.action == "list":
+            fixtures = corpus_mod.load_fixtures(args.file)
+        else:
+            results = corpus_mod.run_corpus(args.file)
+    except (OSError, ValueError) as exc:
+        print(f"rado-forge: error: --file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.action == "list":
-        fixtures = corpus_mod.load_fixtures(args.file)
         if args.json:
             _emit(
                 {
@@ -234,7 +242,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             for f in fixtures:
                 print(f"{f.text:55s} {f.status:8s} {f.theorem:22s} {f.reference}")
         return 0
-    results = corpus_mod.run_corpus(args.file)
     all_match = all(r.match for r in results)
     if args.json:
         _emit(

@@ -101,7 +101,10 @@ def run_corpus(path: Optional[str] = None) -> list[CorpusResult]:
     results = []
     for fixture in load_fixtures(path):
         started = time.perf_counter()
-        p = parse(fixture.text)
+        try:
+            p = parse(fixture.text)
+        except ValueError as exc:
+            raise ValueError(f"fixture {fixture.text!r}: {exc}") from exc
         verdict = classify(p)
         ms = (time.perf_counter() - started) * 1000
         prof = p.degree_profile()

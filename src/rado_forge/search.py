@@ -22,8 +22,9 @@ evaluator and the candidate budget live in ``witness`` beside
 ``brute_force_solutions``, the oracle the layered enumerator is tested against.
 
 A bad coloring of [1..N] restricts to one of [1..N-1], so a threshold is one
-search over [1..max_n]: one more than the length of the deepest bad coloring
-it reaches.  Re-verifying that coloring covers every shorter interval.
+search over [1..max_n]: ``rado_number`` is ``depth_max + 1`` of a Forced
+``find_bad_coloring``, one more than the length of the deepest bad coloring
+the search reaches.  Re-verifying that coloring covers every shorter interval.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
@@ -292,36 +293,20 @@ def _others(layer: list[tuple[int, ...]]) -> set[int]:
     return {sum(set(map(bit, t))) >> 1 & below for t in layer}
 
 
-class _Layers:
-    """The solution layers of one search, read one at a time: adds the time
-    spent reading each to ``stats.enumerate_ms``, and carries ``stats`` to
-    the kernel."""
-
-    def __init__(self, layers: Iterator[list[tuple[int, ...]]], stats: SearchStats) -> None:
-        self.layers, self.stats = layers, stats
-
-    def __iter__(self) -> _Layers:
-        return self
-
-    def __next__(self) -> list[tuple[int, ...]]:
-        started = time.perf_counter()
-        try:
-            return next(self.layers)
-        finally:
-            self.stats.enumerate_ms += (time.perf_counter() - started) * 1000
-
-
 def _first_bad_coloring(
-    layers: _Layers, r: int, n: int, budget: int
-) -> tuple[list[int], list[list[tuple[int, ...]]], int, bool]:
+    layers: Iterator[list[tuple[int, ...]]], r: int, n: int, budget: int, stats: SearchStats
+) -> tuple[list[int], list[list[tuple[int, ...]]], bool]:
     """Depth-first search over canonical colorings of 1..n, in branch order,
     reading layer v + 1 from ``layers`` when it first reaches depth v, with
     forward checking against the layers read.
 
-    Returns (the deepest bad coloring reached, the layers read, nodes spent,
-    budget exhausted), and adds the colorings pruned to ``layers.stats``.
-    The search stops at its first coloring of all of 1..n.
+    Returns (the deepest bad coloring reached, the layers read, budget
+    exhausted); writes the nodes spent and the colorings pruned to ``stats``
+    and adds the time spent reading layers to ``stats.enumerate_ms``.  The
+    search stops at its first coloring of all of 1..n.  A canonical coloring
+    of 1..n uses at most n colors, so more than n colors change nothing.
     """
+    r = min(r, n)
     full = (1 << r) - 1
     read: list[list[tuple[int, ...]]] = []
     classes = [0] * r  # classes[c]: bit i set when i + 1 has color c
@@ -329,8 +314,11 @@ def _first_bad_coloring(
     watch: list[list[tuple[int, int]]] = []  # watch[u]: (w, members below w + 1)
     owned: list[list[int]] = []  # owned[u]: the w whose bit the color of u + 1 set
 
-    def take(layer: list[tuple[int, ...]]) -> None:
-        """Files the value sets of the next layer and blocks what they close."""
+    def take() -> None:
+        """Reads the next layer, files its value sets and blocks what they close."""
+        started = time.perf_counter()
+        layer = next(layers)
+        stats.enumerate_ms += (time.perf_counter() - started) * 1000
         w = len(read)
         read.append(layer)
         blocked.append(0)
@@ -356,7 +344,7 @@ def _first_bad_coloring(
     nodes = prunes = 0
     exhausted = False
     color = 0  # next color to try at the value len(colors) + 1
-    take(next(layers))
+    take()
     while len(colors) < n:
         v = len(colors)  # 0-based: the value v + 1
         if color < min(used[-1] + 1, r):
@@ -385,7 +373,7 @@ def _first_bad_coloring(
                 if len(colors) > len(deepest):
                     deepest = colors[:]
                     if len(colors) < n:
-                        take(next(layers))
+                        take()
                 continue
             for w in mine:  # dead: w + 1 has no color left
                 blocked[w] ^= bit
@@ -401,24 +389,8 @@ def _first_bad_coloring(
             color += 1
         else:
             break
-    layers.stats.prunes += prunes
-    return deepest, read, nodes, exhausted
-
-
-def _search(
-    p: Polynomial, r: int, n: int, injective: bool, budget: int
-) -> tuple[Coloring, SearchStats, bool]:
-    """One search over the colorings of [1..n]: (the deepest bad coloring
-    reached, re-verified; its stats but ``ms``; budget exhausted)."""
-    stats = SearchStats()
-    layers = _solution_layers(p, n, injective, DEFAULT_ENUM_BUDGET, _interchangeable_blocks(p))
-    found, read, nodes, exhausted = _first_bad_coloring(_Layers(layers, stats), r, n, budget)
-    deepest = Coloring(tuple(found))
-    solutions = [t for layer in read[: deepest.n] for t in layer]
-    if _first_monochromatic(solutions, deepest) is not None:
-        raise AssertionError("search produced an invalid bad coloring")
-    stats.nodes, stats.constraints, stats.depth_max = nodes, sum(map(len, read)), deepest.n
-    return deepest, stats, exhausted
+    stats.nodes, stats.prunes = nodes, prunes
+    return deepest, read, exhausted
 
 
 def find_bad_coloring(
@@ -438,7 +410,14 @@ def find_bad_coloring(
     if n_bound < 1:
         raise ValueError("bound must be >= 1")
     started = time.perf_counter()
-    deepest, stats, exhausted = _search(p, r, n_bound, injective, budget)
+    stats = SearchStats()
+    layers = _solution_layers(p, n_bound, injective, DEFAULT_ENUM_BUDGET, _interchangeable_blocks(p))
+    found, read, exhausted = _first_bad_coloring(layers, r, n_bound, budget, stats)
+    deepest = Coloring(tuple(found))
+    solutions = [t for layer in read[: deepest.n] for t in layer]
+    if _first_monochromatic(solutions, deepest) is not None:
+        raise AssertionError("search produced an invalid bad coloring")
+    stats.constraints, stats.depth_max = sum(map(len, read)), deepest.n
     stats.ms = (time.perf_counter() - started) * 1000
     if deepest.n == n_bound:
         return SearchOutcome(BAD_COLORING, deepest, stats)
@@ -454,14 +433,11 @@ def rado_number(
 ) -> Optional[int]:
     """Smallest N <= max_n at which every r-coloring of [1..N] is Forced;
     None when a bad coloring of [1..max_n] exists or the budget runs out.
-    One search over [1..max_n] decides it, and the budget caps that search:
-    N is one more than the length of the deepest bad coloring reached."""
-    if r < 1:
-        raise ValueError("need at least one color")
-    if max_n < 1:
-        raise ValueError("bound must be >= 1")
-    deepest, _, exhausted = _search(p, r, max_n, injective, budget)
-    return None if exhausted or deepest.n == max_n else deepest.n + 1
+    It is ``depth_max + 1`` of one ``find_bad_coloring`` over [1..max_n]
+    when that is Forced: one more than the length of the deepest bad
+    coloring reached.  The budget caps that one search."""
+    outcome = find_bad_coloring(p, r, max_n, injective, budget)
+    return outcome.stats.depth_max + 1 if outcome.kind == FORCED else None
 
 
 def _first_monochromatic(

@@ -333,6 +333,30 @@ def test_corpus_mismatch_exit(capsys, tmp_path):
     assert "expected NOT_PR, got PR" in out
 
 
+@pytest.mark.parametrize(
+    "action,content,message",
+    [
+        ("run", None, "No such file"),
+        ("list", None, "No such file"),
+        ("run", "x + y - z | PR | RadoLinear\n", "malformed fixture line"),
+        ("list", "x + y - z | PR | RadoLinear\n", "malformed fixture line"),
+        ("run", "x + * y | PR | RadoLinear | yes | unparsable\n", "fixture 'x + * y': at position 4"),
+    ],
+)
+def test_corpus_bad_file_is_a_usage_error(capsys, tmp_path, action, content, message):
+    # a fixture file that cannot be read, split or parsed is a malformed
+    # argument: one line on stderr and exit 2, never a traceback
+    fixture = tmp_path / "fixtures.txt"
+    if content is not None:
+        fixture.write_text(content)
+    assert main(["corpus", action, "--file", str(fixture)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rado-forge: error: --file: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 # -- exit-code contract over generated argv ------------------------------------
 
 EXIT_CODES = {0, 1, 2, 3, 4, 5, 64, 70}

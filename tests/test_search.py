@@ -1,7 +1,12 @@
 """Coloring search tests: Schur fixtures, oracle equivalence, determinism."""
 
+import importlib
+import importlib.util
 import itertools
 import json
+import tracemalloc
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -132,8 +137,8 @@ def test_bad_coloring_has_no_monochromatic_solution():
 def test_invalid_bad_coloring_is_rejected(monkeypatch):
     # a kernel that returned a coloring with a monochromatic solution must
     # not get past the re-verification, alone or inside a scan
-    def all_zero(layers, r, n, budget):
-        return [0] * n, list(layers), 1, False
+    def all_zero(layers, r, n, budget, stats):
+        return [0] * n, list(layers), False
 
     monkeypatch.setattr(search, "_first_bad_coloring", all_zero)
     for run in (find_bad_coloring, rado_number):
@@ -144,13 +149,26 @@ def test_invalid_bad_coloring_is_rejected(monkeypatch):
 def test_reverification_reaches_the_last_value(monkeypatch):
     # (1, 4, 5) is the only monochromatic solution under this coloring, and
     # its largest value is the last one colored
-    def last_value_bad(layers, r, n, budget):
-        return [0, 1, 1, 0, 0], list(layers), 1, False
+    def last_value_bad(layers, r, n, budget, stats):
+        return [0, 1, 1, 0, 0], list(layers), False
 
     monkeypatch.setattr(search, "_first_bad_coloring", last_value_bad)
     for run in (find_bad_coloring, rado_number):
         with pytest.raises(AssertionError, match="search produced an invalid bad coloring"):
             run(SCHUR, 2, 5)
+
+
+def test_colors_beyond_the_bound_cost_nothing():
+    # a canonical coloring of [1..4] uses at most four colors, so ten
+    # million colors allocate no more than four do
+    tracemalloc.start()
+    try:
+        outcome = find_bad_coloring(SCHUR, 10**7, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.coloring.colors == (0, 1, 0, 2)
+    assert peak < 1_000_000
 
 
 def test_forced_monotone_spot_check():
@@ -259,9 +277,9 @@ def test_threshold_scan_is_one_search(monkeypatch):
     calls = []
     kernel = search._first_bad_coloring
 
-    def recorded(layers, r, n, budget):
-        result = kernel(layers, r, n, budget)
-        calls.append(result[2])
+    def recorded(layers, r, n, budget, stats):
+        result = kernel(layers, r, n, budget, stats)
+        calls.append(stats.nodes)
         return result
 
     monkeypatch.setattr(search, "_first_bad_coloring", recorded)
@@ -270,6 +288,48 @@ def test_threshold_scan_is_one_search(monkeypatch):
     forced = find_bad_coloring(SCHUR, 3, 14)
     assert forced.kind == FORCED
     assert calls[0] == forced.stats.nodes == 420
+
+
+def test_threshold_is_one_find_bad_coloring_call(monkeypatch):
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return find_bad_coloring(*args)
+
+    monkeypatch.setattr(search, "find_bad_coloring", recorded)
+    assert rado_number(SCHUR, 3, 20) == 14
+    assert calls == [(SCHUR, 3, 20, False, search.DEFAULT_NODE_BUDGET)]
+
+
+def test_benchmark_tracer_sees_the_kernel_inside_a_scan():
+    # perfbench/tracing.py wraps library functions at the module attributes
+    # it names; a scan must reach the kernel through one of them
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = ("poly", "classify", "witness", "search", "cli")
+    lib = types.SimpleNamespace(
+        **{name: importlib.import_module(f"rado_forge.{name}") for name in modules}
+    )
+    originals = {
+        (module, attr): getattr(getattr(lib, module), attr)
+        for sites in tracing.LAYERS.values() for module, attr in sites
+    }
+    tracer = tracing.Tracer()
+    tracer.begin_task("scan")
+    tracer.install(lib)
+    try:
+        assert search.rado_number(SCHUR, 3, 20) == 14
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    scan, kernel = names.index("search.scan"), names.index("search.kernel")
+    assert tracer.spans[kernel][3] == scan
+    assert tracer.spans[kernel][5][:2] == [FORCED, 420]
+    for (module, attr), original in originals.items():
+        assert getattr(getattr(lib, module), attr) is original, (module, attr)
 
 
 def test_search_reads_layers_only_as_it_reaches_them():
