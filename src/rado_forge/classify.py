@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from .poly import Monomial, Polynomial, monomial_gcd, parse
 
@@ -800,12 +800,15 @@ def _subset_sum_ok(coeffs: list[int], indices: list[int]) -> bool:
     )
 
 
-def _subset_sums(values: list[int]) -> Iterator[int]:
-    """The sum of every nonempty subset, by exhaustive enumeration."""
-    subsets = (
-        itertools.combinations(values, size) for size in range(1, len(values) + 1)
-    )
-    return map(sum, itertools.chain.from_iterable(subsets))
+def _subset_sums(values: list[int]) -> set[int]:
+    """The set of nonempty subset sums, grown one value at a time.  It holds
+    at most 2^k sums and at most sum(|c_i|) + 1, since every sum lies between
+    the total of the negative and the total of the positive values."""
+    sums: set[int] = set()
+    for c in values:
+        sums |= {s + c for s in sums}
+        sums.add(c)
+    return sums
 
 
 def _exclusive_degree_one(p: Polynomial, i: int, v: str) -> bool:
@@ -818,8 +821,8 @@ def _exclusive_degree_one(p: Polynomial, i: int, v: str) -> bool:
 def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate against the polynomial alone,
     without running the classifier: every hypothesis is checked directly on
-    the payload (exhaustive subset arithmetic, exponent-map lookups).  A
-    payload with a missing key or a wrong-typed value does not replay."""
+    the payload (reachable subset sums, exponent-map lookups).  A payload
+    with a missing key or a wrong-typed value does not replay."""
     try:
         return _replay(p, verdict)
     except (LookupError, TypeError, ValueError):
@@ -867,7 +870,7 @@ def _replay(p: Polynomial, verdict: Verdict) -> bool:
             t = -constant // s
             if t >= 1:
                 return False
-            return t == 0 or rado_condition(coeffs) is None
+            return t == 0 or 0 not in _subset_sums(coeffs)
         return False
     if tag == "MultiplicativeRado":
         sides = _multiplicative_sides(p)
@@ -879,7 +882,7 @@ def _replay(p: Polynomial, verdict: Verdict) -> bool:
         if payload["left_exponents"] != a or payload["right_exponents"] != b:
             return False
         if verdict.status == NOT_PR:
-            return set(_subset_sums(a)).isdisjoint(_subset_sums(b))
+            return _subset_sums(a).isdisjoint(_subset_sums(b))
         i1, i2 = payload["I1"], payload["I2"]
         return (
             len(i1) > 0

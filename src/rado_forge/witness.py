@@ -11,10 +11,13 @@ Two lifting constructions produce exact positive-integer solutions:
     by staged products gamma_{i,j} that restore each monomial's missing
     nonlinear weight exactly (prod_j gamma_{i,j} = eta_i).
 
-Both are verified exactly on construction, and ``*_formal_check`` re-derives
-the underlying algebraic identity symbolically (y-values and g-values left as
-formal variables) by exact cancellation.  ``brute_force_solutions`` is the
-independent enumeration oracle.
+Each lift multiplies a linear variable by a formal product of the other
+variables (the y's outside F_i, or gamma_{i,j}) evaluated at the given values,
+and the result is verified exactly on construction.  ``*_formal_check``
+substitutes the same formal products, with the y-values and g-values left as
+symbols, and confirms the underlying algebraic identity by exact
+cancellation.  ``brute_force_solutions`` is the independent enumeration
+oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .classify import (
     nonlinear_shape,
     rado_condition,
 )
-from .poly import DegreeProfile, Polynomial
+from .poly import DegreeProfile, Polynomial, _combine
 
 __all__ = [
     "NoExclusiveSetError",
@@ -155,21 +158,16 @@ def reduct_lift(
         )
     if any(y < 1 for y in y_values):
         raise ValueError("y values must be positive")
-    assignment: dict[str, int] = {}
-    x_values = []
-    for i, x_var in enumerate(form.linear_vars):
-        scale = 1
-        for j, y in enumerate(y_values, start=1):
-            if j not in form.f_sets[i]:
-                scale *= y
-        assignment[x_var] = alpha[i] * scale
-        x_values.append(alpha[i] * scale)
-    for var, y in zip(form.product_vars, y_values):
-        assignment[var] = y
+    y_of = dict(zip(form.product_vars, y_values))
+    outside = _outside_products(form)
+    x_values = [
+        alpha[i] * _product_value(outside[i], y_of)
+        for i in range(len(form.linear_vars))
+    ]
+    assignment = dict(zip(form.linear_vars, x_values))
+    assignment.update(y_of)
     value = form.polynomial.evaluate(assignment)
-    full_product = 1
-    for y in y_values:
-        full_product *= y
+    full_product = math.prod(y_values)
     # exact identity from the construction, not merely value == 0
     assert value == full_product * residue == 0
     return Witness(
@@ -180,66 +178,66 @@ def reduct_lift(
     )
 
 
-def _substitute_formal(
-    p: Polynomial, mapping: Mapping[str, tuple[int, Mapping[str, int]]]
-) -> dict[tuple[tuple[str, int], ...], int]:
-    """Substitute each variable by integer * monomial and combine like terms.
+def _product_value(product: Mapping[str, int], values: Mapping[str, int]) -> int:
+    """A formal product {variable: exponent} evaluated at integer values."""
+    return math.prod(values[v] ** e for v, e in product.items())
 
-    Returns the surviving terms keyed by sorted exponent tuples; an empty
-    dict means the substituted polynomial cancelled to zero.
-    """
-    acc: dict[tuple[tuple[str, int], ...], int] = {}
+
+def _outside_products(form: LevForm) -> list[dict[str, int]]:
+    """For each designated x_i, the formal product of the y's outside F_i:
+    the factor the reduct lift multiplies alpha_i by."""
+    return [
+        {y: 1 for j, y in enumerate(form.product_vars, start=1) if j not in f_i}
+        for f_i in form.f_sets
+    ]
+
+
+def _identity_holds(
+    p: Polynomial,
+    mapping: Mapping[str, tuple[int, Mapping[str, int]]],
+    residue: int,
+    eta: Mapping[str, int],
+) -> bool:
+    """Whether p is identically residue * eta after each mapped variable is
+    replaced by c * M, where mapping[v] = (c, M) with M a formal product;
+    unmapped variables stay symbols.  The substituted terms and
+    -residue * eta must combine to nothing."""
+    terms = []
     for m in p.monomials:
         coeff = m.coefficient
         exps: dict[str, int] = {}
         for v, e in m.exponents:
-            cv, ev = mapping[v]
-            coeff *= cv**e
-            for w, d in ev.items():
+            c, product = mapping.get(v, (1, {v: 1}))
+            coeff *= c**e
+            for w, d in product.items():
                 exps[w] = exps.get(w, 0) + d * e
-        key = tuple(sorted((v, e) for v, e in exps.items() if e))
-        acc[key] = acc.get(key, 0) + coeff
-        if acc[key] == 0:
-            del acc[key]
-    return acc
+        terms.append((coeff, exps))
+    terms.append((-residue, eta))
+    monomials, constant = _combine(terms)
+    return not monomials and constant == 0
 
 
 def reduct_lift_formal_check(form: LevForm, alpha: Sequence[int]) -> bool:
     """With the y-values left as formal variables, verify the polynomial
     identity  P(x(alpha, y), y) == (prod_j y_j) * sum(a_i alpha_i)  by exact
     cancellation.  ``alpha`` need not be a reduct solution here."""
-    mapping: dict[str, tuple[int, Mapping[str, int]]] = {}
-    for i, x_var in enumerate(form.linear_vars):
-        outside = {
-            form.product_vars[j - 1]: 1
-            for j in range(1, len(form.product_vars) + 1)
-            if j not in form.f_sets[i]
-        }
-        mapping[x_var] = (alpha[i], outside)
-    for var in form.product_vars:
-        mapping[var] = (1, {var: 1})
-    acc = _substitute_formal(form.polynomial, mapping)
+    outside = _outside_products(form)
+    mapping = {x: (alpha[i], outside[i]) for i, x in enumerate(form.linear_vars)}
     residue = sum(a * x for a, x in zip(form.coefficients, alpha))
-    if residue != 0:
-        key = tuple(sorted((v, 1) for v in form.product_vars))
-        acc[key] = acc.get(key, 0) - residue
-        if acc[key] == 0:
-            del acc[key]
-    return not acc
+    return _identity_holds(
+        form.polynomial, mapping, residue, {y: 1 for y in form.product_vars}
+    )
 
 
 def _i_sets(
     prof: DegreeProfile, shape: NonlinearShape
-) -> list[list[tuple[int, ...]]]:
-    """The nested index sets I_{i,j} = {s : d(y_s) - d_i(y_s) >= j} for
-    j = 1..m_i (1-based s over the nonlinear variables y_s)."""
+) -> list[list[dict[str, int]]]:
+    """gamma_{i,j} for j = 1..m_i as the formal product of the nonlinear
+    variables y_s with s in I_{i,j} = {s : d(y_s) - d_i(y_s) >= j}, in the
+    order of ``shape.nonlinear``."""
     return [
         [
-            tuple(
-                s + 1
-                for s, v in enumerate(shape.nonlinear)
-                if prof.degrees[v] - deg_i[v] >= j
-            )
+            {v: 1 for v in shape.nonlinear if prof.degrees[v] - deg_i[v] >= j}
             for j in range(1, shape.multiplicities[i] + 1)
         ]
         for i, deg_i in enumerate(prof.per_monomial)
@@ -276,43 +274,33 @@ def nlp_lift(
             f"substituted polynomial evaluates to {residue}, not 0"
         )
     prof = p.degree_profile()
-    i_sets = _i_sets(prof, shape)
-    eta = 1
-    for s, v in enumerate(shape.nonlinear):
-        eta *= g[s] ** prof.degrees[v]
+    g_of = dict(zip(shape.nonlinear, g))
+    index = {v: s for s, v in enumerate(shape.nonlinear, start=1)}
+    eta = _product_value({v: prof.degrees[v] for v in shape.nonlinear}, g_of)
     eta_i: list[int] = []
     gamma: dict[str, int] = {}
     i_json: dict[str, list[int]] = {}
-    assignment: dict[str, int] = dict()
-    for v, val in alpha_beta.items():
-        if v in substituted.variables:
-            assignment[v] = val
-    for s, v in enumerate(shape.nonlinear):
-        assignment[v] = g[s]
-    for i, deg_i in enumerate(prof.per_monomial):
+    assignment = {
+        v: val for v, val in alpha_beta.items() if v in substituted.variables
+    }
+    assignment.update(g_of)
+    for i, products in enumerate(_i_sets(prof, shape)):
+        deg_i = prof.per_monomial[i]
         nl_part = 1
         level_product = 1
-        for s, v in enumerate(shape.nonlinear):
-            nl_part *= g[s] ** deg_i[v]
-            level_product *= g[s] ** (prof.degrees[v] - deg_i[v])
+        for v, gv in g_of.items():
+            nl_part *= gv ** deg_i[v]
+            level_product *= gv ** (prof.degrees[v] - deg_i[v])
         eta_i.append(level_product)
-        gammas_i = []
-        for j, members in enumerate(i_sets[i], start=1):
-            value = 1
-            for s in members:
-                value *= g[s - 1]
-            gammas_i.append(value)
+        gammas_i = [_product_value(gm, g_of) for gm in products]
+        for j, (gm, value) in enumerate(zip(products, gammas_i), start=1):
             gamma[f"{i + 1},{j}"] = value
-            i_json[f"{i + 1},{j}"] = list(members)
-        product = 1
-        for value in gammas_i:
-            product *= value
+            i_json[f"{i + 1},{j}"] = [index[v] for v in gm]
         # proof identities: prod_j gamma_{i,j} = eta_i and eta_i * M_i^NL = eta
-        assert product == level_product
-        assert product * nl_part == eta
+        assert math.prod(gammas_i) == level_product
+        assert level_product * nl_part == eta
         for j, x_var in enumerate(shape.chosen[i]):
-            base = alpha_beta[x_var]
-            assignment[x_var] = base * gammas_i[j] if shape.levels[i] >= 1 else base
+            assignment[x_var] = alpha_beta[x_var] * gammas_i[j]
     value = p.evaluate(assignment)
     assert value == eta * residue == 0
     return Witness(
@@ -342,27 +330,12 @@ def nlp_lift_formal_check(
     i_sets = _i_sets(prof, shape)
     substituted = _substitute_ones(p, shape.nonlinear)
     residue = substituted.evaluate(alpha_beta)
-    mapping: dict[str, tuple[int, Mapping[str, int]]] = {}
-    for v in substituted.variables:
-        mapping[v] = (alpha_beta[v], {})
-    for v in shape.nonlinear:
-        mapping[v] = (1, {v: 1})
+    mapping = {v: (alpha_beta[v], {}) for v in substituted.variables}
     for i, groups in enumerate(shape.chosen):
-        for j, x_var in enumerate(groups, start=1):
-            members = i_sets[i][j - 1]
-            formal = {shape.nonlinear[s - 1]: 1 for s in members}
-            scale = alpha_beta[x_var]
-            if shape.levels[i] >= 1:
-                mapping[x_var] = (scale, formal)
-            else:
-                mapping[x_var] = (scale, {})
-    acc = _substitute_formal(p, mapping)
-    if residue != 0:
-        key = tuple(sorted((v, prof.degrees[v]) for v in shape.nonlinear))
-        acc[key] = acc.get(key, 0) - residue
-        if acc[key] == 0:
-            del acc[key]
-    return not acc
+        for j, x_var in enumerate(groups):
+            mapping[x_var] = (alpha_beta[x_var], i_sets[i][j])
+    eta = {v: prof.degrees[v] for v in shape.nonlinear}
+    return _identity_holds(p, mapping, residue, eta)
 
 
 def negate_transform(p: Polynomial, w: Witness) -> Witness:
@@ -527,9 +500,19 @@ def find_reduct_solution(
     # iterative depth-first search in lexicographic order, one value
     # iterator per level: no recursion limit on k
     values = range(minimum, bound + 1)
+
+    def candidates(i: int, partial: int):
+        """Values to try at position i.  The last position, when its
+        coefficient is nonzero, is solved for: c * v = -partial has at most
+        one root."""
+        if i != k - 1 or coeffs[i] == 0:
+            return iter(values)
+        v, rest = divmod(-partial, coeffs[i])
+        return iter((v,) if rest == 0 and v in values else ())
+
     chosen: list[int] = []
     partials = [0]  # partials[i]: the weighted sum of chosen[:i]
-    levels = [iter(values)]
+    levels = [candidates(0, 0)]
     while len(chosen) < k:
         i = len(chosen)
         c, partial, lo, hi = coeffs[i], partials[i], lows[i + 1], highs[i + 1]
@@ -540,7 +523,7 @@ def find_reduct_solution(
             if nxt + lo <= 0 <= nxt + hi:
                 chosen.append(v)
                 partials.append(nxt)
-                levels.append(iter(values))
+                levels.append(candidates(i + 1, nxt))
                 break
         else:
             if not chosen:

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,17 @@ def test_classify_affine_examples():
 def test_classify_affine_requires_constant():
     with pytest.raises(NoConstantTermError):
         classify_affine(parse("x + y"), 0)
+
+
+def test_classify_affine_necessity_replays_without_the_classifier(monkeypatch):
+    p = parse("x + y - 3*z")
+    v = classify_affine(p, -2)
+    assert v.status == NOT_PR and v.certificate.payload["case"] == "necessity"
+    # replay recomputes the zero-sum condition itself, so a classifier that
+    # reports a wrong subset cannot change its answer
+    classify_mod = importlib.import_module("rado_forge.classify")
+    monkeypatch.setattr(classify_mod, "rado_condition", lambda coeffs: (1, 2))
+    assert replay_certificate(p, v)
 
 
 def test_classify_affine_no_monochromatic_solutions_when_not_pr():
@@ -615,6 +627,19 @@ def _thm35_without(key):
 def test_replay_malformed_payload_is_false(claim):
     p, verdict = claim()
     assert replay_certificate(p, verdict) is False
+
+
+def test_replay_linear_necessity_is_not_exponential():
+    # 40 coefficients, all 1 mod 41 and of both signs: a subset of size
+    # 1..40 sums to its size mod 41, so none sums to zero, and an exhaustive
+    # replay would walk 2^40 subsets
+    coeffs = [1 + 41 * m for m in range(-20, 21) if m]
+    p = Polynomial.from_terms((c, {f"x{i:02d}": 1}) for i, c in enumerate(coeffs))
+    v = Verdict(NOT_PR, "no", Certificate(
+        "LinearNecessity", {"coefficients": list(p.coefficients)}))
+    started = time.perf_counter()
+    assert replay_certificate(p, v)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_replay_random_nonlinear_instances():

@@ -1,5 +1,6 @@
 """Witness construction tests: lifting identities, oracle enumeration."""
 
+import dataclasses
 import itertools
 import random
 
@@ -108,6 +109,10 @@ def test_reduct_lift_formal_identity():
     assert reduct_lift_formal_check(form, (1, 2, 3))
     # the identity holds for arbitrary alpha, solution or not
     assert reduct_lift_formal_check(form, (7, -4, 11))
+    # and fails once one F_i no longer matches its monomial
+    assert form.f_sets[0] == (1,)
+    broken = dataclasses.replace(form, f_sets=((1, 2),) + form.f_sets[1:])
+    assert not reduct_lift_formal_check(broken, (1, 2, 3))
 
 
 # -- nlp_lift ----------------------------------------------------------
@@ -174,6 +179,12 @@ def test_nlp_lift_formal_identity_worked_example():
     assert nlp_lift_formal_check(
         p, _worked_shape(), dict(WORKED_ALPHA, x11=9, z2=5)
     )
+    # monomials 3 and 4 take gamma products 18 and 36: swapping their chosen
+    # groups leaves the missing weight unrestored
+    shape = _worked_shape()
+    first, second, third, fourth = shape.chosen
+    swapped = dataclasses.replace(shape, chosen=(first, second, fourth, third))
+    assert not nlp_lift_formal_check(p, swapped, WORKED_ALPHA)
 
 
 # -- negate_transform ----------------------------------------------------------
