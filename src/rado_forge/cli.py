@@ -6,7 +6,10 @@ Exit codes are a stable API for scripted pipelines:
   witness    0 = witness printed, 3 = method hypotheses not met
   search     0 = conclusive (bad coloring found / forced proven / threshold
                  found), 1 = threshold not found within the bound,
-                 4 = node budget exhausted (Inconclusive)
+                 4 = node budget exhausted (Inconclusive); a --threshold
+                 scan then knows only "threshold > depth_max" and says so
+                 (API change: such a scan used to print "no N <= MAXN is
+                 forced" and exit 1)
   corpus     0 = golden match, 5 = mismatch (diff printed)
   2 = malformed arguments (argparse usage error, a count or budget that is
       not a positive integer, or a ``corpus --file`` that cannot be read,
@@ -43,7 +46,13 @@ from .poly import (
     parse,
     parse_with_constant,
 )
-from .search import DEFAULT_NODE_BUDGET, INCONCLUSIVE, find_bad_coloring, rado_number
+from .search import (  # noqa: F401 - perfbench/tracing.py wraps cli.rado_number
+    DEFAULT_NODE_BUDGET,
+    FORCED,
+    INCONCLUSIVE,
+    find_bad_coloring,
+    rado_number,
+)
 from .witness import HypothesisFailure, SearchSpaceTooLargeError, build_witness
 
 EXIT_PR = 0
@@ -174,7 +183,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _default_budget()
     try:
         if args.threshold is not None:
-            found = rado_number(p, args.colors, args.threshold, args.injective, budget)
+            # rado_number's one search, called directly to tell a budget that
+            # ran out from a bad coloring of [1..max_N]
+            outcome = find_bad_coloring(p, args.colors, args.threshold, args.injective, budget)
+            depth_max = outcome.stats.depth_max
+            found = depth_max + 1 if outcome.kind == FORCED else None
             if args.json:
                 _emit(
                     {
@@ -184,12 +197,18 @@ def cmd_search(args: argparse.Namespace) -> int:
                         "max_N": args.threshold,
                         "injective": args.injective,
                         "threshold": found,
+                        "outcome": outcome.kind,
+                        "depth_max": depth_max,
                     }
                 )
-            elif found is None:
-                print(f"no N <= {args.threshold} is forced for r={args.colors}")
-            else:
+            elif found is not None:
                 print(f"threshold: N = {found} is the least forced size for r={args.colors}")
+            elif outcome.kind == INCONCLUSIVE:
+                print(f"budget ran out: threshold > {depth_max} for r={args.colors}")
+            else:
+                print(f"no N <= {args.threshold} is forced for r={args.colors}")
+            if outcome.kind == INCONCLUSIVE:
+                return EXIT_INCONCLUSIVE
             return 0 if found is not None else 1
         outcome = find_bad_coloring(p, args.colors, args.n_bound, args.injective, budget)
         if args.json:
@@ -205,6 +224,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 f"stats: nodes={stats.nodes} constraints={stats.constraints}"
                 f" ms={int(stats.ms)} depth_max={stats.depth_max}"
                 f" enumerate_ms={int(stats.enumerate_ms)} prunes={stats.prunes}"
+                f" search_ms={int(stats.search_ms)}"
             )
         return EXIT_INCONCLUSIVE if outcome.kind == INCONCLUSIVE else 0
     except SearchSpaceTooLargeError as exc:

@@ -29,8 +29,13 @@ the search reaches.  Re-verifying that coloring covers every shorter interval.
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
 c may first appear only after colors 0..c-1 (canonical representatives only,
-completeness preserved).  Every color tried at a value is one node, and the
-node budget is a strict cap on the nodes spent, per call.
+completeness preserved).  Every color tried at a value is one node, a
+refused one included (see below), and the node budget is a strict cap on the
+nodes spent, per call.  The search takes the colors a value has left in one
+step: a run of refused colors is charged at once, one node per color,
+together with the color tried after it, or with the step back when no color
+is left.  The budget may cut inside such a run; the search then stops with
+exactly ``budget`` nodes, where trying one color at a time would stop.
 
 The search checks forward.  Each color class is an int bitmask.  Each value
 set of a layer read is filed once, as the mask of its members below the
@@ -115,9 +120,15 @@ class SearchStats:
     depth_max: int = 0  # length of the deepest bad coloring reached
     enumerate_ms: float = 0.0  # part of ms spent reading solution layers
     prunes: int = 0  # colorings the forward check refused as dead
+    search_ms: float = 0.0  # part of ms spent in the kernel, reading layers excluded
 
     def to_json(self) -> dict[str, Any]:
-        return {**asdict(self), "ms": int(self.ms), "enumerate_ms": int(self.enumerate_ms)}
+        return {
+            **asdict(self),
+            "ms": int(self.ms),
+            "enumerate_ms": int(self.enumerate_ms),
+            "search_ms": int(self.search_ms),
+        }
 
 
 @dataclass(frozen=True)
@@ -305,6 +316,12 @@ def _first_bad_coloring(
     and adds the time spent reading layers to ``stats.enumerate_ms``.  The
     search stops at its first coloring of all of 1..n.  A canonical coloring
     of 1..n uses at most n colors, so more than n colors change nothing.
+
+    Each step at the value v + 1 masks the colors from ``color`` below its
+    limit with ``blocked[v]`` and tries the lowest one left, charging the
+    refused colors below it as one node each; with none left it charges the
+    refused run and backs up.  A step that would spend more than the budget
+    stops the search at exactly ``budget`` nodes, inside the run if need be.
     """
     r = min(r, n)
     full = (1 << r) - 1
@@ -339,24 +356,27 @@ def _first_bad_coloring(
                 owned[u].append(w)
 
     deepest: list[int] = []
-    colors: list[int] = []  # colors of 1..len(colors), all checked
-    used = [0]  # used[i]: number of distinct colors among 1..i
+    colors: list[int] = []  # colors of 1..v, all checked
+    limits = [1]  # limits[v]: colors v + 1 may take, one past those of 1..v, at most r
     nodes = prunes = 0
     exhausted = False
-    color = 0  # next color to try at the value len(colors) + 1
+    v = color = 0  # the value v + 1 tries the colors from ``color`` up
     take()
-    while len(colors) < n:
-        v = len(colors)  # 0-based: the value v + 1
-        if color < min(used[-1] + 1, r):
-            if nodes >= budget:
-                exhausted = True
-                break
-            nodes += 1
-            bit = 1 << color
-            if blocked[v] & bit:  # closes a value set at v + 1
-                color += 1
-                continue
-            members = classes[color] | 1 << v
+    while True:
+        limit = limits[v]
+        free = ~blocked[v] & (1 << limit) - (1 << color)  # colors left that close nothing
+        if free:  # the refused run below c, then c
+            bit = free & -free
+            c = bit.bit_length() - 1
+            spent = c + 1 - color
+        else:  # the refused run to the limit
+            spent = limit - color
+        if nodes + spent > budget:
+            nodes, exhausted = budget, True
+            break
+        nodes += spent
+        if free:
+            members = classes[c] | 1 << v
             mine = []  # the bits this coloring sets
             for w, mask in watch[v]:
                 if members & mask == mask and not blocked[w] & bit:
@@ -365,28 +385,31 @@ def _first_bad_coloring(
                     if blocked[w] == full:
                         break
             else:
-                classes[color] = members
-                colors.append(color)
+                classes[c] = members
+                colors.append(c)
                 owned.append(mine)
-                used.append(max(used[-1], color + 1))
+                limits.append(limit + (c + 1 == limit < r))  # a new color opens the next
+                v += 1
                 color = 0
-                if len(colors) > len(deepest):
+                if v > len(deepest):
                     deepest = colors[:]
-                    if len(colors) < n:
-                        take()
+                    if v == n:
+                        break
+                    take()
                 continue
             for w in mine:  # dead: w + 1 has no color left
                 blocked[w] ^= bit
             prunes += 1
-            color += 1
-        elif colors:
-            color = colors.pop()
-            used.pop()
-            bit = 1 << color
+            color = c + 1
+        elif v:  # no color left at v + 1: back to v
+            v -= 1
+            c = colors.pop()
+            limits.pop()
+            bit = 1 << c
             for w in owned.pop():
                 blocked[w] ^= bit
-            classes[color] ^= 1 << len(colors)
-            color += 1
+            classes[c] ^= 1 << v
+            color = c + 1
         else:
             break
     stats.nodes, stats.prunes = nodes, prunes
@@ -412,7 +435,9 @@ def find_bad_coloring(
     started = time.perf_counter()
     stats = SearchStats()
     layers = _solution_layers(p, n_bound, injective, DEFAULT_ENUM_BUDGET, _interchangeable_blocks(p))
+    kernel_started = time.perf_counter()
     found, read, exhausted = _first_bad_coloring(layers, r, n_bound, budget, stats)
+    stats.search_ms = (time.perf_counter() - kernel_started) * 1000 - stats.enumerate_ms
     deepest = Coloring(tuple(found))
     solutions = [t for layer in read[: deepest.n] for t in layer]
     if _first_monochromatic(solutions, deepest) is not None:

@@ -169,7 +169,8 @@ def reduct_lift(
     value = form.polynomial.evaluate(assignment)
     full_product = math.prod(y_values)
     # exact identity from the construction, not merely value == 0
-    assert value == full_product * residue == 0
+    if not value == full_product * residue == 0:
+        raise AssertionError("reduct lift does not evaluate to prod(y) * residue = 0")
     return Witness(
         assignment,
         value,
@@ -297,12 +298,15 @@ def nlp_lift(
             gamma[f"{i + 1},{j}"] = value
             i_json[f"{i + 1},{j}"] = [index[v] for v in gm]
         # proof identities: prod_j gamma_{i,j} = eta_i and eta_i * M_i^NL = eta
-        assert math.prod(gammas_i) == level_product
-        assert level_product * nl_part == eta
+        if math.prod(gammas_i) != level_product:
+            raise AssertionError("nlp lift: prod_j gamma_{i,j} != eta_i")
+        if level_product * nl_part != eta:
+            raise AssertionError("nlp lift: eta_i * M_i^NL != eta")
         for j, x_var in enumerate(shape.chosen[i]):
             assignment[x_var] = alpha_beta[x_var] * gammas_i[j]
     value = p.evaluate(assignment)
-    assert value == eta * residue == 0
+    if not value == eta * residue == 0:
+        raise AssertionError("nlp lift does not evaluate to eta * residue = 0")
     return Witness(
         assignment,
         value,
@@ -346,7 +350,8 @@ def negate_transform(p: Polynomial, w: Witness) -> Witness:
     flipped = negate_all_variables(p)
     assignment = {v: -val for v, val in w.assignment.items()}
     value = flipped.evaluate(assignment)
-    assert value == 0
+    if value != 0:
+        raise AssertionError("negated witness does not solve the flipped polynomial")
     return Witness(assignment, value, w.provenance, dict(w.trace, negated=True))
 
 

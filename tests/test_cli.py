@@ -94,6 +94,7 @@ OUTCOME_SCHEMA = {
         "stats": {
             "type": "object",
             "required": ["nodes", "constraints", "ms", "depth_max"],
+            "properties": {"search_ms": {"type": "integer", "minimum": 0}},
             "additionalProperties": {"type": "integer"},
         },
     },
@@ -202,12 +203,33 @@ def test_search_threshold(capsys):
     )
     assert code == 0
     assert payload["threshold"] == 5
+    assert (payload["outcome"], payload["depth_max"]) == ("forced", 4)
 
 
 def test_search_threshold_not_found(capsys):
     code = main(["search", "x + y - 3*z", "--colors", "2", "--threshold", "6"])
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "colors,max_n,budget,depth_max",
+    [
+        ("3", "20", "100", 12),  # the threshold is 14
+        ("4", "45", "250000", 43),  # S(4) = 44: the threshold is 45
+    ],
+)
+def test_search_threshold_budget_exhausted(capsys, colors, max_n, budget, depth_max):
+    # a scan that ran out of budget knows only a lower bound, and says so
+    argv = ["search", "x + y - z", "--colors", colors, "--threshold", max_n, "--budget", budget]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    assert out == f"budget ran out: threshold > {depth_max} for r={colors}\n"
+    code, payload = run_json(capsys, argv + ["--json"])
+    assert code == EXIT_INCONCLUSIVE
+    assert payload["schema"] == 1
+    assert payload["threshold"] is None
+    assert (payload["outcome"], payload["depth_max"]) == ("inconclusive", depth_max)
 
 
 def test_search_bad_coloring(capsys):

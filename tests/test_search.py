@@ -546,16 +546,55 @@ def test_outcomes_identical_across_workers(text, n, capsys):
 # -- kernel contract ----------------------------------------------------------
 
 
+BUDGET_CASES = [
+    (SCHUR, 3, 14, False),  # Forced after 420 nodes
+    (SCHUR, 2, 9, True),  # weak Schur: Forced at 9
+    (parse("x1 + x2 - y1*y2"), 2, 20, True),  # Forced at 18
+    (parse("x1 + x2 - y1*y2"), 2, 8, False),
+    (parse("x + y - z"), 3, 3, False),  # a bad coloring
+    (parse("x - y"), 2, 4, False),
+]
+
+
+def _summary(outcome):
+    stats = outcome.stats
+    return (outcome.kind, outcome.coloring,
+            stats.nodes, stats.prunes, stats.depth_max, stats.constraints)
+
+
+def _assert_exact_cap(p, r, n, injective, budgets=None):
+    # below the F nodes of an unlimited search a budget b stops Inconclusive
+    # at exactly b nodes, even where the cut lands inside a run of refused
+    # colors; from F on the outcome is the unlimited one
+    unlimited = find_bad_coloring(p, r, n, injective)
+    assert unlimited.kind != INCONCLUSIVE
+    for budget in budgets or range(1, unlimited.stats.nodes + 3):  # default: every budget
+        outcome = find_bad_coloring(p, r, n, injective, budget=budget)
+        if budget < unlimited.stats.nodes:
+            assert outcome.kind == INCONCLUSIVE, budget
+            assert outcome.coloring is None
+            assert outcome.stats.nodes == budget
+        else:
+            assert _summary(outcome) == _summary(unlimited), budget
+
+
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 10, 20, 50])
 def test_nodes_never_exceed_budget(budget):
-    for p, r, n, injective in [
-        (parse("x + y - z"), 3, 3, False),
-        (SCHUR, 2, 9, True),
-        (parse("x1 + x2 - y1*y2"), 2, 8, False),
-        (parse("x - y"), 2, 4, False),
-    ]:
-        outcome = find_bad_coloring(p, r, n, injective, budget=budget)
-        assert outcome.stats.nodes <= budget
+    for p, r, n, injective in BUDGET_CASES:
+        _assert_exact_cap(p, r, n, injective, [budget])
+
+
+@pytest.mark.parametrize("case", BUDGET_CASES[:3], ids=["schur-3-14", "weak-schur-2", "hindman"])
+def test_every_budget_is_an_exact_cap(case):
+    _assert_exact_cap(*case)
+
+
+def test_benchmark_capped_schur_node_count():
+    # the capped task of the bad-coloring benchmark workload
+    outcome = find_bad_coloring(SCHUR, 4, 44, budget=250_000)
+    assert outcome.kind == INCONCLUSIVE
+    stats = outcome.stats
+    assert (stats.nodes, stats.prunes, stats.depth_max) == (250_000, 40_937, 43)
 
 
 def test_first_bad_coloring_in_branch_order_node_count():
@@ -612,4 +651,7 @@ def test_stats_fields(capsys):
     assert outcome.stats.prunes == payload["stats"]["prunes"] == 0
     assert find_bad_coloring(SCHUR, 3, 14).stats.prunes == 74
     assert main(["search", "x+y-z", "--colors", "3", "--N", "14"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1].endswith(" prunes=74")
+    assert " prunes=74 search_ms=" in capsys.readouterr().out.splitlines()[-1]
+    # the kernel's share of ms: reading layers excluded
+    assert isinstance(payload["stats"]["search_ms"], int)
+    assert 0 <= outcome.stats.search_ms <= outcome.stats.ms - outcome.stats.enumerate_ms

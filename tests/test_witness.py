@@ -2,7 +2,11 @@
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,35 @@ def test_nlp_lift_errors():
         nlp_lift(p, shape, WORKED_ALPHA, (2,))
     with pytest.raises(ValueError):
         nlp_lift(p, shape, WORKED_ALPHA, (1, 2))
+
+
+def test_nlp_lift_checks_survive_python_O():
+    # the worked shape with the chosen groups of monomials 3 and 4 swapped
+    # does not fit the polynomial; with its identity checks stripped the
+    # lift returned a witness of value -252
+    script = f"""
+import dataclasses
+from rado_forge.classify import nonlinear_shape
+from rado_forge.poly import parse
+from rado_forge.witness import nlp_lift
+p = parse({WORKED!r})
+shape, _ = nonlinear_shape(p)
+chosen = list(shape.chosen)
+chosen[2], chosen[3] = chosen[3], chosen[2]
+w = nlp_lift(p, dataclasses.replace(shape, chosen=tuple(chosen)), {WORKED_ALPHA!r}, (2, 3))
+print("witness value", w.value)
+"""
+    import rado_forge
+
+    src = str(Path(rado_forge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode != 0
+    assert "witness value" not in done.stdout
+    assert "AssertionError: nlp lift does not evaluate to eta * residue = 0" in done.stderr
 
 
 def test_nlp_lift_formal_identity_worked_example():
