@@ -31,6 +31,7 @@ is one sequential depth-first search.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -281,7 +282,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return 0 if all_match else EXIT_CORPUS_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing returns a new
+    namespace and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="rado-forge",
         description="Partition-regularity toolkit: classify polynomials, build "

@@ -17,7 +17,18 @@ those of the full enumeration.  The search reads layer v + 1 when it first
 colors v, ``stats.constraints`` counts the representatives read, and the
 candidate budget is checked at each layer read, against the nondecreasing
 candidates of [1..v].  ``enumerate_constraints`` passes singleton blocks and
-keeps every tuple, variables in name order.  The isolation split, the term
+keeps every tuple, variables in name order.
+
+One variable is solved for, not enumerated.  The search picks it by the
+form's shape, not its name: a variable v that occurs in one monomial c*v^e
+only, every other term having the sign opposite to c, bounds the walk (the
+later name wins a tie); failing one, the last variable when it occurs with
+one exponent; failing that, no variable, and the grid is walked.  With a
+bounding v every other term grows with each value, and a root is at most N
+exactly when they sum to at most |c|*N^e in absolute value, so the walk over
+prefixes stops raising a position once the prefix, completed with the least
+values its blocks allow, passes that sum.  ``enumerate_constraints`` solves
+for the last variable, as its oracle does.  The isolation split, the term
 evaluator and the candidate budget live in ``witness`` beside
 ``brute_force_solutions``, the oracle the layered enumerator is tested against.
 
@@ -178,9 +189,76 @@ def _with_max(n: int, sizes: list[int]) -> Iterator[tuple[int, ...]]:
             yield from map(sum, itertools.product(*parts), itertools.repeat(()))
 
 
+def _bounds_walk(split) -> bool:
+    """Whether an ``_isolation_split`` solves for a variable v that occurs in
+    one monomial c*v^e only, every other term having the sign opposite to c.
+    Then each other term grows with each value, and the root is at most N
+    exactly when their sum is at most |c|*N^e in absolute value."""
+    if not split:
+        return False
+    _, lead_terms, rest_terms = split
+    (c, exps), *more = lead_terms
+    return not more and not exps and all(d * c < 0 for d, _ in rest_terms)
+
+
+def _solved_position(p: Polynomial) -> Optional[int]:
+    """The position of the variable the enumerator solves for: the last one
+    whose split bounds the walk (``_bounds_walk``), else the last variable
+    when ``_isolation_split`` applies to it, else None (the grid is walked).
+    A bounding variable leaves no more candidates than any other choice."""
+    variables = p.variables
+    for i in reversed(range(len(variables))):
+        if _bounds_walk(_isolation_split(p, variables[i])):
+            return i
+    return len(variables) - 1 if _isolation_split(p) else None
+
+
+def _with_max_bounded(
+    n: int, sizes: list[int], terms: list, floor: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """The tuples of ``_with_max(n, sizes)`` at which the terms sum to at
+    least ``floor``, each with that sum.  Every coefficient is negative, so
+    the sum falls as any entry rises.  The walk sets one position at a time
+    and completes the tuple with the least values its blocks allow: the value
+    just set for the rest of its block, n at the last position of the block
+    that holds the first n, and 1 elsewhere.  No tuple below a completion
+    sums to more than it, so a position stops rising once its completion
+    sums below ``floor``."""
+    k = sum(sizes)
+    ends = list(itertools.accumulate(sizes))  # one past each block
+    block_ends = [stop for stop, size in zip(ends, sizes) for _ in range(size)]
+    found: list[tuple[tuple[int, ...], int]] = []
+    for first, end in enumerate(ends):
+        top, start = end - 1, end - sizes[first]  # t[top] = n; the blocks before stay below n
+        stops = block_ends[:start] + [top] * (top - start) + block_ends[top:]  # j's value fills t[j:stops[j]]
+        t = [1] * k
+        t[top] = n
+
+        def walk(j: int, total: int) -> None:
+            if j == top:
+                j += 1
+            if j == k:
+                found.append((tuple(t), total))
+                return
+            low, stop = t[j], stops[j]
+            for x in range(low, n if j < start else n + 1):
+                if x > low:
+                    t[j:stop] = [x] * (stop - j)
+                    total = _term_value(terms, t)
+                    if total < floor:
+                        break
+                walk(j + 1, total)
+            t[j:stop] = [low] * (stop - j)
+
+        total = _term_value(terms, t)
+        if total >= floor:
+            walk(0, total)
+    return found
+
+
 def _interchangeable_blocks(p: Polynomial) -> list[tuple[int, ...]]:
-    """The enumerated positions of p (every variable but the one solved for
-    when ``_isolation_split`` applies) in blocks of interchangeable variables,
+    """The enumerated positions of p (every variable but the one
+    ``_solved_position`` names) in blocks of interchangeable variables,
     largest block first.  Two variables are interchangeable when swapping them
     maps p to p or -p; that is an equivalence, so each position is tested
     against the first member of each block.  The test compares the canonical
@@ -194,8 +272,11 @@ def _interchangeable_blocks(p: Polynomial) -> list[tuple[int, ...]]:
         swap = {u: v, v: u}
         return {(c, tuple(sorted((swap.get(x, x), e) for x, e in exps))) for c, exps in terms}
 
+    solved = _solved_position(p)
     blocks: list[list[int]] = []
-    for i in range(len(variables) - bool(_isolation_split(p))):
+    for i in range(len(variables)):
+        if i == solved:
+            continue
         for block in blocks:
             if swapped(variables[block[0]], variables[i]) in (terms, negated):
                 block.append(i)
@@ -206,7 +287,10 @@ def _interchangeable_blocks(p: Polynomial) -> list[tuple[int, ...]]:
 
 
 def _singleton_blocks(p: Polynomial) -> list[tuple[int, ...]]:
-    """Each enumerated position of p in a block of its own: every tuple."""
+    """Each enumerated position of p in a block of its own: every tuple.  The
+    last variable is solved for when ``_isolation_split`` applies, as in
+    ``brute_force_solutions``, so tuples list the variables in name order and
+    the candidate count is the oracle's."""
     return [(i,) for i in range(len(p.variables) - bool(_isolation_split(p)))]
 
 
@@ -224,18 +308,23 @@ def _solution_layers(
     block, then the variable solved for; with singleton blocks that is name
     order.  The candidate budget is checked for N before layer N is built.
 
-    When the last variable occurs with one common exponent wherever it
-    appears, layer N walks only the prefixes whose largest entry is N and
-    solves for the last variable: a root above N waits for its own layer, and
-    a prefix that every value solves joins each later layer.  Otherwise layer
-    N walks the tuples of [1..N]^k whose largest entry is N.  Every emitted
-    tuple is re-verified through ``evaluate``.
+    The position missing from ``blocks`` is solved for: layer N walks only
+    the prefixes whose largest entry is N, and a root above N waits for its
+    own layer.  When that variable bounds the walk (``_bounds_walk``), the
+    walk skips the prefixes whose root would exceed max_n
+    (``_with_max_bounded``); otherwise it walks every prefix, and a prefix
+    that every value solves joins each later layer.  With no position
+    missing, layer N walks the tuples of [1..N]^k whose largest entry is N.
+    Every emitted tuple is re-verified through ``evaluate``.
     """
     k = len(p.variables)
-    split = _isolation_split(p)
-    order = [i for block in blocks for i in block] + [k - 1] * bool(split)
+    order = [i for block in blocks for i in block]
+    left_out = [i for i in range(k) if i not in order]  # the position solved for, if any
+    split = left_out and _isolation_split(p, p.variables[left_out[0]])
+    order += left_out
     variables = [p.variables[i] for i in order]
     sizes = [len(block) for block in blocks]
+    bounded = _bounds_walk(split)
     if split:
         e, lead_terms, rest_terms = split
         at = {i: j for j, i in enumerate(order)}  # name position -> tuple position
@@ -243,13 +332,23 @@ def _solution_layers(
             [(c, [(at[i], d) for i, d in exps]) for c, exps in terms]
             for terms in (lead_terms, rest_terms)
         )
-    pending: dict[int, list[tuple[int, ...]]] = {}  # root -> prefixes
+    if bounded:  # lead * v^e = -rest, with lead > 0 once p is negated if need be
+        [(lead, _)] = lead_terms
+        if lead < 0:
+            lead, rest_terms = -lead, [(-c, exps) for c, exps in rest_terms]
+        floor = -lead * max_n**e  # the least rest of a root <= max_n
+    pending: dict[int, list[tuple[int, ...]]] = {}  # root -> solutions
     free: list[tuple[int, ...]] = []  # prefixes that every value solves
 
     for n in range(1, max_n + 1):
         _check_candidates(n, sizes, max_candidates)
         if split:
-            solved = [prefix + (n,) for prefix in pending.pop(n, []) + free]
+            solved = pending.pop(n, []) + [prefix + (n,) for prefix in free]
+        if bounded:  # every root is at least 1 and at most max_n
+            for prefix, rest in _with_max_bounded(n, sizes, rest_terms, floor):
+                if rest % lead == 0 and (root := _integer_root(-rest // lead, e)) is not None:
+                    (solved if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
+        elif split:
             for prefix in _with_max(n, sizes):
                 lead = _term_value(lead_terms, prefix)
                 rest = _term_value(rest_terms, prefix)
@@ -263,10 +362,7 @@ def _solution_layers(
                 root = _integer_root((-rest) // lead, e)
                 if root is None or root > max_n:
                     continue
-                if root <= n:
-                    solved.append(prefix + (root,))
-                else:
-                    pending.setdefault(root, []).append(prefix)
+                (solved if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
         solutions = []
         for t in solved if split else _with_max(n, sizes):
             if injective and len(set(t)) < k:

@@ -376,15 +376,16 @@ def _integer_root(value: int, e: int) -> Optional[int]:
     return low if low**e == value else None
 
 
-def _isolation_split(p: Polynomial):
-    """If p has two or more variables and every monomial containing the last
-    one uses the same exponent e, return (e, with_terms, without_terms): the
-    terms drop that variable and key each remaining exponent by its position
-    in ``p.variables``.  Else None."""
+def _isolation_split(p: Polynomial, var: Optional[str] = None):
+    """If p has two or more variables and every monomial containing ``var``
+    (the last variable by default) uses the same exponent e, return
+    (e, with_terms, without_terms): the terms drop that variable and key each
+    remaining exponent by its position in ``p.variables``.  Else None."""
     variables = p.variables
     if len(variables) < 2:
         return None
-    var = variables[-1]
+    if var is None:
+        var = variables[-1]
     exponents = {m.degree_of(var) for m in p.monomials if m.degree_of(var) >= 1}
     if len(exponents) != 1:
         return None

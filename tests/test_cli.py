@@ -18,6 +18,7 @@ from rado_forge.cli import (
     EXIT_PR,
     EXIT_UNKNOWN,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from rado_forge.poly import parse
@@ -344,6 +345,22 @@ def test_search_workers_flag(capsys):
     )
     assert code == 0
     assert payload["outcome"] == "forced"
+
+
+def test_reused_parser_keeps_calls_independent(capsys):
+    assert build_parser() is build_parser()
+    argv = ["search", "x + y - z", "--colors", "2", "--N", "8", "--json"]
+    # WS(2) = 8: an injective bad coloring of [1..8] exists; S(2) = 4: none without
+    code, injective = run_json(capsys, argv + ["--injective"])
+    assert (code, injective["injective"], injective["outcome"]) == (0, True, "bad_coloring")
+    code, plain = run_json(capsys, argv)
+    assert (code, plain["injective"], plain["outcome"]) == (0, False, "forced")
+    assert main(["search", "x + y - z", "--colors", "0", "--N", "8"]) == EXIT_USAGE
+    capsys.readouterr()
+    code, again = run_json(capsys, argv)
+    assert code == 0
+    assert {**again, "stats": None} == {**plain, "stats": None}
+    assert again["stats"]["nodes"] == plain["stats"]["nodes"]
 
 
 def test_corpus_mismatch_exit(capsys, tmp_path):

@@ -60,6 +60,9 @@ def test_constraints_lexicographic_and_verified():
         "x*z - y*z + x - y",  # x = y: every z solves
         "x^2 + y^2 - z^2",  # the solved variable has exponent 2
         "x*z^2 + z - y",  # z is not isolable: the full grid is walked
+        "x + y - 2*z",  # z bounds the walk: prefixes stop once 2z would pass N
+        "z - x - 3*y",  # a positive lead
+        "x^2 + y^2 - 2*z^2",
         "x^2 - x",  # one variable
     ],
 )
@@ -356,16 +359,17 @@ def test_search_reads_layers_only_as_it_reaches_them():
         ("x^2 + y^2 - z^2", [{"x", "y"}]),
         ("x*z - y*z + x - y", [{"x", "y"}]),  # the swap maps p to -p
         ("x1 + x2 - y1*y2", [{"x1", "x2"}]),  # y2 is solved for, so y1 stands alone
-        ("x1*y1 + x2*y1*y2 - x3", []),
+        ("x1*y1 + x2*y1*y2 - x3", [{"x2", "y2"}]),  # x3 bounds the walk and is solved for
     ],
 )
 def test_interchangeable_blocks(text, expected):
     p = parse(text)
     blocks = search._interchangeable_blocks(p)
     assert [{p.variables[i] for i in b} for b in blocks if len(b) > 1] == expected
-    # a partition of the enumerated positions, largest block first
+    # a partition of every position except the one solved for, largest block first
     positions = sorted(i for b in blocks for i in b)
-    assert positions == list(range(len(p.variables) - bool(search._isolation_split(p))))
+    solved = search._solved_position(p)
+    assert positions == [i for i in range(len(p.variables)) if i != solved]
     assert [len(b) for b in blocks] == sorted((len(b) for b in blocks), reverse=True)
 
 
@@ -431,6 +435,92 @@ def test_reduced_layers_match_singleton_layers(p, injective, n):
             assert (fast.stats.nodes, fast.stats.depth_max) == (
                 slow.stats.nodes, slow.stats.depth_max), (r, budget)
             assert fast.stats.constraints <= slow.stats.constraints
+
+
+def _spellings(text):
+    """p under every renaming of its variables among themselves, and negated."""
+    p = parse(text)
+    terms = [(m.coefficient, dict(m.exponents)) for m in p.monomials]
+    for names in itertools.permutations(p.variables):
+        renamed = _renamed(terms, dict(zip(p.variables, names)))
+        for sign in (1, -1):
+            yield Polynomial.from_terms([(sign * c, exps) for c, exps in renamed])
+
+
+def _untimed(outcome):
+    stats = {k: v for k, v in outcome.stats.to_json().items() if not k.endswith("ms")}
+    return outcome.kind, outcome.coloring, stats
+
+
+@pytest.mark.parametrize(
+    "text,r,n",
+    [
+        ("x1 + x2 + x3 + x4 - x5", 2, 19),  # Forced at the threshold: the whole tree
+        ("x1 + x2 + x3 - x4", 2, 11),
+        ("x + y - z", 3, 14),
+        ("x + 4*y - z", 2, 29),
+        ("x1*y1 + x2*y1*y2 - x3", 2, 21),
+    ],
+)
+def test_outcome_does_not_depend_on_spelling(text, r, n):
+    # the variable solved for is chosen by the form's shape, not by its name
+    expected = _untimed(find_bad_coloring(parse(text), r, n))
+    assert expected[0] == FORCED
+    for p in _spellings(text):
+        assert _untimed(find_bad_coloring(p, r, n)) == expected, p
+
+
+def test_respelled_form_reads_no_more_candidates(monkeypatch):
+    # solving x5 + x2 + x3 + x4 = x1 for x5, the last name, would count
+    # C(n + 2, 3) * n prefixes (505,981 > 500,000 at layer 41); x1 bounds the
+    # walk and leaves C(n + 3, 4), as x1 + x2 + x3 + x4 = x5 does
+    monkeypatch.setattr(search, "DEFAULT_ENUM_BUDGET", 500_000)
+    respelled = find_bad_coloring(parse("x5 + x2 + x3 + x4 - x1"), 3, 95, budget=100)
+    assert respelled.kind == INCONCLUSIVE
+    assert respelled.stats.depth_max == 44
+    usual = find_bad_coloring(parse("x1 + x2 + x3 + x4 - x5"), 3, 95, budget=100)
+    assert _untimed(respelled) == _untimed(usual)
+
+
+@st.composite
+def _bounded_polynomials(draw):
+    """c*v^e against 1-3 terms of the other sign in the other variables; v
+    takes any name, and some forms are symmetric under a swap."""
+    names = _NAMES[: draw(st.integers(2, 4))]
+    v = draw(st.sampled_from(names))
+    others = [u for u in names if u != v]
+    terms = [
+        (
+            -draw(st.integers(1, 3)),
+            {u: draw(st.integers(1, 2)) for u in draw(
+                st.lists(st.sampled_from(others), min_size=1, max_size=2, unique=True))},
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if len(others) >= 2 and draw(st.booleans()):
+        u, w = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        terms += _renamed(terms, {u: w, w: u})
+    lead = (draw(st.integers(1, 3)), {v: draw(st.integers(1, 2))})
+    sign = draw(st.sampled_from((1, -1)))
+    return Polynomial.from_terms([(sign * c, exps) for c, exps in [lead, *terms]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bounded_polynomials(), st.booleans(), st.integers(1, 14))
+@example(parse("x + y - 2*z"), False, 14)
+@example(parse("x^2 + y^2 - z^2"), False, 14)
+@example(parse("3*x + y - z"), True, 14)
+@example(parse("x1*y1 + x2*y1*y2 - x3"), False, 14)
+def test_bounded_layers_match_unbounded_layers(p, injective, n):
+    blocks = search._interchangeable_blocks(p)
+    solved = search._solved_position(p)
+    assert search._bounds_walk(search._isolation_split(p, p.variables[solved]))
+    bounded = list(search._solution_layers(p, n, injective, search.DEFAULT_ENUM_BUDGET, blocks))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_bounds_walk", lambda split: False)
+        unbounded = list(
+            search._solution_layers(p, n, injective, search.DEFAULT_ENUM_BUDGET, blocks))
+    assert bounded == unbounded
 
 
 def test_candidate_wall_counts_representatives():
@@ -528,7 +618,7 @@ def test_backtracking_matches_full_enumeration_other(text, n):
 
 def _strip_ms(payload):
     payload = dict(payload)
-    payload["stats"] = {k: v for k, v in payload["stats"].items() if k != "ms"}
+    payload["stats"] = {k: v for k, v in payload["stats"].items() if not k.endswith("ms")}
     return payload
 
 
