@@ -20,7 +20,7 @@ theorems); re-checking a payload needs nothing but the polynomial itself, see
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from .poly import Monomial, Polynomial, monomial_gcd, parse
@@ -93,22 +93,10 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
     def with_trace(self, lines: list[str]) -> "Verdict":
-        return Verdict(
-            self.status,
-            self.injective,
-            self.certificate,
-            tuple(lines) + self.trace,
-            self.notes,
-        )
+        return replace(self, trace=tuple(lines) + self.trace)
 
     def with_notes(self, notes: list[str]) -> "Verdict":
-        return Verdict(
-            self.status,
-            self.injective,
-            self.certificate,
-            self.trace,
-            self.notes + tuple(notes),
-        )
+        return replace(self, notes=self.notes + tuple(notes))
 
     def to_json(self, input_text: str, canonical: str) -> dict[str, Any]:
         return {

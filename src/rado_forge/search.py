@@ -16,8 +16,7 @@ A permutation keeps a tuple's values, so the value sets of every layer are
 those of the full enumeration.  The search reads layer v + 1 when it first
 colors v, ``stats.constraints`` counts the representatives read, and the
 candidate budget is checked at each layer read, against the nondecreasing
-candidates of [1..v].  ``enumerate_constraints`` passes singleton blocks and
-keeps every tuple, variables in name order.
+candidates of [1..v].
 
 One variable is solved for, not enumerated.  The search picks it by the
 form's shape, not its name: a variable v that occurs in one monomial c*v^e
@@ -27,10 +26,11 @@ one exponent; failing that, no variable, and the grid is walked.  With a
 bounding v every other term grows with each value, and a root is at most N
 exactly when they sum to at most |c|*N^e in absolute value, so the walk over
 prefixes stops raising a position once the prefix, completed with the least
-values its blocks allow, passes that sum.  ``enumerate_constraints`` solves
-for the last variable, as its oracle does.  The isolation split, the term
+values its blocks allow, passes that sum.  The isolation split, the term
 evaluator and the candidate budget live in ``witness`` beside
 ``brute_force_solutions``, the oracle the layered enumerator is tested against.
+``enumerate_constraints`` and ``monochromatic_solution`` read that oracle, not
+the layers, so a check made through them does not run the search's enumerator.
 
 A bad coloring of [1..N] restricts to one of [1..N-1], so a threshold is one
 search over [1..max_n]: ``rado_number`` is ``depth_max + 1`` of a Forced
@@ -75,7 +75,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Optional
 
 from .poly import Polynomial
-from .witness import (  # noqa: F401 - perfbench/tracing.py wraps search.brute_force_solutions
+from .witness import (
     DEFAULT_ENUM_BUDGET,
     _check_candidates,
     _integer_root,
@@ -256,9 +256,9 @@ def _with_max_bounded(
     return found
 
 
-def _interchangeable_blocks(p: Polynomial) -> list[tuple[int, ...]]:
-    """The enumerated positions of p (every variable but the one
-    ``_solved_position`` names) in blocks of interchangeable variables,
+def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[int, ...]]:
+    """The enumerated positions of p (every variable but the one at
+    ``solved``, from ``_solved_position``) in blocks of interchangeable variables,
     largest block first.  Two variables are interchangeable when swapping them
     maps p to p or -p; that is an equivalence, so each position is tested
     against the first member of each block.  The test compares the canonical
@@ -272,7 +272,6 @@ def _interchangeable_blocks(p: Polynomial) -> list[tuple[int, ...]]:
         swap = {u: v, v: u}
         return {(c, tuple(sorted((swap.get(x, x), e) for x, e in exps))) for c, exps in terms}
 
-    solved = _solved_position(p)
     blocks: list[list[int]] = []
     for i in range(len(variables)):
         if i == solved:
@@ -286,42 +285,30 @@ def _interchangeable_blocks(p: Polynomial) -> list[tuple[int, ...]]:
     return sorted(map(tuple, blocks), key=lambda block: (-len(block), block))
 
 
-def _singleton_blocks(p: Polynomial) -> list[tuple[int, ...]]:
-    """Each enumerated position of p in a block of its own: every tuple.  The
-    last variable is solved for when ``_isolation_split`` applies, as in
-    ``brute_force_solutions``, so tuples list the variables in name order and
-    the candidate count is the oracle's."""
-    return [(i,) for i in range(len(p.variables) - bool(_isolation_split(p)))]
-
-
-def _solution_layers(
-    p: Polynomial,
-    max_n: int,
-    injective: bool,
-    max_candidates: int,
-    blocks: list[tuple[int, ...]],
-) -> Iterator[list[tuple[int, ...]]]:
+def _solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[list[tuple[int, ...]]]:
     """For N = 1..max_n, the solutions of p whose largest value is N, in
-    lexicographic order, one per orbit of permutations inside ``blocks``
-    (from ``_interchangeable_blocks`` or ``_singleton_blocks``): the tuples
-    nondecreasing inside each block.  A tuple lists the variables block by
-    block, then the variable solved for; with singleton blocks that is name
-    order.  The candidate budget is checked for N before layer N is built.
+    lexicographic order, one per orbit of permutations inside the blocks of
+    ``_interchangeable_blocks``: the tuples nondecreasing inside each block.
+    A tuple lists the variables block by block, then the variable solved for.
+    The candidate budget, ``DEFAULT_ENUM_BUDGET``, is checked for N before
+    layer N is built.
 
-    The position missing from ``blocks`` is solved for: layer N walks only
+    The variable at ``_solved_position`` is solved for: layer N walks only
     the prefixes whose largest entry is N, and a root above N waits for its
     own layer.  When that variable bounds the walk (``_bounds_walk``), the
     walk skips the prefixes whose root would exceed max_n
     (``_with_max_bounded``); otherwise it walks every prefix, and a prefix
-    that every value solves joins each later layer.  With no position
-    missing, layer N walks the tuples of [1..N]^k whose largest entry is N.
+    that every value solves joins each later layer.  With no variable solved
+    for, layer N walks the tuples of [1..N]^k whose largest entry is N.
     Every emitted tuple is re-verified through ``evaluate``.
     """
     k = len(p.variables)
+    position = _solved_position(p)
+    blocks = _interchangeable_blocks(p, position)
     order = [i for block in blocks for i in block]
-    left_out = [i for i in range(k) if i not in order]  # the position solved for, if any
-    split = left_out and _isolation_split(p, p.variables[left_out[0]])
-    order += left_out
+    split = position is not None and _isolation_split(p, p.variables[position])
+    if split:
+        order.append(position)
     variables = [p.variables[i] for i in order]
     sizes = [len(block) for block in blocks]
     bounded = _bounds_walk(split)
@@ -341,7 +328,7 @@ def _solution_layers(
     free: list[tuple[int, ...]] = []  # prefixes that every value solves
 
     for n in range(1, max_n + 1):
-        _check_candidates(n, sizes, max_candidates)
+        _check_candidates(n, sizes, DEFAULT_ENUM_BUDGET)
         if split:
             solved = pending.pop(n, []) + [prefix + (n,) for prefix in free]
         if bounded:  # every root is at least 1 and at most max_n
@@ -382,11 +369,11 @@ def enumerate_constraints(
     injective: bool = False,
     max_candidates: int = DEFAULT_ENUM_BUDGET,
 ) -> list[tuple[int, ...]]:
-    """All solution tuples of p in [1..n_bound]^n, lexicographic, deduplicated."""
-    blocks = _singleton_blocks(p)
-    _check_candidates(n_bound, [1] * len(blocks), max_candidates)
-    layers = _solution_layers(p, n_bound, injective, max_candidates, blocks)
-    return sorted(itertools.chain.from_iterable(layers))
+    """All solution tuples of p in [1..n_bound]^k, variables in name order,
+    lexicographic: those of the oracle ``brute_force_solutions``, under the
+    same candidate budget."""
+    found = brute_force_solutions(p, n_bound, injective, max_candidates=max_candidates)
+    return [tuple(w.assignment[v] for v in p.variables) for w in found]
 
 
 def _others(layer: list[tuple[int, ...]]) -> set[int]:
@@ -530,7 +517,7 @@ def find_bad_coloring(
         raise ValueError("bound must be >= 1")
     started = time.perf_counter()
     stats = SearchStats()
-    layers = _solution_layers(p, n_bound, injective, DEFAULT_ENUM_BUDGET, _interchangeable_blocks(p))
+    layers = _solution_layers(p, n_bound, injective)
     kernel_started = time.perf_counter()
     found, read, exhausted = _first_bad_coloring(layers, r, n_bound, budget, stats)
     stats.search_ms = (time.perf_counter() - kernel_started) * 1000 - stats.enumerate_ms
@@ -575,5 +562,8 @@ def _first_monochromatic(
 def monochromatic_solution(
     p: Polynomial, coloring: Coloring, injective: bool = False
 ) -> Optional[tuple[int, ...]]:
-    """First (lexicographic) solution whose values all share one color."""
+    """First (lexicographic) solution whose values all share one color, read
+    from ``enumerate_constraints``, the oracle; None for the empty coloring."""
+    if not coloring.n:
+        return None
     return _first_monochromatic(enumerate_constraints(p, coloring.n, injective), coloring)

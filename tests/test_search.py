@@ -1,11 +1,11 @@
 """Coloring search tests: Schur fixtures, oracle equivalence, determinism."""
 
+import argparse
 import importlib
 import importlib.util
 import itertools
 import json
 import tracemalloc
-import types
 from pathlib import Path
 
 import pytest
@@ -51,6 +51,14 @@ def test_constraints_lexicographic_and_verified():
         assert SCHUR.evaluate(dict(zip(SCHUR.variables, c))) == 0
 
 
+def _oracle_layers(p, n, injective):
+    """The oracle's solutions in [1..n], grouped by their largest value."""
+    layers = [[] for _ in range(n)]
+    for t in enumerate_constraints(p, n, injective):
+        layers[max(t) - 1].append(t)
+    return layers
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -67,16 +75,16 @@ def test_constraints_lexicographic_and_verified():
     ],
 )
 def test_layered_enumeration_matches_oracle(text):
+    # the search's layers hold one tuple per orbit, variables block by block,
+    # so a layer is compared with the oracle's by the value sets it files
     p = parse(text)
     for injective in (False, True):
         for n in range(1, 11):
-            layered = enumerate_constraints(p, n, injective)
-            oracle = [
-                tuple(w.assignment[v] for v in p.variables)
-                for w in brute_force_solutions(p, n, injective)
-            ]
-            assert layered == oracle, (n, injective)
-        # both enumerators share the witness primitives; the full grid shares none
+            layered = search._solution_layers(p, n, injective)
+            oracle = _oracle_layers(p, n, injective)
+            assert list(map(search._others, layered)) == list(map(search._others, oracle)), (
+                n, injective)
+        # the layers and the oracle share the witness primitives; the full grid shares none
         grid = [
             t
             for t in itertools.product(range(1, 11), repeat=len(p.variables))
@@ -94,6 +102,26 @@ def test_enumeration_budget_message_matches_oracle(text):
     with pytest.raises(SearchSpaceTooLargeError) as layered:
         enumerate_constraints(p, 40, max_candidates=30)
     assert str(layered.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("text", ["x + y - z", "x1 + x2 - y1*y2"])
+def test_checks_do_not_run_the_search_enumerator(text, monkeypatch):
+    # enumerate_constraints and monochromatic_solution answer from the
+    # oracle, so a check made through them is independent of the layers
+    p = parse(text)
+    oracle = [
+        tuple(w.assignment[v] for v in p.variables) for w in brute_force_solutions(p, 6)
+    ]
+
+    def broken(*args):
+        raise AssertionError("the search's enumerator ran")
+
+    monkeypatch.setattr(search, "_solution_layers", broken)
+    assert enumerate_constraints(p, 6) == oracle
+    for colors in itertools.product(range(2), repeat=6):
+        coloring = Coloring(colors)
+        first = next((t for t in oracle if len({colors[v - 1] for v in t}) == 1), None)
+        assert monochromatic_solution(p, coloring) == first, colors
 
 
 # -- find_bad_coloring ----------------------------------------------------------
@@ -187,6 +215,10 @@ def test_monochromatic_solution_examples():
     assert monochromatic_solution(SCHUR, Coloring((0, 1, 1, 0))) is None
     # no solutions at all in [1..1]
     assert monochromatic_solution(SCHUR, Coloring((0,))) is None
+    # nor in the empty interval
+    assert monochromatic_solution(SCHUR, Coloring(())) is None
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        enumerate_constraints(SCHUR, 0)
 
 
 # -- rado_number ----------------------------------------------------------
@@ -305,17 +337,46 @@ def test_threshold_is_one_find_bad_coloring_call(monkeypatch):
     assert calls == [(SCHUR, 3, 20, False, search.DEFAULT_NODE_BUDGET)]
 
 
-def test_benchmark_tracer_sees_the_kernel_inside_a_scan():
-    # perfbench/tracing.py wraps library functions at the module attributes
-    # it names; a scan must reach the kernel through one of them
+def _benchmark_tracing():
+    """perfbench/tracing.py, and the library by module as perfbench/run.py
+    loads it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     modules = ("poly", "classify", "witness", "search", "cli")
-    lib = types.SimpleNamespace(
+    lib = argparse.Namespace(
         **{name: importlib.import_module(f"rado_forge.{name}") for name in modules}
     )
+    return tracing, lib
+
+
+def test_benchmark_tracer_wraps_every_site():
+    # the benchmark's tracer refuses a name it cannot find, so every function
+    # it traces must stay resolvable at each module attribute it names
+    tracing, lib = _benchmark_tracing()
+    sites = [site for sites in tracing.LAYERS.values() for site in sites]
+    assert len(sites) == 17
+    originals = {(module, attr): getattr(getattr(lib, module), attr) for module, attr in sites}
+    tracer = tracing.Tracer()
+    tracer.install(lib)
+    try:
+        for sites_of_layer in tracing.LAYERS.values():
+            original = originals[sites_of_layer[0]]
+            for module, attr in sites_of_layer:
+                wrapped = getattr(getattr(lib, module), attr)
+                assert wrapped is not original, (module, attr)
+                assert wrapped.__wrapped__ is original, (module, attr)
+    finally:
+        tracer.uninstall()
+    for (module, attr), original in originals.items():
+        assert getattr(getattr(lib, module), attr) is original, (module, attr)
+
+
+def test_benchmark_tracer_sees_the_kernel_inside_a_scan():
+    # perfbench/tracing.py wraps library functions at the module attributes
+    # it names; a scan must reach the kernel through one of them
+    tracing, lib = _benchmark_tracing()
     originals = {
         (module, attr): getattr(getattr(lib, module), attr)
         for sites in tracing.LAYERS.values() for module, attr in sites
@@ -364,11 +425,11 @@ def test_search_reads_layers_only_as_it_reaches_them():
 )
 def test_interchangeable_blocks(text, expected):
     p = parse(text)
-    blocks = search._interchangeable_blocks(p)
+    solved = search._solved_position(p)
+    blocks = search._interchangeable_blocks(p, solved)
     assert [{p.variables[i] for i in b} for b in blocks if len(b) > 1] == expected
     # a partition of every position except the one solved for, largest block first
     positions = sorted(i for b in blocks for i in b)
-    solved = search._solved_position(p)
     assert positions == [i for i in range(len(p.variables)) if i != solved]
     assert [len(b) for b in blocks] == sorted((len(b) for b in blocks), reverse=True)
 
@@ -417,10 +478,8 @@ def _search_polynomials(draw):
 @example(parse("2*a + b + c - d"), True, 12)  # the larger block comes later by name
 @example(parse("a*c + b*c - c^2"), False, 12)  # no isolation split: the grid is reduced
 def test_reduced_layers_match_singleton_layers(p, injective, n):
-    reduced = search._solution_layers(
-        p, n, injective, search.DEFAULT_ENUM_BUDGET, search._interchangeable_blocks(p))
-    full = search._solution_layers(
-        p, n, injective, search.DEFAULT_ENUM_BUDGET, search._singleton_blocks(p))
+    reduced = search._solution_layers(p, n, injective)
+    full = _oracle_layers(p, n, injective)
     for value, (few, every) in enumerate(zip(reduced, full, strict=True), start=1):
         assert search._others(few) == search._others(every), value
         assert len(few) <= len(every)
@@ -429,7 +488,9 @@ def test_reduced_layers_match_singleton_layers(p, injective, n):
             kwargs = {} if budget is None else {"budget": budget}
             fast = find_bad_coloring(p, r, n, injective, **kwargs)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(search, "_interchangeable_blocks", search._singleton_blocks)
+                patch.setattr(
+                    search, "_interchangeable_blocks",
+                    lambda p, solved: [(i,) for i in range(len(p.variables)) if i != solved])
                 slow = find_bad_coloring(p, r, n, injective, **kwargs)
             assert (fast.kind, fast.coloring) == (slow.kind, slow.coloring), (r, budget)
             assert (fast.stats.nodes, fast.stats.depth_max) == (
@@ -512,14 +573,15 @@ def _bounded_polynomials(draw):
 @example(parse("3*x + y - z"), True, 14)
 @example(parse("x1*y1 + x2*y1*y2 - x3"), False, 14)
 def test_bounded_layers_match_unbounded_layers(p, injective, n):
-    blocks = search._interchangeable_blocks(p)
     solved = search._solved_position(p)
     assert search._bounds_walk(search._isolation_split(p, p.variables[solved]))
-    bounded = list(search._solution_layers(p, n, injective, search.DEFAULT_ENUM_BUDGET, blocks))
+    bounded = list(search._solution_layers(p, n, injective))
     with pytest.MonkeyPatch.context() as patch:
+        # without the bound another variable would be solved for, and the
+        # tuples would list the variables in another order
+        patch.setattr(search, "_solved_position", lambda p: solved)
         patch.setattr(search, "_bounds_walk", lambda split: False)
-        unbounded = list(
-            search._solution_layers(p, n, injective, search.DEFAULT_ENUM_BUDGET, blocks))
+        unbounded = list(search._solution_layers(p, n, injective))
     assert bounded == unbounded
 
 
