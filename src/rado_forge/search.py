@@ -48,19 +48,24 @@ together with the color tried after it, or with the step back when no color
 is left.  The budget may cut inside such a run; the search then stops with
 exactly ``budget`` nodes, where trying one color at a time would stop.
 
-The search checks forward.  Each color class is an int bitmask.  Each value
-set of a layer read is filed once, as the mask of its members below the
-layer's value w, under its largest member u below w; ``blocked[w]`` holds
-the colors that would close a monochromatic value set at w.  A node whose
-color is blocked at its value is refused at once.  Coloring u tests each
-value set filed under u against its color's class and blocks that color at
-w where the set is now one-colored; when that leaves a read value w with no
-color, the coloring is dead (a prune) and the next color is tried.  Undoing
-is last in, first out, so each blocked bit belongs to the coloring that set
-it (the smallest u that blocks it, for a bit set as its layer is read) and
-is cleared when that coloring is undone.  Only read layers are checked, and
-those reach at most one past the deepest bad coloring so far, so a pruned
-branch dies before it could go deeper: the deepest coloring, the first full
+The search checks forward.  Each color class is an int bitmask (bit i for
+the value i + 1), and so is each color's ``blk``: the read values where that
+color would close a monochromatic value set.  A node whose color is blocked
+at its value is refused at once.  Each value set of a layer read is filed
+once, under u, its largest member below the layer's value w: a set {u, w}
+joins ``sure[u]``, a set {t, u, w} joins the group of u with offset
+d = w - t, whose mask A holds its t, and a larger set is a group of its own.
+Coloring u with c closes ``sure[u]`` and, for each group whose other members
+lie in the class of c, ``(class & A) << d``: one shift per group, not one
+test per set.  For Schur every set filed under u has the offset u, so a
+coloring costs one shift.  The closed bits not yet in ``blk[c]`` are new;
+when one of them is also set in the ``blk`` of every other color, that read
+value has no color left, the coloring is dead (a prune) and the next color
+is tried.  A coloring keeps its new bits as one int, and undoing it is one
+xor, last in, first out; a bit set as its layer is read belongs to the
+smallest u whose set closes it.  Only read layers are checked, and those
+reach at most one past the deepest bad coloring so far, so a pruned branch
+dies before it could go deeper: the deepest coloring, the first full
 coloring, the Forced verdict and the layers read are those of the same
 search without the check, in fewer nodes (``stats.prunes`` counts the dead
 colorings).
@@ -131,7 +136,7 @@ class SearchStats:
     depth_max: int = 0  # length of the deepest bad coloring reached
     enumerate_ms: float = 0.0  # part of ms spent reading solution layers
     prunes: int = 0  # colorings the forward check refused as dead
-    search_ms: float = 0.0  # part of ms spent in the kernel, reading layers excluded
+    search_ms: float = 0.0  # part of ms spent in the kernel: filing layers counts, reading them not
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -223,7 +228,8 @@ def _with_max_bounded(
     just set for the rest of its block, n at the last position of the block
     that holds the first n, and 1 elsewhere.  No tuple below a completion
     sums to more than it, so a position stops rising once its completion
-    sums below ``floor``."""
+    sums below ``floor``.  A power that alone passes the floor is not
+    computed (``_term_value``), so a huge exponent costs nothing."""
     k = sum(sizes)
     ends = list(itertools.accumulate(sizes))  # one past each block
     block_ends = [stop for stop, size in zip(ends, sizes) for _ in range(size)]
@@ -244,13 +250,13 @@ def _with_max_bounded(
             for x in range(low, n if j < start else n + 1):
                 if x > low:
                     t[j:stop] = [x] * (stop - j)
-                    total = _term_value(terms, t)
+                    total = _term_value(terms, t, floor)
                     if total < floor:
                         break
                 walk(j + 1, total)
             t[j:stop] = [low] * (stop - j)
 
-        total = _term_value(terms, t)
+        total = _term_value(terms, t, floor)
         if total >= floor:
             walk(0, total)
     return found
@@ -379,12 +385,17 @@ def enumerate_constraints(
 def _others(layer: list[tuple[int, ...]]) -> set[int]:
     """The distinct value sets of one layer, each as the mask of its members
     below the layer's value (bit i for the value i + 1): what a search files
-    when it reads the layer."""
+    when it reads the layer.  The masks are built a position at a time, so
+    each tuple costs no Python-level loop."""
     if not layer:
         return set()
-    below = (1 << (max(layer[0]) - 1)) - 1
-    bit = (1).__lshift__
-    return {sum(set(map(bit, t))) >> 1 & below for t in layer}
+    bit = [1 << i >> 1 for i in range(max(layer[0]))] + [0]  # the layer's own value: no bit
+    get = bit.__getitem__
+    columns = zip(*layer)
+    masks = map(get, next(columns))
+    for column in columns:
+        masks = map(operator.or_, masks, map(get, column))
+    return set(masks)
 
 
 def _first_bad_coloring(
@@ -400,19 +411,29 @@ def _first_bad_coloring(
     search stops at its first coloring of all of 1..n.  A canonical coloring
     of 1..n uses at most n colors, so more than n colors change nothing.
 
-    Each step at the value v + 1 masks the colors from ``color`` below its
-    limit with ``blocked[v]`` and tries the lowest one left, charging the
+    Each step at the value v + 1 skips the colors from ``color`` below its
+    limit whose ``blk`` holds v and tries the lowest one left, charging the
     refused colors below it as one node each; with none left it charges the
     refused run and backs up.  A step that would spend more than the budget
     stops the search at exactly ``budget`` nodes, inside the run if need be.
+
+    Coloring v + 1 with c closes, in one int ``new``, every read value set
+    whose other members all have color c: ``sure[v]``, the values w + 1 of
+    the sets {v + 1, w + 1}; for each group ``(rem, d, a)`` watched at v whose
+    ``rem`` lies inside ``classes[c]``, ``(classes[c] & a) << d``.  The bits
+    not yet in ``blk[c]`` are new; the coloring is dead when one of them is
+    in the ``blk`` of every other color, and otherwise ``owned`` keeps them,
+    so that undoing the coloring is one xor.
     """
     r = min(r, n)
-    full = (1 << r) - 1
     read: list[list[tuple[int, ...]]] = []
     classes = [0] * r  # classes[c]: bit i set when i + 1 has color c
-    blocked: list[int] = []  # blocked[w]: colors that close a value set at w + 1
-    watch: list[list[tuple[int, int]]] = []  # watch[u]: (w, members below w + 1)
-    owned: list[list[int]] = []  # owned[u]: the w whose bit the color of u + 1 set
+    blk = [0] * r  # blk[c]: bit w set when color c closes a value set at w + 1
+    others = [[o for o in reversed(range(r)) if o != c] for c in range(r)]  # sparsest first
+    sure: list[int] = []  # sure[u]: bit w set for each value set {u + 1, w + 1}
+    groups: list[list] = []  # groups[u]: (rem, d, a), closing (class & a) << d when rem is in class
+    offsets: list[dict[int, list[int]]] = []  # offsets[u]: d -> the group of its three-value sets
+    owned: list[int] = []  # owned[u]: the bits the color of u + 1 set in its blk
 
     def take() -> None:
         """Reads the next layer, files its value sets and blocks what they close."""
@@ -421,22 +442,40 @@ def _first_bad_coloring(
         stats.enumerate_ms += (time.perf_counter() - started) * 1000
         w = len(read)
         read.append(layer)
-        blocked.append(0)
-        watch.append([])
+        sure.append(0)
+        groups.append([])
+        offsets.append({})
+        bit = 1 << w
+        closed = False  # a value set of one member closes w + 1 for every color
         owner: dict[int, int] = {}  # color -> smallest u whose value set blocks it
         for mask in _others(layer):
-            if not mask:  # a value set of one member: every color closes it
-                blocked[w] = full
+            if not mask:
+                closed = True
                 continue
             u = mask.bit_length() - 1
-            watch[u].append((w, mask))
+            low = mask ^ 1 << u  # the members below u + 1
+            if not low:
+                sure[u] |= bit
+            else:
+                t = low.bit_length() - 1
+                rem, d = low ^ 1 << t, w - t
+                if rem:  # four or more values: a group of one
+                    groups[u].append((rem, d, 1 << t))
+                elif d in offsets[u]:
+                    offsets[u][d][2] |= 1 << t
+                else:
+                    group = offsets[u][d] = [0, d, 1 << t]
+                    groups[u].append(group)
             c = colors[u]
             if classes[c] & mask == mask and owner.get(c, u) >= u:
                 owner[c] = u
-        if blocked[w] != full:
+        if closed:
+            for c in range(r):
+                blk[c] |= bit
+        else:
             for c, u in owner.items():
-                blocked[w] |= 1 << c
-                owned[u].append(w)
+                blk[c] |= bit
+                owned[u] |= bit
 
     deepest: list[int] = []
     colors: list[int] = []  # colors of 1..v, all checked
@@ -447,50 +486,48 @@ def _first_bad_coloring(
     take()
     while True:
         limit = limits[v]
-        free = ~blocked[v] & (1 << limit) - (1 << color)  # colors left that close nothing
-        if free:  # the refused run below c, then c
-            bit = free & -free
-            c = bit.bit_length() - 1
-            spent = c + 1 - color
-        else:  # the refused run to the limit
-            spent = limit - color
+        c = color
+        while c < limit and blk[c] >> v & 1:  # refused: it closes a set at v + 1
+            c += 1
+        spent = c + 1 - color if c < limit else limit - color
         if nodes + spent > budget:
             nodes, exhausted = budget, True
             break
         nodes += spent
-        if free:
-            members = classes[c] | 1 << v
-            mine = []  # the bits this coloring sets
-            for w, mask in watch[v]:
-                if members & mask == mask and not blocked[w] & bit:
-                    blocked[w] |= bit
-                    mine.append(w)
-                    if blocked[w] == full:
+        if c < limit:
+            members = classes[c]
+            new = sure[v]
+            for rem, d, a in groups[v]:
+                if members & rem == rem:
+                    new |= (members & a) << d
+            new &= ~blk[c]
+            if new:
+                dead = new
+                for o in others[c]:
+                    dead &= blk[o]
+                    if not dead:
                         break
-            else:
-                classes[c] = members
-                colors.append(c)
-                owned.append(mine)
-                limits.append(limit + (c + 1 == limit < r))  # a new color opens the next
-                v += 1
-                color = 0
-                if v > len(deepest):
-                    deepest = colors[:]
-                    if v == n:
-                        break
-                    take()
-                continue
-            for w in mine:  # dead: w + 1 has no color left
-                blocked[w] ^= bit
-            prunes += 1
-            color = c + 1
+                else:  # a read value would have no color left
+                    prunes += 1
+                    color = c + 1
+                    continue
+            blk[c] |= new
+            owned.append(new)
+            classes[c] = members | 1 << v
+            colors.append(c)
+            limits.append(limit + (c + 1 == limit < r))  # a new color opens the next
+            v += 1
+            color = 0
+            if v > len(deepest):
+                deepest = colors[:]
+                if v == n:
+                    break
+                take()
         elif v:  # no color left at v + 1: back to v
             v -= 1
             c = colors.pop()
             limits.pop()
-            bit = 1 << c
-            for w in owned.pop():
-                blocked[w] ^= bit
+            blk[c] ^= owned.pop()
             classes[c] ^= 1 << v
             color = c + 1
         else:

@@ -401,12 +401,20 @@ def _isolation_split(p: Polynomial, var: Optional[str] = None):
     return exponents.pop(), with_terms, without_terms
 
 
-def _term_value(terms, prefix: tuple[int, ...]) -> int:
-    """Sum over the terms of coeff * prod(prefix[i] ** e)."""
+def _term_value(terms, prefix: tuple[int, ...], floor: Optional[int] = None) -> int:
+    """Sum over the terms of coeff * prod(prefix[i] ** e).  With a ``floor``
+    below 0 and every coefficient negative, a power x^e that alone passes the
+    floor is not computed, since x^e >= 2^((x.bit_length() - 1) * e): the sum
+    is then below the floor, and ``floor - 1`` stands for it."""
     total = 0
     for coeff, exps in terms:
         for i, e in exps:
-            coeff *= prefix[i] if e == 1 else prefix[i] ** e
+            if e == 1:
+                coeff *= prefix[i]
+            elif floor is not None and (prefix[i].bit_length() - 1) * e >= (-floor).bit_length():
+                return floor - 1
+            else:
+                coeff *= prefix[i] ** e
         total += coeff
     return total
 

@@ -304,6 +304,12 @@ def test_search_root_beyond_float_range(capsys):
     assert "outcome: forced" in capsys.readouterr().out
 
 
+def test_search_huge_exponent_answers(capsys):
+    # the bounded walk never computes a power that alone passes its floor
+    assert main(["search", "x^100000000+y-z", "--colors", "2", "--N", "3"]) == 0
+    assert "outcome: bad_coloring" in capsys.readouterr().out
+
+
 def test_search_leading_minus_after_double_dash(capsys):
     assert main(["search", "--colors", "2", "--N", "5", "--", "-h9 - p8 + q3"]) == 0
     assert "outcome: forced" in capsys.readouterr().out

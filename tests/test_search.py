@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import itertools
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -654,6 +655,64 @@ def test_kernel_returns_the_lexicographically_first_bad_coloring(p, r, n, inject
     assert outcome.kind == (BAD_COLORING if depth == n else FORCED)
 
 
+def _reference_search(p, r, n, injective, budget):
+    """The kernel's contract, recomputed independently: one color per node, and
+    at every node the blocked colors of each read value are worked out again
+    from the read value sets, those of the oracle.  Layer v + 1 is read when
+    depth v is first reached.  A prune is a tried color after which a read
+    value that still had a color has none left."""
+    sets = {}  # w -> the value sets whose largest value is w
+    for t in enumerate_constraints(p, n, injective):
+        sets.setdefault(max(t), set()).add(frozenset(t))
+
+    def blocked(colors, w):  # the colors that close a value set at w
+        return {c for c in range(r) for s in sets.get(w, ())
+                if all(x <= len(colors) and colors[x - 1] == c for x in s - {w})}
+
+    def dead(colors, read):  # the read values with no color left
+        return {w for w in range(1, read + 1) if len(blocked(colors, w)) == r}
+
+    colors, tries, deepest, nodes, prunes = [], [0], [], 0, 0  # tries[v]: next color of v + 1
+    while True:
+        c, read = tries[-1], min(len(deepest) + 1, n)
+        if c >= min(r, max(colors, default=-1) + 2):  # no color left: back up
+            if not colors:
+                return FORCED, None, nodes, prunes, len(deepest)
+            colors.pop()
+            tries.pop()
+            continue
+        if nodes == budget:
+            return INCONCLUSIVE, None, nodes, prunes, len(deepest)
+        nodes += 1
+        tries[-1] = c + 1
+        if c in blocked(colors, len(colors) + 1):
+            continue
+        if dead(colors + [c], read) - dead(colors, read):
+            prunes += 1
+            continue
+        colors.append(c)
+        tries.append(0)
+        if len(colors) > len(deepest):
+            deepest = colors[:]
+            if len(colors) == n:
+                return BAD_COLORING, Coloring(tuple(colors)), nodes, prunes, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_polynomials(), st.integers(1, 4), st.integers(1, 10), st.booleans(),
+       st.none() | st.integers(1, 300))
+@example(SCHUR, 3, 10, False, None)
+@example(SCHUR, 2, 9, True, None)  # weak Schur: 7 prunes, each against one other color
+@example(SCHUR, 4, 10, True, 57)  # cut inside a run of refused colors
+@example(parse("x + y - 2*z"), 3, 9, False, None)  # one-member value sets
+@example(parse("a + b + c - d"), 3, 10, False, None)  # value sets of four values
+def test_kernel_matches_a_recomputing_reference(p, r, n, injective, budget):
+    outcome = find_bad_coloring(p, r, n, injective, **({} if budget is None else {"budget": budget}))
+    stats = outcome.stats
+    assert (outcome.kind, outcome.coloring, stats.nodes, stats.prunes, stats.depth_max) == (
+        _reference_search(p, r, n, injective, budget))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_backtracking_matches_full_enumeration_schur(n):
     outcome = find_bad_coloring(SCHUR, 2, n)
@@ -777,6 +836,32 @@ def test_four_color_schur_number_inside_the_default_budget():
     assert outcome.kind == BAD_COLORING
     assert monochromatic_solution(SCHUR, outcome.coloring) is None
     assert outcome.stats.nodes == 2565894 < search.DEFAULT_NODE_BUDGET
+
+
+def test_weak_schur_three_colors_node_count():
+    # the kernel-bound task of the threshold-scan benchmark workload
+    outcome = find_bad_coloring(SCHUR, 3, 25, injective=True)
+    assert outcome.kind == FORCED
+    stats = outcome.stats
+    assert (stats.nodes, stats.prunes, stats.depth_max) == (20_582, 4_561, 23)
+
+
+def test_mostly_ungrouped_form_node_count():
+    # x + 4y = z files most of its value sets as groups of one
+    outcome = find_bad_coloring(parse("x + 4*y - z"), 2, 30)
+    assert outcome.kind == FORCED
+    assert (outcome.stats.nodes, outcome.stats.prunes) == (213, 23)
+
+
+def test_huge_exponent_does_not_stall_the_bounded_walk():
+    # only x = 1 can give a root at most 3; x = 2 would be a 10^8-bit power
+    started = time.perf_counter()
+    huge = find_bad_coloring(parse("x^100000000 + y - z"), 2, 3)
+    assert time.perf_counter() - started < 1.0
+    small = find_bad_coloring(parse("x^2 + y - z"), 2, 3)
+    assert (huge.kind, huge.coloring, huge.stats.nodes) == (
+        small.kind, small.coloring, small.stats.nodes)
+    assert huge.kind == BAD_COLORING
 
 
 def test_injective_schur_node_count():
