@@ -161,43 +161,51 @@ def _unknown(*failures: str) -> Verdict:
 # -- zero-sum subsets --------------------------------------------------------
 
 
-def _reachable_by_count(values: tuple[int, ...]) -> list[dict[int, set[int]]]:
-    """suffix[i][c] = set of sums of c-element subsets of values[i:]."""
+def _fewest_table(values: tuple[int, ...]) -> list[dict[int, int]]:
+    """suffix[i][s] = fewest elements of a nonempty subset of values[i:]
+    summing to s; sums no such subset reaches are absent."""
     k = len(values)
-    suffix: list[dict[int, set[int]]] = [dict() for _ in range(k + 1)]
-    suffix[k] = {0: {0}}
+    suffix: list[dict[int, int]] = [{} for _ in range(k + 1)]
     for i in range(k - 1, -1, -1):
-        table: dict[int, set[int]] = {c: set(s) for c, s in suffix[i + 1].items()}
-        for c, sums in suffix[i + 1].items():
-            bucket = table.setdefault(c + 1, set())
-            bucket.update(s + values[i] for s in sums)
+        v, rest = values[i], suffix[i + 1]
+        table = dict(rest)
+        for s, c in rest.items():
+            t = s + v
+            if c + 1 < table.get(t, k + 1):
+                table[t] = c + 1
+        table[v] = 1
         suffix[i] = table
     return suffix
+
+
+def _pick_subset(
+    values: tuple[int, ...], suffix: list[dict[int, int]], target: int
+) -> Optional[tuple[int, ...]]:
+    """The (size, lex)-minimal subset of ``_minimal_subset``, read off the
+    table ``suffix = _fewest_table(values)``."""
+    need = suffix[0].get(target)
+    if need is None:
+        return None
+    chosen: list[int] = []
+    remaining = target
+    i = 0
+    while need > 0:
+        # taking index i stays optimal iff the rest is completable by exactly
+        # need - 1 elements after it; no completion is shorter, since the
+        # chosen part plus a shorter one would beat the minimum
+        rest = remaining - values[i]
+        if (rest == 0 and need == 1) or suffix[i + 1].get(rest) == need - 1:
+            chosen.append(i + 1)
+            remaining = rest
+            need -= 1
+        i += 1
+    return tuple(chosen)
 
 
 def _minimal_subset(values: tuple[int, ...], target: int) -> Optional[tuple[int, ...]]:
     """Smallest nonempty subset (by size, then lexicographic on 1-based
     indices) summing to ``target``; None if no such subset exists."""
-    k = len(values)
-    suffix = _reachable_by_count(values)
-    best_size = None
-    for c in range(1, k + 1):
-        if target in suffix[0].get(c, ()):
-            best_size = c
-            break
-    if best_size is None:
-        return None
-    chosen: list[int] = []
-    remaining, need = target, best_size
-    i = 0
-    while need > 0:
-        # taking index i stays optimal iff the rest is completable after it
-        if remaining - values[i] in suffix[i + 1].get(need - 1, ()):
-            chosen.append(i + 1)
-            remaining -= values[i]
-            need -= 1
-        i += 1
-    return tuple(chosen)
+    return _pick_subset(values, _fewest_table(values), target)
 
 
 def rado_condition(coeffs: list[int] | tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -205,8 +213,14 @@ def rado_condition(coeffs: list[int] | tuple[int, ...]) -> Optional[tuple[int, .
 
     Returns the smallest nonempty index subset J (1-based; ordered by size,
     then lexicographically) with sum(coeffs[j] for j in J) == 0, or None.
-    Decision and reconstruction run on a dynamic program over achievable
-    sums; exhaustive subset enumeration is the test oracle.
+    Both run on one table: for each suffix coeffs[i:], a dict from every sum
+    a nonempty subset of it reaches to the fewest elements reaching it.  The
+    size of J is the entry of 0 for the whole list, and J is rebuilt
+    greedily, taking index i whenever the rest of the target is reached by
+    exactly one element fewer after it.  A suffix of m values holds at most
+    2^m - 1 and at most sum(|c_i|) + 1 entries, so distinct subset sums
+    such as 1, 2, ..., 2^(k-1) still cost 2^k.  Exhaustive subset
+    enumeration is the test oracle.
     """
     values = tuple(coeffs)
     if not values:
@@ -380,10 +394,11 @@ def _equal_sum_subsets(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """First (by |I1|, then I1 lex) pair of nonempty index subsets with equal
     sums; the matching I2 is itself (size, lex)-minimal for its sum."""
+    suffix = _fewest_table(b)
     for size in range(1, len(a) + 1):
         for combo in itertools.combinations(range(1, len(a) + 1), size):
             total = sum(a[i - 1] for i in combo)
-            i2 = _minimal_subset(b, total)
+            i2 = _pick_subset(b, suffix, total)
             if i2 is not None:
                 return combo, i2, total
     return None

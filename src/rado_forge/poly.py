@@ -173,16 +173,22 @@ class Polynomial:
     variables: tuple[str, ...]  # all variables, sorted lexicographically by name
 
     def __init__(self, monomials: Iterable[Monomial]):
-        combined, constant = _combine(
-            (m.coefficient, m.exponent_map()) for m in monomials
-        )
+        given = list(monomials)
+        if len({m.exponents for m in given}) == len(given):
+            # distinct exponent tuples: combining like terms changes nothing
+            combined = [m for m in given if m.exponents]
+            constant = next((m.coefficient for m in given if not m.exponents), 0)
+        else:
+            combined, constant = _combine(
+                (m.coefficient, m.exponent_map()) for m in given
+            )
         if constant != 0:
             raise ConstantTermError(constant)
         if not combined:
             raise EmptyPolynomialError()
-        object.__setattr__(self, "monomials", _canonical_sort(combined))
-        names = {v for m in combined for v in m.variables}
-        object.__setattr__(self, "variables", tuple(sorted(names)))
+        ordered, names = _canonical_sort(combined)
+        object.__setattr__(self, "monomials", ordered)
+        object.__setattr__(self, "variables", names)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -287,8 +293,11 @@ def _combine(
     return monomials, constant
 
 
-def _canonical_sort(monomials: list[Monomial]) -> tuple[Monomial, ...]:
-    var_order = sorted({v for m in monomials for v in m.variables})
+def _canonical_sort(
+    monomials: list[Monomial],
+) -> tuple[tuple[Monomial, ...], tuple[str, ...]]:
+    """The monomials in canonical order, and the sorted variable names."""
+    var_order = tuple(sorted({v for m in monomials for v, _ in m.exponents}))
     index = {v: i for i, v in enumerate(var_order)}
 
     def key(m: Monomial) -> tuple[int, ...]:
@@ -297,7 +306,7 @@ def _canonical_sort(monomials: list[Monomial]) -> tuple[Monomial, ...]:
             vec[index[v]] = -e  # negated: ascending sort gives descending lex
         return tuple(vec)
 
-    return tuple(sorted(monomials, key=key))
+    return tuple(sorted(monomials, key=key)), var_order
 
 
 # -- parsing ---------------------------------------------------------------

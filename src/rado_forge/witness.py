@@ -652,7 +652,14 @@ def build_witness(
             )
         return [w]
     if method == "brute":
-        found = brute_force_solutions(p, n_bound, injective=injective, limit=limit)
+        if len({c > 0 for c in p.coefficients}) == 1:
+            # every term of one sign: no positive solution, so skip the walk
+            # but keep its budget check and its error
+            sizes = [1] * (len(p.variables) - bool(_isolation_split(p)))
+            _check_candidates(n_bound, sizes, DEFAULT_ENUM_BUDGET)
+            found = []
+        else:
+            found = brute_force_solutions(p, n_bound, injective=injective, limit=limit)
         if not found:
             raise HypothesisFailure(
                 [f"no solutions with values in [1..{n_bound}]"

@@ -36,13 +36,29 @@ from rado_forge.poly import Polynomial, parse, parse_with_constant
 from rado_forge.search import find_bad_coloring
 
 
-def _oracle_rado(coeffs):
+def _oracle_subset(values, target):
     """Exhaustive subset enumeration in (size, lex) order."""
-    k = len(coeffs)
+    k = len(values)
     for size in range(1, k + 1):
         for combo in itertools.combinations(range(1, k + 1), size):
-            if sum(coeffs[i - 1] for i in combo) == 0:
+            if sum(values[i - 1] for i in combo) == target:
                 return combo
+    return None
+
+
+def _oracle_rado(coeffs):
+    return _oracle_subset(coeffs, 0)
+
+
+def _oracle_equal_sums(a, b):
+    """First I1 in (size, lex) order whose sum some subset of b reaches, with
+    that subset's (size, lex)-first I2."""
+    for size in range(1, len(a) + 1):
+        for combo in itertools.combinations(range(1, len(a) + 1), size):
+            total = sum(a[i - 1] for i in combo)
+            i2 = _oracle_subset(b, total)
+            if i2 is not None:
+                return combo, i2, total
     return None
 
 
@@ -77,6 +93,65 @@ def test_rado_condition_exhaustive_small():
     for k in range(1, 4):
         for coeffs in itertools.product([c for c in range(-3, 4) if c != 0], repeat=k):
             assert rado_condition(coeffs) == _oracle_rado(coeffs)
+
+
+@given(
+    st.lists(st.integers(-9, 9).filter(lambda c: c != 0), min_size=1, max_size=10),
+    st.integers(-40, 40).filter(lambda t: t != 0),
+)
+@settings(max_examples=300)
+def test_minimal_subset_matches_exhaustive_oracle_for_nonzero_targets(values, target):
+    classify_mod = importlib.import_module("rado_forge.classify")
+    assert classify_mod._minimal_subset(tuple(values), target) == _oracle_subset(
+        values, target
+    )
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+)
+@settings(max_examples=300)
+def test_equal_sum_subsets_matches_exhaustive_oracle(a, b):
+    classify_mod = importlib.import_module("rado_forge.classify")
+    assert classify_mod._equal_sum_subsets(tuple(a), tuple(b)) == _oracle_equal_sums(a, b)
+
+
+def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
+    classify_mod = importlib.import_module("rado_forge.classify")
+    build = classify_mod._fewest_table
+    builds = []
+
+    def counted(values):
+        builds.append(values)
+        return build(values)
+
+    monkeypatch.setattr(classify_mod, "_fewest_table", counted)
+    # 1 and 20 miss, so three totals are looked up in one table
+    assert classify_mod._equal_sum_subsets((1, 20, 6), (4, 2)) == ((3,), (1, 2), 6)
+    assert builds == [(4, 2)]
+
+    # 2^10 subsets of the left exponents, none of whose sums the right reaches
+    left = [2**i for i in range(10)]
+    right = [2 ** (10 + j) for j in range(10)]
+    text = "*".join(f"x{i}^{e}" for i, e in enumerate(left)) + " - " + "*".join(
+        f"y{j}^{e}" for j, e in enumerate(right)
+    )
+    builds.clear()
+    p = parse(text)
+    v = classify(p)
+    assert builds == [tuple(right)]
+    assert (v.status, v.injective) == (NOT_PR, "no")
+    assert v.certificate == Certificate(
+        "MultiplicativeRado",
+        {
+            "left": p.monomials[0].monic_text(),
+            "right": p.monomials[1].monic_text(),
+            "left_exponents": left,
+            "right_exponents": right,
+        },
+    )
+    assert replay_certificate(p, v)
 
 
 # -- classify_linear ----------------------------------------------------------

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from rado_forge.cli import (
     EXIT_CORPUS_MISMATCH,
+    EXIT_ERROR,
     EXIT_INCONCLUSIVE,
     EXIT_METHOD_INAPPLICABLE,
     EXIT_NOT_PR,
@@ -193,6 +195,26 @@ def test_witness_inapplicable_method(capsys):
     )
     err = capsys.readouterr().err
     assert "exclusive" in err
+
+
+@pytest.mark.parametrize(
+    "text", ["x1+x2+x3+x4+x5+x6", "-3*z -3*x*y -3*a^2*b -7*z -3*b*z*w"]
+)
+def test_witness_one_signed_form_answers_without_walking_the_grid(capsys, text):
+    # every term has one sign, so no positive solution exists; the answer
+    # used to come after walking all of [1..20]^(k-1), about 4 s each
+    started = time.perf_counter()
+    code = main(["witness", "--", text])
+    elapsed = time.perf_counter() - started
+    assert code == EXIT_METHOD_INAPPLICABLE
+    assert capsys.readouterr().err == (
+        "no witness: method hypotheses not met\n"
+        "  no solutions with values in [1..20]\n"
+    )
+    assert elapsed < 0.5
+    # the candidate budget is still checked first
+    assert main(["witness", "--method", "brute", "--N", "1000", "--", text]) == EXIT_ERROR
+    assert "exceed the budget" in capsys.readouterr().err
 
 
 # -- search ----------------------------------------------------------

@@ -1,0 +1,62 @@
+"""Byte-for-byte pins of the certificate and witness JSON.
+
+``golden_cli.json`` holds, for every corpus fixture and for the paper's two
+headline forms, the exit code and the exact stdout of ``classify --json`` in
+rings N and Z and of ``witness --json``.  None of these payloads carries a
+timing, so any change to a verdict, a certificate, a trace line, a note or a
+witness shows here as a diff.  Regenerate the file with
+``PYTHONPATH=src python tests/test_golden.py`` only for an intended change of
+output, and say so with the change.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from rado_forge.cli import main
+from rado_forge.corpus import load_fixtures
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+EXTRA = ["x1*y1+x2*y1*y2-x3", "x1+x2-y1*y2"]
+
+
+def _inputs() -> list[str]:
+    texts = [f.text for f in load_fixtures()] + EXTRA
+    return list(dict.fromkeys(texts))
+
+
+def _argvs() -> list[list[str]]:
+    argvs = []
+    for text in _inputs():
+        argvs.append(["classify", "--json", "--ring", "N", "--", text])
+        argvs.append(["classify", "--json", "--ring", "Z", "--", text])
+        argvs.append(["witness", "--json", "--", text])
+    return argvs
+
+
+def _record(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+def records() -> list[dict]:
+    return [_record(argv) for argv in _argvs()]
+
+
+def test_cli_json_matches_golden_bytes():
+    golden = json.loads(GOLDEN.read_text())
+    assert [g["argv"] for g in golden] == _argvs()
+    for g in golden:
+        assert _record(g["argv"]) == g, g["argv"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(records(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -251,6 +251,45 @@ def test_monomial_validation():
         Monomial(1, (("y", 1), ("x", 1)))
 
 
+def test_polynomial_constructor_contract():
+    x = (("x", 1),)
+    assert Polynomial([Monomial(2, x), Monomial(3, x)]) == parse("5*x")
+    with pytest.raises(EmptyPolynomialError) as empty:
+        Polynomial([Monomial(2, x), Monomial(-2, x)])
+    assert str(empty.value) == str(EmptyPolynomialError())
+    with pytest.raises(EmptyPolynomialError):
+        Polynomial([])
+    with pytest.raises(ConstantTermError) as constant:
+        Polynomial([Monomial(2, x), Monomial(7, ())])
+    assert constant.value.constant == 7
+    assert str(constant.value) == str(ConstantTermError(7))
+    with pytest.raises(ConstantTermError):
+        Polynomial([Monomial(7, ())])
+    # a constant that cancels among repeated terms is no constant
+    assert Polynomial([Monomial(7, ()), Monomial(2, x), Monomial(-7, ())]) == parse("2*x")
+    repeated = Polynomial.from_terms(
+        [(1, {"x": 1, "y": 2}), (-1, {"z": 1}), (4, {"y": 2, "x": 1}), (0, {"w": 1})]
+    )
+    assert repeated == parse("5*x*y^2 - z")
+    assert repeated.variables == ("x", "y", "z")
+
+
+@given(polynomials(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_polynomial_does_not_depend_on_monomial_order(p, data):
+    shuffled = data.draw(st.permutations(p.monomials))
+    q = Polynomial(shuffled)
+    assert q == p and q.monomials == p.monomials and q.variables == p.variables
+    # splitting each coefficient into two like terms combines back
+    halves = [
+        Monomial(c, m.exponents)
+        for m in shuffled
+        for c in (m.coefficient + 1, -1)
+        if c != 0
+    ]
+    assert Polynomial(halves) == p
+
+
 def test_polynomial_immutable():
     p = parse("x + y")
     with pytest.raises(AttributeError):
