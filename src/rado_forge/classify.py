@@ -161,29 +161,105 @@ def _unknown(*failures: str) -> Verdict:
 # -- zero-sum subsets --------------------------------------------------------
 
 
-def _fewest_table(values: tuple[int, ...]) -> list[dict[int, int]]:
-    """suffix[i][s] = fewest elements of a nonempty subset of values[i:]
-    summing to s; sums no such subset reaches are absent."""
-    k = len(values)
-    suffix: list[dict[int, int]] = [{} for _ in range(k + 1)]
-    for i in range(k - 1, -1, -1):
-        v, rest = values[i], suffix[i + 1]
-        table = dict(rest)
-        for s, c in rest.items():
-            t = s + v
-            if c + 1 < table.get(t, k + 1):
-                table[t] = c + 1
-        table[v] = 1
-        suffix[i] = table
-    return suffix
+# Subset sums of coefficients whose magnitudes total less than this are kept
+# as bitsets, one int per row; at or above it as sparse dicts.  A bitset row
+# costs sum(|c|) bits however few sums it holds, so this is a fixed cost rule,
+# not a setting.  Certificate replay applies the same rule to its own sums.
+_BITSET_LIMIT = 1 << 16
+
+
+class _BitTable:
+    """Fewest-elements table as bitsets, for sum(|values|) < _BITSET_LIMIT.
+
+    ``exact[i][j]`` has bit s + offset set when exactly j elements of
+    ``values[i:]`` sum to s, where offset is the total magnitude of the
+    negative values, so no sum has a negative bit index.  Counts are added
+    one at a time until row 0 holds ``target``, so only that target may be
+    asked for; without one, every count is added.  ``reach`` holds every
+    nonempty subset sum, so a target no subset reaches costs one pass.
+    """
+
+    def __init__(self, values: tuple[int, ...], target: Optional[int]):
+        self.offset = offset = -sum(c for c in values if c < 0)
+        reach = 0
+        for v in reversed(values):
+            reach |= (reach << v if v > 0 else reach >> -v) | 1 << (v + offset)
+        self.reach = reach
+        k = len(values)
+        self.exact = exact = [[1 << offset] for _ in range(k + 1)]  # j = 0: the empty sum
+        if target is not None and not self._has(reach, target):
+            return
+        for j in range(1, k + 1):
+            row = 0  # exact[i + 1][j] as i falls
+            exact[k].append(0)
+            for i in range(k - 1, -1, -1):
+                v, fewer = values[i], exact[i + 1][j - 1]
+                row |= fewer << v if v > 0 else fewer >> -v
+                exact[i].append(row)
+            if target is not None and self._has(row, target):
+                return
+
+    def _has(self, bits: int, s: int) -> bool:
+        index = s + self.offset
+        return index >= 0 and bits >> index & 1 == 1
+
+    def size(self, target: int) -> Optional[int]:
+        """The fewest elements of a nonempty subset summing to ``target``."""
+        if not self._has(self.reach, target):
+            return None
+        row = self.exact[0]
+        return next(j for j in range(1, len(row)) if self._has(row[j], target))
+
+    def completes(self, i: int, rest: int, count: int) -> bool:
+        """Exactly ``count`` elements of ``values[i:]`` sum to ``rest``."""
+        return self._has(self.exact[i][count], rest)
+
+
+class _DictTable:
+    """Fewest-elements table as dicts, for sum(|values|) >= _BITSET_LIMIT:
+    ``suffix[i][s]`` is the fewest elements of a nonempty subset of
+    ``values[i:]`` summing to s; sums no such subset reaches are absent."""
+
+    def __init__(self, values: tuple[int, ...]):
+        k = len(values)
+        self.suffix = suffix = [{} for _ in range(k + 1)]
+        for i in range(k - 1, -1, -1):
+            v, rest = values[i], suffix[i + 1]
+            table = dict(rest)
+            for s, c in rest.items():
+                t = s + v
+                if c + 1 < table.get(t, k + 1):
+                    table[t] = c + 1
+            table[v] = 1
+            suffix[i] = table
+
+    def size(self, target: int) -> Optional[int]:
+        """The fewest elements of a nonempty subset summing to ``target``."""
+        return self.suffix[0].get(target)
+
+    def completes(self, i: int, rest: int, count: int) -> bool:
+        """``count`` elements of ``values[i:]``, and no fewer, sum to ``rest``;
+        a count of 0 is the empty completion, so rest must be 0."""
+        return rest == 0 if count == 0 else self.suffix[i].get(rest) == count
+
+
+def _fewest_table(
+    values: tuple[int, ...], target: Optional[int] = None
+) -> _BitTable | _DictTable:
+    """The fewest-elements table of ``values``, as bitsets when the
+    magnitudes total less than _BITSET_LIMIT and as dicts otherwise.  A
+    bitset table grows only as far as ``target`` needs, when one is given."""
+    if sum(map(abs, values)) < _BITSET_LIMIT:
+        return _BitTable(values, target)
+    return _DictTable(values)
 
 
 def _pick_subset(
-    values: tuple[int, ...], suffix: list[dict[int, int]], target: int
+    values: tuple[int, ...], table: _BitTable | _DictTable, target: int
 ) -> Optional[tuple[int, ...]]:
     """The (size, lex)-minimal subset of ``_minimal_subset``, read off the
-    table ``suffix = _fewest_table(values)``."""
-    need = suffix[0].get(target)
+    table ``_fewest_table(values)``."""
+    need = table.size(target)
     if need is None:
         return None
     chosen: list[int] = []
@@ -194,7 +270,7 @@ def _pick_subset(
         # need - 1 elements after it; no completion is shorter, since the
         # chosen part plus a shorter one would beat the minimum
         rest = remaining - values[i]
-        if (rest == 0 and need == 1) or suffix[i + 1].get(rest) == need - 1:
+        if table.completes(i + 1, rest, need - 1):
             chosen.append(i + 1)
             remaining = rest
             need -= 1
@@ -205,7 +281,7 @@ def _pick_subset(
 def _minimal_subset(values: tuple[int, ...], target: int) -> Optional[tuple[int, ...]]:
     """Smallest nonempty subset (by size, then lexicographic on 1-based
     indices) summing to ``target``; None if no such subset exists."""
-    return _pick_subset(values, _fewest_table(values), target)
+    return _pick_subset(values, _fewest_table(values, target), target)
 
 
 def rado_condition(coeffs: list[int] | tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -213,20 +289,25 @@ def rado_condition(coeffs: list[int] | tuple[int, ...]) -> Optional[tuple[int, .
 
     Returns the smallest nonempty index subset J (1-based; ordered by size,
     then lexicographically) with sum(coeffs[j] for j in J) == 0, or None.
-    Both run on one table: for each suffix coeffs[i:], a dict from every sum
-    a nonempty subset of it reaches to the fewest elements reaching it.  The
-    size of J is the entry of 0 for the whole list, and J is rebuilt
-    greedily, taking index i whenever the rest of the target is reached by
-    exactly one element fewer after it.  A suffix of m values holds at most
-    2^m - 1 and at most sum(|c_i|) + 1 entries, so distinct subset sums
-    such as 1, 2, ..., 2^(k-1) still cost 2^k.  Exhaustive subset
-    enumeration is the test oracle.
+    Coefficients of one sign answer None at once: no nonempty subset of them
+    sums to 0.  Otherwise J comes from a fewest-elements table over the
+    suffixes coeffs[i:]: the size of J is the fewest elements reaching 0 in
+    the whole list, and J is rebuilt greedily, taking index i whenever the
+    rest of the target is reached by exactly one element fewer after it.
+    When sum(|c_i|) < _BITSET_LIMIT (2^16) the table is one bitset of sums
+    per suffix and count, grown count by count until 0 appears, so a row
+    costs sum(|c_i|) bits however many sums it holds.  Above it, each suffix
+    keeps a dict from each sum to its fewest elements, which holds at most
+    2^m - 1 entries for m values, so distinct subset sums still cost 2^k;
+    no budget bounds that.  Exhaustive subset enumeration is the test oracle.
     """
     values = tuple(coeffs)
     if not values:
         raise ValueError("coefficient list must be non-empty")
     if any(c == 0 for c in values):
         raise ValueError("coefficients must be nonzero")
+    if min(values) > 0 or max(values) < 0:
+        return None
     return _minimal_subset(values, 0)
 
 
@@ -627,15 +708,26 @@ def classify_k2(p: Polynomial) -> Verdict:
 # -- literature notes ----------------------------------------------------------
 
 # Known facts about specific polynomials, surfaced as notes, never as
-# certificates.  Keyed by structure up to variable renaming and global sign.
+# certificates.  Keyed by structure up to variable renaming and global sign:
+# each fact is kept as its variables, its sorted monomial degrees, and the
+# canonical term sets of it and of its negation, built once here.
+
+
+def _known_fact(p: Polynomial, note: str):
+    """The entry of _KNOWN_FACTS for the fact that ``note`` states about p."""
+    terms = frozenset((m.coefficient, m.exponents) for m in p.monomials)
+    negated = frozenset((-c, exps) for c, exps in terms)
+    return p.variables, sorted(m.degree for m in p.monomials), terms, negated, note
+
+
 _KNOWN_FACTS = [
-    (
+    _known_fact(
         Polynomial.from_terms([(1, {"a": 1, "b": 1}), (1, {"a": 1, "c": 1}), (-1, {"b": 1, "c": 1})]),
         "known in the literature: xy + xz - yz is (injectively) partition regular "
         "(Csikvari, Gyarmati and Sarkozy), but admits no exclusive variables, so no "
         "implemented criterion certifies it",
     ),
-    (
+    _known_fact(
         Polynomial.from_terms([(1, {"a": 1}), (1, {"b": 1}), (-1, {"c": 2})]),
         "known in the literature: x + y - z^2 is not partition regular over the "
         "positive integers (Csikvari, Gyarmati and Sarkozy) even though its "
@@ -645,33 +737,28 @@ _KNOWN_FACTS = [
 ]
 
 
-def _matches_up_to_renaming(p: Polynomial, q: Polynomial) -> bool:
-    """Structural equality of p against q or -q under variable bijections."""
-    pv, qv = p.variables, q.variables
-    if len(pv) != len(qv) or len(p.monomials) != len(q.monomials):
-        return False
-    if sorted(m.degree for m in p.monomials) != sorted(m.degree for m in q.monomials):
-        return False
-    neg_q = Polynomial.from_terms(
-        [(-m.coefficient, m.exponent_map()) for m in q.monomials]
-    )
-    for perm in itertools.permutations(qv):
-        renaming = dict(zip(pv, perm))
-        renamed = Polynomial.from_terms(
-            [
-                (m.coefficient, {renaming[v]: e for v, e in m.exponents})
-                for m in p.monomials
-            ]
-        )
-        if renamed == q or renamed == neg_q:
-            return True
-    return False
-
-
 def _literature_notes(p: Polynomial) -> list[str]:
+    """The notes of the known facts that p is, or is the negation of, under
+    some bijection of variable names.  Canonical forms are equal exactly when
+    their term sets are, so each renaming of p's terms is compared as a set,
+    without building a polynomial."""
     if len(p.variables) > 6:
         return []
-    return [note for known, note in _KNOWN_FACTS if _matches_up_to_renaming(p, known)]
+    terms = [(m.coefficient, m.exponents) for m in p.monomials]
+    degrees = sorted(m.degree for m in p.monomials)
+    notes = []
+    for names, known_degrees, known, negated, note in _KNOWN_FACTS:
+        if len(names) != len(p.variables) or known_degrees != degrees:
+            continue
+        for perm in itertools.permutations(names):
+            renaming = dict(zip(p.variables, perm))
+            renamed = {
+                (c, tuple(sorted((renaming[v], e) for v, e in exps))) for c, exps in terms
+            }
+            if renamed == known or renamed == negated:
+                notes.append(note)
+                break
+    return notes
 
 
 # -- dispatcher ----------------------------------------------------------------
@@ -806,12 +893,41 @@ def _subset_sum_ok(coeffs: list[int], indices: list[int]) -> bool:
 def _subset_sums(values: list[int]) -> set[int]:
     """The set of nonempty subset sums, grown one value at a time.  It holds
     at most 2^k sums and at most sum(|c_i|) + 1, since every sum lies between
-    the total of the negative and the total of the positive values."""
+    the total of the negative and the total of the positive values.  Replay
+    uses it when sum(|c_i|) >= _BITSET_LIMIT, and ``_sum_bits`` below it."""
     sums: set[int] = set()
     for c in values:
         sums |= {s + c for s in sums}
         sums.add(c)
     return sums
+
+
+def _sum_bits(values: list[int], shift: int) -> int:
+    """The nonempty subset sums as one int: bit s + shift is set when some
+    nonempty subset sums to s.  ``shift`` must be at least the total of the
+    negative values' magnitudes, so that no sum has a negative bit index."""
+    bits = 0
+    for c in values:
+        bits |= (bits << c if c > 0 else bits >> -c) | 1 << (c + shift)
+    return bits
+
+
+def _zero_sum_free(values: list[int]) -> bool:
+    """No nonempty subset of ``values`` sums to 0."""
+    if all(c > 0 for c in values) or all(c < 0 for c in values):
+        return True  # a nonempty subset of one sign never sums to 0
+    if sum(abs(c) for c in values) < _BITSET_LIMIT:
+        shift = sum(-c for c in values if c < 0)
+        return not _sum_bits(values, shift) >> shift & 1
+    return 0 not in _subset_sums(values)
+
+
+def _no_equal_sums(a: list[int], b: list[int]) -> bool:
+    """No nonempty subsets of the exponents ``a`` and ``b`` (all positive)
+    have equal sums."""
+    if max(sum(a), sum(b)) < _BITSET_LIMIT:
+        return not _sum_bits(a, 0) & _sum_bits(b, 0)
+    return _subset_sums(a).isdisjoint(_subset_sums(b))
 
 
 def _exclusive_degree_one(p: Polynomial, i: int, v: str) -> bool:
@@ -849,7 +965,7 @@ def _replay(p: Polynomial, verdict: Verdict) -> bool:
     if tag == "LinearNecessity":
         if not p.is_linear or payload["coefficients"] != coeffs:
             return False
-        return 0 not in _subset_sums(coeffs)
+        return _zero_sum_free(coeffs)
     if tag == "RadoAffine":
         constant = payload["constant"]
         if payload["coefficients"] != coeffs or constant == 0 or not p.is_linear:
@@ -873,7 +989,7 @@ def _replay(p: Polynomial, verdict: Verdict) -> bool:
             t = -constant // s
             if t >= 1:
                 return False
-            return t == 0 or 0 not in _subset_sums(coeffs)
+            return t == 0 or _zero_sum_free(coeffs)
         return False
     if tag == "MultiplicativeRado":
         sides = _multiplicative_sides(p)
@@ -885,7 +1001,7 @@ def _replay(p: Polynomial, verdict: Verdict) -> bool:
         if payload["left_exponents"] != a or payload["right_exponents"] != b:
             return False
         if verdict.status == NOT_PR:
-            return _subset_sums(a).isdisjoint(_subset_sums(b))
+            return _no_equal_sums(a, b)
         i1, i2 = payload["I1"], payload["I2"]
         return (
             len(i1) > 0
@@ -977,5 +1093,5 @@ def _replay(p: Polynomial, verdict: Verdict) -> bool:
             return False
         if payload["degree"] != p.monomials[0].degree:
             return False
-        return 0 not in _subset_sums(coeffs)
+        return _zero_sum_free(coeffs)
     return False

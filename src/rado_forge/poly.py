@@ -93,11 +93,12 @@ class Monomial:
     def __post_init__(self) -> None:
         if self.coefficient == 0:
             raise ValueError("monomial coefficient must be nonzero")
-        names = [v for v, _ in self.exponents]
-        if names != sorted(names) or len(set(names)) != len(names):
-            raise ValueError("exponent pairs must be sorted by unique variable name")
+        if len(self.exponents) > 1:  # one pair is always sorted and unique
+            names = [v for v, _ in self.exponents]
+            if names != sorted(names) or len(set(names)) != len(names):
+                raise ValueError("exponent pairs must be sorted by unique variable name")
         for v, e in self.exponents:
-            if not is_valid_variable(v):
+            if not _VAR_RE.fullmatch(v):
                 raise ValueError(f"invalid variable name: {v!r}")
             if e < 1:
                 raise ValueError(f"exponent of {v} must be >= 1, got {e}")
@@ -286,7 +287,9 @@ def _combine(
     """Sum like terms; return surviving monomials plus the constant term."""
     acc: dict[tuple[tuple[str, int], ...], int] = {}
     for coeff, exps in terms:
-        key = tuple(sorted((v, e) for v, e in exps.items() if e != 0))
+        if 0 in exps.values():
+            exps = {v: e for v, e in exps.items() if e != 0}
+        key = tuple(sorted(exps.items()))
         acc[key] = acc.get(key, 0) + coeff
     constant = acc.pop((), 0)
     monomials = [Monomial(c, key) for key, c in acc.items() if c != 0]
@@ -310,101 +313,84 @@ def _canonical_sort(
 
 
 # -- parsing ---------------------------------------------------------------
+#
+# The grammar; whitespace between tokens is skipped:
+#
+#   polynomial := ['+' | '-'] term (('+' | '-') term)*
+#   term       := integer | [integer ['*']] variable ['^' integer] ('*' factor)*
+#   factor     := variable ['^' integer]
+#
+# A bare integer is a constant term.  One scan cuts the text into tokens, each
+# a match of one group of _TOKEN_RE: an integer (any Unicode decimal digits, as
+# int() reads them), a variable, an operator, or a character that starts no
+# token.  The descent then walks the token columns by index.  Positions are
+# needed only for errors, so _syntax_error scans again to find them.  The
+# pattern uses no syntax newer than Python 3.10 (no atomic groups or
+# possessive quantifiers).
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<var>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^]))"
-)
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                at = len(text) - len(stripped)
-                raise PolySyntaxError(at, "integer, variable or operator", repr(stripped[0]))
-            kind = m.lastgroup
-            assert kind is not None
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise PolySyntaxError(tok[2], what, repr(tok[1]) if tok[1] else "end of input")
-        return tok
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*^])|(\S))")
 
 
-def _parse_factor(toks: _Tokens) -> tuple[str, int]:
-    kind, value, pos = toks.next()
-    if kind != "var":
-        raise PolySyntaxError(pos, "variable", repr(value) if value else "end of input")
-    exp = 1
-    if toks.peek()[:2] == ("op", "^"):
-        toks.next()
-        exp = int(toks.expect("int", "exponent integer")[1])
-    return value, exp
-
-
-def _parse_term(toks: _Tokens, sign: int) -> tuple[int, dict[str, int]]:
-    coeff = sign
-    exps: dict[str, int] = {}
-    kind, value, pos = toks.peek()
-    if kind == "int":
-        toks.next()
-        coeff *= int(value)
-        nxt = toks.peek()
-        if nxt[:2] == ("op", "*"):
-            toks.next()
-        elif nxt[0] != "var":
-            return coeff, exps  # bare integer term (constant)
-    elif kind != "var":
-        raise PolySyntaxError(pos, "term", repr(value) if value else "end of input")
-    var, exp = _parse_factor(toks)
-    exps[var] = exps.get(var, 0) + exp
-    while toks.peek()[:2] == ("op", "*"):
-        toks.next()
-        var, exp = _parse_factor(toks)
-        exps[var] = exps.get(var, 0) + exp
-    return coeff, exps
+def _syntax_error(text: str, index: int, expected: str) -> PolySyntaxError:
+    """The error at token ``index`` of ``text``, or at the end of the input
+    when the text has fewer tokens; a token's position is where it starts."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == index:
+            return PolySyntaxError(m.start(m.lastindex), expected, repr(m[m.lastindex]))
+    return PolySyntaxError(len(text), expected, "end of input")
 
 
 def _parse_terms(text: str) -> list[tuple[int, dict[str, int]]]:
-    toks = _Tokens(text)
+    """The (coefficient, {variable: exponent}) terms of ``text`` in order,
+    like variables inside a term summed; a constant term has no variables."""
+    found = _TOKEN_RE.findall(text)
+    found.append(("", "", "", ""))  # the end of input, which matches no column
+    ints, names, ops, stray = zip(*found)
+    if any(stray):
+        first = next(i for i, s in enumerate(stray) if s)
+        raise _syntax_error(text, first, "integer, variable or operator")
+    end = len(found) - 1
+    if end == 0:
+        raise _syntax_error(text, 0, "polynomial")
+    op = ops[0]
+    i = 1 if op == "+" or op == "-" else 0
     terms: list[tuple[int, dict[str, int]]] = []
-    sign = 1
-    kind, value, pos = toks.peek()
-    if kind == "op" and value in "+-":
-        toks.next()
-        sign = -1 if value == "-" else 1
-    elif kind == "eof":
-        raise PolySyntaxError(pos, "polynomial", "end of input")
-    terms.append(_parse_term(toks, sign))
     while True:
-        kind, value, pos = toks.peek()
-        if kind == "eof":
+        coeff = -1 if op == "-" else 1
+        exps: dict[str, int] = {}
+        if ints[i]:
+            coeff *= int(ints[i])
+            i += 1
+            if ops[i] == "*":
+                i += 1
+                more = True
+            else:
+                more = bool(names[i])  # no factor follows: a constant term
+        elif names[i]:
+            more = True
+        else:
+            raise _syntax_error(text, i, "term")
+        while more:
+            name = names[i]
+            if not name:
+                raise _syntax_error(text, i, "variable")
+            if ops[i + 1] == "^":
+                if not ints[i + 2]:
+                    raise _syntax_error(text, i + 2, "exponent integer")
+                exps[name] = exps.get(name, 0) + int(ints[i + 2])
+                i += 3
+            else:
+                exps[name] = exps.get(name, 0) + 1
+                i += 1
+            more = ops[i] == "*"
+            i += more
+        terms.append((coeff, exps))
+        if i == end:
             return terms
-        if kind != "op" or value not in "+-":
-            raise PolySyntaxError(pos, "'+' or '-'", repr(value))
-        toks.next()
-        terms.append(_parse_term(toks, -1 if value == "-" else 1))
+        op = ops[i]
+        if op != "+" and op != "-":
+            raise _syntax_error(text, i, "'+' or '-'")
+        i += 1
 
 
 def parse(text: str) -> Polynomial:

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,99 @@ def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
         },
     )
     assert replay_certificate(p, v)
+
+
+@given(
+    st.lists(st.integers(-9, 9).filter(lambda c: c != 0), min_size=1, max_size=10),
+    st.integers(-30, 30),
+)
+@settings(max_examples=300)
+def test_zero_sum_is_the_same_on_both_sides_of_the_bitset_width(values, target):
+    # scaling every value and the target by c keeps J; c pushes sum(|c * v|)
+    # to 2^16 or more, so the scaled table is the sparse one
+    classify_mod = importlib.import_module("rado_forge.classify")
+    scale = classify_mod._BITSET_LIMIT // sum(map(abs, values)) + 1
+    scaled = tuple(scale * v for v in values)
+    assert isinstance(classify_mod._fewest_table(tuple(values)), classify_mod._BitTable)
+    assert isinstance(classify_mod._fewest_table(scaled), classify_mod._DictTable)
+    j = classify_mod._minimal_subset(tuple(values), target)
+    assert classify_mod._minimal_subset(scaled, scale * target) == j
+    assert j == _oracle_subset(values, target)
+    assert rado_condition(scaled) == rado_condition(values) == _oracle_rado(values)
+
+
+def _linear(coeffs):
+    return Polynomial.from_terms((c, {f"x{i:02d}": 1}) for i, c in enumerate(coeffs))
+
+
+@given(
+    st.lists(st.integers(-9, 9).filter(lambda c: c != 0), min_size=1, max_size=10),
+    st.sampled_from([1, 7, 20_000]),
+)
+@settings(max_examples=300, deadline=None)
+def test_replay_linear_necessity_matches_exhaustive_oracle(coeffs, scale):
+    p = _linear([scale * c for c in coeffs])
+    v = Verdict(NOT_PR, "no", Certificate(
+        "LinearNecessity", {"coefficients": list(p.coefficients)}))
+    assert replay_certificate(p, v) == (_oracle_rado(p.coefficients) is None)
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    st.sampled_from([1, 3, 20_000]),
+)
+@settings(max_examples=300, deadline=None)
+def test_replay_multiplicative_not_pr_matches_exhaustive_oracle(a, b, scale):
+    a, b = [scale * e for e in a], [scale * e for e in b]
+    p = Polynomial.from_terms(
+        [(1, {f"x{i}": e for i, e in enumerate(a)}), (-1, {f"y{j}": e for j, e in enumerate(b)})]
+    )
+    v = Verdict(NOT_PR, "no", Certificate(
+        "MultiplicativeRado", {"left_exponents": a, "right_exponents": b}))
+    assert replay_certificate(p, v) == (_oracle_equal_sums(a, b) is None)
+
+
+def test_one_signed_coefficients_need_no_subset_sums(monkeypatch):
+    classify_mod = importlib.import_module("rado_forge.classify")
+
+    def refuse(*args):
+        raise AssertionError("a one-signed list needs no subset sums")
+
+    for name in ("_fewest_table", "_subset_sums", "_sum_bits"):
+        monkeypatch.setattr(classify_mod, name, refuse)
+    powers = [2**i for i in range(40)]  # 2^40 distinct subset sums
+    assert rado_condition(powers) is None
+    assert rado_condition([-c for c in powers]) is None
+    linear = _linear(powers)
+    homogeneous = Polynomial.from_terms(
+        (-c, {f"x{i:02d}": 1, f"y{i:02d}": 1}) for i, c in enumerate(powers)
+    )
+    for p, theorem in ((linear, "LinearNecessity"), (homogeneous, "HomogeneousNecessity")):
+        v = classify(p)
+        assert (v.status, v.certificate.theorem) == (NOT_PR, theorem)
+        assert replay_certificate(p, v)
+    affine = classify_affine(linear, 2 * sum(powers))
+    assert (affine.status, affine.certificate.payload["case"]) == (NOT_PR, "necessity")
+    assert replay_certificate(linear, affine)
+
+
+def test_zero_sum_tables_stay_small_below_the_bitset_width():
+    # 1, 2, ..., 2^14 and a last coefficient of the other sign: every subset
+    # sum is distinct, so a dict per suffix holds up to 2^16 entries (7.8 MB
+    # at its peak); the bitsets of sum(|c|) < 2^16 bits stay near 1 MB
+    powers = [2**i for i in range(15)]
+    for last in (-(2**15), -(2**15 - 1)):  # no zero sum, then one of all 16
+        p = _linear(powers + [last])
+        tracemalloc.start()
+        try:
+            v = classify(p)
+            assert replay_certificate(p, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.status == (NOT_PR if last == -(2**15) else PR)
+        assert peak < 2_000_000
 
 
 # -- classify_linear ----------------------------------------------------------

@@ -76,6 +76,89 @@ def test_parse_syntax_error_position():
         parse("")
 
 
+# Every raise site of the parser, with the exact position, expected and found
+# values; the CLI prints the position as a caret, so these are its contract.
+SYNTAX_ERRORS = [
+    # a character no token starts with; it is reported before any grammar error
+    ("x # y", 2, "integer, variable or operator", "'#'"),
+    ("x + y   $", 8, "integer, variable or operator", "'$'"),
+    ("x + y \t @", 8, "integer, variable or operator", "'@'"),
+    ("é", 0, "integer, variable or operator", "'é'"),
+    ("_x", 0, "integer, variable or operator", "'_'"),
+    ("x + _y", 4, "integer, variable or operator", "'_'"),
+    ("(x)", 0, "integer, variable or operator", "'('"),
+    ("x + * y #", 8, "integer, variable or operator", "'#'"),
+    # empty and blank input
+    ("", 0, "polynomial", "end of input"),
+    ("   ", 3, "polynomial", "end of input"),
+    ("\t\n", 2, "polynomial", "end of input"),
+    # a sign with no term
+    ("-", 1, "term", "end of input"),
+    ("x +", 3, "term", "end of input"),
+    ("x - ", 4, "term", "end of input"),
+    ("x +\n", 4, "term", "end of input"),
+    ("+ * x", 2, "term", "'*'"),
+    ("x + * y", 4, "term", "'*'"),
+    ("x + + y", 4, "term", "'+'"),
+    # '*' with no variable, including a dangling '2*'
+    ("2*", 2, "variable", "end of input"),
+    ("2 * ", 4, "variable", "end of input"),
+    ("3*4", 2, "variable", "'4'"),
+    ("x*", 2, "variable", "end of input"),
+    ("x * + y", 4, "variable", "'+'"),
+    ("x * * y", 4, "variable", "'*'"),
+    ("x**2", 2, "variable", "'*'"),
+    ("x - y * 2", 8, "variable", "'2'"),
+    # '^' with no integer
+    ("x^", 2, "exponent integer", "end of input"),
+    ("x^ ", 3, "exponent integer", "end of input"),
+    ("x ^ y", 4, "exponent integer", "'y'"),
+    ("x^-2", 2, "exponent integer", "'-'"),
+    # two terms with no operator between them
+    ("x y", 2, "'+' or '-'", "'y'"),
+    ("x 2", 2, "'+' or '-'", "'2'"),
+    ("2 3", 2, "'+' or '-'", "'3'"),
+    ("x^2 y", 4, "'+' or '-'", "'y'"),
+    ("2x y", 3, "'+' or '-'", "'y'"),
+    ("x + 2 x y", 8, "'+' or '-'", "'y'"),
+    ("2^3", 1, "'+' or '-'", "'^'"),
+    ("x + 3 ^ 2", 6, "'+' or '-'", "'^'"),
+    ("x ^ 2 ^ 3", 6, "'+' or '-'", "'^'"),
+]
+
+
+@pytest.mark.parametrize("text, position, expected, found", SYNTAX_ERRORS)
+def test_parse_syntax_error_contract(text, position, expected, found):
+    for entry in (parse, parse_with_constant):
+        with pytest.raises(PolySyntaxError) as err:
+            entry(text)
+        assert (err.value.position, err.value.expected, err.value.found) == (
+            position,
+            expected,
+            found,
+        )
+        assert str(err.value) == f"at position {position}: expected {expected}, found {found}"
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("2x", "2*x"),
+        ("+x", "x"),
+        ("x ^ 2", "x^2"),
+        ("x\t+\ny", "x + y"),
+        (" \tx*x - y\n", "x^2 - y"),
+        ("x*x", "x^2"),
+        ("٣x", "3*x"),  # \d reads any Unicode decimal digit
+        ("x^٣ + 2y", "x^3 + 2*y"),
+        ("007*x", "7*x"),
+        ("-x^1*y^2*x", "-x^2*y^2"),
+    ],
+)
+def test_parse_accepted_spellings(text, canonical):
+    assert str(parse(text)) == canonical
+
+
 def test_parse_constant_term_rejected():
     with pytest.raises(ConstantTermError):
         parse("x + y + 1")
