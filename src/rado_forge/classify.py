@@ -164,7 +164,8 @@ def _unknown(*failures: str) -> Verdict:
 # Subset sums of coefficients whose magnitudes total less than this are kept
 # as bitsets, one int per row; at or above it as sparse dicts.  A bitset row
 # costs sum(|c|) bits however few sums it holds, so this is a fixed cost rule,
-# not a setting.  Certificate replay applies the same rule to its own sums.
+# not a setting.  Certificate replay splits its sums by sign and applies the
+# same rule to each side's total.
 _BITSET_LIMIT = 1 << 16
 
 
@@ -666,18 +667,14 @@ def classify_k2(p: Polynomial) -> Verdict:
         return not_applicable
     reduced = Polynomial.from_terms([(1, q1), (-1, q2)])
     note = f"regularity of {p} is equivalent to regularity of {reduced}"
+    by_sign = {m.coefficient: m.monic_text() for m in reduced.monomials}
     decomposition = {
         "gcd": d.monic_text(),
-        "q1": Polynomial.from_terms([(1, q1)]).monomials[0].monic_text(),
-        "q2": Polynomial.from_terms([(1, q2)]).monomials[0].monic_text(),
+        "q1": by_sign[1],
+        "q2": by_sign[-1],
         "reduced": str(reduced),
     }
-    if (
-        len(q1) == 1
-        and len(q2) == 1
-        and set(q1.values()) == {1}
-        and set(q2.values()) == {1}
-    ):
+    if reduced.is_linear:  # Q1 and Q2 are single variables
         cert = Certificate("K2Analysis", dict(decomposition, case="variable_difference"))
         return Verdict(
             PR,
@@ -891,10 +888,10 @@ def _subset_sum_ok(coeffs: list[int], indices: list[int]) -> bool:
 
 
 def _subset_sums(values: list[int]) -> set[int]:
-    """The set of nonempty subset sums, grown one value at a time.  It holds
-    at most 2^k sums and at most sum(|c_i|) + 1, since every sum lies between
-    the total of the negative and the total of the positive values.  Replay
-    uses it when sum(|c_i|) >= _BITSET_LIMIT, and ``_sum_bits`` below it."""
+    """The set of nonempty subset sums of positive values, grown one value at
+    a time.  It holds at most 2^k sums and at most sum(values).  Replay uses
+    it when a side's total is at least _BITSET_LIMIT, and ``_sum_bits``
+    below it."""
     sums: set[int] = set()
     for c in values:
         sums |= {s + c for s in sums}
@@ -902,31 +899,31 @@ def _subset_sums(values: list[int]) -> set[int]:
     return sums
 
 
-def _sum_bits(values: list[int], shift: int) -> int:
-    """The nonempty subset sums as one int: bit s + shift is set when some
-    nonempty subset sums to s.  ``shift`` must be at least the total of the
-    negative values' magnitudes, so that no sum has a negative bit index."""
+def _sum_bits(values: list[int]) -> int:
+    """The nonempty subset sums of positive values as one int: bit s is set
+    when some nonempty subset sums to s."""
     bits = 0
     for c in values:
-        bits |= (bits << c if c > 0 else bits >> -c) | 1 << (c + shift)
+        bits |= bits << c | 1 << c
     return bits
 
 
 def _zero_sum_free(values: list[int]) -> bool:
-    """No nonempty subset of ``values`` sums to 0."""
-    if all(c > 0 for c in values) or all(c < 0 for c in values):
-        return True  # a nonempty subset of one sign never sums to 0
-    if sum(abs(c) for c in values) < _BITSET_LIMIT:
-        shift = sum(-c for c in values if c < 0)
-        return not _sum_bits(values, shift) >> shift & 1
-    return 0 not in _subset_sums(values)
+    """No nonempty subset of ``values`` sums to 0: none is 0, and no nonempty
+    subsets of the positive values and of the negative values' magnitudes
+    have equal sums.  The sides cost 2^|P| + 2^|N| sums, not 2^k."""
+    return 0 not in values and _no_equal_sums(
+        [c for c in values if c > 0], [-c for c in values if c < 0]
+    )
 
 
 def _no_equal_sums(a: list[int], b: list[int]) -> bool:
-    """No nonempty subsets of the exponents ``a`` and ``b`` (all positive)
-    have equal sums."""
+    """No nonempty subsets of ``a`` and ``b`` (all positive) have equal sums;
+    an empty side has no nonempty subset, so it answers at once."""
+    if not a or not b:
+        return True
     if max(sum(a), sum(b)) < _BITSET_LIMIT:
-        return not _sum_bits(a, 0) & _sum_bits(b, 0)
+        return not _sum_bits(a) & _sum_bits(b)
     return _subset_sums(a).isdisjoint(_subset_sums(b))
 
 
@@ -1073,12 +1070,7 @@ def _replay(p: Polynomial, verdict: Verdict) -> bool:
         if Polynomial.from_terms([(1, q1), (-1, q2)]) != reduced:
             return False
         if payload["case"] == "variable_difference":
-            return (
-                len(q1) == 1
-                and len(q2) == 1
-                and set(q1.values()) == {1}
-                and set(q2.values()) == {1}
-            )
+            return reduced.is_linear
         if payload["case"] == "reduced":
             inner = payload.get("inner")
             if not inner:

@@ -12,14 +12,19 @@ Exit codes are a stable API for scripted pipelines:
                  forced" and exit 1)
   corpus     0 = golden match, 5 = mismatch (diff printed)
   2 = malformed arguments (argparse usage error, a count or budget that is
-      not a positive integer, or a ``corpus --file`` that cannot be read,
-      has a malformed line or holds a polynomial that does not parse),
-      64 = malformed polynomial (position diagnostics), 70 = internal error
+      not a positive integer, a ``corpus --file`` that cannot be read, has a
+      malformed line or holds a polynomial that does not parse, or
+      ``classify --allow-constant --ring Z`` on a form with a nonzero
+      constant), 64 = malformed polynomial (position diagnostics),
+      70 = internal error
 
 Exit 2 is both classify's UNKNOWN and a usage error, so a malformed
 ``classify`` command line (``classify "x+y-z" --ring Q``) reads as UNKNOWN.
 The codes are frozen; a script that must tell the two apart reads the
 ``status`` field of ``classify --json``, which a usage error never prints.
+(API change: ``classify --allow-constant --ring Z`` with a nonzero constant
+used to classify over the positive integers, print "over the nonzero
+integers" and exit 0 or 1; it now exits 2.)
 
 RADO_FORGE_BUDGET overrides the default search node budget.  A polynomial
 that starts with "-" goes after "--", as in
@@ -111,6 +116,11 @@ def _parse_or_exit(text: str, allow_constant: bool) -> tuple[Polynomial, int]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     p, constant = _parse_or_exit(args.polynomial, args.allow_constant)
+    if constant != 0 and args.ring != "N":
+        print("rado-forge: error: --allow-constant: a form with a nonzero constant "
+              "is classified over the positive integers only, not with --ring Z",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         if constant != 0:
             verdict = classify_affine(p, constant)

@@ -48,27 +48,27 @@ together with the color tried after it, or with the step back when no color
 is left.  The budget may cut inside such a run; the search then stops with
 exactly ``budget`` nodes, where trying one color at a time would stop.
 
-The search checks forward.  Each color class is an int bitmask (bit i for
-the value i + 1), and so is each color's ``blk``: the read values where that
+The search checks forward.  Each color class is an int bitmask (bit i for the
+value i + 1), and so is each color's ``blk``: the read values where that
 color would close a monochromatic value set.  A node whose color is blocked
 at its value is refused at once.  Each value set of a layer read is filed
-once, under u, its largest member below the layer's value w: a set {u, w}
-joins ``sure[u]``, a set {t, u, w} joins the group of u with offset
-d = w - t, whose mask A holds its t, and a larger set is a group of its own.
-Coloring u with c closes ``sure[u]`` and, for each group whose other members
-lie in the class of c, ``(class & A) << d``: one shift per group, not one
-test per set.  For Schur every set filed under u has the offset u, so a
-coloring costs one shift.  The closed bits not yet in ``blk[c]`` are new;
-when one of them is also set in the ``blk`` of every other color, that read
-value has no color left, the coloring is dead (a prune) and the next color
-is tried.  A coloring keeps its new bits as one int, and undoing it is one
-xor, last in, first out; a bit set as its layer is read belongs to the
-smallest u whose set closes it.  Only read layers are checked, and those
-reach at most one past the deepest bad coloring so far, so a pruned branch
-dies before it could go deeper: the deepest coloring, the first full
-coloring, the Forced verdict and the layers read are those of the same
-search without the check, in fewer nodes (``stats.prunes`` counts the dead
-colorings).
+once, under u, its largest member below the layer's value w, in the group of
+u keyed by (its members below t, d = w - t), where t is its largest member
+below u, or u itself for a set {u, w}; the group's mask A holds the t of its
+sets.  Coloring u with c closes ``(M & A) << d`` for each group of u whose
+key members lie in M, the class of c with u: one shift per group, not one
+test per set.  For Schur every set filed under u has no member below t and
+the offset u, so a coloring costs one shift.  The closed bits not yet in
+``blk[c]`` are new; when one of them is also set in the ``blk`` of every
+other color, that read value has no color left, the coloring is dead (a
+prune) and the next color is tried.  A coloring keeps its new bits as one
+int, and undoing it is one xor, last in, first out; a bit set as its layer is
+read belongs to the smallest u whose set closes it.  Only read layers are
+checked, and those reach at most one past the deepest bad coloring so far, so
+a pruned branch dies before it could go deeper: the deepest coloring, the
+first full coloring, the Forced verdict and the layers read are those of the
+same search without the check, in fewer nodes (``stats.prunes`` counts the
+dead colorings).
 """
 
 from __future__ import annotations
@@ -418,21 +418,19 @@ def _first_bad_coloring(
     stops the search at exactly ``budget`` nodes, inside the run if need be.
 
     Coloring v + 1 with c closes, in one int ``new``, every read value set
-    whose other members all have color c: ``sure[v]``, the values w + 1 of
-    the sets {v + 1, w + 1}; for each group ``(rem, d, a)`` watched at v whose
-    ``rem`` lies inside ``classes[c]``, ``(classes[c] & a) << d``.  The bits
-    not yet in ``blk[c]`` are new; the coloring is dead when one of them is
-    in the ``blk`` of every other color, and otherwise ``owned`` keeps them,
-    so that undoing the coloring is one xor.
+    whose other members all have color c: ``(members & a) << d`` for each
+    group ``[rem, d, a]`` of v whose ``rem`` lies in ``members``, the class of
+    c with v + 1.  The bits not yet in ``blk[c]`` are new; the coloring is
+    dead when one of them is in the ``blk`` of every other color, and
+    otherwise ``owned`` keeps them, so that undoing the coloring is one xor.
     """
     r = min(r, n)
     read: list[list[tuple[int, ...]]] = []
     classes = [0] * r  # classes[c]: bit i set when i + 1 has color c
     blk = [0] * r  # blk[c]: bit w set when color c closes a value set at w + 1
     others = [[o for o in reversed(range(r)) if o != c] for c in range(r)]  # sparsest first
-    sure: list[int] = []  # sure[u]: bit w set for each value set {u + 1, w + 1}
-    groups: list[list] = []  # groups[u]: (rem, d, a), closing (class & a) << d when rem is in class
-    offsets: list[dict[int, list[int]]] = []  # offsets[u]: d -> the group of its three-value sets
+    groups: list[list[list[int]]] = []  # groups[u]: [rem, d, a], closing (members & a) << d
+    group_of: dict[tuple[int, int, int], list[int]] = {}  # (u, rem, d) -> its group
     owned: list[int] = []  # owned[u]: the bits the color of u + 1 set in its blk
 
     def take() -> None:
@@ -442,9 +440,7 @@ def _first_bad_coloring(
         stats.enumerate_ms += (time.perf_counter() - started) * 1000
         w = len(read)
         read.append(layer)
-        sure.append(0)
         groups.append([])
-        offsets.append({})
         bit = 1 << w
         closed = False  # a value set of one member closes w + 1 for every color
         owner: dict[int, int] = {}  # color -> smallest u whose value set blocks it
@@ -453,19 +449,14 @@ def _first_bad_coloring(
                 closed = True
                 continue
             u = mask.bit_length() - 1
-            low = mask ^ 1 << u  # the members below u + 1
-            if not low:
-                sure[u] |= bit
-            else:
-                t = low.bit_length() - 1
-                rem, d = low ^ 1 << t, w - t
-                if rem:  # four or more values: a group of one
-                    groups[u].append((rem, d, 1 << t))
-                elif d in offsets[u]:
-                    offsets[u][d][2] |= 1 << t
-                else:
-                    group = offsets[u][d] = [0, d, 1 << t]
-                    groups[u].append(group)
+            low = mask ^ 1 << u or mask  # the members below u + 1, or u + 1 alone
+            t = low.bit_length() - 1
+            key = u, low ^ 1 << t, w - t
+            group = group_of.get(key)
+            if group is None:
+                group = group_of[key] = [key[1], key[2], 0]
+                groups[u].append(group)
+            group[2] |= 1 << t
             c = colors[u]
             if classes[c] & mask == mask and owner.get(c, u) >= u:
                 owner[c] = u
@@ -495,8 +486,8 @@ def _first_bad_coloring(
             break
         nodes += spent
         if c < limit:
-            members = classes[c]
-            new = sure[v]
+            members = classes[c] | 1 << v
+            new = 0
             for rem, d, a in groups[v]:
                 if members & rem == rem:
                     new |= (members & a) << d
@@ -513,7 +504,7 @@ def _first_bad_coloring(
                     continue
             blk[c] |= new
             owned.append(new)
-            classes[c] = members | 1 << v
+            classes[c] = members
             colors.append(c)
             limits.append(limit + (c + 1 == limit < r))  # a new color opens the next
             v += 1

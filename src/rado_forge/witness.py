@@ -573,17 +573,17 @@ def primes_above(lower: int, count: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _default_alpha(coeffs: Sequence[int]) -> tuple[tuple[int, ...], bool]:
+def _default_alpha(coeffs: Sequence[int]) -> tuple[int, ...]:
     """Reduct solution for the default generators: pairwise distinct values
     >= 2 when possible (injective witnesses), else any positive solution."""
     for bound in (20, 60, 240):
         alpha = find_reduct_solution(coeffs, bound=bound, minimum=2, distinct=True)
         if alpha is not None:
-            return alpha, True
+            return alpha
     for bound in (20, 240):
         alpha = find_reduct_solution(coeffs, bound=bound, minimum=1, distinct=False)
         if alpha is not None:
-            return alpha, False
+            return alpha
     raise HypothesisFailure(
         [f"no bounded positive solution of the reduct with coefficients {list(coeffs)}"]
     )
@@ -601,7 +601,7 @@ def witness_via_reduct(p: Polynomial) -> Witness:
         raise HypothesisFailure(
             [f"coefficients {list(p.coefficients)} admit no zero-sum subset"]
         )
-    alpha, _ = _default_alpha(form.coefficients)
+    alpha = _default_alpha(form.coefficients)
     y_values = primes_above(max(alpha), len(form.product_vars))
     return reduct_lift(form, alpha, y_values)
 

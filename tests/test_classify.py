@@ -248,6 +248,27 @@ def test_zero_sum_tables_stay_small_below_the_bitset_width():
         assert peak < 2_000_000
 
 
+def test_replay_splits_zero_sums_by_sign():
+    # nine positive and nine negative coefficients past the bitset width,
+    # with 2^18 distinct subset sums in all: split by sign, replay holds
+    # 2^9 + 2^9 sums (6.6 MB at its peak for all 2^18 of them)
+    positive = [2**17 + 2**i for i in range(9)]
+    negative = [-(2**23 + 3 * 2**i) for i in range(9)]
+    p = _linear(positive + negative)
+    v = Verdict(NOT_PR, "no", Certificate("LinearNecessity", {"coefficients": list(p.coefficients)}))
+    tracemalloc.start()
+    try:
+        assert replay_certificate(p, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # one negative coefficient more cancels the largest positive one
+    p = _linear(positive + negative + [-(2**17 + 2**8)])
+    v = Verdict(NOT_PR, "no", Certificate("LinearNecessity", {"coefficients": list(p.coefficients)}))
+    assert not replay_certificate(p, v)
+
+
 # -- classify_linear ----------------------------------------------------------
 
 

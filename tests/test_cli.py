@@ -138,6 +138,21 @@ def test_classify_constant_requires_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_classify_constant_is_refused_over_the_nonzero_integers(capsys, json_flag):
+    # the affine rule decides the positive integers only; over the nonzero
+    # integers (-1, -1, -1) solves x + y + z + 3 in one color, so a NOT_PR
+    # line there would be false
+    argv = ["classify", "x+y+z+3", "--allow-constant", "--ring", "Z"] + json_flag
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rado-forge: error: ") and err.count("\n") == 1
+    # a zero constant leaves the homogeneous form, which --ring Z decides
+    assert main(["classify", "x+y-z+0", "--allow-constant", "--ring", "Z"] + json_flag) == EXIT_PR
+    capsys.readouterr()
+
+
 def test_classify_json_schema(capsys):
     for text in ["x1 + x2 - y1*y2", "x + y - 3*z", "x*y + x*z - y*z"]:
         code, payload = run_json(capsys, ["classify", text, "--json"])

@@ -853,6 +853,39 @@ def test_mostly_ungrouped_form_node_count():
     assert (outcome.stats.nodes, outcome.stats.prunes) == (213, 23)
 
 
+# (form, r, N, injective, budget) -> (kind, nodes, prunes, depth_max), one
+# row or more for each way a value set is filed: two-value sets that share
+# no offset (x + y = 3z), sets of four and five values that share their
+# lower members and offset, one-member sets (x + y = 2z, and x = y of the
+# last form), and nonlinear forms; Schur, weak Schur, capped S(4) and
+# x + 4y = z are pinned by the tests above
+KERNEL_COUNTS = [
+    (("x + y - 3*z", 3, 40, False, None), (BAD_COLORING, 2102, 8, 40)),
+    (("x1 + x2 + x3 - x4", 3, 30, False, None), (BAD_COLORING, 977, 0, 30)),
+    (("x1 + x2 + x3 - x4", 3, 43, False, None), (FORCED, 48077, 11697, 42)),
+    (("x1 + x2 + x3 + x4 - x5", 2, 19, False, None), (FORCED, 97, 9, 18)),
+    (("x1 + x2 + x3 + x4 - x5", 3, 60, False, None), (BAD_COLORING, 132, 0, 60)),
+    (("x1 + x2 + x3 + x4 - x5", 3, 95, False, 20_000), (INCONCLUSIVE, 20000, 0, 63)),
+    (("x + y - 2*z", 2, 9, False, None), (FORCED, 1, 0, 0)),
+    (("x + y - 2*z", 2, 9, True, None), (FORCED, 45, 8, 8)),
+    (("x + y - 2*z", 3, 27, True, 20_000), (INCONCLUSIVE, 20000, 3628, 26)),
+    (("x1*y1 + x2*y1*y2 - x3", 2, 21, False, None), (FORCED, 233, 16, 20)),
+    (("x1*y1 + x2*y1*y2 - x3", 2, 25, True, None), (BAD_COLORING, 41, 0, 25)),
+    (("x*z - y*z + x - y", 2, 12, False, None), (FORCED, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("case,expected", KERNEL_COUNTS, ids=[
+    "{} r={} N={}{}{}".format(text, r, n, " injective" * injective, f" budget={budget}" * bool(budget))
+    for (text, r, n, injective, budget), _ in KERNEL_COUNTS])
+def test_kernel_counts_are_pinned(case, expected):
+    text, r, n, injective, budget = case
+    outcome = find_bad_coloring(
+        parse(text), r, n, injective, budget=budget or search.DEFAULT_NODE_BUDGET)
+    stats = outcome.stats
+    assert (outcome.kind, stats.nodes, stats.prunes, stats.depth_max) == expected
+
+
 def test_huge_exponent_does_not_stall_the_bounded_walk():
     # only x = 1 can give a root at most 3; x = 2 would be a 10^8-bit power
     started = time.perf_counter()
