@@ -13,8 +13,8 @@ each rule's failure trace, then tries homogeneous necessity.
 
 Status strings: "PR", "NOT_PR", "UNKNOWN".  Injective: "yes"/"no"/"unknown".
 All index sets in payloads are 1-based (matching the usual statement of the
-theorems); re-checking a payload needs nothing but the polynomial itself, see
-``replay_certificate``.
+theorems); re-checking a verdict needs nothing but the polynomial and the
+verdict's claim, ring Z included, see ``replay_certificate``.
 """
 
 from __future__ import annotations
@@ -878,13 +878,13 @@ def _classify_z(p: Polynomial) -> Verdict:
 # -- certificate replay --------------------------------------------------------
 
 
-def _subset_sum_ok(coeffs: list[int], indices: list[int]) -> bool:
-    return (
-        len(indices) > 0
-        and len(set(indices)) == len(indices)
-        and all(1 <= i <= len(coeffs) for i in indices)
-        and sum(coeffs[i - 1] for i in indices) == 0
-    )
+def _index_sum(values: list[int], indices: list[int]) -> int:
+    """The sum of ``values`` at ``indices``, which must be a nonempty list of
+    distinct 1-based positions; any other index set raises ValueError."""
+    n = len(values)
+    if not indices or len(set(indices)) != len(indices) or not all(1 <= i <= n for i in indices):
+        raise ValueError(f"{indices!r} is not a nonempty set of distinct indices in 1..{n}")
+    return sum(values[i - 1] for i in indices)
 
 
 def _subset_sums(values: list[int]) -> set[int]:
@@ -934,11 +934,22 @@ def _exclusive_degree_one(p: Polynomial, i: int, v: str) -> bool:
     )
 
 
+def _fields_are(claim: dict[str, Any], **derived: Any) -> bool:
+    """Each named field of the claim equals the value replay derived from p."""
+    for key, value in derived.items():
+        if claim[key] != value:
+            return False
+    return True
+
+
 def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
-    """Re-validate a verdict's certificate against the polynomial alone,
-    without running the classifier: every hypothesis is checked directly on
-    the payload (reachable subset sums, exponent-map lookups).  A payload
-    with a missing key or a wrong-typed value does not replay."""
+    """Re-validate a verdict from the polynomial and the verdict alone, without
+    running the classifier.  The claim is the payload plus the verdict's
+    status and injective.  Its fields that p determines are compared with the
+    values derived from p, then the theorem's obligations are checked.  A
+    ring-Z certificate (``sign_map``, ``flipped``) must claim PR and replays
+    against P(-x).  No certificate replays only as (UNKNOWN, "unknown"); a
+    missing key or a wrong-typed value does not replay."""
     try:
         return _replay(p, verdict)
     except (LookupError, TypeError, ValueError):
@@ -948,142 +959,137 @@ def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
 def _replay(p: Polynomial, verdict: Verdict) -> bool:
     cert = verdict.certificate
     if cert is None:
-        return verdict.status == UNKNOWN
-    payload = cert.payload
-    coeffs = list(p.coefficients)
-    tag = cert.theorem
+        return (verdict.status, verdict.injective) == (UNKNOWN, "unknown")
+    claim = dict(cert.payload, status=verdict.status, injective=verdict.injective)
+    if "sign_map" in claim or "flipped" in claim:
+        # P(-x) is PR over the positive integers, so negated solutions solve P
+        flipped = negate_all_variables(p)
+        sign_map = {v: -1 for v in p.variables}
+        if not _fields_are(claim, status=PR, sign_map=sign_map, flipped=str(flipped)):
+            return False
+        p = flipped
+    return _replay_over_n(p, cert.theorem, claim)
 
+
+# The verdict each RadoAffine case states: (status, injective).
+_AFFINE_CLAIMS = {
+    "no_diagonal_root": (NOT_PR, "no"),
+    "positive_diagonal": (PR, "unknown"),
+    "integer_diagonal_with_zero_sum": (PR, "unknown"),
+    "necessity": (NOT_PR, "no"),
+}
+
+
+def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
+    """Replay one claim about p over the positive integers: the determined
+    fields first, then the proof obligations."""
+    coeffs = list(p.coefficients)
     if tag == "RadoLinear":
+        injective = "no" if _is_two_variable_difference(p) else "yes"
         return (
             p.is_linear
-            and payload["coefficients"] == coeffs
-            and _subset_sum_ok(coeffs, payload["J"])
+            and _fields_are(claim, status=PR, injective=injective, coefficients=coeffs)
+            and _index_sum(coeffs, claim["J"]) == 0
         )
     if tag == "LinearNecessity":
-        if not p.is_linear or payload["coefficients"] != coeffs:
-            return False
-        return _zero_sum_free(coeffs)
-    if tag == "RadoAffine":
-        constant = payload["constant"]
-        if payload["coefficients"] != coeffs or constant == 0 or not p.is_linear:
-            return False
-        case = payload["case"]
-        if case == "positive_diagonal":
-            t = payload["diagonal"]
-            return t >= 1 and sum(coeffs) * t + constant == 0
-        if case == "integer_diagonal_with_zero_sum":
-            t = payload["diagonal"]
-            return sum(coeffs) * t + constant == 0 and _subset_sum_ok(
-                coeffs, payload["J"]
+        return (
+            p.is_linear
+            and _fields_are(claim, status=NOT_PR, injective="no", coefficients=coeffs)
+            and _zero_sum_free(coeffs)
+        )
+    if tag == "HomogeneousNecessity":
+        degree = p.monomials[0].degree
+        return (
+            p.is_homogeneous
+            and _fields_are(
+                claim, status=NOT_PR, injective="no", coefficients=coeffs, degree=degree
             )
+            and _zero_sum_free(coeffs)
+        )
+    if tag == "RadoAffine":
+        # p carries no constant, so the payload's constant is taken on trust
+        constant, s, case = claim["constant"], sum(coeffs), claim["case"]
+        t = -constant // s if s != 0 and -constant % s == 0 else None  # the diagonal root
+        status, injective = _AFFINE_CLAIMS[case]
+        fields = {"status": status, "injective": injective, "coefficients": coeffs}
+        if not (p.is_linear and constant != 0 and _fields_are(claim, **fields)):
+            return False
         if case == "no_diagonal_root":
-            s = sum(coeffs)
-            return s == 0 or (-constant) % s != 0
+            return t is None
+        if t is None or not _fields_are(claim, diagonal=t):
+            return False
+        if case == "positive_diagonal":
+            return t >= 1
         if case == "necessity":
-            s = sum(coeffs)
-            if s == 0 or (-constant) % s != 0:
-                return False
-            t = -constant // s
-            if t >= 1:
-                return False
-            return t == 0 or _zero_sum_free(coeffs)
-        return False
+            return t < 1 and _zero_sum_free(coeffs)
+        return _index_sum(coeffs, claim["J"]) == 0
     if tag == "MultiplicativeRado":
         sides = _multiplicative_sides(p)
         if sides is None:
             return False
-        left, right = sides
-        a = [e for _, e in left.exponents]
-        b = [e for _, e in right.exponents]
-        if payload["left_exponents"] != a or payload["right_exponents"] != b:
-            return False
-        if verdict.status == NOT_PR:
-            return _no_equal_sums(a, b)
-        i1, i2 = payload["I1"], payload["I2"]
+        a, b = ([e for _, e in m.exponents] for m in sides)
+        if claim["status"] == NOT_PR:
+            fields_hold = _fields_are(claim, injective="no", left_exponents=a, right_exponents=b)
+            return fields_hold and _no_equal_sums(a, b)
+        injective = "yes" if len(a) + len(b) >= 3 else "no"
         return (
-            len(i1) > 0
-            and len(i2) > 0
-            and len(set(i1)) == len(i1)
-            and len(set(i2)) == len(i2)
-            and all(1 <= i <= len(a) for i in i1)
-            and all(1 <= j <= len(b) for j in i2)
-            and sum(a[i - 1] for i in i1) == sum(b[j - 1] for j in i2)
-            and sum(a[i - 1] for i in i1) == payload["common_sum"]
+            _fields_are(claim, status=PR, injective=injective, left_exponents=a, right_exponents=b)
+            and _index_sum(a, claim["I1"]) == _index_sum(b, claim["I2"]) == claim["common_sum"]
         )
     if tag == "Thm3.5":
         if not p.is_lev or len(p.monomials) < 3:
             return False
-        if payload["coefficients"] != coeffs:
-            return False
-        if not _subset_sum_ok(coeffs, payload["J"]):
-            return False
-        designated = payload["linear_vars"]
-        products = payload["product_vars"]
-        if len(designated) != len(p.monomials):
-            return False
-        if set(designated) | set(products) != set(p.variables):
-            return False
-        if set(designated) & set(products):
-            return False
-        for i, m in enumerate(p.monomials):
-            if not _exclusive_degree_one(p, i, designated[i]):
-                return False
-            f_i = payload["F"][i]
-            expected = [j + 1 for j, y in enumerate(products) if m.degree_of(y) >= 1]
-            if sorted(f_i) != expected:
-                return False
-        return True
+        designated, products = claim["linear_vars"], claim["product_vars"]
+        f_sets = [
+            [j + 1 for j, y in enumerate(products) if m.degree_of(y) >= 1] for m in p.monomials
+        ]
+        return (
+            _fields_are(claim, status=PR, injective="yes", coefficients=coeffs)
+            and _index_sum(coeffs, claim["J"]) == 0
+            and len(designated) == len(p.monomials)
+            and set(designated) | set(products) == set(p.variables)
+            and not set(designated) & set(products)
+            and all(_exclusive_degree_one(p, i, v) for i, v in enumerate(designated))
+            and [sorted(f) for f in claim["F"]] == f_sets
+        )
     if tag == "Thm4.2":
-        if len(p.monomials) < 3 or payload["coefficients"] != coeffs:
-            return False
-        if not _subset_sum_ok(coeffs, payload["J"]):
-            return False
-        prof = p.degree_profile()
-        if list(prof.levels) != payload["levels"]:
-            return False
-        if list(prof.multiplicities) != payload["multiplicities"]:
-            return False
-        if list(prof.nonlinear) != payload["nonlinear_vars"]:
-            return False
-        for i in range(len(p.monomials)):
-            group = payload["exclusive_choice"][i]
-            if len(group) != prof.multiplicities[i] or len(set(group)) != len(group):
-                return False
-            if not all(_exclusive_degree_one(p, i, v) for v in group):
-                return False
-        return True
+        prof, choice = p.degree_profile(), claim["exclusive_choice"]
+        active = set(prof.nonlinear).union(*choice)
+        return (
+            len(p.monomials) >= 3
+            and _fields_are(
+                claim, status=PR, injective="yes", coefficients=coeffs, levels=list(prof.levels),
+                multiplicities=list(prof.multiplicities), nonlinear_vars=list(prof.nonlinear),
+                passive_vars=[v for v in p.variables if v not in active],
+            )
+            and _index_sum(coeffs, claim["J"]) == 0
+            and len(choice) == len(p.monomials)
+            and all(
+                len(group) == need == len(set(group))
+                and all(_exclusive_degree_one(p, i, v) for v in group)
+                for i, (group, need) in enumerate(zip(choice, prof.multiplicities))
+            )
+        )
     if tag == "K2Analysis":
-        if len(p.monomials) != 2:
+        if len(p.monomials) != 2 or p.coefficients[0] != -p.coefficients[1]:
             return False
-        m1, m2 = p.monomials
-        if m1.coefficient != -m2.coefficient:
-            return False
-        pos, neg = (m1, m2) if m1.coefficient > 0 else (m2, m1)
+        pos, neg = sorted(p.monomials, key=lambda m: -m.coefficient)
         d = monomial_gcd(pos, neg)
-        if d.monic_text() != payload["gcd"]:
-            return False
-        reduced = parse(payload["reduced"])
-        q1 = {v: e - d.degree_of(v) for v, e in pos.exponents if e > d.degree_of(v)}
-        q2 = {v: e - d.degree_of(v) for v, e in neg.exponents if e > d.degree_of(v)}
+        q1, q2 = (
+            {v: e - d.degree_of(v) for v, e in m.exponents if e > d.degree_of(v)}
+            for m in (pos, neg)
+        )
         if not q1 or not q2:
             return False
-        if Polynomial.from_terms([(1, q1), (-1, q2)]) != reduced:
+        reduced = Polynomial.from_terms([(1, q1), (-1, q2)])
+        by_sign = {m.coefficient: m.monic_text() for m in reduced.monomials}
+        fields = {"gcd": d.monic_text(), "q1": by_sign[1], "q2": by_sign[-1]}
+        if not _fields_are(claim, **fields) or parse(claim["reduced"]) != reduced:
             return False
-        if payload["case"] == "variable_difference":
-            return reduced.is_linear
-        if payload["case"] == "reduced":
-            inner = payload.get("inner")
-            if not inner:
-                return False
-            inner_cert = Certificate(inner["theorem"], inner["payload"])
-            return replay_certificate(
-                reduced, Verdict(verdict.status, verdict.injective, inner_cert)
-            )
-        return False
-    if tag == "HomogeneousNecessity":
-        if not p.is_homogeneous or payload["coefficients"] != coeffs:
-            return False
-        if payload["degree"] != p.monomials[0].degree:
-            return False
-        return _zero_sum_free(coeffs)
+        if claim["case"] == "variable_difference":
+            return _fields_are(claim, status=PR, injective="no") and reduced.is_linear
+        # the reduced form's certificate states the verdict about p
+        inner = claim["inner"]
+        given = dict(inner["payload"], status=claim["status"], injective=claim["injective"])
+        return claim["case"] == "reduced" and _replay_over_n(reduced, inner["theorem"], given)
     return False

@@ -14,9 +14,9 @@ Exit codes are a stable API for scripted pipelines:
   2 = malformed arguments (argparse usage error, a count or budget that is
       not a positive integer, a ``corpus --file`` that cannot be read, has a
       malformed line or holds a polynomial that does not parse, or
-      ``classify --allow-constant --ring Z`` on a form with a nonzero
-      constant), 64 = malformed polynomial (position diagnostics),
-      70 = internal error
+      ``classify --allow-constant`` on a form with a nonzero constant that
+      is nonlinear or goes with ``--ring Z``), 64 = malformed polynomial
+      (position diagnostics), 70 = internal error
 
 Exit 2 is both classify's UNKNOWN and a usage error, so a malformed
 ``classify`` command line (``classify "x+y-z" --ring Q``) reads as UNKNOWN.
@@ -24,7 +24,10 @@ The codes are frozen; a script that must tell the two apart reads the
 ``status`` field of ``classify --json``, which a usage error never prints.
 (API change: ``classify --allow-constant --ring Z`` with a nonzero constant
 used to classify over the positive integers, print "over the nonzero
-integers" and exit 0 or 1; it now exits 2.)
+integers" and exit 0 or 1; it now exits 2.  API change: ``classify
+--allow-constant`` on a nonlinear form with a nonzero constant, such as
+``x^2 - y^2 + 1``, used to print "error: ... is not linear" and exit 70, the
+internal-error code; it now exits 2 with one ``rado-forge: error:`` line.)
 
 RADO_FORGE_BUDGET overrides the default search node budget.  A polynomial
 that starts with "-" goes after "--", as in
@@ -43,7 +46,7 @@ import sys
 from typing import Any, Optional
 
 from . import corpus as corpus_mod
-from .classify import NoConstantTermError, NotLinearError, classify, classify_affine
+from .classify import classify, classify_affine
 from .poly import (
     ConstantTermError,
     EmptyPolynomialError,
@@ -116,21 +119,21 @@ def _parse_or_exit(text: str, allow_constant: bool) -> tuple[Polynomial, int]:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     p, constant = _parse_or_exit(args.polynomial, args.allow_constant)
-    if constant != 0 and args.ring != "N":
-        print("rado-forge: error: --allow-constant: a form with a nonzero constant "
-              "is classified over the positive integers only, not with --ring Z",
+    if constant != 0 and (args.ring != "N" or not p.is_linear):
+        reason = (
+            "is classified over the positive integers only, not with --ring Z"
+            if args.ring != "N"
+            else f"must be linear, and {p} is not"
+        )
+        print(f"rado-forge: error: --allow-constant: a form with a nonzero constant {reason}",
               file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if constant != 0:
-            verdict = classify_affine(p, constant)
-            canonical = f"{p} {'+' if constant > 0 else '-'} {abs(constant)}"
-        else:
-            verdict = classify(p, ring=args.ring)
-            canonical = str(p)
-    except (NotLinearError, NoConstantTermError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if constant != 0:
+        verdict = classify_affine(p, constant)
+        canonical = f"{p} {'+' if constant > 0 else '-'} {abs(constant)}"
+    else:
+        verdict = classify(p, ring=args.ring)
+        canonical = str(p)
     if args.json:
         _emit(verdict.to_json(args.polynomial, canonical))
     else:

@@ -153,6 +153,17 @@ def test_classify_constant_is_refused_over_the_nonzero_integers(capsys, json_fla
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_classify_constant_is_refused_on_a_nonlinear_form(capsys, json_flag):
+    # the affine rule decides linear forms only; x^2 - y^2 + 1 used to end
+    # in exit 70, the code of an internal error
+    assert main(["classify", "x^2 - y^2 + 1", "--allow-constant"] + json_flag) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rado-forge: error: --allow-constant: ") and err.count("\n") == 1
+    assert "x^2 - y^2 is not" in err
+
+
 def test_classify_json_schema(capsys):
     for text in ["x1 + x2 - y1*y2", "x + y - 3*z", "x*y + x*z - y*z"]:
         code, payload = run_json(capsys, ["classify", text, "--json"])
