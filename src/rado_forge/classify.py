@@ -204,6 +204,11 @@ class _BitTable:
         index = s + self.offset
         return index >= 0 and bits >> index & 1 == 1
 
+    def sums(self) -> list[int]:
+        """Every sum of a nonempty subset, in increasing order."""
+        bits = bin(self.reach)[:1:-1]  # bits[i] is bit i
+        return [i - self.offset for i, bit in enumerate(bits) if bit == "1"]
+
     def size(self, target: int) -> Optional[int]:
         """The fewest elements of a nonempty subset summing to ``target``."""
         if not self._has(self.reach, target):
@@ -422,21 +427,18 @@ def classify_multiplicative(p: Polynomial) -> Verdict:
     left, right = sides
     a = tuple(e for _, e in left.exponents)
     b = tuple(e for _, e in right.exponents)
+    payload: dict[str, Any] = {
+        "left": left.monic_text(),
+        "right": right.monic_text(),
+        "left_exponents": list(a),
+        "right_exponents": list(b),
+    }
     match = _equal_sum_subsets(a, b)
-    n_vars = len(a) + len(b)
     if match is None:
         return Verdict(
             NOT_PR,
             "no",
-            Certificate(
-                "MultiplicativeRado",
-                {
-                    "left": left.monic_text(),
-                    "right": right.monic_text(),
-                    "left_exponents": list(a),
-                    "right_exponents": list(b),
-                },
-            ),
+            Certificate("MultiplicativeRado", payload),
             ("multiplicative: no nonempty exponent subsets with equal sums",),
             (
                 "the all-ones assignment solves every monomial difference; the "
@@ -445,23 +447,14 @@ def classify_multiplicative(p: Polynomial) -> Verdict:
             ),
         )
     i1, i2, total = match
-    if n_vars >= 3:
+    if len(a) + len(b) >= 3:
         injective = "yes"
         inj_trace = "multiplicative: at least three variables, injective solutions lift"
     else:
         injective = "no"
         inj_trace = "multiplicative: two variables with equal exponents force x = y"
     cert = Certificate(
-        "MultiplicativeRado",
-        {
-            "left": left.monic_text(),
-            "right": right.monic_text(),
-            "left_exponents": list(a),
-            "right_exponents": list(b),
-            "I1": list(i1),
-            "I2": list(i2),
-            "common_sum": total,
-        },
+        "MultiplicativeRado", dict(payload, I1=list(i1), I2=list(i2), common_sum=total)
     )
     return Verdict(
         PR,
@@ -475,12 +468,16 @@ def _equal_sum_subsets(
     a: tuple[int, ...], b: tuple[int, ...]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """First (by |I1|, then I1 lex) pair of nonempty index subsets with equal
-    sums; the matching I2 is itself (size, lex)-minimal for its sum."""
-    suffix = _fewest_table(b)
+    sums; the matching I2 is itself (size, lex)-minimal for its sum.  When a's
+    sums fit a bitset, a pair with no shared sum answers None without a walk:
+    target 0, which no positive subset reaches, stops a's table at its reach."""
+    right = _fewest_table(b)
+    if sum(a) < _BITSET_LIMIT and all(right.size(s) is None for s in _BitTable(a, 0).sums()):
+        return None
     for size in range(1, len(a) + 1):
         for combo in itertools.combinations(range(1, len(a) + 1), size):
             total = sum(a[i - 1] for i in combo)
-            i2 = _pick_subset(b, suffix, total)
+            i2 = _pick_subset(b, right, total)
             if i2 is not None:
                 return combo, i2, total
     return None
@@ -548,8 +545,8 @@ def classify_lev(p: Polynomial) -> Verdict:
     j = rado_condition(p.coefficients)
     if j is None:
         return _unknown("lev: coefficients admit no zero-sum subset")
-    if len(p.monomials) < 3:  # a two-monomial form the multiplicative rule left open
-        return _unknown()
+    if len(p.monomials) < 3:
+        return _unknown("lev: fewer than three monomials, and the multiplicative rule does not apply")
     form = lev_shape(p, excl)
     f_sets = [list(f) for f in form.f_sets]
     cert = Certificate(
@@ -816,7 +813,7 @@ def classify(p: Polynomial, ring: str = "N") -> Verdict:
         )
         return Verdict(NOT_PR, "no", cert, tuple(trace), tuple(notes))
 
-    if all(c > 0 for c in p.coefficients) or all(c < 0 for c in p.coefficients):
+    if p.is_one_signed:
         notes = notes + [
             "all coefficients share one sign, so there are no solutions over the "
             "positive integers; no implemented certificate covers this"
@@ -1027,13 +1024,13 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
         sides = _multiplicative_sides(p)
         if sides is None:
             return False
-        a, b = ([e for _, e in m.exponents] for m in sides)
+        (left, a), (right, b) = ((m.monic_text(), [e for _, e in m.exponents]) for m in sides)
+        fields = {"left": left, "right": right, "left_exponents": a, "right_exponents": b}
         if claim["status"] == NOT_PR:
-            fields_hold = _fields_are(claim, injective="no", left_exponents=a, right_exponents=b)
-            return fields_hold and _no_equal_sums(a, b)
+            return _fields_are(claim, injective="no", **fields) and _no_equal_sums(a, b)
         injective = "yes" if len(a) + len(b) >= 3 else "no"
         return (
-            _fields_are(claim, status=PR, injective=injective, left_exponents=a, right_exponents=b)
+            _fields_are(claim, status=PR, injective=injective, **fields)
             and _index_sum(a, claim["I1"]) == _index_sum(b, claim["I2"]) == claim["common_sum"]
         )
     if tag == "Thm3.5":

@@ -170,9 +170,6 @@ def cmd_witness(args: argparse.Namespace) -> int:
             for reason in exc.reasons:
                 print(f"  {reason}", file=sys.stderr)
         return EXIT_METHOD_INAPPLICABLE
-    except SearchSpaceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     if args.json:
         payload = [w.to_json() for w in witnesses]
         _emit(payload[0] if args.limit == 1 and len(payload) == 1 else
@@ -195,55 +192,51 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     p, _ = _parse_or_exit(args.polynomial, False)
     budget = args.budget if args.budget is not None else _default_budget()
-    try:
-        if args.threshold is not None:
-            # rado_number's one search, called directly to tell a budget that
-            # ran out from a bad coloring of [1..max_N]
-            outcome = find_bad_coloring(p, args.colors, args.threshold, args.injective, budget)
-            depth_max = outcome.stats.depth_max
-            found = depth_max + 1 if outcome.kind == FORCED else None
-            if args.json:
-                _emit(
-                    {
-                        "schema": 1,
-                        "polynomial": str(p),
-                        "r": args.colors,
-                        "max_N": args.threshold,
-                        "injective": args.injective,
-                        "threshold": found,
-                        "outcome": outcome.kind,
-                        "depth_max": depth_max,
-                    }
-                )
-            elif found is not None:
-                print(f"threshold: N = {found} is the least forced size for r={args.colors}")
-            elif outcome.kind == INCONCLUSIVE:
-                print(f"budget ran out: threshold > {depth_max} for r={args.colors}")
-            else:
-                print(f"no N <= {args.threshold} is forced for r={args.colors}")
-            if outcome.kind == INCONCLUSIVE:
-                return EXIT_INCONCLUSIVE
-            return 0 if found is not None else 1
-        outcome = find_bad_coloring(p, args.colors, args.n_bound, args.injective, budget)
+    if args.threshold is not None:
+        # rado_number's one search, called directly to tell a budget that
+        # ran out from a bad coloring of [1..max_N]
+        outcome = find_bad_coloring(p, args.colors, args.threshold, args.injective, budget)
+        depth_max = outcome.stats.depth_max
+        found = depth_max + 1 if outcome.kind == FORCED else None
         if args.json:
-            _emit(outcome.to_json(str(p), args.colors, args.n_bound, args.injective))
-        else:
-            print(f"outcome: {outcome.kind}")
-            if outcome.coloring is not None:
-                print(f"coloring: {list(outcome.coloring.colors)}")
-                for color, members in enumerate(outcome.coloring.classes()):
-                    print(f"  class {color}: {members}")
-            stats = outcome.stats
-            print(
-                f"stats: nodes={stats.nodes} constraints={stats.constraints}"
-                f" ms={int(stats.ms)} depth_max={stats.depth_max}"
-                f" enumerate_ms={int(stats.enumerate_ms)} prunes={stats.prunes}"
-                f" search_ms={int(stats.search_ms)}"
+            _emit(
+                {
+                    "schema": 1,
+                    "polynomial": str(p),
+                    "r": args.colors,
+                    "max_N": args.threshold,
+                    "injective": args.injective,
+                    "threshold": found,
+                    "outcome": outcome.kind,
+                    "depth_max": depth_max,
+                }
             )
-        return EXIT_INCONCLUSIVE if outcome.kind == INCONCLUSIVE else 0
-    except SearchSpaceTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        elif found is not None:
+            print(f"threshold: N = {found} is the least forced size for r={args.colors}")
+        elif outcome.kind == INCONCLUSIVE:
+            print(f"budget ran out: threshold > {depth_max} for r={args.colors}")
+        else:
+            print(f"no N <= {args.threshold} is forced for r={args.colors}")
+        if outcome.kind == INCONCLUSIVE:
+            return EXIT_INCONCLUSIVE
+        return 0 if found is not None else 1
+    outcome = find_bad_coloring(p, args.colors, args.n_bound, args.injective, budget)
+    if args.json:
+        _emit(outcome.to_json(str(p), args.colors, args.n_bound, args.injective))
+    else:
+        print(f"outcome: {outcome.kind}")
+        if outcome.coloring is not None:
+            print(f"coloring: {list(outcome.coloring.colors)}")
+            for color, members in enumerate(outcome.coloring.classes()):
+                print(f"  class {color}: {members}")
+        stats = outcome.stats
+        print(
+            f"stats: nodes={stats.nodes} constraints={stats.constraints}"
+            f" ms={int(stats.ms)} depth_max={stats.depth_max}"
+            f" enumerate_ms={int(stats.enumerate_ms)} prunes={stats.prunes}"
+            f" search_ms={int(stats.search_ms)}"
+        )
+    return EXIT_INCONCLUSIVE if outcome.kind == INCONCLUSIVE else 0
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
@@ -347,6 +340,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SearchSpaceTooLargeError as exc:  # an enumeration over its candidate budget
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_ERROR

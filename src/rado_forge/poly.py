@@ -59,10 +59,11 @@ class ConstantTermError(ValueError):
 
 
 class EmptyPolynomialError(ValueError):
-    """All terms cancelled; the zero polynomial is not represented."""
+    """All terms cancelled, or only a nonzero ``constant`` is left."""
 
-    def __init__(self) -> None:
-        super().__init__("all terms cancelled: the zero polynomial is not allowed")
+    def __init__(self, constant: int = 0) -> None:
+        super().__init__(f"only the constant {constant} is left; a polynomial needs a variable"
+                         if constant else "all terms cancelled: the zero polynomial is not allowed")
 
 
 class MissingVariableError(KeyError):
@@ -229,6 +230,11 @@ class Polynomial:
     @property
     def is_homogeneous(self) -> bool:
         return len({m.degree for m in self.monomials}) == 1
+
+    @property
+    def is_one_signed(self) -> bool:
+        """Every coefficient has one sign: no solution in the positive integers."""
+        return len({m.coefficient > 0 for m in self.monomials}) == 1
 
     def degree_profile(self) -> DegreeProfile:
         degrees = {v: self.degree_of(v) for v in self.variables}
@@ -407,5 +413,5 @@ def parse_with_constant(text: str) -> tuple[Polynomial, int]:
     """Parse, splitting off the constant term (for the affine classifier)."""
     monomials, constant = _combine(_parse_terms(text))
     if not monomials:
-        raise EmptyPolynomialError()
+        raise EmptyPolynomialError(constant)
     return Polynomial(monomials), constant

@@ -16,7 +16,7 @@ A permutation keeps a tuple's values, so the value sets of every layer are
 those of the full enumeration.  The search reads layer v + 1 when it first
 colors v, ``stats.constraints`` counts the representatives read, and the
 candidate budget is checked at each layer read, against the nondecreasing
-candidates of [1..v].
+candidates of [1..v]; the layers of a one-signed form are empty, unwalked.
 
 One variable is solved for, not enumerated.  The search picks it by the
 form's shape, not its name: a variable v that occurs in one monomial c*v^e
@@ -81,7 +81,6 @@ from typing import Any, Iterator, Optional
 
 from .poly import Polynomial
 from .witness import (
-    DEFAULT_ENUM_BUDGET,
     _check_candidates,
     _integer_root,
     _isolation_split,
@@ -296,8 +295,8 @@ def _solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[lis
     lexicographic order, one per orbit of permutations inside the blocks of
     ``_interchangeable_blocks``: the tuples nondecreasing inside each block.
     A tuple lists the variables block by block, then the variable solved for.
-    The candidate budget, ``DEFAULT_ENUM_BUDGET``, is checked for N before
-    layer N is built.
+    The candidate budget, ``witness.DEFAULT_ENUM_BUDGET``, is checked for N
+    before layer N is built; a one-signed form's layer is then empty.
 
     The variable at ``_solved_position`` is solved for: layer N walks only
     the prefixes whose largest entry is N, and a root above N waits for its
@@ -334,7 +333,10 @@ def _solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[lis
     free: list[tuple[int, ...]] = []  # prefixes that every value solves
 
     for n in range(1, max_n + 1):
-        _check_candidates(n, sizes, DEFAULT_ENUM_BUDGET)
+        _check_candidates(n, sizes)
+        if p.is_one_signed:
+            yield []
+            continue
         if split:
             solved = pending.pop(n, []) + [prefix + (n,) for prefix in free]
         if bounded:  # every root is at least 1 and at most max_n
@@ -370,15 +372,12 @@ def _solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[lis
 
 
 def enumerate_constraints(
-    p: Polynomial,
-    n_bound: int,
-    injective: bool = False,
-    max_candidates: int = DEFAULT_ENUM_BUDGET,
+    p: Polynomial, n_bound: int, injective: bool = False
 ) -> list[tuple[int, ...]]:
     """All solution tuples of p in [1..n_bound]^k, variables in name order,
-    lexicographic: those of the oracle ``brute_force_solutions``, under the
-    same candidate budget."""
-    found = brute_force_solutions(p, n_bound, injective, max_candidates=max_candidates)
+    lexicographic: those of the oracle ``brute_force_solutions``, under its
+    candidate budget."""
+    found = brute_force_solutions(p, n_bound, injective)
     return [tuple(w.assignment[v] for v in p.variables) for w in found]
 
 

@@ -17,7 +17,7 @@ and the result is verified exactly on construction.  ``*_formal_check``
 substitutes the same formal products, with the y-values and g-values left as
 symbols, and confirms the underlying algebraic identity by exact
 cancellation.  ``brute_force_solutions`` is the independent enumeration
-oracle.
+oracle; ``DEFAULT_ENUM_BUDGET`` bounds it and the search's layers alike.
 """
 
 from __future__ import annotations
@@ -419,8 +419,9 @@ def _term_value(terms, prefix: tuple[int, ...], floor: Optional[int] = None) -> 
     return total
 
 
-def _check_candidates(n_bound: int, sizes: Sequence[int], max_candidates: int) -> None:
-    """Reject [1..n_bound] when it has more candidate tuples than the budget.
+def _check_candidates(n_bound: int, sizes: Sequence[int]) -> None:
+    """Reject [1..n_bound] when it has more candidate tuples than
+    ``DEFAULT_ENUM_BUDGET``, read here only and at call time.
     ``sizes`` are those of the blocks of enumerated positions, inside each of
     which a candidate is nondecreasing: prod C(n_bound + s - 1, s) over blocks
     of size s.  With m singleton blocks that is n_bound^m: the n_bound^(k-1)
@@ -428,9 +429,9 @@ def _check_candidates(n_bound: int, sizes: Sequence[int], max_candidates: int) -
     if n_bound < 1:
         raise ValueError("bound must be >= 1")
     candidates = math.prod(math.comb(n_bound + s - 1, s) for s in sizes)
-    if candidates > max_candidates:
+    if candidates > DEFAULT_ENUM_BUDGET:
         raise SearchSpaceTooLargeError(
-            f"{candidates} candidate tuples exceed the budget of {max_candidates}"
+            f"{candidates} candidate tuples exceed the budget of {DEFAULT_ENUM_BUDGET}"
         )
 
 
@@ -439,18 +440,20 @@ def brute_force_solutions(
     n_bound: int,
     injective: bool = False,
     limit: Optional[int] = None,
-    max_candidates: int = DEFAULT_ENUM_BUDGET,
 ) -> list[Witness]:
     """All solutions of p = 0 with values in [1..n_bound], in lexicographic
     order of the assignment tuple (variables in name order), up to ``limit``.
 
-    When the lexicographically last variable occurs with one common exponent
+    A one-signed form has none, and answers after the budget check.  When
+    the lexicographically last variable occurs with one common exponent
     wherever it appears, it is solved for exactly (divisibility plus integer
     root) instead of enumerated; otherwise the full grid is walked.  Every
     emitted tuple is re-verified through ``evaluate``.
     """
     split = _isolation_split(p)
-    _check_candidates(n_bound, [1] * (len(p.variables) - bool(split)), max_candidates)
+    _check_candidates(n_bound, [1] * (len(p.variables) - bool(split)))
+    if p.is_one_signed:
+        return []
     variables = p.variables
     n = len(variables)
     results: list[Witness] = []
@@ -575,8 +578,9 @@ def primes_above(lower: int, count: int) -> tuple[int, ...]:
 
 def _default_alpha(coeffs: Sequence[int]) -> tuple[int, ...]:
     """Reduct solution for the default generators: pairwise distinct values
-    >= 2 when possible (injective witnesses), else any positive solution."""
-    for bound in (20, 60, 240):
+    >= 2 when possible (injective witnesses), else any positive solution.
+    Past the zero-sum gate, two coefficients are c, -c: no distinct values."""
+    for bound in (20, 60, 240) if len(coeffs) > 2 else ():
         alpha = find_reduct_solution(coeffs, bound=bound, minimum=2, distinct=True)
         if alpha is not None:
             return alpha
@@ -589,6 +593,12 @@ def _default_alpha(coeffs: Sequence[int]) -> tuple[int, ...]:
     )
 
 
+def _require_zero_sum(p: Polynomial) -> None:
+    """The lifts' gate: some nonempty subset of p's coefficients sums to 0."""
+    if rado_condition(p.coefficients) is None:
+        raise HypothesisFailure([f"coefficients {list(p.coefficients)} admit no zero-sum subset"])
+
+
 def witness_via_reduct(p: Polynomial) -> Witness:
     """Default reduct-lift pipeline: distinct alpha values >= 2 and product
     variables set to distinct primes above them, which makes the witness
@@ -597,10 +607,7 @@ def witness_via_reduct(p: Polynomial) -> Witness:
         form = to_lev_form(p)
     except (NotLevError, NoExclusiveSetError) as exc:
         raise HypothesisFailure([str(exc)]) from None
-    if rado_condition(p.coefficients) is None:
-        raise HypothesisFailure(
-            [f"coefficients {list(p.coefficients)} admit no zero-sum subset"]
-        )
+    _require_zero_sum(p)
     alpha = _default_alpha(form.coefficients)
     y_values = primes_above(max(alpha), len(form.product_vars))
     return reduct_lift(form, alpha, y_values)
@@ -612,10 +619,7 @@ def witness_via_nlp(p: Polynomial) -> Witness:
     for the nonlinear variables."""
     if len(p.monomials) < 3:
         raise HypothesisFailure(["fewer than three monomials"])
-    if rado_condition(p.coefficients) is None:
-        raise HypothesisFailure(
-            [f"coefficients {list(p.coefficients)} admit no zero-sum subset"]
-        )
+    _require_zero_sum(p)
     shape, failures = nonlinear_shape(p)
     if shape is None:
         raise HypothesisFailure(failures)
@@ -652,14 +656,7 @@ def build_witness(
             )
         return [w]
     if method == "brute":
-        if len({c > 0 for c in p.coefficients}) == 1:
-            # every term of one sign: no positive solution, so skip the walk
-            # but keep its budget check and its error
-            sizes = [1] * (len(p.variables) - bool(_isolation_split(p)))
-            _check_candidates(n_bound, sizes, DEFAULT_ENUM_BUDGET)
-            found = []
-        else:
-            found = brute_force_solutions(p, n_bound, injective=injective, limit=limit)
+        found = brute_force_solutions(p, n_bound, injective=injective, limit=limit)
         if not found:
             raise HypothesisFailure(
                 [f"no solutions with values in [1..{n_bound}]"

@@ -155,6 +155,25 @@ def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
     assert replay_certificate(p, v)
 
 
+@pytest.mark.parametrize(
+    "left, right, status",
+    [
+        ([2] * 24, 3, NOT_PR),  # 2^24 subsets of even sum; z^3 reaches 3 only
+        ([2] * 24, 70_001, NOT_PR),  # the right side's table in dicts
+        ([2 ** (16 + i) for i in range(24)], 2**16, PR),  # 2^24 left sums past the bitsets, I1 = [1]
+    ],
+)
+def test_monomial_difference_answers_without_walking_every_subset(left, right, status):
+    p = Polynomial.from_terms(
+        [(1, {f"a{i:02d}": e for i, e in enumerate(left)}), (-1, {"z": right})]
+    )
+    started = time.perf_counter()
+    v = classify(p)
+    assert time.perf_counter() - started < 1.0
+    assert (v.status, v.certificate.theorem) == (status, "MultiplicativeRado")
+    assert replay_certificate(p, v)
+
+
 @given(
     st.lists(st.integers(-9, 9).filter(lambda c: c != 0), min_size=1, max_size=10),
     st.integers(-30, 30),
@@ -201,8 +220,9 @@ def test_replay_multiplicative_not_pr_matches_exhaustive_oracle(a, b, scale):
     p = Polynomial.from_terms(
         [(1, {f"x{i}": e for i, e in enumerate(a)}), (-1, {f"y{j}": e for j, e in enumerate(b)})]
     )
-    v = Verdict(NOT_PR, "no", Certificate(
-        "MultiplicativeRado", {"left_exponents": a, "right_exponents": b}))
+    left, right = (m.monic_text() for m in p.monomials)
+    v = Verdict(NOT_PR, "no", Certificate("MultiplicativeRado", {
+        "left": left, "right": right, "left_exponents": a, "right_exponents": b}))
     assert replay_certificate(p, v) == (_oracle_equal_sums(a, b) is None)
 
 
@@ -420,6 +440,11 @@ def test_classify_lev_two_monomials_delegates():
     v = classify_lev(parse("x*y - z"))
     assert v.certificate.theorem == "MultiplicativeRado"
     assert (v.status, v.injective) == (PR, "yes")
+    # not a monomial difference, and too few monomials for Thm 3.5
+    _assert_unknown(
+        classify_lev(parse("2*x*y - 2*z*w")),
+        "lev: fewer than three monomials, and the multiplicative rule does not apply",
+    )
 
 
 def test_classify_lev_rejects_non_lev():

@@ -138,6 +138,15 @@ def test_classify_constant_requires_flag(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["3", "x - x + 3"])
+def test_classify_constant_only_input_names_the_constant(capsys, text):
+    # only a constant is left; that is not "all terms cancelled"
+    assert main(["classify", text, "--allow-constant"]) == EXIT_PARSE_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "parse error: only the constant 3 is left; a polynomial needs a variable\n"
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_classify_constant_is_refused_over_the_nonzero_integers(capsys, json_flag):
     # the affine rule decides the positive integers only; over the nonzero

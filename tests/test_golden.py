@@ -1,10 +1,12 @@
-"""Byte-for-byte pins of the certificate and witness JSON.
+"""Byte-for-byte pins of the certificate and witness output.
 
 ``golden_cli.json`` holds, for every corpus fixture and for the paper's two
 headline forms, the exit code and the exact stdout of ``classify --json`` in
-rings N and Z and of ``witness --json``.  None of these payloads carries a
-timing, so any change to a verdict, a certificate, a trace line, a note or a
-witness shows here as a diff.  Regenerate the file with
+rings N and Z and of ``witness --json``; then the same commands without
+``--json``, and the three verdict lines of ``search --threshold``.  None of
+these outputs carries a timing (``search --N`` prints ``ms=``, so it is not
+here), so any change to a verdict, a certificate, a trace line, a note, a
+witness or a printed line shows here as a diff.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` only for an intended change of
 output, and say so with the change.
 """
@@ -30,12 +32,25 @@ def _inputs() -> list[str]:
     return list(dict.fromkeys(texts))
 
 
+# search --threshold: a threshold found, none up to MAXN, and a budget that ran out
+THRESHOLDS = [
+    ["--colors", "2", "--threshold", "10"],
+    ["--colors", "2", "--threshold", "4"],
+    ["--colors", "3", "--threshold", "20", "--budget", "100"],
+]
+
+
 def _argvs() -> list[list[str]]:
     argvs = []
     for text in _inputs():
         argvs.append(["classify", "--json", "--ring", "N", "--", text])
         argvs.append(["classify", "--json", "--ring", "Z", "--", text])
         argvs.append(["witness", "--json", "--", text])
+    for text in _inputs():
+        argvs.append(["classify", "--ring", "N", "--", text])
+        argvs.append(["classify", "--ring", "Z", "--", text])
+        argvs.append(["witness", "--", text])
+    argvs.extend(["search", *options, "--", "x+y-z"] for options in THRESHOLDS)
     return argvs
 
 

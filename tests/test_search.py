@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rado_forge import search
+from rado_forge import search, witness
 from rado_forge.cli import main
 from rado_forge.poly import EmptyPolynomialError, Polynomial, parse
 from rado_forge.search import (
@@ -26,7 +26,7 @@ from rado_forge.search import (
     monochromatic_solution,
     rado_number,
 )
-from rado_forge.witness import SearchSpaceTooLargeError, brute_force_solutions
+from rado_forge.witness import SearchSpaceTooLargeError, brute_force_solutions, build_witness
 
 SCHUR = parse("x + y - z")
 
@@ -73,6 +73,7 @@ def _oracle_layers(p, n, injective):
         "z - x - 3*y",  # a positive lead
         "x^2 + y^2 - 2*z^2",
         "x^2 - x",  # one variable
+        "x*y + 2*z",  # one-signed: no positive solutions, and no walk
     ],
 )
 def test_layered_enumeration_matches_oracle(text):
@@ -96,13 +97,41 @@ def test_layered_enumeration_matches_oracle(text):
 
 
 @pytest.mark.parametrize("text", ["x + y - z", "x*z^2 + z - y", "x^2 - x"])
-def test_enumeration_budget_message_matches_oracle(text):
+def test_enumeration_budget_message_matches_oracle(text, monkeypatch):
+    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 30)
     p = parse(text)
     with pytest.raises(SearchSpaceTooLargeError) as oracle:
-        brute_force_solutions(p, 40, max_candidates=30)
+        brute_force_solutions(p, 40)
     with pytest.raises(SearchSpaceTooLargeError) as layered:
-        enumerate_constraints(p, 40, max_candidates=30)
+        enumerate_constraints(p, 40)
     assert str(layered.value) == str(oracle.value)
+
+
+@pytest.mark.parametrize("text", ["x + 2*y - z", "x + 2*y + z"])
+def test_one_budget_bounds_every_enumerator(text, monkeypatch):
+    # x + 2*y - z has no interchangeable pair, so [1..6] counts 6^2 = 36
+    # candidates in the oracle, in build_witness and at the search's layer 6;
+    # the one-signed x + 2*y + z answers empty, but only within the budget
+    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 30)
+    p = parse(text)
+    for enumerate_ in (
+        lambda: brute_force_solutions(p, 6),
+        lambda: build_witness(p, "brute", 6),
+        lambda: find_bad_coloring(p, 2, 6),
+    ):
+        with pytest.raises(SearchSpaceTooLargeError, match="^36 candidate tuples exceed the budget of 30$"):
+            enumerate_()
+
+
+def test_one_signed_search_reads_empty_layers_without_a_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a one-signed form has no positive solutions to walk for")
+
+    for name in ("_with_max", "_with_max_bounded"):
+        monkeypatch.setattr(search, name, refuse)
+    outcome = find_bad_coloring(parse("x + y + z"), 2, 1500)
+    assert (outcome.kind, outcome.coloring.colors) == (BAD_COLORING, (0,) * 1500)
+    assert (outcome.stats.nodes, outcome.stats.constraints) == (1500, 0)
 
 
 @pytest.mark.parametrize("text", ["x + y - z", "x1 + x2 - y1*y2"])
@@ -536,7 +565,7 @@ def test_respelled_form_reads_no_more_candidates(monkeypatch):
     # solving x5 + x2 + x3 + x4 = x1 for x5, the last name, would count
     # C(n + 2, 3) * n prefixes (505,981 > 500,000 at layer 41); x1 bounds the
     # walk and leaves C(n + 3, 4), as x1 + x2 + x3 + x4 = x5 does
-    monkeypatch.setattr(search, "DEFAULT_ENUM_BUDGET", 500_000)
+    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 500_000)
     respelled = find_bad_coloring(parse("x5 + x2 + x3 + x4 - x1"), 3, 95, budget=100)
     assert respelled.kind == INCONCLUSIVE
     assert respelled.stats.depth_max == 44
@@ -612,7 +641,7 @@ def test_oversized_bound_raises_only_at_the_layer_reached(capsys, monkeypatch):
     # interchangeable pair and its search reaches 10, so with a budget of 30
     # it raises at layer 6 (6^2 = 36 prefixes); x + y = z counts C(6, 2) = 21
     # nondecreasing prefixes at its last layer, 5
-    monkeypatch.setattr(search, "DEFAULT_ENUM_BUDGET", 30)
+    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 30)
     assert find_bad_coloring(SCHUR, 2, 10_000).kind == FORCED
     with pytest.raises(SearchSpaceTooLargeError, match="^36 candidate tuples exceed the budget of 30$"):
         find_bad_coloring(parse("x + 2*y - z"), 2, 10_000)

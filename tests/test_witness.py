@@ -15,6 +15,7 @@ from gen_support import (
     random_lev_polynomial,
     random_nonlinear_polynomial,
 )
+from rado_forge import witness
 from rado_forge.classify import nonlinear_shape
 from rado_forge.poly import parse
 from rado_forge.witness import (
@@ -296,9 +297,10 @@ def test_brute_force_root_beyond_float_range():
     ]
 
 
-def test_brute_force_budget():
+def test_brute_force_budget(monkeypatch):
+    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 10)
     with pytest.raises(SearchSpaceTooLargeError):
-        brute_force_solutions(parse("x + y - z"), 1000, max_candidates=10)
+        brute_force_solutions(parse("x + y - z"), 1000)
 
 
 def _grid_solutions(p, n, injective=False):
