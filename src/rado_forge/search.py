@@ -27,8 +27,9 @@ bounding v every other term grows with each value, and a root is at most N
 exactly when they sum to at most |c|*N^e in absolute value, so the walk over
 prefixes stops raising a position once the prefix, completed with the least
 values its blocks allow, passes that sum.  The isolation split, the term
-evaluator and the candidate budget live in ``witness`` beside
-``brute_force_solutions``, the oracle the layered enumerator is tested against.
+evaluator, the candidate budget and ``_solve``, the one solve step (divide,
+then an exact root), live in ``witness`` beside ``brute_force_solutions``,
+the oracle the layered enumerator is tested against.
 ``enumerate_constraints`` and ``monochromatic_solution`` read that oracle, not
 the layers, so a check made through them does not run the search's enumerator.
 
@@ -82,8 +83,8 @@ from typing import Any, Iterator, Optional
 from .poly import Polynomial
 from .witness import (
     _check_candidates,
-    _integer_root,
     _isolation_split,
+    _solve,
     _term_value,
     brute_force_solutions,
 )
@@ -298,12 +299,12 @@ def _solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[lis
     The candidate budget, ``witness.DEFAULT_ENUM_BUDGET``, is checked for N
     before layer N is built; a one-signed form's layer is then empty.
 
-    The variable at ``_solved_position`` is solved for: layer N walks only
-    the prefixes whose largest entry is N, and a root above N waits for its
-    own layer.  When that variable bounds the walk (``_bounds_walk``), the
-    walk skips the prefixes whose root would exceed max_n
-    (``_with_max_bounded``); otherwise it walks every prefix, and a prefix
-    that every value solves joins each later layer.  With no variable solved
+    The variable at ``_solved_position`` is solved for by ``witness._solve``:
+    layer N walks only the prefixes whose largest entry is N, and a root
+    above N waits for its own layer.  When that variable bounds the walk
+    (``_bounds_walk``), the walk skips the prefixes whose root would exceed
+    max_n (``_with_max_bounded``); otherwise it walks every prefix, and a
+    prefix that every value solves joins each later layer.  With no variable solved
     for, layer N walks the tuples of [1..N]^k whose largest entry is N.
     Every emitted tuple is re-verified through ``evaluate``.
     """
@@ -324,11 +325,11 @@ def _solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[lis
             [(c, [(at[i], d) for i, d in exps]) for c, exps in terms]
             for terms in (lead_terms, rest_terms)
         )
-    if bounded:  # lead * v^e = -rest, with lead > 0 once p is negated if need be
-        [(lead, _)] = lead_terms
-        if lead < 0:
-            lead, rest_terms = -lead, [(-c, exps) for c, exps in rest_terms]
-        floor = -lead * max_n**e  # the least rest of a root <= max_n
+    if bounded:  # c * v^e = -rest, with c > 0 once p is negated if need be
+        [(c, _)] = lead_terms
+        if c < 0:
+            c, rest_terms = -c, [(-d, exps) for d, exps in rest_terms]
+        floor = -c * max_n**e  # the least rest of a root <= max_n
     pending: dict[int, list[tuple[int, ...]]] = {}  # root -> solutions
     free: list[tuple[int, ...]] = []  # prefixes that every value solves
 
@@ -339,25 +340,21 @@ def _solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[lis
             continue
         if split:
             solved = pending.pop(n, []) + [prefix + (n,) for prefix in free]
-        if bounded:  # every root is at least 1 and at most max_n
-            for prefix, rest in _with_max_bounded(n, sizes, rest_terms, floor):
-                if rest % lead == 0 and (root := _integer_root(-rest // lead, e)) is not None:
+            if bounded:  # every root is at least 1 and at most max_n
+                found = _with_max_bounded(n, sizes, rest_terms, floor)
+                walk = ((prefix, c, rest) for prefix, rest in found)
+            else:
+                walk = (
+                    (prefix, _term_value(lead_terms, prefix), _term_value(rest_terms, prefix))
+                    for prefix in _with_max(n, sizes)
+                )
+            for prefix, lead, rest in walk:
+                root = _solve(lead, rest, e)
+                if root == 0:
+                    free.append(prefix)
+                    solved.extend(prefix + (z,) for z in range(1, n + 1))
+                elif root is not None and root <= max_n:
                     (solved if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
-        elif split:
-            for prefix in _with_max(n, sizes):
-                lead = _term_value(lead_terms, prefix)
-                rest = _term_value(rest_terms, prefix)
-                if lead == 0:
-                    if rest == 0:
-                        free.append(prefix)
-                        solved.extend(prefix + (z,) for z in range(1, n + 1))
-                    continue
-                if (-rest) % lead != 0:
-                    continue
-                root = _integer_root((-rest) // lead, e)
-                if root is None or root > max_n:
-                    continue
-                (solved if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
         solutions = []
         for t in solved if split else _with_max(n, sizes):
             if injective and len(set(t)) < k:

@@ -17,7 +17,9 @@ and the result is verified exactly on construction.  ``*_formal_check``
 substitutes the same formal products, with the y-values and g-values left as
 symbols, and confirms the underlying algebraic identity by exact
 cancellation.  ``brute_force_solutions`` is the independent enumeration
-oracle; ``DEFAULT_ENUM_BUDGET`` bounds it and the search's layers alike.
+oracle; ``DEFAULT_ENUM_BUDGET`` bounds it and the search's layers alike, and
+both solve for one variable with ``_solve``: divide, then take an exact root
+by integer Newton steps (``_integer_root``).
 """
 
 from __future__ import annotations
@@ -359,21 +361,27 @@ def negate_transform(p: Polynomial, w: Witness) -> Witness:
 
 
 def _integer_root(value: int, e: int) -> Optional[int]:
-    """Exact e-th root of a positive integer, or None.  Integer arithmetic
-    only, so no float range limits the size of ``value``."""
+    """Exact e-th root of a positive integer, or None.  Integer Newton steps
+    from 2^ceil(bits/e), which is above the root, fall to floor(value^(1/e))
+    in O(log bits) steps; no float range limits the size of ``value``."""
     if value < 1:
         return None
     if e == 1:
         return value
-    # bisect for the largest root with root**e <= value; value < 2**bits
-    low, high = 1, 1 << (value.bit_length() // e + 1)
-    while low < high:
-        mid = (low + high + 1) // 2
-        if mid**e <= value:
-            low = mid
-        else:
-            high = mid - 1
-    return low if low**e == value else None
+    root = 1 << -(-value.bit_length() // e)
+    while (step := ((e - 1) * root + value // root ** (e - 1)) // e) < root:
+        root = step
+    return root if root**e == value else None
+
+
+def _solve(lead: int, rest: int, e: int) -> Optional[int]:
+    """The solve step of every enumerator: the positive v with
+    lead * v^e + rest == 0, or None when there is none; 0 when
+    lead == rest == 0, where every v solves (0 is never a positive root)."""
+    if lead == 0:
+        return 0 if rest == 0 else None
+    target, remainder = divmod(-rest, lead)
+    return None if remainder else _integer_root(target, e)
 
 
 def _isolation_split(p: Polynomial, var: Optional[str] = None):
@@ -470,20 +478,13 @@ def brute_force_solutions(
     if split:
         e, with_terms, without_terms = split
         for prefix in itertools.product(range(1, n_bound + 1), repeat=n - 1):
-            lead = _term_value(with_terms, prefix)
-            rest = _term_value(without_terms, prefix)
-            if lead == 0:
-                if rest == 0:
-                    for z in range(1, n_bound + 1):
-                        if emit(prefix + (z,)):
-                            return results
-                continue
-            if (-rest) % lead != 0:
-                continue
-            target = (-rest) // lead
-            root = _integer_root(target, e)
-            if root is not None and 1 <= root <= n_bound:
-                if emit(prefix + (root,)):
+            root = _solve(_term_value(with_terms, prefix), _term_value(without_terms, prefix), e)
+            if root == 0:
+                roots = range(1, n_bound + 1)
+            else:
+                roots = (root,) if root is not None and root <= n_bound else ()
+            for z in roots:
+                if emit(prefix + (z,)):
                     return results
         return results
 

@@ -255,7 +255,8 @@ def test_criterion_6_determinism(capsys):
                     "--workers", str(workers)]
             assert main(argv) == 0
             payload = json.loads(capsys.readouterr().out)
-            payload["stats"].pop("ms")
+            for timing in ("ms", "enumerate_ms", "search_ms"):
+                payload["stats"].pop(timing)
             hashes.add(_sha(payload))
         assert len(hashes) == 1, (text, n)
     print("criterion 6 PASS: identical outputs across workers and reorderings")

@@ -174,6 +174,16 @@ def test_monomial_difference_answers_without_walking_every_subset(left, right, s
     assert replay_certificate(p, v)
 
 
+def test_monomial_difference_past_the_bitset_walks_to_no_equal_sums():
+    # the left exponents total 70,000 >= 2^16, so no bitset of a's sums is
+    # built and the walk over a's subsets runs to its end without a match
+    p = parse("x^40000*y^30000 - z^3")
+    v = classify(p)
+    assert (v.status, v.certificate.theorem) == (NOT_PR, "MultiplicativeRado")
+    assert v.trace[-1] == "multiplicative: no nonempty exponent subsets with equal sums"
+    assert replay_certificate(p, v)
+
+
 @given(
     st.lists(st.integers(-9, 9).filter(lambda c: c != 0), min_size=1, max_size=10),
     st.integers(-30, 30),

@@ -232,6 +232,23 @@ def test_witness_inapplicable_method(capsys):
     assert "exclusive" in err
 
 
+def test_witness_injective_lift_refused(capsys):
+    # x - y = 0 forces x = y: the reduct lift succeeds but is not injective
+    argv = ["witness", "x-y", "--method", "reduct", "--injective"]
+    assert main(argv) == EXIT_METHOD_INAPPLICABLE
+    assert capsys.readouterr().err == (
+        "no witness: method hypotheses not met\n"
+        "  default generators produced no injective witness\n"
+    )
+    code, payload = run_json(capsys, argv + ["--json"])
+    assert code == EXIT_METHOD_INAPPLICABLE
+    assert payload == {
+        "schema": 1,
+        "error": "hypotheses not met",
+        "reasons": ["default generators produced no injective witness"],
+    }
+
+
 @pytest.mark.parametrize(
     "text", ["x1+x2+x3+x4+x5+x6", "-3*z -3*x*y -3*a^2*b -7*z -3*b*z*w"]
 )

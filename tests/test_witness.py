@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,60 @@ def test_brute_force_root_beyond_float_range():
     assert [(w.assignment["x"], w.assignment["y"]) for w in ws] == [
         (n, n) for n in range(1, 51)
     ]
+    # z is solved for, and its candidates are fifth roots of up to 140,000 bits
+    ws = brute_force_solutions(parse("x^70001 - y^3*z^5"), 4)
+    assert [w.assignment for w in ws] == [{"x": 1, "y": 1, "z": 1}]
+
+
+def _floor_root(value, e):
+    """Reference: the largest r with r**e <= value, by bisection."""
+    low, high = 0, 1 << (value.bit_length() // e + 1)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if mid**e <= value:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+def test_integer_root_matches_bisection():
+    rng = random.Random(20)
+    for e in range(2, 10):
+        values = [rng.randrange(1, 1 << rng.randrange(1, 400)) for _ in range(300)]
+        values += [r**e + d for r in (2, 3, rng.randrange(2, 10**30)) for d in (-1, 0, 1)]
+        for value in values:
+            r = _floor_root(value, e)
+            assert r**e <= value < (r + 1) ** e
+            assert witness._integer_root(value, e) == (r if r**e == value else None)
+    assert witness._integer_root(0, 3) is None
+    assert witness._integer_root(-8, 3) is None
+    assert witness._integer_root(12345, 1) == 12345
+
+
+def test_integer_root_of_huge_fifth_powers():
+    # 80,000-bit fifth powers and their neighbours, each in well under a
+    # second: O(log bits) Newton steps, not one step per bit of the root
+    rng = random.Random(5)
+    started = time.perf_counter()
+    for _ in range(2):
+        root = rng.getrandbits(16_000) | 1 << 15_999
+        value = root**5
+        assert value.bit_length() > 79_990
+        assert witness._integer_root(value, 5) == root
+        assert witness._integer_root(value - 1, 5) is None
+        assert witness._integer_root(value + 1, 5) is None
+    assert time.perf_counter() - started < 5.0
+
+
+def test_solve_step():
+    assert witness._solve(2, -54, 3) == 3
+    assert witness._solve(-2, 54, 3) == 3
+    assert witness._solve(2, -53, 3) is None  # no exact division
+    assert witness._solve(2, -50, 3) is None  # 25 is no cube
+    assert witness._solve(2, 54, 3) is None  # no positive root
+    assert witness._solve(0, 5, 3) is None
+    assert witness._solve(0, 0, 3) == 0  # every v solves
 
 
 def test_brute_force_budget(monkeypatch):
