@@ -220,6 +220,13 @@ class _BitTable:
         """Exactly ``count`` elements of ``values[i:]`` sum to ``rest``."""
         return self._has(self.exact[i][count], rest)
 
+    def reached(self, count: int, sums: set[int]) -> list[int]:
+        """Those of ``sums`` that exactly ``count`` elements reach, read off
+        one string of the row's bits rather than one shift per sum."""
+        bits = bin(self.exact[0][count])[:1:-1]  # bits[i] is bit i
+        offset, width = self.offset, len(bits)
+        return [s for s in sums if 0 <= s + offset < width and bits[s + offset] == "1"]
+
 
 class _DictTable:
     """Fewest-elements table as dicts, for sum(|values|) >= _BITSET_LIMIT:
@@ -239,6 +246,10 @@ class _DictTable:
             table[v] = 1
             suffix[i] = table
 
+    def sums(self) -> list[int]:
+        """Every sum of a nonempty subset, in increasing order."""
+        return sorted(self.suffix[0])
+
     def size(self, target: int) -> Optional[int]:
         """The fewest elements of a nonempty subset summing to ``target``."""
         return self.suffix[0].get(target)
@@ -247,6 +258,11 @@ class _DictTable:
         """``count`` elements of ``values[i:]``, and no fewer, sum to ``rest``;
         a count of 0 is the empty completion, so rest must be 0."""
         return rest == 0 if count == 0 else self.suffix[i].get(rest) == count
+
+    def reached(self, count: int, sums: set[int]) -> list[int]:
+        """Those of ``sums`` that ``count`` elements, and no fewer, reach."""
+        fewest = self.suffix[0]
+        return [s for s in sums if fewest.get(s) == count]
 
 
 def _fewest_table(
@@ -468,18 +484,25 @@ def _equal_sum_subsets(
     a: tuple[int, ...], b: tuple[int, ...]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """First (by |I1|, then I1 lex) pair of nonempty index subsets with equal
-    sums; the matching I2 is itself (size, lex)-minimal for its sum.  When a's
-    sums fit a bitset, a pair with no shared sum answers None without a walk:
-    target 0, which no positive subset reaches, stops a's table at its reach."""
-    right = _fewest_table(b)
-    if sum(a) < _BITSET_LIMIT and all(right.size(s) is None for s in _BitTable(a, 0).sums()):
-        return None
-    for size in range(1, len(a) + 1):
-        for combo in itertools.combinations(range(1, len(a) + 1), size):
-            total = sum(a[i - 1] for i in combo)
+    sums; the matching I2 is itself (size, lex)-minimal for its sum.  An
+    exponent above the other side's total is in no pair, so each side's
+    fewest-elements table holds the others only.  I1 is the least
+    ``_pick_subset`` of a over the sums both tables reach that the fewest
+    elements of a reach: the first count at which exactly that many elements
+    of a reach a shared sum, since a sum reached with fewer would have been
+    reached at a lower count.  No shared sum answers None."""
+    kept_a = [i for i, e in enumerate(a, start=1) if e <= sum(b)]
+    kept_b = [j for j, e in enumerate(b, start=1) if e <= sum(a)]
+    a, b = tuple(a[i - 1] for i in kept_a), tuple(b[j - 1] for j in kept_b)
+    left, right = _fewest_table(a), _fewest_table(b)
+    shared = set(left.sums()).intersection(right.sums())
+    for need in range(1, len(a) + 1) if shared else ():
+        sums = left.reached(need, shared)
+        if sums:
+            i1 = min(_pick_subset(a, left, s) for s in sums)
+            total = sum(a[i - 1] for i in i1)
             i2 = _pick_subset(b, right, total)
-            if i2 is not None:
-                return combo, i2, total
+            return tuple(kept_a[i - 1] for i in i1), tuple(kept_b[j - 1] for j in i2), total
     return None
 
 

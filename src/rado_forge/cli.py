@@ -62,7 +62,8 @@ from .search import (  # noqa: F401 - perfbench/tracing.py wraps cli.rado_number
     find_bad_coloring,
     rado_number,
 )
-from .witness import HypothesisFailure, SearchSpaceTooLargeError, build_witness
+from .solutions import SearchSpaceTooLargeError
+from .witness import HypothesisFailure, build_witness
 
 EXIT_PR = 0
 EXIT_NOT_PR = 1
@@ -350,3 +351,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def run() -> None:  # console script entry
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

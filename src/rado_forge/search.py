@@ -7,31 +7,13 @@ p.  Exhausting the tree proves the finite statement "every r-coloring of
 checkable bad coloring.  Neither outcome is ever a partition-regularity
 claim; that language stays in the classifier.
 
-A solution is a plain tuple of values.  Solutions are enumerated in layers by
-their largest value: layer v holds the tuples whose largest value is v.  The
-search reads only value sets, so it enumerates one representative per orbit
-of interchangeable variables (two are interchangeable when swapping them maps
-p to p or -p): the tuples that are nondecreasing inside each block of them.
-A permutation keeps a tuple's values, so the value sets of every layer are
-those of the full enumeration.  The search reads layer v + 1 when it first
-colors v, ``stats.constraints`` counts the representatives read, and the
-candidate budget is checked at each layer read, against the nondecreasing
-candidates of [1..v]; the layers of a one-signed form are empty, unwalked.
-
-One variable is solved for, not enumerated.  The search picks it by the
-form's shape, not its name: a variable v that occurs in one monomial c*v^e
-only, every other term having the sign opposite to c, bounds the walk (the
-later name wins a tie); failing one, the last variable when it occurs with
-one exponent; failing that, no variable, and the grid is walked.  With a
-bounding v every other term grows with each value, and a root is at most N
-exactly when they sum to at most |c|*N^e in absolute value, so the walk over
-prefixes stops raising a position once the prefix, completed with the least
-values its blocks allow, passes that sum.  The isolation split, the term
-evaluator, the candidate budget and ``_solve``, the one solve step (divide,
-then an exact root), live in ``witness`` beside ``brute_force_solutions``,
-the oracle the layered enumerator is tested against.
-``enumerate_constraints`` and ``monochromatic_solution`` read that oracle, not
-the layers, so a check made through them does not run the search's enumerator.
+The search reads the solutions of p in layers by their largest value, from
+``solutions.solution_layers``: layer v + 1 when it first colors v.  It reads
+only value sets, so a layer holds one representative per orbit of
+interchangeable variables, and ``stats.constraints`` counts the
+representatives read.  ``enumerate_constraints`` and
+``monochromatic_solution`` read the oracle ``brute_force_solutions``, not the
+layers, so a check made through them does not run the search's enumerator.
 
 A bad coloring of [1..N] restricts to one of [1..N-1], so a threshold is one
 search over [1..max_n]: ``rado_number`` is ``depth_max + 1`` of a Forced
@@ -74,20 +56,13 @@ dead colorings).
 
 from __future__ import annotations
 
-import itertools
 import operator
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Iterator, Optional
 
 from .poly import Polynomial
-from .witness import (
-    _check_candidates,
-    _isolation_split,
-    _solve,
-    _term_value,
-    brute_force_solutions,
-)
+from .solutions import brute_force_solutions, solution_layers
 
 __all__ = [
     "Coloring",
@@ -166,206 +141,6 @@ class SearchOutcome:
             "coloring": list(self.coloring.colors) if self.coloring else None,
             "stats": self.stats.to_json(),
         }
-
-
-def _with_max(n: int, sizes: list[int]) -> Iterator[tuple[int, ...]]:
-    """The tuples of [1..n] whose largest entry is n and that are nondecreasing
-    inside each block, for consecutive blocks of the given sizes, singletons
-    last; grouped by the block of their first n.  The singletons are one
-    product, so with all singleton blocks this walks the n^k - (n-1)^k tuples
-    of [1..n]^k whose largest entry is n."""
-    below, upto = range(1, n), range(1, n + 1)
-    for first in range(len(sizes)):
-        parts, singles = [], []
-        for j, size in enumerate(sizes):
-            values = below if j < first else upto
-            if size == 1:
-                singles.append((n,) if j == first else values)
-            elif j == first:  # nondecreasing, so n comes last
-                tops = itertools.combinations_with_replacement(upto, size - 1)
-                parts.append(map(operator.add, tops, itertools.repeat((n,))))
-            else:
-                parts.append(itertools.combinations_with_replacement(values, size))
-        if singles:
-            parts.append(itertools.product(*singles))
-        if len(parts) == 1:
-            yield from parts[0]
-        else:  # concatenate one tuple from each part
-            yield from map(sum, itertools.product(*parts), itertools.repeat(()))
-
-
-def _bounds_walk(split) -> bool:
-    """Whether an ``_isolation_split`` solves for a variable v that occurs in
-    one monomial c*v^e only, every other term having the sign opposite to c.
-    Then each other term grows with each value, and the root is at most N
-    exactly when their sum is at most |c|*N^e in absolute value."""
-    if not split:
-        return False
-    _, lead_terms, rest_terms = split
-    (c, exps), *more = lead_terms
-    return not more and not exps and all(d * c < 0 for d, _ in rest_terms)
-
-
-def _solved_position(p: Polynomial) -> Optional[int]:
-    """The position of the variable the enumerator solves for: the last one
-    whose split bounds the walk (``_bounds_walk``), else the last variable
-    when ``_isolation_split`` applies to it, else None (the grid is walked).
-    A bounding variable leaves no more candidates than any other choice."""
-    variables = p.variables
-    for i in reversed(range(len(variables))):
-        if _bounds_walk(_isolation_split(p, variables[i])):
-            return i
-    return len(variables) - 1 if _isolation_split(p) else None
-
-
-def _with_max_bounded(
-    n: int, sizes: list[int], terms: list, floor: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """The tuples of ``_with_max(n, sizes)`` at which the terms sum to at
-    least ``floor``, each with that sum.  Every coefficient is negative, so
-    the sum falls as any entry rises.  The walk sets one position at a time
-    and completes the tuple with the least values its blocks allow: the value
-    just set for the rest of its block, n at the last position of the block
-    that holds the first n, and 1 elsewhere.  No tuple below a completion
-    sums to more than it, so a position stops rising once its completion
-    sums below ``floor``.  A power that alone passes the floor is not
-    computed (``_term_value``), so a huge exponent costs nothing."""
-    k = sum(sizes)
-    ends = list(itertools.accumulate(sizes))  # one past each block
-    block_ends = [stop for stop, size in zip(ends, sizes) for _ in range(size)]
-    found: list[tuple[tuple[int, ...], int]] = []
-    for first, end in enumerate(ends):
-        top, start = end - 1, end - sizes[first]  # t[top] = n; the blocks before stay below n
-        stops = block_ends[:start] + [top] * (top - start) + block_ends[top:]  # j's value fills t[j:stops[j]]
-        t = [1] * k
-        t[top] = n
-
-        def walk(j: int, total: int) -> None:
-            if j == top:
-                j += 1
-            if j == k:
-                found.append((tuple(t), total))
-                return
-            low, stop = t[j], stops[j]
-            for x in range(low, n if j < start else n + 1):
-                if x > low:
-                    t[j:stop] = [x] * (stop - j)
-                    total = _term_value(terms, t, floor)
-                    if total < floor:
-                        break
-                walk(j + 1, total)
-            t[j:stop] = [low] * (stop - j)
-
-        total = _term_value(terms, t, floor)
-        if total >= floor:
-            walk(0, total)
-    return found
-
-
-def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[int, ...]]:
-    """The enumerated positions of p (every variable but the one at
-    ``solved``, from ``_solved_position``) in blocks of interchangeable variables,
-    largest block first.  Two variables are interchangeable when swapping them
-    maps p to p or -p; that is an equivalence, so each position is tested
-    against the first member of each block.  The test compares the canonical
-    terms that ``Polynomial`` equality compares, without building each
-    renamed polynomial: that costs more than a whole small search."""
-    variables = p.variables
-    terms = {(m.coefficient, m.exponents) for m in p.monomials}
-    negated = {(-c, exps) for c, exps in terms}
-
-    def swapped(u: str, v: str) -> set:
-        swap = {u: v, v: u}
-        return {(c, tuple(sorted((swap.get(x, x), e) for x, e in exps))) for c, exps in terms}
-
-    blocks: list[list[int]] = []
-    for i in range(len(variables)):
-        if i == solved:
-            continue
-        for block in blocks:
-            if swapped(variables[block[0]], variables[i]) in (terms, negated):
-                block.append(i)
-                break
-        else:
-            blocks.append([i])
-    return sorted(map(tuple, blocks), key=lambda block: (-len(block), block))
-
-
-def _solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[list[tuple[int, ...]]]:
-    """For N = 1..max_n, the solutions of p whose largest value is N, in
-    lexicographic order, one per orbit of permutations inside the blocks of
-    ``_interchangeable_blocks``: the tuples nondecreasing inside each block.
-    A tuple lists the variables block by block, then the variable solved for.
-    The candidate budget, ``witness.DEFAULT_ENUM_BUDGET``, is checked for N
-    before layer N is built; a one-signed form's layer is then empty.
-
-    The variable at ``_solved_position`` is solved for by ``witness._solve``:
-    layer N walks only the prefixes whose largest entry is N, and a root
-    above N waits for its own layer.  When that variable bounds the walk
-    (``_bounds_walk``), the walk skips the prefixes whose root would exceed
-    max_n (``_with_max_bounded``); otherwise it walks every prefix, and a
-    prefix that every value solves joins each later layer.  With no variable solved
-    for, layer N walks the tuples of [1..N]^k whose largest entry is N.
-    Every emitted tuple is re-verified through ``evaluate``.
-    """
-    k = len(p.variables)
-    position = _solved_position(p)
-    blocks = _interchangeable_blocks(p, position)
-    order = [i for block in blocks for i in block]
-    split = position is not None and _isolation_split(p, p.variables[position])
-    if split:
-        order.append(position)
-    variables = [p.variables[i] for i in order]
-    sizes = [len(block) for block in blocks]
-    bounded = _bounds_walk(split)
-    if split:
-        e, lead_terms, rest_terms = split
-        at = {i: j for j, i in enumerate(order)}  # name position -> tuple position
-        lead_terms, rest_terms = (
-            [(c, [(at[i], d) for i, d in exps]) for c, exps in terms]
-            for terms in (lead_terms, rest_terms)
-        )
-    if bounded:  # c * v^e = -rest, with c > 0 once p is negated if need be
-        [(c, _)] = lead_terms
-        if c < 0:
-            c, rest_terms = -c, [(-d, exps) for d, exps in rest_terms]
-        floor = -c * max_n**e  # the least rest of a root <= max_n
-    pending: dict[int, list[tuple[int, ...]]] = {}  # root -> solutions
-    free: list[tuple[int, ...]] = []  # prefixes that every value solves
-
-    for n in range(1, max_n + 1):
-        _check_candidates(n, sizes)
-        if p.is_one_signed:
-            yield []
-            continue
-        if split:
-            solved = pending.pop(n, []) + [prefix + (n,) for prefix in free]
-            if bounded:  # every root is at least 1 and at most max_n
-                found = _with_max_bounded(n, sizes, rest_terms, floor)
-                walk = ((prefix, c, rest) for prefix, rest in found)
-            else:
-                walk = (
-                    (prefix, _term_value(lead_terms, prefix), _term_value(rest_terms, prefix))
-                    for prefix in _with_max(n, sizes)
-                )
-            for prefix, lead, rest in walk:
-                root = _solve(lead, rest, e)
-                if root == 0:
-                    free.append(prefix)
-                    solved.extend(prefix + (z,) for z in range(1, n + 1))
-                elif root is not None and root <= max_n:
-                    (solved if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
-        solutions = []
-        for t in solved if split else _with_max(n, sizes):
-            if injective and len(set(t)) < k:
-                continue
-            assignment = dict(zip(variables, t))
-            if p.evaluate(assignment) == 0:
-                solutions.append(t)
-            elif split:  # independent re-verification of a solved tuple
-                raise AssertionError(f"enumerator produced a non-solution: {assignment}")
-        solutions.sort()
-        yield solutions
 
 
 def enumerate_constraints(
@@ -541,7 +316,7 @@ def find_bad_coloring(
         raise ValueError("bound must be >= 1")
     started = time.perf_counter()
     stats = SearchStats()
-    layers = _solution_layers(p, n_bound, injective)
+    layers = solution_layers(p, n_bound, injective)
     kernel_started = time.perf_counter()
     found, read, exhausted = _first_bad_coloring(layers, r, n_bound, budget, stats)
     stats.search_ms = (time.perf_counter() - kernel_started) * 1000 - stats.enumerate_ms

@@ -16,18 +16,15 @@ variables (the y's outside F_i, or gamma_{i,j}) evaluated at the given values,
 and the result is verified exactly on construction.  ``*_formal_check``
 substitutes the same formal products, with the y-values and g-values left as
 symbols, and confirms the underlying algebraic identity by exact
-cancellation.  ``brute_force_solutions`` is the independent enumeration
-oracle; ``DEFAULT_ENUM_BUDGET`` bounds it and the search's layers alike, and
-both solve for one variable with ``_solve``: divide, then take an exact root
-by integer Newton steps (``_integer_root``).
+cancellation.  ``build_witness`` falls back on the enumeration oracle
+``solutions.brute_force_solutions``, whose ``Witness`` record the lifts
+return too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .classify import (
     LevForm,
@@ -40,6 +37,7 @@ from .classify import (
     rado_condition,
 )
 from .poly import DegreeProfile, Polynomial, _combine
+from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
 
 __all__ = [
     "NoExclusiveSetError",
@@ -62,10 +60,7 @@ __all__ = [
     "witness_via_reduct",
     "witness_via_nlp",
     "build_witness",
-    "DEFAULT_ENUM_BUDGET",
 ]
-
-DEFAULT_ENUM_BUDGET = 5_000_000
 
 
 class NoExclusiveSetError(ValueError):
@@ -84,46 +79,12 @@ class GValuesNotDistinctError(ValueError):
     pass
 
 
-class SearchSpaceTooLargeError(RuntimeError):
-    pass
-
-
 class HypothesisFailure(RuntimeError):
     """A witness method's hypotheses do not hold for the polynomial."""
 
     def __init__(self, reasons: list[str]):
         self.reasons = reasons
         super().__init__("; ".join(reasons))
-
-
-@dataclass(frozen=True)
-class Witness:
-    """A verified assignment: evaluate(polynomial, assignment) == 0 exactly."""
-
-    assignment: dict[str, int]
-    value: int
-    provenance: str
-    trace: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def injective(self) -> bool:
-        values = list(self.assignment.values())
-        return len(set(values)) == len(values)
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "schema": 1,
-            "assignment": dict(self.assignment),
-            "value": self.value,
-            "injective": self.injective,
-            "provenance": self.provenance,
-            "trace": {
-                "eta": self.trace.get("eta"),
-                "eta_i": self.trace.get("eta_i", []),
-                "gamma": self.trace.get("gamma", {}),
-                "I": self.trace.get("I", {}),
-            },
-        }
 
 
 def to_lev_form(p: Polynomial) -> LevForm:
@@ -357,144 +318,6 @@ def negate_transform(p: Polynomial, w: Witness) -> Witness:
     return Witness(assignment, value, w.provenance, dict(w.trace, negated=True))
 
 
-# -- enumeration oracle ------------------------------------------------------
-
-
-def _integer_root(value: int, e: int) -> Optional[int]:
-    """Exact e-th root of a positive integer, or None.  Integer Newton steps
-    from 2^ceil(bits/e), which is above the root, fall to floor(value^(1/e))
-    in O(log bits) steps; no float range limits the size of ``value``."""
-    if value < 1:
-        return None
-    if e == 1:
-        return value
-    root = 1 << -(-value.bit_length() // e)
-    while (step := ((e - 1) * root + value // root ** (e - 1)) // e) < root:
-        root = step
-    return root if root**e == value else None
-
-
-def _solve(lead: int, rest: int, e: int) -> Optional[int]:
-    """The solve step of every enumerator: the positive v with
-    lead * v^e + rest == 0, or None when there is none; 0 when
-    lead == rest == 0, where every v solves (0 is never a positive root)."""
-    if lead == 0:
-        return 0 if rest == 0 else None
-    target, remainder = divmod(-rest, lead)
-    return None if remainder else _integer_root(target, e)
-
-
-def _isolation_split(p: Polynomial, var: Optional[str] = None):
-    """If p has two or more variables and every monomial containing ``var``
-    (the last variable by default) uses the same exponent e, return
-    (e, with_terms, without_terms): the terms drop that variable and key each
-    remaining exponent by its position in ``p.variables``.  Else None."""
-    variables = p.variables
-    if len(variables) < 2:
-        return None
-    if var is None:
-        var = variables[-1]
-    exponents = {m.degree_of(var) for m in p.monomials if m.degree_of(var) >= 1}
-    if len(exponents) != 1:
-        return None
-    index = {v: i for i, v in enumerate(variables)}
-    with_terms = []
-    without_terms = []
-    for m in p.monomials:
-        rest = [(index[v], d) for v, d in m.exponents if v != var]
-        if m.degree_of(var) >= 1:
-            with_terms.append((m.coefficient, rest))
-        else:
-            without_terms.append((m.coefficient, rest))
-    return exponents.pop(), with_terms, without_terms
-
-
-def _term_value(terms, prefix: tuple[int, ...], floor: Optional[int] = None) -> int:
-    """Sum over the terms of coeff * prod(prefix[i] ** e).  With a ``floor``
-    below 0 and every coefficient negative, a power x^e that alone passes the
-    floor is not computed, since x^e >= 2^((x.bit_length() - 1) * e): the sum
-    is then below the floor, and ``floor - 1`` stands for it."""
-    total = 0
-    for coeff, exps in terms:
-        for i, e in exps:
-            if e == 1:
-                coeff *= prefix[i]
-            elif floor is not None and (prefix[i].bit_length() - 1) * e >= (-floor).bit_length():
-                return floor - 1
-            else:
-                coeff *= prefix[i] ** e
-        total += coeff
-    return total
-
-
-def _check_candidates(n_bound: int, sizes: Sequence[int]) -> None:
-    """Reject [1..n_bound] when it has more candidate tuples than
-    ``DEFAULT_ENUM_BUDGET``, read here only and at call time.
-    ``sizes`` are those of the blocks of enumerated positions, inside each of
-    which a candidate is nondecreasing: prod C(n_bound + s - 1, s) over blocks
-    of size s.  With m singleton blocks that is n_bound^m: the n_bound^(k-1)
-    prefixes when the last variable is solved for, else the n_bound^k grid."""
-    if n_bound < 1:
-        raise ValueError("bound must be >= 1")
-    candidates = math.prod(math.comb(n_bound + s - 1, s) for s in sizes)
-    if candidates > DEFAULT_ENUM_BUDGET:
-        raise SearchSpaceTooLargeError(
-            f"{candidates} candidate tuples exceed the budget of {DEFAULT_ENUM_BUDGET}"
-        )
-
-
-def brute_force_solutions(
-    p: Polynomial,
-    n_bound: int,
-    injective: bool = False,
-    limit: Optional[int] = None,
-) -> list[Witness]:
-    """All solutions of p = 0 with values in [1..n_bound], in lexicographic
-    order of the assignment tuple (variables in name order), up to ``limit``.
-
-    A one-signed form has none, and answers after the budget check.  When
-    the lexicographically last variable occurs with one common exponent
-    wherever it appears, it is solved for exactly (divisibility plus integer
-    root) instead of enumerated; otherwise the full grid is walked.  Every
-    emitted tuple is re-verified through ``evaluate``.
-    """
-    split = _isolation_split(p)
-    _check_candidates(n_bound, [1] * (len(p.variables) - bool(split)))
-    if p.is_one_signed:
-        return []
-    variables = p.variables
-    n = len(variables)
-    results: list[Witness] = []
-
-    def emit(values: tuple[int, ...]) -> bool:
-        if injective and len(set(values)) != n:
-            return False
-        assignment = dict(zip(variables, values))
-        if p.evaluate(assignment) != 0:  # independent re-verification
-            raise AssertionError(f"enumerator produced a non-solution: {assignment}")
-        results.append(Witness(assignment, 0, "BruteForce"))
-        return limit is not None and len(results) >= limit
-
-    if split:
-        e, with_terms, without_terms = split
-        for prefix in itertools.product(range(1, n_bound + 1), repeat=n - 1):
-            root = _solve(_term_value(with_terms, prefix), _term_value(without_terms, prefix), e)
-            if root == 0:
-                roots = range(1, n_bound + 1)
-            else:
-                roots = (root,) if root is not None and root <= n_bound else ()
-            for z in roots:
-                if emit(prefix + (z,)):
-                    return results
-        return results
-
-    for tup in itertools.product(range(1, n_bound + 1), repeat=n):
-        if p.evaluate(dict(zip(variables, tup))) == 0:
-            if emit(tup):
-                return results
-    return results
-
-
 # -- default generators ------------------------------------------------------
 
 
@@ -506,6 +329,14 @@ def find_reduct_solution(
 ) -> Optional[tuple[int, ...]]:
     """Lexicographically smallest tuple in [minimum..bound]^k with exact
     zero weighted sum (optionally pairwise distinct), or None."""
+    return _lex_reduct_solution(coeffs, bound, minimum, distinct, math.inf)[0]
+
+
+def _lex_reduct_solution(
+    coeffs: Sequence[int], bound: int, minimum: int, distinct: bool, budget: float
+) -> tuple[Optional[tuple[int, ...]], int]:
+    """The search of ``find_reduct_solution``, and the nodes it spent: one
+    per step down or back.  It stops with None after ``budget`` nodes."""
     k = len(coeffs)
     lows = [0] * (k + 1)
     highs = [0] * (k + 1)
@@ -531,7 +362,11 @@ def find_reduct_solution(
     chosen: list[int] = []
     partials = [0]  # partials[i]: the weighted sum of chosen[:i]
     levels = [candidates(0, 0)]
+    nodes = 0
     while len(chosen) < k:
+        if nodes == budget:
+            return None, nodes
+        nodes += 1
         i = len(chosen)
         c, partial, lo, hi = coeffs[i], partials[i], lows[i + 1], highs[i + 1]
         for v in levels[-1]:
@@ -545,12 +380,12 @@ def find_reduct_solution(
                 break
         else:
             if not chosen:
-                return None
+                return None, nodes
             levels.pop()
             partials.pop()
             chosen.pop()
     # lows[k] = highs[k] = 0, so the last step left a zero weighted sum
-    return tuple(chosen)
+    return tuple(chosen), nodes
 
 
 def _is_prime(n: int) -> bool:
@@ -577,21 +412,58 @@ def primes_above(lower: int, count: int) -> tuple[int, ...]:
     return tuple(found)
 
 
+# nodes the lexicographic searches of ``_default_alpha`` spend together
+# before the construction answers
+_ALPHA_NODES = 20_000
+
+
 def _default_alpha(coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Reduct solution for the default generators: pairwise distinct values
-    >= 2 when possible (injective witnesses), else any positive solution.
-    Past the zero-sum gate, two coefficients are c, -c: no distinct values."""
-    for bound in (20, 60, 240) if len(coeffs) > 2 else ():
-        alpha = find_reduct_solution(coeffs, bound=bound, minimum=2, distinct=True)
+    """Reduct solution for the default generators, past the zero-sum gate.
+    Two coefficients are c, -c, with no distinct solution: (1, 1).  Three or
+    more take pairwise distinct values >= 2 (injective witnesses): the
+    lexicographically smallest in [2..20], [2..60] or [2..240], searched
+    under one budget of ``_ALPHA_NODES`` nodes, else ``_constructed_alpha``."""
+    if len(coeffs) == 2:
+        return (1, 1)
+    budget = _ALPHA_NODES
+    for bound in (20, 60, 240):
+        alpha, spent = _lex_reduct_solution(coeffs, bound, 2, True, budget)
         if alpha is not None:
             return alpha
-    for bound in (20, 240):
-        alpha = find_reduct_solution(coeffs, bound=bound, minimum=1, distinct=False)
-        if alpha is not None:
-            return alpha
-    raise HypothesisFailure(
-        [f"no bounded positive solution of the reduct with coefficients {list(coeffs)}"]
-    )
+        budget -= spent
+    return _constructed_alpha(coeffs)
+
+
+def _constructed_alpha(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """Pairwise distinct values >= 2 with zero weighted sum, built for k >= 3
+    nonzero coefficients of both signs.
+
+    The base point puts N, the sum of the negative coefficients' magnitudes,
+    at each positive coefficient and P, the sum of the positive ones, at each
+    negative one: P*N - N*P = 0.  The kernel vector d, the sum over m of
+    t^m * (c[m+1] e_m - c[m] e_{m+1}), has entries that are pairwise distinct
+    polynomials in t when k >= 3, so all but finitely many t make them
+    distinct.  Every s * base + d has zero weighted sum; from the least s that
+    puts each entry at 2 or more, two entries meet at one s at most when their
+    base values differ, and never when they are equal."""
+    k = len(coeffs)
+    positive = sum(c for c in coeffs if c > 0)
+    base = [positive - sum(coeffs) if c > 0 else positive for c in coeffs]
+
+    def kernel(t: int) -> list[int]:
+        d = [0] * k
+        for m in range(k - 1):
+            d[m] += coeffs[m + 1] * t**m
+            d[m + 1] -= coeffs[m] * t**m
+        return d
+
+    t = 2
+    while len(set(d := kernel(t))) < k:
+        t += 1
+    s = max(-((x - 2) // b) for x, b in zip(d, base))
+    while len(set(alpha := [s * b + x for b, x in zip(base, d)])) < k:
+        s += 1
+    return tuple(alpha)
 
 
 def _require_zero_sum(p: Polynomial) -> None:

@@ -128,9 +128,10 @@ def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
         return build(values)
 
     monkeypatch.setattr(classify_mod, "_fewest_table", counted)
-    # 1 and 20 miss, so three totals are looked up in one table
+    # each side's table is built once; 20 exceeds the right side's total 6,
+    # so the left table leaves it out
     assert classify_mod._equal_sum_subsets((1, 20, 6), (4, 2)) == ((3,), (1, 2), 6)
-    assert builds == [(4, 2)]
+    assert builds == [(1, 6), (4, 2)]
 
     # 2^10 subsets of the left exponents, none of whose sums the right reaches
     left = [2**i for i in range(10)]
@@ -141,7 +142,7 @@ def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
     builds.clear()
     p = parse(text)
     v = classify(p)
-    assert builds == [tuple(right)]
+    assert builds == [tuple(left), ()]  # every right exponent exceeds 1023
     assert (v.status, v.injective) == (NOT_PR, "no")
     assert v.certificate == Certificate(
         "MultiplicativeRado",
@@ -161,6 +162,7 @@ def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
         ([2] * 24, 3, NOT_PR),  # 2^24 subsets of even sum; z^3 reaches 3 only
         ([2] * 24, 70_001, NOT_PR),  # the right side's table in dicts
         ([2 ** (16 + i) for i in range(24)], 2**16, PR),  # 2^24 left sums past the bitsets, I1 = [1]
+        ([2] * 24, 48, PR),  # I1 is all 24 exponents, each smaller subset missing 48
     ],
 )
 def test_monomial_difference_answers_without_walking_every_subset(left, right, status):

@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -23,6 +27,7 @@ from rado_forge.cli import (
     build_parser,
     main,
 )
+import rado_forge
 from rado_forge.poly import parse
 from rado_forge.search import Coloring, monochromatic_solution
 
@@ -117,6 +122,23 @@ def test_classify_exit_codes(capsys):
     assert main(["classify", "x + y - 3*z"]) == EXIT_NOT_PR
     assert main(["classify", "x*y + x*z - y*z"]) == EXIT_UNKNOWN
     capsys.readouterr()
+
+
+def test_module_entry_points_exit_as_the_console_script(capsys):
+    # the console script is cli.run, which exits with main's code
+    env = dict(os.environ, PYTHONPATH=str(Path(rado_forge.__file__).parents[1]))
+    for argv, code in (
+        (["classify", "x1 + x2 - y1*y2"], EXIT_PR),
+        (["classify", "x*y + x*z - y*z"], EXIT_UNKNOWN),
+        (["classify", "x + * y"], EXIT_PARSE_ERROR),
+    ):
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        for module in ("rado_forge", "rado_forge.cli"):
+            done = subprocess.run(
+                [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+            )
+            assert (done.returncode, done.stdout) == (code, out), (module, argv)
 
 
 def test_classify_unknown_carries_note(capsys):

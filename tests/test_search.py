@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rado_forge import search, witness
+from rado_forge import search, solutions, witness
 from rado_forge.cli import main
 from rado_forge.poly import EmptyPolynomialError, Polynomial, parse
 from rado_forge.search import (
@@ -82,11 +82,11 @@ def test_layered_enumeration_matches_oracle(text):
     p = parse(text)
     for injective in (False, True):
         for n in range(1, 11):
-            layered = search._solution_layers(p, n, injective)
+            layered = solutions.solution_layers(p, n, injective)
             oracle = _oracle_layers(p, n, injective)
             assert list(map(search._others, layered)) == list(map(search._others, oracle)), (
                 n, injective)
-        # the layers and the oracle share the witness primitives; the full grid shares none
+        # the layers and the oracle share the solutions primitives; the full grid shares none
         grid = [
             t
             for t in itertools.product(range(1, 11), repeat=len(p.variables))
@@ -98,7 +98,7 @@ def test_layered_enumeration_matches_oracle(text):
 
 @pytest.mark.parametrize("text", ["x + y - z", "x*z^2 + z - y", "x^2 - x"])
 def test_enumeration_budget_message_matches_oracle(text, monkeypatch):
-    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 30)
+    monkeypatch.setattr(solutions, "DEFAULT_ENUM_BUDGET", 30)
     p = parse(text)
     with pytest.raises(SearchSpaceTooLargeError) as oracle:
         brute_force_solutions(p, 40)
@@ -112,7 +112,7 @@ def test_one_budget_bounds_every_enumerator(text, monkeypatch):
     # x + 2*y - z has no interchangeable pair, so [1..6] counts 6^2 = 36
     # candidates in the oracle, in build_witness and at the search's layer 6;
     # the one-signed x + 2*y + z answers empty, but only within the budget
-    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 30)
+    monkeypatch.setattr(solutions, "DEFAULT_ENUM_BUDGET", 30)
     p = parse(text)
     for enumerate_ in (
         lambda: brute_force_solutions(p, 6),
@@ -123,12 +123,22 @@ def test_one_budget_bounds_every_enumerator(text, monkeypatch):
             enumerate_()
 
 
+def test_one_oracle_and_one_budget_binding():
+    # a tracer that wraps witness.brute_force_solutions installs the wrapper
+    # at search.brute_force_solutions too; and a copy of the budget in
+    # witness would bound nothing when assigned
+    assert witness.brute_force_solutions is search.brute_force_solutions
+    assert search.brute_force_solutions is solutions.brute_force_solutions
+    assert not hasattr(witness, "DEFAULT_ENUM_BUDGET")
+    assert not hasattr(search, "DEFAULT_ENUM_BUDGET")
+
+
 def test_one_signed_search_reads_empty_layers_without_a_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("a one-signed form has no positive solutions to walk for")
 
     for name in ("_with_max", "_with_max_bounded"):
-        monkeypatch.setattr(search, name, refuse)
+        monkeypatch.setattr(solutions, name, refuse)
     outcome = find_bad_coloring(parse("x + y + z"), 2, 1500)
     assert (outcome.kind, outcome.coloring.colors) == (BAD_COLORING, (0,) * 1500)
     assert (outcome.stats.nodes, outcome.stats.constraints) == (1500, 0)
@@ -146,7 +156,7 @@ def test_checks_do_not_run_the_search_enumerator(text, monkeypatch):
     def broken(*args):
         raise AssertionError("the search's enumerator ran")
 
-    monkeypatch.setattr(search, "_solution_layers", broken)
+    monkeypatch.setattr(search, "solution_layers", broken)
     assert enumerate_constraints(p, 6) == oracle
     for colors in itertools.product(range(2), repeat=6):
         coloring = Coloring(colors)
@@ -455,8 +465,8 @@ def test_search_reads_layers_only_as_it_reaches_them():
 )
 def test_interchangeable_blocks(text, expected):
     p = parse(text)
-    solved = search._solved_position(p)
-    blocks = search._interchangeable_blocks(p, solved)
+    solved = solutions._solved_position(p)
+    blocks = solutions._interchangeable_blocks(p, solved)
     assert [{p.variables[i] for i in b} for b in blocks if len(b) > 1] == expected
     # a partition of every position except the one solved for, largest block first
     positions = sorted(i for b in blocks for i in b)
@@ -508,7 +518,7 @@ def _search_polynomials(draw):
 @example(parse("2*a + b + c - d"), True, 12)  # the larger block comes later by name
 @example(parse("a*c + b*c - c^2"), False, 12)  # no isolation split: the grid is reduced
 def test_reduced_layers_match_singleton_layers(p, injective, n):
-    reduced = search._solution_layers(p, n, injective)
+    reduced = solutions.solution_layers(p, n, injective)
     full = _oracle_layers(p, n, injective)
     for value, (few, every) in enumerate(zip(reduced, full, strict=True), start=1):
         assert search._others(few) == search._others(every), value
@@ -519,7 +529,7 @@ def test_reduced_layers_match_singleton_layers(p, injective, n):
             fast = find_bad_coloring(p, r, n, injective, **kwargs)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(
-                    search, "_interchangeable_blocks",
+                    solutions, "_interchangeable_blocks",
                     lambda p, solved: [(i,) for i in range(len(p.variables)) if i != solved])
                 slow = find_bad_coloring(p, r, n, injective, **kwargs)
             assert (fast.kind, fast.coloring) == (slow.kind, slow.coloring), (r, budget)
@@ -565,7 +575,7 @@ def test_respelled_form_reads_no_more_candidates(monkeypatch):
     # solving x5 + x2 + x3 + x4 = x1 for x5, the last name, would count
     # C(n + 2, 3) * n prefixes (505,981 > 500,000 at layer 41); x1 bounds the
     # walk and leaves C(n + 3, 4), as x1 + x2 + x3 + x4 = x5 does
-    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 500_000)
+    monkeypatch.setattr(solutions, "DEFAULT_ENUM_BUDGET", 500_000)
     respelled = find_bad_coloring(parse("x5 + x2 + x3 + x4 - x1"), 3, 95, budget=100)
     assert respelled.kind == INCONCLUSIVE
     assert respelled.stats.depth_max == 44
@@ -603,15 +613,15 @@ def _bounded_polynomials(draw):
 @example(parse("3*x + y - z"), True, 14)
 @example(parse("x1*y1 + x2*y1*y2 - x3"), False, 14)
 def test_bounded_layers_match_unbounded_layers(p, injective, n):
-    solved = search._solved_position(p)
-    assert search._bounds_walk(search._isolation_split(p, p.variables[solved]))
-    bounded = list(search._solution_layers(p, n, injective))
+    solved = solutions._solved_position(p)
+    assert solutions._bounds_walk(solutions._isolation_split(p, p.variables[solved]))
+    bounded = list(solutions.solution_layers(p, n, injective))
     with pytest.MonkeyPatch.context() as patch:
         # without the bound another variable would be solved for, and the
         # tuples would list the variables in another order
-        patch.setattr(search, "_solved_position", lambda p: solved)
-        patch.setattr(search, "_bounds_walk", lambda split: False)
-        unbounded = list(search._solution_layers(p, n, injective))
+        patch.setattr(solutions, "_solved_position", lambda p: solved)
+        patch.setattr(solutions, "_bounds_walk", lambda split: False)
+        unbounded = list(solutions.solution_layers(p, n, injective))
     assert bounded == unbounded
 
 
@@ -641,7 +651,7 @@ def test_oversized_bound_raises_only_at_the_layer_reached(capsys, monkeypatch):
     # interchangeable pair and its search reaches 10, so with a budget of 30
     # it raises at layer 6 (6^2 = 36 prefixes); x + y = z counts C(6, 2) = 21
     # nondecreasing prefixes at its last layer, 5
-    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 30)
+    monkeypatch.setattr(solutions, "DEFAULT_ENUM_BUDGET", 30)
     assert find_bad_coloring(SCHUR, 2, 10_000).kind == FORCED
     with pytest.raises(SearchSpaceTooLargeError, match="^36 candidate tuples exceed the budget of 30$"):
         find_bad_coloring(parse("x + 2*y - z"), 2, 10_000)
@@ -924,6 +934,15 @@ def test_huge_exponent_does_not_stall_the_bounded_walk():
     assert (huge.kind, huge.coloring, huge.stats.nodes) == (
         small.kind, small.coloring, small.stats.nodes)
     assert huge.kind == BAD_COLORING
+
+
+def test_huge_exponent_does_not_stall_the_oracle():
+    # with x >= 2 the root z of z^5 = x^70001 / y^3 lies far above 12, and
+    # its bit length alone rules it out
+    started = time.perf_counter()
+    found = brute_force_solutions(parse("x^70001 - y^3*z^5"), 12)
+    assert time.perf_counter() - started < 1.0
+    assert [w.assignment for w in found] == [{"x": 1, "y": 1, "z": 1}]
 
 
 def test_injective_schur_node_count():

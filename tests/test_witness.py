@@ -10,13 +10,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gen_support import (
     positive_reduct_alpha,
     random_lev_polynomial,
     random_nonlinear_polynomial,
 )
-from rado_forge import witness
+from rado_forge import solutions, witness
 from rado_forge.classify import nonlinear_shape
 from rado_forge.poly import parse
 from rado_forge.witness import (
@@ -321,10 +323,10 @@ def test_integer_root_matches_bisection():
         for value in values:
             r = _floor_root(value, e)
             assert r**e <= value < (r + 1) ** e
-            assert witness._integer_root(value, e) == (r if r**e == value else None)
-    assert witness._integer_root(0, 3) is None
-    assert witness._integer_root(-8, 3) is None
-    assert witness._integer_root(12345, 1) == 12345
+            assert solutions._integer_root(value, e) == (r if r**e == value else None)
+    assert solutions._integer_root(0, 3) is None
+    assert solutions._integer_root(-8, 3) is None
+    assert solutions._integer_root(12345, 1) == 12345
 
 
 def test_integer_root_of_huge_fifth_powers():
@@ -336,24 +338,27 @@ def test_integer_root_of_huge_fifth_powers():
         root = rng.getrandbits(16_000) | 1 << 15_999
         value = root**5
         assert value.bit_length() > 79_990
-        assert witness._integer_root(value, 5) == root
-        assert witness._integer_root(value - 1, 5) is None
-        assert witness._integer_root(value + 1, 5) is None
+        assert solutions._integer_root(value, 5) == root
+        assert solutions._integer_root(value - 1, 5) is None
+        assert solutions._integer_root(value + 1, 5) is None
     assert time.perf_counter() - started < 5.0
 
 
 def test_solve_step():
-    assert witness._solve(2, -54, 3) == 3
-    assert witness._solve(-2, 54, 3) == 3
-    assert witness._solve(2, -53, 3) is None  # no exact division
-    assert witness._solve(2, -50, 3) is None  # 25 is no cube
-    assert witness._solve(2, 54, 3) is None  # no positive root
-    assert witness._solve(0, 5, 3) is None
-    assert witness._solve(0, 0, 3) == 0  # every v solves
+    assert solutions._solve(2, -54, 3, 10) == 3
+    assert solutions._solve(-2, 54, 3, 10) == 3
+    assert solutions._solve(2, -53, 3, 10) is None  # no exact division
+    assert solutions._solve(2, -50, 3, 10) is None  # 25 is no cube
+    assert solutions._solve(2, 54, 3, 10) is None  # no positive root
+    assert solutions._solve(0, 5, 3, 10) is None
+    assert solutions._solve(0, 0, 3, 10) == 0  # every v solves
+    # 2^90 has 91 bits, more than the cube of a 30-bit bound can have
+    assert solutions._solve(1, -(2**90), 3, 2**30 - 1) is None
+    assert solutions._solve(1, -(2**90), 3, 2**30) == 2**30
 
 
 def test_brute_force_budget(monkeypatch):
-    monkeypatch.setattr(witness, "DEFAULT_ENUM_BUDGET", 10)
+    monkeypatch.setattr(solutions, "DEFAULT_ENUM_BUDGET", 10)
     with pytest.raises(SearchSpaceTooLargeError):
         brute_force_solutions(parse("x + y - z"), 1000)
 
@@ -401,6 +406,24 @@ def test_find_reduct_solution():
     alpha = find_reduct_solution((2, 3, -5, 1), minimum=2, distinct=True)
     assert alpha is not None
     assert sum(c * a for c, a in zip((2, 3, -5, 1), alpha)) == 0
+
+
+def test_default_reduct_lift_answers_a_long_form():
+    # the lexicographic searches run out of nodes, and the construction answers
+    p = parse("3*a+5*b+7*c+11*d+13*e+17*f+19*g-23*h-29*i-31*j-37*k-41*l-43*m")
+    started = time.perf_counter()
+    [w] = build_witness(p)
+    assert time.perf_counter() - started < 1.0
+    assert (w.provenance, w.injective, p.evaluate(w.assignment)) == ("ReductLift", True, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50).filter(bool), min_size=3, max_size=24))
+def test_constructed_alpha_is_distinct_zero_sum(coeffs):
+    assume(min(coeffs) < 0 < max(coeffs))
+    alpha = witness._constructed_alpha(coeffs)
+    assert len(set(alpha)) == len(coeffs) and min(alpha) >= 2
+    assert sum(c * a for c, a in zip(coeffs, alpha)) == 0
 
 
 def test_find_reduct_solution_not_recursion_bound():
