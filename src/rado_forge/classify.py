@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .poly import Monomial, Polynomial, monomial_gcd, parse
 
@@ -175,39 +175,42 @@ class _BitTable:
     ``exact[i][j]`` has bit s + offset set when exactly j elements of
     ``values[i:]`` sum to s, where offset is the total magnitude of the
     negative values, so no sum has a negative bit index.  Counts are added
-    one at a time until row 0 holds ``target``, so only that target may be
-    asked for; without one, every count is added.  ``reach`` holds every
-    nonempty subset sum, so a target no subset reaches costs one pass.
+    one at a time, by ``grow``, until row 0 holds ``target``, so only that
+    target may be asked for; without one, every count is added.  ``reach``
+    holds every nonempty subset sum, so a target no subset reaches costs one
+    pass.
     """
 
     def __init__(self, values: tuple[int, ...], target: Optional[int]):
+        self.values = values
         self.offset = offset = -sum(c for c in values if c < 0)
         reach = 0
         for v in reversed(values):
             reach |= (reach << v if v > 0 else reach >> -v) | 1 << (v + offset)
         self.reach = reach
-        k = len(values)
-        self.exact = exact = [[1 << offset] for _ in range(k + 1)]  # j = 0: the empty sum
-        if target is not None and not self._has(reach, target):
-            return
-        for j in range(1, k + 1):
-            row = 0  # exact[i + 1][j] as i falls
-            exact[k].append(0)
-            for i in range(k - 1, -1, -1):
-                v, fewer = values[i], exact[i + 1][j - 1]
-                row |= fewer << v if v > 0 else fewer >> -v
-                exact[i].append(row)
-            if target is not None and self._has(row, target):
-                return
+        self.exact = [[1 << offset] for _ in range(len(values) + 1)]  # j = 0: the empty sum
+        if target is None:
+            for _ in values:
+                self.grow()
+        elif self._has(reach, target):
+            while not self._has(self.grow(), target):
+                pass
+
+    def grow(self) -> int:
+        """Add the next count j to every suffix's rows; returns ``exact[0][j]``."""
+        values, exact = self.values, self.exact
+        k, j = len(values), len(exact[0])
+        row = 0  # exact[i + 1][j] as i falls
+        exact[k].append(0)
+        for i in range(k - 1, -1, -1):
+            v, fewer = values[i], exact[i + 1][j - 1]
+            row |= fewer << v if v > 0 else fewer >> -v
+            exact[i].append(row)
+        return row
 
     def _has(self, bits: int, s: int) -> bool:
         index = s + self.offset
         return index >= 0 and bits >> index & 1 == 1
-
-    def sums(self) -> list[int]:
-        """Every sum of a nonempty subset, in increasing order."""
-        bits = bin(self.reach)[:1:-1]  # bits[i] is bit i
-        return [i - self.offset for i, bit in enumerate(bits) if bit == "1"]
 
     def size(self, target: int) -> Optional[int]:
         """The fewest elements of a nonempty subset summing to ``target``."""
@@ -219,13 +222,6 @@ class _BitTable:
     def completes(self, i: int, rest: int, count: int) -> bool:
         """Exactly ``count`` elements of ``values[i:]`` sum to ``rest``."""
         return self._has(self.exact[i][count], rest)
-
-    def reached(self, count: int, sums: set[int]) -> list[int]:
-        """Those of ``sums`` that exactly ``count`` elements reach, read off
-        one string of the row's bits rather than one shift per sum."""
-        bits = bin(self.exact[0][count])[:1:-1]  # bits[i] is bit i
-        offset, width = self.offset, len(bits)
-        return [s for s in sums if 0 <= s + offset < width and bits[s + offset] == "1"]
 
 
 class _DictTable:
@@ -246,10 +242,6 @@ class _DictTable:
             table[v] = 1
             suffix[i] = table
 
-    def sums(self) -> list[int]:
-        """Every sum of a nonempty subset, in increasing order."""
-        return sorted(self.suffix[0])
-
     def size(self, target: int) -> Optional[int]:
         """The fewest elements of a nonempty subset summing to ``target``."""
         return self.suffix[0].get(target)
@@ -258,11 +250,6 @@ class _DictTable:
         """``count`` elements of ``values[i:]``, and no fewer, sum to ``rest``;
         a count of 0 is the empty completion, so rest must be 0."""
         return rest == 0 if count == 0 else self.suffix[i].get(rest) == count
-
-    def reached(self, count: int, sums: set[int]) -> list[int]:
-        """Those of ``sums`` that ``count`` elements, and no fewer, reach."""
-        fewest = self.suffix[0]
-        return [s for s in sums if fewest.get(s) == count]
 
 
 def _fewest_table(
@@ -485,25 +472,36 @@ def _equal_sum_subsets(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """First (by |I1|, then I1 lex) pair of nonempty index subsets with equal
     sums; the matching I2 is itself (size, lex)-minimal for its sum.  An
-    exponent above the other side's total is in no pair, so each side's
-    fewest-elements table holds the others only.  I1 is the least
-    ``_pick_subset`` of a over the sums both tables reach that the fewest
-    elements of a reach: the first count at which exactly that many elements
-    of a reach a shared sum, since a sum reached with fewer would have been
-    reached at a lower count.  No shared sum answers None."""
+    exponent above the other side's total is in no pair, so each side drops
+    those first.  When a's sums fit a bitset, a's table grows one count at a
+    time until its row meets b's sums; I1 is the least ``_pick_subset`` of a
+    over the sums met there, none of which fewer elements reach.  Otherwise
+    a's subsets are walked by (size, lex) against b's table, so a difference
+    past the bitset with no equal sums still costs 2^|a| subsets."""
     kept_a = [i for i, e in enumerate(a, start=1) if e <= sum(b)]
     kept_b = [j for j, e in enumerate(b, start=1) if e <= sum(a)]
     a, b = tuple(a[i - 1] for i in kept_a), tuple(b[j - 1] for j in kept_b)
-    left, right = _fewest_table(a), _fewest_table(b)
-    shared = set(left.sums()).intersection(right.sums())
-    for need in range(1, len(a) + 1) if shared else ():
-        sums = left.reached(need, shared)
-        if sums:
-            i1 = min(_pick_subset(a, left, s) for s in sums)
-            total = sum(a[i - 1] for i in i1)
-            i2 = _pick_subset(b, right, total)
-            return tuple(kept_a[i - 1] for i in i1), tuple(kept_b[j - 1] for j in i2), total
-    return None
+    if not a or not b:
+        return None
+    right = _fewest_table(b)
+    if sum(a) < _BITSET_LIMIT:
+        left = _BitTable(a, 0)  # no positive subset sums to 0: only the reach is built
+        shared, hits = left.reach & _sum_bits(b), 0
+        while shared and not hits:  # each shared sum is reached within len(a) counts
+            hits = left.grow() & shared
+        i1 = min((_pick_subset(a, left, s) for s in _set_bits(hits)), default=None)
+    else:
+        subsets = (
+            combo
+            for size in range(1, len(a) + 1)
+            for combo in itertools.combinations(range(1, len(a) + 1), size)
+        )
+        i1 = next((c for c in subsets if right.size(sum(a[i - 1] for i in c)) is not None), None)
+    if i1 is None:
+        return None
+    total = sum(a[i - 1] for i in i1)
+    i2 = _pick_subset(b, right, total)
+    return tuple(kept_a[i - 1] for i in i1), tuple(kept_b[j - 1] for j in i2), total
 
 
 # -- exclusive variables and l.e.v. shapes -----------------------------------
@@ -919,13 +917,19 @@ def _subset_sums(values: list[int]) -> set[int]:
     return sums
 
 
-def _sum_bits(values: list[int]) -> int:
+def _sum_bits(values: Iterable[int]) -> int:
     """The nonempty subset sums of positive values as one int: bit s is set
     when some nonempty subset sums to s."""
     bits = 0
     for c in values:
         bits |= bits << c | 1 << c
     return bits
+
+
+def _set_bits(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, in increasing order."""
+    digits = bin(bits)[:1:-1]  # digits[i] is bit i
+    return [i for i, d in enumerate(digits) if d == "1"]
 
 
 def _zero_sum_free(values: list[int]) -> bool:

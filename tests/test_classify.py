@@ -128,10 +128,10 @@ def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
         return build(values)
 
     monkeypatch.setattr(classify_mod, "_fewest_table", counted)
-    # each side's table is built once; 20 exceeds the right side's total 6,
-    # so the left table leaves it out
+    # 20 exceeds the right side's total 6 and is dropped; a's bitset meets
+    # b's sums at one element, 6, and b's table is built once
     assert classify_mod._equal_sum_subsets((1, 20, 6), (4, 2)) == ((3,), (1, 2), 6)
-    assert builds == [(1, 6), (4, 2)]
+    assert builds == [(4, 2)]
 
     # 2^10 subsets of the left exponents, none of whose sums the right reaches
     left = [2**i for i in range(10)]
@@ -142,7 +142,7 @@ def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
     builds.clear()
     p = parse(text)
     v = classify(p)
-    assert builds == [tuple(left), ()]  # every right exponent exceeds 1023
+    assert builds == []  # every right exponent exceeds 1023: no pair, no table
     assert (v.status, v.injective) == (NOT_PR, "no")
     assert v.certificate == Certificate(
         "MultiplicativeRado",
@@ -163,11 +163,15 @@ def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
         ([2] * 24, 70_001, NOT_PR),  # the right side's table in dicts
         ([2 ** (16 + i) for i in range(24)], 2**16, PR),  # 2^24 left sums past the bitsets, I1 = [1]
         ([2] * 24, 48, PR),  # I1 is all 24 exponents, each smaller subset missing 48
+        # every exponent is at most the other side's total; the walk past the
+        # bitsets stops at I1 = [1] against a right table of two exponents
+        ([2 ** (16 + i) for i in range(24)], (2**16, 2**39), PR),
     ],
 )
 def test_monomial_difference_answers_without_walking_every_subset(left, right, status):
+    rhs = {"z": right} if isinstance(right, int) else dict(zip("zw", right))
     p = Polynomial.from_terms(
-        [(1, {f"a{i:02d}": e for i, e in enumerate(left)}), (-1, {"z": right})]
+        [(1, {f"a{i:02d}": e for i, e in enumerate(left)}), (-1, rhs)]
     )
     started = time.perf_counter()
     v = classify(p)
@@ -177,9 +181,10 @@ def test_monomial_difference_answers_without_walking_every_subset(left, right, s
 
 
 def test_monomial_difference_past_the_bitset_walks_to_no_equal_sums():
-    # the left exponents total 70,000 >= 2^16, so no bitset of a's sums is
-    # built and the walk over a's subsets runs to its end without a match
-    p = parse("x^40000*y^30000 - z^3")
+    # w's 70,003 exceeds the left total 70,000 and is dropped, while both
+    # left exponents stay; they total 70,000 >= 2^16, so no bitset of a's
+    # sums is built and the walk over a's subsets runs to its end against z^3
+    p = parse("x^40000*y^30000 - z^3*w^70003")
     v = classify(p)
     assert (v.status, v.certificate.theorem) == (NOT_PR, "MultiplicativeRado")
     assert v.trace[-1] == "multiplicative: no nonempty exponent subsets with equal sums"
