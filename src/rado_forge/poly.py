@@ -169,10 +169,18 @@ class DegreeProfile:
 class Polynomial:
     """Canonical multivariate integer polynomial with zero constant term."""
 
-    __slots__ = ("monomials", "variables")
+    __slots__ = (
+        "monomials", "variables", "coefficients",
+        "is_linear", "is_lev", "is_homogeneous", "is_one_signed",
+    )
 
     monomials: tuple[Monomial, ...]
     variables: tuple[str, ...]  # all variables, sorted lexicographically by name
+    coefficients: tuple[int, ...]
+    is_linear: bool
+    is_lev: bool  # linear in each variable: partial degree equal to one
+    is_homogeneous: bool
+    is_one_signed: bool  # every coefficient has one sign: no solution in the positive integers
 
     def __init__(self, monomials: Iterable[Monomial]):
         given = list(monomials)
@@ -189,8 +197,19 @@ class Polynomial:
         if not combined:
             raise EmptyPolynomialError()
         ordered, names = _canonical_sort(combined)
-        object.__setattr__(self, "monomials", ordered)
-        object.__setattr__(self, "variables", names)
+        degrees = [m.degree for m in ordered]
+        coefficients = tuple(m.coefficient for m in ordered)
+        shape = {
+            "monomials": ordered,
+            "variables": names,
+            "coefficients": coefficients,
+            "is_linear": all(d == 1 for d in degrees),
+            "is_lev": all(d == len(m.exponents) for d, m in zip(degrees, ordered)),
+            "is_homogeneous": len(set(degrees)) == 1,
+            "is_one_signed": len({c > 0 for c in coefficients}) == 1,
+        }
+        for name, value in shape.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -210,31 +229,9 @@ class Polynomial:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple(m.coefficient for m in self.monomials)
-
     def degree_of(self, var: str) -> int:
         """Degree of ``var`` in the polynomial: max exponent over monomials."""
         return max(m.degree_of(var) for m in self.monomials)
-
-    @property
-    def is_linear(self) -> bool:
-        return all(m.degree == 1 for m in self.monomials)
-
-    @property
-    def is_lev(self) -> bool:
-        """Linear in each variable: partial degree equal to one."""
-        return all(e == 1 for m in self.monomials for _, e in m.exponents)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len({m.degree for m in self.monomials}) == 1
-
-    @property
-    def is_one_signed(self) -> bool:
-        """Every coefficient has one sign: no solution in the positive integers."""
-        return len({m.coefficient > 0 for m in self.monomials}) == 1
 
     def degree_profile(self) -> DegreeProfile:
         degrees = {v: self.degree_of(v) for v in self.variables}

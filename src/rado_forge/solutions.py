@@ -24,24 +24,21 @@ one solve step: divide, then take an exact root by integer Newton steps
 (``_integer_root``), none of them taken when the target's bit length alone
 puts the root above the caller's bound.
 The oracle solves for the last variable when it occurs with one exponent.
-The layers pick it by the form's shape, not its name: a variable v that
-occurs in one monomial c*v^e only, every other term having the sign opposite
-to c, bounds the walk (the later name wins a tie); failing one, the last
-variable when it occurs with one exponent; failing that, no variable, and the
-grid is walked.  With a bounding v every other term grows with each value,
-and a root is at most N exactly when they sum to at most |c|*N^e in absolute
-value, so the walk over prefixes stops raising a position once the prefix,
-completed with the least values its blocks allow, passes that sum.  Every
-tuple either enumerator emits is re-verified through ``evaluate``.
+The layers pick it by the form's shape, not its name (``_solved_position``),
+and one walk serves every choice (``_walker``): every monomial rises in each
+variable, so the completions of a prefix bound p from below and from above,
+and a position stops rising once 0 falls outside a bound that its value
+moves away from 0.  Every tuple either enumerator emits is re-verified
+through ``evaluate``.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .poly import Polynomial
 
@@ -119,16 +116,15 @@ def _solve(lead: int, rest: int, e: int, bound: int) -> Optional[int]:
     return _integer_root(target, e)
 
 
-def _isolation_split(p: Polynomial, var: Optional[str] = None):
-    """If p has two or more variables and every monomial containing ``var``
-    (the last variable by default) uses the same exponent e, return
-    (e, with_terms, without_terms): the terms drop that variable and key each
-    remaining exponent by its position in ``p.variables``.  Else None."""
+def _isolation_split(p: Polynomial):
+    """If p has two or more variables and every monomial containing the
+    last variable uses the same exponent e, return (e, with_terms,
+    without_terms): the terms drop that variable and key each remaining
+    exponent by its position in ``p.variables``.  Else None."""
     variables = p.variables
     if len(variables) < 2:
         return None
-    if var is None:
-        var = variables[-1]
+    var = variables[-1]
     exponents = {m.degree_of(var) for m in p.monomials if m.degree_of(var) >= 1}
     if len(exponents) != 1:
         return None
@@ -144,17 +140,20 @@ def _isolation_split(p: Polynomial, var: Optional[str] = None):
     return exponents.pop(), with_terms, without_terms
 
 
-def _term_value(terms, prefix: tuple[int, ...], floor: Optional[int] = None) -> int:
+def _term_value(terms, prefix: Sequence[int], floor: Optional[int] = None) -> int:
     """Sum over the terms of coeff * prod(prefix[i] ** e).  With a ``floor``
-    below 0 and every coefficient negative, a power x^e that alone passes the
-    floor is not computed, since x^e >= 2^((x.bit_length() - 1) * e): the sum
-    is then below the floor, and ``floor - 1`` stands for it."""
+    and the positive terms first, a negative term's power x^e that alone
+    takes the sum below the floor is not computed, since
+    x^e >= 2^((x.bit_length() - 1) * e): the sum is then below the floor, and
+    ``floor - 1`` stands for it."""
     total = 0
     for coeff, exps in terms:
         for i, e in exps:
             if e == 1:
                 coeff *= prefix[i]
-            elif floor is not None and (prefix[i].bit_length() - 1) * e >= (-floor).bit_length():
+            elif floor is not None and coeff < 0 and (
+                (prefix[i].bit_length() - 1) * e >= (total - floor).bit_length()
+            ):
                 return floor - 1
             else:
                 coeff *= prefix[i] ** e
@@ -232,104 +231,109 @@ def brute_force_solutions(
     return results
 
 
-def _with_max(n: int, sizes: list[int]) -> Iterator[tuple[int, ...]]:
-    """The tuples of [1..n] whose largest entry is n and that are nondecreasing
-    inside each block, for consecutive blocks of the given sizes, singletons
-    last; grouped by the block of their first n.  The singletons are one
-    product, so with all singleton blocks this walks the n^k - (n-1)^k tuples
-    of [1..n]^k whose largest entry is n."""
-    below, upto = range(1, n), range(1, n + 1)
-    for first in range(len(sizes)):
-        parts, singles = [], []
-        for j, size in enumerate(sizes):
-            values = below if j < first else upto
-            if size == 1:
-                singles.append((n,) if j == first else values)
-            elif j == first:  # nondecreasing, so n comes last
-                tops = itertools.combinations_with_replacement(upto, size - 1)
-                parts.append(map(operator.add, tops, itertools.repeat((n,))))
-            else:
-                parts.append(itertools.combinations_with_replacement(values, size))
-        if singles:
-            parts.append(itertools.product(*singles))
-        if len(parts) == 1:
-            yield from parts[0]
-        else:  # concatenate one tuple from each part
-            yield from map(sum, itertools.product(*parts), itertools.repeat(()))
+def _lone(p: Polynomial) -> dict[int, int]:
+    """The positions of the variables that occur in one monomial c*v^e
+    only, each with its c; none when p has fewer than two variables."""
+    counts = collections.Counter(v for m in p.monomials for v, _ in m.exponents)
+    alone = ((m.exponents[0][0], m.coefficient) for m in p.monomials if len(m.exponents) == 1)
+    return {p.variables.index(v): c for v, c in alone if counts[v] == 1 and len(counts) > 1}
 
 
-def _bounds_walk(split) -> bool:
-    """Whether an ``_isolation_split`` solves for a variable v that occurs in
-    one monomial c*v^e only, every other term having the sign opposite to c.
-    Then each other term grows with each value, and the root is at most N
-    exactly when their sum is at most |c|*N^e in absolute value."""
-    if not split:
-        return False
-    _, lead_terms, rest_terms = split
-    (c, exps), *more = lead_terms
-    return not more and not exps and all(d * c < 0 for d, _ in rest_terms)
+def _bounding(p: Polynomial, lone: dict[int, int]) -> list[int]:
+    """The lone positions whose monomial is the only one of its sign."""
+    return [i for i, c in lone.items() if sum(m.coefficient * c > 0 for m in p.monomials) == 1]
 
 
 def _solved_position(p: Polynomial) -> Optional[int]:
-    """The position of the variable the enumerator solves for: the last one
-    whose split bounds the walk (``_bounds_walk``), else the last variable
-    when ``_isolation_split`` applies to it, else None (the grid is walked).
-    A bounding variable leaves no more candidates than any other choice."""
-    variables = p.variables
-    for i in reversed(range(len(variables))):
-        if _bounds_walk(_isolation_split(p, variables[i])):
-            return i
-    return len(variables) - 1 if _isolation_split(p) else None
+    """The position of the variable the layers solve for, the later name
+    winning a tie: one that bounds the walk (``_bounding``), which leaves the
+    fewest candidates; else a lone one (``_lone``); else the last variable
+    when ``_isolation_split`` applies to it; else None (the grid is walked)."""
+    lone = _lone(p)
+    chosen = _bounding(p, lone) or lone
+    if chosen:
+        return max(chosen)
+    return len(p.variables) - 1 if _isolation_split(p) else None
 
 
-def _with_max_bounded(
-    n: int, sizes: list[int], terms: list, floor: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """The tuples of ``_with_max(n, sizes)`` at which the terms sum to at
-    least ``floor``, each with that sum.  Every coefficient is negative, so
-    the sum falls as any entry rises.  The walk sets one position at a time
-    and completes the tuple with the least values its blocks allow: the value
-    just set for the rest of its block, n at the last position of the block
-    that holds the first n, and 1 elsewhere.  No tuple below a completion
-    sums to more than it, so a position stops rising once its completion
-    sums below ``floor``.  A power that alone passes the floor is not
-    computed (``_term_value``), so a huge exponent costs nothing."""
+def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Callable:
+    """The walk of layer n: the prefixes of [1..n] with largest entry n,
+    nondecreasing inside blocks of the given sizes, at which lo..hi plus the
+    terms (keyed by prefix position; one past it is the variable solved for,
+    in [1..max_n]) can reach 0, each with the first sum below.  Grouped by
+    the block holding the first n, at its top, it sets one position at a
+    time.  The terms lie between the first sum, positive terms at the
+    greatest completion (n - 1 in the blocks before that one, n after) and
+    negative ones at the least (the value just set for the rest of its
+    block, 1 elsewhere), and the second sum, the other way round.  A prefix
+    is kept while the first reaches -hi and the second stays at most -lo; a
+    position stops rising once a sum that its value only moves away fails.
+    A leaf's first sum is the terms' value there, unless they hold the
+    variable solved for.  ``_term_value`` skips powers that decide a sum."""
+    terms = sorted(terms, key=lambda term: term[0] < 0)  # positive terms first
+    up = {i for c, exps in terms if c > 0 for i, _ in exps}
+    down = {i for c, exps in terms if c < 0 for i, _ in exps}
+    always = not up and -sum(c for c, _ in terms) >= lo  # each term is at most its coefficient
     k = sum(sizes)
+    # t holds the least completion, then the greatest, which positive terms read in the first sum
+    first_sum = [(c, [(i + (k + 1) * (c > 0), e) for i, e in exps]) for c, exps in terms]
+    second_sum = [(c, [(i + (k + 1) * (c < 0), e) for i, e in exps]) for c, exps in terms]
     ends = list(itertools.accumulate(sizes))  # one past each block
     block_ends = [stop for stop, size in zip(ends, sizes) for _ in range(size)]
-    found: list[tuple[tuple[int, ...], int]] = []
+    groups = []
     for first, end in enumerate(ends):
         top, start = end - 1, end - sizes[first]  # t[top] = n; the blocks before stay below n
         stops = block_ends[:start] + [top] * (top - start) + block_ends[top:]  # j's value fills t[j:stops[j]]
-        t = [1] * k
-        t[top] = n
+        groups.append((top, start, stops))
+    floor, ceiling = -hi, -lo  # the first sum's least value, the second's greatest
 
-        def walk(j: int, total: int) -> None:
-            if j == top:
-                j += 1
-            if j == k:
-                found.append((tuple(t), total))
-                return
-            low, stop = t[j], stops[j]
-            for x in range(low, n if j < start else n + 1):
-                if x > low:
+    def layer(n: int) -> list[tuple[tuple[int, ...], int]]:
+        found: list[tuple[tuple[int, ...], int]] = []
+        for top, start, stops in groups:
+            t = [1] * (k + 1) + [n - 1] * start + [n] * (k - start) + [max_n]
+            t[top] = n
+
+            def walk(j: int, total: int) -> None:
+                if j == top:
+                    j += 1
+                if j == k:
+                    found.append((tuple(t[:k]), total))
+                    return
+                h = k + 1 + j  # j's place in the greatest completion
+                x0, stop, last, rises = t[j], stops[j], t[h], j in up
+                sure = always
+                for x in range(x0, last + 1):
                     t[j:stop] = [x] * (stop - j)
-                    total = _term_value(terms, t, floor)
+                    t[h] = x
+                    if x > x0 or rises:  # else the first sum is the one passed in
+                        total = _term_value(first_sum, t, floor)
                     if total < floor:
+                        if rises:
+                            continue
                         break
-                walk(j + 1, total)
-            t[j:stop] = [low] * (stop - j)
+                    if not sure:
+                        if _term_value(second_sum, t, ceiling + 1) > ceiling:
+                            if j in down:
+                                continue
+                            break
+                        sure = up.isdisjoint(range(j, stop))  # else it may rise again
+                    walk(j + 1, total)
+                t[j:stop] = [x0] * (stop - j)
+                t[h] = last
 
-        total = _term_value(terms, t, floor)
-        if total >= floor:
-            walk(0, total)
-    return found
+            total = _term_value(first_sum, t, floor)
+            if total >= floor and (always or _term_value(second_sum, t, ceiling + 1) <= ceiling):
+                walk(0, total)
+        return found
+
+    return layer
 
 
 def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[int, ...]]:
     """The enumerated positions of p (every variable but the one at
     ``solved``, from ``_solved_position``) in blocks of interchangeable variables,
-    largest block first.  Two variables are interchangeable when swapping them
+    largest block first; lone variables (``_lone``) last when none bounds.
+    Two variables are interchangeable when swapping them
     maps p to p or -p; that is an equivalence, so each position is tested
     against the first member of each block.  The test compares the canonical
     terms that ``Polynomial`` equality compares, without building each
@@ -352,7 +356,9 @@ def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[
                 break
         else:
             blocks.append([i])
-    return sorted(map(tuple, blocks), key=lambda block: (-len(block), block))
+    lone = _lone(p)
+    last = () if _bounding(p, lone) else lone  # without a bounding variable, lone ones last
+    return sorted(map(tuple, blocks), key=lambda block: (block[0] in last, -len(block), block))
 
 
 def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[list[tuple[int, ...]]]:
@@ -363,70 +369,62 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[list
     The candidate budget, ``DEFAULT_ENUM_BUDGET``, is checked for N
     before layer N is built; a one-signed form's layer is then empty.
 
-    The variable at ``_solved_position`` is solved for by ``_solve``:
-    layer N walks only the prefixes whose largest entry is N, and a root
-    above N waits for its own layer.  When that variable bounds the walk
-    (``_bounds_walk``), the walk skips the prefixes whose root would exceed
-    max_n (``_with_max_bounded``); otherwise it walks every prefix, and a
-    prefix that every value solves joins each later layer.  With no variable solved
-    for, layer N walks the tuples of [1..N]^k whose largest entry is N.
-    Every emitted tuple is re-verified through ``evaluate``.
+    Layer N walks only the prefixes whose largest entry is N and whose
+    completions can reach 0 (``_walker``).  The variable at
+    ``_solved_position`` is solved for by ``_solve``, and a root above N
+    waits for its own layer; a prefix that every value solves joins each
+    later layer.  With no variable solved for, the walk's leaves are the
+    solutions.  Every emitted tuple is re-verified through ``evaluate``.
     """
     k = len(p.variables)
     position = _solved_position(p)
     blocks = _interchangeable_blocks(p, position)
     order = [i for block in blocks for i in block]
-    split = position is not None and _isolation_split(p, p.variables[position])
-    if split:
+    sizes = [len(block) for block in blocks]
+    if position is not None:
         order.append(position)
     variables = [p.variables[i] for i in order]
-    sizes = [len(block) for block in blocks]
-    bounded = _bounds_walk(split)
-    if split:
-        e, lead_terms, rest_terms = split
-        at = {i: j for j, i in enumerate(order)}  # name position -> tuple position
-        lead_terms, rest_terms = (
-            [(c, [(at[i], d) for i, d in exps]) for c, exps in terms]
-            for terms in (lead_terms, rest_terms)
-        )
-    if bounded:  # c * v^e = -rest, with c > 0 once p is negated if need be
-        [(c, _)] = lead_terms
-        if c < 0:
-            c, rest_terms = -c, [(-d, exps) for d, exps in rest_terms]
-        floor = -c * max_n**e  # the least rest of a root <= max_n
+    at = {v: j for j, v in enumerate(variables)}  # name -> tuple position
+    terms = [(m.coefficient, [(at[v], d) for v, d in m.exponents]) for m in p.monomials]
+    lo = hi = 0  # c*v^e over v in [1..max_n], for a constant lead c > 0
+    if position is not None:
+        e = p.degree_of(variables[-1])  # its one exponent
+        lead_terms = [(c, [x for x in exps if x[0] != k - 1]) for c, exps in terms if (k - 1, e) in exps]
+        rest_terms = [(c, exps) for c, exps in terms if (k - 1, e) not in exps]
+        if len(lead_terms) == 1 and not lead_terms[0][1]:  # a lone c*v^e, negated if need be
+            c = lead_terms[0][0]
+            terms = [(d if c > 0 else -d, exps) for d, exps in rest_terms]
+            lo, hi = abs(c), abs(c) * max_n**e
+    walk = None if p.is_one_signed else _walker(sizes, terms, lo, hi, max_n)
     pending: dict[int, list[tuple[int, ...]]] = {}  # root -> solutions
     free: list[tuple[int, ...]] = []  # prefixes that every value solves
 
     for n in range(1, max_n + 1):
         _check_candidates(n, sizes)
-        if p.is_one_signed:
+        if walk is None:
             yield []
             continue
-        if split:
-            solved = pending.pop(n, []) + [prefix + (n,) for prefix in free]
-            if bounded:  # every root is at least 1 and at most max_n
-                found = _with_max_bounded(n, sizes, rest_terms, floor)
-                walk = ((prefix, c, rest) for prefix, rest in found)
+        found = pending.pop(n, []) + [prefix + (n,) for prefix in free]
+        for prefix, total in walk(n):
+            if position is None:  # the terms are p, and total == 0
+                found.append(prefix)
+                continue
+            if lo:  # the terms are the rest, and total their value
+                root = _solve(lo, total, e, max_n)
             else:
-                walk = (
-                    (prefix, _term_value(lead_terms, prefix), _term_value(rest_terms, prefix))
-                    for prefix in _with_max(n, sizes)
-                )
-            for prefix, lead, rest in walk:
-                root = _solve(lead, rest, e, max_n)
-                if root == 0:
-                    free.append(prefix)
-                    solved.extend(prefix + (z,) for z in range(1, n + 1))
-                elif root is not None and root <= max_n:
-                    (solved if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
+                root = _solve(_term_value(lead_terms, prefix), _term_value(rest_terms, prefix), e, max_n)
+            if root == 0:
+                free.append(prefix)
+                found.extend(prefix + (z,) for z in range(1, n + 1))
+            elif root is not None and root <= max_n:
+                (found if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
         solutions = []
-        for t in solved if split else _with_max(n, sizes):
+        for t in found:
             if injective and len(set(t)) < k:
                 continue
             assignment = dict(zip(variables, t))
-            if p.evaluate(assignment) == 0:
-                solutions.append(t)
-            elif split:  # independent re-verification of a solved tuple
+            if p.evaluate(assignment) != 0:  # independent re-verification
                 raise AssertionError(f"enumerator produced a non-solution: {assignment}")
+            solutions.append(t)
         solutions.sort()
         yield solutions

@@ -388,16 +388,38 @@ def _lex_reduct_solution(
     return tuple(chosen), nodes
 
 
+# the first 13 primes; as Miller-Rabin bases they decide every n below
+# _WITNESS_BOUND (Sorenson & Webster, Math. Comp. 86, 2017)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality: the small primes screen n, which settles it below
+    43^2; then Miller-Rabin with the small primes as bases below
+    ``_WITNESS_BOUND``, and trial division above it."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True
+    if n >= _WITNESS_BOUND:
+        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

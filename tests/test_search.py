@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import itertools
 import json
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -68,7 +69,9 @@ def _oracle_layers(p, n, injective):
         "x1 + x2 - y1*y2",  # roots at or below N join layer N; the lead varies
         "x*z - y*z + x - y",  # x = y: every z solves
         "x^2 + y^2 - z^2",  # the solved variable has exponent 2
-        "x*z^2 + z - y",  # z is not isolable: the full grid is walked
+        "x*z^2 + z - y",  # y bounds the walk, though z is not isolable
+        "a*c + b*c - c^2",  # no variable is isolable: the grid is walked, a and b as one block
+        "x1 + x2 + x3 - y1*y2",  # x3 stands alone and is solved for; y1, y2 are walked first
         "x + y - 2*z",  # z bounds the walk: prefixes stop once 2z would pass N
         "z - x - 3*y",  # a positive lead
         "x^2 + y^2 - 2*z^2",
@@ -98,13 +101,16 @@ def test_layered_enumeration_matches_oracle(text):
 
 @pytest.mark.parametrize("text", ["x + y - z", "x*z^2 + z - y", "x^2 - x"])
 def test_enumeration_budget_message_matches_oracle(text, monkeypatch):
+    # the oracle and the search's layers raise in the same words; the layers
+    # are read to the end, since every search of x^2 - x is Forced at 1
     monkeypatch.setattr(solutions, "DEFAULT_ENUM_BUDGET", 30)
     p = parse(text)
     with pytest.raises(SearchSpaceTooLargeError) as oracle:
         brute_force_solutions(p, 40)
     with pytest.raises(SearchSpaceTooLargeError) as layered:
-        enumerate_constraints(p, 40)
-    assert str(layered.value) == str(oracle.value)
+        list(solutions.solution_layers(p, 40, False))
+    for error in (oracle, layered):
+        assert re.fullmatch(r"\d+ candidate tuples exceed the budget of 30", str(error.value))
 
 
 @pytest.mark.parametrize("text", ["x + 2*y - z", "x + 2*y + z"])
@@ -137,8 +143,7 @@ def test_one_signed_search_reads_empty_layers_without_a_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("a one-signed form has no positive solutions to walk for")
 
-    for name in ("_with_max", "_with_max_bounded"):
-        monkeypatch.setattr(solutions, name, refuse)
+    monkeypatch.setattr(solutions, "_walker", refuse)
     outcome = find_bad_coloring(parse("x + y + z"), 2, 1500)
     assert (outcome.kind, outcome.coloring.colors) == (BAD_COLORING, (0,) * 1500)
     assert (outcome.stats.nodes, outcome.stats.constraints) == (1500, 0)
@@ -459,7 +464,7 @@ def test_search_reads_layers_only_as_it_reaches_them():
         ("x + 2*y - z", []),
         ("x^2 + y^2 - z^2", [{"x", "y"}]),
         ("x*z - y*z + x - y", [{"x", "y"}]),  # the swap maps p to -p
-        ("x1 + x2 - y1*y2", [{"x1", "x2"}]),  # y2 is solved for, so y1 stands alone
+        ("x1 + x2 - y1*y2", [{"y1", "y2"}]),  # x2 stands alone and is solved for
         ("x1*y1 + x2*y1*y2 - x3", [{"x2", "y2"}]),  # x3 bounds the walk and is solved for
     ],
 )
@@ -571,6 +576,15 @@ def test_outcome_does_not_depend_on_spelling(text, r, n):
         assert _untimed(find_bad_coloring(p, r, n)) == expected, p
 
 
+def test_injective_outcome_does_not_depend_on_spelling():
+    # a lone linear variable is solved for on whichever side of the product
+    # its name sorts, and the product's block is walked first
+    spellings = ["x1 + x2 + x3 - y1*y2", "y1 + y2 + y3 - x1*x2", "x1*x2 - y1 - y2 - y3"]
+    outcomes = [_untimed(find_bad_coloring(parse(t), 2, 19, injective=True)) for t in spellings]
+    assert outcomes[0][0] == FORCED
+    assert outcomes == outcomes[:1] * 3
+
+
 def test_respelled_form_reads_no_more_candidates(monkeypatch):
     # solving x5 + x2 + x3 + x4 = x1 for x5, the last name, would count
     # C(n + 2, 3) * n prefixes (505,981 > 500,000 at layer 41); x1 bounds the
@@ -613,16 +627,22 @@ def _bounded_polynomials(draw):
 @example(parse("3*x + y - z"), True, 14)
 @example(parse("x1*y1 + x2*y1*y2 - x3"), False, 14)
 def test_bounded_layers_match_unbounded_layers(p, injective, n):
+    # the walk cut on both sides keeps every solution: each layer is a plain
+    # filter of [1..n]^k, in the layers' variable order (blocks, then the
+    # bounding variable solved for) and nondecreasing inside each block
     solved = solutions._solved_position(p)
-    assert solutions._bounds_walk(solutions._isolation_split(p, p.variables[solved]))
-    bounded = list(solutions.solution_layers(p, n, injective))
-    with pytest.MonkeyPatch.context() as patch:
-        # without the bound another variable would be solved for, and the
-        # tuples would list the variables in another order
-        patch.setattr(solutions, "_solved_position", lambda p: solved)
-        patch.setattr(solutions, "_bounds_walk", lambda split: False)
-        unbounded = list(solutions.solution_layers(p, n, injective))
-    assert bounded == unbounded
+    assert solved in solutions._bounding(p, solutions._lone(p))
+    blocks = solutions._interchangeable_blocks(p, solved)
+    variables = [p.variables[i] for block in blocks for i in block] + [p.variables[solved]]
+    ends = list(itertools.accumulate(map(len, blocks)))
+    rising = [j for j in range(len(variables) - 1) if j + 1 not in ends]  # t[j] <= t[j + 1]
+    expected = [[] for _ in range(n)]
+    for t in itertools.product(range(1, n + 1), repeat=len(variables)):
+        if any(t[j] > t[j + 1] for j in rising) or (injective and len(set(t)) < len(t)):
+            continue
+        if p.evaluate(dict(zip(variables, t))) == 0:
+            expected[max(t) - 1].append(t)
+    assert list(solutions.solution_layers(p, n, injective)) == expected
 
 
 def test_candidate_wall_counts_representatives():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -20,7 +21,7 @@ from gen_support import (
 )
 from rado_forge import solutions, witness
 from rado_forge.classify import nonlinear_shape
-from rado_forge.poly import parse
+from rado_forge.poly import Polynomial, parse
 from rado_forge.witness import (
     GValuesNotDistinctError,
     HypothesisFailure,
@@ -187,7 +188,7 @@ def test_nlp_lift_checks_survive_python_O():
     script = f"""
 import dataclasses
 from rado_forge.classify import nonlinear_shape
-from rado_forge.poly import parse
+from rado_forge.poly import Polynomial, parse
 from rado_forge.witness import nlp_lift
 p = parse({WORKED!r})
 shape, _ = nonlinear_shape(p)
@@ -454,6 +455,31 @@ def test_find_reduct_solution_is_lexicographic_minimum(minimum, distinct):
 def test_primes_above():
     assert primes_above(10, 3) == (11, 13, 17)
     assert primes_above(1, 2) == (2, 3)
+
+
+def test_primes_above_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    below = [n for n in range(10**5) if trial(n)]
+    assert primes_above(0, len(below)) == tuple(below)
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases, then primes
+    for n in (3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+        assert not witness._is_prime(n)
+    assert witness._is_prime(2**61 - 1)
+    assert primes_above(10**18, 2) == (10**18 + 3, 10**18 + 9)
+
+
+def test_default_lift_of_a_long_product_form_answers():
+    # the primes above the constructed values (about 10^13) take Miller-Rabin
+    # steps, not trial division
+    rng = random.Random(1)
+    coeffs = [rng.choice((-1, 1)) * rng.randint(1, 50) for _ in range(40)]
+    p = Polynomial.from_terms([(c, {f"x{i}": 1, f"y{i}": 1}) for i, c in enumerate(coeffs)])
+    started = time.perf_counter()
+    [found] = build_witness(p)
+    assert time.perf_counter() - started < 1.0
+    assert p.evaluate(found.assignment) == 0 and found.injective
 
 
 def test_witness_via_reduct_default_injective():
