@@ -19,9 +19,11 @@ verdict's claim, ring Z included, see ``replay_certificate``.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .poly import Monomial, Polynomial, monomial_gcd, parse
 
@@ -161,136 +163,122 @@ def _unknown(*failures: str) -> Verdict:
 # -- zero-sum subsets --------------------------------------------------------
 
 
-# Subset sums of coefficients whose magnitudes total less than this are kept
-# as bitsets, one int per row; at or above it as sparse dicts.  A bitset row
-# costs sum(|c|) bits however few sums it holds, so this is a fixed cost rule,
-# not a setting.  Certificate replay splits its sums by sign and applies the
-# same rule to each side's total.
+# Subset sums of values whose magnitudes total less than this are kept as
+# bitsets, one int per row; at or above it as sets.  A bitset row costs
+# sum(|c|) bits however few sums it holds, so this is a fixed cost rule, not
+# a setting.  Certificate replay splits its sums by sign and applies the same
+# rule to each side's total.
 _BITSET_LIMIT = 1 << 16
 
 
-class _BitTable:
-    """Fewest-elements table as bitsets, for sum(|values|) < _BITSET_LIMIT.
+def _shift_bits(row: int, v: int) -> int:
+    return row << v if v > 0 else row >> -v
 
-    ``exact[i][j]`` has bit s + offset set when exactly j elements of
-    ``values[i:]`` sum to s, where offset is the total magnitude of the
-    negative values, so no sum has a negative bit index.  Counts are added
-    one at a time, by ``grow``, until row 0 holds ``target``, so only that
-    target may be asked for; without one, every count is added.  ``reach``
-    holds every nonempty subset sum, so a target no subset reaches costs one
-    pass.
+
+def _shift_set(row: set[int], v: int) -> set[int]:
+    return {s + v for s in row}
+
+
+class _SubsetTable:
+    """Subset sums by count: ``exact[i][j]`` holds the sums of exactly j
+    elements of ``values[i:]``.  ``grow`` adds the next count to every
+    suffix, and counts are added only as far as a question needs.
+
+    A dense row is an int with bit s + offset set for each sum s, where
+    offset is the total magnitude of the negative values, so no sum has a
+    negative bit index; a sparse row is a set of sums, never changed once
+    made.  Only the shift, ``has`` and ``sums`` know which kind a row is.  A dense table
+    also keeps ``reach``, every nonempty subset sum, so a question no subset
+    answers costs one pass; a sparse table could hold 2^k sums there, so it
+    grows to count k instead.
     """
 
-    def __init__(self, values: tuple[int, ...], target: Optional[int]):
-        self.values = values
-        self.offset = offset = -sum(c for c in values if c < 0)
-        reach = 0
-        for v in reversed(values):
-            reach |= (reach << v if v > 0 else reach >> -v) | 1 << (v + offset)
-        self.reach = reach
-        self.exact = [[1 << offset] for _ in range(len(values) + 1)]  # j = 0: the empty sum
-        if target is None:
-            for _ in values:
-                self.grow()
-        elif self._has(reach, target):
-            while not self._has(self.grow(), target):
-                pass
+    def __init__(self, values: tuple[int, ...], dense: bool):
+        self.values, self.dense = values, dense
+        self.offset = offset = -sum(c for c in values if c < 0) if dense else 0
+        self._shift = _shift_bits if dense else _shift_set
+        self._no_sums = 0 if dense else set()
+        if dense:
+            reach = 0
+            for v in reversed(values):
+                reach |= _shift_bits(reach, v) | 1 << (v + offset)
+            self.reach = reach
+        empty_sum = 1 << offset if dense else {0}
+        self.exact = [[empty_sum] for _ in range(len(values) + 1)]
 
-    def grow(self) -> int:
+    def grow(self) -> Any:
         """Add the next count j to every suffix's rows; returns ``exact[0][j]``."""
-        values, exact = self.values, self.exact
+        values, exact, shift = self.values, self.exact, self._shift
         k, j = len(values), len(exact[0])
-        row = 0  # exact[i + 1][j] as i falls
-        exact[k].append(0)
+        row = self._no_sums  # exact[i + 1][j] as i falls
+        exact[k].append(row)
         for i in range(k - 1, -1, -1):
-            v, fewer = values[i], exact[i + 1][j - 1]
-            row |= fewer << v if v > 0 else fewer >> -v
+            grown = shift(exact[i + 1][j - 1], values[i])  # a new row, so |= leaves rows alone
+            grown |= row
+            row = grown
             exact[i].append(row)
         return row
 
-    def _has(self, bits: int, s: int) -> bool:
+    def has(self, row: Any, s: int) -> bool:
+        """The row holds the sum ``s``."""
+        if not self.dense:
+            return s in row
         index = s + self.offset
-        return index >= 0 and bits >> index & 1 == 1
+        return index >= 0 and row >> index & 1 == 1
+
+    def sums(self, row: Any) -> list[int]:
+        """The sums in a row, in increasing order."""
+        if not self.dense:
+            return sorted(row)
+        digits = bin(row)[:1:-1]  # digits[i] is bit i
+        return [i - self.offset for i, d in enumerate(digits) if d == "1"]
+
+    def first(self, meets: Callable[[Any], Any]) -> Optional[int]:
+        """The least count j >= 1 whose row ``exact[0][j]`` meets the test,
+        growing the table to that count; None when no count's row does."""
+        if self.dense and not meets(self.reach):
+            return None
+        row = self.exact[0]
+        for j in range(1, len(self.values) + 1):
+            if meets(row[j] if j < len(row) else self.grow()):
+                return j
+        return None
 
     def size(self, target: int) -> Optional[int]:
         """The fewest elements of a nonempty subset summing to ``target``."""
-        if not self._has(self.reach, target):
-            return None
-        row = self.exact[0]
-        return next(j for j in range(1, len(row)) if self._has(row[j], target))
+        return self.first(lambda row: self.has(row, target))
 
     def completes(self, i: int, rest: int, count: int) -> bool:
         """Exactly ``count`` elements of ``values[i:]`` sum to ``rest``."""
-        return self._has(self.exact[i][count], rest)
+        return self.has(self.exact[i][count], rest)
 
-
-class _DictTable:
-    """Fewest-elements table as dicts, for sum(|values|) >= _BITSET_LIMIT:
-    ``suffix[i][s]`` is the fewest elements of a nonempty subset of
-    ``values[i:]`` summing to s; sums no such subset reaches are absent."""
-
-    def __init__(self, values: tuple[int, ...]):
-        k = len(values)
-        self.suffix = suffix = [{} for _ in range(k + 1)]
-        for i in range(k - 1, -1, -1):
-            v, rest = values[i], suffix[i + 1]
-            table = dict(rest)
-            for s, c in rest.items():
-                t = s + v
-                if c + 1 < table.get(t, k + 1):
-                    table[t] = c + 1
-            table[v] = 1
-            suffix[i] = table
-
-    def size(self, target: int) -> Optional[int]:
-        """The fewest elements of a nonempty subset summing to ``target``."""
-        return self.suffix[0].get(target)
-
-    def completes(self, i: int, rest: int, count: int) -> bool:
-        """``count`` elements of ``values[i:]``, and no fewer, sum to ``rest``;
-        a count of 0 is the empty completion, so rest must be 0."""
-        return rest == 0 if count == 0 else self.suffix[i].get(rest) == count
-
-
-def _fewest_table(
-    values: tuple[int, ...], target: Optional[int] = None
-) -> _BitTable | _DictTable:
-    """The fewest-elements table of ``values``, as bitsets when the
-    magnitudes total less than _BITSET_LIMIT and as dicts otherwise.  A
-    bitset table grows only as far as ``target`` needs, when one is given."""
-    if sum(map(abs, values)) < _BITSET_LIMIT:
-        return _BitTable(values, target)
-    return _DictTable(values)
-
-
-def _pick_subset(
-    values: tuple[int, ...], table: _BitTable | _DictTable, target: int
-) -> Optional[tuple[int, ...]]:
-    """The (size, lex)-minimal subset of ``_minimal_subset``, read off the
-    table ``_fewest_table(values)``."""
-    need = table.size(target)
-    if need is None:
-        return None
-    chosen: list[int] = []
-    remaining = target
-    i = 0
-    while need > 0:
-        # taking index i stays optimal iff the rest is completable by exactly
-        # need - 1 elements after it; no completion is shorter, since the
-        # chosen part plus a shorter one would beat the minimum
-        rest = remaining - values[i]
-        if table.completes(i + 1, rest, need - 1):
-            chosen.append(i + 1)
-            remaining = rest
-            need -= 1
-        i += 1
-    return tuple(chosen)
+    def pick(self, target: int) -> Optional[tuple[int, ...]]:
+        """The (size, lex)-minimal nonempty subset (1-based indices) summing
+        to ``target``; None if no subset does."""
+        need = self.size(target)
+        if need is None:
+            return None
+        values = self.values
+        chosen: list[int] = []
+        remaining = target
+        i = 0
+        while need > 0:
+            # taking index i stays optimal iff the rest is completable by exactly
+            # need - 1 elements after it; no completion is shorter, since the
+            # chosen part plus a shorter one would beat the minimum
+            rest = remaining - values[i]
+            if self.completes(i + 1, rest, need - 1):
+                chosen.append(i + 1)
+                remaining = rest
+                need -= 1
+            i += 1
+        return tuple(chosen)
 
 
 def _minimal_subset(values: tuple[int, ...], target: int) -> Optional[tuple[int, ...]]:
     """Smallest nonempty subset (by size, then lexicographic on 1-based
     indices) summing to ``target``; None if no such subset exists."""
-    return _pick_subset(values, _fewest_table(values, target), target)
+    return _SubsetTable(values, sum(map(abs, values)) < _BITSET_LIMIT).pick(target)
 
 
 def rado_condition(coeffs: list[int] | tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -299,16 +287,15 @@ def rado_condition(coeffs: list[int] | tuple[int, ...]) -> Optional[tuple[int, .
     Returns the smallest nonempty index subset J (1-based; ordered by size,
     then lexicographically) with sum(coeffs[j] for j in J) == 0, or None.
     Coefficients of one sign answer None at once: no nonempty subset of them
-    sums to 0.  Otherwise J comes from a fewest-elements table over the
-    suffixes coeffs[i:]: the size of J is the fewest elements reaching 0 in
-    the whole list, and J is rebuilt greedily, taking index i whenever the
-    rest of the target is reached by exactly one element fewer after it.
-    When sum(|c_i|) < _BITSET_LIMIT (2^16) the table is one bitset of sums
-    per suffix and count, grown count by count until 0 appears, so a row
-    costs sum(|c_i|) bits however many sums it holds.  Above it, each suffix
-    keeps a dict from each sum to its fewest elements, which holds at most
-    2^m - 1 entries for m values, so distinct subset sums still cost 2^k;
-    no budget bounds that.  Exhaustive subset enumeration is the test oracle.
+    sums to 0.  Otherwise a ``_SubsetTable`` of the suffixes coeffs[i:]
+    grows count by count until 0 is a sum of row 0, which gives |J|; J is
+    rebuilt greedily, taking index i whenever the rest of the target is a
+    sum of exactly one element fewer after it.  Below sum(|c_i|) =
+    _BITSET_LIMIT (2^16) the rows are bitsets, and a list whose subsets miss
+    0 costs one pass; at or above it they are sets, which a J of few
+    elements keeps small, and a list with no zero sum and distinct subset
+    sums grows to all 2^k of them, with no budget.  Exhaustive subset
+    enumeration is the test oracle.
     """
     values = tuple(coeffs)
     if not values:
@@ -471,36 +458,30 @@ def _equal_sum_subsets(
     a: tuple[int, ...], b: tuple[int, ...]
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """First (by |I1|, then I1 lex) pair of nonempty index subsets with equal
-    sums; the matching I2 is itself (size, lex)-minimal for its sum.  An
-    exponent above the other side's total is in no pair, so each side drops
-    those first.  When a's sums fit a bitset, a's table grows one count at a
-    time until its row meets b's sums; I1 is the least ``_pick_subset`` of a
-    over the sums met there, none of which fewer elements reach.  Otherwise
-    a's subsets are walked by (size, lex) against b's table, so a difference
-    past the bitset with no equal sums still costs 2^|a| subsets."""
+    sums, and that sum; the matching I2 is itself (size, lex)-minimal for
+    it.  An exponent above the other side's total is in no pair, so each
+    side drops those first.  Both sides get a ``_SubsetTable`` with rows of
+    one kind: bitsets when the larger total is below _BITSET_LIMIT, sets
+    otherwise.  b's rows, grown to every count, give b's sums; a's table
+    grows one count at a time until a row meets them, and I1 is the least
+    ``pick`` of a over the sums met there, none of which fewer elements
+    reach.  When no sums are equal, a dense table stops after one pass and
+    a sparse one after its last count."""
     kept_a = [i for i, e in enumerate(a, start=1) if e <= sum(b)]
     kept_b = [j for j, e in enumerate(b, start=1) if e <= sum(a)]
     a, b = tuple(a[i - 1] for i in kept_a), tuple(b[j - 1] for j in kept_b)
     if not a or not b:
         return None
-    right = _fewest_table(b)
-    if sum(a) < _BITSET_LIMIT:
-        left = _BitTable(a, 0)  # no positive subset sums to 0: only the reach is built
-        shared, hits = left.reach & _sum_bits(b), 0
-        while shared and not hits:  # each shared sum is reached within len(a) counts
-            hits = left.grow() & shared
-        i1 = min((_pick_subset(a, left, s) for s in _set_bits(hits)), default=None)
-    else:
-        subsets = (
-            combo
-            for size in range(1, len(a) + 1)
-            for combo in itertools.combinations(range(1, len(a) + 1), size)
-        )
-        i1 = next((c for c in subsets if right.size(sum(a[i - 1] for i in c)) is not None), None)
-    if i1 is None:
+    dense = max(sum(a), sum(b)) < _BITSET_LIMIT
+    left, right = _SubsetTable(a, dense), _SubsetTable(b, dense)
+    b_sums = functools.reduce(operator.or_, [right.grow() for _ in b])
+    count = left.first(lambda row: row & b_sums)
+    if count is None:
         return None
+    hits = left.exact[0][count] & b_sums
+    i1 = min(left.pick(s) for s in left.sums(hits))
     total = sum(a[i - 1] for i in i1)
-    i2 = _pick_subset(b, right, total)
+    i2 = right.pick(total)
     return tuple(kept_a[i - 1] for i in i1), tuple(kept_b[j - 1] for j in i2), total
 
 
@@ -924,12 +905,6 @@ def _sum_bits(values: Iterable[int]) -> int:
     for c in values:
         bits |= bits << c | 1 << c
     return bits
-
-
-def _set_bits(bits: int) -> list[int]:
-    """The positions of the set bits of ``bits``, in increasing order."""
-    digits = bin(bits)[:1:-1]  # digits[i] is bit i
-    return [i for i, d in enumerate(digits) if d == "1"]
 
 
 def _zero_sum_free(values: list[int]) -> bool:

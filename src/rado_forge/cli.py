@@ -8,8 +8,6 @@ Exit codes are a stable API for scripted pipelines:
                  found), 1 = threshold not found within the bound,
                  4 = node budget exhausted (Inconclusive); a --threshold
                  scan then knows only "threshold > depth_max" and says so
-                 (API change: such a scan used to print "no N <= MAXN is
-                 forced" and exit 1)
   corpus     0 = golden match, 5 = mismatch (diff printed)
   2 = malformed arguments (argparse usage error, a count or budget that is
       not a positive integer, a ``corpus --file`` that cannot be read, has a
@@ -22,12 +20,6 @@ Exit 2 is both classify's UNKNOWN and a usage error, so a malformed
 ``classify`` command line (``classify "x+y-z" --ring Q``) reads as UNKNOWN.
 The codes are frozen; a script that must tell the two apart reads the
 ``status`` field of ``classify --json``, which a usage error never prints.
-(API change: ``classify --allow-constant --ring Z`` with a nonzero constant
-used to classify over the positive integers, print "over the nonzero
-integers" and exit 0 or 1; it now exits 2.  API change: ``classify
---allow-constant`` on a nonlinear form with a nonzero constant, such as
-``x^2 - y^2 + 1``, used to print "error: ... is not linear" and exit 70, the
-internal-error code; it now exits 2 with one ``rado-forge: error:`` line.)
 
 RADO_FORGE_BUDGET overrides the default search node budget.  A polynomial
 that starts with "-" goes after "--", as in

@@ -31,7 +31,6 @@ __all__ = [
     "parse",
     "parse_with_constant",
     "monomial_gcd",
-    "is_valid_variable",
 ]
 
 _VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -72,10 +71,6 @@ class MissingVariableError(KeyError):
     def __init__(self, missing: tuple[str, ...]):
         self.missing = missing
         super().__init__(f"assignment missing variables: {', '.join(missing)}")
-
-
-def is_valid_variable(name: str) -> bool:
-    return bool(_VAR_RE.fullmatch(name))
 
 
 @dataclass(frozen=True)

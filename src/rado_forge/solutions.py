@@ -231,28 +231,34 @@ def brute_force_solutions(
     return results
 
 
-def _lone(p: Polynomial) -> dict[int, int]:
+def _lone(p: Polynomial) -> dict[int, tuple[int, int]]:
     """The positions of the variables that occur in one monomial c*v^e
-    only, each with its c; none when p has fewer than two variables."""
+    only, each with its (c, e); none when p has fewer than two variables."""
     counts = collections.Counter(v for m in p.monomials for v, _ in m.exponents)
-    alone = ((m.exponents[0][0], m.coefficient) for m in p.monomials if len(m.exponents) == 1)
-    return {p.variables.index(v): c for v, c in alone if counts[v] == 1 and len(counts) > 1}
+    alone = (m.exponents[0] + (m.coefficient,) for m in p.monomials if len(m.exponents) == 1)
+    return {
+        p.variables.index(v): (c, e) for v, e, c in alone if counts[v] == 1 and len(counts) > 1
+    }
 
 
-def _bounding(p: Polynomial, lone: dict[int, int]) -> list[int]:
+def _bounding(p: Polynomial, lone: dict[int, tuple[int, int]]) -> list[int]:
     """The lone positions whose monomial is the only one of its sign."""
-    return [i for i, c in lone.items() if sum(m.coefficient * c > 0 for m in p.monomials) == 1]
+    return [
+        i for i, (c, _) in lone.items() if sum(m.coefficient * c > 0 for m in p.monomials) == 1
+    ]
 
 
 def _solved_position(p: Polynomial) -> Optional[int]:
-    """The position of the variable the layers solve for, the later name
-    winning a tie: one that bounds the walk (``_bounding``), which leaves the
-    fewest candidates; else a lone one (``_lone``); else the last variable
-    when ``_isolation_split`` applies to it; else None (the grid is walked)."""
+    """The position of the variable the layers solve for: one that bounds
+    the walk (``_bounding``), which leaves the fewest candidates; else a lone
+    one (``_lone``); else the last variable when ``_isolation_split`` applies
+    to it; else None (the grid is walked).  A tie goes to the least exponent,
+    so that higher powers are walked, where the bounds cut them short, then
+    to the later name."""
     lone = _lone(p)
     chosen = _bounding(p, lone) or lone
     if chosen:
-        return max(chosen)
+        return min(chosen, key=lambda i: (lone[i][1], -i))
     return len(p.variables) - 1 if _isolation_split(p) else None
 
 

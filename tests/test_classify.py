@@ -118,20 +118,20 @@ def test_equal_sum_subsets_matches_exhaustive_oracle(a, b):
     assert classify_mod._equal_sum_subsets(tuple(a), tuple(b)) == _oracle_equal_sums(a, b)
 
 
-def test_equal_sum_subsets_builds_the_table_of_b_once(monkeypatch):
+def test_equal_sum_subsets_builds_one_table_per_side(monkeypatch):
     classify_mod = importlib.import_module("rado_forge.classify")
-    build = classify_mod._fewest_table
+    build = classify_mod._SubsetTable
     builds = []
 
-    def counted(values):
-        builds.append(values)
-        return build(values)
+    def counted(values, dense):
+        builds.append((values, dense))
+        return build(values, dense)
 
-    monkeypatch.setattr(classify_mod, "_fewest_table", counted)
-    # 20 exceeds the right side's total 6 and is dropped; a's bitset meets
-    # b's sums at one element, 6, and b's table is built once
+    monkeypatch.setattr(classify_mod, "_SubsetTable", counted)
+    # 20 exceeds the right side's total 6 and is dropped; a's bitset rows meet
+    # b's sums at one element, 6, and each side's table is built once
     assert classify_mod._equal_sum_subsets((1, 20, 6), (4, 2)) == ((3,), (1, 2), 6)
-    assert builds == [(4, 2)]
+    assert builds == [((1, 6), True), ((4, 2), True)]
 
     # 2^10 subsets of the left exponents, none of whose sums the right reaches
     left = [2**i for i in range(10)]
@@ -182,8 +182,8 @@ def test_monomial_difference_answers_without_walking_every_subset(left, right, s
 
 def test_monomial_difference_past_the_bitset_walks_to_no_equal_sums():
     # w's 70,003 exceeds the left total 70,000 and is dropped, while both
-    # left exponents stay; they total 70,000 >= 2^16, so no bitset of a's
-    # sums is built and the walk over a's subsets runs to its end against z^3
+    # left exponents stay; they total 70,000 >= 2^16, so both tables hold
+    # sets of sums, and a's grows to its last count without meeting z^3's
     p = parse("x^40000*y^30000 - z^3*w^70003")
     v = classify(p)
     assert (v.status, v.certificate.theorem) == (NOT_PR, "MultiplicativeRado")
@@ -198,13 +198,15 @@ def test_monomial_difference_past_the_bitset_walks_to_no_equal_sums():
 @settings(max_examples=300)
 def test_zero_sum_is_the_same_on_both_sides_of_the_bitset_width(values, target):
     # scaling every value and the target by c keeps J; c pushes sum(|c * v|)
-    # to 2^16 or more, so the scaled table is the sparse one
+    # to 2^16 or more, so the scaled table holds sets where the other holds
+    # bitsets, and either kind of row gives the same J on the same values
     classify_mod = importlib.import_module("rado_forge.classify")
-    scale = classify_mod._BITSET_LIMIT // sum(map(abs, values)) + 1
+    limit, table = classify_mod._BITSET_LIMIT, classify_mod._SubsetTable
+    scale = limit // sum(map(abs, values)) + 1
     scaled = tuple(scale * v for v in values)
-    assert isinstance(classify_mod._fewest_table(tuple(values)), classify_mod._BitTable)
-    assert isinstance(classify_mod._fewest_table(scaled), classify_mod._DictTable)
+    assert sum(map(abs, values)) < limit <= sum(map(abs, scaled))
     j = classify_mod._minimal_subset(tuple(values), target)
+    assert table(tuple(values), False).pick(target) == j
     assert classify_mod._minimal_subset(scaled, scale * target) == j
     assert j == _oracle_subset(values, target)
     assert rado_condition(scaled) == rado_condition(values) == _oracle_rado(values)
@@ -249,7 +251,7 @@ def test_one_signed_coefficients_need_no_subset_sums(monkeypatch):
     def refuse(*args):
         raise AssertionError("a one-signed list needs no subset sums")
 
-    for name in ("_fewest_table", "_subset_sums", "_sum_bits"):
+    for name in ("_SubsetTable", "_subset_sums", "_sum_bits"):
         monkeypatch.setattr(classify_mod, name, refuse)
     powers = [2**i for i in range(40)]  # 2^40 distinct subset sums
     assert rado_condition(powers) is None
@@ -283,6 +285,26 @@ def test_zero_sum_tables_stay_small_below_the_bitset_width():
             tracemalloc.stop()
         assert v.status == (NOT_PR if last == -(2**15) else PR)
         assert peak < 2_000_000
+
+
+def test_zero_sum_past_the_bitsets_grows_only_to_the_size_of_j():
+    # 22 coefficients of 70,000 to 900,000 and both signs, with a planted
+    # pair: up to 2^22 distinct subset sums, but J has two elements, so the
+    # table's sets grow two counts and hold a few hundred sums
+    rng = random.Random(22)
+    coeffs = [rng.choice((1, -1)) * rng.randrange(70_000, 900_000) for _ in range(21)]
+    coeffs.append(-coeffs[11])
+    j = _oracle_rado(coeffs)
+    assert len(j) == 2
+    started = time.perf_counter()
+    assert rado_condition(coeffs) == j
+    assert time.perf_counter() - started < 1.0
+    p = _linear(coeffs)
+    started = time.perf_counter()
+    v = classify(p)
+    assert time.perf_counter() - started < 1.0
+    assert (v.status, v.certificate.payload["J"]) == (PR, list(j))
+    assert replay_certificate(p, v)
 
 
 def test_replay_splits_zero_sums_by_sign():

@@ -10,6 +10,7 @@ change, and name the rows that changed.
 
 import copy
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -268,12 +269,22 @@ def test_replay_runs_no_classifier_rule(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("replay ran the classifier")
 
-    for name in (
-        "classify", "classify_linear", "classify_affine", "classify_multiplicative",
-        "classify_lev", "classify_nonlinear", "classify_k2", "rado_condition",
-        "_fewest_table", "_pick_subset", "_minimal_subset", "_equal_sum_subsets",
-        "exclusive_variables", "lev_shape", "nonlinear_shape",
-    ):
+    # replay's own helpers, and the shape tests it shares with the rules;
+    # every other function and class defined in classify is refused
+    replay_helpers = {
+        "replay_certificate", "_replay", "_replay_over_n", "_fields_are", "_index_sum",
+        "_zero_sum_free", "_no_equal_sums", "_subset_sums", "_sum_bits",
+        "_exclusive_degree_one", "_multiplicative_sides", "_is_two_variable_difference",
+        "negate_all_variables",
+    }
+    refused = [
+        name for name, value in vars(classify_mod).items()
+        if (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == classify_mod.__name__
+        and name not in replay_helpers
+    ]
+    assert {"classify", "rado_condition", "_SubsetTable", "_equal_sum_subsets"} <= set(refused)
+    for name in refused:
         monkeypatch.setattr(classify_mod, name, refuse)
     for p, v in verdicts:
         assert replay_certificate(p, v), str(p)

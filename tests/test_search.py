@@ -585,6 +585,18 @@ def test_injective_outcome_does_not_depend_on_spelling():
     assert outcomes == outcomes[:1] * 3
 
 
+@pytest.mark.parametrize(
+    "text", ["x1 + x2^2 - y1*y2*y3", "x2 + x1^2 - y1*y2*y3", "x^2 + y - z*w", "y^2 + x - z*w"]
+)
+def test_lone_tie_solves_the_least_exponent(text):
+    # both lone variables stand on the side of more than one monomial, so
+    # neither bounds the walk; the linear one is solved for, whatever its name
+    p = parse(text)
+    solved = p.variables[solutions._solved_position(p)]
+    assert p.degree_of(solved) == 1
+    assert any(m.exponents == ((solved, 1),) for m in p.monomials)
+
+
 def test_respelled_form_reads_no_more_candidates(monkeypatch):
     # solving x5 + x2 + x3 + x4 = x1 for x5, the last name, would count
     # C(n + 2, 3) * n prefixes (505,981 > 500,000 at layer 41); x1 bounds the
