@@ -35,6 +35,7 @@ __all__ = [
     "NoConstantTermError",
     "NotLevError",
     "NotTwoMonomialsError",
+    "NoExclusiveSetError",
     "Certificate",
     "Verdict",
     "ExclusiveAssignment",
@@ -45,7 +46,7 @@ __all__ = [
     "classify_affine",
     "classify_multiplicative",
     "exclusive_variables",
-    "lev_shape",
+    "to_lev_form",
     "nonlinear_shape",
     "classify_lev",
     "classify_nonlinear",
@@ -72,6 +73,10 @@ class NotLevError(ValueError):
 
 
 class NotTwoMonomialsError(ValueError):
+    pass
+
+
+class NoExclusiveSetError(ValueError):
     pass
 
 
@@ -515,11 +520,16 @@ def exclusive_variables(p: Polynomial) -> Optional[ExclusiveAssignment]:
     return excl if all(excl.exclusives) else None
 
 
-def lev_shape(p: Polynomial, exclusives: ExclusiveAssignment) -> LevForm:
+def to_lev_form(p: Polynomial) -> LevForm:
     """Designate the lexicographically smallest exclusive variable of each
     monomial as its linear variable; everything else becomes the ordered
     product-variable list, with F_i the 1-based product indices dividing
     monomial i."""
+    if not p.is_lev:
+        raise NotLevError(f"{p} is not linear in each variable")
+    exclusives = exclusive_variables(p)
+    if exclusives is None:
+        raise NoExclusiveSetError(f"{p}: some monomial has no exclusive variable")
     designated = tuple(min(own) for own in exclusives.exclusives)
     products = tuple(v for v in p.variables if v not in set(designated))
     index = {v: j + 1 for j, v in enumerate(products)}
@@ -534,22 +544,22 @@ def classify_lev(p: Polynomial) -> Verdict:
     """Sufficiency for linear-in-each-variable polynomials: at least three
     monomials, an exclusive variable for every monomial, and the zero-sum
     condition.  Two-monomial l.e.v. polynomials delegate to the
-    multiplicative equivalence (three or more variables required there)."""
-    if not p.is_lev:
-        raise NotLevError(f"{p} is not linear in each variable")
+    multiplicative equivalence (three or more variables required there);
+    a two-monomial form with no exclusive variable in some monomial has
+    overlapping supports, which that rule rejects too."""
+    try:
+        form = to_lev_form(p)
+    except NoExclusiveSetError:
+        return _unknown("lev: some monomial has no exclusive variable")
     if len(p.monomials) == 2:
         verdict = classify_multiplicative(p)
         if verdict.status != UNKNOWN:
             return verdict
-    excl = exclusive_variables(p)
-    if excl is None:
-        return _unknown("lev: some monomial has no exclusive variable")
     j = rado_condition(p.coefficients)
     if j is None:
         return _unknown("lev: coefficients admit no zero-sum subset")
     if len(p.monomials) < 3:
         return _unknown("lev: fewer than three monomials, and the multiplicative rule does not apply")
-    form = lev_shape(p, excl)
     f_sets = [list(f) for f in form.f_sets]
     cert = Certificate(
         "Thm3.5",

@@ -18,7 +18,8 @@ substitutes the same formal products, with the y-values and g-values left as
 symbols, and confirms the underlying algebraic identity by exact
 cancellation.  ``build_witness`` falls back on the enumeration oracle
 ``solutions.brute_force_solutions``, whose ``Witness`` record the lifts
-return too.
+return too.  The l.e.v. form is ``classify.to_lev_form``; each default
+pipeline decides every hypothesis once, and its one search takes a budget.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from typing import Mapping, Optional, Sequence
 
 from .classify import (
     LevForm,
+    NoExclusiveSetError,
     NonlinearShape,
     NotLevError,
-    exclusive_variables,
-    lev_shape,
     negate_all_variables,
     nonlinear_shape,
     rado_condition,
+    to_lev_form,
 )
 from .poly import DegreeProfile, Polynomial, _combine
 from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
@@ -55,16 +56,11 @@ __all__ = [
     "nlp_lift_formal_check",
     "negate_transform",
     "brute_force_solutions",
-    "find_reduct_solution",
     "primes_above",
     "witness_via_reduct",
     "witness_via_nlp",
     "build_witness",
 ]
-
-
-class NoExclusiveSetError(ValueError):
-    pass
 
 
 class NotAReductSolutionError(ValueError):
@@ -85,18 +81,6 @@ class HypothesisFailure(RuntimeError):
     def __init__(self, reasons: list[str]):
         self.reasons = reasons
         super().__init__("; ".join(reasons))
-
-
-def to_lev_form(p: Polynomial) -> LevForm:
-    """Designate the lexicographically smallest exclusive variable of each
-    monomial as its linear variable; every other variable becomes a product
-    variable."""
-    if not p.is_lev:
-        raise NotLevError(f"{p} is not linear in each variable")
-    exclusives = exclusive_variables(p)
-    if exclusives is None:
-        raise NoExclusiveSetError(f"{p}: some monomial has no exclusive variable")
-    return lev_shape(p, exclusives)
 
 
 def reduct_lift(
@@ -321,46 +305,35 @@ def negate_transform(p: Polynomial, w: Witness) -> Witness:
 # -- default generators ------------------------------------------------------
 
 
-def find_reduct_solution(
-    coeffs: Sequence[int],
-    bound: int = 20,
-    minimum: int = 1,
-    distinct: bool = False,
-) -> Optional[tuple[int, ...]]:
-    """Lexicographically smallest tuple in [minimum..bound]^k with exact
-    zero weighted sum (optionally pairwise distinct), or None."""
-    return _lex_reduct_solution(coeffs, bound, minimum, distinct, math.inf)[0]
-
-
 def _lex_reduct_solution(
-    coeffs: Sequence[int], bound: int, minimum: int, distinct: bool, budget: float
+    coeffs: Sequence[int], bound: int, budget: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
-    """The search of ``find_reduct_solution``, and the nodes it spent: one
-    per step down or back.  It stops with None after ``budget`` nodes."""
+    """The lexicographically smallest tuple of pairwise distinct values in
+    [2..bound] with exact zero weighted sum, and the nodes spent: one per
+    step down or back.  It stops with None after ``budget`` nodes."""
     k = len(coeffs)
     lows = [0] * (k + 1)
     highs = [0] * (k + 1)
     for i in range(k - 1, -1, -1):
         c = coeffs[i]
-        lo, hi = (c * minimum, c * bound) if c > 0 else (c * bound, c * minimum)
+        lo, hi = (c * 2, c * bound) if c > 0 else (c * bound, c * 2)
         lows[i] = lows[i + 1] + lo
         highs[i] = highs[i + 1] + hi
 
     # iterative depth-first search in lexicographic order, one value
     # iterator per level: no recursion limit on k
-    values = range(minimum, bound + 1)
+    values = range(2, bound + 1)
 
     def candidates(i: int, partial: int):
-        """Values to try at position i.  The last position, when its
-        coefficient is nonzero, is solved for: c * v = -partial has at most
-        one root."""
-        if i != k - 1 or coeffs[i] == 0:
+        """Values to try at position i.  The last position is solved for:
+        c * v = -partial has at most one root."""
+        if i != k - 1:
             return iter(values)
         v, rest = divmod(-partial, coeffs[i])
         return iter((v,) if rest == 0 and v in values else ())
 
-    chosen: list[int] = []
-    partials = [0]  # partials[i]: the weighted sum of chosen[:i]
+    chosen: dict[int, None] = {}  # the values so far, in order
+    partials = [0]  # partials[i]: the weighted sum of the first i values
     levels = [candidates(0, 0)]
     nodes = 0
     while len(chosen) < k:
@@ -370,11 +343,11 @@ def _lex_reduct_solution(
         i = len(chosen)
         c, partial, lo, hi = coeffs[i], partials[i], lows[i + 1], highs[i + 1]
         for v in levels[-1]:
-            if distinct and v in chosen:
+            if v in chosen:
                 continue
             nxt = partial + c * v
             if nxt + lo <= 0 <= nxt + hi:
-                chosen.append(v)
+                chosen[v] = None
                 partials.append(nxt)
                 levels.append(candidates(i + 1, nxt))
                 break
@@ -383,7 +356,7 @@ def _lex_reduct_solution(
                 return None, nodes
             levels.pop()
             partials.pop()
-            chosen.pop()
+            chosen.popitem()
     # lows[k] = highs[k] = 0, so the last step left a zero weighted sum
     return tuple(chosen), nodes
 
@@ -395,9 +368,9 @@ _WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
-    """Exact primality: the small primes screen n, which settles it below
-    43^2; then Miller-Rabin with the small primes as bases below
-    ``_WITNESS_BOUND``, and trial division above it."""
+    """The small primes screen n, which settles it below 43^2; then
+    Miller-Rabin with the small primes as bases, exact below
+    ``_WITNESS_BOUND`` and a strong probable-prime test above it."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -405,8 +378,6 @@ def _is_prime(n: int) -> bool:
             return n == q
     if n < 43 * 43:
         return True
-    if n >= _WITNESS_BOUND:
-        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -424,7 +395,8 @@ def _is_prime(n: int) -> bool:
 
 
 def primes_above(lower: int, count: int) -> tuple[int, ...]:
-    """The first ``count`` primes strictly greater than ``lower``."""
+    """The first ``count`` primes strictly greater than ``lower``; strong
+    probable primes to the 13 small-prime bases past ``_WITNESS_BOUND``."""
     found: list[int] = []
     candidate = max(lower, 1) + 1
     while len(found) < count:
@@ -449,7 +421,7 @@ def _default_alpha(coeffs: Sequence[int]) -> tuple[int, ...]:
         return (1, 1)
     budget = _ALPHA_NODES
     for bound in (20, 60, 240):
-        alpha, spent = _lex_reduct_solution(coeffs, bound, 2, True, budget)
+        alpha, spent = _lex_reduct_solution(coeffs, bound, budget)
         if alpha is not None:
             return alpha
         budget -= spent
@@ -494,32 +466,40 @@ def _require_zero_sum(p: Polynomial) -> None:
         raise HypothesisFailure([f"coefficients {list(p.coefficients)} admit no zero-sum subset"])
 
 
+def _lift_reduct(form: LevForm) -> Witness:
+    """The default generators past the gates: distinct alpha values >= 2
+    and the product variables set to distinct primes above them."""
+    alpha = _default_alpha(form.coefficients)
+    y_values = primes_above(max(alpha), len(form.product_vars))
+    return reduct_lift(form, alpha, y_values)
+
+
 def witness_via_reduct(p: Polynomial) -> Witness:
-    """Default reduct-lift pipeline: distinct alpha values >= 2 and product
-    variables set to distinct primes above them, which makes the witness
+    """Default reduct-lift pipeline: gate on the l.e.v. form and the
+    zero-sum condition, then ``_lift_reduct``, which makes the witness
     injective whenever the polynomial admits injective solutions."""
     try:
         form = to_lev_form(p)
     except (NotLevError, NoExclusiveSetError) as exc:
         raise HypothesisFailure([str(exc)]) from None
     _require_zero_sum(p)
-    alpha = _default_alpha(form.coefficients)
-    y_values = primes_above(max(alpha), len(form.product_vars))
-    return reduct_lift(form, alpha, y_values)
+    return _lift_reduct(form)
 
 
 def witness_via_nlp(p: Polynomial) -> Witness:
-    """Default nonlinear-lift pipeline: solve the all-ones substitution via
-    the reduct lift, then choose distinct primes above every solution value
-    for the nonlinear variables."""
+    """Default nonlinear-lift pipeline: gate on three monomials, the
+    zero-sum condition and the nonlinear shape; solve the all-ones
+    substitution by ``_lift_reduct``, then choose distinct primes above
+    every solution value for the nonlinear variables.  The substitution
+    keeps p's coefficients, and a chosen exclusive degree-1 variable in
+    every monomial, so it is an l.e.v. form that passes the reduct gates."""
     if len(p.monomials) < 3:
         raise HypothesisFailure(["fewer than three monomials"])
     _require_zero_sum(p)
     shape, failures = nonlinear_shape(p)
     if shape is None:
         raise HypothesisFailure(failures)
-    substituted = _substitute_ones(p, shape.nonlinear)
-    base = witness_via_reduct(substituted)
+    base = _lift_reduct(to_lev_form(_substitute_ones(p, shape.nonlinear)))
     g = primes_above(max(base.assignment.values(), default=1), len(shape.nonlinear))
     return nlp_lift(p, shape, base.assignment, g)
 

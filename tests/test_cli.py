@@ -1,9 +1,11 @@
 """Command-line interface tests: exit codes, JSON schemas, corpus golden run."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -139,6 +141,20 @@ def test_module_entry_points_exit_as_the_console_script(capsys):
                 [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
             )
             assert (done.returncode, done.stdout) == (code, out), (module, argv)
+
+
+def test_exported_names_resolve():
+    # the package's and every module's __all__ name only what is importable
+    modules = {"rado_forge": rado_forge}
+    for info in pkgutil.iter_modules(rado_forge.__path__):
+        if info.name != "__main__":
+            modules[info.name] = importlib.import_module(f"rado_forge.{info.name}")
+    for module in modules.values():
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+    # the l.e.v. form builder lives in classify, and witness re-exports it
+    for name in ("to_lev_form", "NoExclusiveSetError"):
+        assert getattr(modules["witness"], name) is getattr(modules["classify"], name)
 
 
 def test_classify_unknown_carries_note(capsys):

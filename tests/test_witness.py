@@ -20,7 +20,8 @@ from gen_support import (
     random_nonlinear_polynomial,
 )
 from rado_forge import solutions, witness
-from rado_forge.classify import nonlinear_shape
+from rado_forge.classify import classify, nonlinear_shape, rado_condition
+from rado_forge.corpus import load_fixtures
 from rado_forge.poly import Polynomial, parse
 from rado_forge.witness import (
     GValuesNotDistinctError,
@@ -32,7 +33,6 @@ from rado_forge.witness import (
     Witness,
     brute_force_solutions,
     build_witness,
-    find_reduct_solution,
     negate_transform,
     nlp_lift,
     nlp_lift_formal_check,
@@ -399,14 +399,14 @@ def test_brute_force_matches_grid(text):
 # -- default generators ----------------------------------------------------------
 
 
-def test_find_reduct_solution():
-    assert find_reduct_solution((1, 1, -1), minimum=2, distinct=True) == (2, 3, 5)
-    assert find_reduct_solution((1, -1), minimum=2, distinct=True) is None
-    assert find_reduct_solution((1, -1)) == (1, 1)
-    assert find_reduct_solution((1, 1, -3)) == (1, 2, 1)
-    alpha = find_reduct_solution((2, 3, -5, 1), minimum=2, distinct=True)
-    assert alpha is not None
+def test_lex_reduct_solution():
+    assert witness._lex_reduct_solution((1, 1, -1), 20, 100) == ((2, 3, 5), 3)
+    assert witness._lex_reduct_solution((1, -1), 20, 100)[0] is None
+    alpha, _ = witness._lex_reduct_solution((2, 3, -5, 1), 20, 100)
+    assert alpha is not None and len(set(alpha)) == 4
     assert sum(c * a for c, a in zip((2, 3, -5, 1), alpha)) == 0
+    # the budget cuts the search short
+    assert witness._lex_reduct_solution((1, 1, -1), 20, 2) == (None, 2)
 
 
 def test_default_reduct_lift_answers_a_long_form():
@@ -427,29 +427,28 @@ def test_constructed_alpha_is_distinct_zero_sum(coeffs):
     assert sum(c * a for c, a in zip(coeffs, alpha)) == 0
 
 
-def test_find_reduct_solution_not_recursion_bound():
+def test_lex_reduct_solution_not_recursion_bound():
     # one search level per coefficient, deeper than the default recursion limit
-    assert find_reduct_solution([1] * 1100 + [-1], bound=2000) == (1,) * 1100 + (1100,)
+    expected = tuple(range(2, 1102)) + (sum(range(2, 1102)),)
+    alpha, nodes = witness._lex_reduct_solution([1] * 1100 + [-1], 10**6, 2000)
+    assert (alpha, nodes) == (expected, 1101)
 
 
-@pytest.mark.parametrize("minimum", [1, 2])
-@pytest.mark.parametrize("distinct", [False, True])
-def test_find_reduct_solution_is_lexicographic_minimum(minimum, distinct):
-    rng = random.Random(minimum * 2 + distinct)
-    for _ in range(60):
+def test_lex_reduct_solution_is_lexicographic_minimum():
+    rng = random.Random(5)
+    for _ in range(200):
         k = rng.randint(1, 4)
         coeffs = [rng.choice([-1, 1]) * rng.randint(1, 5) for _ in range(k)]
-        bound = rng.randint(minimum, 6)
+        bound = rng.randint(2, 8)
         expected = next(
             (
                 t
-                for t in itertools.product(range(minimum, bound + 1), repeat=k)
+                for t in itertools.permutations(range(2, bound + 1), k)
                 if sum(c * v for c, v in zip(coeffs, t)) == 0
-                and (not distinct or len(set(t)) == k)
             ),
             None,
         )
-        assert find_reduct_solution(coeffs, bound, minimum, distinct) == expected
+        assert witness._lex_reduct_solution(coeffs, bound, 10**6)[0] == expected
 
 
 def test_primes_above():
@@ -468,6 +467,9 @@ def test_primes_above_matches_trial_division():
         assert not witness._is_prime(n)
     assert witness._is_prime(2**61 - 1)
     assert primes_above(10**18, 2) == (10**18 + 3, 10**18 + 9)
+    # past the Miller-Rabin witness bound: strong probable primes, no trial division
+    assert witness._is_prime(2**89 - 1) and witness._is_prime(2**127 - 1)
+    assert not witness._is_prime((2**61 - 1) * (2**89 - 1))
 
 
 def test_default_lift_of_a_long_product_form_answers():
@@ -480,6 +482,45 @@ def test_default_lift_of_a_long_product_form_answers():
     [found] = build_witness(p)
     assert time.perf_counter() - started < 1.0
     assert p.evaluate(found.assignment) == 0 and found.injective
+
+
+def test_each_lift_decides_the_zero_sum_condition_once(monkeypatch):
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return rado_condition(coeffs)
+
+    monkeypatch.setattr(witness, "rado_condition", counted)
+    methods = {"RadoLinear": "reduct", "Thm3.5": "reduct", "Thm4.2": "nlp"}
+    lifted = [f for f in load_fixtures() if f.theorem in methods]
+    assert {f.theorem for f in lifted} == set(methods)
+    for fixture in lifted:
+        calls.clear()
+        [w] = build_witness(parse(fixture.text), methods[fixture.theorem])
+        assert len(calls) == 1, fixture.text
+        assert w.value == 0
+
+
+def _sum_of_products(k, extra):
+    """x1*y1*extra + ... + x(k-1)*y(k-1)*extra - xk*yk*extra."""
+    return Polynomial.from_terms(
+        [(-1 if i == k else 1, {f"x{i}": 1, f"y{i}": 1, **extra}) for i in range(1, k + 1)]
+    )
+
+
+@pytest.mark.parametrize(
+    "k, extra", [(12, {"z": 2}), (16, {"z": 2}), (70, {})], ids=["thm4.2-k12", "thm4.2-k16", "thm3.5-k70"]
+)
+def test_long_certified_forms_get_a_witness(k, extra):
+    # the primes above the lifted values pass 82 bits, beyond the Miller-Rabin
+    # witness bound, where trial division did not finish
+    p = _sum_of_products(k, extra)
+    assert classify(p).certificate.theorem == ("Thm4.2" if extra else "Thm3.5")
+    started = time.perf_counter()
+    [w] = build_witness(p)
+    assert time.perf_counter() - started < 2.0
+    assert p.evaluate(w.assignment) == 0 and w.injective
 
 
 def test_witness_via_reduct_default_injective():
