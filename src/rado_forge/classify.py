@@ -100,10 +100,10 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
     def with_trace(self, lines: list[str]) -> "Verdict":
-        return replace(self, trace=tuple(lines) + self.trace)
+        return replace(self, trace=tuple(lines) + self.trace) if lines else self
 
     def with_notes(self, notes: list[str]) -> "Verdict":
-        return replace(self, notes=self.notes + tuple(notes))
+        return replace(self, notes=self.notes + tuple(notes)) if notes else self
 
     def to_json(self, input_text: str, canonical: str) -> dict[str, Any]:
         return {
@@ -305,7 +305,7 @@ def rado_condition(coeffs: list[int] | tuple[int, ...]) -> Optional[tuple[int, .
     values = tuple(coeffs)
     if not values:
         raise ValueError("coefficient list must be non-empty")
-    if any(c == 0 for c in values):
+    if 0 in values:
         raise ValueError("coefficients must be nonzero")
     if min(values) > 0 or max(values) < 0:
         return None
@@ -496,17 +496,17 @@ def _equal_sum_subsets(
 def _exclusive_groups(p: Polynomial) -> ExclusiveAssignment:
     """The per-monomial exclusive lists of ``exclusive_variables``, some of
     which may be empty."""
-    support: dict[str, list[int]] = {}
-    for i, m in enumerate(p.monomials):
+    monomials_with: dict[str, int] = {}  # variable -> how many monomials hold it
+    for m in p.monomials:
         for v in m.variables:
-            support.setdefault(v, []).append(i)
-    exclusives: list[tuple[str, ...]] = []
-    degree_one: list[tuple[str, ...]] = []
-    for i, m in enumerate(p.monomials):
-        own = tuple(v for v in m.variables if support[v] == [i])
-        exclusives.append(own)
-        degree_one.append(tuple(v for v in own if m.degree_of(v) == 1))
-    return ExclusiveAssignment(tuple(exclusives), tuple(degree_one))
+            monomials_with[v] = monomials_with.get(v, 0) + 1
+    exclusives = tuple(
+        tuple([v for v in m.variables if monomials_with[v] == 1]) for m in p.monomials
+    )
+    degree_one = tuple(
+        tuple([v for v in own if m.degree_of(v) == 1]) for m, own in zip(p.monomials, exclusives)
+    )
+    return ExclusiveAssignment(exclusives, degree_one)
 
 
 def exclusive_variables(p: Polynomial) -> Optional[ExclusiveAssignment]:
@@ -531,7 +531,8 @@ def to_lev_form(p: Polynomial) -> LevForm:
     if exclusives is None:
         raise NoExclusiveSetError(f"{p}: some monomial has no exclusive variable")
     designated = tuple(min(own) for own in exclusives.exclusives)
-    products = tuple(v for v in p.variables if v not in set(designated))
+    linear = set(designated)
+    products = tuple(v for v in p.variables if v not in linear)
     index = {v: j + 1 for j, v in enumerate(products)}
     f_sets = tuple(
         tuple(index[v] for v in products if m.degree_of(v) >= 1)
@@ -606,10 +607,8 @@ def nonlinear_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], list[str]]
         chosen.append(tuple(sorted(have))[:need])
     if failures:
         return None, failures
-    e_set = {v for group in chosen for v in group}
-    passive = tuple(
-        v for v in p.variables if v not in e_set and v not in set(prof.nonlinear)
-    )
+    active = {v for group in chosen for v in group}.union(prof.nonlinear)
+    passive = tuple(v for v in p.variables if v not in active)
     shape = NonlinearShape(
         tuple(chosen), prof.nonlinear, passive, prof.levels, prof.multiplicities
     )

@@ -12,12 +12,28 @@ coefficient a_i is a nonzero arbitrary-precision integer.  Canonical form:
 
 Constant terms are rejected at parse time (``parse``); ``parse_with_constant``
 splits them off for the affine classifier instead.  All arithmetic is exact.
+
+Each object computes its structural data once.  A ``Monomial`` derives its
+``variables``, its total ``degree`` and a variable -> exponent map (so
+``degree_of`` is a lookup) when it is built.  A ``Polynomial`` fixes its
+canonical monomials, sorted variables, coefficients, shape flags and the
+degree of each variable at construction, and builds ``degree_profile()`` on
+the first call only.  ``evaluate`` checks coverage against the precomputed
+variables.
+
+The public constructors ``Monomial(...)``, ``Polynomial(...)`` and
+``Polynomial.from_terms`` validate their input.  ``parse`` skips only the
+checks whose invariants its path guarantees: every name matched the
+variable-name pattern when the text was read, zero powers are dropped so
+every exponent is at least 1, each exponent tuple is ``sorted(dict.items())``
+so its names are sorted and distinct, and like terms are combined so the
+tuples are distinct.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -33,7 +49,8 @@ __all__ = [
     "monomial_gcd",
 ]
 
-_VAR_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"  # a variable name
+_VAR_RE = re.compile(_NAME)
 
 
 class PolySyntaxError(ValueError):
@@ -80,11 +97,15 @@ class Monomial:
     ``exponents`` is a tuple of (variable, exponent) pairs, sorted by variable
     name, with every exponent >= 1.  The empty tuple (a bare constant) is not
     a legal monomial of a Polynomial but is permitted transiently, e.g. as a
-    gcd of disjoint monomials.
+    gcd of disjoint monomials.  ``variables``, ``degree`` and the exponent of
+    each variable are derived once, at construction.
     """
 
     coefficient: int
     exponents: tuple[tuple[str, int], ...]
+    variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    degree: int = field(init=False, repr=False, compare=False)  # sum of the exponents
+    _powers: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.coefficient == 0:
@@ -98,21 +119,10 @@ class Monomial:
                 raise ValueError(f"invalid variable name: {v!r}")
             if e < 1:
                 raise ValueError(f"exponent of {v} must be >= 1, got {e}")
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.exponents)
-
-    @property
-    def degree(self) -> int:
-        """Total degree: sum of the exponents."""
-        return sum(e for _, e in self.exponents)
+        _derive(self.__dict__, self.exponents, dict(self.exponents))
 
     def degree_of(self, var: str) -> int:
-        for v, e in self.exponents:
-            if v == var:
-                return e
-        return 0
+        return self._powers.get(var, 0)
 
     def exponent_map(self) -> dict[str, int]:
         return dict(self.exponents)
@@ -130,6 +140,29 @@ class Monomial:
         if self.coefficient == -1:
             return "-" + self.monic_text()
         return f"{self.coefficient}*{self.monic_text()}"
+
+
+def _derive(fields: dict, exponents: tuple[tuple[str, int], ...], powers: dict[str, int]) -> None:
+    """Store the derived fields of a monomial in ``fields``, its attribute
+    dict: ``powers`` holds the same pairs as ``exponents``, and is kept."""
+    # powers may be in the order the text gave, so only a lone name is read off it
+    fields["variables"] = tuple(powers) if len(exponents) == 1 else tuple([v for v, _ in exponents])
+    fields["degree"] = sum(powers.values())
+    fields["_powers"] = powers
+
+
+def _monomial(coefficient: int, exponents: tuple[tuple[str, int], ...],
+              powers: dict[str, int]) -> Monomial:
+    """A Monomial built without re-validation, for parts whose invariants
+    hold by construction: ``coefficient`` is nonzero, ``exponents`` is
+    ``sorted(powers.items())``, every name is a variable name and every
+    exponent is >= 1."""
+    m = object.__new__(Monomial)
+    fields = m.__dict__  # the frozen dataclass stores its fields here
+    fields["coefficient"] = coefficient
+    fields["exponents"] = exponents
+    _derive(fields, exponents, powers)
+    return m
 
 
 def monomial_gcd(m1: Monomial, m2: Monomial) -> Monomial:
@@ -162,11 +195,17 @@ class DegreeProfile:
 
 
 class Polynomial:
-    """Canonical multivariate integer polynomial with zero constant term."""
+    """Canonical multivariate integer polynomial with zero constant term.
+
+    Construction fixes the structural data once: the canonical monomials,
+    the sorted variables, the coefficients, the four shape flags and the
+    degree of each variable.  ``degree_profile`` is built on its first call
+    and kept."""
 
     __slots__ = (
         "monomials", "variables", "coefficients",
         "is_linear", "is_lev", "is_homogeneous", "is_one_signed",
+        "_degrees", "_profile",
     )
 
     monomials: tuple[Monomial, ...]
@@ -191,20 +230,7 @@ class Polynomial:
             raise ConstantTermError(constant)
         if not combined:
             raise EmptyPolynomialError()
-        ordered, names = _canonical_sort(combined)
-        degrees = [m.degree for m in ordered]
-        coefficients = tuple(m.coefficient for m in ordered)
-        shape = {
-            "monomials": ordered,
-            "variables": names,
-            "coefficients": coefficients,
-            "is_linear": all(d == 1 for d in degrees),
-            "is_lev": all(d == len(m.exponents) for d, m in zip(degrees, ordered)),
-            "is_homogeneous": len(set(degrees)) == 1,
-            "is_one_signed": len({c > 0 for c in coefficients}) == 1,
-        }
-        for name, value in shape.items():
-            object.__setattr__(self, name, value)
+        _canonicalize(self, combined)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -226,29 +252,21 @@ class Polynomial:
 
     def degree_of(self, var: str) -> int:
         """Degree of ``var`` in the polynomial: max exponent over monomials."""
-        return max(m.degree_of(var) for m in self.monomials)
+        return self._degrees.get(var, 0)
 
     def degree_profile(self) -> DegreeProfile:
-        degrees = {v: self.degree_of(v) for v in self.variables}
-        per_monomial = tuple(
-            {v: m.degree_of(v) for v in self.variables} for m in self.monomials
-        )
-        partial = max(degrees.values())
-        nonlinear = tuple(v for v in self.variables if degrees[v] >= 2)
-        levels = tuple(
-            max((degrees[v] - m.degree_of(v) for v in nonlinear), default=0)
-            for m in self.monomials
-        )
-        mults = tuple(max(1, l) for l in levels)
-        return DegreeProfile(degrees, per_monomial, partial, nonlinear, levels, mults)
+        """The degree data of p, built on the first call; later calls return
+        the same object, so its dicts must not be changed."""
+        if self._profile is None:
+            object.__setattr__(self, "_profile", _degree_profile(self))
+        return self._profile
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Exact value under a total assignment; extra keys are ignored."""
-        missing = tuple(v for v in self.variables if v not in assignment)
-        if missing:
-            raise MissingVariableError(missing)
+        if not assignment.keys() >= self._degrees.keys():
+            raise MissingVariableError(tuple(v for v in self.variables if v not in assignment))
         total = 0
         for m in self.monomials:
             term = m.coefficient
@@ -269,7 +287,7 @@ class Polynomial:
         parts = [str(self.monomials[0])]
         for m in self.monomials[1:]:
             if m.coefficient < 0:
-                flipped = Monomial(-m.coefficient, m.exponents)
+                flipped = _monomial(-m.coefficient, m.exponents, m._powers)
                 parts.append(f" - {flipped}")
             else:
                 parts.append(f" + {m}")
@@ -279,35 +297,90 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
+def _canonicalize(p: Polynomial, monomials: list[Monomial]) -> None:
+    """Set every field of ``p`` from nonempty monomials with distinct,
+    nonempty exponent tuples, in any order."""
+    degrees: dict[str, int] = {}
+    for m in monomials:
+        for v, e in m.exponents:
+            if e > degrees.get(v, 0):
+                degrees[v] = e
+    names = tuple(sorted(degrees))
+    totals = {m.degree for m in monomials}
+    ordered = tuple(sorted(monomials, key=_order_key))
+    coefficients = tuple([m.coefficient for m in ordered])
+    fix = object.__setattr__  # past the immutability guard
+    fix(p, "monomials", ordered)
+    fix(p, "variables", names)
+    fix(p, "coefficients", coefficients)
+    fix(p, "is_linear", totals == {1})
+    fix(p, "is_lev", max(degrees.values()) == 1)  # every exponent is 1
+    fix(p, "is_homogeneous", len(totals) == 1)
+    fix(p, "is_one_signed", min(coefficients) > 0 or max(coefficients) < 0)
+    fix(p, "_degrees", degrees)
+    fix(p, "_profile", None)
+
+
+def _order_key(m: Monomial) -> list:
+    """The canonical sort key: monomials sorted by it are in descending
+    pure-lexicographic order of their exponent vectors over any sorted list
+    of names.  It lists the pairs as name, negated exponent, then a name
+    greater than every variable name: the first name at which two
+    monomials' vectors differ is the first difference of their keys, either
+    in the negated exponent or in a name that only the monomial with it
+    present has at that place, and that monomial comes first."""
+    key: list = []
+    for v, e in m.exponents:
+        key += (v, -e)
+    key.append("{")  # after "z", so after every variable name
+    return key
+
+
+def _polynomial(monomials: list[Monomial]) -> Polynomial:
+    """A Polynomial from nonempty monomials with distinct, nonempty exponent
+    tuples, as ``_combine`` returns them, without checking them again."""
+    p = object.__new__(Polynomial)
+    _canonicalize(p, monomials)
+    return p
+
+
+def _degree_profile(p: Polynomial) -> DegreeProfile:
+    """The degree data of p; ``Polynomial.degree_profile`` keeps it."""
+    degrees = {v: p._degrees[v] for v in p.variables}
+    zeros = dict.fromkeys(p.variables, 0)
+    per_monomial = tuple({**zeros, **m._powers} for m in p.monomials)
+    nonlinear = tuple(v for v in p.variables if degrees[v] >= 2)
+    levels = tuple(
+        max((degrees[v] - deg_i[v] for v in nonlinear), default=0)
+        for deg_i in per_monomial
+    )
+    mults = tuple(max(1, l) for l in levels)
+    return DegreeProfile(degrees, per_monomial, max(degrees.values()), nonlinear, levels, mults)
+
+
 def _combine(
     terms: Iterable[tuple[int, Mapping[str, int]]],
 ) -> tuple[list[Monomial], int]:
-    """Sum like terms; return surviving monomials plus the constant term."""
-    acc: dict[tuple[tuple[str, int], ...], int] = {}
+    """Sum like terms; return surviving monomials plus the constant term.
+    Every name must be a variable name and every exponent >= 0.  Zero powers
+    are dropped and each key is ``sorted(exps.items())``, so the monomials
+    are built without re-validation, with distinct exponent tuples; each
+    keeps the first ``exps`` dict of its key, which the caller must not
+    change afterwards."""
+    acc: dict[tuple[tuple[str, int], ...], list] = {}  # key -> [coefficient, exps]
     for coeff, exps in terms:
         if 0 in exps.values():
             exps = {v: e for v, e in exps.items() if e != 0}
-        key = tuple(sorted(exps.items()))
-        acc[key] = acc.get(key, 0) + coeff
-    constant = acc.pop((), 0)
-    monomials = [Monomial(c, key) for key, c in acc.items() if c != 0]
+        # one pair is sorted already
+        key = tuple(exps.items()) if len(exps) == 1 else tuple(sorted(exps.items()))
+        entry = acc.get(key)
+        if entry is None:
+            acc[key] = [coeff, exps]
+        else:
+            entry[0] += coeff
+    constant = acc.pop((), [0])[0]
+    monomials = [_monomial(c, key, exps) for key, (c, exps) in acc.items() if c != 0]
     return monomials, constant
-
-
-def _canonical_sort(
-    monomials: list[Monomial],
-) -> tuple[tuple[Monomial, ...], tuple[str, ...]]:
-    """The monomials in canonical order, and the sorted variable names."""
-    var_order = tuple(sorted({v for m in monomials for v, _ in m.exponents}))
-    index = {v: i for i, v in enumerate(var_order)}
-
-    def key(m: Monomial) -> tuple[int, ...]:
-        vec = [0] * len(var_order)
-        for v, e in m.exponents:
-            vec[index[v]] = -e  # negated: ascending sort gives descending lex
-        return tuple(vec)
-
-    return tuple(sorted(monomials, key=key)), var_order
 
 
 # -- parsing ---------------------------------------------------------------
@@ -318,15 +391,29 @@ def _canonical_sort(
 #   term       := integer | [integer ['*']] variable ['^' integer] ('*' factor)*
 #   factor     := variable ['^' integer]
 #
-# A bare integer is a constant term.  One scan cuts the text into tokens, each
-# a match of one group of _TOKEN_RE: an integer (any Unicode decimal digits, as
-# int() reads them), a variable, an operator, or a character that starts no
-# token.  The descent then walks the token columns by index.  Positions are
-# needed only for errors, so _syntax_error scans again to find them.  The
-# pattern uses no syntax newer than Python 3.10 (no atomic groups or
-# possessive quantifiers).
+# A bare integer is a constant term, and an integer is any run of Unicode
+# decimal digits, as int() reads them.  ``_parse_terms`` cuts the text at its
+# signs, which occur only between terms, and reads each term on its own: a
+# bare variable or ``integer*variable`` with string tests, any other term
+# with one match of _TERM_RE.  A text with a term that does not match, or an
+# empty term where a term belongs, goes to the descent ``_descend``, which
+# gives the error.  The descent cuts the text into tokens in one scan, each a
+# match of one group of _TOKEN_RE: an integer, a variable, an operator, or a
+# character that starts no token, and then walks the token columns by index.
+# Positions are needed only for errors, so _syntax_error scans again to find
+# them.  The patterns use no syntax newer than Python 3.10 (no atomic groups
+# or possessive quantifiers).  The cut matches one character, and no two
+# optional runs of whitespace in a pattern are adjacent, so a text that does
+# not match fails in linear time.
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([-+*^])|(\S))")
+_FACTOR = _NAME + r"(?:\s*\^\s*\d+)?"
+_FACTORS = _FACTOR + r"(?:\s*\*\s*" + _FACTOR + r")*"
+_SIGN_RE = re.compile(r"([-+])")
+# one whole term, stripped: an optional coefficient and its factors, or a
+# constant
+_TERM_RE = re.compile(r"(?:(\d+)(?:\s*\*)?\s*)?(" + _FACTORS + r")|(\d+)")
+_FACTOR_RE = re.compile(r"(" + _NAME + r")(?:\s*\^\s*(\d+))?")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(" + _NAME + r")|([-+*^])|(\S))")
 
 
 def _syntax_error(text: str, index: int, expected: str) -> PolySyntaxError:
@@ -338,9 +425,45 @@ def _syntax_error(text: str, index: int, expected: str) -> PolySyntaxError:
     return PolySyntaxError(len(text), expected, "end of input")
 
 
+def _is_name(s: str) -> bool:
+    """``s`` is a variable name: an ASCII identifier that starts with a letter."""
+    return s.isascii() and s.isidentifier() and s[0] != "_"
+
+
 def _parse_terms(text: str) -> list[tuple[int, dict[str, int]]]:
     """The (coefficient, {variable: exponent}) terms of ``text`` in order,
     like variables inside a term summed; a constant term has no variables."""
+    pieces = _SIGN_RE.split(text)  # term, sign, term, ..., sign, term
+    if pieces[0].strip():
+        pieces.insert(0, "+")
+    elif len(pieces) > 1:  # a leading sign
+        del pieces[0]
+    else:
+        return _descend(text)
+    terms: list[tuple[int, dict[str, int]]] = []
+    for sign, body in zip(pieces[::2], pieces[1::2]):
+        body = body.strip()  # str.strip and \s know the same whitespace
+        digits, star, name = body.partition("*")
+        if not star and _is_name(body):
+            coeff, exps = 1, {body: 1}
+        elif star and digits.isdecimal() and _is_name(name):
+            coeff, exps = int(digits), {name: 1}
+        else:
+            term = _TERM_RE.fullmatch(body)
+            if term is None:
+                return _descend(text)
+            digits, factors, constant = term.groups()
+            digits = digits or constant
+            coeff, exps = int(digits) if digits else 1, {}
+            for name, e in _FACTOR_RE.findall(factors or ""):
+                exps[name] = exps.get(name, 0) + (int(e) if e else 1)
+        terms.append((-coeff if sign == "-" else coeff, exps))
+    return terms
+
+
+def _descend(text: str) -> list[tuple[int, dict[str, int]]]:
+    """``_parse_terms`` by a descent over tokens; it raises the
+    ``PolySyntaxError`` of a text outside the grammar."""
     found = _TOKEN_RE.findall(text)
     found.append(("", "", "", ""))  # the end of input, which matches no column
     ints, names, ops, stray = zip(*found)
@@ -398,7 +521,7 @@ def parse(text: str) -> Polynomial:
         raise ConstantTermError(constant)
     if not monomials:
         raise EmptyPolynomialError()
-    return Polynomial(monomials)
+    return _polynomial(monomials)
 
 
 def parse_with_constant(text: str) -> tuple[Polynomial, int]:
@@ -406,4 +529,4 @@ def parse_with_constant(text: str) -> tuple[Polynomial, int]:
     monomials, constant = _combine(_parse_terms(text))
     if not monomials:
         raise EmptyPolynomialError(constant)
-    return Polynomial(monomials), constant
+    return _polynomial(monomials), constant

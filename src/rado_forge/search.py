@@ -201,7 +201,7 @@ def _first_bad_coloring(
     blk = [0] * r  # blk[c]: bit w set when color c closes a value set at w + 1
     others = [[o for o in reversed(range(r)) if o != c] for c in range(r)]  # sparsest first
     groups: list[list[list[int]]] = []  # groups[u]: [rem, d, a], closing (members & a) << d
-    group_of: dict[tuple[int, int, int], list[int]] = {}  # (u, rem, d) -> its group
+    group_of: list[dict[int, list[int]]] = []  # group_of[u]: d << u | rem -> its group of u
     owned: list[int] = []  # owned[u]: the bits the color of u + 1 set in its blk
 
     def take() -> None:
@@ -212,6 +212,7 @@ def _first_bad_coloring(
         w = len(read)
         read.append(layer)
         groups.append([])
+        group_of.append({})
         bit = 1 << w
         closed = False  # a value set of one member closes w + 1 for every color
         owner: dict[int, int] = {}  # color -> smallest u whose value set blocks it
@@ -222,10 +223,11 @@ def _first_bad_coloring(
             u = mask.bit_length() - 1
             low = mask ^ 1 << u or mask  # the members below u + 1, or u + 1 alone
             t = low.bit_length() - 1
-            key = u, low ^ 1 << t, w - t
-            group = group_of.get(key)
+            rem, d = low ^ 1 << t, w - t
+            key = d << u | rem  # one int per (rem, d): rem has no bit at u or above
+            group = group_of[u].get(key)
             if group is None:
-                group = group_of[key] = [key[1], key[2], 0]
+                group = group_of[u][key] = [rem, d, 0]
                 groups[u].append(group)
             group[2] |= 1 << t
             c = colors[u]

@@ -24,8 +24,10 @@ pipeline decides every hypothesis once, and its one search takes a budget.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .classify import (
     LevForm,
@@ -394,16 +396,53 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below ``limit``, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return tuple(itertools.compress(range(limit), flags))
+
+
+# candidates of ``primes_above`` with more than this many bits are sieved by
+# the primes below 2^14 before Miller-Rabin; below it, testing each one costs
+# less than striking out the multiples of the sieve primes
+_SIEVE_BITS = 192
+
+
+@functools.cache
+def _sieve_primes() -> tuple[int, ...]:
+    """The primes below 2^14, built on the first sieved call."""
+    return _primes_below(1 << 14)
+
+
+def _sieved_from(start: int, count: int) -> Iterator[int]:
+    """The integers from ``start`` up, above every sieve prime, that no
+    sieve prime divides, in windows of about ``count`` prime gaps."""
+    size = count * start.bit_length()
+    primes = _sieve_primes()
+    while True:
+        alive = bytearray([1]) * size  # alive[i]: no sieve prime divides start + i
+        for p in primes:
+            first = -start % p
+            alive[first::p] = bytes(len(range(first, size, p)))
+        yield from itertools.compress(range(start, start + size), alive)
+        start += size
+
+
 def primes_above(lower: int, count: int) -> tuple[int, ...]:
     """The first ``count`` primes strictly greater than ``lower``; strong
-    probable primes to the 13 small-prime bases past ``_WITNESS_BOUND``."""
-    found: list[int] = []
-    candidate = max(lower, 1) + 1
-    while len(found) < count:
-        if _is_prime(candidate):
-            found.append(candidate)
-        candidate += 1
-    return tuple(found)
+    probable primes to the 13 small-prime bases past ``_WITNESS_BOUND``.
+    Candidates of more than ``_SIEVE_BITS`` bits are sieved first; the
+    sieve drops only multiples of primes below them, so no prime."""
+    start = max(lower, 1) + 1
+    if start.bit_length() > _SIEVE_BITS:
+        candidates: Iterator[int] = _sieved_from(start, count)
+    else:
+        candidates = itertools.count(start)
+    return tuple(itertools.islice(filter(_is_prime, candidates), count))
 
 
 # nodes the lexicographic searches of ``_default_alpha`` spend together

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,10 @@ def test_evaluate_examples():
 def test_evaluate_missing_variable():
     with pytest.raises(MissingVariableError):
         parse("x + y - z").evaluate({"x": 1, "y": 1})
+    # the missing variables in name order, an extra key beside them
+    with pytest.raises(MissingVariableError) as err:
+        parse("x*y^2 - z + 3*w").evaluate({"y": 1, "extra": 1})
+    assert err.value.missing == ("w", "x", "z")
 
 
 def test_evaluate_ignores_extra_keys():
@@ -407,3 +412,114 @@ def test_degree_profile_per_monomial_degrees():
     assert prof.per_monomial[0]["y1"] == 2
     assert prof.per_monomial[2]["y1"] == 1
     assert prof.per_monomial[3]["y2"] == 0
+
+
+# -- construction reads each structural quantity once ---------------------------
+
+
+def _respell(p, draw):
+    """A spelling of p with renamed variables, shuffled terms and factors,
+    repeated factors, spare whitespace and an explicit leading sign."""
+    names = draw(st.permutations(
+        ["a", "b", "c", "x", "y2", "z_1", "w9", "Q", "t", "u7", "v_", "k", "m1n", "p", "r", "s"]
+    ))
+    rename = dict(zip(p.variables, names))
+    pieces = []
+    for m in draw(st.permutations(p.monomials)):
+        factors = []
+        for v, e in m.exponents:
+            split = draw(st.integers(0, e - 1))  # v^e as v^split * v^(e - split)
+            parts = [split, e - split] if split else [e]
+            factors += [rename[v] if d == 1 else f"{rename[v]}^{d}" for d in parts]
+        factors = draw(st.permutations(factors))
+        space = draw(st.sampled_from(["", " ", "\t"]))
+        if abs(m.coefficient) != 1 or draw(st.booleans()):
+            times = draw(st.sampled_from(["*", f"{space}*{space}", " ", ""]))
+            factors = [f"{abs(m.coefficient)}{times}{factors[0]}"] + factors[1:]
+        sign = "-" if m.coefficient < 0 else "+"
+        pieces.append(f"{sign}{space}{f'{space}*{space}'.join(factors)}")
+    return " ".join(pieces), rename
+
+
+def _fixture_polynomials():
+    from rado_forge.corpus import load_fixtures
+
+    return [parse(f.text) for f in load_fixtures()]
+
+
+@given(st.one_of(polynomials(), st.sampled_from(_fixture_polynomials())), st.data())
+@settings(max_examples=150, deadline=None)
+def test_parse_builds_valid_monomials_and_exact_structure(p, data):
+    text, rename = _respell(p, data.draw)
+    q = parse(text)
+    assert q == Polynomial.from_terms(
+        (m.coefficient, {rename[v]: e for v, e in m.exponents}) for m in p.monomials
+    )
+    for r in (p, q, parse(str(p))):
+        for m in r.monomials:
+            again = Monomial(m.coefficient, m.exponents)  # re-validated
+            assert again == m
+            assert m.variables == tuple(v for v, _ in m.exponents)
+            assert m.degree == sum(e for _, e in m.exponents)
+            for v in r.variables + ("unused",):
+                assert m.degree_of(v) == dict(m.exponents).get(v, 0)
+        # descending lexicographic order of the exponent vectors over the sorted names
+        vectors = [[dict(m.exponents).get(v, 0) for v in r.variables] for m in r.monomials]
+        assert vectors == sorted(vectors, reverse=True)
+        totals = [sum(e for _, e in m.exponents) for m in r.monomials]
+        exponents = [e for m in r.monomials for _, e in m.exponents]
+        assert r.is_linear == all(t == 1 for t in totals)
+        assert r.is_lev == all(e == 1 for e in exponents)
+        assert r.is_homogeneous == (len(set(totals)) == 1)
+        assert r.is_one_signed == (len({m.coefficient > 0 for m in r.monomials}) == 1)
+        degrees = {
+            v: max(dict(m.exponents).get(v, 0) for m in r.monomials) for v in r.variables
+        }
+        for v in r.variables + ("unused",):
+            assert r.degree_of(v) == degrees.get(v, 0)
+        per_monomial = tuple(
+            {v: dict(m.exponents).get(v, 0) for v in r.variables} for m in r.monomials
+        )
+        nonlinear = tuple(v for v in r.variables if degrees[v] >= 2)
+        levels = tuple(
+            max([degrees[v] - deg[v] for v in nonlinear] or [0]) for deg in per_monomial
+        )
+        prof = r.degree_profile()
+        assert prof is r.degree_profile()  # built once
+        assert prof.degrees == degrees and list(prof.degrees) == list(r.variables)
+        assert prof.per_monomial == per_monomial
+        assert prof.partial_degree == max(degrees.values())
+        assert prof.nonlinear == nonlinear
+        assert prof.levels == levels
+        assert prof.multiplicities == tuple(max(1, l) for l in levels)
+
+
+_TOKENS = ["x", "y", "x1", "ab_2", "Z", "2", "10", "0", "٣", "+", "-", "*", "^",
+           " ", "\t", "_", "é", "#", "3x", "x2y"]
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except PolySyntaxError as err:
+        return err.position, err.expected, err.found
+
+
+@given(st.lists(st.sampled_from(_TOKENS), max_size=14).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_term_split_agrees_with_the_descent(text):
+    # the split by signs reads every text the descent reads, to the same
+    # terms, and leaves every other text to the descent's error
+    from rado_forge import poly
+
+    assert _outcome(poly._parse_terms, text) == _outcome(poly._descend, text)
+
+
+@pytest.mark.parametrize(
+    "text", ["x*" * 50_000 + "?", "x+" * 50_000 + "?", " " * 100_000 + "?", "1" * 100_000 + "x?"]
+)
+def test_long_malformed_text_fails_in_linear_time(text):
+    started = time.perf_counter()
+    with pytest.raises(PolySyntaxError):
+        parse(text)
+    assert time.perf_counter() - started < 2.0

@@ -1,0 +1,29 @@
+"""The package's source parses under the oldest Python that pyproject.toml
+allows, so a newer-only syntax fails here even when the suite runs on a
+newer interpreter."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "rado_forge").glob("*.py"))
+
+
+def _oldest_python() -> tuple[int, int]:
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def test_the_oldest_python_is_3_10():
+    assert _oldest_python() == (3, 10)
+    assert MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_parses_under_the_oldest_python(path):
+    source = path.read_text(encoding="utf-8")
+    ast.parse(source, filename=str(path), feature_version=_oldest_python())

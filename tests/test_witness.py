@@ -19,8 +19,8 @@ from gen_support import (
     random_lev_polynomial,
     random_nonlinear_polynomial,
 )
-from rado_forge import solutions, witness
-from rado_forge.classify import classify, nonlinear_shape, rado_condition
+from rado_forge import poly, solutions, witness
+from rado_forge.classify import classify, nonlinear_shape, rado_condition, replay_certificate
 from rado_forge.corpus import load_fixtures
 from rado_forge.poly import Polynomial, parse
 from rado_forge.witness import (
@@ -472,6 +472,34 @@ def test_primes_above_matches_trial_division():
     assert not witness._is_prime((2**61 - 1) * (2**89 - 1))
 
 
+def _primes_one_by_one(lower, count):
+    """The first ``count`` primes above ``lower``, testing each integer."""
+    found, n = [], lower + 1
+    while len(found) < count:
+        if witness._is_prime(n):
+            found.append(n)
+        n += 1
+    return tuple(found)
+
+
+@pytest.mark.parametrize(
+    "lower, count",
+    [
+        (0, 60),
+        (1, 3),
+        (89, 4),
+        (10**9 - 100, 6),
+        (10**18, 5),
+        (witness._WITNESS_BOUND - 500, 8),  # windows below and above the bound
+        (witness._WITNESS_BOUND * 1_000_003, 3),
+        (2**witness._SIEVE_BITS - 1, 3),  # the first sieved start
+        (2**400 + 1, 2),
+    ],
+)
+def test_sieved_primes_above_match_testing_each_candidate(lower, count):
+    assert primes_above(lower, count) == _primes_one_by_one(lower, count)
+
+
 def test_default_lift_of_a_long_product_form_answers():
     # the primes above the constructed values (about 10^13) take Miller-Rabin
     # steps, not trial division
@@ -500,6 +528,28 @@ def test_each_lift_decides_the_zero_sum_condition_once(monkeypatch):
         [w] = build_witness(parse(fixture.text), methods[fixture.theorem])
         assert len(calls) == 1, fixture.text
         assert w.value == 0
+
+
+def test_each_polynomial_builds_its_degree_profile_once(monkeypatch):
+    built = []
+    build = poly._degree_profile
+
+    def counted(p):
+        built.append(p)
+        return build(p)
+
+    monkeypatch.setattr(poly, "_degree_profile", counted)
+    fixtures = [f for f in load_fixtures() if f.theorem == "Thm4.2"]
+    assert fixtures
+    for fixture in fixtures:
+        built.clear()
+        p = parse(fixture.text)
+        verdict = classify(p)
+        assert replay_certificate(p, verdict)
+        [w] = build_witness(p, "nlp")
+        assert w.value == 0
+        assert [q for q in built if q is p] == [p], fixture.text
+        assert len({id(q) for q in built}) == len(built), fixture.text
 
 
 def _sum_of_products(k, extra):
