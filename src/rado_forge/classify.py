@@ -852,7 +852,8 @@ def _classify_z(p: Polynomial) -> Verdict:
     flipped = negate_all_variables(p)
     fv = classify(flipped, "N")
     if fv.status == PR:
-        assert fv.certificate is not None
+        if fv.certificate is None:
+            raise AssertionError("a PR verdict of the flipped polynomial has no certificate")
         cert = Certificate(
             fv.certificate.theorem,
             dict(

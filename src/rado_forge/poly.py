@@ -19,7 +19,8 @@ Each object computes its structural data once.  A ``Monomial`` derives its
 canonical monomials, sorted variables, coefficients, shape flags and the
 degree of each variable at construction, and builds ``degree_profile()`` on
 the first call only.  ``evaluate`` checks coverage against the precomputed
-variables.
+variables, and so does ``evaluate_many``, which takes many assignments at
+once as rows of values and reads them a column at a time.
 
 The public constructors ``Monomial(...)``, ``Polynomial(...)`` and
 ``Polynomial.from_terms`` validate their input.  ``parse`` skips only the
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import add, mul
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "PolySyntaxError",
@@ -274,6 +276,28 @@ class Polynomial:
                 term *= assignment[v] ** e
             total += term
         return total
+
+    def evaluate_many(self, order: Sequence[str], rows: Sequence[Sequence[int]]) -> list[int]:
+        """Exact value at each row, where a row lists the values of the
+        variables in ``order``; extra variables are ignored, as in
+        ``evaluate``.  The rows are read a column at a time: one ``map`` pass
+        per factor and per monomial, so no row costs a Python-level loop."""
+        at = {v: i for i, v in enumerate(order)}  # a repeated name reads its last column
+        if not at.keys() >= self._degrees.keys():
+            raise MissingVariableError(tuple(v for v in self.variables if v not in at))
+        if not rows:
+            return []
+        columns = list(zip(*rows))
+        totals = None
+        for m in self.monomials:
+            term = None
+            for v, e in m.exponents:
+                column = columns[at[v]] if e == 1 else map(e.__rpow__, columns[at[v]])
+                term = column if term is None else map(mul, term, column)
+            if m.coefficient != 1:
+                term = map(m.coefficient.__mul__, term)
+            totals = term if totals is None else map(add, totals, term)
+        return list(totals)
 
     # -- identity ----------------------------------------------------------
 

@@ -19,6 +19,11 @@ A bad coloring of [1..N] restricts to one of [1..N-1], so a threshold is one
 search over [1..max_n]: ``rado_number`` is ``depth_max + 1`` of a Forced
 ``find_bad_coloring``, one more than the length of the deepest bad coloring
 the search reaches.  Re-verifying that coloring covers every shorter interval.
+The re-check does not trust the kernel's masks: ``_first_monochromatic``
+reads each layer up to the coloring's length a column at a time, the colors
+of each column through one lookup table, and refuses the coloring when some
+tuple's colors all agree.  ``monochromatic_solution`` makes the same check
+over the oracle's tuples.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
@@ -56,10 +61,11 @@ dead colorings).
 
 from __future__ import annotations
 
+import itertools
 import operator
 import time
 from dataclasses import asdict, dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Optional, Sequence
 
 from .poly import Polynomial
 from .solutions import brute_force_solutions, solution_layers
@@ -323,8 +329,8 @@ def find_bad_coloring(
     found, read, exhausted = _first_bad_coloring(layers, r, n_bound, budget, stats)
     stats.search_ms = (time.perf_counter() - kernel_started) * 1000 - stats.enumerate_ms
     deepest = Coloring(tuple(found))
-    solutions = [t for layer in read[: deepest.n] for t in layer]
-    if _first_monochromatic(solutions, deepest) is not None:
+    by_value = (None, *found)
+    if any(_first_monochromatic(layer, by_value) is not None for layer in read[: deepest.n]):
         raise AssertionError("search produced an invalid bad coloring")
     stats.constraints, stats.depth_max = sum(map(len, read)), deepest.n
     stats.ms = (time.perf_counter() - started) * 1000
@@ -350,14 +356,23 @@ def rado_number(
 
 
 def _first_monochromatic(
-    solutions: list[tuple[int, ...]], coloring: Coloring
+    rows: list[tuple[int, ...]], by_value: Sequence[Optional[int]]
 ) -> Optional[tuple[int, ...]]:
-    """The first of ``solutions`` whose values all share one color."""
-    for t in solutions:
-        first = coloring.color_of(t[0])
-        if all(coloring.color_of(v) == first for v in t[1:]):
-            return t
-    return None
+    """The first of ``rows`` whose values all share one color, where
+    ``by_value[v]`` is the color of v.  The rows are read a column at a
+    time: each column's colors through ``by_value.__getitem__``, each
+    compared with the first column's, the comparisons ANDed, and the first
+    row where all of them hold is the answer."""
+    if not rows:
+        return None
+    color = by_value.__getitem__
+    columns = zip(*rows)
+    first = list(map(color, next(columns)))
+    same = None
+    for column in columns:
+        equal = map(operator.eq, first, map(color, column))
+        same = equal if same is None else map(operator.and_, same, equal)
+    return rows[0] if same is None else next(itertools.compress(rows, same), None)
 
 
 def monochromatic_solution(
@@ -367,4 +382,5 @@ def monochromatic_solution(
     from ``enumerate_constraints``, the oracle; None for the empty coloring."""
     if not coloring.n:
         return None
-    return _first_monochromatic(enumerate_constraints(p, coloring.n, injective), coloring)
+    rows = enumerate_constraints(p, coloring.n, injective)
+    return _first_monochromatic(rows, (None, *coloring.colors))

@@ -320,6 +320,41 @@ def test_evaluate_matches_independent_recomputation(p):
     assert p.evaluate(v) == expected
 
 
+@given(polynomials(), st.data())
+@settings(max_examples=200)
+def test_evaluate_many_matches_evaluate_row_by_row(p, data):
+    # the variables in any order with an unused name among them, and any
+    # number of rows, none and one included
+    order = data.draw(st.permutations(p.variables + ("unused",)))
+    row = st.tuples(*[st.integers(1, 50)] * len(order))
+    rows = data.draw(st.lists(row, max_size=6))
+    assert p.evaluate_many(order, rows) == [p.evaluate(dict(zip(order, r))) for r in rows]
+
+
+@given(polynomials(), st.data())
+@settings(max_examples=100)
+def test_evaluate_many_missing_variable(p, data):
+    dropped = data.draw(st.sampled_from(p.variables))
+    order = [v for v in p.variables if v != dropped]
+    with pytest.raises(MissingVariableError) as many:
+        p.evaluate_many(order, [(1,) * len(order)])
+    with pytest.raises(MissingVariableError) as one:
+        p.evaluate(dict.fromkeys(order, 1))
+    assert many.value.missing == one.value.missing == (dropped,)
+    with pytest.raises(MissingVariableError):
+        p.evaluate_many(order, [])
+
+
+def test_evaluate_many_examples():
+    p = parse("3*x^3*y - 7*y^2 - z")  # exponents above 1, negative coefficients
+    assert p.evaluate_many(("z", "y", "x"), []) == []
+    assert p.evaluate_many(("z", "y", "x"), [(1, 2, 3)]) == [3 * 27 * 2 - 7 * 4 - 1]
+    assert p.evaluate_many(("x", "y", "z"), [(1, 1, 1), (2, 1, 17)]) == [-5, 0]
+    big = 10**30
+    assert p.evaluate_many(("x", "y", "z"), [(big, 1, 1)]) == [3 * big**3 - 8]
+    assert parse("x").evaluate_many(("x",), [(4,), (5,)]) == [4, 5]
+
+
 @given(polynomials(), polynomials())
 @settings(max_examples=100)
 def test_gcd_divides_both(p, q):

@@ -5,7 +5,10 @@ import importlib
 import importlib.util
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -234,6 +237,75 @@ def test_reverification_reaches_the_last_value(monkeypatch):
             run(SCHUR, 2, 5)
 
 
+def test_a_layer_holding_a_non_solution_is_refused(monkeypatch):
+    # a solve step that answers 3 for the root 2 of x + y = z puts the
+    # non-solution (1, 1, 3) into layer 3: the layers' re-verification must
+    # refuse it, alone or inside a scan
+    solve = solutions._solve
+
+    def wrong(lead, rest, e, bound):
+        root = solve(lead, rest, e, bound)
+        return 3 if root == 2 else root
+
+    monkeypatch.setattr(solutions, "_solve", wrong)
+    for run in (find_bad_coloring, rado_number):
+        with pytest.raises(
+            AssertionError,
+            match=re.escape("enumerator produced a non-solution: {'x': 1, 'y': 1, 'z': 3}"),
+        ):
+            run(SCHUR, 2, 5)
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Runs ``script`` under ``python -O``, importing this package."""
+    import rado_forge
+
+    src = str(Path(rado_forge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("run", ["find_bad_coloring", "rado_number"])
+def test_a_non_solution_is_refused_under_python_O(run):
+    script = f"""
+from rado_forge import search, solutions
+from rado_forge.poly import parse
+solve = solutions._solve
+
+def wrong(lead, rest, e, bound):
+    root = solve(lead, rest, e, bound)
+    return 3 if root == 2 else root
+
+solutions._solve = wrong
+print("outcome", search.{run}(parse("x + y - z"), 2, 5))
+"""
+    done = _run_optimized(script)
+    assert done.returncode != 0
+    assert "outcome" not in done.stdout
+    assert "AssertionError: enumerator produced a non-solution: {'x': 1, 'y': 1, 'z': 3}" in done.stderr
+
+
+@pytest.mark.parametrize("run", ["find_bad_coloring", "rado_number"])
+def test_an_invalid_bad_coloring_is_refused_under_python_O(run):
+    script = f"""
+from rado_forge import search
+from rado_forge.poly import parse
+
+def last_value_bad(layers, r, n, budget, stats):
+    return [0, 1, 1, 0, 0], list(layers), False
+
+search._first_bad_coloring = last_value_bad
+print("outcome", search.{run}(parse("x + y - z"), 2, 5))
+"""
+    done = _run_optimized(script)
+    assert done.returncode != 0
+    assert "outcome" not in done.stdout
+    assert "AssertionError: search produced an invalid bad coloring" in done.stderr
+
+
 def test_colors_beyond_the_bound_cost_nothing():
     # a canonical coloring of [1..4] uses at most four colors, so ten
     # million colors allocate no more than four do
@@ -264,6 +336,41 @@ def test_monochromatic_solution_examples():
     assert monochromatic_solution(SCHUR, Coloring(())) is None
     with pytest.raises(ValueError, match="bound must be >= 1"):
         enumerate_constraints(SCHUR, 0)
+
+
+def _first_monochromatic_per_tuple(rows, coloring):
+    """The per-tuple reference: the first row whose values share one color."""
+    for t in rows:
+        first = coloring.color_of(t[0])
+        if all(coloring.color_of(v) == first for v in t[1:]):
+            return t
+    return None
+
+
+@pytest.mark.parametrize("text", ["x + y - z", "x1 + x2 + x3 - x4"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_check_finds_the_first_monochromatic_tuple(text, data):
+    p = parse(text)
+    n = data.draw(st.integers(1, 12), label="n")
+    colors = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="colors"))
+    coloring = Coloring(colors)
+    rows = enumerate_constraints(p, n)
+    first = _first_monochromatic_per_tuple(rows, coloring)
+    assert search._first_monochromatic(rows, (None, *colors)) == first
+    # first lexicographic: the oracle's rows are in lexicographic order
+    monochromatic = [t for t in rows if len({coloring.color_of(v) for v in t}) == 1]
+    assert first == min(monochromatic, default=None)
+    assert monochromatic_solution(p, coloring) == first
+    for layer in solutions.solution_layers(p, n, False):
+        found = search._first_monochromatic(layer, (None, *colors))
+        assert found == _first_monochromatic_per_tuple(layer, coloring)
+
+
+def test_column_check_of_one_column():
+    # a one-variable row is monochromatic by itself
+    assert search._first_monochromatic([(2,), (1,)], (None, 0, 1)) == (2,)
+    assert search._first_monochromatic([], (None, 0, 1)) is None
 
 
 # -- rado_number ----------------------------------------------------------
@@ -313,17 +420,17 @@ def test_hindman_shape_thresholds():
 def test_threshold_scan_enumerates_each_solution_once(monkeypatch):
     # x1 + x2 + x3 = x4 has C(11, 3) = 165 solutions in [1..11], and 41 with
     # x1 <= x2 <= x3, one per orbit of the interchangeable x1, x2, x3; a scan
-    # that re-enumerated [1..N] for each N would evaluate more
-    calls = []
-    evaluate = Polynomial.evaluate
+    # that re-enumerated [1..N] for each N would re-verify more rows
+    rows = []
+    evaluate_many = Polynomial.evaluate_many
 
-    def counted(self, assignment):
-        calls.append(1)
-        return evaluate(self, assignment)
+    def counted(self, order, layer):
+        rows.extend(layer)
+        return evaluate_many(self, order, layer)
 
-    monkeypatch.setattr(Polynomial, "evaluate", counted)
+    monkeypatch.setattr(Polynomial, "evaluate_many", counted)
     assert rado_number(parse("x1 + x2 + x3 - x4"), 2, 12) == 11
-    assert len(calls) == 41
+    assert len(rows) == 41
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The package's source parses under the oldest Python that pyproject.toml
 allows, so a newer-only syntax fails here even when the suite runs on a
-newer interpreter."""
+newer interpreter; and it holds no ``assert`` statement, so every check it
+makes still runs under ``python -O``."""
 
 import ast
 import re
@@ -27,3 +28,10 @@ def test_the_oldest_python_is_3_10():
 def test_module_parses_under_the_oldest_python(path):
     source = path.read_text(encoding="utf-8")
     ast.parse(source, filename=str(path), feature_version=_oldest_python())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_has_no_assert_statement(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements at lines {lines} vanish under python -O"
