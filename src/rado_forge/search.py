@@ -49,14 +49,16 @@ test per set.  For Schur every set filed under u has no member below t and
 the offset u, so a coloring costs one shift.  The closed bits not yet in
 ``blk[c]`` are new; when one of them is also set in the ``blk`` of every
 other color, that read value has no color left, the coloring is dead (a
-prune) and the next color is tried.  A coloring keeps its new bits as one
-int, and undoing it is one xor, last in, first out; a bit set as its layer is
-read belongs to the smallest u whose set closes it.  Only read layers are
-checked, and those reach at most one past the deepest bad coloring so far, so
-a pruned branch dies before it could go deeper: the deepest coloring, the
-first full coloring, the Forced verdict and the layers read are those of the
-same search without the check, in fewer nodes (``stats.prunes`` counts the
-dead colorings).
+prune) and the next color is tried.  The search keeps one undo trail, an
+entry per colored value: its color, its new bits as one int and the color
+limit it was tried under.  A step forward pushes one entry; a step back pops
+one, and undoing its bits is one xor, last in, first out.  A bit set as its
+layer is read joins the entry of the smallest u whose set closes it.  Only
+read layers are checked, and those reach at most one past the deepest bad
+coloring so far, so a pruned branch dies before it could go deeper: the
+deepest coloring, the first full coloring, the Forced verdict and the layers
+read are those of the same search without the check, in fewer nodes
+(``stats.prunes`` counts the dead colorings).
 """
 
 from __future__ import annotations
@@ -198,17 +200,20 @@ def _first_bad_coloring(
     whose other members all have color c: ``(members & a) << d`` for each
     group ``[rem, d, a]`` of v whose ``rem`` lies in ``members``, the class of
     c with v + 1.  The bits not yet in ``blk[c]`` are new; the coloring is
-    dead when one of them is in the ``blk`` of every other color, and
-    otherwise ``owned`` keeps them, so that undoing the coloring is one xor.
+    dead when one of them is in the ``blk`` of every other color.  Otherwise
+    ``trail`` gets the entry (c, new, limit), and the step back from v + 2 pops
+    it: ``blk[c] ^= new``, the class of c loses v + 1, and the limit at v + 1
+    is restored.  ``bit`` (1 << v), ``limit`` and the depth reached are
+    locals that move with each step, and the deepest coloring is copied from
+    the trail only when the depth grows.
     """
     r = min(r, n)
     read: list[list[tuple[int, ...]]] = []
     classes = [0] * r  # classes[c]: bit i set when i + 1 has color c
     blk = [0] * r  # blk[c]: bit w set when color c closes a value set at w + 1
-    others = [[o for o in reversed(range(r)) if o != c] for c in range(r)]  # sparsest first
+    others = [tuple(o for o in reversed(range(r)) if o != c) for c in range(r)]  # sparsest first
     groups: list[list[list[int]]] = []  # groups[u]: [rem, d, a], closing (members & a) << d
     group_of: list[dict[int, list[int]]] = []  # group_of[u]: d << u | rem -> its group of u
-    owned: list[int] = []  # owned[u]: the bits the color of u + 1 set in its blk
 
     def take() -> None:
         """Reads the next layer, files its value sets and blocks what they close."""
@@ -236,7 +241,7 @@ def _first_bad_coloring(
                 group = group_of[u][key] = [rem, d, 0]
                 groups[u].append(group)
             group[2] |= 1 << t
-            c = colors[u]
+            c = trail[u][0]
             if classes[c] & mask == mask and owner.get(c, u) >= u:
                 owner[c] = u
         if closed:
@@ -245,27 +250,26 @@ def _first_bad_coloring(
         else:
             for c, u in owner.items():
                 blk[c] |= bit
-                owned[u] |= bit
+                _, bits, lim = trail[u]
+                trail[u] = (c, bits | bit, lim)
 
     deepest: list[int] = []
-    colors: list[int] = []  # colors of 1..v, all checked
-    limits = [1]  # limits[v]: colors v + 1 may take, one past those of 1..v, at most r
-    nodes = prunes = 0
+    trail: list[tuple[int, int, int]] = []  # trail[u]: color of u + 1, bits it set in blk, limit at u + 1
+    nodes = prunes = depth = 0
     exhausted = False
     v = color = 0  # the value v + 1 tries the colors from ``color`` up
+    bit = limit = 1  # 1 << v; the colors v + 1 may take, one past those of 1..v, at most r
     take()
     while True:
-        limit = limits[v]
         c = color
-        while c < limit and blk[c] >> v & 1:  # refused: it closes a set at v + 1
+        while c < limit and blk[c] & bit:  # refused: it closes a set at v + 1
             c += 1
-        spent = c + 1 - color if c < limit else limit - color
-        if nodes + spent > budget:
-            nodes, exhausted = budget, True
-            break
-        nodes += spent
         if c < limit:
-            members = classes[c] | 1 << v
+            nodes += c + 1 - color
+            if nodes > budget:
+                nodes, exhausted = budget, True
+                break
+            members = classes[c] | bit
             new = 0
             for rem, d, a in groups[v]:
                 if members & rem == rem:
@@ -282,26 +286,32 @@ def _first_bad_coloring(
                     color = c + 1
                     continue
             blk[c] |= new
-            owned.append(new)
             classes[c] = members
-            colors.append(c)
-            limits.append(limit + (c + 1 == limit < r))  # a new color opens the next
+            trail.append((c, new, limit))
+            if c + 1 == limit < r:  # a new color opens the next
+                limit += 1
             v += 1
+            bit <<= 1
             color = 0
-            if v > len(deepest):
-                deepest = colors[:]
+            if v > depth:
+                depth = v
+                deepest = [t[0] for t in trail]
                 if v == n:
                     break
                 take()
-        elif v:  # no color left at v + 1: back to v
-            v -= 1
-            c = colors.pop()
-            limits.pop()
-            blk[c] ^= owned.pop()
-            classes[c] ^= 1 << v
-            color = c + 1
         else:
-            break
+            nodes += limit - color
+            if nodes > budget:
+                nodes, exhausted = budget, True
+                break
+            if not v:
+                break
+            c, new, limit = trail.pop()  # no color left at v + 1: back to v
+            v -= 1
+            bit >>= 1
+            blk[c] ^= new
+            classes[c] ^= bit
+            color = c + 1
     stats.nodes, stats.prunes = nodes, prunes
     return deepest, read, exhausted
 

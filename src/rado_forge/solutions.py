@@ -30,9 +30,9 @@ variable, so the completions of a prefix bound p from below and from above,
 and a position stops rising once 0 falls outside a bound that its value
 moves away from 0.  Every tuple either enumerator emits is re-verified
 exactly by the polynomial, not by the walk's terms: the oracle calls
-``evaluate`` on each tuple, the layers call ``evaluate_many`` once per layer,
-which reads the layer a column at a time.  A non-zero value raises
-``AssertionError`` naming that tuple.
+``evaluate`` on each tuple, the layers call ``evaluate_many`` once per
+non-empty layer, which reads the layer a column at a time.  A non-zero value
+raises ``AssertionError`` naming that tuple.
 """
 
 from __future__ import annotations
@@ -383,9 +383,9 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[list
     ``_solved_position`` is solved for by ``_solve``, and a root above N
     waits for its own layer; a prefix that every value solves joins each
     later layer.  With no variable solved for, the walk's leaves are the
-    solutions.  Each layer is re-verified by one ``evaluate_many`` call over
-    its tuples before it is yielded; the first tuple at which p is not 0
-    raises ``AssertionError``.
+    solutions.  Each non-empty layer is re-verified by one ``evaluate_many``
+    call over its tuples before it is yielded; the first tuple at which p is
+    not 0 raises ``AssertionError``.
     """
     k = len(p.variables)
     position = _solved_position(p)
@@ -432,7 +432,8 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[list
         if injective:
             found = [t for t in found if len(set(t)) == k]
         found.sort()
-        bad = next(itertools.compress(found, p.evaluate_many(variables, found)), None)
-        if bad is not None:  # independent re-verification
-            raise AssertionError(f"enumerator produced a non-solution: {dict(zip(variables, bad))}")
+        if found:  # independent re-verification
+            bad = next(itertools.compress(found, p.evaluate_many(variables, found)), None)
+            if bad is not None:
+                raise AssertionError(f"enumerator produced a non-solution: {dict(zip(variables, bad))}")
         yield found

@@ -433,6 +433,24 @@ def test_threshold_scan_enumerates_each_solution_once(monkeypatch):
     assert len(rows) == 41
 
 
+@pytest.mark.parametrize("text,injective", [("x^2 + y^2 - z^2", False), ("x + y - z", True)])
+def test_only_non_empty_layers_are_re_verified(text, injective, monkeypatch):
+    # one evaluate_many call per non-empty layer read, over all its tuples,
+    # and none for an empty layer: most values below 60 lie on no
+    # Pythagorean triple, and the injective filter empties layer 2 of x+y-z
+    calls = []
+    evaluate_many = Polynomial.evaluate_many
+
+    def counted(self, order, layer):
+        calls.append(len(layer))
+        return evaluate_many(self, order, layer)
+
+    monkeypatch.setattr(Polynomial, "evaluate_many", counted)
+    layers = list(solutions.solution_layers(parse(text), 60, injective))
+    assert calls == [len(layer) for layer in layers if layer]
+    assert 0 < len(calls) < len(layers)
+
+
 @pytest.mark.parametrize(
     "text,injective,max_n",
     [
@@ -1062,6 +1080,50 @@ def test_kernel_counts_are_pinned(case, expected):
         parse(text), r, n, injective, budget=budget or search.DEFAULT_NODE_BUDGET)
     stats = outcome.stats
     assert (outcome.kind, stats.nodes, stats.prunes, stats.depth_max) == expected
+
+
+# The 13 searches of the threshold-scan and bad-coloring benchmark workloads,
+# as the benchmark runs them: a threshold task searches [1..threshold + 1]
+# under the default budget.  (form, r, N, injective, budget) -> (kind, nodes,
+# prunes, depth_max, constraints)
+BENCHMARK_SEARCHES = {
+    "threshold-scan": [
+        (("x + y - z", 2, 6, False, None), (FORCED, 11, 0, 4, 6)),
+        (("x + y - z", 3, 15, False, None), (FORCED, 420, 74, 13, 49)),
+        (("x + y - z", 2, 10, True, None), (FORCED, 37, 7, 8, 16)),
+        (("x + y - z", 3, 25, True, None), (FORCED, 20582, 4561, 23, 132)),
+        (("x1 + x2 + x3 - x4", 2, 12, False, None), (FORCED, 39, 3, 10, 41)),
+        (("x1 + x2 + x3 + x4 - x5", 2, 20, False, None), (FORCED, 97, 9, 18, 295)),
+        (("x + 2*y - z", 2, 12, False, None), (FORCED, 39, 3, 10, 25)),
+        (("x + 3*y - z", 2, 20, False, None), (FORCED, 99, 10, 18, 51)),
+        (("x + 4*y - z", 2, 30, False, None), (FORCED, 213, 23, 28, 91)),
+    ],
+    "bad-coloring": [
+        (("x + y - z", 4, 40, False, None), (BAD_COLORING, 11559, 1414, 40, 400)),
+        (("x1 + x2 + x3 - x4", 3, 30, False, None), (BAD_COLORING, 977, 0, 30, 785)),
+        (("x + y - z", 3, 23, True, None), (BAD_COLORING, 999, 168, 23, 121)),
+        (("x + y - z", 4, 44, False, 250_000), (INCONCLUSIVE, 250000, 40937, 43, 484)),
+    ],
+}
+# the kernel nodes of one traced pass of each workload (search.kernel.nodes)
+BENCHMARK_NODES = {"threshold-scan": 21_537, "bad-coloring": 263_535}
+
+
+@pytest.mark.parametrize(
+    "workload,case,expected",
+    [(workload, case, expected)
+     for workload, rows in BENCHMARK_SEARCHES.items() for case, expected in rows],
+    ids=["{} {} r={} N={}{}".format(workload, text, r, n, " injective" * injective)
+         for workload, rows in BENCHMARK_SEARCHES.items()
+         for (text, r, n, injective, _), _ in rows])
+def test_benchmark_searches_are_pinned(workload, case, expected):
+    rows = BENCHMARK_SEARCHES[workload]
+    assert sum(nodes for _, (_, nodes, *_) in rows) == BENCHMARK_NODES[workload]
+    text, r, n, injective, budget = case
+    outcome = find_bad_coloring(
+        parse(text), r, n, injective, budget=budget or search.DEFAULT_NODE_BUDGET)
+    stats = outcome.stats
+    assert (outcome.kind, stats.nodes, stats.prunes, stats.depth_max, stats.constraints) == expected
 
 
 def test_huge_exponent_does_not_stall_the_bounded_walk():

@@ -1,7 +1,9 @@
 """The package's source parses under the oldest Python that pyproject.toml
 allows, so a newer-only syntax fails here even when the suite runs on a
 newer interpreter; and it holds no ``assert`` statement, so every check it
-makes still runs under ``python -O``."""
+makes still runs under ``python -O``.  The CI workflow runs the tier-1
+command of ROADMAP.md and the benchmark self-test, on that oldest Python
+among others, under its 20-minute timeout."""
 
 import ast
 import re
@@ -11,6 +13,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "rado_forge").glob("*.py"))
+
+
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def _oldest_python() -> tuple[int, int]:
@@ -35,3 +40,17 @@ def test_module_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines} vanish under python -O"
+
+
+def test_ci_runs_the_tier_1_command_and_the_self_test():
+    # read as text: the suite needs no YAML parser
+    workflow = WORKFLOW.read_text(encoding="utf-8")
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    tier_1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    runs = re.findall(r"^\s*run: (.+)$", workflow, re.MULTILINE)
+    assert tier_1 in runs
+    assert "python3 perfbench/selftest.py" in runs
+    assert re.search(r"^\s*timeout-minutes: 20$", workflow, re.MULTILINE)
+    versions = re.search(r"^\s*python-version: \[(.*)\]$", workflow, re.MULTILINE).group(1)
+    major, minor = _oldest_python()
+    assert f"{major}.{minor}" in re.findall(r'"([^"]+)"', versions)
