@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -281,18 +281,21 @@ class Polynomial:
         """Exact value at each row, where a row lists the values of the
         variables in ``order``; extra variables are ignored, as in
         ``evaluate``.  The rows are read a column at a time: one ``map`` pass
-        per factor and per monomial, so no row costs a Python-level loop."""
+        per factor and per monomial, so no row costs a Python-level loop.  A
+        column is read through ``itemgetter`` where a factor uses it, not
+        built: transposing many rows at once would hold an iterator per row."""
         at = {v: i for i, v in enumerate(order)}  # a repeated name reads its last column
         if not at.keys() >= self._degrees.keys():
             raise MissingVariableError(tuple(v for v in self.variables if v not in at))
         if not rows:
             return []
-        columns = list(zip(*rows))
         totals = None
         for m in self.monomials:
             term = None
             for v, e in m.exponents:
-                column = columns[at[v]] if e == 1 else map(e.__rpow__, columns[at[v]])
+                column = map(itemgetter(at[v]), rows)
+                if e != 1:
+                    column = map(e.__rpow__, column)
                 term = column if term is None else map(mul, term, column)
             if m.coefficient != 1:
                 term = map(m.coefficient.__mul__, term)

@@ -11,7 +11,10 @@ The search reads the solutions of p in layers by their largest value, from
 ``solutions.solution_layers``: layer v + 1 when it first colors v.  It reads
 only value sets, so a layer holds one representative per orbit of
 interchangeable variables, and ``stats.constraints`` counts the
-representatives read.  ``enumerate_constraints`` and
+representatives read.  Whatever a layer costs to read beyond its tuples is
+paid once per search: the layers' setup, the re-verification below, and the
+table ``value_bit`` that turns the members of a value set into its mask,
+which grows by one entry per layer read.  ``enumerate_constraints`` and
 ``monochromatic_solution`` read the oracle ``brute_force_solutions``, not the
 layers, so a check made through them does not run the search's enumerator.
 
@@ -19,11 +22,18 @@ A bad coloring of [1..N] restricts to one of [1..N-1], so a threshold is one
 search over [1..max_n]: ``rado_number`` is ``depth_max + 1`` of a Forced
 ``find_bad_coloring``, one more than the length of the deepest bad coloring
 the search reaches.  Re-verifying that coloring covers every shorter interval.
-The re-check does not trust the kernel's masks: ``_first_monochromatic``
-reads each layer up to the coloring's length a column at a time, the colors
-of each column through one lookup table, and refuses the coloring when some
-tuple's colors all agree.  ``monochromatic_solution`` makes the same check
-over the oracle's tuples.
+
+Two checks guard each search, each one pass over the tuples it read, made
+after the kernel and before any outcome is built, an Inconclusive one
+included.  Every tuple of every layer read, the layer above the deepest
+coloring too, is re-verified by the polynomial in one ``evaluate_many``
+call, in the layers' variable order (``Layers.variables``); the first tuple
+in read order at which p is not 0 raises ``AssertionError``.  The coloring
+re-check does not trust the kernel's masks: one ``_first_monochromatic``
+call reads the tuples of the layers up to the coloring's length a column at
+a time, the colors of each column through one lookup table, and refuses the
+coloring when some tuple's colors all agree.  ``monochromatic_solution``
+makes the same check over the oracle's tuples.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
@@ -66,7 +76,7 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
 from .poly import Polynomial
@@ -117,15 +127,18 @@ class SearchStats:
     constraints: int = 0  # solutions read: one representative per orbit
     ms: float = 0.0
     depth_max: int = 0  # length of the deepest bad coloring reached
-    enumerate_ms: float = 0.0  # part of ms spent reading solution layers
+    enumerate_ms: float = 0.0  # part of ms spent building, reading and re-verifying layers
     prunes: int = 0  # colorings the forward check refused as dead
     search_ms: float = 0.0  # part of ms spent in the kernel: filing layers counts, reading them not
 
     def to_json(self) -> dict[str, Any]:
         return {
-            **asdict(self),
+            "nodes": self.nodes,
+            "constraints": self.constraints,
             "ms": int(self.ms),
+            "depth_max": self.depth_max,
             "enumerate_ms": int(self.enumerate_ms),
+            "prunes": self.prunes,
             "search_ms": int(self.search_ms),
         }
 
@@ -161,15 +174,15 @@ def enumerate_constraints(
     return [tuple(w.assignment[v] for v in p.variables) for w in found]
 
 
-def _others(layer: list[tuple[int, ...]]) -> set[int]:
+def _others(layer: list[tuple[int, ...]], bits: Sequence[int]) -> set[int]:
     """The distinct value sets of one layer, each as the mask of its members
-    below the layer's value (bit i for the value i + 1): what a search files
-    when it reads the layer.  The masks are built a position at a time, so
+    below the layer's value: what a search files when it reads the layer.
+    ``bits[v]`` is the bit of the value v (bit i for the value i + 1), and 0
+    for the layer's own value.  The masks are built a position at a time, so
     each tuple costs no Python-level loop."""
     if not layer:
         return set()
-    bit = [1 << i >> 1 for i in range(max(layer[0]))] + [0]  # the layer's own value: no bit
-    get = bit.__getitem__
+    get = bits.__getitem__
     columns = zip(*layer)
     masks = map(get, next(columns))
     for column in columns:
@@ -214,6 +227,7 @@ def _first_bad_coloring(
     others = [tuple(o for o in reversed(range(r)) if o != c) for c in range(r)]  # sparsest first
     groups: list[list[list[int]]] = []  # groups[u]: [rem, d, a], closing (members & a) << d
     group_of: list[dict[int, list[int]]] = []  # group_of[u]: d << u | rem -> its group of u
+    value_bit = [0]  # value_bit[x]: the bit of the read value x, one entry per layer read
 
     def take() -> None:
         """Reads the next layer, files its value sets and blocks what they close."""
@@ -227,7 +241,10 @@ def _first_bad_coloring(
         bit = 1 << w
         closed = False  # a value set of one member closes w + 1 for every color
         owner: dict[int, int] = {}  # color -> smallest u whose value set blocks it
-        for mask in _others(layer):
+        value_bit.append(0)  # the layer's own value: no bit while its sets are masked
+        masks = _others(layer, value_bit)
+        value_bit[w + 1] = bit
+        for mask in masks:
             if not mask:
                 closed = True
                 continue
@@ -337,12 +354,19 @@ def find_bad_coloring(
     layers = solution_layers(p, n_bound, injective)
     kernel_started = time.perf_counter()
     found, read, exhausted = _first_bad_coloring(layers, r, n_bound, budget, stats)
-    stats.search_ms = (time.perf_counter() - kernel_started) * 1000 - stats.enumerate_ms
+    kernel_ended = time.perf_counter()
+    stats.search_ms = (kernel_ended - kernel_started) * 1000 - stats.enumerate_ms
+    rows = list(itertools.chain.from_iterable(read))
+    if rows:  # independent re-verification of every tuple read
+        bad = next(itertools.compress(rows, p.evaluate_many(layers.variables, rows)), None)
+        if bad is not None:
+            raise AssertionError(f"enumerator produced a non-solution: {dict(zip(layers.variables, bad))}")
+    stats.enumerate_ms += (time.perf_counter() - kernel_ended + kernel_started - started) * 1000
     deepest = Coloring(tuple(found))
-    by_value = (None, *found)
-    if any(_first_monochromatic(layer, by_value) is not None for layer in read[: deepest.n]):
+    colored = len(rows) - sum(map(len, read[deepest.n :]))  # the rows of read[: deepest.n]
+    if _first_monochromatic(rows[:colored], (None, *found)) is not None:
         raise AssertionError("search produced an invalid bad coloring")
-    stats.constraints, stats.depth_max = sum(map(len, read)), deepest.n
+    stats.constraints, stats.depth_max = len(rows), deepest.n
     stats.ms = (time.perf_counter() - started) * 1000
     if deepest.n == n_bound:
         return SearchOutcome(BAD_COLORING, deepest, stats)
@@ -370,17 +394,17 @@ def _first_monochromatic(
 ) -> Optional[tuple[int, ...]]:
     """The first of ``rows`` whose values all share one color, where
     ``by_value[v]`` is the color of v.  The rows are read a column at a
-    time: each column's colors through ``by_value.__getitem__``, each
-    compared with the first column's, the comparisons ANDed, and the first
-    row where all of them hold is the answer."""
+    time, each through ``itemgetter``: each column's colors through
+    ``by_value.__getitem__``, each compared with the first column's, the
+    comparisons ANDed, and the first row where all of them hold is the
+    answer."""
     if not rows:
         return None
     color = by_value.__getitem__
-    columns = zip(*rows)
-    first = list(map(color, next(columns)))
+    first = list(map(color, map(operator.itemgetter(0), rows)))
     same = None
-    for column in columns:
-        equal = map(operator.eq, first, map(color, column))
+    for j in range(1, len(rows[0])):
+        equal = map(operator.eq, first, map(color, map(operator.itemgetter(j), rows)))
         same = equal if same is None else map(operator.and_, same, equal)
     return rows[0] if same is None else next(itertools.compress(rows, same), None)
 

@@ -30,14 +30,17 @@ variable, so the completions of a prefix bound p from below and from above,
 and a position stops rising once 0 falls outside a bound that its value
 moves away from 0.  Every tuple either enumerator emits is re-verified
 exactly by the polynomial, not by the walk's terms: the oracle calls
-``evaluate`` on each tuple, the layers call ``evaluate_many`` once per
-non-empty layer, which reads the layer a column at a time.  A non-zero value
-raises ``AssertionError`` naming that tuple.
+``evaluate`` on each tuple; the layers name their variable order
+(``Layers.variables``), and the search that reads them re-verifies every
+tuple it read in one ``evaluate_many`` call, which reads the tuples a
+column at a time, once per search and before it builds any outcome.  A
+non-zero value raises ``AssertionError`` naming that tuple.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -47,6 +50,7 @@ from .poly import Polynomial
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
+    "Layers",
     "SearchSpaceTooLargeError",
     "Witness",
     "brute_force_solutions",
@@ -192,8 +196,9 @@ def brute_force_solutions(
     A one-signed form has none, and answers after the budget check.  When
     the lexicographically last variable occurs with one common exponent
     wherever it appears, it is solved for exactly (divisibility plus integer
-    root) instead of enumerated; otherwise the full grid is walked.  Every
-    emitted tuple is re-verified through ``evaluate``.
+    root) instead of enumerated; otherwise the full grid is walked.  Each
+    power x^d of a prefix value is raised once per value, not once per
+    prefix.  Every emitted tuple is re-verified through ``evaluate``.
     """
     split = _isolation_split(p)
     _check_candidates(n_bound, [1] * (len(p.variables) - bool(split)))
@@ -214,10 +219,19 @@ def brute_force_solutions(
 
     if split:
         e, with_terms, without_terms = split
+        # (x, d) -> x^d; one prefix position meets each value once, uncached
+        power = functools.cache(pow) if n > 2 else pow
+
+        def value(terms, prefix: tuple[int, ...]) -> int:
+            total = 0
+            for coeff, exps in terms:
+                for i, d in exps:
+                    coeff *= prefix[i] if d == 1 else power(prefix[i], d)
+                total += coeff
+            return total
+
         for prefix in itertools.product(range(1, n_bound + 1), repeat=n - 1):
-            root = _solve(
-                _term_value(with_terms, prefix), _term_value(without_terms, prefix), e, n_bound
-            )
+            root = _solve(value(with_terms, prefix), value(without_terms, prefix), e, n_bound)
             if root == 0:
                 roots = range(1, n_bound + 1)
             else:
@@ -251,15 +265,23 @@ def _bounding(p: Polynomial, lone: dict[int, tuple[int, int]]) -> list[int]:
     ]
 
 
-def _solved_position(p: Polynomial) -> Optional[int]:
+def _solved_position(
+    p: Polynomial,
+    lone: Optional[dict[int, tuple[int, int]]] = None,
+    bounding: Optional[list[int]] = None,
+) -> Optional[int]:
     """The position of the variable the layers solve for: one that bounds
     the walk (``_bounding``), which leaves the fewest candidates; else a lone
     one (``_lone``); else the last variable when ``_isolation_split`` applies
     to it; else None (the grid is walked).  A tie goes to the least exponent,
     so that higher powers are walked, where the bounds cut them short, then
-    to the later name."""
-    lone = _lone(p)
-    chosen = _bounding(p, lone) or lone
+    to the later name.  ``solution_layers`` passes the ``lone`` and
+    ``bounding`` it has computed; without them they are computed here."""
+    if lone is None:
+        lone = _lone(p)
+    if bounding is None:
+        bounding = _bounding(p, lone)
+    chosen = bounding or lone
     if chosen:
         return min(chosen, key=lambda i: (lone[i][1], -i))
     return len(p.variables) - 1 if _isolation_split(p) else None
@@ -278,7 +300,9 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     is kept while the first reaches -hi and the second stays at most -lo; a
     position stops rising once a sum that its value only moves away fails.
     A leaf's first sum is the terms' value there, unless they hold the
-    variable solved for.  ``_term_value`` skips powers that decide a sum."""
+    variable solved for.  ``_term_value`` skips powers that decide a sum.
+    One ``walk`` closure serves every group of every layer: ``layer(n)``
+    points it at the group's completions and the layer's list of leaves."""
     terms = sorted(terms, key=lambda term: term[0] < 0)  # positive terms first
     up = {i for c, exps in terms if c > 0 for i, _ in exps}
     down = {i for c, exps in terms if c < 0 for i, _ in exps}
@@ -295,41 +319,45 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
         stops = block_ends[:start] + [top] * (top - start) + block_ends[top:]  # j's value fills t[j:stops[j]]
         groups.append((top, start, stops))
     floor, ceiling = -hi, -lo  # the first sum's least value, the second's greatest
+    found: list[tuple[tuple[int, ...], int]] = []
+    t: list[int] = []
+    top = 0
+    stops: list[int] = []
+
+    def walk(j: int, total: int) -> None:
+        if j == top:
+            j += 1
+        if j == k:
+            found.append((tuple(t[:k]), total))
+            return
+        h = k + 1 + j  # j's place in the greatest completion
+        x0, stop, last, rises = t[j], stops[j], t[h], j in up
+        sure = always
+        for x in range(x0, last + 1):
+            t[j:stop] = [x] * (stop - j)
+            t[h] = x
+            if x > x0 or rises:  # else the first sum is the one passed in
+                total = _term_value(first_sum, t, floor)
+            if total < floor:
+                if rises:
+                    continue
+                break
+            if not sure:
+                if _term_value(second_sum, t, ceiling + 1) > ceiling:
+                    if j in down:
+                        continue
+                    break
+                sure = up.isdisjoint(range(j, stop))  # else it may rise again
+            walk(j + 1, total)
+        t[j:stop] = [x0] * (stop - j)
+        t[h] = last
 
     def layer(n: int) -> list[tuple[tuple[int, ...], int]]:
-        found: list[tuple[tuple[int, ...], int]] = []
+        nonlocal found, t, top, stops
+        found = []
         for top, start, stops in groups:
             t = [1] * (k + 1) + [n - 1] * start + [n] * (k - start) + [max_n]
             t[top] = n
-
-            def walk(j: int, total: int) -> None:
-                if j == top:
-                    j += 1
-                if j == k:
-                    found.append((tuple(t[:k]), total))
-                    return
-                h = k + 1 + j  # j's place in the greatest completion
-                x0, stop, last, rises = t[j], stops[j], t[h], j in up
-                sure = always
-                for x in range(x0, last + 1):
-                    t[j:stop] = [x] * (stop - j)
-                    t[h] = x
-                    if x > x0 or rises:  # else the first sum is the one passed in
-                        total = _term_value(first_sum, t, floor)
-                    if total < floor:
-                        if rises:
-                            continue
-                        break
-                    if not sure:
-                        if _term_value(second_sum, t, ceiling + 1) > ceiling:
-                            if j in down:
-                                continue
-                            break
-                        sure = up.isdisjoint(range(j, stop))  # else it may rise again
-                    walk(j + 1, total)
-                t[j:stop] = [x0] * (stop - j)
-                t[h] = last
-
             total = _term_value(first_sum, t, floor)
             if total >= floor and (always or _term_value(second_sum, t, ceiling + 1) <= ceiling):
                 walk(0, total)
@@ -340,11 +368,11 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
 
 def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[int, ...]]:
     """The enumerated positions of p (every variable but the one at
-    ``solved``, from ``_solved_position``) in blocks of interchangeable variables,
-    largest block first; lone variables (``_lone``) last when none bounds.
-    Two variables are interchangeable when swapping them
-    maps p to p or -p; that is an equivalence, so each position is tested
-    against the first member of each block.  The test compares the canonical
+    ``solved``, from ``_solved_position``) in blocks of interchangeable
+    variables, largest block first, then by position.  Two variables are
+    interchangeable when swapping them maps p to p or -p; that is an
+    equivalence, so each position is tested against the first member of
+    each block.  The test compares the canonical
     terms that ``Polynomial`` equality compares, without building each
     renamed polynomial: that costs more than a whole small search."""
     variables = p.variables
@@ -365,31 +393,49 @@ def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[
                 break
         else:
             blocks.append([i])
-    lone = _lone(p)
-    last = () if _bounding(p, lone) else lone  # without a bounding variable, lone ones last
-    return sorted(map(tuple, blocks), key=lambda block: (block[0] in last, -len(block), block))
+    return sorted(map(tuple, blocks), key=lambda block: (-len(block), block))
 
 
-def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[list[tuple[int, ...]]]:
+class Layers:
+    """What ``solution_layers`` returns: an iterator over the layers, with
+    ``variables``, the variable at each position of their tuples."""
+
+    def __init__(self, variables: list[str], layers: Iterator[list[tuple[int, ...]]]) -> None:
+        self.variables = variables
+        self._layers = layers
+
+    def __iter__(self) -> Layers:
+        return self
+
+    def __next__(self) -> list[tuple[int, ...]]:
+        return next(self._layers)
+
+
+def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:
     """For N = 1..max_n, the solutions of p whose largest value is N, in
     lexicographic order, one per orbit of permutations inside the blocks of
     ``_interchangeable_blocks``: the tuples nondecreasing inside each block.
-    A tuple lists the variables block by block, then the variable solved for.
-    The candidate budget, ``DEFAULT_ENUM_BUDGET``, is checked for N
-    before layer N is built; a one-signed form's layer is then empty.
+    A tuple lists the variables block by block, lone ones last when none
+    bounds the walk, then the variable solved for; ``variables`` of the
+    result names them.  The candidate budget, ``DEFAULT_ENUM_BUDGET``, is
+    checked for N before layer N is built; a one-signed form's layer is then
+    empty.
 
     Layer N walks only the prefixes whose largest entry is N and whose
     completions can reach 0 (``_walker``).  The variable at
     ``_solved_position`` is solved for by ``_solve``, and a root above N
     waits for its own layer; a prefix that every value solves joins each
     later layer.  With no variable solved for, the walk's leaves are the
-    solutions.  Each non-empty layer is re-verified by one ``evaluate_many``
-    call over its tuples before it is yielded; the first tuple at which p is
-    not 0 raises ``AssertionError``.
+    solutions.  The layers are not re-verified here: the reader re-verifies
+    every tuple it read, once per search (``search.find_bad_coloring``).
     """
     k = len(p.variables)
-    position = _solved_position(p)
+    lone = _lone(p)
+    bounding = _bounding(p, lone)
+    position = _solved_position(p, lone, bounding)
     blocks = _interchangeable_blocks(p, position)
+    if not bounding:  # lone variables last
+        blocks.sort(key=lambda block: block[0] in lone)
     order = [i for block in blocks for i in block]
     sizes = [len(block) for block in blocks]
     if position is not None:
@@ -407,33 +453,32 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Iterator[list
             terms = [(d if c > 0 else -d, exps) for d, exps in rest_terms]
             lo, hi = abs(c), abs(c) * max_n**e
     walk = None if p.is_one_signed else _walker(sizes, terms, lo, hi, max_n)
-    pending: dict[int, list[tuple[int, ...]]] = {}  # root -> solutions
-    free: list[tuple[int, ...]] = []  # prefixes that every value solves
 
-    for n in range(1, max_n + 1):
-        _check_candidates(n, sizes)
-        if walk is None:
-            yield []
-            continue
-        found = pending.pop(n, []) + [prefix + (n,) for prefix in free]
-        for prefix, total in walk(n):
-            if position is None:  # the terms are p, and total == 0
-                found.append(prefix)
+    def layers() -> Iterator[list[tuple[int, ...]]]:
+        pending: dict[int, list[tuple[int, ...]]] = {}  # root -> solutions
+        free: list[tuple[int, ...]] = []  # prefixes that every value solves
+        for n in range(1, max_n + 1):
+            _check_candidates(n, sizes)
+            if walk is None:
+                yield []
                 continue
-            if lo:  # the terms are the rest, and total their value
-                root = _solve(lo, total, e, max_n)
-            else:
-                root = _solve(_term_value(lead_terms, prefix), _term_value(rest_terms, prefix), e, max_n)
-            if root == 0:
-                free.append(prefix)
-                found.extend(prefix + (z,) for z in range(1, n + 1))
-            elif root is not None and root <= max_n:
-                (found if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
-        if injective:
-            found = [t for t in found if len(set(t)) == k]
-        found.sort()
-        if found:  # independent re-verification
-            bad = next(itertools.compress(found, p.evaluate_many(variables, found)), None)
-            if bad is not None:
-                raise AssertionError(f"enumerator produced a non-solution: {dict(zip(variables, bad))}")
-        yield found
+            found = pending.pop(n, []) + [prefix + (n,) for prefix in free]
+            for prefix, total in walk(n):
+                if position is None:  # the terms are p, and total == 0
+                    found.append(prefix)
+                    continue
+                if lo:  # the terms are the rest, and total their value
+                    root = _solve(lo, total, e, max_n)
+                else:
+                    root = _solve(_term_value(lead_terms, prefix), _term_value(rest_terms, prefix), e, max_n)
+                if root == 0:
+                    free.append(prefix)
+                    found.extend(prefix + (z,) for z in range(1, n + 1))
+                elif root is not None and root <= max_n:
+                    (found if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
+            if injective:
+                found = [t for t in found if len(set(t)) == k]
+            found.sort()
+            yield found
+
+    return Layers(variables, layers())

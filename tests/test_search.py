@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import importlib.util
+import inspect
 import itertools
 import json
 import os
@@ -56,6 +57,12 @@ def test_constraints_lexicographic_and_verified():
         assert SCHUR.evaluate(dict(zip(SCHUR.variables, c))) == 0
 
 
+def _value_bits(value):
+    """The value-bit table of the layer of ``value``, as the search keeps it:
+    bit i for the value i + 1, none for ``value`` itself."""
+    return [1 << i >> 1 for i in range(value)] + [0]
+
+
 def _oracle_layers(p, n, injective):
     """The oracle's solutions in [1..n], grouped by their largest value."""
     layers = [[] for _ in range(n)]
@@ -90,7 +97,8 @@ def test_layered_enumeration_matches_oracle(text):
         for n in range(1, 11):
             layered = solutions.solution_layers(p, n, injective)
             oracle = _oracle_layers(p, n, injective)
-            assert list(map(search._others, layered)) == list(map(search._others, oracle)), (
+            assert [search._others(layer, _value_bits(v)) for v, layer in enumerate(layered, 1)] == [
+                search._others(layer, _value_bits(v)) for v, layer in enumerate(oracle, 1)], (
                 n, injective)
         # the layers and the oracle share the solutions primitives; the full grid shares none
         grid = [
@@ -288,6 +296,39 @@ print("outcome", search.{run}(parse("x + y - z"), 2, 5))
     assert "AssertionError: enumerator produced a non-solution: {'x': 1, 'y': 1, 'z': 3}" in done.stderr
 
 
+def _planted(p, n, injective):
+    """The search's layers of p, with the non-solution (2, 2, 5) after the
+    solutions of layer 5: every 2-coloring of x + y = z dies at 5, so that
+    is the last layer its search reads."""
+    layers = solutions.solution_layers(p, n, injective)
+    return solutions.Layers(
+        layers.variables,
+        (layer + [(2, 2, 5)] if value == 5 else layer for value, layer in enumerate(layers, 1)))
+
+
+@pytest.mark.parametrize("run", [find_bad_coloring, rado_number])
+def test_a_non_solution_in_the_last_layer_read_is_refused(run, monkeypatch):
+    monkeypatch.setattr(search, "solution_layers", _planted)
+    with pytest.raises(
+        AssertionError,
+        match=re.escape("enumerator produced a non-solution: {'x': 2, 'y': 2, 'z': 5}"),
+    ):
+        run(SCHUR, 2, 5)
+
+
+@pytest.mark.parametrize("run", ["find_bad_coloring", "rado_number"])
+def test_a_non_solution_in_the_last_layer_read_is_refused_under_python_O(run):
+    script = "from rado_forge import search, solutions\n" + inspect.getsource(_planted) + f"""
+from rado_forge.poly import parse
+search.solution_layers = _planted
+print("outcome", search.{run}(parse("x + y - z"), 2, 5))
+"""
+    done = _run_optimized(script)
+    assert done.returncode != 0
+    assert "outcome" not in done.stdout
+    assert "AssertionError: enumerator produced a non-solution: {'x': 2, 'y': 2, 'z': 5}" in done.stderr
+
+
 @pytest.mark.parametrize("run", ["find_bad_coloring", "rado_number"])
 def test_an_invalid_bad_coloring_is_refused_under_python_O(run):
     script = f"""
@@ -433,22 +474,64 @@ def test_threshold_scan_enumerates_each_solution_once(monkeypatch):
     assert len(rows) == 41
 
 
-@pytest.mark.parametrize("text,injective", [("x^2 + y^2 - z^2", False), ("x + y - z", True)])
-def test_only_non_empty_layers_are_re_verified(text, injective, monkeypatch):
-    # one evaluate_many call per non-empty layer read, over all its tuples,
-    # and none for an empty layer: most values below 60 lie on no
-    # Pythagorean triple, and the injective filter empties layer 2 of x+y-z
+@pytest.mark.parametrize(
+    "text,r,n,injective,budget",
+    [
+        ("x^2 + y^2 - z^2", 2, 60, False, None),  # most layers are empty
+        ("x + y - z", 2, 12, True, None),  # the injective filter empties layer 2
+        ("x + y - z", 3, 13, False, None),  # a bad coloring: no layer above it
+        ("x + y - z", 3, 20, False, 100),  # Inconclusive
+    ],
+)
+def test_every_tuple_read_is_re_verified_once(text, r, n, injective, budget, monkeypatch):
+    # one evaluate_many call per search, over exactly the tuples of the
+    # layers it read, in read order: those up to the deepest coloring and the
+    # layer above it
+    p = parse(text)
+    calls, reads = [], []
+    evaluate_many = Polynomial.evaluate_many
+
+    def counted(self, order, rows):
+        calls.append(list(rows))
+        return evaluate_many(self, order, rows)
+
+    kernel = search._first_bad_coloring
+
+    def recorded(layers, r, n, budget, stats):
+        deepest, read, exhausted = kernel(layers, r, n, budget, stats)
+        reads.append(read)
+        return deepest, read, exhausted
+
+    monkeypatch.setattr(Polynomial, "evaluate_many", counted)
+    monkeypatch.setattr(search, "_first_bad_coloring", recorded)
+    kwargs = {} if budget is None else {"budget": budget}
+    outcome = find_bad_coloring(p, r, n, injective, **kwargs)
+    (read,) = reads
+    assert len(read) == min(outcome.stats.depth_max + 1, n)
+    assert read == list(itertools.islice(solutions.solution_layers(p, n, injective), len(read)))
+    assert calls == [[t for layer in read for t in layer]]
+    assert 0 < len(calls[0]) == outcome.stats.constraints
+    calls.clear()
+    rado_number(p, r, n, injective, **kwargs)
+    assert calls == [[t for layer in reads[1] for t in layer]] and reads[1] == read
+
+
+@pytest.mark.parametrize("text,r,n", [("x + y + z", 2, 50), ("x^2 + y^2 - z^2", 2, 4)])
+def test_no_tuple_read_is_no_re_verification(text, r, n, monkeypatch):
+    # a one-signed form, and the first four layers of x^2 + y^2 = z^2, hold
+    # no solution: the search reads no tuple and calls no evaluate_many
     calls = []
     evaluate_many = Polynomial.evaluate_many
 
-    def counted(self, order, layer):
-        calls.append(len(layer))
-        return evaluate_many(self, order, layer)
+    def counted(self, order, rows):
+        calls.append(rows)
+        return evaluate_many(self, order, rows)
 
     monkeypatch.setattr(Polynomial, "evaluate_many", counted)
-    layers = list(solutions.solution_layers(parse(text), 60, injective))
-    assert calls == [len(layer) for layer in layers if layer]
-    assert 0 < len(calls) < len(layers)
+    outcome = find_bad_coloring(parse(text), r, n)
+    assert (outcome.kind, outcome.stats.constraints) == (BAD_COLORING, 0)
+    assert rado_number(parse(text), r, n) is None
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -651,7 +734,8 @@ def test_reduced_layers_match_singleton_layers(p, injective, n):
     reduced = solutions.solution_layers(p, n, injective)
     full = _oracle_layers(p, n, injective)
     for value, (few, every) in enumerate(zip(reduced, full, strict=True), start=1):
-        assert search._others(few) == search._others(every), value
+        assert search._others(few, _value_bits(value)) == search._others(
+            every, _value_bits(value)), value
         assert len(few) <= len(every)
     for r in (1, 2, 3):
         for budget in (1, 7, 100, None):
@@ -1091,17 +1175,21 @@ BENCHMARK_SEARCHES = {
         (("x + y - z", 2, 6, False, None), (FORCED, 11, 0, 4, 6)),
         (("x + y - z", 3, 15, False, None), (FORCED, 420, 74, 13, 49)),
         (("x + y - z", 2, 10, True, None), (FORCED, 37, 7, 8, 16)),
+        # the kernel-bound task of the threshold-scan workload
         (("x + y - z", 3, 25, True, None), (FORCED, 20582, 4561, 23, 132)),
         (("x1 + x2 + x3 - x4", 2, 12, False, None), (FORCED, 39, 3, 10, 41)),
         (("x1 + x2 + x3 + x4 - x5", 2, 20, False, None), (FORCED, 97, 9, 18, 295)),
         (("x + 2*y - z", 2, 12, False, None), (FORCED, 39, 3, 10, 25)),
         (("x + 3*y - z", 2, 20, False, None), (FORCED, 99, 10, 18, 51)),
+        # x + 4y = z files most of its value sets as groups of one
         (("x + 4*y - z", 2, 30, False, None), (FORCED, 213, 23, 28, 91)),
     ],
     "bad-coloring": [
         (("x + y - z", 4, 40, False, None), (BAD_COLORING, 11559, 1414, 40, 400)),
         (("x1 + x2 + x3 - x4", 3, 30, False, None), (BAD_COLORING, 977, 0, 30, 785)),
+        # weak Schur: a bad coloring of [1..23]
         (("x + y - z", 3, 23, True, None), (BAD_COLORING, 999, 168, 23, 121)),
+        # the capped task of the bad-coloring workload
         (("x + y - z", 4, 44, False, 250_000), (INCONCLUSIVE, 250000, 40937, 43, 484)),
     ],
 }
@@ -1135,6 +1223,15 @@ def test_huge_exponent_does_not_stall_the_bounded_walk():
     assert (huge.kind, huge.coloring, huge.stats.nodes) == (
         small.kind, small.coloring, small.stats.nodes)
     assert huge.kind == BAD_COLORING
+
+
+def test_the_oracle_raises_each_power_once_per_value():
+    # x^70001 for each of the 24 values of x, not for each of the 576 (x, y)
+    # prefixes, which takes seconds
+    started = time.perf_counter()
+    found = brute_force_solutions(parse("x^70001 - y^3*z^5"), 24)
+    assert time.perf_counter() - started < 1.0
+    assert [w.assignment for w in found] == [{"x": 1, "y": 1, "z": 1}]
 
 
 def test_huge_exponent_does_not_stall_the_oracle():

@@ -1,7 +1,8 @@
 """The package's source parses under the oldest Python that pyproject.toml
 allows, so a newer-only syntax fails here even when the suite runs on a
 newer interpreter; and it holds no ``assert`` statement, so every check it
-makes still runs under ``python -O``.  The CI workflow runs the tier-1
+makes still runs under ``python -O``.  The layers the search reads are
+re-verified at one site, once per search.  The CI workflow runs the tier-1
 command of ROADMAP.md and the benchmark self-test, on that oldest Python
 among others, under its 20-minute timeout."""
 
@@ -40,6 +41,22 @@ def test_module_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines} vanish under python -O"
+
+
+def test_the_search_re_verifies_at_one_site():
+    # one evaluate_many call in search.py and solutions.py: find_bad_coloring's,
+    # over every tuple it read
+    sites = []
+    for name in ("search.py", "solutions.py"):
+        tree = ast.parse((ROOT / "src" / "rado_forge" / name).read_text(encoding="utf-8"))
+        sites += [
+            (name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "evaluate_many"
+        ]
+    assert [name for name, _ in sites] == ["search.py"], sites
 
 
 def test_ci_runs_the_tier_1_command_and_the_self_test():
