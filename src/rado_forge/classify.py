@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .poly import Monomial, Polynomial, monomial_gcd, parse
 
@@ -80,8 +79,7 @@ class NoExclusiveSetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Theorem tag plus the combinatorial payload that makes it re-checkable."""
 
     theorem: str
@@ -91,8 +89,7 @@ class Certificate:
         return {"theorem": self.theorem, "payload": self.payload}
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     injective: str
     certificate: Optional[Certificate] = None
@@ -100,10 +97,10 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
     def with_trace(self, lines: list[str]) -> "Verdict":
-        return replace(self, trace=tuple(lines) + self.trace) if lines else self
+        return self._replace(trace=tuple(lines) + self.trace) if lines else self
 
     def with_notes(self, notes: list[str]) -> "Verdict":
-        return replace(self, notes=self.notes + tuple(notes)) if notes else self
+        return self._replace(notes=self.notes + tuple(notes)) if notes else self
 
     def to_json(self, input_text: str, canonical: str) -> dict[str, Any]:
         return {
@@ -118,8 +115,7 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class ExclusiveAssignment:
+class ExclusiveAssignment(NamedTuple):
     """Per-monomial exclusive variables (canonical monomial order).
 
     ``exclusives[i]`` lists every variable whose support is exactly monomial
@@ -131,8 +127,7 @@ class ExclusiveAssignment:
     degree_one: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class LevForm:
+class LevForm(NamedTuple):
     """An l.e.v. polynomial rewritten as sum_i a_i * x_i * prod_{j in F_i} y_j.
 
     ``linear_vars[i]`` is the designated exclusive variable of canonical
@@ -147,8 +142,7 @@ class LevForm:
     f_sets: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class NonlinearShape:
+class NonlinearShape(NamedTuple):
     """The variable bookkeeping needed to lift solutions through nonlinear
     monomials: chosen degree-1 exclusives per monomial, the nonlinear
     variables, and the passive remainder."""
@@ -951,24 +945,33 @@ def _fields_are(claim: dict[str, Any], **derived: Any) -> bool:
     return True
 
 
-def replay_certificate(p: Polynomial, verdict: Verdict) -> bool:
+def replay_certificate(p: Polynomial, verdict: Verdict, constant: Optional[int] = None) -> bool:
     """Re-validate a verdict from the polynomial and the verdict alone, without
     running the classifier.  The claim is the payload plus the verdict's
     status and injective.  Its fields that p determines are compared with the
     values derived from p, then the theorem's obligations are checked.  A
     ring-Z certificate (``sign_map``, ``flipped``) must claim PR and replays
     against P(-x).  No certificate replays only as (UNKNOWN, "unknown"); a
-    missing key or a wrong-typed value does not replay."""
+    missing key or a wrong-typed value does not replay.
+
+    p carries no constant term.  Given the ``constant`` of the polynomial the
+    verdict is about, a RadoAffine certificate replays only if its payload
+    states that constant, and any other certificate only if it is 0; with
+    None, a RadoAffine payload's constant is taken on trust."""
     try:
-        return _replay(p, verdict)
+        return _replay(p, verdict, constant)
     except (LookupError, TypeError, ValueError):
         return False
 
 
-def _replay(p: Polynomial, verdict: Verdict) -> bool:
+def _replay(p: Polynomial, verdict: Verdict, constant: Optional[int]) -> bool:
     cert = verdict.certificate
     if cert is None:
         return (verdict.status, verdict.injective) == (UNKNOWN, "unknown")
+    if constant is not None:
+        stated = cert.payload["constant"] if cert.theorem == "RadoAffine" else 0
+        if stated != constant:
+            return False
     claim = dict(cert.payload, status=verdict.status, injective=verdict.injective)
     if "sign_map" in claim or "flipped" in claim:
         # P(-x) is PR over the positive integers, so negated solutions solve P
@@ -1016,7 +1019,7 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
             and _zero_sum_free(coeffs)
         )
     if tag == "RadoAffine":
-        # p carries no constant, so the payload's constant is taken on trust
+        # p carries no constant: replay_certificate compares it when given one
         constant, s, case = claim["constant"], sum(coeffs), claim["case"]
         t = -constant // s if s != 0 and -constant % s == 0 else None  # the diagonal root
         status, injective = _AFFINE_CLAIMS[case]

@@ -9,9 +9,7 @@ and diffs the outcome against the golden columns.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from importlib import resources
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .classify import classify
 from .poly import parse
@@ -19,8 +17,7 @@ from .poly import parse
 __all__ = ["Fixture", "CorpusResult", "load_fixtures", "run_corpus"]
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     text: str
     status: str
     theorem: str  # "-" when no certificate is expected
@@ -28,8 +25,7 @@ class Fixture:
     reference: str
 
 
-@dataclass(frozen=True)
-class CorpusResult:
+class CorpusResult(NamedTuple):
     fixture: Fixture
     canonical: str
     profile: dict[str, Any]
@@ -81,6 +77,8 @@ class CorpusResult:
 
 def load_fixtures(path: Optional[str] = None) -> list[Fixture]:
     if path is None:
+        from importlib import resources  # only the bundled corpus needs it
+
         text = resources.files("rado_forge").joinpath("fixtures.txt").read_text()
     else:
         with open(path, encoding="utf-8") as handle:

@@ -34,9 +34,8 @@ tuples are distinct.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import add, itemgetter, mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "PolySyntaxError",
@@ -92,7 +91,6 @@ class MissingVariableError(KeyError):
         super().__init__(f"assignment missing variables: {', '.join(missing)}")
 
 
-@dataclass(frozen=True)
 class Monomial:
     """A signed monomial: coefficient times a product of variable powers.
 
@@ -100,28 +98,50 @@ class Monomial:
     name, with every exponent >= 1.  The empty tuple (a bare constant) is not
     a legal monomial of a Polynomial but is permitted transiently, e.g. as a
     gcd of disjoint monomials.  ``variables``, ``degree`` and the exponent of
-    each variable are derived once, at construction.
+    each variable are derived once, at construction.  A monomial is
+    immutable; equality, hashing and ``repr`` read only ``coefficient`` and
+    ``exponents``.
     """
 
     coefficient: int
     exponents: tuple[tuple[str, int], ...]
-    variables: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    degree: int = field(init=False, repr=False, compare=False)  # sum of the exponents
-    _powers: dict[str, int] = field(init=False, repr=False, compare=False)
+    variables: tuple[str, ...]
+    degree: int  # sum of the exponents
+    _powers: dict[str, int]
 
-    def __post_init__(self) -> None:
-        if self.coefficient == 0:
+    def __init__(self, coefficient: int, exponents: tuple[tuple[str, int], ...]) -> None:
+        if coefficient == 0:
             raise ValueError("monomial coefficient must be nonzero")
-        if len(self.exponents) > 1:  # one pair is always sorted and unique
-            names = [v for v, _ in self.exponents]
+        if len(exponents) > 1:  # one pair is always sorted and unique
+            names = [v for v, _ in exponents]
             if names != sorted(names) or len(set(names)) != len(names):
                 raise ValueError("exponent pairs must be sorted by unique variable name")
-        for v, e in self.exponents:
+        for v, e in exponents:
             if not _VAR_RE.fullmatch(v):
                 raise ValueError(f"invalid variable name: {v!r}")
             if e < 1:
                 raise ValueError(f"exponent of {v} must be >= 1, got {e}")
-        _derive(self.__dict__, self.exponents, dict(self.exponents))
+        fields = self.__dict__
+        fields["coefficient"] = coefficient
+        fields["exponents"] = exponents
+        _derive(fields, exponents, dict(exponents))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.coefficient == other.coefficient and self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash((self.coefficient, self.exponents))
+
+    def __repr__(self) -> str:
+        return f"Monomial(coefficient={self.coefficient!r}, exponents={self.exponents!r})"
 
     def degree_of(self, var: str) -> int:
         return self._powers.get(var, 0)
@@ -160,7 +180,7 @@ def _monomial(coefficient: int, exponents: tuple[tuple[str, int], ...],
     ``sorted(powers.items())``, every name is a variable name and every
     exponent is >= 1."""
     m = object.__new__(Monomial)
-    fields = m.__dict__  # the frozen dataclass stores its fields here
+    fields = m.__dict__  # past the immutability guard, as __init__ writes them
     fields["coefficient"] = coefficient
     fields["exponents"] = exponents
     _derive(fields, exponents, powers)
@@ -179,8 +199,7 @@ def monomial_gcd(m1: Monomial, m2: Monomial) -> Monomial:
     return Monomial(1, pairs)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Structural degree data consumed by the classifier and witness builder.
 
     ``levels[i]`` is the largest degree deficit of monomial i against any

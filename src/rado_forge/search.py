@@ -76,8 +76,7 @@ from __future__ import annotations
 import itertools
 import operator
 import time
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .poly import Polynomial
 from .solutions import brute_force_solutions, solution_layers
@@ -100,8 +99,7 @@ FORCED = "forced"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Colors of 1..N: ``colors[i]`` is the color of the integer i+1."""
 
     colors: tuple[int, ...]
@@ -121,15 +119,29 @@ class Coloring:
         return out
 
 
-@dataclass
 class SearchStats:
-    nodes: int = 0
-    constraints: int = 0  # solutions read: one representative per orbit
-    ms: float = 0.0
-    depth_max: int = 0  # length of the deepest bad coloring reached
-    enumerate_ms: float = 0.0  # part of ms spent building, reading and re-verifying layers
-    prunes: int = 0  # colorings the forward check refused as dead
-    search_ms: float = 0.0  # part of ms spent in the kernel: filing layers counts, reading them not
+    """The counts and times of one search, set as it runs: the one record
+    whose fields can be assigned.  Equality and ``repr`` read every field."""
+
+    def __init__(
+        self, nodes: int = 0, constraints: int = 0, ms: float = 0.0, depth_max: int = 0,
+        enumerate_ms: float = 0.0, prunes: int = 0, search_ms: float = 0.0,
+    ) -> None:
+        self.nodes = nodes
+        self.constraints = constraints  # solutions read: one representative per orbit
+        self.ms = ms
+        self.depth_max = depth_max  # length of the deepest bad coloring reached
+        self.enumerate_ms = enumerate_ms  # part of ms spent building, reading and re-verifying layers
+        self.prunes = prunes  # colorings the forward check refused as dead
+        self.search_ms = search_ms  # part of ms spent in the kernel: filing layers counts, reading them not
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SearchStats:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"SearchStats({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -143,8 +155,7 @@ class SearchStats:
         }
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     kind: str  # BAD_COLORING | FORCED | INCONCLUSIVE
     coloring: Optional[Coloring]
     stats: SearchStats

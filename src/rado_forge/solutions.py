@@ -43,7 +43,6 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .poly import Polynomial
@@ -64,14 +63,39 @@ class SearchSpaceTooLargeError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class Witness:
-    """A verified assignment: evaluate(polynomial, assignment) == 0 exactly."""
+    """A verified assignment: evaluate(polynomial, assignment) == 0 exactly.
+
+    A witness is immutable: its fields cannot be assigned.  Built without a
+    trace, it gets an empty dict of its own.  Equality and ``repr`` read
+    every field; the dicts make it unhashable."""
 
     assignment: dict[str, int]
     value: int
     provenance: str
-    trace: dict[str, Any] = field(default_factory=dict)
+    trace: dict[str, Any]
+
+    def __init__(self, assignment: dict[str, int], value: int, provenance: str,
+                 trace: Optional[dict[str, Any]] = None) -> None:
+        fields = self.__dict__  # past the immutability guard
+        fields["assignment"] = assignment
+        fields["value"] = value
+        fields["provenance"] = provenance
+        fields["trace"] = {} if trace is None else trace
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Witness:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"Witness({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def injective(self) -> bool:

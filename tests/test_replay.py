@@ -257,6 +257,36 @@ def test_replay_checks_every_determined_field(claim):
     assert not replay_certificate(p, verdict)
 
 
+def test_replay_given_the_constant_checks_the_affine_payload():
+    # the payload's constant -3 with diagonal 3 speaks about x + y - z - 3
+    p = parse("x + y - z")
+    v = classify_affine(p, -1)
+    payload = dict(v.certificate.payload, constant=-3, diagonal=3)
+    doctored = Verdict(v.status, v.injective, Certificate("RadoAffine", payload))
+    assert replay_certificate(p, doctored)  # without the constant it is taken on trust
+    assert not replay_certificate(p, doctored, -1)
+    assert replay_certificate(p, doctored, -3)
+
+
+@pytest.mark.parametrize(
+    "text", [text for text, ring in FORMS if ring == "N" and parse_with_constant(text)[1]]
+)
+def test_genuine_affine_certificates_replay_with_their_constant(text):
+    p, constant = parse_with_constant(text)
+    v = classify_affine(p, constant)
+    assert v.certificate.theorem == "RadoAffine"
+    assert replay_certificate(p, v, constant)
+    assert not replay_certificate(p, v, constant + 1)
+    assert not replay_certificate(p, v, 0)
+
+
+def test_other_certificates_replay_only_with_the_constant_zero():
+    p = parse("x + y - z")
+    v = classify(p)
+    assert replay_certificate(p, v, 0)
+    assert not replay_certificate(p, v, -1)
+
+
 # -- independence and python -O -------------------------------------------------------
 
 

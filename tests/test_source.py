@@ -1,13 +1,17 @@
 """The package's source parses under the oldest Python that pyproject.toml
 allows, so a newer-only syntax fails here even when the suite runs on a
 newer interpreter; and it holds no ``assert`` statement, so every check it
-makes still runs under ``python -O``.  The layers the search reads are
+makes still runs under ``python -O``.  No module imports ``dataclasses``,
+whose decorator compiles each record's methods at import, and importing the
+package loads neither it, ``inspect`` nor ``importlib.resources``.  The layers the search reads are
 re-verified at one site, once per search.  The CI workflow runs the tier-1
 command of ROADMAP.md and the benchmark self-test, on that oldest Python
 among others, under its 20-minute timeout."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,36 @@ def test_module_has_no_assert_statement(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements at lines {lines} vanish under python -O"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_does_not_import_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "dataclasses"
+    ]
+    assert not lines, f"{path.name}: dataclasses imported at lines {lines}"
+
+
+def test_importing_the_package_loads_no_dataclasses_inspect_or_resources():
+    # -I -S: no site module and no environment, so only the package's own
+    # imports count; -B: no bytecode written into the source tree
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import rado_forge, rado_forge.cli, rado_forge.corpus\n"
+        "names = ('dataclasses', 'inspect', 'importlib.resources')\n"
+        "print(*[name for name in names if name in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_the_search_re_verifies_at_one_site():

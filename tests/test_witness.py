@@ -1,6 +1,5 @@
 """Witness construction tests: lifting identities, oracle enumeration."""
 
-import dataclasses
 import itertools
 import math
 import os
@@ -120,7 +119,7 @@ def test_reduct_lift_formal_identity():
     assert reduct_lift_formal_check(form, (7, -4, 11))
     # and fails once one F_i no longer matches its monomial
     assert form.f_sets[0] == (1,)
-    broken = dataclasses.replace(form, f_sets=((1, 2),) + form.f_sets[1:])
+    broken = form._replace(f_sets=((1, 2),) + form.f_sets[1:])
     assert not reduct_lift_formal_check(broken, (1, 2, 3))
 
 
@@ -186,7 +185,6 @@ def test_nlp_lift_checks_survive_python_O():
     # does not fit the polynomial; with its identity checks stripped the
     # lift returned a witness of value -252
     script = f"""
-import dataclasses
 from rado_forge.classify import nonlinear_shape
 from rado_forge.poly import Polynomial, parse
 from rado_forge.witness import nlp_lift
@@ -194,7 +192,7 @@ p = parse({WORKED!r})
 shape, _ = nonlinear_shape(p)
 chosen = list(shape.chosen)
 chosen[2], chosen[3] = chosen[3], chosen[2]
-w = nlp_lift(p, dataclasses.replace(shape, chosen=tuple(chosen)), {WORKED_ALPHA!r}, (2, 3))
+w = nlp_lift(p, shape._replace(chosen=tuple(chosen)), {WORKED_ALPHA!r}, (2, 3))
 print("witness value", w.value)
 """
     import rado_forge
@@ -221,7 +219,7 @@ def test_nlp_lift_formal_identity_worked_example():
     # groups leaves the missing weight unrestored
     shape = _worked_shape()
     first, second, third, fourth = shape.chosen
-    swapped = dataclasses.replace(shape, chosen=(first, second, fourth, third))
+    swapped = shape._replace(chosen=(first, second, fourth, third))
     assert not nlp_lift_formal_check(p, swapped, WORKED_ALPHA)
 
 
