@@ -11,10 +11,13 @@ The search reads the solutions of p in layers by their largest value, from
 ``solutions.solution_layers``: layer v + 1 when it first colors v.  It reads
 only value sets, so a layer holds one representative per orbit of
 interchangeable variables, and ``stats.constraints`` counts the
-representatives read.  Whatever a layer costs to read beyond its tuples is
-paid once per search: the layers' setup, the re-verification below, and the
-table ``value_bit`` that turns the members of a value set into its mask,
-which grows by one entry per layer read.  ``enumerate_constraints`` and
+representatives read.  A layer read costs what the layer holds: an empty
+layer touches no pending root, free prefix, owner table or mask pass, and
+the walk retires a group once no later layer can reach it.  What is paid
+once per search is the layers' setup, the search for the first layer over
+the candidate budget, the re-verification below, and the table
+``value_bit`` that turns the members of a value set into its mask, which
+grows by one entry per layer read.  ``enumerate_constraints`` and
 ``monochromatic_solution`` read the oracle ``brute_force_solutions``, not the
 layers, so a check made through them does not run the search's enumerator.
 
@@ -228,8 +231,8 @@ def _first_bad_coloring(
     ``trail`` gets the entry (c, new, limit), and the step back from v + 2 pops
     it: ``blk[c] ^= new``, the class of c loses v + 1, and the limit at v + 1
     is restored.  ``bit`` (1 << v), ``limit`` and the depth reached are
-    locals that move with each step, and the deepest coloring is copied from
-    the trail only when the depth grows.
+    locals that move with each step; the trail is copied only when the depth
+    grows, and the deepest coloring is read off the last copy.
     """
     r = min(r, n)
     read: list[list[tuple[int, ...]]] = []
@@ -250,6 +253,9 @@ def _first_bad_coloring(
         groups.append([])
         group_of.append({})
         bit = 1 << w
+        if not layer:
+            value_bit.append(bit)
+            return
         closed = False  # a value set of one member closes w + 1 for every color
         owner: dict[int, int] = {}  # color -> smallest u whose value set blocks it
         value_bit.append(0)  # the layer's own value: no bit while its sets are masked
@@ -281,7 +287,7 @@ def _first_bad_coloring(
                 _, bits, lim = trail[u]
                 trail[u] = (c, bits | bit, lim)
 
-    deepest: list[int] = []
+    deepest: list[tuple[int, int, int]] = []  # the trail of the deepest bad coloring
     trail: list[tuple[int, int, int]] = []  # trail[u]: color of u + 1, bits it set in blk, limit at u + 1
     nodes = prunes = depth = 0
     exhausted = False
@@ -323,7 +329,7 @@ def _first_bad_coloring(
             color = 0
             if v > depth:
                 depth = v
-                deepest = [t[0] for t in trail]
+                deepest = trail[:]
                 if v == n:
                     break
                 take()
@@ -341,7 +347,7 @@ def _first_bad_coloring(
             classes[c] ^= bit
             color = c + 1
     stats.nodes, stats.prunes = nodes, prunes
-    return deepest, read, exhausted
+    return [c for c, _, _ in deepest], read, exhausted
 
 
 def find_bad_coloring(
@@ -353,9 +359,9 @@ def find_bad_coloring(
 ) -> SearchOutcome:
     """Search for an r-coloring of [1..n_bound] with no monochromatic
     solution of p.  Forced is claimed only on exact exhaustion; running out
-    of node budget is the Inconclusive outcome, not an error.  The candidate
-    budget is checked at each layer the search reads, so an oversized bound
-    raises ``SearchSpaceTooLargeError`` only when the search reaches it."""
+    of node budget is the Inconclusive outcome, not an error.  An oversized
+    bound raises ``SearchSpaceTooLargeError`` only when the search reads the
+    first layer over the candidate budget."""
     if r < 1:
         raise ValueError("need at least one color")
     if n_bound < 1:
@@ -364,7 +370,7 @@ def find_bad_coloring(
     stats = SearchStats()
     layers = solution_layers(p, n_bound, injective)
     kernel_started = time.perf_counter()
-    found, read, exhausted = _first_bad_coloring(layers, r, n_bound, budget, stats)
+    found, read, exhausted = _first_bad_coloring(iter(layers), r, n_bound, budget, stats)
     kernel_ended = time.perf_counter()
     stats.search_ms = (kernel_ended - kernel_started) * 1000 - stats.enumerate_ms
     rows = list(itertools.chain.from_iterable(read))

@@ -14,10 +14,13 @@ are nondecreasing inside each block of them.  A permutation keeps a tuple's
 values, so the value sets of every layer are those of the full enumeration,
 which the tests check against the oracle.
 
-``DEFAULT_ENUM_BUDGET`` is the one candidate budget, read at call time: the
-oracle checks it against the candidates of [1..N], the layers at each layer
-read against the nondecreasing candidates of [1..v].  A one-signed form has
-no solution, and answers empty after its budget check, unwalked.
+``DEFAULT_ENUM_BUDGET`` is the one candidate budget.  The oracle reads it at
+call time and checks it against the candidates of [1..N].  The layers read
+it when their first layer is read: the nondecreasing candidates of [1..v]
+rise with v, so the first layer over the budget is found then, by
+bisection, and ``SearchSpaceTooLargeError`` is raised, in the words of a
+check at that layer, only if the reader reaches it.  A one-signed form has
+no solution, and answers empty within its budget, unwalked.
 
 Both solve for one variable instead of enumerating it, through ``_solve``, the
 one solve step: divide, then take an exact root by integer Newton steps
@@ -39,7 +42,7 @@ non-zero value raises ``AssertionError`` naming that tuple.
 
 from __future__ import annotations
 
-import collections
+import bisect
 import functools
 import itertools
 import math
@@ -192,20 +195,36 @@ def _term_value(terms, prefix: Sequence[int], floor: Optional[int] = None) -> in
     return total
 
 
+def _candidates(n_bound: int, sizes: Sequence[int]) -> int:
+    """The candidate tuples of [1..n_bound], where ``sizes`` are those of
+    the blocks of enumerated positions, inside each of which a candidate is
+    nondecreasing: prod C(n_bound + s - 1, s) over blocks of size s.  With m
+    singleton blocks that is n_bound^m: the n_bound^(k-1) prefixes when the
+    last variable is solved for, else the n_bound^k grid."""
+    return math.prod(math.comb(n_bound + s - 1, s) for s in sizes)
+
+
 def _check_candidates(n_bound: int, sizes: Sequence[int]) -> None:
-    """Reject [1..n_bound] when it has more candidate tuples than
-    ``DEFAULT_ENUM_BUDGET``, read here only and at call time.
-    ``sizes`` are those of the blocks of enumerated positions, inside each of
-    which a candidate is nondecreasing: prod C(n_bound + s - 1, s) over blocks
-    of size s.  With m singleton blocks that is n_bound^m: the n_bound^(k-1)
-    prefixes when the last variable is solved for, else the n_bound^k grid."""
+    """Reject [1..n_bound] when it has more ``_candidates`` than
+    ``DEFAULT_ENUM_BUDGET``, read at call time."""
     if n_bound < 1:
         raise ValueError("bound must be >= 1")
-    candidates = math.prod(math.comb(n_bound + s - 1, s) for s in sizes)
+    candidates = _candidates(n_bound, sizes)
     if candidates > DEFAULT_ENUM_BUDGET:
         raise SearchSpaceTooLargeError(
             f"{candidates} candidate tuples exceed the budget of {DEFAULT_ENUM_BUDGET}"
         )
+
+
+def _first_over_budget(max_n: int, sizes: Sequence[int]) -> int:
+    """The least n <= max_n that ``_check_candidates(n, sizes)`` rejects, or
+    max_n + 1.  The count rises with n, so one comparison with the budget,
+    read at call time, settles a bound that meets it, and a bisection finds
+    the first n over it."""
+    if _candidates(max_n, sizes) <= DEFAULT_ENUM_BUDGET:
+        return max_n + 1
+    count = functools.partial(_candidates, sizes=sizes)
+    return 1 + bisect.bisect_right(range(1, max_n), DEFAULT_ENUM_BUDGET, key=count)
 
 
 def brute_force_solutions(
@@ -275,18 +294,26 @@ def brute_force_solutions(
 def _lone(p: Polynomial) -> dict[int, tuple[int, int]]:
     """The positions of the variables that occur in one monomial c*v^e
     only, each with its (c, e); none when p has fewer than two variables."""
-    counts = collections.Counter(v for m in p.monomials for v, _ in m.exponents)
-    alone = (m.exponents[0] + (m.coefficient,) for m in p.monomials if len(m.exponents) == 1)
-    return {
-        p.variables.index(v): (c, e) for v, e, c in alone if counts[v] == 1 and len(counts) > 1
-    }
+    if len(p.variables) < 2:
+        return {}
+    alone: dict[str, tuple[int, int]] = {}
+    shared: set[str] = set()  # in a monomial of two variables, or in two monomials
+    for m in p.monomials:
+        if len(m.exponents) > 1:
+            shared.update(m.variables)
+        else:
+            ((v, e),) = m.exponents
+            if v in alone:
+                shared.add(v)
+            alone[v] = (m.coefficient, e)
+    return {p.variables.index(v): ce for v, ce in alone.items() if v not in shared}
 
 
 def _bounding(p: Polynomial, lone: dict[int, tuple[int, int]]) -> list[int]:
     """The lone positions whose monomial is the only one of its sign."""
-    return [
-        i for i, (c, _) in lone.items() if sum(m.coefficient * c > 0 for m in p.monomials) == 1
-    ]
+    positive = sum(c > 0 for c in p.coefficients)
+    negative = len(p.coefficients) - positive
+    return [i for i, (c, _) in lone.items() if (positive if c > 0 else negative) == 1]
 
 
 def _solved_position(
@@ -325,41 +352,62 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     position stops rising once a sum that its value only moves away fails.
     A leaf's first sum is the terms' value there, unless they hold the
     variable solved for.  ``_term_value`` skips powers that decide a sum.
-    One ``walk`` closure serves every group of every layer: ``layer(n)``
-    points it at the group's completions and the layer's list of leaves."""
-    terms = sorted(terms, key=lambda term: term[0] < 0)  # positive terms first
-    up = {i for c, exps in terms if c > 0 for i, _ in exps}
-    down = {i for c, exps in terms if c < 0 for i, _ in exps}
-    always = not up and -sum(c for c, _ in terms) >= lo  # each term is at most its coefficient
-    k = sum(sizes)
-    # t holds the least completion, then the greatest, which positive terms read in the first sum
-    first_sum = [(c, [(i + (k + 1) * (c > 0), e) for i, e in exps]) for c, exps in terms]
-    second_sum = [(c, [(i + (k + 1) * (c < 0), e) for i, e in exps]) for c, exps in terms]
-    ends = list(itertools.accumulate(sizes))  # one past each block
-    block_ends = [stop for stop, size in zip(ends, sizes) for _ in range(size)]
-    groups = []
-    for first, end in enumerate(ends):
-        top, start = end - 1, end - sizes[first]  # t[top] = n; the blocks before stay below n
-        stops = block_ends[:start] + [top] * (top - start) + block_ends[top:]  # j's value fills t[j:stops[j]]
-        groups.append((top, start, stops))
-    floor, ceiling = -hi, -lo  # the first sum's least value, the second's greatest
-    found: list[tuple[tuple[int, ...], int]] = []
-    t: list[int] = []
-    top = 0
-    stops: list[int] = []
 
-    def walk(j: int, total: int) -> None:
-        if j == top:
-            j += 1
-        if j == k:
-            found.append((tuple(t[:k]), total))
-            return
+    A layer costs what it walks: one completion list serves every group of
+    every layer, the loop over a group's last free position appends its
+    leaves itself, a fill of one position writes one slot, and a position's
+    greatest completion is written only when some sum reads it.  With no
+    positive term the first sum at a group's root only falls as n grows, so
+    a group whose root fails it is retired for every later layer."""
+    k = sum(sizes)
+    up: set[int] = set()  # positions in a positive term
+    down: set[int] = set()  # positions in a negative term
+    # t holds the least completion, then the greatest, which positive terms read in the first sum
+    first_sum, second_sum = [], []
+    for c, exps in sorted(terms, key=lambda term: term[0] < 0):  # positive terms first
+        positive = c > 0
+        first, second = [], []
+        for i, e in exps:
+            (up if positive else down).add(i)
+            first.append((i + (k + 1) * positive, e))
+            second.append((i + (k + 1) * (not positive), e))
+        first_sum.append((c, first))
+        second_sum.append((c, second))
+    always = not up and -sum(c for c, _ in terms) >= lo  # each term is at most its coefficient
+    read = up if always else up | down  # positions whose greatest completion a sum reads
+    block_ends: list[int] = []  # one past the block of each position
+    for size in sizes:
+        block_ends += [len(block_ends) + size] * size
+    groups = []
+    start = 0
+    for size in sizes:
+        top = start + size - 1  # t[top] = n; the blocks before stay below n
+        steps = []  # per free position: its fill, the sums it moves, and whether its greatest is read
+        for j in range(k):
+            if j != top:
+                stop = top if start <= j < top else block_ends[j]  # j's value fills t[j:stop]
+                steps.append((j, stop, stop - j == 1, j in up, j in down, j in read,
+                              not up or up.isdisjoint(range(j, stop))))
+        groups.append((top, start, steps, len(steps) - 1))
+        start += size
+    floor, ceiling = -hi, -lo  # the first sum's least value, the second's greatest
+    t = [1] * (k + 1) + [0] * k + [max_n]  # the greatest completion is set by each layer
+    found: list[tuple[tuple[int, ...], int]] = []
+    steps: list[tuple] = []
+    final = -1
+
+    def walk(i: int, total: int) -> None:
+        j, stop, one, rises, falls, reads, settles = steps[i]
         h = k + 1 + j  # j's place in the greatest completion
-        x0, stop, last, rises = t[j], stops[j], t[h], j in up
+        x0, last, leaf = t[j], t[h], i == final
         sure = always
         for x in range(x0, last + 1):
-            t[j:stop] = [x] * (stop - j)
-            t[h] = x
+            if one:
+                t[j] = x
+            else:
+                t[j:stop] = [x] * (stop - j)
+            if reads:
+                t[h] = x
             if x > x0 or rises:  # else the first sum is the one passed in
                 total = _term_value(first_sum, t, floor)
             if total < floor:
@@ -368,23 +416,42 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
                 break
             if not sure:
                 if _term_value(second_sum, t, ceiling + 1) > ceiling:
-                    if j in down:
+                    if falls:
                         continue
                     break
-                sure = up.isdisjoint(range(j, stop))  # else it may rise again
-            walk(j + 1, total)
-        t[j:stop] = [x0] * (stop - j)
-        t[h] = last
+                sure = settles  # else it may rise again
+            if leaf:
+                found.append((tuple(t[:k]), total))
+            else:
+                walk(i + 1, total)
+        if one:
+            t[j] = x0
+        else:
+            t[j:stop] = [x0] * (stop - j)
+        if reads:
+            t[h] = last
 
     def layer(n: int) -> list[tuple[tuple[int, ...], int]]:
-        nonlocal found, t, top, stops
+        nonlocal found, steps, final
         found = []
-        for top, start, stops in groups:
-            t = [1] * (k + 1) + [n - 1] * start + [n] * (k - start) + [max_n]
+        t[k + 1 : 2 * k + 1] = [n] * k
+        below = 0  # the greatest completion is n - 1 before this position
+        for group in groups[:]:
+            top, start, steps, final = group
+            if start > below:
+                t[k + 1 + below : k + 1 + start] = [n - 1] * (start - below)
+                below = start
             t[top] = n
             total = _term_value(first_sum, t, floor)
-            if total >= floor and (always or _term_value(second_sum, t, ceiling + 1) <= ceiling):
-                walk(0, total)
+            if total < floor:
+                if not up:
+                    groups.remove(group)
+            elif always or _term_value(second_sum, t, ceiling + 1) <= ceiling:
+                if steps:
+                    walk(0, total)
+                else:
+                    found.append((tuple(t[:k]), total))
+            t[top] = 1
         return found
 
     return layer
@@ -396,23 +463,33 @@ def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[
     variables, largest block first, then by position.  Two variables are
     interchangeable when swapping them maps p to p or -p; that is an
     equivalence, so each position is tested against the first member of
-    each block.  The test compares the canonical
-    terms that ``Polynomial`` equality compares, without building each
-    renamed polynomial: that costs more than a whole small search."""
+    each block.  The test looks up the image of each canonical monomial
+    among p's, without building each renamed polynomial (that costs more
+    than a whole small search), and stops at the first monomial whose image
+    is missing or has another coefficient than the sign so far allows."""
     variables = p.variables
-    terms = {(m.coefficient, m.exponents) for m in p.monomials}
-    negated = {(-c, exps) for c, exps in terms}
+    coefficient = {m.exponents: m.coefficient for m in p.monomials}
 
-    def swapped(u: str, v: str) -> set:
+    def interchangeable(u: str, v: str) -> bool:
         swap = {u: v, v: u}
-        return {(c, tuple(sorted((swap.get(x, x), e) for x, e in exps))) for c, exps in terms}
+        sign = 0  # p's image is sign * p
+        for m in p.monomials:
+            c = m.coefficient
+            if u in m.variables or v in m.variables:
+                image = coefficient.get(tuple(sorted((swap.get(x, x), e) for x, e in m.exponents)), 0)
+            else:
+                image = c
+            if image != sign * c if sign else image not in (c, -c):
+                return False
+            sign = image // c
+        return True
 
     blocks: list[list[int]] = []
     for i in range(len(variables)):
         if i == solved:
             continue
         for block in blocks:
-            if swapped(variables[block[0]], variables[i]) in (terms, negated):
+            if interchangeable(variables[block[0]], variables[i]):
                 block.append(i)
                 break
         else:
@@ -428,8 +505,8 @@ class Layers:
         self.variables = variables
         self._layers = layers
 
-    def __iter__(self) -> Layers:
-        return self
+    def __iter__(self) -> Iterator[list[tuple[int, ...]]]:
+        return self._layers  # a reader that iterates pays no ``__next__`` frame per layer
 
     def __next__(self) -> list[tuple[int, ...]]:
         return next(self._layers)
@@ -442,8 +519,9 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:
     A tuple lists the variables block by block, lone ones last when none
     bounds the walk, then the variable solved for; ``variables`` of the
     result names them.  The candidate budget, ``DEFAULT_ENUM_BUDGET``, is
-    checked for N before layer N is built; a one-signed form's layer is then
-    empty.
+    read when layer 1 is read; reading the first layer N whose candidates
+    exceed it raises, as ``_check_candidates(N, sizes)`` would, before that
+    layer is built.  A one-signed form's layers are empty.
 
     Layer N walks only the prefixes whose largest entry is N and whose
     completions can reach 0 (``_walker``).  The variable at
@@ -460,18 +538,30 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:
     blocks = _interchangeable_blocks(p, position)
     if not bounding:  # lone variables last
         blocks.sort(key=lambda block: block[0] in lone)
-    order = [i for block in blocks for i in block]
-    sizes = [len(block) for block in blocks]
+    order = list(itertools.chain.from_iterable(blocks))
+    sizes = list(map(len, blocks))
     if position is not None:
         order.append(position)
-    variables = [p.variables[i] for i in order]
-    at = {v: j for j, v in enumerate(variables)}  # name -> tuple position
-    terms = [(m.coefficient, [(at[v], d) for v, d in m.exponents]) for m in p.monomials]
+    variables = list(map(p.variables.__getitem__, order))
+    at = dict(zip(variables, range(k)))  # name -> tuple position
+    terms = []  # p's, keyed by tuple position
+    lead_terms = []  # those holding the variable solved for, without it
+    rest_terms = []  # the others
+    solved = p.variables[position] if position is not None else None
+    for m in p.monomials:
+        exps, others = [], []
+        for v, d in m.exponents:
+            exps.append((at[v], d))
+            if v != solved:
+                others.append((at[v], d))
+        terms.append((m.coefficient, exps))
+        if len(others) < len(exps):  # it holds the variable solved for, with its one exponent
+            lead_terms.append((m.coefficient, others))
+        elif solved is not None:
+            rest_terms.append((m.coefficient, exps))
     lo = hi = 0  # c*v^e over v in [1..max_n], for a constant lead c > 0
     if position is not None:
-        e = p.degree_of(variables[-1])  # its one exponent
-        lead_terms = [(c, [x for x in exps if x[0] != k - 1]) for c, exps in terms if (k - 1, e) in exps]
-        rest_terms = [(c, exps) for c, exps in terms if (k - 1, e) not in exps]
+        e = p.degree_of(solved)  # its one exponent
         if len(lead_terms) == 1 and not lead_terms[0][1]:  # a lone c*v^e, negated if need be
             c = lead_terms[0][0]
             terms = [(d if c > 0 else -d, exps) for d, exps in rest_terms]
@@ -479,28 +569,32 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:
     walk = None if p.is_one_signed else _walker(sizes, terms, lo, hi, max_n)
 
     def layers() -> Iterator[list[tuple[int, ...]]]:
+        wall = _first_over_budget(max_n, sizes)
         pending: dict[int, list[tuple[int, ...]]] = {}  # root -> solutions
         free: list[tuple[int, ...]] = []  # prefixes that every value solves
         for n in range(1, max_n + 1):
-            _check_candidates(n, sizes)
+            if n == wall:
+                _check_candidates(n, sizes)
             if walk is None:
                 yield []
                 continue
-            found = pending.pop(n, []) + [prefix + (n,) for prefix in free]
-            for prefix, total in walk(n):
-                if position is None:  # the terms are p, and total == 0
-                    found.append(prefix)
-                    continue
-                if lo:  # the terms are the rest, and total their value
-                    root = _solve(lo, total, e, max_n)
-                else:
-                    root = _solve(_term_value(lead_terms, prefix), _term_value(rest_terms, prefix), e, max_n)
-                if root == 0:
-                    free.append(prefix)
-                    found.extend(prefix + (z,) for z in range(1, n + 1))
-                elif root is not None and root <= max_n:
-                    (found if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
-            if injective:
+            found = pending.pop(n, []) if pending else []
+            if free:
+                found += [prefix + (n,) for prefix in free]
+            if position is None:  # the terms are p, and every leaf's total is 0
+                found += [prefix for prefix, _ in walk(n)]
+            else:
+                for prefix, total in walk(n):
+                    if lo:  # the terms are the rest, and total their value
+                        root = _solve(lo, total, e, max_n)
+                    else:
+                        root = _solve(_term_value(lead_terms, prefix), _term_value(rest_terms, prefix), e, max_n)
+                    if root == 0:
+                        free.append(prefix)
+                        found.extend(prefix + (z,) for z in range(1, n + 1))
+                    elif root is not None and root <= max_n:
+                        (found if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
+            if injective and found:
                 found = [t for t in found if len(set(t)) == k]
             found.sort()
             yield found

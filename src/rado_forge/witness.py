@@ -34,6 +34,7 @@ from .classify import (
     NoExclusiveSetError,
     NonlinearShape,
     NotLevError,
+    _exclusive_groups,
     negate_all_variables,
     nonlinear_shape,
     rado_condition,
@@ -194,6 +195,33 @@ def _i_sets(
     ]
 
 
+def _check_shape(p: Polynomial, shape: NonlinearShape) -> None:
+    """Raise ``ValueError`` naming the first way ``shape`` does not fit p:
+    one chosen group per monomial, group i holding ``multiplicities[i]``
+    distinct degree-1 exclusive variables of monomial i, and ``nonlinear``,
+    ``levels`` and ``multiplicities`` equal to p's degree profile.  With a
+    shape that fits, prod_j gamma_{i,j} = eta_i holds for every monomial, so
+    the lift of any solution of the substitution solves p."""
+    prof = p.degree_profile()
+    if len(shape.chosen) != len(p.monomials):
+        raise ValueError(
+            f"shape has {len(shape.chosen)} chosen groups for the {len(p.monomials)} monomials of {p}"
+        )
+    degree_one = _exclusive_groups(p).degree_one
+    for i, (m, group) in enumerate(zip(p.monomials, shape.chosen)):
+        need = prof.multiplicities[i]
+        if len(set(group)) != len(group) or len(group) != need or not set(group) <= set(degree_one[i]):
+            raise ValueError(
+                f"chosen group {i + 1} {list(group)} is not {need} distinct exclusive degree-1 "
+                f"variable(s) of monomial {i + 1} ({m.monic_text()})"
+            )
+    for field in ("nonlinear", "levels", "multiplicities"):
+        if tuple(getattr(shape, field)) != getattr(prof, field):
+            raise ValueError(
+                f"shape {field} {list(getattr(shape, field))} is not {list(getattr(prof, field))}, that of {p}"
+            )
+
+
 def nlp_lift(
     p: Polynomial,
     shape: NonlinearShape,
@@ -206,7 +234,9 @@ def nlp_lift(
     each monomial's chosen exclusive variables absorb exactly its missing
     nonlinear weight (prod_j gamma_{i,j} = eta_i), so the full polynomial
     evaluates to eta times the substituted solution's value, i.e. zero.
+    A shape that does not fit p raises ``ValueError`` (``_check_shape``).
     """
+    _check_shape(p, shape)
     h = len(shape.nonlinear)
     if len(g) != h:
         raise ValueError(f"need {h} g values (one per nonlinear variable), got {len(g)}")
@@ -278,7 +308,9 @@ def nlp_lift_formal_check(
 ) -> bool:
     """With the g-values left as formal variables (reusing the nonlinear
     variable names as symbols), verify  P(assignment(g)) == eta(g) * residue
-    by exact cancellation, for an arbitrary substituted-solution candidate."""
+    by exact cancellation, for an arbitrary substituted-solution candidate.
+    A shape that does not fit p raises ``ValueError`` (``_check_shape``)."""
+    _check_shape(p, shape)
     prof = p.degree_profile()
     i_sets = _i_sets(prof, shape)
     substituted = _substitute_ones(p, shape.nonlinear)

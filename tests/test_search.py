@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -108,6 +109,74 @@ def test_layered_enumeration_matches_oracle(text):
             and (not injective or len(set(t)) == len(t))
         ]
         assert enumerate_constraints(p, 10, injective) == grid, injective
+
+
+_LAYER_FORMS = [  # those of test_layered_enumeration_matches_oracle
+    "x + y - z", "x1 + x2 + x3 - x4", "x1 + x2 - y1*y2", "x*z - y*z + x - y", "x^2 + y^2 - z^2",
+    "x*z^2 + z - y", "a*c + b*c - c^2", "x1 + x2 + x3 - y1*y2", "x + y - 2*z", "z - x - 3*y",
+    "x^2 + y^2 - 2*z^2", "x^2 - x", "x*y + 2*z",
+]
+
+
+@pytest.mark.parametrize("text", _LAYER_FORMS)
+def test_layers_hold_the_oracle_representatives_in_order(text):
+    # each layer, tuples and order, is the oracle's solutions with that
+    # largest value, rearranged into the layers' variable order, kept when
+    # nondecreasing inside each block of interchangeable variables, sorted
+    p = parse(text)
+    blocks = solutions._interchangeable_blocks(p, solutions._solved_position(p))
+    for injective in (False, True):
+        for n in range(1, 11):
+            layered = solutions.solution_layers(p, n, injective)
+            index = [p.variables.index(v) for v in layered.variables]
+            expected = [[] for _ in range(n)]
+            for t in enumerate_constraints(p, n, injective):
+                if all(t[i] <= t[j] for block in blocks for i, j in zip(block, block[1:])):
+                    expected[max(t) - 1].append(tuple(t[i] for i in index))
+            assert list(layered) == [sorted(layer) for layer in expected], (n, injective)
+
+
+def _candidates_raise(n, sizes):
+    """The message of ``_check_candidates(n, sizes)``, or None when it passes."""
+    try:
+        solutions._check_candidates(n, sizes)
+    except SearchSpaceTooLargeError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize(
+    "text,injective",
+    [
+        ("x1 + x2 + x3 - x4", False),  # a block of three interchangeable variables
+        ("x1 + x2 - y1*y2", True),  # a lone variable solved for, not bounding
+        ("x + 2*y - z", False),  # a bounding variable solved for
+        ("a*c + b*c - c^2", False),  # the grid walked
+        ("x + 2*y + z", False),  # one-signed: empty layers, no walk
+    ],
+)
+def test_the_budget_raises_at_the_first_layer_over_it(text, injective, monkeypatch):
+    # the layers find the first layer over the budget once, when the first
+    # layer is read; reading one layer at a time must raise exactly where a
+    # check at every layer would, with the same text, after the same layers
+    p = parse(text)
+    max_n = 12
+    sizes = [len(b) for b in solutions._interchangeable_blocks(p, solutions._solved_position(p))]
+    unlimited = list(solutions.solution_layers(p, max_n, injective))
+    counts = [math.prod(math.comb(n + s - 1, s) for s in sizes) for n in range(1, max_n + 1)]
+    for count in (counts[5], counts[9]):
+        for budget in (count - 1, count, count + 1):
+            monkeypatch.setattr(solutions, "DEFAULT_ENUM_BUDGET", budget)
+            wall = next((n for n in range(1, max_n + 1) if _candidates_raise(n, sizes)), None)
+            layers = iter(solutions.solution_layers(p, max_n, injective))
+            for n in range(1, (wall or max_n + 1)):
+                assert next(layers) == unlimited[n - 1], (budget, n)
+            if wall is None:
+                assert next(layers, "end") == "end"
+                continue
+            with pytest.raises(SearchSpaceTooLargeError) as error:
+                next(layers)
+            assert str(error.value) == _candidates_raise(wall, sizes), budget
 
 
 @pytest.mark.parametrize("text", ["x + y - z", "x*z^2 + z - y", "x^2 - x"])

@@ -19,7 +19,13 @@ from gen_support import (
     random_nonlinear_polynomial,
 )
 from rado_forge import poly, solutions, witness
-from rado_forge.classify import classify, nonlinear_shape, rado_condition, replay_certificate
+from rado_forge.classify import (
+    NonlinearShape,
+    classify,
+    nonlinear_shape,
+    rado_condition,
+    replay_certificate,
+)
 from rado_forge.corpus import load_fixtures
 from rado_forge.poly import Polynomial, parse
 from rado_forge.witness import (
@@ -183,16 +189,20 @@ def test_nlp_lift_errors():
 def test_nlp_lift_checks_survive_python_O():
     # the worked shape with the chosen groups of monomials 3 and 4 swapped
     # does not fit the polynomial; with its identity checks stripped the
-    # lift returned a witness of value -252
+    # lift returned a witness of value -252.  The shape check refuses it
+    # first; with that check bypassed, the identity checks still refuse it
     script = f"""
+import sys
+from rado_forge import witness
 from rado_forge.classify import nonlinear_shape
 from rado_forge.poly import Polynomial, parse
-from rado_forge.witness import nlp_lift
 p = parse({WORKED!r})
 shape, _ = nonlinear_shape(p)
 chosen = list(shape.chosen)
 chosen[2], chosen[3] = chosen[3], chosen[2]
-w = nlp_lift(p, shape._replace(chosen=tuple(chosen)), {WORKED_ALPHA!r}, (2, 3))
+if sys.argv[1] == "bypass":
+    witness._check_shape = lambda p, shape: None
+w = witness.nlp_lift(p, shape._replace(chosen=tuple(chosen)), {WORKED_ALPHA!r}, (2, 3))
 print("witness value", w.value)
 """
     import rado_forge
@@ -200,12 +210,17 @@ print("witness value", w.value)
     src = str(Path(rado_forge.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode != 0
-    assert "witness value" not in done.stdout
-    assert "AssertionError: nlp lift does not evaluate to eta * residue = 0" in done.stderr
+    for mode, error in [
+        ("check", "ValueError: chosen group 3 ['x41', 'x42'] is not 2 distinct exclusive degree-1"),
+        ("bypass", "AssertionError: nlp lift does not evaluate to eta * residue = 0"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script, mode],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode != 0, mode
+        assert "witness value" not in done.stdout, mode
+        assert error in done.stderr, mode
 
 
 def test_nlp_lift_formal_identity_worked_example():
@@ -216,11 +231,69 @@ def test_nlp_lift_formal_identity_worked_example():
         p, _worked_shape(), dict(WORKED_ALPHA, x11=9, z2=5)
     )
     # monomials 3 and 4 take gamma products 18 and 36: swapping their chosen
-    # groups leaves the missing weight unrestored
+    # groups leaves the missing weight unrestored.  The shape check refuses
+    # such a shape; past it, the identity itself fails
     shape = _worked_shape()
     first, second, third, fourth = shape.chosen
     swapped = shape._replace(chosen=(first, second, fourth, third))
-    assert not nlp_lift_formal_check(p, swapped, WORKED_ALPHA)
+    with pytest.raises(ValueError, match=r"^chosen group 3 \['x41', 'x42'\] is not 2 distinct"):
+        nlp_lift_formal_check(p, swapped, WORKED_ALPHA)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(witness, "_check_shape", lambda p, shape: None)
+        assert not nlp_lift_formal_check(p, swapped, WORKED_ALPHA)
+
+
+def test_nlp_lift_checks_the_shape_first():
+    # each hand-built shape is refused with a ValueError naming its first
+    # mismatch, by the lift and by the formal check alike
+    p = parse("x1*y^2 + x2*y - x3")  # no shape fits: monomial 3 owns x3 only, and needs two
+    worked = _worked_shape()
+    first, second, third, fourth = worked.chosen
+    w = parse(WORKED)
+    cases = [
+        (p, NonlinearShape((("x1",),), ("y",), (), (0,), (1,)),
+         "shape has 1 chosen groups for the 3 monomials of x1*y^2 + x2*y - x3"),
+        (p, NonlinearShape((("x1",), ("x2",), ("x3",)), ("y",), (), (0, 1, 2), (1, 1, 2)),
+         "chosen group 3 ['x3'] is not 2 distinct exclusive degree-1 variable(s) of monomial 3 (x3)"),
+        (w, worked._replace(chosen=(first, second, third)),
+         f"shape has 3 chosen groups for the 4 monomials of {w}"),
+        (w, worked._replace(chosen=(first, second, third, fourth[:1])),
+         "chosen group 4 ['x41'] is not 2 distinct exclusive degree-1 variable(s) of monomial 4 (x41*x42)"),
+        (w, worked._replace(chosen=(first, second, third, ("x41", "x41"))),
+         "chosen group 4 ['x41', 'x41'] is not 2 distinct"),
+        (w, worked._replace(chosen=(("y1",), second, third, fourth)),  # y1 is in two monomials
+         "chosen group 1 ['y1'] is not 1 distinct"),
+        (w, worked._replace(nonlinear=("y2", "y1")),
+         f"shape nonlinear ['y2', 'y1'] is not ['y1', 'y2'], that of {w}"),
+        (w, worked._replace(levels=(0, 0, 0, 0)),
+         f"shape levels [0, 0, 0, 0] is not [0, 2, 2, 2], that of {w}"),
+        (w, worked._replace(multiplicities=(1, 2, 2, 1)),
+         f"shape multiplicities [1, 2, 2, 1] is not [1, 2, 2, 2], that of {w}"),
+    ]
+    for q, shape, message in cases:
+        alpha = WORKED_ALPHA if q is w else {"x1": 1, "x2": 1, "x3": 2}
+        for lift in (
+            lambda: nlp_lift(q, shape, alpha, (2, 3)[: len(shape.nonlinear)]),
+            lambda: nlp_lift_formal_check(q, shape, alpha),
+        ):
+            with pytest.raises(ValueError) as error:
+                lift()
+            assert str(error.value).startswith(message), (shape, str(error.value))
+
+
+def test_a_hand_built_shape_that_fits_still_lifts():
+    # monomial 2 owns three exclusive degree-1 variables and needs two:
+    # x21 and z1 serve as well as the x21 and x22 that nonlinear_shape picks
+    p = parse(WORKED)
+    hand_built = NonlinearShape(
+        (("x11",), ("z1", "x21"), ("x32", "x31"), ("x41", "x42")),
+        ("y1", "y2"), ("x22", "z2"), (0, 2, 2, 2), (1, 2, 2, 2),
+    )
+    assert hand_built != _worked_shape()
+    w = nlp_lift(p, hand_built, WORKED_ALPHA, (2, 3))
+    assert w.value == 0 == p.evaluate(w.assignment)
+    assert w.assignment["z1"] == WORKED_ALPHA["z1"] * w.trace["gamma"]["2,1"]
+    assert nlp_lift_formal_check(p, hand_built, WORKED_ALPHA)
 
 
 # -- negate_transform ----------------------------------------------------------
