@@ -170,14 +170,6 @@ def _unknown(*failures: str) -> Verdict:
 _BITSET_LIMIT = 1 << 16
 
 
-def _shift_bits(row: int, v: int) -> int:
-    return row << v if v > 0 else row >> -v
-
-
-def _shift_set(row: set[int], v: int) -> set[int]:
-    return {s + v for s in row}
-
-
 class _SubsetTable:
     """Subset sums by count: ``exact[i][j]`` holds the sums of exactly j
     elements of ``values[i:]``.  ``grow`` adds the next count to every
@@ -186,7 +178,7 @@ class _SubsetTable:
     A dense row is an int with bit s + offset set for each sum s, where
     offset is the total magnitude of the negative values, so no sum has a
     negative bit index; a sparse row is a set of sums, never changed once
-    made.  Only the shift, ``has`` and ``sums`` know which kind a row is.  A dense table
+    made.  Only ``grow``, ``has`` and ``sums`` know which kind a row is.  A dense table
     also keeps ``reach``, every nonempty subset sum, so a question no subset
     answers costs one pass; a sparse table could hold 2^k sums there, so it
     grows to count k instead.
@@ -195,27 +187,34 @@ class _SubsetTable:
     def __init__(self, values: tuple[int, ...], dense: bool):
         self.values, self.dense = values, dense
         self.offset = offset = -sum(c for c in values if c < 0) if dense else 0
-        self._shift = _shift_bits if dense else _shift_set
-        self._no_sums = 0 if dense else set()
         if dense:
             reach = 0
             for v in reversed(values):
-                reach |= _shift_bits(reach, v) | 1 << (v + offset)
+                reach |= (reach << v if v > 0 else reach >> -v) | 1 << (v + offset)
             self.reach = reach
         empty_sum = 1 << offset if dense else {0}
         self.exact = [[empty_sum] for _ in range(len(values) + 1)]
 
     def grow(self) -> Any:
         """Add the next count j to every suffix's rows; returns ``exact[0][j]``."""
-        values, exact, shift = self.values, self.exact, self._shift
+        values, exact = self.values, self.exact
         k, j = len(values), len(exact[0])
-        row = self._no_sums  # exact[i + 1][j] as i falls
-        exact[k].append(row)
-        for i in range(k - 1, -1, -1):
-            grown = shift(exact[i + 1][j - 1], values[i])  # a new row, so |= leaves rows alone
-            grown |= row
-            row = grown
-            exact[i].append(row)
+        # row is exact[i + 1][j] as i falls; each row is a new object, so a
+        # set row already filed is never changed
+        if self.dense:
+            row = 0
+            exact[k].append(row)
+            for i in range(k - 1, -1, -1):
+                v, fewer = values[i], exact[i + 1][j - 1]
+                row |= fewer << v if v > 0 else fewer >> -v
+                exact[i].append(row)
+        else:
+            row = set()
+            exact[k].append(row)
+            for i in range(k - 1, -1, -1):
+                v = values[i]
+                row = {s + v for s in exact[i + 1][j - 1]} | row
+                exact[i].append(row)
         return row
 
     def has(self, row: Any, s: int) -> bool:
@@ -306,6 +305,16 @@ def rado_condition(coeffs: list[int] | tuple[int, ...]) -> Optional[tuple[int, .
     return _minimal_subset(values, 0)
 
 
+def _zero_sum(p: Polynomial) -> tuple[int, ...]:
+    """``rado_condition`` of p's coefficients, kept with p: J, or () when no
+    nonempty subset sums to zero.  Every rule and lift reads J here, so the
+    table is built once per polynomial."""
+    j = getattr(p, "_zero_sum", None)
+    if j is None:
+        j = p._keep("_zero_sum", rado_condition(p.coefficients) or ())
+    return j
+
+
 # -- linear and affine (Rado) ------------------------------------------------
 
 
@@ -324,8 +333,8 @@ def classify_linear(p: Polynomial) -> Verdict:
     if not p.is_linear:
         raise NotLinearError(f"{p} is not linear")
     coeffs = p.coefficients
-    j = rado_condition(coeffs)
-    if j is None:
+    j = _zero_sum(p)
+    if not j:
         return Verdict(
             NOT_PR,
             "no",
@@ -367,8 +376,8 @@ def classify_affine(p: Polynomial, constant: int) -> Verdict:
         return Verdict(
             PR, "unknown", cert, (f"affine: P({t},...,{t}) = 0 with {t} >= 1",)
         )
-    j = rado_condition(coeffs)
-    if t != 0 and j is not None:
+    j = _zero_sum(p)
+    if t != 0 and j:
         cert = Certificate(
             "RadoAffine",
             dict(payload, case="integer_diagonal_with_zero_sum", diagonal=t, J=list(j)),
@@ -489,7 +498,10 @@ def _equal_sum_subsets(
 
 def _exclusive_groups(p: Polynomial) -> ExclusiveAssignment:
     """The per-monomial exclusive lists of ``exclusive_variables``, some of
-    which may be empty."""
+    which may be empty; kept with p."""
+    groups = getattr(p, "_groups", None)
+    if groups is not None:
+        return groups
     monomials_with: dict[str, int] = {}  # variable -> how many monomials hold it
     for m in p.monomials:
         for v in m.variables:
@@ -498,9 +510,10 @@ def _exclusive_groups(p: Polynomial) -> ExclusiveAssignment:
         tuple([v for v in m.variables if monomials_with[v] == 1]) for m in p.monomials
     )
     degree_one = tuple(
-        tuple([v for v in own if m.degree_of(v) == 1]) for m, own in zip(p.monomials, exclusives)
+        tuple([v for v, e in m.exponents if e == 1 and monomials_with[v] == 1])
+        for m in p.monomials
     )
-    return ExclusiveAssignment(exclusives, degree_one)
+    return p._keep("_groups", ExclusiveAssignment(exclusives, degree_one))
 
 
 def exclusive_variables(p: Polynomial) -> Optional[ExclusiveAssignment]:
@@ -518,21 +531,23 @@ def to_lev_form(p: Polynomial) -> LevForm:
     """Designate the lexicographically smallest exclusive variable of each
     monomial as its linear variable; everything else becomes the ordered
     product-variable list, with F_i the 1-based product indices dividing
-    monomial i."""
+    monomial i.  The designation is kept with p; the record is not, as it
+    holds p."""
     if not p.is_lev:
         raise NotLevError(f"{p} is not linear in each variable")
-    exclusives = exclusive_variables(p)
-    if exclusives is None:
-        raise NoExclusiveSetError(f"{p}: some monomial has no exclusive variable")
-    designated = tuple(min(own) for own in exclusives.exclusives)
-    linear = set(designated)
-    products = tuple(v for v in p.variables if v not in linear)
-    index = {v: j + 1 for j, v in enumerate(products)}
-    f_sets = tuple(
-        tuple(index[v] for v in products if m.degree_of(v) >= 1)
-        for m in p.monomials
-    )
-    return LevForm(p, p.coefficients, designated, products, f_sets)
+    lev = getattr(p, "_lev", None)
+    if lev is None:
+        exclusives = exclusive_variables(p)
+        if exclusives is None:
+            raise NoExclusiveSetError(f"{p}: some monomial has no exclusive variable")
+        designated = tuple(min(own) for own in exclusives.exclusives)
+        linear = set(designated)
+        products = tuple(v for v in p.variables if v not in linear)
+        index = {v: j + 1 for j, v in enumerate(products)}
+        # a monomial's variables are in name order, as the products are
+        f_sets = tuple(tuple([index[v] for v in m.variables if v in index]) for m in p.monomials)
+        lev = p._keep("_lev", (designated, products, f_sets))
+    return LevForm(p, p.coefficients, *lev)
 
 
 def classify_lev(p: Polynomial) -> Verdict:
@@ -550,8 +565,8 @@ def classify_lev(p: Polynomial) -> Verdict:
         verdict = classify_multiplicative(p)
         if verdict.status != UNKNOWN:
             return verdict
-    j = rado_condition(p.coefficients)
-    if j is None:
+    j = _zero_sum(p)
+    if not j:
         return _unknown("lev: coefficients admit no zero-sum subset")
     if len(p.monomials) < 3:
         return _unknown("lev: fewer than three monomials, and the multiplicative rule does not apply")
@@ -579,7 +594,17 @@ def classify_lev(p: Polynomial) -> Verdict:
 
 def nonlinear_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], list[str]]:
     """Check the per-monomial supply of exclusive degree-1 variables against
-    the multiplicities m_i; returns (shape, failure_trace)."""
+    the multiplicities m_i; returns (shape, failure_trace).  Both are kept
+    with p."""
+    kept = getattr(p, "_shape", None)
+    if kept is None:
+        kept = p._keep("_shape", _find_shape(p))
+    shape, failures = kept
+    return shape, list(failures)
+
+
+def _find_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], tuple[str, ...]]:
+    """``nonlinear_shape`` of p, its failure lines as a tuple."""
     excl = _exclusive_groups(p)
     failures = [
         f"nonlinear: monomial {i + 1} ({m.monic_text()}) has no exclusive variable"
@@ -587,7 +612,7 @@ def nonlinear_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], list[str]]
         if not own
     ]
     if failures:
-        return None, failures
+        return None, tuple(failures)
     prof = p.degree_profile()
     chosen: list[tuple[str, ...]] = []
     for i, m in enumerate(p.monomials):
@@ -600,13 +625,13 @@ def nonlinear_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], list[str]]
             )
         chosen.append(tuple(sorted(have))[:need])
     if failures:
-        return None, failures
+        return None, tuple(failures)
     active = {v for group in chosen for v in group}.union(prof.nonlinear)
     passive = tuple(v for v in p.variables if v not in active)
     shape = NonlinearShape(
         tuple(chosen), prof.nonlinear, passive, prof.levels, prof.multiplicities
     )
-    return shape, []
+    return shape, ()
 
 
 def classify_nonlinear(p: Polynomial) -> Verdict:
@@ -615,8 +640,8 @@ def classify_nonlinear(p: Polynomial) -> Verdict:
     degree-1 variables in each monomial."""
     if len(p.monomials) < 3:
         return _unknown("nonlinear: fewer than three monomials")
-    j = rado_condition(p.coefficients)
-    if j is None:
+    j = _zero_sum(p)
+    if not j:
         return _unknown("nonlinear: coefficients admit no zero-sum subset")
     shape, failures = nonlinear_shape(p)
     if shape is None:
@@ -728,10 +753,11 @@ _KNOWN_FACTS = [
     ),
     _known_fact(
         Polynomial.from_terms([(1, {"a": 1}), (1, {"b": 1}), (-1, {"c": 2})]),
-        "known in the literature: x + y - z^2 is not partition regular over the "
-        "positive integers (Csikvari, Gyarmati and Sarkozy) even though its "
-        "coefficients admit a zero-sum subset; no implemented necessity condition "
-        "covers it",
+        "known in the literature: some finite coloring of the positive integers "
+        "leaves x + y - z^2 no monochromatic solution other than x = y = z = 2 "
+        "(Csikvari, Gyarmati and Sarkozy), so it is not partition regular once "
+        "that solution is excluded; with it, it is partition regular as defined "
+        "here, and no implemented criterion certifies either statement",
     ),
 ]
 
@@ -804,7 +830,7 @@ def classify(p: Polynomial, ring: str = "N") -> Verdict:
             return verdict.with_trace(trace).with_notes(notes)
         trace.extend(verdict.trace)
 
-    if p.is_homogeneous and rado_condition(p.coefficients) is None:
+    if p.is_homogeneous and not _zero_sum(p):
         cert = Certificate(
             "HomogeneousNecessity",
             {
@@ -930,11 +956,21 @@ def _no_equal_sums(a: list[int], b: list[int]) -> bool:
     return _subset_sums(a).isdisjoint(_subset_sums(b))
 
 
-def _exclusive_degree_one(p: Polynomial, i: int, v: str) -> bool:
-    """``v`` has degree 1 in monomial i and occurs in no other monomial."""
-    return all(
-        m.degree_of(v) == (1 if j == i else 0) for j, m in enumerate(p.monomials)
-    )
+def _exclusive_degree_one(p: Polynomial) -> dict[str, int]:
+    """Each variable that has degree 1 in some monomial i and occurs in no
+    other, mapped to i: replay's own pass over p, apart from the groups
+    ``classify`` keeps with p."""
+    owner: dict[str, int] = {}
+    seen: set[str] = set()
+    for i, m in enumerate(p.monomials):
+        for v, e in m.exponents:
+            if v in seen:
+                owner.pop(v, None)
+            else:
+                seen.add(v)
+                if e == 1:
+                    owner[v] = i
+    return owner
 
 
 def _fields_are(claim: dict[str, Any], **derived: Any) -> bool:
@@ -1052,21 +1088,22 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
         if not p.is_lev or len(p.monomials) < 3:
             return False
         designated, products = claim["linear_vars"], claim["product_vars"]
-        f_sets = [
-            [j + 1 for j, y in enumerate(products) if m.degree_of(y) >= 1] for m in p.monomials
-        ]
+        owner = _exclusive_degree_one(p)
+        held = [set(m.variables) for m in p.monomials]
+        f_sets = [[j + 1 for j, y in enumerate(products) if y in vs] for vs in held]
         return (
             _fields_are(claim, status=PR, injective="yes", coefficients=coeffs)
             and _index_sum(coeffs, claim["J"]) == 0
             and len(designated) == len(p.monomials)
             and set(designated) | set(products) == set(p.variables)
             and not set(designated) & set(products)
-            and all(_exclusive_degree_one(p, i, v) for i, v in enumerate(designated))
+            and all(owner.get(v) == i for i, v in enumerate(designated))
             and [sorted(f) for f in claim["F"]] == f_sets
         )
     if tag == "Thm4.2":
         prof, choice = p.degree_profile(), claim["exclusive_choice"]
         active = set(prof.nonlinear).union(*choice)
+        owner = _exclusive_degree_one(p)
         return (
             len(p.monomials) >= 3
             and _fields_are(
@@ -1078,7 +1115,7 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
             and len(choice) == len(p.monomials)
             and all(
                 len(group) == need == len(set(group))
-                and all(_exclusive_degree_one(p, i, v) for v in group)
+                and all(owner.get(v) == i for v in group)
                 for i, (group, need) in enumerate(zip(choice, prof.multiplicities))
             )
         )

@@ -221,12 +221,24 @@ class Polynomial:
     Construction fixes the structural data once: the canonical monomials,
     the sorted variables, the coefficients, the four shape flags and the
     degree of each variable.  ``degree_profile`` is built on its first call
-    and kept."""
+    and kept.
+
+    The facts the classifier and the witness lifts derive have fields that
+    stay unset, so a polynomial no one asks about pays nothing for them.
+    Their readers in ``classify`` and ``witness`` read
+    ``getattr(p, field, None)`` and keep what they derive with ``_keep``:
+    the exclusive groups (``_groups``), the least zero-sum index set J,
+    empty when there is none (``_zero_sum``), the l.e.v. designation
+    (``_lev``: linear variables, product variables, F-sets), the nonlinear
+    shape with its failure lines (``_shape``) and the all-ones substitution
+    (``_ones``).  Each is a function of the monomials, so filling one is
+    idempotent and changes nothing that equality, hashing, ``repr``, copy
+    or pickle read; none refers back to the polynomial."""
 
     __slots__ = (
         "monomials", "variables", "coefficients",
         "is_linear", "is_lev", "is_homogeneous", "is_one_signed",
-        "_degrees", "_profile",
+        "_degrees", "_profile", "_groups", "_zero_sum", "_lev", "_shape", "_ones",
     )
 
     monomials: tuple[Monomial, ...]
@@ -281,6 +293,11 @@ class Polynomial:
         if self._profile is None:
             object.__setattr__(self, "_profile", _degree_profile(self))
         return self._profile
+
+    def _keep(self, name: str, fact):
+        """Store a derived fact in its field and return it."""
+        object.__setattr__(self, name, fact)
+        return fact
 
     # -- evaluation --------------------------------------------------------
 

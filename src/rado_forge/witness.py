@@ -24,6 +24,7 @@ pipeline decides every hypothesis once, and its one search takes a budget.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -35,12 +36,12 @@ from .classify import (
     NonlinearShape,
     NotLevError,
     _exclusive_groups,
+    _zero_sum,
     negate_all_variables,
     nonlinear_shape,
-    rado_condition,
     to_lev_form,
 )
-from .poly import DegreeProfile, Polynomial, _combine
+from .poly import DegreeProfile, Polynomial, _combine, _monomial, _polynomial
 from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
 
 __all__ = [
@@ -108,14 +109,13 @@ def reduct_lift(
         )
     if any(y < 1 for y in y_values):
         raise ValueError("y values must be positive")
-    y_of = dict(zip(form.product_vars, y_values))
-    outside = _outside_products(form)
+    # x_i is alpha_i times the y-values outside F_i (``_outside_products``)
     x_values = [
-        alpha[i] * _product_value(outside[i], y_of)
-        for i in range(len(form.linear_vars))
+        a * math.prod([y for j, y in enumerate(y_values, start=1) if j not in f_i])
+        for a, f_i in zip(alpha, form.f_sets)
     ]
     assignment = dict(zip(form.linear_vars, x_values))
-    assignment.update(y_of)
+    assignment.update(zip(form.product_vars, y_values))
     value = form.polynomial.evaluate(assignment)
     full_product = math.prod(y_values)
     # exact identity from the construction, not merely value == 0
@@ -127,11 +127,6 @@ def reduct_lift(
         "ReductLift",
         {"eta": full_product, "eta_i": x_values, "gamma": {}, "I": {}},
     )
-
-
-def _product_value(product: Mapping[str, int], values: Mapping[str, int]) -> int:
-    """A formal product {variable: exponent} evaluated at integer values."""
-    return math.prod(values[v] ** e for v, e in product.items())
 
 
 def _outside_products(form: LevForm) -> list[dict[str, int]]:
@@ -182,13 +177,14 @@ def reduct_lift_formal_check(form: LevForm, alpha: Sequence[int]) -> bool:
 
 def _i_sets(
     prof: DegreeProfile, shape: NonlinearShape
-) -> list[list[dict[str, int]]]:
-    """gamma_{i,j} for j = 1..m_i as the formal product of the nonlinear
-    variables y_s with s in I_{i,j} = {s : d(y_s) - d_i(y_s) >= j}, in the
+) -> list[list[list[str]]]:
+    """gamma_{i,j} for j = 1..m_i as the nonlinear variables y_s whose
+    product it is, s in I_{i,j} = {s : d(y_s) - d_i(y_s) >= j}, in the
     order of ``shape.nonlinear``."""
+    degrees = prof.degrees
     return [
         [
-            {v: 1 for v in shape.nonlinear if prof.degrees[v] - deg_i[v] >= j}
+            [v for v in shape.nonlinear if degrees[v] - deg_i[v] >= j]
             for j in range(1, shape.multiplicities[i] + 1)
         ]
         for i, deg_i in enumerate(prof.per_monomial)
@@ -244,7 +240,7 @@ def nlp_lift(
         raise GValuesNotDistinctError(f"g values must be pairwise distinct: {list(g)}")
     if any(v < 2 for v in g):
         raise ValueError("g values must be integers >= 2")
-    substituted = _substitute_ones(p, shape.nonlinear)
+    substituted = _ones_substitution(p)
     missing = [v for v in substituted.variables if v not in alpha_beta]
     if missing:
         raise NotAPTildeSolutionError(f"solution missing variables: {missing}")
@@ -254,9 +250,10 @@ def nlp_lift(
             f"substituted polynomial evaluates to {residue}, not 0"
         )
     prof = p.degree_profile()
+    degrees = prof.degrees
     g_of = dict(zip(shape.nonlinear, g))
     index = {v: s for s, v in enumerate(shape.nonlinear, start=1)}
-    eta = _product_value({v: prof.degrees[v] for v in shape.nonlinear}, g_of)
+    eta = math.prod([gv ** degrees[v] for v, gv in g_of.items()])
     eta_i: list[int] = []
     gamma: dict[str, int] = {}
     i_json: dict[str, list[int]] = {}
@@ -264,18 +261,16 @@ def nlp_lift(
         v: val for v, val in alpha_beta.items() if v in substituted.variables
     }
     assignment.update(g_of)
-    for i, products in enumerate(_i_sets(prof, shape)):
+    for i, i_sets in enumerate(_i_sets(prof, shape)):
         deg_i = prof.per_monomial[i]
-        nl_part = 1
-        level_product = 1
-        for v, gv in g_of.items():
-            nl_part *= gv ** deg_i[v]
-            level_product *= gv ** (prof.degrees[v] - deg_i[v])
+        nl_part = math.prod([gv ** deg_i[v] for v, gv in g_of.items()])
+        level_product = math.prod([gv ** (degrees[v] - deg_i[v]) for v, gv in g_of.items()])
         eta_i.append(level_product)
-        gammas_i = [_product_value(gm, g_of) for gm in products]
-        for j, (gm, value) in enumerate(zip(products, gammas_i), start=1):
-            gamma[f"{i + 1},{j}"] = value
-            i_json[f"{i + 1},{j}"] = [index[v] for v in gm]
+        gammas_i = [math.prod([g_of[v] for v in names]) for names in i_sets]
+        for j, (names, value) in enumerate(zip(i_sets, gammas_i), start=1):
+            key = f"{i + 1},{j}"
+            gamma[key] = value
+            i_json[key] = [index[v] for v in names]
         # proof identities: prod_j gamma_{i,j} = eta_i and eta_i * M_i^NL = eta
         if math.prod(gammas_i) != level_product:
             raise AssertionError("nlp lift: prod_j gamma_{i,j} != eta_i")
@@ -294,13 +289,20 @@ def nlp_lift(
     )
 
 
-def _substitute_ones(p: Polynomial, drop: Sequence[str]) -> Polynomial:
-    """p with every variable in ``drop`` set to 1."""
-    dropped = set(drop)
-    return Polynomial.from_terms(
-        (m.coefficient, {v: e for v, e in m.exponents if v not in dropped})
-        for m in p.monomials
-    )
+def _ones_substitution(p: Polynomial) -> Polynomial:
+    """p with every nonlinear variable set to 1, kept with p.  Only for a p
+    that some shape fits: each monomial keeps a chosen exclusive variable,
+    so the substituted monomials are nonempty and distinct, and they are
+    built without validation, as ``parse`` builds its own."""
+    ones = getattr(p, "_ones", None)
+    if ones is None:
+        dropped = set(p.degree_profile().nonlinear)
+        monomials = []
+        for m in p.monomials:
+            kept = tuple([pair for pair in m.exponents if pair[0] not in dropped])
+            monomials.append(_monomial(m.coefficient, kept, dict(kept)))
+        ones = p._keep("_ones", _polynomial(monomials))
+    return ones
 
 
 def nlp_lift_formal_check(
@@ -313,12 +315,12 @@ def nlp_lift_formal_check(
     _check_shape(p, shape)
     prof = p.degree_profile()
     i_sets = _i_sets(prof, shape)
-    substituted = _substitute_ones(p, shape.nonlinear)
+    substituted = _ones_substitution(p)
     residue = substituted.evaluate(alpha_beta)
     mapping = {v: (alpha_beta[v], {}) for v in substituted.variables}
     for i, groups in enumerate(shape.chosen):
         for j, x_var in enumerate(groups):
-            mapping[x_var] = (alpha_beta[x_var], i_sets[i][j])
+            mapping[x_var] = (alpha_beta[x_var], dict.fromkeys(i_sets[i][j], 1))
     eta = {v: prof.degrees[v] for v in shape.nonlinear}
     return _identity_holds(p, mapping, residue, eta)
 
@@ -399,23 +401,32 @@ def _lex_reduct_solution(
 # _WITNESS_BOUND (Sorenson & Webster, Math. Comp. 86, 2017)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_BOUND = 3_317_044_064_679_887_385_961_981
+# _BASE_BOUNDS[t - 1] is the least strong pseudoprime to the first t small
+# primes as bases (OEIS A014233; Jaeschke, Math. Comp. 61, 1993, and
+# Sorenson & Webster), so those t bases decide every n below it
+_BASE_BOUNDS = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, _WITNESS_BOUND,
+)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def _is_prime(n: int) -> bool:
-    """The small primes screen n, which settles it below 43^2; then
-    Miller-Rabin with the small primes as bases, exact below
-    ``_WITNESS_BOUND`` and a strong probable-prime test above it."""
+    """The small primes screen n in one gcd, which settles it below 43^2;
+    then Miller-Rabin with as many of the small primes as bases as
+    ``_BASE_BOUNDS`` asks for n, exact below ``_WITNESS_BOUND`` and a strong
+    probable-prime test to all 13 above it."""
     if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            return n == q
+    if math.gcd(n, _SMALL_PRODUCT) != 1:  # some small prime divides n
+        return n in _SMALL_PRIMES
     if n < 43 * 43:
         return True
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _SMALL_PRIMES:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _SMALL_PRIMES[:bisect.bisect_right(_BASE_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -472,8 +483,8 @@ def primes_above(lower: int, count: int) -> tuple[int, ...]:
     start = max(lower, 1) + 1
     if start.bit_length() > _SIEVE_BITS:
         candidates: Iterator[int] = _sieved_from(start, count)
-    else:
-        candidates = itertools.count(start)
+    else:  # 2 and the odd integers from start
+        candidates = itertools.chain((2,) if start == 2 else (), itertools.count(start | 1, 2))
     return tuple(itertools.islice(filter(_is_prime, candidates), count))
 
 
@@ -532,8 +543,9 @@ def _constructed_alpha(coeffs: Sequence[int]) -> tuple[int, ...]:
 
 
 def _require_zero_sum(p: Polynomial) -> None:
-    """The lifts' gate: some nonempty subset of p's coefficients sums to 0."""
-    if rado_condition(p.coefficients) is None:
+    """The lifts' gate: some nonempty subset of p's coefficients sums to 0,
+    read from the J kept with p."""
+    if not _zero_sum(p):
         raise HypothesisFailure([f"coefficients {list(p.coefficients)} admit no zero-sum subset"])
 
 
@@ -570,7 +582,7 @@ def witness_via_nlp(p: Polynomial) -> Witness:
     shape, failures = nonlinear_shape(p)
     if shape is None:
         raise HypothesisFailure(failures)
-    base = _lift_reduct(to_lev_form(_substitute_ones(p, shape.nonlinear)))
+    base = _lift_reduct(to_lev_form(_ones_substitution(p)))
     g = primes_above(max(base.assignment.values(), default=1), len(shape.nonlinear))
     return nlp_lift(p, shape, base.assignment, g)
 

@@ -16,12 +16,14 @@ from rado_forge.classify import (
     classify,
     exclusive_variables,
     nonlinear_shape,
+    replay_certificate,
     to_lev_form,
 )
 from rado_forge.corpus import load_fixtures
-from rado_forge.poly import Monomial, parse
+from rado_forge.poly import Monomial, Polynomial, parse
 from rado_forge.search import Coloring, SearchOutcome, SearchStats
 from rado_forge.solutions import Witness, brute_force_solutions
+from rado_forge.witness import build_witness
 
 LEV = "x1*y1 + x2*y1*y2 - x3"
 THM42 = "t1*t2*x^2 + t3*t4*y^2 - t5*t6*z^2"
@@ -212,3 +214,33 @@ def test_copy_and_pickle_round_trip(make, round_trip):
     assert repr(again) == repr(record)
     if isinstance(record, Monomial):  # the derived fields come along
         assert (again.variables, again.degree, again.degree_of("x")) == (("x", "y"), 4, 1)
+
+
+# -- the facts a polynomial keeps -----------------------------------------------------------
+
+FACTS = ("_profile", "_groups", "_zero_sum", "_lev", "_shape", "_ones")
+
+
+def _with_facts(text):
+    """The polynomial of ``text`` after classify, replay and a lift filled its facts."""
+    p = parse(text)
+    verdict = classify(p)
+    assert replay_certificate(p, verdict)
+    build_witness(p)
+    return p
+
+
+@pytest.mark.parametrize("text", [LEV, THM42])
+def test_kept_facts_change_no_identity_copy_or_pickle(text):
+    fresh, filled = parse(text), _with_facts(text)
+    assert [name for name in FACTS if getattr(filled, name, None) is not None]
+    assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+    assert pickle.dumps(filled) == pickle.dumps(fresh)
+    # copies and pickles rebuild from the monomials alone, facts unfilled
+    assert filled.__reduce__() == (Polynomial, (filled.monomials,))
+    for round_trip in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        again = round_trip(filled)
+        assert type(again) is Polynomial and again is not filled
+        assert again == fresh and hash(again) == hash(fresh) and repr(again) == repr(fresh)
+        assert [getattr(again, name, None) for name in FACTS] == [None] * len(FACTS)
+        assert classify(again) == classify(fresh)

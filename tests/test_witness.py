@@ -1,5 +1,6 @@
 """Witness construction tests: lifting identities, oracle enumeration."""
 
+import importlib
 import itertools
 import math
 import os
@@ -23,7 +24,6 @@ from rado_forge.classify import (
     NonlinearShape,
     classify,
     nonlinear_shape,
-    rado_condition,
     replay_certificate,
 )
 from rado_forge.corpus import load_fixtures
@@ -543,6 +543,41 @@ def test_primes_above_matches_trial_division():
     assert not witness._is_prime((2**61 - 1) * (2**89 - 1))
 
 
+def _strong_probable_prime(n, bases):
+    """Miller-Rabin of odd n > 2 to every base in ``bases``."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("bound", sorted(set(witness._BASE_BOUNDS[:-1])))
+def test_fewer_bases_answer_as_all_thirteen(bound):
+    # each bound is a strong pseudoprime to the bases below it in the table,
+    # which is why it needs one more; around it, the bases _is_prime picks
+    # answer as all 13 do
+    t = witness._BASE_BOUNDS.index(bound) + 1
+    assert _strong_probable_prime(bound, witness._SMALL_PRIMES[:t])
+    assert not witness._is_prime(bound)
+    for n in range(bound - 1000, bound + 1000):
+        expected = n > 1 and (
+            n in witness._SMALL_PRIMES
+            or math.gcd(n, math.prod(witness._SMALL_PRIMES)) == 1
+            and _strong_probable_prime(n, witness._SMALL_PRIMES)
+        )
+        assert witness._is_prime(n) == expected, n
+
+
 def _primes_one_by_one(lower, count):
     """The first ``count`` primes above ``lower``, testing each integer."""
     found, n = [], lower + 1
@@ -584,21 +619,32 @@ def test_default_lift_of_a_long_product_form_answers():
 
 
 def test_each_lift_decides_the_zero_sum_condition_once(monkeypatch):
-    calls = []
+    # J is computed in one place, ``classify._zero_sum``, whose zero-sum table
+    # is built by ``_minimal_subset``; the rules and the lifts read the J it
+    # keeps with the polynomial
+    classify_mod = importlib.import_module("rado_forge.classify")
+    built = []
+    build = classify_mod._minimal_subset
 
-    def counted(coeffs):
-        calls.append(coeffs)
-        return rado_condition(coeffs)
+    def counted(values, target):
+        built.append(values)
+        return build(values, target)
 
-    monkeypatch.setattr(witness, "rado_condition", counted)
+    monkeypatch.setattr(classify_mod, "_minimal_subset", counted)
     methods = {"RadoLinear": "reduct", "Thm3.5": "reduct", "Thm4.2": "nlp"}
     lifted = [f for f in load_fixtures() if f.theorem in methods]
     assert {f.theorem for f in lifted} == set(methods)
     for fixture in lifted:
-        calls.clear()
-        [w] = build_witness(parse(fixture.text), methods[fixture.theorem])
-        assert len(calls) == 1, fixture.text
+        built.clear()
+        p = parse(fixture.text)
+        assert classify(p).certificate.theorem == fixture.theorem
+        [w] = build_witness(p, methods[fixture.theorem])
+        assert len(built) == 1, fixture.text
         assert w.value == 0
+        built.clear()
+        [alone] = build_witness(parse(fixture.text), methods[fixture.theorem])
+        assert len(built) == 1, fixture.text
+        assert alone == w
 
 
 def test_each_polynomial_builds_its_degree_profile_once(monkeypatch):
