@@ -143,15 +143,11 @@ class LevForm(NamedTuple):
 
 
 class NonlinearShape(NamedTuple):
-    """The variable bookkeeping needed to lift solutions through nonlinear
-    monomials: chosen degree-1 exclusives per monomial, the nonlinear
-    variables, and the passive remainder."""
+    """The choice that lifts solutions through nonlinear monomials:
+    ``chosen[i]`` holds m_i of monomial i's exclusive degree-1 variables.
+    The degree data, m_i among it, is the polynomial's ``degree_profile``."""
 
     chosen: tuple[tuple[str, ...], ...]
-    nonlinear: tuple[str, ...]
-    passive: tuple[str, ...]
-    levels: tuple[int, ...]
-    multiplicities: tuple[int, ...]
 
 
 def _unknown(*failures: str) -> Verdict:
@@ -178,7 +174,7 @@ class _SubsetTable:
     A dense row is an int with bit s + offset set for each sum s, where
     offset is the total magnitude of the negative values, so no sum has a
     negative bit index; a sparse row is a set of sums, never changed once
-    made.  Only ``grow``, ``has`` and ``sums`` know which kind a row is.  A dense table
+    made.  Only ``grow``, ``pick`` and ``sums`` know which kind a row is.  A dense table
     also keeps ``reach``, every nonempty subset sum, so a question no subset
     answers costs one pass; a sparse table could hold 2^k sums there, so it
     grows to count k instead.
@@ -217,13 +213,6 @@ class _SubsetTable:
                 exact[i].append(row)
         return row
 
-    def has(self, row: Any, s: int) -> bool:
-        """The row holds the sum ``s``."""
-        if not self.dense:
-            return s in row
-        index = s + self.offset
-        return index >= 0 and row >> index & 1 == 1
-
     def sums(self, row: Any) -> list[int]:
         """The sums in a row, in increasing order."""
         if not self.dense:
@@ -242,21 +231,23 @@ class _SubsetTable:
                 return j
         return None
 
-    def size(self, target: int) -> Optional[int]:
-        """The fewest elements of a nonempty subset summing to ``target``."""
-        return self.first(lambda row: self.has(row, target))
-
-    def completes(self, i: int, rest: int, count: int) -> bool:
-        """Exactly ``count`` elements of ``values[i:]`` sum to ``rest``."""
-        return self.has(self.exact[i][count], rest)
-
     def pick(self, target: int) -> Optional[tuple[int, ...]]:
         """The (size, lex)-minimal nonempty subset (1-based indices) summing
-        to ``target``; None if no subset does."""
-        need = self.size(target)
-        if need is None:
+        to ``target``; None if no subset does.  Each row test is inline: a
+        sum s is in a dense row when bit s + offset, which exists only for s
+        >= -offset, is set."""
+        values, exact, dense, offset = self.values, self.exact, self.dense, self.offset
+        index = target + offset
+        if dense and (index < 0 or not self.reach >> index & 1):
             return None
-        values = self.values
+        # the fewest elements of a subset summing to target
+        whole = exact[0]  # the rows of all of values
+        for need in range(1, len(values) + 1):
+            row = whole[need] if need < len(whole) else self.grow()
+            if (row >> index & 1) if dense else target in row:
+                break
+        else:
+            return None
         chosen: list[int] = []
         remaining = target
         i = 0
@@ -265,7 +256,8 @@ class _SubsetTable:
             # need - 1 elements after it; no completion is shorter, since the
             # chosen part plus a shorter one would beat the minimum
             rest = remaining - values[i]
-            if self.completes(i + 1, rest, need - 1):
+            row = exact[i + 1][need - 1]
+            if (rest + offset >= 0 and row >> (rest + offset) & 1) if dense else rest in row:
                 chosen.append(i + 1)
                 remaining = rest
                 need -= 1
@@ -309,7 +301,7 @@ def _zero_sum(p: Polynomial) -> tuple[int, ...]:
     """``rado_condition`` of p's coefficients, kept with p: J, or () when no
     nonempty subset sums to zero.  Every rule and lift reads J here, so the
     table is built once per polynomial."""
-    j = getattr(p, "_zero_sum", None)
+    j = p._zero_sum
     if j is None:
         j = p._keep("_zero_sum", rado_condition(p.coefficients) or ())
     return j
@@ -499,7 +491,7 @@ def _equal_sum_subsets(
 def _exclusive_groups(p: Polynomial) -> ExclusiveAssignment:
     """The per-monomial exclusive lists of ``exclusive_variables``, some of
     which may be empty; kept with p."""
-    groups = getattr(p, "_groups", None)
+    groups = p._groups
     if groups is not None:
         return groups
     monomials_with: dict[str, int] = {}  # variable -> how many monomials hold it
@@ -535,7 +527,7 @@ def to_lev_form(p: Polynomial) -> LevForm:
     holds p."""
     if not p.is_lev:
         raise NotLevError(f"{p} is not linear in each variable")
-    lev = getattr(p, "_lev", None)
+    lev = p._lev
     if lev is None:
         exclusives = exclusive_variables(p)
         if exclusives is None:
@@ -596,7 +588,7 @@ def nonlinear_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], list[str]]
     """Check the per-monomial supply of exclusive degree-1 variables against
     the multiplicities m_i; returns (shape, failure_trace).  Both are kept
     with p."""
-    kept = getattr(p, "_shape", None)
+    kept = p._shape
     if kept is None:
         kept = p._keep("_shape", _find_shape(p))
     shape, failures = kept
@@ -613,11 +605,10 @@ def _find_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], tuple[str, ...
     ]
     if failures:
         return None, tuple(failures)
-    prof = p.degree_profile()
     chosen: list[tuple[str, ...]] = []
-    for i, m in enumerate(p.monomials):
-        need = prof.multiplicities[i]
-        have = excl.degree_one[i]
+    for i, (m, have, need) in enumerate(
+        zip(p.monomials, excl.degree_one, p.degree_profile().multiplicities)
+    ):
         if len(have) < need:
             failures.append(
                 f"nonlinear: monomial {i + 1} ({m.monic_text()}) needs {need} "
@@ -626,12 +617,7 @@ def _find_shape(p: Polynomial) -> tuple[Optional[NonlinearShape], tuple[str, ...
         chosen.append(tuple(sorted(have))[:need])
     if failures:
         return None, tuple(failures)
-    active = {v for group in chosen for v in group}.union(prof.nonlinear)
-    passive = tuple(v for v in p.variables if v not in active)
-    shape = NonlinearShape(
-        tuple(chosen), prof.nonlinear, passive, prof.levels, prof.multiplicities
-    )
-    return shape, ()
+    return NonlinearShape(tuple(chosen)), ()
 
 
 def classify_nonlinear(p: Polynomial) -> Verdict:
@@ -646,16 +632,18 @@ def classify_nonlinear(p: Polynomial) -> Verdict:
     shape, failures = nonlinear_shape(p)
     if shape is None:
         return _unknown(*failures)
+    prof = p.degree_profile()
+    active = set(prof.nonlinear).union(*shape.chosen)
     cert = Certificate(
         "Thm4.2",
         {
             "coefficients": list(p.coefficients),
             "J": list(j),
             "exclusive_choice": [list(g) for g in shape.chosen],
-            "nonlinear_vars": list(shape.nonlinear),
-            "passive_vars": list(shape.passive),
-            "levels": list(shape.levels),
-            "multiplicities": list(shape.multiplicities),
+            "nonlinear_vars": list(prof.nonlinear),
+            "passive_vars": [v for v in p.variables if v not in active],
+            "levels": list(prof.levels),
+            "multiplicities": list(prof.multiplicities),
         },
     )
     return Verdict(
@@ -663,7 +651,7 @@ def classify_nonlinear(p: Polynomial) -> Verdict:
         "yes",
         cert,
         (
-            f"nonlinear: multiplicities m={list(shape.multiplicities)} met by "
+            f"nonlinear: multiplicities m={list(prof.multiplicities)} met by "
             f"exclusive degree-1 choices {[list(g) for g in shape.chosen]}, J={list(j)}",
         ),
     )

@@ -17,10 +17,11 @@ Each object computes its structural data once.  A ``Monomial`` derives its
 ``variables``, its total ``degree`` and a variable -> exponent map (so
 ``degree_of`` is a lookup) when it is built.  A ``Polynomial`` fixes its
 canonical monomials, sorted variables, coefficients, shape flags and the
-degree of each variable at construction, and builds ``degree_profile()`` on
-the first call only.  ``evaluate`` checks coverage against the precomputed
-variables, and so does ``evaluate_many``, which takes many assignments at
-once as rows of values and reads them a column at a time.
+degree of each variable at construction, and builds ``degree_profile()``,
+read off those degrees, on the first call only.  ``evaluate`` checks
+coverage against the precomputed variables, and so does ``evaluate_many``,
+which takes many assignments at once as rows of values and reads them a
+column at a time.
 
 The public constructors ``Monomial(...)``, ``Polynomial(...)`` and
 ``Polynomial.from_terms`` validate their input.  ``parse`` skips only the
@@ -202,13 +203,14 @@ def monomial_gcd(m1: Monomial, m2: Monomial) -> Monomial:
 class DegreeProfile(NamedTuple):
     """Structural degree data consumed by the classifier and witness builder.
 
+    ``nonlinear`` lists the variables of degree 2 or more in name order.
     ``levels[i]`` is the largest degree deficit of monomial i against any
     nonlinear variable (0 when there are none); ``multiplicities[i]`` is
-    max(1, levels[i]).  Tuple positions follow canonical monomial order.
+    max(1, levels[i]).  Tuple positions follow canonical monomial order.  The
+    degree of each variable is ``Polynomial.degree_of`` and its degree in
+    monomial i is ``monomials[i].degree_of``.
     """
 
-    degrees: dict[str, int]
-    per_monomial: tuple[dict[str, int], ...]
     partial_degree: int
     nonlinear: tuple[str, ...]
     levels: tuple[int, ...]
@@ -220,15 +222,14 @@ class Polynomial:
 
     Construction fixes the structural data once: the canonical monomials,
     the sorted variables, the coefficients, the four shape flags and the
-    degree of each variable.  ``degree_profile`` is built on its first call
-    and kept.
+    degree of each variable.
 
-    The facts the classifier and the witness lifts derive have fields that
-    stay unset, so a polynomial no one asks about pays nothing for them.
-    Their readers in ``classify`` and ``witness`` read
-    ``getattr(p, field, None)`` and keep what they derive with ``_keep``:
-    the exclusive groups (``_groups``), the least zero-sum index set J,
-    empty when there is none (``_zero_sum``), the l.e.v. designation
+    The facts derived later start as None, so a polynomial no one asks
+    about pays nothing for them.  Each reader reads its field and, when it
+    is None, keeps what it derives with ``_keep``: the degree profile
+    (``_profile``, read by ``degree_profile``), and in ``classify`` and
+    ``witness`` the exclusive groups (``_groups``), the least zero-sum index
+    set J, empty when there is none (``_zero_sum``), the l.e.v. designation
     (``_lev``: linear variables, product variables, F-sets), the nonlinear
     shape with its failure lines (``_shape``) and the all-ones substitution
     (``_ones``).  Each is a function of the monomials, so filling one is
@@ -289,10 +290,11 @@ class Polynomial:
 
     def degree_profile(self) -> DegreeProfile:
         """The degree data of p, built on the first call; later calls return
-        the same object, so its dicts must not be changed."""
-        if self._profile is None:
-            object.__setattr__(self, "_profile", _degree_profile(self))
-        return self._profile
+        the same object."""
+        profile = self._profile
+        if profile is None:
+            profile = self._keep("_profile", _degree_profile(self))
+        return profile
 
     def _keep(self, name: str, fact):
         """Store a derived fact in its field and return it."""
@@ -372,16 +374,24 @@ def _canonicalize(p: Polynomial, monomials: list[Monomial]) -> None:
     totals = {m.degree for m in monomials}
     ordered = tuple(sorted(monomials, key=_order_key))
     coefficients = tuple([m.coefficient for m in ordered])
-    fix = object.__setattr__  # past the immutability guard
-    fix(p, "monomials", ordered)
-    fix(p, "variables", names)
-    fix(p, "coefficients", coefficients)
-    fix(p, "is_linear", totals == {1})
-    fix(p, "is_lev", max(degrees.values()) == 1)  # every exponent is 1
-    fix(p, "is_homogeneous", len(totals) == 1)
-    fix(p, "is_one_signed", min(coefficients) > 0 or max(coefficients) < 0)
-    fix(p, "_degrees", degrees)
-    fix(p, "_profile", None)
+    _set_monomials(p, ordered)
+    _set_variables(p, names)
+    _set_coefficients(p, coefficients)
+    _set_is_linear(p, totals == {1})
+    _set_is_lev(p, max(degrees.values()) == 1)  # every exponent is 1
+    _set_is_homogeneous(p, len(totals) == 1)
+    _set_is_one_signed(p, min(coefficients) > 0 or max(coefficients) < 0)
+    _set_degrees(p, degrees)
+    for unset in _SET_FACTS:
+        unset(p, None)
+
+
+# Each slot descriptor's own setter writes its field past the immutability
+# guard, and costs less than ``object.__setattr__``, which looks the field up.
+(_set_monomials, _set_variables, _set_coefficients, _set_is_linear, _set_is_lev,
+ _set_is_homogeneous, _set_is_one_signed, _set_degrees, *_SET_FACTS) = [
+    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
+]
 
 
 def _order_key(m: Monomial) -> list:
@@ -408,17 +418,15 @@ def _polynomial(monomials: list[Monomial]) -> Polynomial:
 
 
 def _degree_profile(p: Polynomial) -> DegreeProfile:
-    """The degree data of p; ``Polynomial.degree_profile`` keeps it."""
-    degrees = {v: p._degrees[v] for v in p.variables}
-    zeros = dict.fromkeys(p.variables, 0)
-    per_monomial = tuple({**zeros, **m._powers} for m in p.monomials)
-    nonlinear = tuple(v for v in p.variables if degrees[v] >= 2)
-    levels = tuple(
-        max((degrees[v] - deg_i[v] for v in nonlinear), default=0)
-        for deg_i in per_monomial
-    )
-    mults = tuple(max(1, l) for l in levels)
-    return DegreeProfile(degrees, per_monomial, max(degrees.values()), nonlinear, levels, mults)
+    """The degree data of p, read off the degree of each variable in p and
+    in each monomial; ``Polynomial.degree_profile`` keeps it."""
+    nonlinear = tuple([v for v in p.variables if p.degree_of(v) >= 2])
+    levels = tuple([
+        max([p.degree_of(v) - m.degree_of(v) for v in nonlinear], default=0)
+        for m in p.monomials
+    ])
+    mults = tuple([max(1, l) for l in levels])
+    return DegreeProfile(max(p._degrees.values()), nonlinear, levels, mults)
 
 
 def _combine(

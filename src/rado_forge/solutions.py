@@ -498,7 +498,7 @@ def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[
 
 
 class Layers:
-    """What ``solution_layers`` returns: an iterator over the layers, with
+    """What ``solution_layers`` returns: the layers, iterable once, with
     ``variables``, the variable at each position of their tuples."""
 
     def __init__(self, variables: list[str], layers: Iterator[list[tuple[int, ...]]]) -> None:
@@ -506,10 +506,7 @@ class Layers:
         self._layers = layers
 
     def __iter__(self) -> Iterator[list[tuple[int, ...]]]:
-        return self._layers  # a reader that iterates pays no ``__next__`` frame per layer
-
-    def __next__(self) -> list[tuple[int, ...]]:
-        return next(self._layers)
+        return self._layers  # a reader that iterates pays no frame per layer
 
 
 def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:

@@ -41,7 +41,7 @@ from .classify import (
     nonlinear_shape,
     to_lev_form,
 )
-from .poly import DegreeProfile, Polynomial, _combine, _monomial, _polynomial
+from .poly import Polynomial, _combine, _monomial, _polynomial
 from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
 
 __all__ = [
@@ -175,46 +175,38 @@ def reduct_lift_formal_check(form: LevForm, alpha: Sequence[int]) -> bool:
     )
 
 
-def _i_sets(
-    prof: DegreeProfile, shape: NonlinearShape
-) -> list[list[list[str]]]:
+def _i_sets(p: Polynomial) -> list[list[list[str]]]:
     """gamma_{i,j} for j = 1..m_i as the nonlinear variables y_s whose
     product it is, s in I_{i,j} = {s : d(y_s) - d_i(y_s) >= j}, in the
-    order of ``shape.nonlinear``."""
-    degrees = prof.degrees
+    order of the degree profile's ``nonlinear``."""
+    prof = p.degree_profile()
     return [
         [
-            [v for v in shape.nonlinear if degrees[v] - deg_i[v] >= j]
-            for j in range(1, shape.multiplicities[i] + 1)
+            [v for v in prof.nonlinear if p.degree_of(v) - m.degree_of(v) >= j]
+            for j in range(1, need + 1)
         ]
-        for i, deg_i in enumerate(prof.per_monomial)
+        for m, need in zip(p.monomials, prof.multiplicities)
     ]
 
 
 def _check_shape(p: Polynomial, shape: NonlinearShape) -> None:
     """Raise ``ValueError`` naming the first way ``shape`` does not fit p:
-    one chosen group per monomial, group i holding ``multiplicities[i]``
-    distinct degree-1 exclusive variables of monomial i, and ``nonlinear``,
-    ``levels`` and ``multiplicities`` equal to p's degree profile.  With a
-    shape that fits, prod_j gamma_{i,j} = eta_i holds for every monomial, so
-    the lift of any solution of the substitution solves p."""
-    prof = p.degree_profile()
+    one chosen group per monomial, group i holding m_i distinct degree-1
+    exclusive variables of monomial i.  The rest of the degree data is p's
+    own, so with a shape that fits, prod_j gamma_{i,j} = eta_i holds for
+    every monomial, and the lift of any solution of the substitution solves
+    p."""
     if len(shape.chosen) != len(p.monomials):
         raise ValueError(
             f"shape has {len(shape.chosen)} chosen groups for the {len(p.monomials)} monomials of {p}"
         )
     degree_one = _exclusive_groups(p).degree_one
-    for i, (m, group) in enumerate(zip(p.monomials, shape.chosen)):
-        need = prof.multiplicities[i]
+    needs = p.degree_profile().multiplicities
+    for i, (m, group, need) in enumerate(zip(p.monomials, shape.chosen, needs)):
         if len(set(group)) != len(group) or len(group) != need or not set(group) <= set(degree_one[i]):
             raise ValueError(
                 f"chosen group {i + 1} {list(group)} is not {need} distinct exclusive degree-1 "
                 f"variable(s) of monomial {i + 1} ({m.monic_text()})"
-            )
-    for field in ("nonlinear", "levels", "multiplicities"):
-        if tuple(getattr(shape, field)) != getattr(prof, field):
-            raise ValueError(
-                f"shape {field} {list(getattr(shape, field))} is not {list(getattr(prof, field))}, that of {p}"
             )
 
 
@@ -233,7 +225,8 @@ def nlp_lift(
     A shape that does not fit p raises ``ValueError`` (``_check_shape``).
     """
     _check_shape(p, shape)
-    h = len(shape.nonlinear)
+    nonlinear = p.degree_profile().nonlinear
+    h = len(nonlinear)
     if len(g) != h:
         raise ValueError(f"need {h} g values (one per nonlinear variable), got {len(g)}")
     if len(set(g)) != len(g):
@@ -249,11 +242,9 @@ def nlp_lift(
         raise NotAPTildeSolutionError(
             f"substituted polynomial evaluates to {residue}, not 0"
         )
-    prof = p.degree_profile()
-    degrees = prof.degrees
-    g_of = dict(zip(shape.nonlinear, g))
-    index = {v: s for s, v in enumerate(shape.nonlinear, start=1)}
-    eta = math.prod([gv ** degrees[v] for v, gv in g_of.items()])
+    g_of = dict(zip(nonlinear, g))
+    index = {v: s for s, v in enumerate(nonlinear, start=1)}
+    eta = math.prod([gv ** p.degree_of(v) for v, gv in g_of.items()])
     eta_i: list[int] = []
     gamma: dict[str, int] = {}
     i_json: dict[str, list[int]] = {}
@@ -261,10 +252,9 @@ def nlp_lift(
         v: val for v, val in alpha_beta.items() if v in substituted.variables
     }
     assignment.update(g_of)
-    for i, i_sets in enumerate(_i_sets(prof, shape)):
-        deg_i = prof.per_monomial[i]
-        nl_part = math.prod([gv ** deg_i[v] for v, gv in g_of.items()])
-        level_product = math.prod([gv ** (degrees[v] - deg_i[v]) for v, gv in g_of.items()])
+    for i, (m, i_sets) in enumerate(zip(p.monomials, _i_sets(p))):
+        nl_part = math.prod([gv ** m.degree_of(v) for v, gv in g_of.items()])
+        level_product = math.prod([gv ** (p.degree_of(v) - m.degree_of(v)) for v, gv in g_of.items()])
         eta_i.append(level_product)
         gammas_i = [math.prod([g_of[v] for v in names]) for names in i_sets]
         for j, (names, value) in enumerate(zip(i_sets, gammas_i), start=1):
@@ -294,7 +284,7 @@ def _ones_substitution(p: Polynomial) -> Polynomial:
     that some shape fits: each monomial keeps a chosen exclusive variable,
     so the substituted monomials are nonempty and distinct, and they are
     built without validation, as ``parse`` builds its own."""
-    ones = getattr(p, "_ones", None)
+    ones = p._ones
     if ones is None:
         dropped = set(p.degree_profile().nonlinear)
         monomials = []
@@ -313,15 +303,14 @@ def nlp_lift_formal_check(
     by exact cancellation, for an arbitrary substituted-solution candidate.
     A shape that does not fit p raises ``ValueError`` (``_check_shape``)."""
     _check_shape(p, shape)
-    prof = p.degree_profile()
-    i_sets = _i_sets(prof, shape)
+    i_sets = _i_sets(p)
     substituted = _ones_substitution(p)
     residue = substituted.evaluate(alpha_beta)
     mapping = {v: (alpha_beta[v], {}) for v in substituted.variables}
     for i, groups in enumerate(shape.chosen):
         for j, x_var in enumerate(groups):
             mapping[x_var] = (alpha_beta[x_var], dict.fromkeys(i_sets[i][j], 1))
-    eta = {v: prof.degrees[v] for v in shape.nonlinear}
+    eta = {v: p.degree_of(v) for v in p.degree_profile().nonlinear}
     return _identity_holds(p, mapping, residue, eta)
 
 
@@ -583,7 +572,7 @@ def witness_via_nlp(p: Polynomial) -> Witness:
     if shape is None:
         raise HypothesisFailure(failures)
     base = _lift_reduct(to_lev_form(_ones_substitution(p)))
-    g = primes_above(max(base.assignment.values(), default=1), len(shape.nonlinear))
+    g = primes_above(max(base.assignment.values(), default=1), len(p.degree_profile().nonlinear))
     return nlp_lift(p, shape, base.assignment, g)
 
 

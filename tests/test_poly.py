@@ -442,13 +442,6 @@ def test_variables_computed_once(p):
     assert q == p and hash(q) == hash(p)
 
 
-def test_degree_profile_per_monomial_degrees():
-    prof = parse(WORKED).degree_profile()
-    assert prof.per_monomial[0]["y1"] == 2
-    assert prof.per_monomial[2]["y1"] == 1
-    assert prof.per_monomial[3]["y2"] == 0
-
-
 # -- construction reads each structural quantity once ---------------------------
 
 
@@ -512,17 +505,12 @@ def test_parse_builds_valid_monomials_and_exact_structure(p, data):
         }
         for v in r.variables + ("unused",):
             assert r.degree_of(v) == degrees.get(v, 0)
-        per_monomial = tuple(
-            {v: dict(m.exponents).get(v, 0) for v in r.variables} for m in r.monomials
-        )
         nonlinear = tuple(v for v in r.variables if degrees[v] >= 2)
         levels = tuple(
-            max([degrees[v] - deg[v] for v in nonlinear] or [0]) for deg in per_monomial
+            max([degrees[v] - m.degree_of(v) for v in nonlinear] or [0]) for m in r.monomials
         )
         prof = r.degree_profile()
         assert prof is r.degree_profile()  # built once
-        assert prof.degrees == degrees and list(prof.degrees) == list(r.variables)
-        assert prof.per_monomial == per_monomial
         assert prof.partial_degree == max(degrees.values())
         assert prof.nonlinear == nonlinear
         assert prof.levels == levels

@@ -12,6 +12,7 @@ from rado_forge.classify import (
     PR,
     UNKNOWN,
     Certificate,
+    NonlinearShape,
     Verdict,
     classify,
     exclusive_variables,
@@ -20,7 +21,7 @@ from rado_forge.classify import (
     to_lev_form,
 )
 from rado_forge.corpus import load_fixtures
-from rado_forge.poly import Monomial, Polynomial, parse
+from rado_forge.poly import DegreeProfile, Monomial, Polynomial, parse
 from rado_forge.search import Coloring, SearchOutcome, SearchStats
 from rado_forge.solutions import Witness, brute_force_solutions
 from rado_forge.witness import build_witness
@@ -75,13 +76,23 @@ def test_a_record_holding_a_dict_is_unhashable():
     for record in (
         cert,
         Verdict(PR, "yes", cert),
-        parse(LEV).degree_profile(),
         _witness(),
         SearchStats(),
         _outcome(),
     ):
         with pytest.raises(TypeError):
             hash(record)
+
+
+def test_the_degree_records_hold_no_dict_and_hash():
+    # the degrees themselves are read off the polynomial and its monomials
+    assert DegreeProfile._fields == ("partial_degree", "nonlinear", "levels", "multiplicities")
+    assert NonlinearShape._fields == ("chosen",)
+    profile, shape = parse(THM42).degree_profile(), nonlinear_shape(parse(THM42))[0]
+    assert profile == (2, ("x", "y", "z"), (2, 2, 2), (2, 2, 2))
+    assert hash(profile) == hash(tuple(profile))
+    assert shape == ((("t1", "t2"), ("t3", "t4"), ("t5", "t6")),)
+    assert hash(shape) == hash(tuple(shape))
 
 
 # -- immutability ------------------------------------------------------------------------
@@ -157,8 +168,7 @@ def test_witnesses_built_without_a_trace_do_not_share_a_dict():
         ),
         (
             lambda: nonlinear_shape(parse(THM42))[0],
-            "NonlinearShape(chosen=(('t1', 't2'), ('t3', 't4'), ('t5', 't6')),"
-            " nonlinear=('x', 'y', 'z'), passive=(), levels=(2, 2, 2), multiplicities=(2, 2, 2))",
+            "NonlinearShape(chosen=(('t1', 't2'), ('t3', 't4'), ('t5', 't6')))",
         ),
         (
             _outcome,

@@ -4,9 +4,11 @@ newer interpreter; and it holds no ``assert`` statement, so every check it
 makes still runs under ``python -O``.  No module imports ``dataclasses``,
 whose decorator compiles each record's methods at import, and importing the
 package loads neither it, ``inspect`` nor ``importlib.resources``.  The layers the search reads are
-re-verified at one site, once per search.  The CI workflow runs the tier-1
-command of ROADMAP.md and the benchmark self-test, on that oldest Python
-among others, under its 20-minute timeout."""
+re-verified at one site, once per search.  No module probes a private field
+with ``getattr(obj, "_name", default)``: the facts a polynomial keeps start
+as None.  The CI workflow runs the tier-1 command of ROADMAP.md and the
+benchmark self-test, on that oldest Python among others, under its
+20-minute timeout."""
 
 import ast
 import re
@@ -91,6 +93,29 @@ def test_the_search_re_verifies_at_one_site():
             and node.func.attr == "evaluate_many"
         ]
     assert [name for name, _ in sites] == ["search.py"], sites
+
+
+def _probes_a_private_field(node: ast.AST) -> bool:
+    """``node`` is ``getattr(obj, "_name", default)``: a probe of a private
+    field that may be unset."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) == 3
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+        and node.args[1].value.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_probes_a_private_field_with_a_default(path):
+    # a kept fact starts as None and is read as a plain field; a getattr with
+    # a default would pay for a raised and cleared AttributeError when unset
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if _probes_a_private_field(node)]
+    assert not lines, f"{path.name}: getattr with a default on a private field at lines {lines}"
 
 
 def test_ci_runs_the_tier_1_command_and_the_self_test():

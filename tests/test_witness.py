@@ -251,9 +251,9 @@ def test_nlp_lift_checks_the_shape_first():
     first, second, third, fourth = worked.chosen
     w = parse(WORKED)
     cases = [
-        (p, NonlinearShape((("x1",),), ("y",), (), (0,), (1,)),
+        (p, NonlinearShape((("x1",),)),
          "shape has 1 chosen groups for the 3 monomials of x1*y^2 + x2*y - x3"),
-        (p, NonlinearShape((("x1",), ("x2",), ("x3",)), ("y",), (), (0, 1, 2), (1, 1, 2)),
+        (p, NonlinearShape((("x1",), ("x2",), ("x3",))),
          "chosen group 3 ['x3'] is not 2 distinct exclusive degree-1 variable(s) of monomial 3 (x3)"),
         (w, worked._replace(chosen=(first, second, third)),
          f"shape has 3 chosen groups for the 4 monomials of {w}"),
@@ -263,17 +263,12 @@ def test_nlp_lift_checks_the_shape_first():
          "chosen group 4 ['x41', 'x41'] is not 2 distinct"),
         (w, worked._replace(chosen=(("y1",), second, third, fourth)),  # y1 is in two monomials
          "chosen group 1 ['y1'] is not 1 distinct"),
-        (w, worked._replace(nonlinear=("y2", "y1")),
-         f"shape nonlinear ['y2', 'y1'] is not ['y1', 'y2'], that of {w}"),
-        (w, worked._replace(levels=(0, 0, 0, 0)),
-         f"shape levels [0, 0, 0, 0] is not [0, 2, 2, 2], that of {w}"),
-        (w, worked._replace(multiplicities=(1, 2, 2, 1)),
-         f"shape multiplicities [1, 2, 2, 1] is not [1, 2, 2, 2], that of {w}"),
     ]
     for q, shape, message in cases:
         alpha = WORKED_ALPHA if q is w else {"x1": 1, "x2": 1, "x3": 2}
+        g = (2, 3) if q is w else (2,)  # one value per nonlinear variable
         for lift in (
-            lambda: nlp_lift(q, shape, alpha, (2, 3)[: len(shape.nonlinear)]),
+            lambda: nlp_lift(q, shape, alpha, g),
             lambda: nlp_lift_formal_check(q, shape, alpha),
         ):
             with pytest.raises(ValueError) as error:
@@ -285,10 +280,7 @@ def test_a_hand_built_shape_that_fits_still_lifts():
     # monomial 2 owns three exclusive degree-1 variables and needs two:
     # x21 and z1 serve as well as the x21 and x22 that nonlinear_shape picks
     p = parse(WORKED)
-    hand_built = NonlinearShape(
-        (("x11",), ("z1", "x21"), ("x32", "x31"), ("x41", "x42")),
-        ("y1", "y2"), ("x22", "z2"), (0, 2, 2, 2), (1, 2, 2, 2),
-    )
+    hand_built = NonlinearShape((("x11",), ("z1", "x21"), ("x32", "x31"), ("x41", "x42")))
     assert hand_built != _worked_shape()
     w = nlp_lift(p, hand_built, WORKED_ALPHA, (2, 3))
     assert w.value == 0 == p.evaluate(w.assignment)
