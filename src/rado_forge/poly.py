@@ -23,13 +23,15 @@ coverage against the precomputed variables, and so does ``evaluate_many``,
 which takes many assignments at once as rows of values and reads them a
 column at a time.
 
-The public constructors ``Monomial(...)``, ``Polynomial(...)`` and
-``Polynomial.from_terms`` validate their input.  ``parse`` skips only the
-checks whose invariants its path guarantees: every name matched the
-variable-name pattern when the text was read, zero powers are dropped so
-every exponent is at least 1, each exponent tuple is ``sorted(dict.items())``
-so its names are sorted and distinct, and like terms are combined so the
-tuples are distinct.
+Every polynomial is built by one builder, ``_build``, from (coefficient,
+{variable: exponent}) terms: ``parse`` and ``parse_with_constant`` pass the
+terms they read, ``Polynomial(monomials)`` each monomial's coefficient and
+powers, and ``Polynomial.from_terms`` its terms once it has checked their
+names and exponents.  In one pass over the summed like terms the builder
+writes each monomial's fields, the degree of each variable, the total
+degrees and each monomial's sort key, then sorts once.  It checks no name
+or exponent again: every name read from text matched the variable-name
+pattern, and a ``Monomial`` validated its own when it was built.
 """
 
 from __future__ import annotations
@@ -117,15 +119,13 @@ class Monomial:
             names = [v for v, _ in exponents]
             if names != sorted(names) or len(set(names)) != len(names):
                 raise ValueError("exponent pairs must be sorted by unique variable name")
-        for v, e in exponents:
-            if not _VAR_RE.fullmatch(v):
-                raise ValueError(f"invalid variable name: {v!r}")
-            if e < 1:
-                raise ValueError(f"exponent of {v} must be >= 1, got {e}")
+        _check_factors(exponents)
         fields = self.__dict__
         fields["coefficient"] = coefficient
         fields["exponents"] = exponents
-        _derive(fields, exponents, dict(exponents))
+        fields["variables"] = tuple([v for v, _ in exponents])
+        fields["degree"] = sum([e for _, e in exponents])
+        fields["_powers"] = dict(exponents)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -165,27 +165,14 @@ class Monomial:
         return f"{self.coefficient}*{self.monic_text()}"
 
 
-def _derive(fields: dict, exponents: tuple[tuple[str, int], ...], powers: dict[str, int]) -> None:
-    """Store the derived fields of a monomial in ``fields``, its attribute
-    dict: ``powers`` holds the same pairs as ``exponents``, and is kept."""
-    # powers may be in the order the text gave, so only a lone name is read off it
-    fields["variables"] = tuple(powers) if len(exponents) == 1 else tuple([v for v, _ in exponents])
-    fields["degree"] = sum(powers.values())
-    fields["_powers"] = powers
-
-
-def _monomial(coefficient: int, exponents: tuple[tuple[str, int], ...],
-              powers: dict[str, int]) -> Monomial:
-    """A Monomial built without re-validation, for parts whose invariants
-    hold by construction: ``coefficient`` is nonzero, ``exponents`` is
-    ``sorted(powers.items())``, every name is a variable name and every
-    exponent is >= 1."""
-    m = object.__new__(Monomial)
-    fields = m.__dict__  # past the immutability guard, as __init__ writes them
-    fields["coefficient"] = coefficient
-    fields["exponents"] = exponents
-    _derive(fields, exponents, powers)
-    return m
+def _check_factors(exponents: Iterable[tuple[str, int]]) -> None:
+    """Raise ``ValueError`` at the first pair whose name is not a variable
+    name or whose exponent is below 1."""
+    for v, e in exponents:
+        if not _VAR_RE.fullmatch(v):
+            raise ValueError(f"invalid variable name: {v!r}")
+        if e < 1:
+            raise ValueError(f"exponent of {v} must be >= 1, got {e}")
 
 
 def monomial_gcd(m1: Monomial, m2: Monomial) -> Monomial:
@@ -222,7 +209,9 @@ class Polynomial:
 
     Construction fixes the structural data once: the canonical monomials,
     the sorted variables, the coefficients, the four shape flags and the
-    degree of each variable.
+    degree of each variable.  ``Polynomial(monomials)``, ``from_terms``,
+    ``parse`` and ``parse_with_constant`` all build through ``_build``, which
+    combines like terms, so the monomials may come in any order and repeat.
 
     The facts derived later start as None, so a polynomial no one asks
     about pays nothing for them.  Each reader reads its field and, when it
@@ -250,37 +239,29 @@ class Polynomial:
     is_homogeneous: bool
     is_one_signed: bool  # every coefficient has one sign: no solution in the positive integers
 
-    def __init__(self, monomials: Iterable[Monomial]):
-        given = list(monomials)
-        if len({m.exponents for m in given}) == len(given):
-            # distinct exponent tuples: combining like terms changes nothing
-            combined = [m for m in given if m.exponents]
-            constant = next((m.coefficient for m in given if not m.exponents), 0)
-        else:
-            combined, constant = _combine(
-                (m.coefficient, m.exponent_map()) for m in given
-            )
-        if constant != 0:
-            raise ConstantTermError(constant)
-        if not combined:
-            raise EmptyPolynomialError()
-        _canonicalize(self, combined)
+    def __new__(cls, monomials: Iterable[Monomial]) -> "Polynomial":
+        # a monomial's powers already hold valid names and exponents
+        return _polynomial([(m.coefficient, m._powers) for m in monomials])
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, not the guarded __setattr__
+        # copy and pickle rebuild through __new__, not the guarded __setattr__
         return (Polynomial, (self.monomials,))
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Mapping[str, int]]]) -> "Polynomial":
-        """Build from (coefficient, {var: exponent}) pairs, canonicalizing."""
-        return cls(
-            Monomial(c, tuple(sorted((v, e) for v, e in exps.items() if e)))
-            for c, exps in terms
-            if c != 0
-        )
+        """Build from (coefficient, {var: exponent}) pairs, canonicalizing.
+        Zero coefficients and zero powers are dropped first; every other
+        name must be a variable name and every other exponent at least 1."""
+        checked = []
+        for c, exps in terms:
+            if c != 0:
+                pairs = sorted([(v, e) for v, e in exps.items() if e])
+                _check_factors(pairs)
+                checked.append((c, dict(pairs)))
+        return _polynomial(checked)
 
     # -- structure ---------------------------------------------------------
 
@@ -351,31 +332,83 @@ class Polynomial:
     def __str__(self) -> str:
         parts = [str(self.monomials[0])]
         for m in self.monomials[1:]:
-            if m.coefficient < 0:
-                flipped = _monomial(-m.coefficient, m.exponents, m._powers)
-                parts.append(f" - {flipped}")
-            else:
-                parts.append(f" + {m}")
+            c = abs(m.coefficient)
+            term = m.monic_text() if c == 1 else f"{c}*{m.monic_text()}"
+            parts.append(f" - {term}" if m.coefficient < 0 else f" + {term}")
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
 
 
-def _canonicalize(p: Polynomial, monomials: list[Monomial]) -> None:
-    """Set every field of ``p`` from nonempty monomials with distinct,
-    nonempty exponent tuples, in any order."""
+def _build(terms: Iterable[tuple[int, Mapping[str, int]]]) -> tuple[Polynomial | None, int]:
+    """The polynomial of (coefficient, {variable: exponent}) terms, or None
+    when every term cancels, and the constant term.  Every name must be a
+    variable name and every exponent >= 0; the caller must not change a
+    term's dict afterwards, since the monomial of its exponents keeps the
+    first such dict, zero powers dropped, as ``_powers``.
+
+    Like terms are summed under their exponent tuple, ``sorted(exps.items())``,
+    so the names in it are sorted and distinct.  One loop over the sums then
+    writes each nonzero monomial's fields, raises the degree of each variable,
+    collects the total degrees and makes the canonical sort key: the pairs as
+    name, negated exponent, then a name greater than every variable name.  The
+    first name at which two monomials' exponent vectors differ is the first
+    difference of their keys, either in the negated exponent or in a name that
+    only the monomial with it present has at that place, and that monomial
+    comes first: sorted by key, the monomials are in descending
+    pure-lexicographic order of their vectors over any sorted list of names."""
+    sums: dict[tuple[tuple[str, int], ...], tuple] = {}  # exponent tuple -> (coefficient, exps)
+    for coeff, exps in terms:
+        if 0 in exps.values():
+            exps = {v: e for v, e in exps.items() if e != 0}
+        # one pair is sorted already
+        key = tuple(exps.items()) if len(exps) == 1 else tuple(sorted(exps.items()))
+        if key in sums:
+            earlier, exps = sums[key]
+            coeff += earlier
+        sums[key] = coeff, exps
+    constant = sums.pop((), (0,))[0]
     degrees: dict[str, int] = {}
-    for m in monomials:
-        for v, e in m.exponents:
+    totals = set()
+    ordered = []  # (sort key, coefficient, monomial)
+    for exponents, (coeff, exps) in sums.items():
+        if coeff == 0:
+            continue
+        if len(exponents) == 1:
+            (v, e), = exponents
+            names = (v,)
+            total = e
+            order = (v, -e, "{")  # "{" sorts after "z", so after every name
             if e > degrees.get(v, 0):
                 degrees[v] = e
-    names = tuple(sorted(degrees))
-    totals = {m.degree for m in monomials}
-    ordered = tuple(sorted(monomials, key=_order_key))
-    coefficients = tuple([m.coefficient for m in ordered])
-    _set_monomials(p, ordered)
-    _set_variables(p, names)
+        else:
+            total = 0
+            order = ()
+            for v, e in exponents:
+                total += e
+                order += (v, -e)
+                if e > degrees.get(v, 0):
+                    degrees[v] = e
+            names = order[::2]
+            order += ("{",)
+        m = _new(Monomial)
+        fields = m.__dict__  # past the immutability guard, as __init__ writes them
+        fields["coefficient"] = coeff
+        fields["exponents"] = exponents
+        fields["variables"] = names
+        fields["degree"] = total
+        fields["_powers"] = exps
+        totals.add(total)
+        ordered.append((order, coeff, m))
+    if not ordered:
+        return None, constant
+    # by the key alone: list.sort then compares the keys' str first items directly
+    ordered.sort(key=_first)
+    _, coefficients, monomials = zip(*ordered)
+    p = _new(Polynomial)
+    _set_monomials(p, monomials)
+    _set_variables(p, tuple(sorted(degrees)))
     _set_coefficients(p, coefficients)
     _set_is_linear(p, totals == {1})
     _set_is_lev(p, max(degrees.values()) == 1)  # every exponent is 1
@@ -384,37 +417,27 @@ def _canonicalize(p: Polynomial, monomials: list[Monomial]) -> None:
     _set_degrees(p, degrees)
     for unset in _SET_FACTS:
         unset(p, None)
+    return p, constant
 
 
+def _polynomial(terms: Iterable[tuple[int, Mapping[str, int]]]) -> Polynomial:
+    """``_build``'s polynomial of terms whose constant term is 0."""
+    p, constant = _build(terms)
+    if constant != 0:
+        raise ConstantTermError(constant)
+    if p is None:
+        raise EmptyPolynomialError()
+    return p
+
+
+_new = object.__new__  # a Monomial or Polynomial with no field set yet
+_first = itemgetter(0)
 # Each slot descriptor's own setter writes its field past the immutability
 # guard, and costs less than ``object.__setattr__``, which looks the field up.
 (_set_monomials, _set_variables, _set_coefficients, _set_is_linear, _set_is_lev,
  _set_is_homogeneous, _set_is_one_signed, _set_degrees, *_SET_FACTS) = [
     Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
 ]
-
-
-def _order_key(m: Monomial) -> list:
-    """The canonical sort key: monomials sorted by it are in descending
-    pure-lexicographic order of their exponent vectors over any sorted list
-    of names.  It lists the pairs as name, negated exponent, then a name
-    greater than every variable name: the first name at which two
-    monomials' vectors differ is the first difference of their keys, either
-    in the negated exponent or in a name that only the monomial with it
-    present has at that place, and that monomial comes first."""
-    key: list = []
-    for v, e in m.exponents:
-        key += (v, -e)
-    key.append("{")  # after "z", so after every variable name
-    return key
-
-
-def _polynomial(monomials: list[Monomial]) -> Polynomial:
-    """A Polynomial from nonempty monomials with distinct, nonempty exponent
-    tuples, as ``_combine`` returns them, without checking them again."""
-    p = object.__new__(Polynomial)
-    _canonicalize(p, monomials)
-    return p
 
 
 def _degree_profile(p: Polynomial) -> DegreeProfile:
@@ -427,31 +450,6 @@ def _degree_profile(p: Polynomial) -> DegreeProfile:
     ])
     mults = tuple([max(1, l) for l in levels])
     return DegreeProfile(max(p._degrees.values()), nonlinear, levels, mults)
-
-
-def _combine(
-    terms: Iterable[tuple[int, Mapping[str, int]]],
-) -> tuple[list[Monomial], int]:
-    """Sum like terms; return surviving monomials plus the constant term.
-    Every name must be a variable name and every exponent >= 0.  Zero powers
-    are dropped and each key is ``sorted(exps.items())``, so the monomials
-    are built without re-validation, with distinct exponent tuples; each
-    keeps the first ``exps`` dict of its key, which the caller must not
-    change afterwards."""
-    acc: dict[tuple[tuple[str, int], ...], list] = {}  # key -> [coefficient, exps]
-    for coeff, exps in terms:
-        if 0 in exps.values():
-            exps = {v: e for v, e in exps.items() if e != 0}
-        # one pair is sorted already
-        key = tuple(exps.items()) if len(exps) == 1 else tuple(sorted(exps.items()))
-        entry = acc.get(key)
-        if entry is None:
-            acc[key] = [coeff, exps]
-        else:
-            entry[0] += coeff
-    constant = acc.pop((), [0])[0]
-    monomials = [_monomial(c, key, exps) for key, (c, exps) in acc.items() if c != 0]
-    return monomials, constant
 
 
 # -- parsing ---------------------------------------------------------------
@@ -496,11 +494,6 @@ def _syntax_error(text: str, index: int, expected: str) -> PolySyntaxError:
     return PolySyntaxError(len(text), expected, "end of input")
 
 
-def _is_name(s: str) -> bool:
-    """``s`` is a variable name: an ASCII identifier that starts with a letter."""
-    return s.isascii() and s.isidentifier() and s[0] != "_"
-
-
 def _parse_terms(text: str) -> list[tuple[int, dict[str, int]]]:
     """The (coefficient, {variable: exponent}) terms of ``text`` in order,
     like variables inside a term summed; a constant term has no variables."""
@@ -515,9 +508,10 @@ def _parse_terms(text: str) -> list[tuple[int, dict[str, int]]]:
     for sign, body in zip(pieces[::2], pieces[1::2]):
         body = body.strip()  # str.strip and \s know the same whitespace
         digits, star, name = body.partition("*")
-        if not star and _is_name(body):
+        # a variable name is an ASCII identifier that starts with a letter
+        if not star and body.isascii() and body.isidentifier() and body[0] != "_":
             coeff, exps = 1, {body: 1}
-        elif star and digits.isdecimal() and _is_name(name):
+        elif star and digits.isdecimal() and name.isascii() and name.isidentifier() and name[0] != "_":
             coeff, exps = int(digits), {name: 1}
         else:
             term = _TERM_RE.fullmatch(body)
@@ -587,17 +581,12 @@ def _descend(text: str) -> list[tuple[int, dict[str, int]]]:
 
 def parse(text: str) -> Polynomial:
     """Parse text into canonical form; constant terms are an error."""
-    monomials, constant = _combine(_parse_terms(text))
-    if constant != 0:
-        raise ConstantTermError(constant)
-    if not monomials:
-        raise EmptyPolynomialError()
-    return _polynomial(monomials)
+    return _polynomial(_parse_terms(text))
 
 
 def parse_with_constant(text: str) -> tuple[Polynomial, int]:
     """Parse, splitting off the constant term (for the affine classifier)."""
-    monomials, constant = _combine(_parse_terms(text))
-    if not monomials:
+    p, constant = _build(_parse_terms(text))
+    if p is None:
         raise EmptyPolynomialError(constant)
-    return _polynomial(monomials), constant
+    return p, constant

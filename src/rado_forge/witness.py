@@ -41,7 +41,7 @@ from .classify import (
     nonlinear_shape,
     to_lev_form,
 )
-from .poly import Polynomial, _combine, _monomial, _polynomial
+from .poly import Polynomial, _build
 from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
 
 __all__ = [
@@ -159,8 +159,8 @@ def _identity_holds(
                 exps[w] = exps.get(w, 0) + d * e
         terms.append((coeff, exps))
     terms.append((-residue, eta))
-    monomials, constant = _combine(terms)
-    return not monomials and constant == 0
+    left, constant = _build(terms)
+    return left is None and constant == 0
 
 
 def reduct_lift_formal_check(form: LevForm, alpha: Sequence[int]) -> bool:
@@ -175,18 +175,24 @@ def reduct_lift_formal_check(form: LevForm, alpha: Sequence[int]) -> bool:
     )
 
 
-def _i_sets(p: Polynomial) -> list[list[list[str]]]:
-    """gamma_{i,j} for j = 1..m_i as the nonlinear variables y_s whose
-    product it is, s in I_{i,j} = {s : d(y_s) - d_i(y_s) >= j}, in the
-    order of the degree profile's ``nonlinear``."""
+def _i_sets(p: Polynomial) -> list[tuple[dict[str, int], list[list[str]]]]:
+    """For each monomial i, the deficit d(y_s) - d_i(y_s) of each nonlinear
+    variable y_s, in the order of the degree profile's ``nonlinear``, and
+    gamma_{i,j} for j = 1..m_i as the nonlinear variables whose product it
+    is, s in I_{i,j} = {s : deficit >= j}.  A deficit is at most m_i, so y_s
+    is in the first ``deficit`` groups."""
     prof = p.degree_profile()
-    return [
-        [
-            [v for v in prof.nonlinear if p.degree_of(v) - m.degree_of(v) >= j]
-            for j in range(1, need + 1)
-        ]
-        for m, need in zip(p.monomials, prof.multiplicities)
-    ]
+    top = {v: p.degree_of(v) for v in prof.nonlinear}
+    sets = []
+    for m, need in zip(p.monomials, prof.multiplicities):
+        deficit = {}
+        groups = [[] for _ in range(need)]
+        for v, d in top.items():
+            deficit[v] = level = d - m.degree_of(v)
+            for group in groups[:level]:
+                group.append(v)
+        sets.append((deficit, groups))
+    return sets
 
 
 def _check_shape(p: Polynomial, shape: NonlinearShape) -> None:
@@ -252,9 +258,9 @@ def nlp_lift(
         v: val for v, val in alpha_beta.items() if v in substituted.variables
     }
     assignment.update(g_of)
-    for i, (m, i_sets) in enumerate(zip(p.monomials, _i_sets(p))):
+    for i, (m, (deficit, i_sets)) in enumerate(zip(p.monomials, _i_sets(p))):
         nl_part = math.prod([gv ** m.degree_of(v) for v, gv in g_of.items()])
-        level_product = math.prod([gv ** (p.degree_of(v) - m.degree_of(v)) for v, gv in g_of.items()])
+        level_product = math.prod([gv ** deficit[v] for v, gv in g_of.items()])
         eta_i.append(level_product)
         gammas_i = [math.prod([g_of[v] for v in names]) for names in i_sets]
         for j, (names, value) in enumerate(zip(i_sets, gammas_i), start=1):
@@ -287,11 +293,10 @@ def _ones_substitution(p: Polynomial) -> Polynomial:
     ones = p._ones
     if ones is None:
         dropped = set(p.degree_profile().nonlinear)
-        monomials = []
-        for m in p.monomials:
-            kept = tuple([pair for pair in m.exponents if pair[0] not in dropped])
-            monomials.append(_monomial(m.coefficient, kept, dict(kept)))
-        ones = p._keep("_ones", _polynomial(monomials))
+        ones, _ = _build(
+            (m.coefficient, {v: e for v, e in m.exponents if v not in dropped}) for m in p.monomials
+        )
+        p._keep("_ones", ones)
     return ones
 
 
@@ -303,7 +308,7 @@ def nlp_lift_formal_check(
     by exact cancellation, for an arbitrary substituted-solution candidate.
     A shape that does not fit p raises ``ValueError`` (``_check_shape``)."""
     _check_shape(p, shape)
-    i_sets = _i_sets(p)
+    i_sets = [groups for _, groups in _i_sets(p)]
     substituted = _ones_substitution(p)
     residue = substituted.evaluate(alpha_beta)
     mapping = {v: (alpha_beta[v], {}) for v in substituted.variables}

@@ -517,6 +517,113 @@ def test_parse_builds_valid_monomials_and_exact_structure(p, data):
         assert prof.multiplicities == tuple(max(1, l) for l in levels)
 
 
+# -- every entry point builds the same polynomial ------------------------------
+
+
+def _canonical(terms):
+    """The canonical monomials of (coefficient, {variable: exponent}) terms,
+    built one by one through ``Monomial`` and ordered by their exponent
+    vectors, without the builder that the entry points share."""
+    sums = {}
+    for c, exps in terms:
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))
+        sums[key] = sums.get(key, 0) + c
+    kept = {key: c for key, c in sums.items() if c}
+    names = sorted({v for key in kept for v, _ in key})
+    vector = lambda key: [dict(key).get(v, 0) for v in names]  # noqa: E731
+    return [Monomial(kept[key], key) for key in sorted(kept, key=vector, reverse=True)]
+
+
+def _entry_points(terms, text, order):
+    """The polynomial of ``terms`` from each construction entry point:
+    ``text`` spells the terms, and ``order`` permutes their canonical
+    monomials for the constructor, which also gets each term split in two."""
+    canonical = _canonical(terms)
+    split = [
+        Monomial(part, tuple(sorted((v, e) for v, e in exps.items() if e)))
+        for c, exps in terms
+        for part in (c + 1, -1)
+        if part
+    ]
+    with_constant, constant = parse_with_constant(f"{text} + 3")
+    assert constant == 3
+    return {
+        "parse": parse(text),
+        "parse_with_constant": with_constant,
+        "shuffled": Polynomial([canonical[i] for i in order]),
+        "split": Polynomial(split),
+        "from_terms": Polynomial.from_terms(terms),
+    }
+
+
+def _assert_built_alike(terms, text, order):
+    expected = _canonical(terms)
+    names = tuple(sorted({v for m in expected for v in m.variables}))
+    degrees = {v: max(m.degree_of(v) for m in expected) for v in names}
+    totals = {m.degree for m in expected}
+    signs = {m.coefficient > 0 for m in expected}
+    for entry, q in _entry_points(terms, text, order).items():
+        assert [vars(m) for m in q.monomials] == [vars(m) for m in expected], entry
+        for m in q.monomials:
+            assert list(vars(m)) == ["coefficient", "exponents", "variables", "degree", "_powers"]
+            assert m._powers == dict(m.exponents), entry
+        assert q.variables == names, entry
+        assert q.coefficients == tuple(m.coefficient for m in expected), entry
+        assert q._degrees == degrees, entry
+        assert (q.is_linear, q.is_lev, q.is_homogeneous, q.is_one_signed) == (
+            totals == {1}, set(degrees.values()) == {1}, len(totals) == 1, len(signs) == 1
+        ), entry
+
+
+def _spell(terms, draw):
+    """Text for ``terms`` in their order: each power split at random into two
+    factors, zero powers kept as written, the factors shuffled."""
+    pieces = []
+    for c, exps in terms:
+        factors = []
+        for v, e in exps.items():
+            split = draw(st.integers(0, e - 1)) if e else 0
+            factors += [f"{v}^{split}", f"{v}^{e - split}"] if split else [f"{v}^{e}"]
+        factors = draw(st.permutations(factors))
+        pieces.append(f"{'-' if c < 0 else '+'} {abs(c)}*{'*'.join(factors)}")
+    return " ".join(pieces)
+
+
+@given(st.one_of(polynomials(), st.sampled_from(_fixture_polynomials())), st.data())
+@settings(max_examples=150, deadline=None)
+def test_every_entry_point_builds_the_same_polynomial(p, data):
+    # each coefficient split into two like terms, the terms shuffled, each
+    # term's powers in reverse name order and sometimes with a zero power
+    terms = []
+    for m in p.monomials:
+        for part in (m.coefficient - 1, 1):
+            exps = dict(reversed(m.exponents))
+            if data.draw(st.booleans()):  # a zero power of a name the term lacks
+                exps.setdefault(data.draw(st.sampled_from(["a", "x", "q9"])), 0)
+            terms.append((part, exps))
+    terms = [term for term in data.draw(st.permutations(terms)) if term[0]]
+    order = data.draw(st.permutations(range(len(p.monomials))))
+    _assert_built_alike(terms, _spell(terms, data.draw), order)
+    assert [vars(m) for m in p.monomials] == [vars(m) for m in _canonical(terms)]
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("x*x*y", [(1, {"x": 2, "y": 1})]),  # a repeated factor
+        ("x^0*y - 2*z", [(1, {"x": 0, "y": 1}), (-2, {"z": 1})]),  # a zero exponent
+        ("x - x + y - 2*z + z", [(1, {"x": 1}), (-1, {"x": 1}), (1, {"y": 1}), (-2, {"z": 1}), (1, {"z": 1})]),
+        # one name a prefix of another
+        ("w + w4 - w4*w + 2*w^2*w4", [(1, {"w": 1}), (1, {"w4": 1}), (-1, {"w4": 1, "w": 1}), (2, {"w": 2, "w4": 1})]),
+        ("w4^2 - w^2 + w*w4", [(1, {"w4": 2}), (-1, {"w": 2}), (1, {"w": 1, "w4": 1})]),
+    ],
+)
+def test_every_entry_point_builds_the_same_polynomial_examples(text, terms):
+    count = len(_canonical(terms))
+    for order in (range(count), reversed(range(count))):
+        _assert_built_alike(terms, text, list(order))
+
+
 _TOKENS = ["x", "y", "x1", "ab_2", "Z", "2", "10", "0", "٣", "+", "-", "*", "^",
            " ", "\t", "_", "é", "#", "3x", "x2y"]
 
