@@ -22,7 +22,8 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Any, Callable, Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Any, Callable, Iterable, Optional
 
 from .poly import Monomial, Polynomial, monomial_gcd, parse
 
@@ -79,22 +80,22 @@ class NoExclusiveSetError(ValueError):
     pass
 
 
-class Certificate(NamedTuple):
+class Certificate(namedtuple("Certificate", ["theorem", "payload"])):
     """Theorem tag plus the combinatorial payload that makes it re-checkable."""
 
-    theorem: str
-    payload: dict[str, Any]
+    __slots__ = ()  # theorem: str, payload: dict[str, Any]
 
     def to_json(self) -> dict[str, Any]:
         return {"theorem": self.theorem, "payload": self.payload}
 
 
-class Verdict(NamedTuple):
-    status: str
-    injective: str
-    certificate: Optional[Certificate] = None
-    trace: tuple[str, ...] = ()
-    notes: tuple[str, ...] = ()
+class Verdict(namedtuple("Verdict", ["status", "injective", "certificate", "trace", "notes"],
+                         defaults=(None, (), ()))):
+    """Verdict(status, injective, certificate, trace, notes)"""
+
+    # status: str, injective: str, certificate: Optional[Certificate],
+    # trace: tuple[str, ...], notes: tuple[str, ...]
+    __slots__ = ()
 
     def with_trace(self, lines: list[str]) -> "Verdict":
         return self._replace(trace=tuple(lines) + self.trace) if lines else self
@@ -115,7 +116,7 @@ class Verdict(NamedTuple):
         }
 
 
-class ExclusiveAssignment(NamedTuple):
+class ExclusiveAssignment(namedtuple("ExclusiveAssignment", ["exclusives", "degree_one"])):
     """Per-monomial exclusive variables (canonical monomial order).
 
     ``exclusives[i]`` lists every variable whose support is exactly monomial
@@ -123,11 +124,11 @@ class ExclusiveAssignment(NamedTuple):
     A full assignment exists only if every list is non-empty.
     """
 
-    exclusives: tuple[tuple[str, ...], ...]
-    degree_one: tuple[tuple[str, ...], ...]
+    __slots__ = ()  # exclusives, degree_one: tuple[tuple[str, ...], ...]
 
 
-class LevForm(NamedTuple):
+class LevForm(namedtuple("LevForm", ["polynomial", "coefficients", "linear_vars", "product_vars",
+                                     "f_sets"])):
     """An l.e.v. polynomial rewritten as sum_i a_i * x_i * prod_{j in F_i} y_j.
 
     ``linear_vars[i]`` is the designated exclusive variable of canonical
@@ -135,19 +136,17 @@ class LevForm(NamedTuple):
     ``f_sets[i]`` holds the 1-based product indices dividing monomial i.
     """
 
-    polynomial: Polynomial
-    coefficients: tuple[int, ...]
-    linear_vars: tuple[str, ...]
-    product_vars: tuple[str, ...]
-    f_sets: tuple[tuple[int, ...], ...]
+    # polynomial: Polynomial, coefficients: tuple[int, ...], linear_vars and
+    # product_vars: tuple[str, ...], f_sets: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
-class NonlinearShape(NamedTuple):
+class NonlinearShape(namedtuple("NonlinearShape", ["chosen"])):
     """The choice that lifts solutions through nonlinear monomials:
     ``chosen[i]`` holds m_i of monomial i's exclusive degree-1 variables.
     The degree data, m_i among it, is the polynomial's ``degree_profile``."""
 
-    chosen: tuple[tuple[str, ...], ...]
+    __slots__ = ()  # chosen: tuple[tuple[str, ...], ...]
 
 
 def _unknown(*failures: str) -> Verdict:

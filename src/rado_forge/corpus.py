@@ -9,7 +9,8 @@ and diffs the outcome against the golden columns.
 from __future__ import annotations
 
 import time
-from typing import Any, NamedTuple, Optional
+from collections import namedtuple
+from typing import Any, Optional
 
 from .classify import classify
 from .poly import parse
@@ -17,23 +18,19 @@ from .poly import parse
 __all__ = ["Fixture", "CorpusResult", "load_fixtures", "run_corpus"]
 
 
-class Fixture(NamedTuple):
-    text: str
-    status: str
-    theorem: str  # "-" when no certificate is expected
-    injective: str
-    reference: str
+class Fixture(namedtuple("Fixture", ["text", "status", "theorem", "injective", "reference"])):
+    """Fixture(text, status, theorem, injective, reference)"""
+
+    __slots__ = ()  # every field a str; theorem is "-" when no certificate is expected
 
 
-class CorpusResult(NamedTuple):
-    fixture: Fixture
-    canonical: str
-    profile: dict[str, Any]
-    status: str
-    theorem: str
-    injective: str
-    notes: tuple[str, ...]
-    ms: float
+class CorpusResult(namedtuple("CorpusResult", ["fixture", "canonical", "profile", "status", "theorem",
+                                               "injective", "notes", "ms"])):
+    """CorpusResult(fixture, canonical, profile, status, theorem, injective, notes, ms)"""
+
+    # fixture: Fixture, profile: dict[str, Any], notes: tuple[str, ...],
+    # ms: float, the others str
+    __slots__ = ()
 
     @property
     def match(self) -> bool:

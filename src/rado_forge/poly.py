@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import re
 from operator import add, itemgetter, mul
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "PolySyntaxError",
@@ -187,7 +188,8 @@ def monomial_gcd(m1: Monomial, m2: Monomial) -> Monomial:
     return Monomial(1, pairs)
 
 
-class DegreeProfile(NamedTuple):
+class DegreeProfile(namedtuple("DegreeProfile", ["partial_degree", "nonlinear", "levels",
+                                                 "multiplicities"])):
     """Structural degree data consumed by the classifier and witness builder.
 
     ``nonlinear`` lists the variables of degree 2 or more in name order.
@@ -198,10 +200,9 @@ class DegreeProfile(NamedTuple):
     monomial i is ``monomials[i].degree_of``.
     """
 
-    partial_degree: int
-    nonlinear: tuple[str, ...]
-    levels: tuple[int, ...]
-    multiplicities: tuple[int, ...]
+    # partial_degree: int, nonlinear: tuple[str, ...], levels and
+    # multiplicities: tuple[int, ...]
+    __slots__ = ()
 
 
 class Polynomial:

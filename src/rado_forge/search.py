@@ -12,14 +12,21 @@ The search reads the solutions of p in layers by their largest value, from
 only value sets, so a layer holds one representative per orbit of
 interchangeable variables, and ``stats.constraints`` counts the
 representatives read.  A layer read costs what the layer holds: an empty
-layer touches no pending root, free prefix, owner table or mask pass, and
-the walk retires a group once no later layer can reach it.  What is paid
-once per search is the layers' setup, the search for the first layer over
-the candidate budget, the re-verification below, and the table
-``value_bit`` that turns the members of a value set into its mask, which
-grows by one entry per layer read.  ``enumerate_constraints`` and
-``monochromatic_solution`` read the oracle ``brute_force_solutions``, not the
-layers, so a check made through them does not run the search's enumerator.
+layer touches no pending root, free prefix, owner table or mask, and the
+walk retires a group once no later layer can reach it.  What is paid once
+per search is the layers' setup, the search for the first layer over the
+candidate budget, the re-verification below, and the table ``value_bit``
+that turns the members of a value set into its mask, which grows by one
+entry per layer read.  A small scan, such as the threshold of x + 3y = z
+with 2 colors (19 layers, 51 tuples, 99 nodes), pays for that machinery
+more than for its solutions: per layer, a generator step, the roots of the
+walk's groups and the filing; per tuple, a walk leaf, one ``divmod`` for
+the lone z, its mask and the two checks; per node, the kernel's step.  So
+the walk reads no term on a linear step, and a layer's tuples are masked
+and filed in one plain loop, with no ``map`` or set built per layer.
+``enumerate_constraints`` and ``monochromatic_solution`` read the oracle
+``brute_force_solutions``, not the layers, so a check made through them
+does not run the search's enumerator.
 
 A bad coloring of [1..N] restricts to one of [1..N-1], so a threshold is one
 search over [1..max_n]: ``rado_number`` is ``depth_max + 1`` of a Forced
@@ -33,10 +40,10 @@ coloring too, is re-verified by the polynomial in one ``evaluate_many``
 call, in the layers' variable order (``Layers.variables``); the first tuple
 in read order at which p is not 0 raises ``AssertionError``.  The coloring
 re-check does not trust the kernel's masks: one ``_first_monochromatic``
-call reads the tuples of the layers up to the coloring's length a column at
-a time, the colors of each column through one lookup table, and refuses the
-coloring when some tuple's colors all agree.  ``monochromatic_solution``
-makes the same check over the oracle's tuples.
+call reads the tuples of the layers up to the coloring's length, each until
+a value's color, looked up in one table, leaves its first value's, and
+refuses the coloring when some tuple's colors all agree.
+``monochromatic_solution`` makes the same check over the oracle's tuples.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
@@ -53,10 +60,11 @@ The search checks forward.  Each color class is an int bitmask (bit i for the
 value i + 1), and so is each color's ``blk``: the read values where that
 color would close a monochromatic value set.  A node whose color is blocked
 at its value is refused at once.  Each value set of a layer read is filed
-once, under u, its largest member below the layer's value w, in the group of
-u keyed by (its members below t, d = w - t), where t is its largest member
-below u, or u itself for a set {u, w}; the group's mask A holds the t of its
-sets.  Coloring u with c closes ``(M & A) << d`` for each group of u whose
+as its tuple is read (a set that two tuples share is filed twice, to the
+same effect) under u, its largest member below the layer's value w, in the
+group of u keyed by (its members below t, d = w - t), where t is its
+largest member below u, or u itself for a set {u, w}; the group's mask A
+holds the t of its sets.  Coloring u with c closes ``(M & A) << d`` for each group of u whose
 key members lie in M, the class of c with u: one shift per group, not one
 test per set.  For Schur every set filed under u has no member below t and
 the offset u, so a coloring costs one shift.  The closed bits not yet in
@@ -77,9 +85,9 @@ read are those of the same search without the check, in fewer nodes
 from __future__ import annotations
 
 import itertools
-import operator
 import time
-from typing import Any, Iterator, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import Any, Iterator, Optional, Sequence
 
 from .poly import Polynomial
 from .solutions import brute_force_solutions, solution_layers
@@ -102,10 +110,10 @@ FORCED = "forced"
 INCONCLUSIVE = "inconclusive"
 
 
-class Coloring(NamedTuple):
+class Coloring(namedtuple("Coloring", ["colors"])):
     """Colors of 1..N: ``colors[i]`` is the color of the integer i+1."""
 
-    colors: tuple[int, ...]
+    __slots__ = ()  # colors: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -158,10 +166,12 @@ class SearchStats:
         }
 
 
-class SearchOutcome(NamedTuple):
-    kind: str  # BAD_COLORING | FORCED | INCONCLUSIVE
-    coloring: Optional[Coloring]
-    stats: SearchStats
+class SearchOutcome(namedtuple("SearchOutcome", ["kind", "coloring", "stats"])):
+    """SearchOutcome(kind, coloring, stats)"""
+
+    # kind: BAD_COLORING | FORCED | INCONCLUSIVE, coloring: Optional[Coloring],
+    # stats: SearchStats
+    __slots__ = ()
 
     def to_json(
         self, polynomial: str, r: int, n: int, injective: bool
@@ -186,22 +196,6 @@ def enumerate_constraints(
     candidate budget."""
     found = brute_force_solutions(p, n_bound, injective)
     return [tuple(w.assignment[v] for v in p.variables) for w in found]
-
-
-def _others(layer: list[tuple[int, ...]], bits: Sequence[int]) -> set[int]:
-    """The distinct value sets of one layer, each as the mask of its members
-    below the layer's value: what a search files when it reads the layer.
-    ``bits[v]`` is the bit of the value v (bit i for the value i + 1), and 0
-    for the layer's own value.  The masks are built a position at a time, so
-    each tuple costs no Python-level loop."""
-    if not layer:
-        return set()
-    get = bits.__getitem__
-    columns = zip(*layer)
-    masks = map(get, next(columns))
-    for column in columns:
-        masks = map(operator.or_, masks, map(get, column))
-    return set(masks)
 
 
 def _first_bad_coloring(
@@ -242,12 +236,15 @@ def _first_bad_coloring(
     groups: list[list[list[int]]] = []  # groups[u]: [rem, d, a], closing (members & a) << d
     group_of: list[dict[int, list[int]]] = []  # group_of[u]: d << u | rem -> its group of u
     value_bit = [0]  # value_bit[x]: the bit of the read value x, one entry per layer read
+    clock = time.perf_counter
+    reading = 0.0  # seconds spent reading layers
 
     def take() -> None:
         """Reads the next layer, files its value sets and blocks what they close."""
-        started = time.perf_counter()
+        nonlocal reading
+        started = clock()
         layer = next(layers)
-        stats.enumerate_ms += (time.perf_counter() - started) * 1000
+        reading += clock() - started
         w = len(read)
         read.append(layer)
         groups.append([])
@@ -259,9 +256,10 @@ def _first_bad_coloring(
         closed = False  # a value set of one member closes w + 1 for every color
         owner: dict[int, int] = {}  # color -> smallest u whose value set blocks it
         value_bit.append(0)  # the layer's own value: no bit while its sets are masked
-        masks = _others(layer, value_bit)
-        value_bit[w + 1] = bit
-        for mask in masks:
+        for values in layer:
+            mask = 0  # the value set's members below w + 1
+            for x in values:
+                mask |= value_bit[x]
             if not mask:
                 closed = True
                 continue
@@ -278,6 +276,7 @@ def _first_bad_coloring(
             c = trail[u][0]
             if classes[c] & mask == mask and owner.get(c, u) >= u:
                 owner[c] = u
+        value_bit[w + 1] = bit
         if closed:
             for c in range(r):
                 blk[c] |= bit
@@ -347,6 +346,7 @@ def _first_bad_coloring(
             classes[c] ^= bit
             color = c + 1
     stats.nodes, stats.prunes = nodes, prunes
+    stats.enumerate_ms += reading * 1000
     return [c for c, _, _ in deepest], read, exhausted
 
 
@@ -410,20 +410,16 @@ def _first_monochromatic(
     rows: list[tuple[int, ...]], by_value: Sequence[Optional[int]]
 ) -> Optional[tuple[int, ...]]:
     """The first of ``rows`` whose values all share one color, where
-    ``by_value[v]`` is the color of v.  The rows are read a column at a
-    time, each through ``itemgetter``: each column's colors through
-    ``by_value.__getitem__``, each compared with the first column's, the
-    comparisons ANDed, and the first row where all of them hold is the
-    answer."""
-    if not rows:
-        return None
-    color = by_value.__getitem__
-    first = list(map(color, map(operator.itemgetter(0), rows)))
-    same = None
-    for j in range(1, len(rows[0])):
-        equal = map(operator.eq, first, map(color, map(operator.itemgetter(j), rows)))
-        same = equal if same is None else map(operator.and_, same, equal)
-    return rows[0] if same is None else next(itertools.compress(rows, same), None)
+    ``by_value[v]`` is the color of v.  One pass over the rows, each read
+    until a value leaves the color of its first."""
+    for row in rows:
+        color = by_value[row[0]]
+        for v in row:
+            if by_value[v] != color:
+                break
+        else:
+            return row
+    return None
 
 
 def monochromatic_solution(

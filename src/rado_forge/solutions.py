@@ -25,19 +25,30 @@ no solution, and answers empty within its budget, unwalked.
 Both solve for one variable instead of enumerating it, through ``_solve``, the
 one solve step: divide, then take an exact root by integer Newton steps
 (``_integer_root``), none of them taken when the target's bit length alone
-puts the root above the caller's bound.
+puts the root above the caller's bound.  A lone linear variable c*v is the
+exception: the layers solve it with one ``divmod`` per leaf.
 The oracle solves for the last variable when it occurs with one exponent.
 The layers pick it by the form's shape, not its name (``_solved_position``),
 and one walk serves every choice (``_walker``): every monomial rises in each
 variable, so the completions of a prefix bound p from below and from above,
 and a position stops rising once 0 falls outside a bound that its value
-moves away from 0.  Every tuple either enumerator emits is re-verified
-exactly by the polynomial, not by the walk's terms: the oracle calls
-``evaluate`` on each tuple; the layers name their variable order
-(``Layers.variables``), and the search that reads them re-verifies every
-tuple it read in one ``evaluate_many`` call, which reads the tuples a
-column at a time, once per search and before it builds any outcome.  A
-non-zero value raises ``AssertionError`` naming that tuple.
+moves away from 0.
+
+A small search reads a few dozen tuples, so what a layer read costs is
+machinery paid per layer, per walk step and per leaf, not per solution:
+the setup, paid once per search, derives the blocks, the solved position
+and each walk step's moving terms; a walk step re-evaluates only the terms
+that read what it moves, and a linear term none at all (it steps by its
+slope); a leaf of a lone linear variable costs one ``divmod``.  On the
+threshold forms the walk reads no term but at the roots of its groups.
+
+Every tuple either enumerator emits is re-verified exactly by the
+polynomial, not by the walk's terms: the oracle calls ``evaluate`` on each
+tuple; the layers name their variable order (``Layers.variables``), and
+the search that reads them re-verifies every tuple it read in one
+``evaluate_many`` call, which reads the tuples a column at a time, once per
+search and before it builds any outcome.  A non-zero value raises
+``AssertionError`` naming that tuple.
 """
 
 from __future__ import annotations
@@ -338,6 +349,32 @@ def _solved_position(
     return len(p.variables) - 1 if _isolation_split(p) else None
 
 
+def _moving(terms: list, fill: range, top: int) -> tuple[list, list, Optional[int], int]:
+    """One sum's terms split for a step that moves the slots ``fill`` and
+    ``top`` to its value x: those that read none of them, whose value the
+    step leaves fixed, and those that read one.  When each of those is one
+    linear factor c*t[i], their value is slope * x, ``at_top`` of it read
+    from ``top``; else slope is None."""
+    still, moving = [], []
+    slope: Optional[int] = 0
+    at_top = 0
+    for term in terms:
+        c, exps = term
+        for i, _ in exps:
+            if i == top or i in fill:
+                break
+        else:
+            still.append(term)
+            continue
+        moving.append(term)
+        if slope is not None and len(exps) == 1 and exps[0][1] == 1:
+            slope += c
+            at_top += c * (exps[0][0] == top)
+        else:
+            slope = None
+    return still, moving, slope, at_top
+
+
 def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Callable:
     """The walk of layer n: the prefixes of [1..n] with largest entry n,
     nondecreasing inside blocks of the given sizes, at which lo..hi plus the
@@ -351,7 +388,17 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     is kept while the first reaches -hi and the second stays at most -lo; a
     position stops rising once a sum that its value only moves away fails.
     A leaf's first sum is the terms' value there, unless they hold the
-    variable solved for.  ``_term_value`` skips powers that decide a sum.
+    variable solved for.
+
+    A step re-evaluates only what it moves: the terms that read its fill or
+    its greatest-completion slot (``_moving``).  The rest of each sum is
+    fixed while the step runs over its values: the first sum's is the total
+    passed in less the moving part at entry, the second's is computed when
+    a check first needs it.  When every moving term of a sum is linear, the
+    sum is its fixed part plus a slope times the value, and no term is read:
+    the first sum steps by its slope from one value to the next.  Other
+    moving terms are read through ``_term_value``, which skips powers that
+    decide a sum, against the bound less the fixed part.
 
     A layer costs what it walks: one completion list serves every group of
     every layer, the loop over a group's last free position appends its
@@ -382,12 +429,18 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     start = 0
     for size in sizes:
         top = start + size - 1  # t[top] = n; the blocks before stay below n
-        steps = []  # per free position: its fill, the sums it moves, and whether its greatest is read
+        steps = []  # per free position: its fill, the sums it moves, and what they read
         for j in range(k):
             if j != top:
                 stop = top if start <= j < top else block_ends[j]  # j's value fills t[j:stop]
+                fill, h = range(j, stop), k + 1 + j  # h: j's place in the greatest completion
+                _, moving, slope, at_top = _moving(first_sum, fill, h)
+                # the second sum is read only when a check needs it
+                still2, moving2, slope2, _ = (
+                    ([], [], 0, 0) if always else _moving(second_sum, fill, h))
                 steps.append((j, stop, stop - j == 1, j in up, j in down, j in read,
-                              not up or up.isdisjoint(range(j, stop))))
+                              not up or up.isdisjoint(fill), slope, at_top, slope2,
+                              moving, still2, moving2))
         groups.append((top, start, steps, len(steps) - 1))
         start += size
     floor, ceiling = -hi, -lo  # the first sum's least value, the second's greatest
@@ -397,9 +450,15 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     final = -1
 
     def walk(i: int, total: int) -> None:
-        j, stop, one, rises, falls, reads, settles = steps[i]
+        (j, stop, one, rises, falls, reads, settles, slope, at_top, slope2,
+         moving, still2, moving2) = steps[i]
         h = k + 1 + j  # j's place in the greatest completion
         x0, last, leaf = t[j], t[h], i == final
+        if slope is None:
+            fixed = total - _term_value(moving, t)
+        else:  # the first sum one value before x0, to step by the slope
+            total += at_top * (x0 - last) - slope
+        fixed2 = None  # the second sum's fixed part, once a check needs it
         sure = always
         for x in range(x0, last + 1):
             if one:
@@ -408,14 +467,22 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
                 t[j:stop] = [x] * (stop - j)
             if reads:
                 t[h] = x
-            if x > x0 or rises:  # else the first sum is the one passed in
-                total = _term_value(first_sum, t, floor)
+            if slope is not None:
+                total += slope
+            elif x > x0 or rises:  # else the first sum is the one passed in
+                total = fixed + _term_value(moving, t, floor - fixed)
             if total < floor:
                 if rises:
                     continue
                 break
             if not sure:
-                if _term_value(second_sum, t, ceiling + 1) > ceiling:
+                if fixed2 is None:
+                    fixed2 = _term_value(still2, t)
+                if slope2 is not None:
+                    second = fixed2 + slope2 * x
+                else:
+                    second = fixed2 + _term_value(moving2, t, ceiling + 1 - fixed2)
+                if second > ceiling:
                     if falls:
                         continue
                     break
@@ -476,7 +543,10 @@ def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[
         for m in p.monomials:
             c = m.coefficient
             if u in m.variables or v in m.variables:
-                image = coefficient.get(tuple(sorted((swap.get(x, x), e) for x, e in m.exponents)), 0)
+                swapped = [(swap.get(x, x), e) for x, e in m.exponents]
+                if len(swapped) > 1:
+                    swapped.sort()
+                image = coefficient.get(tuple(swapped), 0)
             else:
                 image = c
             if image != sign * c if sign else image not in (c, -c):
@@ -563,6 +633,7 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:
             c = lead_terms[0][0]
             terms = [(d if c > 0 else -d, exps) for d, exps in rest_terms]
             lo, hi = abs(c), abs(c) * max_n**e
+    linear = lo and e == 1  # a lone linear variable: one divmod per leaf solves it
     walk = None if p.is_one_signed else _walker(sizes, terms, lo, hi, max_n)
 
     def layers() -> Iterator[list[tuple[int, ...]]]:
@@ -580,6 +651,11 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:
                 found += [prefix + (n,) for prefix in free]
             if position is None:  # the terms are p, and every leaf's total is 0
                 found += [prefix for prefix, _ in walk(n)]
+            elif linear:  # lo * v + total == 0, total the rest's value
+                for prefix, total in walk(n):
+                    root, remainder = divmod(-total, lo)
+                    if not remainder and 0 < root <= max_n:
+                        (found if root <= n else pending.setdefault(root, [])).append(prefix + (root,))
             else:
                 for prefix, total in walk(n):
                     if lo:  # the terms are the rest, and total their value

@@ -26,6 +26,7 @@ from rado_forge.cli import (
     EXIT_PR,
     EXIT_UNKNOWN,
     EXIT_USAGE,
+    _emit,
     build_parser,
     main,
 )
@@ -512,6 +513,24 @@ def test_corpus_bad_file_is_a_usage_error(capsys, tmp_path, action, content, mes
     assert captured.err.startswith("rado-forge: error: --file: ")
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+# -- JSON output ------------------------------------------------------------------
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8))
+
+
+@given(st.dictionaries(st.text(max_size=6), SCALARS, max_size=8)
+       | st.dictionaries(st.text(max_size=6), st.lists(SCALARS, max_size=3) | SCALARS, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_emit_writes_what_json_dumps_writes(payload):
+    # a payload of scalars alone, as a threshold scan prints it, goes through
+    # the C encoder; its bytes must be json.dumps(indent=2, sort_keys=True)'s
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(payload)
+    assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # -- exit-code contract over generated argv ------------------------------------

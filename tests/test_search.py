@@ -58,10 +58,10 @@ def test_constraints_lexicographic_and_verified():
         assert SCHUR.evaluate(dict(zip(SCHUR.variables, c))) == 0
 
 
-def _value_bits(value):
-    """The value-bit table of the layer of ``value``, as the search keeps it:
-    bit i for the value i + 1, none for ``value`` itself."""
-    return [1 << i >> 1 for i in range(value)] + [0]
+def _value_sets(layer, value):
+    """The distinct value sets of the layer of ``value``, each without
+    ``value`` itself: what the search files when it reads the layer."""
+    return {frozenset(t) - {value} for t in layer}
 
 
 def _oracle_layers(p, n, injective):
@@ -98,9 +98,8 @@ def test_layered_enumeration_matches_oracle(text):
         for n in range(1, 11):
             layered = solutions.solution_layers(p, n, injective)
             oracle = _oracle_layers(p, n, injective)
-            assert [search._others(layer, _value_bits(v)) for v, layer in enumerate(layered, 1)] == [
-                search._others(layer, _value_bits(v)) for v, layer in enumerate(oracle, 1)], (
-                n, injective)
+            assert [_value_sets(layer, v) for v, layer in enumerate(layered, 1)] == [
+                _value_sets(layer, v) for v, layer in enumerate(oracle, 1)], (n, injective)
         # the layers and the oracle share the solutions primitives; the full grid shares none
         grid = [
             t
@@ -111,10 +110,15 @@ def test_layered_enumeration_matches_oracle(text):
         assert enumerate_constraints(p, 10, injective) == grid, injective
 
 
-_LAYER_FORMS = [  # those of test_layered_enumeration_matches_oracle
+_LAYER_FORMS = [  # those of test_layered_enumeration_matches_oracle, then
     "x + y - z", "x1 + x2 + x3 - x4", "x1 + x2 - y1*y2", "x*z - y*z + x - y", "x^2 + y^2 - z^2",
     "x*z^2 + z - y", "a*c + b*c - c^2", "x1 + x2 + x3 - y1*y2", "x + y - 2*z", "z - x - 3*y",
     "x^2 + y^2 - 2*z^2", "x^2 - x", "x*y + 2*z",
+    # lone coefficients other than 1, whose walks check both sums; a negated
+    # lead; a step that moves the product term x*y; and terms of both signs
+    # beside the lone variable solved for, so that linear steps check a
+    # second sum that falls as they rise
+    "x + y - 3*z", "2*x + 3*y - 5*z", "5*z - x - 2*y", "x*y + y - 2*z", "3*d - a - 2*e + 2*b^2",
 ]
 
 
@@ -314,23 +318,35 @@ def test_reverification_reaches_the_last_value(monkeypatch):
             run(SCHUR, 2, 5)
 
 
+def _wrong_divmod(a, b):
+    """``divmod``, but with the quotient 3 for 2: planted in ``solutions``,
+    the solve step of a lone linear variable answers 3 for the root 2."""
+    root, remainder = divmod(a, b)
+    return (3 if root == 2 else root), remainder
+
+
+def _refuses_the_plant(text, planted, monkeypatch):
+    monkeypatch.setattr(solutions, "divmod", _wrong_divmod, raising=False)
+    p = parse(text)
+    for run in (find_bad_coloring, rado_number):
+        with pytest.raises(
+            AssertionError,
+            match=re.escape(f"enumerator produced a non-solution: {planted}"),
+        ):
+            run(p, 2, 5)
+
+
 def test_a_layer_holding_a_non_solution_is_refused(monkeypatch):
     # a solve step that answers 3 for the root 2 of x + y = z puts the
     # non-solution (1, 1, 3) into layer 3: the layers' re-verification must
     # refuse it, alone or inside a scan
-    solve = solutions._solve
+    _refuses_the_plant("x + y - z", "{'x': 1, 'y': 1, 'z': 3}", monkeypatch)
 
-    def wrong(lead, rest, e, bound):
-        root = solve(lead, rest, e, bound)
-        return 3 if root == 2 else root
 
-    monkeypatch.setattr(solutions, "_solve", wrong)
-    for run in (find_bad_coloring, rado_number):
-        with pytest.raises(
-            AssertionError,
-            match=re.escape("enumerator produced a non-solution: {'x': 1, 'y': 1, 'z': 3}"),
-        ):
-            run(SCHUR, 2, 5)
+def test_a_wrong_root_of_a_non_unit_lone_coefficient_is_refused(monkeypatch):
+    # the lone 3*z divides the rest: answering 3 for the root 2 of
+    # x + y = 3z plants (3, 3, 3), the first planted tuple in read order
+    _refuses_the_plant("x + y - 3*z", "{'x': 3, 'y': 3, 'z': 3}", monkeypatch)
 
 
 def _run_optimized(script: str) -> subprocess.CompletedProcess:
@@ -350,13 +366,12 @@ def test_a_non_solution_is_refused_under_python_O(run):
     script = f"""
 from rado_forge import search, solutions
 from rado_forge.poly import parse
-solve = solutions._solve
 
-def wrong(lead, rest, e, bound):
-    root = solve(lead, rest, e, bound)
-    return 3 if root == 2 else root
+def wrong(a, b):
+    root, remainder = divmod(a, b)
+    return (3 if root == 2 else root), remainder
 
-solutions._solve = wrong
+solutions.divmod = wrong  # the lone linear solve answers 3 for the root 2
 print("outcome", search.{run}(parse("x + y - z"), 2, 5))
 """
     done = _run_optimized(script)
@@ -718,6 +733,34 @@ def test_benchmark_tracer_sees_the_kernel_inside_a_scan():
         assert getattr(getattr(lib, module), attr) is original, (module, attr)
 
 
+def test_benchmark_tracer_sees_parse_and_the_kernel_inside_a_threshold_command(capsys):
+    # the threshold-scan workload runs the command line in process: the
+    # cli.main span must hold the parse and the one kernel call, which
+    # cmd_search reaches through cli's module attributes, so that the trace
+    # keeps attributing their time whichever parser reads the argv
+    tracing, lib = _benchmark_tracing()
+    originals = {
+        (module, attr): getattr(getattr(lib, module), attr)
+        for sites in tracing.LAYERS.values() for module, attr in sites
+    }
+    tracer = tracing.Tracer()
+    tracer.begin_task("threshold")
+    tracer.install(lib)
+    try:
+        code = lib.cli.main(
+            ["search", "--colors", "2", "--threshold", "12", "--json", "--", "x1+x2+x3-x4"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] == 11
+    (main, *rest) = tracer.spans
+    assert main[0] == "cli.main" and main[3] == -1
+    assert [(span[0], span[3]) for span in rest] == [("poly.parse", 0), ("search.kernel", 0)]
+    assert rest[1][5][:2] == [FORCED, 39]
+    for (module, attr), original in originals.items():
+        assert getattr(getattr(lib, module), attr) is original, (module, attr)
+
+
 def test_search_reads_layers_only_as_it_reaches_them():
     # every 2-coloring of x + y = z dies by value 5: layers 1..5 hold the
     # 10 solutions, of which the 6 with x <= y are read, whatever the bound
@@ -803,8 +846,7 @@ def test_reduced_layers_match_singleton_layers(p, injective, n):
     reduced = solutions.solution_layers(p, n, injective)
     full = _oracle_layers(p, n, injective)
     for value, (few, every) in enumerate(zip(reduced, full, strict=True), start=1):
-        assert search._others(few, _value_bits(value)) == search._others(
-            every, _value_bits(value)), value
+        assert _value_sets(few, value) == _value_sets(every, value), value
         assert len(few) <= len(every)
     for r in (1, 2, 3):
         for budget in (1, 7, 100, None):

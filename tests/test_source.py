@@ -6,9 +6,11 @@ whose decorator compiles each record's methods at import, and importing the
 package loads neither it, ``inspect`` nor ``importlib.resources``.  The layers the search reads are
 re-verified at one site, once per search.  No module probes a private field
 with ``getattr(obj, "_name", default)``: the facts a polynomial keeps start
-as None.  The CI workflow runs the tier-1 command of ROADMAP.md and the
-benchmark self-test, on every minor version from that oldest Python to the
-newest it lists, under its 20-minute timeout."""
+as None.  Importing the package compiles no annotation: its records are
+``collections.namedtuple`` classes, not ``typing.NamedTuple`` ones.  The CI
+workflow runs the tier-1 command of ROADMAP.md and the benchmark self-test,
+on every minor version from that oldest Python to the newest it lists,
+under its 20-minute timeout."""
 
 import ast
 import re
@@ -77,6 +79,31 @@ def test_importing_the_package_loads_no_dataclasses_inspect_or_resources():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_importing_the_package_compiles_no_annotation():
+    # a typing.NamedTuple record turns each string annotation into a
+    # ForwardRef, one compile(..., "eval") per field; the records are
+    # collections.namedtuple classes, which compile none
+    script = (
+        "import builtins, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "compile_ = builtins.compile\n"
+        "evals = []\n"
+        "def counted(source, filename, mode, *args, **kwargs):\n"
+        "    if mode == 'eval':\n"
+        "        evals.append(source)\n"
+        "    return compile_(source, filename, mode, *args, **kwargs)\n"
+        "builtins.compile = counted\n"
+        "import rado_forge, rado_forge.cli, rado_forge.corpus\n"
+        "print(repr(evals))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_the_search_re_verifies_at_one_site():
