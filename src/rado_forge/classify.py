@@ -19,9 +19,7 @@ verdict's claim, ring Z included, see ``replay_certificate``.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from collections import namedtuple
 from typing import Any, Callable, Iterable, Optional
 
@@ -312,7 +310,7 @@ def _zero_sum(p: Polynomial) -> tuple[int, ...]:
 def _is_two_variable_difference(p: Polynomial) -> bool:
     """c*(x - y): the lone linear PR shape without injective solutions."""
     return (
-        len(p.monomials) == 2
+        len(p.coefficients) == 2
         and p.is_linear
         and p.coefficients[0] == -p.coefficients[1]
     )
@@ -461,11 +459,17 @@ def _equal_sum_subsets(
     it.  An exponent above the other side's total is in no pair, so each
     side drops those first.  Both sides get a ``_SubsetTable`` with rows of
     one kind: bitsets when the larger total is below _BITSET_LIMIT, sets
-    otherwise.  b's rows, grown to every count, give b's sums; a's table
-    grows one count at a time until a row meets them, and I1 is the least
-    ``pick`` of a over the sums met there, none of which fewer elements
-    reach.  When no sums are equal, a dense table stops after one pass and
-    a sparse one after its last count."""
+    otherwise.  a's table grows one count at a time until a row meets b's
+    sums, and I1 is the least ``pick`` of a over the sums met there, none of
+    which fewer elements reach.
+
+    A dense table takes b's sums from its ``reach``, so when no sums are
+    equal it stops after one pass.  A sparse b grows one count at a time,
+    only until a's row meets a sum of the counts grown so far or b is
+    exhausted, since growing it to every count can hold 2^k sums.  A sum of
+    the met row that b's counts grown so far miss may still be b's sum at a
+    later count, so each such sum whose ``pick`` of a is lower than the
+    least met is asked of b by ``pick``, which grows b as far as it needs."""
     kept_a = [i for i, e in enumerate(a, start=1) if e <= sum(b)]
     kept_b = [j for j, e in enumerate(b, start=1) if e <= sum(a)]
     a, b = tuple(a[i - 1] for i in kept_a), tuple(b[j - 1] for j in kept_b)
@@ -473,12 +477,31 @@ def _equal_sum_subsets(
         return None
     dense = max(sum(a), sum(b)) < _BITSET_LIMIT
     left, right = _SubsetTable(a, dense), _SubsetTable(b, dense)
-    b_sums = functools.reduce(operator.or_, [right.grow() for _ in b])
-    count = left.first(lambda row: row & b_sums)
-    if count is None:
-        return None
-    hits = left.exact[0][count] & b_sums
-    i1 = min(left.pick(s) for s in left.sums(hits))
+    if dense:
+        reach = right.reach
+        count = left.first(lambda row: row & reach)
+        if count is None:
+            return None
+        i1 = min(left.pick(s) for s in left.sums(left.exact[0][count] & reach))
+    else:
+        grown: set[int] = set()  # b's sums of the counts grown so far
+        b_rows = right.exact[0]
+
+        def meets(row: set[int]) -> bool:
+            while grown.isdisjoint(row) and len(b_rows) <= len(b):
+                grown.update(right.grow())
+            return not grown.isdisjoint(row)
+
+        count = left.first(meets)
+        if count is None:
+            return None
+        row = left.exact[0][count]
+        i1 = min(left.pick(s) for s in row & grown)
+        if len(b_rows) <= len(b):  # b is not exhausted
+            for s in sorted(row - grown):
+                lower = left.pick(s)
+                if lower < i1 and right.pick(s) is not None:
+                    i1 = lower
     total = sum(a[i - 1] for i in i1)
     i2 = right.pick(total)
     return tuple(kept_a[i - 1] for i in i1), tuple(kept_b[j - 1] for j in i2), total
@@ -726,9 +749,15 @@ def classify_k2(p: Polynomial) -> Verdict:
 
 def _known_fact(p: Polynomial, note: str):
     """The entry of _KNOWN_FACTS for the fact that ``note`` states about p."""
-    terms = frozenset((m.coefficient, m.exponents) for m in p.monomials)
+    terms = frozenset(p._terms)
     negated = frozenset((-c, exps) for c, exps in terms)
-    return p.variables, sorted(m.degree for m in p.monomials), terms, negated, note
+    return p.variables, _term_degrees(p), terms, negated, note
+
+
+def _term_degrees(p: Polynomial) -> list[int]:
+    """The total degrees of p's terms, sorted; a linear form's, without its
+    monomials."""
+    return [1] * len(p.coefficients) if p.is_linear else sorted(m.degree for m in p.monomials)
 
 
 _KNOWN_FACTS = [
@@ -756,8 +785,7 @@ def _literature_notes(p: Polynomial) -> list[str]:
     without building a polynomial."""
     if len(p.variables) > 6:
         return []
-    terms = [(m.coefficient, m.exponents) for m in p.monomials]
-    degrees = sorted(m.degree for m in p.monomials)
+    degrees = _term_degrees(p)
     notes = []
     for names, known_degrees, known, negated, note in _KNOWN_FACTS:
         if len(names) != len(p.variables) or known_degrees != degrees:
@@ -765,7 +793,7 @@ def _literature_notes(p: Polynomial) -> list[str]:
         for perm in itertools.permutations(names):
             renaming = dict(zip(p.variables, perm))
             renamed = {
-                (c, tuple(sorted((renaming[v], e) for v, e in exps))) for c, exps in terms
+                (c, tuple(sorted((renaming[v], e) for v, e in exps))) for c, exps in p._terms
             }
             if renamed == known or renamed == negated:
                 notes.append(note)

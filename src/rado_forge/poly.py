@@ -15,21 +15,29 @@ splits them off for the affine classifier instead.  All arithmetic is exact.
 
 Each object computes its structural data once.  A ``Monomial`` derives its
 ``variables``, its total ``degree`` and a variable -> exponent map (so
-``degree_of`` is a lookup) when it is built.  A ``Polynomial`` fixes its
-canonical monomials, sorted variables, coefficients, shape flags and the
-degree of each variable at construction, and builds ``degree_profile()``,
-read off those degrees, on the first call only.  ``evaluate`` checks
+``degree_of`` is a lookup) when it is built.  A ``Polynomial`` fixes at
+construction its canonical term table (a (coefficient, exponent tuple) pair
+per monomial, in canonical order), its sorted variables and coefficients,
+its four shape flags and the degree of each variable.  It builds its
+``monomials`` from the table on their first read, one ``Monomial`` per term
+at a one-time cost, and keeps them; a linear form that is classified and
+replayed never builds them.  Equality, hashing, ``str``, ``repr``,
+``evaluate`` and ``evaluate_many`` read the table.  ``degree_profile()``,
+read off the degrees, is built on the first call only.  ``evaluate`` checks
 coverage against the precomputed variables, and so does ``evaluate_many``,
 which takes many assignments at once as rows of values and reads them a
 column at a time.
 
 Every polynomial is built by one builder, ``_build``, from (coefficient,
-{variable: exponent}) terms: ``parse`` and ``parse_with_constant`` pass the
-terms they read, ``Polynomial(monomials)`` each monomial's coefficient and
-powers, and ``Polynomial.from_terms`` its terms once it has checked their
-names and exponents.  In one pass over the summed like terms the builder
-writes each monomial's fields, the degree of each variable, the total
-degrees and each monomial's sort key, then sorts once.  It checks no name
+exponent tuple) terms whose exponent tuples are already canonical: the
+(variable, exponent >= 1) pairs sorted by distinct names.  ``parse`` and
+``parse_with_constant`` hand it the terms they read, a ``[c*]name`` term
+keyed without a dict; ``Polynomial(monomials)`` each monomial's coefficient
+and exponents, and keeps the monomials themselves as the view when they are
+already canonical; ``Polynomial.from_terms`` its terms once it has checked
+their names and exponents.  The builder sums like terms, then in one pass
+over the sums keys each for the canonical order, raises the degree of each
+variable and collects the total degrees, and sorts once.  It checks no name
 or exponent again: every name read from text matched the variable-name
 pattern, and a ``Monomial`` validated its own when it was built.
 """
@@ -152,9 +160,7 @@ class Monomial:
         return dict(self.exponents)
 
     def monic_text(self) -> str:
-        if not self.exponents:
-            return "1"
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in self.exponents)
+        return _monic_text(self.exponents) if self.exponents else "1"
 
     def __str__(self) -> str:
         if not self.exponents:
@@ -164,6 +170,11 @@ class Monomial:
         if self.coefficient == -1:
             return "-" + self.monic_text()
         return f"{self.coefficient}*{self.monic_text()}"
+
+
+def _monic_text(exponents: tuple[tuple[str, int], ...]) -> str:
+    """The product of variable powers that nonempty ``exponents`` spell."""
+    return "*".join([v if e == 1 else f"{v}^{e}" for v, e in exponents])
 
 
 def _check_factors(exponents: Iterable[tuple[str, int]]) -> None:
@@ -205,14 +216,43 @@ class DegreeProfile(namedtuple("DegreeProfile", ["partial_degree", "nonlinear", 
     __slots__ = ()
 
 
+class _Monomials:
+    """``Polynomial.monomials``: a descriptor that only reads, so a view kept
+    in a polynomial's ``__dict__`` under the same name hides it.  The first
+    read of a polynomial's monomials gets here, builds the view from the
+    term table and keeps it; every later read finds the kept view first."""
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        view = p.__dict__["monomials"] = _view(p._terms)
+        return view
+
+
 class Polynomial:
     """Canonical multivariate integer polynomial with zero constant term.
 
-    Construction fixes the structural data once: the canonical monomials,
-    the sorted variables, the coefficients, the four shape flags and the
-    degree of each variable.  ``Polynomial(monomials)``, ``from_terms``,
+    Construction fixes the structural data once: the canonical term table
+    ``_terms``, a (coefficient, exponent tuple) pair per monomial in canonical
+    order, the sorted variables, the coefficients, the four shape flags and
+    the degree of each variable.  ``Polynomial(monomials)``, ``from_terms``,
     ``parse`` and ``parse_with_constant`` all build through ``_build``, which
     combines like terms, so the monomials may come in any order and repeat.
+    Equality, hashing, ``str``, ``repr`` and evaluation read the table.
+
+    ``monomials`` is a view of the table, made on its first read and kept
+    in the polynomial's ``__dict__``.  The class attribute of that name is
+    a descriptor that only reads (``_Monomials``), so it is reached only
+    while the dict holds no view: it builds one ``Monomial`` per term and
+    keeps them, and every later read is a dict lookup.  The first read costs
+    one descriptor call and the monomials, and raises nothing.  A
+    ``__getattr__`` over an unset slot would raise and clear one
+    ``AttributeError`` instead, but on Python 3.10 and 3.11 every attribute
+    read of a class with ``__getattr__`` goes through that hook, at about
+    four times the cost of a plain slot read.  A polynomial no one asks for
+    its monomials, such as a linear form that is classified and replayed,
+    builds none.  ``Polynomial`` of monomials that are already canonical
+    keeps them as the view.
 
     The facts derived later start as None, so a polynomial no one asks
     about pays nothing for them.  Each reader reads its field and, when it
@@ -222,17 +262,18 @@ class Polynomial:
     set J, empty when there is none (``_zero_sum``), the l.e.v. designation
     (``_lev``: linear variables, product variables, F-sets), the nonlinear
     shape with its failure lines (``_shape``) and the all-ones substitution
-    (``_ones``).  Each is a function of the monomials, so filling one is
-    idempotent and changes nothing that equality, hashing, ``repr``, copy
-    or pickle read; none refers back to the polynomial."""
+    (``_ones``).  Each is a function of the table, so filling one, or the
+    view, is idempotent and changes nothing that equality, hashing,
+    ``repr``, copy or pickle read; none refers back to the polynomial."""
 
     __slots__ = (
-        "monomials", "variables", "coefficients",
+        "__dict__", "_terms", "variables", "coefficients",
         "is_linear", "is_lev", "is_homogeneous", "is_one_signed",
         "_degrees", "_profile", "_groups", "_zero_sum", "_lev", "_shape", "_ones",
     )
 
-    monomials: tuple[Monomial, ...]
+    monomials = _Monomials()  # tuple[Monomial, ...], made on first read
+    _terms: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]  # (coefficient, exponents)
     variables: tuple[str, ...]  # all variables, sorted lexicographically by name
     coefficients: tuple[int, ...]
     is_linear: bool
@@ -241,8 +282,21 @@ class Polynomial:
     is_one_signed: bool  # every coefficient has one sign: no solution in the positive integers
 
     def __new__(cls, monomials: Iterable[Monomial]) -> "Polynomial":
-        # a monomial's powers already hold valid names and exponents
-        return _polynomial([(m.coefficient, m._powers) for m in monomials])
+        monomials = tuple(monomials)
+        # a monomial's exponents are already a canonical exponent tuple
+        items = [(m.exponents, m.coefficient) for m in monomials]
+        ordered, degrees, totals = _scan(items)
+        keys = [key for key, _ in ordered]
+        if (
+            0 < len(ordered) == len(monomials)  # no zero coefficient
+            and 0 not in totals  # no constant
+            and all(a < b for a, b in zip(keys, keys[1:]))  # distinct, in canonical order
+            and all(m.__class__ is Monomial for m in monomials)
+        ):
+            p = _table([term for _, term in ordered], degrees, totals)
+            p.__dict__["monomials"] = monomials
+            return p
+        return _polynomial([(c, exponents) for exponents, c in items])
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -259,9 +313,9 @@ class Polynomial:
         checked = []
         for c, exps in terms:
             if c != 0:
-                pairs = sorted([(v, e) for v, e in exps.items() if e])
-                _check_factors(pairs)
-                checked.append((c, dict(pairs)))
+                exponents = tuple(sorted([(v, e) for v, e in exps.items() if e]))
+                _check_factors(exponents)
+                checked.append((c, exponents))
         return _polynomial(checked)
 
     # -- structure ---------------------------------------------------------
@@ -290,9 +344,8 @@ class Polynomial:
         if not assignment.keys() >= self._degrees.keys():
             raise MissingVariableError(tuple(v for v in self.variables if v not in assignment))
         total = 0
-        for m in self.monomials:
-            term = m.coefficient
-            for v, e in m.exponents:
+        for term, exponents in self._terms:
+            for v, e in exponents:
                 term *= assignment[v] ** e
             total += term
         return total
@@ -310,105 +363,84 @@ class Polynomial:
         if not rows:
             return []
         totals = None
-        for m in self.monomials:
+        for coeff, exponents in self._terms:
             term = None
-            for v, e in m.exponents:
+            for v, e in exponents:
                 column = map(itemgetter(at[v]), rows)
                 if e != 1:
                     column = map(e.__rpow__, column)
                 term = column if term is None else map(mul, term, column)
-            if m.coefficient != 1:
-                term = map(m.coefficient.__mul__, term)
+            if coeff != 1:
+                term = map(coeff.__mul__, term)
             totals = term if totals is None else map(add, totals, term)
         return list(totals)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self.monomials == other.monomials
+        return isinstance(other, Polynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self.monomials)
+        # a monomial hashes as its (coefficient, exponents) pair, so this is
+        # hash(self.monomials)
+        return hash(self._terms)
 
     def __str__(self) -> str:
-        parts = [str(self.monomials[0])]
-        for m in self.monomials[1:]:
-            c = abs(m.coefficient)
-            term = m.monic_text() if c == 1 else f"{c}*{m.monic_text()}"
-            parts.append(f" - {term}" if m.coefficient < 0 else f" + {term}")
+        parts = []
+        for c, exponents in self._terms:
+            monic = _monic_text(exponents)
+            parts.append(" - " if c < 0 else " + ")
+            parts.append(monic if c == 1 or c == -1 else f"{abs(c)}*{monic}")
+        parts[0] = "-" if parts[0] == " - " else ""  # the first term's sign
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
 
 
-def _build(terms: Iterable[tuple[int, Mapping[str, int]]]) -> tuple[Polynomial | None, int]:
-    """The polynomial of (coefficient, {variable: exponent}) terms, or None
-    when every term cancels, and the constant term.  Every name must be a
-    variable name and every exponent >= 0; the caller must not change a
-    term's dict afterwards, since the monomial of its exponents keeps the
-    first such dict, zero powers dropped, as ``_powers``.
+def _scan(items: Iterable[tuple[tuple[tuple[str, int], ...], int]]) -> tuple[list, dict, set]:
+    """Each nonzero term of (exponent tuple, coefficient) items with its
+    canonical sort key, as (key, (coefficient, exponents)), in the order
+    given; the degree of each variable; and the set of total degrees.
 
-    Like terms are summed under their exponent tuple, ``sorted(exps.items())``,
-    so the names in it are sorted and distinct.  One loop over the sums then
-    writes each nonzero monomial's fields, raises the degree of each variable,
-    collects the total degrees and makes the canonical sort key: the pairs as
-    name, negated exponent, then a name greater than every variable name.  The
-    first name at which two monomials' exponent vectors differ is the first
-    difference of their keys, either in the negated exponent or in a name that
-    only the monomial with it present has at that place, and that monomial
-    comes first: sorted by key, the monomials are in descending
-    pure-lexicographic order of their vectors over any sorted list of names."""
-    sums: dict[tuple[tuple[str, int], ...], tuple] = {}  # exponent tuple -> (coefficient, exps)
-    for coeff, exps in terms:
-        if 0 in exps.values():
-            exps = {v: e for v, e in exps.items() if e != 0}
-        # one pair is sorted already
-        key = tuple(exps.items()) if len(exps) == 1 else tuple(sorted(exps.items()))
-        if key in sums:
-            earlier, exps = sums[key]
-            coeff += earlier
-        sums[key] = coeff, exps
-    constant = sums.pop((), (0,))[0]
+    The key is the pairs as name, negated exponent, then a name greater than
+    every variable name.  The first name at which two monomials' exponent
+    vectors differ is the first difference of their keys, either in the
+    negated exponent or in a name that only the monomial with it present has
+    at that place, and that monomial comes first: sorted by key, the terms
+    are in descending pure-lexicographic order of their vectors over any
+    sorted list of names."""
     degrees: dict[str, int] = {}
     totals = set()
-    ordered = []  # (sort key, coefficient, monomial)
-    for exponents, (coeff, exps) in sums.items():
+    ordered = []
+    for exponents, coeff in items:
         if coeff == 0:
             continue
         if len(exponents) == 1:
             (v, e), = exponents
-            names = (v,)
             total = e
-            order = (v, -e, "{")  # "{" sorts after "z", so after every name
+            key = (v, -e, "{")  # "{" sorts after "z", so after every name
             if e > degrees.get(v, 0):
                 degrees[v] = e
         else:
             total = 0
-            order = ()
+            key = ()
             for v, e in exponents:
                 total += e
-                order += (v, -e)
+                key += (v, -e)
                 if e > degrees.get(v, 0):
                     degrees[v] = e
-            names = order[::2]
-            order += ("{",)
-        m = _new(Monomial)
-        fields = m.__dict__  # past the immutability guard, as __init__ writes them
-        fields["coefficient"] = coeff
-        fields["exponents"] = exponents
-        fields["variables"] = names
-        fields["degree"] = total
-        fields["_powers"] = exps
+            key += ("{",)
         totals.add(total)
-        ordered.append((order, coeff, m))
-    if not ordered:
-        return None, constant
-    # by the key alone: list.sort then compares the keys' str first items directly
-    ordered.sort(key=_first)
-    _, coefficients, monomials = zip(*ordered)
+        ordered.append((key, (coeff, exponents)))
+    return ordered, degrees, totals
+
+
+def _table(terms: list, degrees: dict[str, int], totals: set) -> Polynomial:
+    """The polynomial of a canonical term table, its monomials unbuilt."""
+    coefficients = tuple([c for c, _ in terms])
     p = _new(Polynomial)
-    _set_monomials(p, monomials)
+    _set_terms(p, tuple(terms))
     _set_variables(p, tuple(sorted(degrees)))
     _set_coefficients(p, coefficients)
     _set_is_linear(p, totals == {1})
@@ -418,10 +450,34 @@ def _build(terms: Iterable[tuple[int, Mapping[str, int]]]) -> tuple[Polynomial |
     _set_degrees(p, degrees)
     for unset in _SET_FACTS:
         unset(p, None)
-    return p, constant
+    return p
 
 
-def _polynomial(terms: Iterable[tuple[int, Mapping[str, int]]]) -> Polynomial:
+def _build(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> tuple[Polynomial | None, int]:
+    """The polynomial of (coefficient, exponent tuple) terms, or None when
+    every term cancels, and the constant term.  Each exponent tuple must be
+    canonical: (variable name, exponent >= 1) pairs sorted by distinct
+    names, as ``_exponents`` makes them; the empty tuple is a constant.
+
+    Like terms are summed under their exponent tuple.  One pass over the
+    sums (``_scan``) then keys each nonzero term for the canonical order,
+    raises the degree of each variable and collects the total degrees, and
+    the terms are sorted once.  No ``Monomial`` is built."""
+    sums: dict[tuple[tuple[str, int], ...], int] = {}
+    for coeff, exponents in terms:
+        if exponents in sums:
+            coeff += sums[exponents]
+        sums[exponents] = coeff
+    constant = sums.pop((), 0)
+    ordered, degrees, totals = _scan(sums.items())
+    if not ordered:
+        return None, constant
+    # by the key alone: list.sort then compares the keys' str first items directly
+    ordered.sort(key=_first)
+    return _table([term for _, term in ordered], degrees, totals), constant
+
+
+def _polynomial(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> Polynomial:
     """``_build``'s polynomial of terms whose constant term is 0."""
     p, constant = _build(terms)
     if constant != 0:
@@ -431,13 +487,40 @@ def _polynomial(terms: Iterable[tuple[int, Mapping[str, int]]]) -> Polynomial:
     return p
 
 
+def _exponents(exps: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
+    """The canonical exponent tuple of {variable: exponent}: its pairs sorted
+    by name, zero powers dropped."""
+    if 0 in exps.values():
+        exps = {v: e for v, e in exps.items() if e != 0}
+    # one pair is sorted already
+    return tuple(exps.items()) if len(exps) == 1 else tuple(sorted(exps.items()))
+
+
+def _view(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> tuple[Monomial, ...]:
+    """The monomials of a canonical term table, built past validation as
+    ``Monomial.__init__`` would build them: the same fields in the same
+    order, ``_powers`` in name order."""
+    view = []
+    for coeff, exponents in terms:
+        m = _new(Monomial)
+        powers = dict(exponents)
+        fields = m.__dict__  # past the immutability guard, as __init__ writes them
+        fields["coefficient"] = coeff
+        fields["exponents"] = exponents
+        fields["variables"] = tuple(powers)
+        fields["degree"] = sum(powers.values())
+        fields["_powers"] = powers
+        view.append(m)
+    return tuple(view)
+
+
 _new = object.__new__  # a Monomial or Polynomial with no field set yet
 _first = itemgetter(0)
 # Each slot descriptor's own setter writes its field past the immutability
 # guard, and costs less than ``object.__setattr__``, which looks the field up.
-(_set_monomials, _set_variables, _set_coefficients, _set_is_linear, _set_is_lev,
+(_set_terms, _set_variables, _set_coefficients, _set_is_linear, _set_is_lev,
  _set_is_homogeneous, _set_is_one_signed, _set_degrees, *_SET_FACTS) = [
-    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
+    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__[1:]  # after __dict__
 ]
 
 
@@ -495,9 +578,11 @@ def _syntax_error(text: str, index: int, expected: str) -> PolySyntaxError:
     return PolySyntaxError(len(text), expected, "end of input")
 
 
-def _parse_terms(text: str) -> list[tuple[int, dict[str, int]]]:
-    """The (coefficient, {variable: exponent}) terms of ``text`` in order,
-    like variables inside a term summed; a constant term has no variables."""
+def _parse_terms(text: str) -> list[tuple[int, tuple[tuple[str, int], ...]]]:
+    """The (coefficient, exponent tuple) terms of ``text`` in order, each
+    exponent tuple canonical (``_exponents``): like variables inside a term
+    summed, zero powers dropped; a constant term has the empty tuple.  A
+    ``[c*]name`` term is keyed without a dict."""
     pieces = _SIGN_RE.split(text)  # term, sign, term, ..., sign, term
     if pieces[0].strip():
         pieces.insert(0, "+")
@@ -505,15 +590,15 @@ def _parse_terms(text: str) -> list[tuple[int, dict[str, int]]]:
         del pieces[0]
     else:
         return _descend(text)
-    terms: list[tuple[int, dict[str, int]]] = []
+    terms: list[tuple[int, tuple[tuple[str, int], ...]]] = []
     for sign, body in zip(pieces[::2], pieces[1::2]):
         body = body.strip()  # str.strip and \s know the same whitespace
         digits, star, name = body.partition("*")
         # a variable name is an ASCII identifier that starts with a letter
         if not star and body.isascii() and body.isidentifier() and body[0] != "_":
-            coeff, exps = 1, {body: 1}
+            coeff, exponents = 1, ((body, 1),)
         elif star and digits.isdecimal() and name.isascii() and name.isidentifier() and name[0] != "_":
-            coeff, exps = int(digits), {name: 1}
+            coeff, exponents = int(digits), ((name, 1),)
         else:
             term = _TERM_RE.fullmatch(body)
             if term is None:
@@ -523,11 +608,12 @@ def _parse_terms(text: str) -> list[tuple[int, dict[str, int]]]:
             coeff, exps = int(digits) if digits else 1, {}
             for name, e in _FACTOR_RE.findall(factors or ""):
                 exps[name] = exps.get(name, 0) + (int(e) if e else 1)
-        terms.append((-coeff if sign == "-" else coeff, exps))
+            exponents = _exponents(exps)
+        terms.append((-coeff if sign == "-" else coeff, exponents))
     return terms
 
 
-def _descend(text: str) -> list[tuple[int, dict[str, int]]]:
+def _descend(text: str) -> list[tuple[int, tuple[tuple[str, int], ...]]]:
     """``_parse_terms`` by a descent over tokens; it raises the
     ``PolySyntaxError`` of a text outside the grammar."""
     found = _TOKEN_RE.findall(text)
@@ -541,7 +627,7 @@ def _descend(text: str) -> list[tuple[int, dict[str, int]]]:
         raise _syntax_error(text, 0, "polynomial")
     op = ops[0]
     i = 1 if op == "+" or op == "-" else 0
-    terms: list[tuple[int, dict[str, int]]] = []
+    terms: list[tuple[int, tuple[tuple[str, int], ...]]] = []
     while True:
         coeff = -1 if op == "-" else 1
         exps: dict[str, int] = {}
@@ -571,7 +657,7 @@ def _descend(text: str) -> list[tuple[int, dict[str, int]]]:
                 i += 1
             more = ops[i] == "*"
             i += more
-        terms.append((coeff, exps))
+        terms.append((coeff, _exponents(exps)))
         if i == end:
             return terms
         op = ops[i]

@@ -360,6 +360,19 @@ def _moving(terms: list, fill: range, top: int) -> tuple[list, list, Optional[in
     at_top = 0
     for term in terms:
         c, exps = term
+        if len(exps) == 1:  # one factor: tested without the loop
+            (i, e), = exps
+            if i != top and i not in fill:
+                still.append(term)
+                continue
+            moving.append(term)
+            if slope is not None and e == 1:
+                slope += c
+                if i == top:
+                    at_top += c
+            else:
+                slope = None
+            continue
         for i, _ in exps:
             if i == top or i in fill:
                 break
@@ -367,11 +380,7 @@ def _moving(terms: list, fill: range, top: int) -> tuple[list, list, Optional[in
             still.append(term)
             continue
         moving.append(term)
-        if slope is not None and len(exps) == 1 and exps[0][1] == 1:
-            slope += c
-            at_top += c * (exps[0][0] == top)
-        else:
-            slope = None
+        slope = None
     return still, moving, slope, at_top
 
 

@@ -41,7 +41,7 @@ from .classify import (
     nonlinear_shape,
     to_lev_form,
 )
-from .poly import Polynomial, _build
+from .poly import Polynomial, _build, _exponents
 from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
 
 __all__ = [
@@ -149,16 +149,15 @@ def _identity_holds(
     unmapped variables stay symbols.  The substituted terms and
     -residue * eta must combine to nothing."""
     terms = []
-    for m in p.monomials:
-        coeff = m.coefficient
+    for coeff, exponents in p._terms:
         exps: dict[str, int] = {}
-        for v, e in m.exponents:
+        for v, e in exponents:
             c, product = mapping.get(v, (1, {v: 1}))
             coeff *= c**e
             for w, d in product.items():
                 exps[w] = exps.get(w, 0) + d * e
-        terms.append((coeff, exps))
-    terms.append((-residue, eta))
+        terms.append((coeff, _exponents(exps)))
+    terms.append((-residue, _exponents(eta)))
     left, constant = _build(terms)
     return left is None and constant == 0
 
@@ -294,7 +293,8 @@ def _ones_substitution(p: Polynomial) -> Polynomial:
     if ones is None:
         dropped = set(p.degree_profile().nonlinear)
         ones, _ = _build(
-            (m.coefficient, {v: e for v, e in m.exponents if v not in dropped}) for m in p.monomials
+            (c, tuple([(v, e) for v, e in exponents if v not in dropped]))
+            for c, exponents in p._terms
         )
         p._keep("_ones", ones)
     return ones

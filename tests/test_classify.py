@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 
@@ -154,6 +155,47 @@ def test_equal_sum_subsets_builds_one_table_per_side(monkeypatch):
         },
     )
     assert replay_certificate(p, v)
+
+
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    st.lists(st.integers(1, 12), min_size=1, max_size=6),
+)
+@settings(max_examples=300)
+def test_equal_sum_subsets_with_sparse_tables_matches_exhaustive_oracle(a, b):
+    # the same answers when every table keeps its rows as sets, whose b grows
+    # only until a's row meets it
+    classify_mod = importlib.import_module("rado_forge.classify")
+    limit = classify_mod._BITSET_LIMIT
+    classify_mod._BITSET_LIMIT = 1
+    try:
+        assert classify_mod._equal_sum_subsets(tuple(a), tuple(b)) == _oracle_equal_sums(a, b)
+    finally:
+        classify_mod._BITSET_LIMIT = limit
+
+
+def test_equal_sum_subsets_grows_b_only_until_a_sum_is_met(monkeypatch):
+    classify_mod = importlib.import_module("rado_forge.classify")
+    build = classify_mod._SubsetTable
+    tables = []
+
+    def kept(values, dense):
+        tables.append(build(values, dense))
+        return tables[-1]
+
+    monkeypatch.setattr(classify_mod, "_SubsetTable", kept)
+    # 2^40 exceeds b's total and is dropped; a's one sum 2^16 is b's first
+    # exponent, so b's sparse table grows its first count and no other
+    b = tuple(2**i for i in range(16, 33))
+    assert classify_mod._equal_sum_subsets((2**16, 2**40), b) == ((1,), (1,), 65536)
+    left, right = tables
+    assert not right.dense and right.values == b
+    assert [len(rows) for rows in right.exact] == [2] * len(b) + [2]
+    # a sum that b's first count misses but a later one reaches picks lower:
+    # 3 = 1 + 2 beats the 1 that b's first count already meets
+    tables.clear()
+    monkeypatch.setattr(classify_mod, "_BITSET_LIMIT", 1)
+    assert classify_mod._equal_sum_subsets((3, 1), (1, 2)) == ((1,), (1, 2), 3)
 
 
 @pytest.mark.parametrize(
@@ -917,3 +959,53 @@ def test_classify_total_and_replayable(p):
     assert v.status in (PR, NOT_PR, UNKNOWN)
     assert replay_certificate(p, v)
     assert v.to_json("", str(p))["status"] == v.status
+
+
+def _generated_linear_forms(seed, monkeypatch):
+    """The texts of the generated linear forms of the benchmark's certify
+    workload for ``seed``, every spelling of every pass."""
+    import importlib.util
+    import random as random_module
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # workloads imports oracles
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    passes = workloads.certify_inputs(random_module.Random(seed))
+    return [task.text for tasks in passes for task in tasks if not task.lift]
+
+
+def test_a_linear_form_is_parsed_classified_and_replayed_without_a_monomial(monkeypatch):
+    from rado_forge import poly
+
+    texts = _generated_linear_forms(23, monkeypatch) + _generated_linear_forms(101, monkeypatch)
+    assert len(texts) == 2 * 8 * 18
+    texts += ["x-y", "x+y-3*z"]
+    built = []
+    view, init = poly._view, poly.Monomial.__init__
+
+    def counted_view(terms):
+        built.append(terms)
+        return view(terms)
+
+    def counted_init(m, *args):
+        built.append(args)
+        init(m, *args)
+
+    monkeypatch.setattr(poly, "_view", counted_view)
+    monkeypatch.setattr(poly.Monomial, "__init__", counted_init)
+    verdicts = []
+    for text in texts:
+        p = parse(text)
+        v = classify(p)
+        assert replay_certificate(p, v)
+        verdicts.append((v.status, v.injective, v.certificate.theorem))
+    assert built == []
+    assert verdicts[-2:] == [(PR, "no", "RadoLinear"), (NOT_PR, "no", "LinearNecessity")]
+    assert {status for status, _, _ in verdicts} == {PR, NOT_PR}
+    # the counters see a monomial built
+    parse("x - y").monomials
+    assert len(built) == 1

@@ -556,17 +556,74 @@ def _entry_points(terms, text, order):
     }
 
 
+def _reference_text(monomials):
+    """``str`` of a polynomial, spelled from its monomials one by one."""
+    parts = [str(monomials[0])]
+    for m in monomials[1:]:
+        c = abs(m.coefficient)
+        term = m.monic_text() if c == 1 else f"{c}*{m.monic_text()}"
+        parts.append(f" - {term}" if m.coefficient < 0 else f" + {term}")
+    return "".join(parts)
+
+
+def _reference_value(monomials, values):
+    total = 0
+    for m in monomials:
+        term = m.coefficient
+        for v, e in m.exponents:
+            term *= values[v] ** e
+        total += term
+    return total
+
+
+def _identity(q, names, rows):
+    """What ``hash``, ``str``, ``repr``, ``evaluate`` and ``evaluate_many``
+    read of q, none of which needs its monomials' view."""
+    return (
+        hash(q),
+        str(q),
+        repr(q),
+        q.evaluate(dict(zip(names, rows[0]))),
+        q.evaluate_many(names, rows),
+    )
+
+
 def _assert_built_alike(terms, text, order):
     expected = _canonical(terms)
     names = tuple(sorted({v for m in expected for v in m.variables}))
     degrees = {v: max(m.degree_of(v) for m in expected) for v in names}
     totals = {m.degree for m in expected}
     signs = {m.coefficient > 0 for m in expected}
-    for entry, q in _entry_points(terms, text, order).items():
+    reference = Polynomial(expected)  # keeps the canonical monomials given
+    assert reference.monomials == tuple(expected)
+    rows = [[2 + i + 3 * j for j in range(len(names))] for i in range(3)]
+    identity = (
+        hash(tuple(expected)),
+        _reference_text(expected),
+        f"Polynomial({_reference_text(expected)!r})",
+        _reference_value(expected, dict(zip(names, rows[0]))),
+        [_reference_value(expected, dict(zip(names, row))) for row in rows],
+    )
+    # each entry point twice: once read before its view is built, once after
+    unread = _entry_points(terms, text, order)
+    viewed = _entry_points(terms, text, order)
+    for q in viewed.values():
+        q.monomials
+    for entry, q in viewed.items():
+        first = unread[entry]
+        assert first == reference and reference == first and first == q, entry
+        assert _identity(first, names, rows) == _identity(q, names, rows) == identity, entry
+        # pickling builds the view, so the bytes of one built before and one
+        # built by the pickling must agree
+        assert pickle.dumps(first) == pickle.dumps(q), entry
+        assert [vars(m) for m in pickle.loads(pickle.dumps(q)).monomials] == [
+            vars(m) for m in expected], entry
+        assert [vars(m) for m in first.monomials] == [vars(m) for m in expected], entry
         assert [vars(m) for m in q.monomials] == [vars(m) for m in expected], entry
         for m in q.monomials:
             assert list(vars(m)) == ["coefficient", "exponents", "variables", "degree", "_powers"]
             assert m._powers == dict(m.exponents), entry
+            assert list(m._powers) == list(m.variables), entry  # in name order
         assert q.variables == names, entry
         assert q.coefficients == tuple(m.coefficient for m in expected), entry
         assert q._degrees == degrees, entry
@@ -605,6 +662,44 @@ def test_every_entry_point_builds_the_same_polynomial(p, data):
     order = data.draw(st.permutations(range(len(p.monomials))))
     _assert_built_alike(terms, _spell(terms, data.draw), order)
     assert [vars(m) for m in p.monomials] == [vars(m) for m in _canonical(terms)]
+
+
+@pytest.mark.parametrize("text", ["x + y - z", "y*x - z", "x^0*y - 2*z + y*x*w", HEADLINE, WORKED])
+def test_the_view_is_built_once_and_reads_like_the_table(text, monkeypatch):
+    from rado_forge import poly
+
+    builds = []
+    build = poly._view
+
+    def counted(terms):
+        builds.append(terms)
+        return build(terms)
+
+    monkeypatch.setattr(poly, "_view", counted)
+    p = parse(text)
+    assert builds == []  # parsed without a monomial
+    assert p.monomials is p.monomials
+    assert builds == [p._terms]  # built on the first read only
+    assert tuple((m.coefficient, m.exponents) for m in p.monomials) == p._terms
+    assert p.coefficients == tuple(c for c, _ in p._terms)
+
+
+def test_copying_a_polynomial_keeps_its_monomials():
+    for text in ("x + y - z", "y*x - z", HEADLINE, WORKED, "x^3 - 2*y^2*z"):
+        p = parse(text)
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and q.monomials == p.monomials
+        q = copy.copy(p)
+        assert all(q.monomials[i] is p.monomials[i] for i in range(len(p.monomials)))
+        assert q._terms == p._terms and q.variables == p.variables
+        # monomials out of order or repeated are summed and sorted, into new ones
+        for given in (p.monomials[::-1], p.monomials + p.monomials[:1]):
+            if given == p.monomials:
+                continue
+            r = Polynomial(given)
+            assert [vars(m) for m in r.monomials] == [vars(m) for m in _canonical(
+                [(m.coefficient, dict(m.exponents)) for m in given])]
+            assert all(a is not b for a, b in zip(r.monomials, given))
 
 
 @pytest.mark.parametrize(

@@ -140,6 +140,33 @@ def test_layers_hold_the_oracle_representatives_in_order(text):
             assert list(layered) == [sorted(layer) for layer in expected], (n, injective)
 
 
+def _moving_reference(terms, fill, top):
+    """``solutions._moving`` by one loop over every term's factors."""
+    still, moving, slope, at_top = [], [], 0, 0
+    for c, exps in terms:
+        if not any(i == top or i in fill for i, _ in exps):
+            still.append((c, exps))
+            continue
+        moving.append((c, exps))
+        if slope is not None and len(exps) == 1 and exps[0][1] == 1:
+            slope += c
+            at_top += c * (exps[0][0] == top)
+        else:
+            slope = None
+    return still, moving, slope, at_top
+
+
+@pytest.mark.parametrize("fill", [range(0), range(1, 2), range(0, 3), range(2, 5)])
+@pytest.mark.parametrize("top", [0, 2, 4, 7])
+def test_a_step_splits_its_terms_as_one_loop_over_the_factors_does(fill, top):
+    # one-factor terms, linear and not, beside terms of two and three factors
+    terms = [(1, [(0, 1)]), (3, [(2, 1)]), (-2, [(4, 1)]), (5, [(3, 2)]), (-1, [(7, 1)]),
+             (2, [(1, 1), (5, 1)]), (-4, [(2, 1), (6, 2)]), (1, [(5, 1), (6, 1), (8, 3)])]
+    for k in range(len(terms) + 1):
+        for chosen in (terms[:k], terms[k:], terms[::-1][:k]):
+            assert solutions._moving(chosen, fill, top) == _moving_reference(chosen, fill, top)
+
+
 def _candidates_raise(n, sizes):
     """The message of ``_check_candidates(n, sizes)``, or None when it passes."""
     try:
