@@ -174,7 +174,8 @@ class _SubsetTable:
     made.  Only ``grow``, ``pick`` and ``sums`` know which kind a row is.  A dense table
     also keeps ``reach``, every nonempty subset sum, so a question no subset
     answers costs one pass; a sparse table could hold 2^k sums there, so it
-    grows to count k instead.
+    keeps ``floor[j]``, the least sum of j or more values, and ``pick``
+    grows it only to counts that can still reach the target.
     """
 
     def __init__(self, values: tuple[int, ...], dense: bool):
@@ -185,6 +186,9 @@ class _SubsetTable:
             for v in reversed(values):
                 reach |= (reach << v if v > 0 else reach >> -v) | 1 << (v + offset)
             self.reach = reach
+        else:
+            least = list(itertools.accumulate(sorted(values)))  # least[j - 1]: of j values
+            self.floor = [0] + [min(least[j:]) for j in range(len(values))]
         empty_sum = 1 << offset if dense else {0}
         self.exact = [[empty_sum] for _ in range(len(values) + 1)]
 
@@ -240,7 +244,12 @@ class _SubsetTable:
         # the fewest elements of a subset summing to target
         whole = exact[0]  # the rows of all of values
         for need in range(1, len(values) + 1):
-            row = whole[need] if need < len(whole) else self.grow()
+            if need < len(whole):
+                row = whole[need]
+            elif not dense and target < self.floor[need]:
+                return None  # no count from need on reaches target
+            else:
+                row = self.grow()
             if (row >> index & 1) if dense else target in row:
                 break
         else:
@@ -466,10 +475,11 @@ def _equal_sum_subsets(
     A dense table takes b's sums from its ``reach``, so when no sums are
     equal it stops after one pass.  A sparse b grows one count at a time,
     only until a's row meets a sum of the counts grown so far or b is
-    exhausted, since growing it to every count can hold 2^k sums.  A sum of
-    the met row that b's counts grown so far miss may still be b's sum at a
-    later count, so each such sum whose ``pick`` of a is lower than the
-    least met is asked of b by ``pick``, which grows b as far as it needs."""
+    exhausted, since growing it to every count can hold 2^k sums.  a's first
+    row is the only one that can meet b before b is exhausted, and there a
+    value met at no count grown so far may still be b's sum at a later one,
+    so I1 is the first of a's values that b's ``pick`` finds, which grows b
+    only to counts whose least sum is at most that value."""
     kept_a = [i for i, e in enumerate(a, start=1) if e <= sum(b)]
     kept_b = [j for j, e in enumerate(b, start=1) if e <= sum(a)]
     a, b = tuple(a[i - 1] for i in kept_a), tuple(b[j - 1] for j in kept_b)
@@ -495,13 +505,10 @@ def _equal_sum_subsets(
         count = left.first(meets)
         if count is None:
             return None
-        row = left.exact[0][count]
-        i1 = min(left.pick(s) for s in row & grown)
-        if len(b_rows) <= len(b):  # b is not exhausted
-            for s in sorted(row - grown):
-                lower = left.pick(s)
-                if lower < i1 and right.pick(s) is not None:
-                    i1 = lower
+        if count == 1:
+            i1 = next((i,) for i, s in enumerate(a, start=1) if right.pick(s) is not None)
+        else:  # a's first row missed b, so b is exhausted and grown holds all its sums
+            i1 = min(left.pick(s) for s in left.exact[0][count] & grown)
     total = sum(a[i - 1] for i in i1)
     i2 = right.pick(total)
     return tuple(kept_a[i - 1] for i in i1), tuple(kept_b[j - 1] for j in i2), total
@@ -751,13 +758,8 @@ def _known_fact(p: Polynomial, note: str):
     """The entry of _KNOWN_FACTS for the fact that ``note`` states about p."""
     terms = frozenset(p._terms)
     negated = frozenset((-c, exps) for c, exps in terms)
-    return p.variables, _term_degrees(p), terms, negated, note
-
-
-def _term_degrees(p: Polynomial) -> list[int]:
-    """The total degrees of p's terms, sorted; a linear form's, without its
-    monomials."""
-    return [1] * len(p.coefficients) if p.is_linear else sorted(m.degree for m in p.monomials)
+    degrees = sorted(sum(e for _, e in exps) for _, exps in p._terms)
+    return p.variables, degrees, terms, negated, note
 
 
 _KNOWN_FACTS = [
@@ -776,6 +778,7 @@ _KNOWN_FACTS = [
         "here, and no implemented criterion certifies either statement",
     ),
 ]
+_FACT_SIZES = {len(names) for names, *_ in _KNOWN_FACTS}  # the facts' variable counts
 
 
 def _literature_notes(p: Polynomial) -> list[str]:
@@ -783,9 +786,9 @@ def _literature_notes(p: Polynomial) -> list[str]:
     some bijection of variable names.  Canonical forms are equal exactly when
     their term sets are, so each renaming of p's terms is compared as a set,
     without building a polynomial."""
-    if len(p.variables) > 6:
+    if len(p.variables) not in _FACT_SIZES:
         return []
-    degrees = _term_degrees(p)
+    degrees = sorted(sum(e for _, e in exps) for _, exps in p._terms)
     notes = []
     for names, known_degrees, known, negated, note in _KNOWN_FACTS:
         if len(names) != len(p.variables) or known_degrees != degrees:

@@ -283,15 +283,19 @@ class Polynomial:
 
     def __new__(cls, monomials: Iterable[Monomial]) -> "Polynomial":
         monomials = tuple(monomials)
-        # a monomial's exponents are already a canonical exponent tuple
-        items = [(m.exponents, m.coefficient) for m in monomials]
+        # a monomial's powers hold valid names and exponents in name order,
+        # whatever sequence its exponents were given as
+        items = [(tuple(m._powers.items()), m.coefficient) for m in monomials]
         ordered, degrees, totals = _scan(items)
         keys = [key for key, _ in ordered]
         if (
             0 < len(ordered) == len(monomials)  # no zero coefficient
             and 0 not in totals  # no constant
             and all(a < b for a, b in zip(keys, keys[1:]))  # distinct, in canonical order
-            and all(m.__class__ is Monomial for m in monomials)
+            and all(
+                m.__class__ is Monomial and m.exponents.__class__ is tuple and m.exponents == e
+                for m, (e, _) in zip(monomials, items)
+            )  # a view monomial's exponents are its canonical tuple
         ):
             p = _table([term for _, term in ordered], degrees, totals)
             p.__dict__["monomials"] = monomials

@@ -185,12 +185,23 @@ def test_equal_sum_subsets_grows_b_only_until_a_sum_is_met(monkeypatch):
 
     monkeypatch.setattr(classify_mod, "_SubsetTable", kept)
     # 2^40 exceeds b's total and is dropped; a's one sum 2^16 is b's first
-    # exponent, so b's sparse table grows its first count and no other
+    # exponent, so b's sparse table grows its first count and no other.  An
+    # earlier exponent of a that b's first count misses is asked of b, which
+    # stays at one count when the exponent is below b's least exponent
     b = tuple(2**i for i in range(16, 33))
-    assert classify_mod._equal_sum_subsets((2**16, 2**40), b) == ((1,), (1,), 65536)
+    for a, i1 in [((2**16, 2**40), (1,)), ((3, 2**16, 2**32), (2,))]:
+        tables.clear()
+        assert classify_mod._equal_sum_subsets(a, b) == (i1, (1,), 65536)
+        left, right = tables
+        assert not right.dense and right.values == b
+        assert [len(rows) for rows in right.exact] == [2] * len(b) + [2]
+    # b grows only to the counts whose least sum is at most 2^20 + 5,
+    # which no sum of b is: the least sum of 5 exponents is above it
+    b = (2**16 + 1,) + tuple(2**i for i in range(17, 33))
+    tables.clear()
+    assert classify_mod._equal_sum_subsets((2**20 + 5, 2**16 + 1, 2**32), b) == ((2,), (1,), 2**16 + 1)
     left, right = tables
-    assert not right.dense and right.values == b
-    assert [len(rows) for rows in right.exact] == [2] * len(b) + [2]
+    assert [len(rows) for rows in right.exact] == [5] * (len(b) + 1)
     # a sum that b's first count misses but a later one reaches picks lower:
     # 3 = 1 + 2 beats the 1 that b's first count already meets
     tables.clear()

@@ -395,6 +395,15 @@ def test_polynomial_constructor_contract():
     )
     assert repeated == parse("5*x*y^2 - z")
     assert repeated.variables == ("x", "y", "z")
+    # exponents given as lists, outer or inner, build the canonical tables
+    reference = parse("x - 2*x*y^3")
+    for pair in (list, tuple):
+        for seq in (list, tuple):
+            given = [Monomial(1, seq([pair(("x", 1))])), Monomial(-2, seq([pair(("x", 1)), pair(("y", 3))]))]
+            for order in (given, given[::-1]):
+                q = Polynomial(order)
+                assert q == reference and hash(q) == hash(reference) and q._terms == reference._terms
+                assert [vars(m) for m in q.monomials] == [vars(m) for m in reference.monomials]
 
 
 @given(polynomials(), st.data())
