@@ -524,15 +524,15 @@ def _exclusive_groups(p: Polynomial) -> ExclusiveAssignment:
     if groups is not None:
         return groups
     monomials_with: dict[str, int] = {}  # variable -> how many monomials hold it
-    for m in p.monomials:
-        for v in m.variables:
+    for _, exponents in p.monomials:
+        for v, _ in exponents:
             monomials_with[v] = monomials_with.get(v, 0) + 1
     exclusives = tuple(
-        tuple([v for v in m.variables if monomials_with[v] == 1]) for m in p.monomials
+        tuple([v for v, _ in exponents if monomials_with[v] == 1]) for _, exponents in p.monomials
     )
     degree_one = tuple(
-        tuple([v for v, e in m.exponents if e == 1 and monomials_with[v] == 1])
-        for m in p.monomials
+        tuple([v for v, e in exponents if e == 1 and monomials_with[v] == 1])
+        for _, exponents in p.monomials
     )
     return p._keep("_groups", ExclusiveAssignment(exclusives, degree_one))
 
@@ -756,9 +756,9 @@ def classify_k2(p: Polynomial) -> Verdict:
 
 def _known_fact(p: Polynomial, note: str):
     """The entry of _KNOWN_FACTS for the fact that ``note`` states about p."""
-    terms = frozenset(p._terms)
+    terms = frozenset(p.monomials)  # a record equals its (coefficient, exponents) pair
     negated = frozenset((-c, exps) for c, exps in terms)
-    degrees = sorted(sum(e for _, e in exps) for _, exps in p._terms)
+    degrees = sorted([m.degree for m in p.monomials])
     return p.variables, degrees, terms, negated, note
 
 
@@ -788,7 +788,7 @@ def _literature_notes(p: Polynomial) -> list[str]:
     without building a polynomial."""
     if len(p.variables) not in _FACT_SIZES:
         return []
-    degrees = sorted(sum(e for _, e in exps) for _, exps in p._terms)
+    degrees = sorted([m.degree for m in p.monomials])
     notes = []
     for names, known_degrees, known, negated, note in _KNOWN_FACTS:
         if len(names) != len(p.variables) or known_degrees != degrees:
@@ -796,7 +796,7 @@ def _literature_notes(p: Polynomial) -> list[str]:
         for perm in itertools.permutations(names):
             renaming = dict(zip(p.variables, perm))
             renamed = {
-                (c, tuple(sorted((renaming[v], e) for v, e in exps))) for c, exps in p._terms
+                (c, tuple(sorted((renaming[v], e) for v, e in exps))) for c, exps in p.monomials
             }
             if renamed == known or renamed == negated:
                 notes.append(note)

@@ -13,33 +13,28 @@ coefficient a_i is a nonzero arbitrary-precision integer.  Canonical form:
 Constant terms are rejected at parse time (``parse``); ``parse_with_constant``
 splits them off for the affine classifier instead.  All arithmetic is exact.
 
-Each object computes its structural data once.  A ``Monomial`` derives its
-``variables``, its total ``degree`` and a variable -> exponent map (so
-``degree_of`` is a lookup) when it is built.  A ``Polynomial`` fixes at
-construction its canonical term table (a (coefficient, exponent tuple) pair
-per monomial, in canonical order), its sorted variables and coefficients,
-its four shape flags and the degree of each variable.  It builds its
-``monomials`` from the table on their first read, one ``Monomial`` per term
-at a one-time cost, and keeps them; a linear form that is classified and
-replayed never builds them.  Equality, hashing, ``str``, ``repr``,
-``evaluate`` and ``evaluate_many`` read the table.  ``degree_profile()``,
-read off the degrees, is built on the first call only.  ``evaluate`` checks
-coverage against the precomputed variables, and so does ``evaluate_many``,
-which takes many assignments at once as rows of values and reads them a
-column at a time.
+A ``Monomial`` is a record, a named (coefficient, exponents) pair: it equals
+and hashes as that pair, and reads its ``variables``, ``degree`` and
+``degree_of`` off its exponents.  A ``Polynomial`` fixes at construction its
+``monomials``, one record per term in canonical order, its sorted variables
+and coefficients, its four shape flags and the degree of each variable.
+``degree_profile()``, read off the degrees, is built on the first call only.
+``evaluate`` checks coverage against the precomputed variables, and so does
+``evaluate_many``, which takes many assignments at once as rows of values and
+reads them a column at a time.
 
 Every polynomial is built by one builder, ``_build``, from (coefficient,
 exponent tuple) terms whose exponent tuples are already canonical: the
 (variable, exponent >= 1) pairs sorted by distinct names.  ``parse`` and
 ``parse_with_constant`` hand it the terms they read, a ``[c*]name`` term
-keyed without a dict; ``Polynomial(monomials)`` each monomial's coefficient
-and exponents, and keeps the monomials themselves as the view when they are
-already canonical; ``Polynomial.from_terms`` its terms once it has checked
-their names and exponents.  The builder sums like terms, then in one pass
-over the sums keys each for the canonical order, raises the degree of each
-variable and collects the total degrees, and sorts once.  It checks no name
-or exponent again: every name read from text matched the variable-name
-pattern, and a ``Monomial`` validated its own when it was built.
+keyed without a dict; ``Polynomial(monomials)`` its monomials, each of which
+is such a term; ``Polynomial.from_terms`` its terms once it has checked their
+names and exponents.  The builder sums like terms, then in one pass over the
+sums keys each for the canonical order, makes its record, raises the degree
+of each variable and collects the total degrees, and sorts once.  It checks
+no name or exponent again: every name read from text matched the
+variable-name pattern, and a ``Monomial`` validated its own when it was
+built.
 """
 
 from __future__ import annotations
@@ -103,58 +98,44 @@ class MissingVariableError(KeyError):
         super().__init__(f"assignment missing variables: {', '.join(missing)}")
 
 
-class Monomial:
+class Monomial(namedtuple("Monomial", ["coefficient", "exponents"])):
     """A signed monomial: coefficient times a product of variable powers.
 
     ``exponents`` is a tuple of (variable, exponent) pairs, sorted by variable
-    name, with every exponent >= 1.  The empty tuple (a bare constant) is not
+    name, with every exponent >= 1; any iterable of such pairs is accepted
+    and kept as a tuple of tuples.  The empty tuple (a bare constant) is not
     a legal monomial of a Polynomial but is permitted transiently, e.g. as a
-    gcd of disjoint monomials.  ``variables``, ``degree`` and the exponent of
-    each variable are derived once, at construction.  A monomial is
-    immutable; equality, hashing and ``repr`` read only ``coefficient`` and
-    ``exponents``.
-    """
+    gcd of disjoint monomials.  A monomial equals and hashes as its
+    (coefficient, exponents) pair."""
 
-    coefficient: int
-    exponents: tuple[tuple[str, int], ...]
-    variables: tuple[str, ...]
-    degree: int  # sum of the exponents
-    _powers: dict[str, int]
+    # coefficient: int, exponents: tuple[tuple[str, int], ...]
+    __slots__ = ()
 
-    def __init__(self, coefficient: int, exponents: tuple[tuple[str, int], ...]) -> None:
+    def __new__(cls, coefficient: int, exponents: Iterable[tuple[str, int]]) -> "Monomial":
         if coefficient == 0:
             raise ValueError("monomial coefficient must be nonzero")
+        exponents = tuple([(v, e) for v, e in exponents])
         if len(exponents) > 1:  # one pair is always sorted and unique
             names = [v for v, _ in exponents]
             if names != sorted(names) or len(set(names)) != len(names):
                 raise ValueError("exponent pairs must be sorted by unique variable name")
         _check_factors(exponents)
-        fields = self.__dict__
-        fields["coefficient"] = coefficient
-        fields["exponents"] = exponents
-        fields["variables"] = tuple([v for v, _ in exponents])
-        fields["degree"] = sum([e for _, e in exponents])
-        fields["_powers"] = dict(exponents)
+        return tuple.__new__(cls, (coefficient, exponents))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple([v for v, _ in self.exponents])
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Monomial:
-            return NotImplemented
-        return self.coefficient == other.coefficient and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash((self.coefficient, self.exponents))
-
-    def __repr__(self) -> str:
-        return f"Monomial(coefficient={self.coefficient!r}, exponents={self.exponents!r})"
+    @property
+    def degree(self) -> int:
+        """The sum of the exponents."""
+        return sum([e for _, e in self.exponents])
 
     def degree_of(self, var: str) -> int:
-        return self._powers.get(var, 0)
+        for v, e in self.exponents:
+            if v == var:
+                return e
+        return 0
 
     def exponent_map(self) -> dict[str, int]:
         return dict(self.exponents)
@@ -216,43 +197,16 @@ class DegreeProfile(namedtuple("DegreeProfile", ["partial_degree", "nonlinear", 
     __slots__ = ()
 
 
-class _Monomials:
-    """``Polynomial.monomials``: a descriptor that only reads, so a view kept
-    in a polynomial's ``__dict__`` under the same name hides it.  The first
-    read of a polynomial's monomials gets here, builds the view from the
-    term table and keeps it; every later read finds the kept view first."""
-
-    def __get__(self, p, owner=None):
-        if p is None:
-            return self
-        view = p.__dict__["monomials"] = _view(p._terms)
-        return view
-
-
 class Polynomial:
     """Canonical multivariate integer polynomial with zero constant term.
 
-    Construction fixes the structural data once: the canonical term table
-    ``_terms``, a (coefficient, exponent tuple) pair per monomial in canonical
-    order, the sorted variables, the coefficients, the four shape flags and
-    the degree of each variable.  ``Polynomial(monomials)``, ``from_terms``,
-    ``parse`` and ``parse_with_constant`` all build through ``_build``, which
-    combines like terms, so the monomials may come in any order and repeat.
-    Equality, hashing, ``str``, ``repr`` and evaluation read the table.
-
-    ``monomials`` is a view of the table, made on its first read and kept
-    in the polynomial's ``__dict__``.  The class attribute of that name is
-    a descriptor that only reads (``_Monomials``), so it is reached only
-    while the dict holds no view: it builds one ``Monomial`` per term and
-    keeps them, and every later read is a dict lookup.  The first read costs
-    one descriptor call and the monomials, and raises nothing.  A
-    ``__getattr__`` over an unset slot would raise and clear one
-    ``AttributeError`` instead, but on Python 3.10 and 3.11 every attribute
-    read of a class with ``__getattr__`` goes through that hook, at about
-    four times the cost of a plain slot read.  A polynomial no one asks for
-    its monomials, such as a linear form that is classified and replayed,
-    builds none.  ``Polynomial`` of monomials that are already canonical
-    keeps them as the view.
+    Construction fixes the structural data once: ``monomials``, one
+    ``Monomial`` record per term in canonical order, the sorted variables,
+    the coefficients, the four shape flags and the degree of each variable.
+    ``Polynomial(monomials)``, ``from_terms``, ``parse`` and
+    ``parse_with_constant`` all build through ``_build``, which combines like
+    terms, so the monomials may come in any order and repeat.  Equality,
+    hashing, ``str``, ``repr`` and evaluation read the monomials.
 
     The facts derived later start as None, so a polynomial no one asks
     about pays nothing for them.  Each reader reads its field and, when it
@@ -262,18 +216,17 @@ class Polynomial:
     set J, empty when there is none (``_zero_sum``), the l.e.v. designation
     (``_lev``: linear variables, product variables, F-sets), the nonlinear
     shape with its failure lines (``_shape``) and the all-ones substitution
-    (``_ones``).  Each is a function of the table, so filling one, or the
-    view, is idempotent and changes nothing that equality, hashing,
-    ``repr``, copy or pickle read; none refers back to the polynomial."""
+    (``_ones``).  Each is a function of the monomials, so filling one is
+    idempotent and changes nothing that equality, hashing, ``repr``, copy or
+    pickle read; none refers back to the polynomial."""
 
     __slots__ = (
-        "__dict__", "_terms", "variables", "coefficients",
+        "monomials", "variables", "coefficients",
         "is_linear", "is_lev", "is_homogeneous", "is_one_signed",
         "_degrees", "_profile", "_groups", "_zero_sum", "_lev", "_shape", "_ones",
     )
 
-    monomials = _Monomials()  # tuple[Monomial, ...], made on first read
-    _terms: tuple[tuple[int, tuple[tuple[str, int], ...]], ...]  # (coefficient, exponents)
+    monomials: tuple[Monomial, ...]  # in canonical order
     variables: tuple[str, ...]  # all variables, sorted lexicographically by name
     coefficients: tuple[int, ...]
     is_linear: bool
@@ -283,24 +236,10 @@ class Polynomial:
 
     def __new__(cls, monomials: Iterable[Monomial]) -> "Polynomial":
         monomials = tuple(monomials)
-        # a monomial's powers hold valid names and exponents in name order,
-        # whatever sequence its exponents were given as
-        items = [(tuple(m._powers.items()), m.coefficient) for m in monomials]
-        ordered, degrees, totals = _scan(items)
-        keys = [key for key, _ in ordered]
-        if (
-            0 < len(ordered) == len(monomials)  # no zero coefficient
-            and 0 not in totals  # no constant
-            and all(a < b for a, b in zip(keys, keys[1:]))  # distinct, in canonical order
-            and all(
-                m.__class__ is Monomial and m.exponents.__class__ is tuple and m.exponents == e
-                for m, (e, _) in zip(monomials, items)
-            )  # a view monomial's exponents are its canonical tuple
-        ):
-            p = _table([term for _, term in ordered], degrees, totals)
-            p.__dict__["monomials"] = monomials
-            return p
-        return _polynomial([(c, exponents) for exponents, c in items])
+        for m in monomials:
+            if not isinstance(m, Monomial):
+                raise TypeError(f"a Polynomial is built from Monomial records, not {m!r}")
+        return _polynomial(monomials)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Polynomial is immutable")
@@ -348,7 +287,7 @@ class Polynomial:
         if not assignment.keys() >= self._degrees.keys():
             raise MissingVariableError(tuple(v for v in self.variables if v not in assignment))
         total = 0
-        for term, exponents in self._terms:
+        for term, exponents in self.monomials:
             for v, e in exponents:
                 term *= assignment[v] ** e
             total += term
@@ -367,7 +306,7 @@ class Polynomial:
         if not rows:
             return []
         totals = None
-        for coeff, exponents in self._terms:
+        for coeff, exponents in self.monomials:
             term = None
             for v, e in exponents:
                 column = map(itemgetter(at[v]), rows)
@@ -382,16 +321,14 @@ class Polynomial:
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms
+        return isinstance(other, Polynomial) and self.monomials == other.monomials
 
     def __hash__(self) -> int:
-        # a monomial hashes as its (coefficient, exponents) pair, so this is
-        # hash(self.monomials)
-        return hash(self._terms)
+        return hash(self.monomials)
 
     def __str__(self) -> str:
         parts = []
-        for c, exponents in self._terms:
+        for c, exponents in self.monomials:
             monic = _monic_text(exponents)
             parts.append(" - " if c < 0 else " + ")
             parts.append(monic if c == 1 or c == -1 else f"{abs(c)}*{monic}")
@@ -402,49 +339,12 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-def _scan(items: Iterable[tuple[tuple[tuple[str, int], ...], int]]) -> tuple[list, dict, set]:
-    """Each nonzero term of (exponent tuple, coefficient) items with its
-    canonical sort key, as (key, (coefficient, exponents)), in the order
-    given; the degree of each variable; and the set of total degrees.
-
-    The key is the pairs as name, negated exponent, then a name greater than
-    every variable name.  The first name at which two monomials' exponent
-    vectors differ is the first difference of their keys, either in the
-    negated exponent or in a name that only the monomial with it present has
-    at that place, and that monomial comes first: sorted by key, the terms
-    are in descending pure-lexicographic order of their vectors over any
-    sorted list of names."""
-    degrees: dict[str, int] = {}
-    totals = set()
-    ordered = []
-    for exponents, coeff in items:
-        if coeff == 0:
-            continue
-        if len(exponents) == 1:
-            (v, e), = exponents
-            total = e
-            key = (v, -e, "{")  # "{" sorts after "z", so after every name
-            if e > degrees.get(v, 0):
-                degrees[v] = e
-        else:
-            total = 0
-            key = ()
-            for v, e in exponents:
-                total += e
-                key += (v, -e)
-                if e > degrees.get(v, 0):
-                    degrees[v] = e
-            key += ("{",)
-        totals.add(total)
-        ordered.append((key, (coeff, exponents)))
-    return ordered, degrees, totals
-
-
-def _table(terms: list, degrees: dict[str, int], totals: set) -> Polynomial:
-    """The polynomial of a canonical term table, its monomials unbuilt."""
-    coefficients = tuple([c for c, _ in terms])
+def _table(monomials: list, degrees: dict[str, int], totals: set) -> Polynomial:
+    """The polynomial of its canonical monomials, the degree of each
+    variable and the set of total degrees."""
+    coefficients = tuple([c for c, _ in monomials])
     p = _new(Polynomial)
-    _set_terms(p, tuple(terms))
+    _set_monomials(p, tuple(monomials))
     _set_variables(p, tuple(sorted(degrees)))
     _set_coefficients(p, coefficients)
     _set_is_linear(p, totals == {1})
@@ -464,21 +364,51 @@ def _build(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> tuple[Po
     names, as ``_exponents`` makes them; the empty tuple is a constant.
 
     Like terms are summed under their exponent tuple.  One pass over the
-    sums (``_scan``) then keys each nonzero term for the canonical order,
-    raises the degree of each variable and collects the total degrees, and
-    the terms are sorted once.  No ``Monomial`` is built."""
+    sums then keys each nonzero term for the canonical order, makes its
+    ``Monomial`` past validation, raises the degree of each variable and
+    collects the total degrees, and the monomials are sorted once by key.
+
+    The key is the pairs as name, negated exponent, then a name greater than
+    every variable name.  The first name at which two monomials' exponent
+    vectors differ is the first difference of their keys, either in the
+    negated exponent or in a name that only the monomial with it present has
+    at that place, and that monomial comes first: sorted by key, the terms
+    are in descending pure-lexicographic order of their vectors over any
+    sorted list of names."""
     sums: dict[tuple[tuple[str, int], ...], int] = {}
     for coeff, exponents in terms:
         if exponents in sums:
             coeff += sums[exponents]
         sums[exponents] = coeff
     constant = sums.pop((), 0)
-    ordered, degrees, totals = _scan(sums.items())
+    degrees: dict[str, int] = {}
+    totals = set()
+    ordered = []
+    for exponents, coeff in sums.items():
+        if coeff == 0:
+            continue
+        if len(exponents) == 1:
+            (v, e), = exponents
+            total = e
+            key = (v, -e, "{")  # "{" sorts after "z", so after every name
+            if e > degrees.get(v, 0):
+                degrees[v] = e
+        else:
+            total = 0
+            key = ()
+            for v, e in exponents:
+                total += e
+                key += (v, -e)
+                if e > degrees.get(v, 0):
+                    degrees[v] = e
+            key += ("{",)
+        totals.add(total)
+        ordered.append((key, _record(Monomial, (coeff, exponents))))
     if not ordered:
         return None, constant
     # by the key alone: list.sort then compares the keys' str first items directly
     ordered.sort(key=_first)
-    return _table([term for _, term in ordered], degrees, totals), constant
+    return _table([m for _, m in ordered], degrees, totals), constant
 
 
 def _polynomial(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> Polynomial:
@@ -500,31 +430,14 @@ def _exponents(exps: Mapping[str, int]) -> tuple[tuple[str, int], ...]:
     return tuple(exps.items()) if len(exps) == 1 else tuple(sorted(exps.items()))
 
 
-def _view(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> tuple[Monomial, ...]:
-    """The monomials of a canonical term table, built past validation as
-    ``Monomial.__init__`` would build them: the same fields in the same
-    order, ``_powers`` in name order."""
-    view = []
-    for coeff, exponents in terms:
-        m = _new(Monomial)
-        powers = dict(exponents)
-        fields = m.__dict__  # past the immutability guard, as __init__ writes them
-        fields["coefficient"] = coeff
-        fields["exponents"] = exponents
-        fields["variables"] = tuple(powers)
-        fields["degree"] = sum(powers.values())
-        fields["_powers"] = powers
-        view.append(m)
-    return tuple(view)
-
-
-_new = object.__new__  # a Monomial or Polynomial with no field set yet
+_new = object.__new__  # a Polynomial with no field set yet
+_record = tuple.__new__  # _record(Monomial, (coefficient, exponents)) skips validation
 _first = itemgetter(0)
 # Each slot descriptor's own setter writes its field past the immutability
 # guard, and costs less than ``object.__setattr__``, which looks the field up.
-(_set_terms, _set_variables, _set_coefficients, _set_is_linear, _set_is_lev,
+(_set_monomials, _set_variables, _set_coefficients, _set_is_linear, _set_is_lev,
  _set_is_homogeneous, _set_is_one_signed, _set_degrees, *_SET_FACTS) = [
-    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__[1:]  # after __dict__
+    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
 ]
 
 

@@ -170,18 +170,16 @@ def _isolation_split(p: Polynomial):
     if len(variables) < 2:
         return None
     var = variables[-1]
-    exponents = {m.degree_of(var) for m in p.monomials if m.degree_of(var) >= 1}
+    powers = [m.degree_of(var) for m in p.monomials]
+    exponents = set(powers) - {0}
     if len(exponents) != 1:
         return None
     index = {v: i for i, v in enumerate(variables)}
     with_terms = []
     without_terms = []
-    for m in p.monomials:
-        rest = [(index[v], d) for v, d in m.exponents if v != var]
-        if m.degree_of(var) >= 1:
-            with_terms.append((m.coefficient, rest))
-        else:
-            without_terms.append((m.coefficient, rest))
+    for (c, exps), power in zip(p.monomials, powers):
+        rest = [(index[v], d) for v, d in exps if v != var]
+        (with_terms if power else without_terms).append((c, rest))
     return exponents.pop(), with_terms, without_terms
 
 
@@ -309,14 +307,14 @@ def _lone(p: Polynomial) -> dict[int, tuple[int, int]]:
         return {}
     alone: dict[str, tuple[int, int]] = {}
     shared: set[str] = set()  # in a monomial of two variables, or in two monomials
-    for m in p.monomials:
-        if len(m.exponents) > 1:
-            shared.update(m.variables)
+    for c, exponents in p.monomials:
+        if len(exponents) > 1:
+            shared.update([v for v, _ in exponents])
         else:
-            ((v, e),) = m.exponents
+            ((v, e),) = exponents
             if v in alone:
                 shared.add(v)
-            alone[v] = (m.coefficient, e)
+            alone[v] = (c, e)
     return {p.variables.index(v): ce for v, ce in alone.items() if v not in shared}
 
 
@@ -544,20 +542,16 @@ def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[
     than a whole small search), and stops at the first monomial whose image
     is missing or has another coefficient than the sign so far allows."""
     variables = p.variables
-    coefficient = {m.exponents: m.coefficient for m in p.monomials}
+    coefficient = {exponents: c for c, exponents in p.monomials}
 
     def interchangeable(u: str, v: str) -> bool:
         swap = {u: v, v: u}
         sign = 0  # p's image is sign * p
-        for m in p.monomials:
-            c = m.coefficient
-            if u in m.variables or v in m.variables:
-                swapped = [(swap.get(x, x), e) for x, e in m.exponents]
-                if len(swapped) > 1:
-                    swapped.sort()
-                image = coefficient.get(tuple(swapped), 0)
-            else:
-                image = c
+        for c, exponents in p.monomials:
+            swapped = [(swap.get(x, x), e) for x, e in exponents]
+            if len(swapped) > 1:
+                swapped.sort()
+            image = coefficient.get(tuple(swapped), 0)
             if image != sign * c if sign else image not in (c, -c):
                 return False
             sign = image // c

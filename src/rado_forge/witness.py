@@ -149,7 +149,7 @@ def _identity_holds(
     unmapped variables stay symbols.  The substituted terms and
     -residue * eta must combine to nothing."""
     terms = []
-    for coeff, exponents in p._terms:
+    for coeff, exponents in p.monomials:
         exps: dict[str, int] = {}
         for v, e in exponents:
             c, product = mapping.get(v, (1, {v: 1}))
@@ -294,7 +294,7 @@ def _ones_substitution(p: Polynomial) -> Polynomial:
         dropped = set(p.degree_profile().nonlinear)
         ones, _ = _build(
             (c, tuple([(v, e) for v, e in exponents if v not in dropped]))
-            for c, exponents in p._terms
+            for c, exponents in p.monomials
         )
         p._keep("_ones", ones)
     return ones

@@ -990,33 +990,34 @@ def _generated_linear_forms(seed, monkeypatch):
 
 
 def test_a_linear_form_is_parsed_classified_and_replayed_without_a_monomial(monkeypatch):
+    # its monomials are made once, in parse, and classify and replay build
+    # no polynomial of their own
     from rado_forge import poly
 
     texts = _generated_linear_forms(23, monkeypatch) + _generated_linear_forms(101, monkeypatch)
     assert len(texts) == 2 * 8 * 18
     texts += ["x-y", "x+y-3*z"]
     built = []
-    view, init = poly._view, poly.Monomial.__init__
+    table = poly._table
 
-    def counted_view(terms):
-        built.append(terms)
-        return view(terms)
+    def counted_table(monomials, *facts):
+        built.append(len(monomials))
+        return table(monomials, *facts)
 
-    def counted_init(m, *args):
-        built.append(args)
-        init(m, *args)
-
-    monkeypatch.setattr(poly, "_view", counted_view)
-    monkeypatch.setattr(poly.Monomial, "__init__", counted_init)
+    monkeypatch.setattr(poly, "_table", counted_table)
     verdicts = []
     for text in texts:
+        built.clear()
         p = parse(text)
+        assert built == [len(p.monomials)], text
         v = classify(p)
         assert replay_certificate(p, v)
+        assert built == [len(p.monomials)], text
         verdicts.append((v.status, v.injective, v.certificate.theorem))
-    assert built == []
     assert verdicts[-2:] == [(PR, "no", "RadoLinear"), (NOT_PR, "no", "LinearNecessity")]
     assert {status for status, _, _ in verdicts} == {PR, NOT_PR}
-    # the counters see a monomial built
-    parse("x - y").monomials
-    assert len(built) == 1
+    # the counter sees a polynomial built outside parse
+    q = parse("x - y")
+    built.clear()
+    poly.Polynomial(q.monomials)
+    assert built == [2]

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 import time
 
 import pytest
@@ -372,6 +373,15 @@ def test_monomial_validation():
         Monomial(1, (("x", 0),))
     with pytest.raises(ValueError):
         Monomial(1, (("y", 1), ("x", 1)))
+    # any iterable of pairs is kept as a tuple of tuples: hashable, and equal
+    # to the monomial given a tuple
+    built = Monomial(1, (("x", 1),))
+    for given in ([("x", 1)], iter([("x", 1)]), [["x", 1]], (["x", 1],)):
+        m = Monomial(1, given)
+        assert m == built and hash(m) == hash(built)
+        assert type(m.exponents) is tuple and type(m.exponents[0]) is tuple
+    with pytest.raises(ValueError):
+        Monomial(1, iter([("y", 1), ("x", 1)]))
 
 
 def test_polynomial_constructor_contract():
@@ -395,15 +405,21 @@ def test_polynomial_constructor_contract():
     )
     assert repeated == parse("5*x*y^2 - z")
     assert repeated.variables == ("x", "y", "z")
-    # exponents given as lists, outer or inner, build the canonical tables
+    # exponents given as lists, outer or inner, build the canonical monomials
     reference = parse("x - 2*x*y^3")
     for pair in (list, tuple):
         for seq in (list, tuple):
             given = [Monomial(1, seq([pair(("x", 1))])), Monomial(-2, seq([pair(("x", 1)), pair(("y", 3))]))]
             for order in (given, given[::-1]):
                 q = Polynomial(order)
-                assert q == reference and hash(q) == hash(reference) and q._terms == reference._terms
-                assert [vars(m) for m in q.monomials] == [vars(m) for m in reference.monomials]
+                assert q == reference and hash(q) == hash(reference)
+                assert _fields(q.monomials) == _fields(reference.monomials)
+    # only Monomial records: a plain pair, one that a Monomial would refuse,
+    # and a str are each named in the error
+    for item in [(1, (("y", 1),)), (1, (("y", 0),)), "y"]:
+        for given in ([item], [Monomial(1, x), item]):
+            with pytest.raises(TypeError, match=re.escape(repr(item))):
+                Polynomial(given)
 
 
 @given(polynomials(), st.data())
@@ -585,9 +601,17 @@ def _reference_value(monomials, values):
     return total
 
 
+def _fields(monomials):
+    """Every public field of each monomial, its type and what it derives."""
+    return [
+        (type(m), tuple(m), m.coefficient, m.exponents, m.variables, m.degree, m.exponent_map())
+        for m in monomials
+    ]
+
+
 def _identity(q, names, rows):
     """What ``hash``, ``str``, ``repr``, ``evaluate`` and ``evaluate_many``
-    read of q, none of which needs its monomials' view."""
+    read of q."""
     return (
         hash(q),
         str(q),
@@ -603,8 +627,8 @@ def _assert_built_alike(terms, text, order):
     degrees = {v: max(m.degree_of(v) for m in expected) for v in names}
     totals = {m.degree for m in expected}
     signs = {m.coefficient > 0 for m in expected}
-    reference = Polynomial(expected)  # keeps the canonical monomials given
-    assert reference.monomials == tuple(expected)
+    reference = Polynomial(expected)
+    assert _fields(reference.monomials) == _fields(expected)
     rows = [[2 + i + 3 * j for j in range(len(names))] for i in range(3)]
     identity = (
         hash(tuple(expected)),
@@ -613,26 +637,18 @@ def _assert_built_alike(terms, text, order):
         _reference_value(expected, dict(zip(names, rows[0]))),
         [_reference_value(expected, dict(zip(names, row))) for row in rows],
     )
-    # each entry point twice: once read before its view is built, once after
-    unread = _entry_points(terms, text, order)
-    viewed = _entry_points(terms, text, order)
-    for q in viewed.values():
-        q.monomials
-    for entry, q in viewed.items():
-        first = unread[entry]
+    # each entry point twice, so that two builds of one entry point agree
+    firsts = _entry_points(terms, text, order)
+    for entry, q in _entry_points(terms, text, order).items():
+        first = firsts[entry]
         assert first == reference and reference == first and first == q, entry
         assert _identity(first, names, rows) == _identity(q, names, rows) == identity, entry
-        # pickling builds the view, so the bytes of one built before and one
-        # built by the pickling must agree
         assert pickle.dumps(first) == pickle.dumps(q), entry
-        assert [vars(m) for m in pickle.loads(pickle.dumps(q)).monomials] == [
-            vars(m) for m in expected], entry
-        assert [vars(m) for m in first.monomials] == [vars(m) for m in expected], entry
-        assert [vars(m) for m in q.monomials] == [vars(m) for m in expected], entry
+        assert _fields(pickle.loads(pickle.dumps(q)).monomials) == _fields(expected), entry
+        assert _fields(first.monomials) == _fields(expected), entry
+        assert _fields(q.monomials) == _fields(expected), entry
         for m in q.monomials:
-            assert list(vars(m)) == ["coefficient", "exponents", "variables", "degree", "_powers"]
-            assert m._powers == dict(m.exponents), entry
-            assert list(m._powers) == list(m.variables), entry  # in name order
+            assert list(m.exponent_map()) == list(m.variables), entry  # in name order
         assert q.variables == names, entry
         assert q.coefficients == tuple(m.coefficient for m in expected), entry
         assert q._degrees == degrees, entry
@@ -670,45 +686,44 @@ def test_every_entry_point_builds_the_same_polynomial(p, data):
     terms = [term for term in data.draw(st.permutations(terms)) if term[0]]
     order = data.draw(st.permutations(range(len(p.monomials))))
     _assert_built_alike(terms, _spell(terms, data.draw), order)
-    assert [vars(m) for m in p.monomials] == [vars(m) for m in _canonical(terms)]
+    assert _fields(p.monomials) == _fields(_canonical(terms))
 
 
 @pytest.mark.parametrize("text", ["x + y - z", "y*x - z", "x^0*y - 2*z + y*x*w", HEADLINE, WORKED])
 def test_the_view_is_built_once_and_reads_like_the_table(text, monkeypatch):
+    # the monomials are made once, by the builder, and read as a plain field
     from rado_forge import poly
 
     builds = []
-    build = poly._view
+    build = poly._table
 
-    def counted(terms):
-        builds.append(terms)
-        return build(terms)
+    def counted(monomials, *facts):
+        builds.append(list(monomials))
+        return build(monomials, *facts)
 
-    monkeypatch.setattr(poly, "_view", counted)
+    monkeypatch.setattr(poly, "_table", counted)
     p = parse(text)
-    assert builds == []  # parsed without a monomial
-    assert p.monomials is p.monomials
-    assert builds == [p._terms]  # built on the first read only
-    assert tuple((m.coefficient, m.exponents) for m in p.monomials) == p._terms
-    assert p.coefficients == tuple(c for c, _ in p._terms)
+    assert builds == [list(p.monomials)]
+    assert p.monomials is p.monomials and builds == [list(p.monomials)]
+    for m in p.monomials:
+        assert type(m) is Monomial and tuple(m) == (m.coefficient, m.exponents)
+    assert p.coefficients == tuple(c for c, _ in p.monomials)
+    assert not hasattr(p, "__dict__") and not hasattr(p.monomials[0], "__dict__")
 
 
 def test_copying_a_polynomial_keeps_its_monomials():
     for text in ("x + y - z", "y*x - z", HEADLINE, WORKED, "x^3 - 2*y^2*z"):
         p = parse(text)
         for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-            assert q == p and q.monomials == p.monomials
-        q = copy.copy(p)
-        assert all(q.monomials[i] is p.monomials[i] for i in range(len(p.monomials)))
-        assert q._terms == p._terms and q.variables == p.variables
-        # monomials out of order or repeated are summed and sorted, into new ones
+            assert q == p and _fields(q.monomials) == _fields(p.monomials)
+            assert q.variables == p.variables and q.coefficients == p.coefficients
+        # monomials out of order or repeated are summed and sorted
         for given in (p.monomials[::-1], p.monomials + p.monomials[:1]):
             if given == p.monomials:
                 continue
             r = Polynomial(given)
-            assert [vars(m) for m in r.monomials] == [vars(m) for m in _canonical(
-                [(m.coefficient, dict(m.exponents)) for m in given])]
-            assert all(a is not b for a, b in zip(r.monomials, given))
+            assert _fields(r.monomials) == _fields(_canonical(
+                [(m.coefficient, dict(m.exponents)) for m in given]))
 
 
 @pytest.mark.parametrize(

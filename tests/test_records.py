@@ -49,7 +49,7 @@ def test_monomial_equality_and_hash():
     assert hash(built) == hash(parsed) == hash((2, (("x", 1), ("y", 3))))
     assert built != Monomial(3, built.exponents)
     assert built != Monomial(2, (("x", 1),))
-    assert built != (2, built.exponents)
+    assert built == (2, built.exponents)  # a record equals its pair
     assert (built.variables, built.degree, built.degree_of("y")) == (("x", "y"), 4, 3)
 
 
