@@ -35,8 +35,7 @@ whole threshold command in a process that runs many of them (Python 3.11,
 RADO_FORGE_BUDGET overrides the default search node budget.  A polynomial
 that starts with "-" goes after "--", as in
 ``rado-forge search --colors 2 --N 5 -- "-h9 - p8 + q3"``; otherwise argparse
-reads "-h9" as the -h option.  --workers is accepted and ignored: the search
-is one sequential depth-first search.
+reads "-h9" as the -h option.
 """
 
 from __future__ import annotations
@@ -342,7 +341,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     group.add_argument("--threshold", type=_positive_int, metavar="MAXN")
     s.add_argument("--injective", action="store_true")
     s.add_argument("--budget", type=_positive_int, default=None)
-    s.add_argument("--workers", type=int, default=1, help="accepted and ignored")
     s.add_argument("--json", action="store_true")
     s.set_defaults(handler=cmd_search)
 

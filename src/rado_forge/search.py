@@ -130,29 +130,17 @@ class Coloring(namedtuple("Coloring", ["colors"])):
         return out
 
 
-class SearchStats:
-    """The counts and times of one search, set as it runs: the one record
-    whose fields can be assigned.  Equality and ``repr`` read every field."""
+class SearchStats(namedtuple("SearchStats", ["nodes", "constraints", "ms", "depth_max",
+                                             "enumerate_ms", "prunes", "search_ms"],
+                             defaults=(0, 0, 0.0, 0, 0.0, 0, 0.0))):
+    """The counts and times of one search, built once it has ended."""
 
-    def __init__(
-        self, nodes: int = 0, constraints: int = 0, ms: float = 0.0, depth_max: int = 0,
-        enumerate_ms: float = 0.0, prunes: int = 0, search_ms: float = 0.0,
-    ) -> None:
-        self.nodes = nodes
-        self.constraints = constraints  # solutions read: one representative per orbit
-        self.ms = ms
-        self.depth_max = depth_max  # length of the deepest bad coloring reached
-        self.enumerate_ms = enumerate_ms  # part of ms spent building, reading and re-verifying layers
-        self.prunes = prunes  # colorings the forward check refused as dead
-        self.search_ms = search_ms  # part of ms spent in the kernel: filing layers counts, reading them not
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SearchStats:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"SearchStats({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    # constraints: solutions read, one representative per orbit; depth_max:
+    # length of the deepest bad coloring reached; enumerate_ms: part of ms
+    # spent building, reading and re-verifying layers; prunes: colorings the
+    # forward check refused as dead; search_ms: part of ms spent in the
+    # kernel, filing layers included, reading them not
+    __slots__ = ()
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -199,17 +187,17 @@ def enumerate_constraints(
 
 
 def _first_bad_coloring(
-    layers: Iterator[list[tuple[int, ...]]], r: int, n: int, budget: int, stats: SearchStats
-) -> tuple[list[int], list[list[tuple[int, ...]]], bool]:
+    layers: Iterator[list[tuple[int, ...]]], r: int, n: int, budget: int
+) -> tuple[list[int], list[list[tuple[int, ...]]], bool, int, int, float]:
     """Depth-first search over canonical colorings of 1..n, in branch order,
     reading layer v + 1 from ``layers`` when it first reaches depth v, with
     forward checking against the layers read.
 
     Returns (the deepest bad coloring reached, the layers read, budget
-    exhausted); writes the nodes spent and the colorings pruned to ``stats``
-    and adds the time spent reading layers to ``stats.enumerate_ms``.  The
-    search stops at its first coloring of all of 1..n.  A canonical coloring
-    of 1..n uses at most n colors, so more than n colors change nothing.
+    exhausted, the nodes spent, the colorings pruned, the milliseconds spent
+    reading layers).  The search stops at its first coloring of all of 1..n.
+    A canonical coloring of 1..n uses at most n colors, so more than n colors
+    change nothing.
 
     Each step at the value v + 1 skips the colors from ``color`` below its
     limit whose ``blk`` holds v and tries the lowest one left, charging the
@@ -345,9 +333,7 @@ def _first_bad_coloring(
             blk[c] ^= new
             classes[c] ^= bit
             color = c + 1
-    stats.nodes, stats.prunes = nodes, prunes
-    stats.enumerate_ms += reading * 1000
-    return [c for c, _, _ in deepest], read, exhausted
+    return [c for c, _, _ in deepest], read, exhausted, nodes, prunes, reading * 1000
 
 
 def find_bad_coloring(
@@ -366,25 +352,29 @@ def find_bad_coloring(
         raise ValueError("need at least one color")
     if n_bound < 1:
         raise ValueError("bound must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     started = time.perf_counter()
-    stats = SearchStats()
     layers = solution_layers(p, n_bound, injective)
     kernel_started = time.perf_counter()
-    found, read, exhausted = _first_bad_coloring(iter(layers), r, n_bound, budget, stats)
+    found, read, exhausted, nodes, prunes, reading_ms = _first_bad_coloring(
+        iter(layers), r, n_bound, budget
+    )
     kernel_ended = time.perf_counter()
-    stats.search_ms = (kernel_ended - kernel_started) * 1000 - stats.enumerate_ms
     rows = list(itertools.chain.from_iterable(read))
     if rows:  # independent re-verification of every tuple read
         bad = next(itertools.compress(rows, p.evaluate_many(layers.variables, rows)), None)
         if bad is not None:
             raise AssertionError(f"enumerator produced a non-solution: {dict(zip(layers.variables, bad))}")
-    stats.enumerate_ms += (time.perf_counter() - kernel_ended + kernel_started - started) * 1000
+    enumerate_ms = reading_ms + (time.perf_counter() - kernel_ended + kernel_started - started) * 1000
     deepest = Coloring(tuple(found))
     colored = len(rows) - sum(map(len, read[deepest.n :]))  # the rows of read[: deepest.n]
     if _first_monochromatic(rows[:colored], (None, *found)) is not None:
         raise AssertionError("search produced an invalid bad coloring")
-    stats.constraints, stats.depth_max = len(rows), deepest.n
-    stats.ms = (time.perf_counter() - started) * 1000
+    stats = SearchStats(
+        nodes, len(rows), (time.perf_counter() - started) * 1000, deepest.n, enumerate_ms,
+        prunes, (kernel_ended - kernel_started) * 1000 - reading_ms,
+    )
     if deepest.n == n_bound:
         return SearchOutcome(BAD_COLORING, deepest, stats)
     return SearchOutcome(INCONCLUSIVE if exhausted else FORCED, None, stats)

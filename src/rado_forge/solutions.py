@@ -57,6 +57,7 @@ import bisect
 import functools
 import itertools
 import math
+from collections import namedtuple
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .poly import Polynomial
@@ -77,39 +78,18 @@ class SearchSpaceTooLargeError(RuntimeError):
     pass
 
 
-class Witness:
+class Witness(namedtuple("Witness", ["assignment", "value", "provenance", "trace"])):
     """A verified assignment: evaluate(polynomial, assignment) == 0 exactly.
 
-    A witness is immutable: its fields cannot be assigned.  Built without a
-    trace, it gets an empty dict of its own.  Equality and ``repr`` read
-    every field; the dicts make it unhashable."""
+    Built without a trace, a witness gets an empty dict of its own.  The
+    dicts make it unhashable."""
 
-    assignment: dict[str, int]
-    value: int
-    provenance: str
-    trace: dict[str, Any]
+    # assignment: dict[str, int], value: int, provenance: str, trace: dict[str, Any]
+    __slots__ = ()
 
-    def __init__(self, assignment: dict[str, int], value: int, provenance: str,
-                 trace: Optional[dict[str, Any]] = None) -> None:
-        fields = self.__dict__  # past the immutability guard
-        fields["assignment"] = assignment
-        fields["value"] = value
-        fields["provenance"] = provenance
-        fields["trace"] = {} if trace is None else trace
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Witness:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        return f"Witness({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    def __new__(cls, assignment: dict[str, int], value: int, provenance: str,
+                trace: Optional[dict[str, Any]] = None) -> "Witness":
+        return tuple.__new__(cls, (assignment, value, provenance, {} if trace is None else trace))
 
     @property
     def injective(self) -> bool:
@@ -252,6 +232,8 @@ def brute_force_solutions(
     power x^d of a prefix value is raised once per value, not once per
     prefix.  Every emitted tuple is re-verified through ``evaluate``.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be >= 1")
     split = _isolation_split(p)
     _check_candidates(n_bound, [1] * (len(p.variables) - bool(split)))
     if p.is_one_signed:

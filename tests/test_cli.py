@@ -458,12 +458,13 @@ def test_corpus_run_reproducible(capsys):
 
 
 def test_search_workers_flag(capsys):
-    code, payload = run_json(
-        capsys,
-        ["search", "x + y - z", "--colors", "2", "--N", "5", "--workers", "8", "--json"],
-    )
-    assert code == 0
-    assert payload["outcome"] == "forced"
+    # --workers did nothing and is gone: argparse refuses it as any unknown option
+    argv = ["search", "x + y - z", "--colors", "2", "--N", "5", "--workers", "8", "--json"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rado-forge")
+    assert "unrecognized arguments: --workers 8" in captured.err
 
 
 def test_reused_parser_keeps_calls_independent(capsys):
@@ -576,7 +577,7 @@ def cli_argv(draw):
     else:
         bound = draw(st.sampled_from(["--N", "--threshold"]))
         options += ["--colors", str(draw(st.integers(1, 3))), bound, str(draw(st.integers(1, 8)))]
-        options += ["--budget", "20000"] + draw(flag("--injective")) + draw(flag("--workers", "2"))
+        options += ["--budget", "20000"] + draw(flag("--injective"))
     polynomial = draw(polynomial_text())
     if draw(st.booleans()):  # a leading "-" needs the "--" separator
         return [command] + options + ["--", polynomial]

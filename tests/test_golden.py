@@ -3,10 +3,13 @@
 ``golden_cli.json`` holds, for every corpus fixture and for the paper's two
 headline forms, the exit code and the exact stdout of ``classify --json`` in
 rings N and Z and of ``witness --json``; then the same commands without
-``--json``, and the three verdict lines of ``search --threshold``.  None of
-these outputs carries a timing (``search --N`` prints ``ms=``, so it is not
-here), so any change to a verdict, a certificate, a trace line, a note, a
-witness or a printed line shows here as a diff.  Regenerate the file with
+``--json``, and the three verdict lines of ``search --threshold``; last,
+``search --N`` in ``--json`` and text form, on bad colorings, a Forced
+outcome, an injective search and an Inconclusive one.  The three times a
+search reports (``ms``, ``enumerate_ms`` and ``search_ms``) are masked to 0
+in the recorded stdout; nothing else is.  So any change to a verdict, a
+certificate, a trace line, a note, a witness, a coloring, a count or a
+printed line shows here as a diff.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_golden.py`` only for an intended change of
 output, and say so with the change.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +43,20 @@ THRESHOLDS = [
     ["--colors", "3", "--threshold", "20", "--budget", "100"],
 ]
 
+# search --N: Forced, bad colorings at 2 and 3 colors, of the paper's form
+# and injective, and a budget that ran out
+SEARCHES = [
+    ["x+y-z", "--colors", "2", "--N", "4"],
+    ["x+y-z", "--colors", "2", "--N", "5"],
+    ["x1+x2+x3-x4", "--colors", "3", "--N", "20"],
+    ["x1*y1+x2*y1*y2-x3", "--colors", "2", "--N", "20"],
+    ["x1+x2-y1*y2", "--colors", "2", "--N", "10", "--injective"],
+    ["x+y-z", "--colors", "4", "--N", "44", "--budget", "1000"],
+]
+
+# the times a search reports, as "ms": 3 in JSON and as ms=3 in text
+TIMINGS = re.compile(r'((?:"|\b)(?:ms|enumerate_ms|search_ms)(?:": |=))\d+')
+
 
 def _argvs() -> list[list[str]]:
     argvs = []
@@ -51,6 +69,9 @@ def _argvs() -> list[list[str]]:
         argvs.append(["classify", "--ring", "Z", "--", text])
         argvs.append(["witness", "--", text])
     argvs.extend(["search", *options, "--", "x+y-z"] for options in THRESHOLDS)
+    for text, *options in SEARCHES:
+        argvs.append(["search", "--json", *options, "--", text])
+        argvs.append(["search", *options, "--", text])
     return argvs
 
 
@@ -58,7 +79,7 @@ def _record(argv: list[str]) -> dict:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    return {"argv": argv, "exit": code, "stdout": TIMINGS.sub(r"\g<1>0", out.getvalue())}
 
 
 def records() -> list[dict]:

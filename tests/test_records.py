@@ -1,7 +1,7 @@
 """The package's records: equality and hashing, immutability, ``repr``
-text, copies and pickles.  The records are ``NamedTuple``s or plain classes;
-each keeps what callers of the earlier dataclass records saw, and the
-``repr`` strings below are that text."""
+text, copies and pickles.  Every record but ``Polynomial`` is a
+``namedtuple``; each keeps the ``repr`` that callers of the earlier dataclass
+records saw, and the strings below are that text."""
 
 import copy
 import pickle
@@ -77,11 +77,24 @@ def test_a_record_holding_a_dict_is_unhashable():
         cert,
         Verdict(PR, "yes", cert),
         _witness(),
-        SearchStats(),
-        _outcome(),
     ):
         with pytest.raises(TypeError):
             hash(record)
+
+
+def test_the_search_records_hash_and_are_their_tuples():
+    stats = SearchStats(nodes=8, constraints=4, depth_max=4)
+    assert stats == (8, 4, 0.0, 4, 0.0, 0, 0.0) and hash(stats) == hash(tuple(stats))
+    assert stats != SearchStats(nodes=8, constraints=4, depth_max=5)
+    outcome = _outcome()
+    assert outcome == ("bad_coloring", ((0, 1, 1, 0),), tuple(stats))
+    assert hash(outcome) == hash(("bad_coloring", ((0, 1, 1, 0),), tuple(stats)))
+    witness = _witness()
+    assignment, value, provenance, trace = witness
+    assert witness == (assignment, value, provenance, trace) == tuple(witness)
+    for record in (stats, outcome, witness):
+        assert not hasattr(record, "__dict__")
+    assert SearchStats.__slots__ == Witness.__slots__ == ()
 
 
 def test_the_degree_records_hold_no_dict_and_hash():
@@ -111,6 +124,7 @@ def test_the_degree_records_hold_no_dict_and_hash():
         pytest.param(lambda: to_lev_form(parse(LEV)), "f_sets", id="LevForm"),
         pytest.param(lambda: nonlinear_shape(parse(THM42))[0], "chosen", id="NonlinearShape"),
         pytest.param(lambda: Coloring((0, 1)), "colors", id="Coloring"),
+        pytest.param(lambda: _outcome().stats, "nodes", id="SearchStats"),
         pytest.param(_outcome, "kind", id="SearchOutcome"),
         pytest.param(_witness, "trace", id="Witness"),
         pytest.param(lambda: load_fixtures()[0], "status", id="Fixture"),
@@ -120,13 +134,6 @@ def test_assignment_raises_attribute_error(make, name):
     record = make()
     with pytest.raises(AttributeError):
         setattr(record, name, None)
-
-
-def test_search_stats_can_be_assigned():
-    stats = SearchStats()
-    stats.nodes, stats.ms = 5, 1.5
-    assert stats == SearchStats(nodes=5, ms=1.5)
-    assert stats != SearchStats(nodes=5)
 
 
 def test_witnesses_built_without_a_trace_do_not_share_a_dict():

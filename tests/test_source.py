@@ -7,7 +7,9 @@ package loads neither it, ``inspect`` nor ``importlib.resources``.  The layers t
 re-verified at one site, once per search.  No module probes a private field
 with ``getattr(obj, "_name", default)``: the facts a polynomial keeps start
 as None.  Importing the package compiles no annotation: its records are
-``collections.namedtuple`` classes, not ``typing.NamedTuple`` ones.  The CI
+``collections.namedtuple`` classes, not ``typing.NamedTuple`` ones, and no
+class but ``Polynomial`` writes its own ``__eq__``, ``__repr__``,
+``__setattr__`` or ``__delattr__``.  The CI
 workflow runs the tier-1 command of ROADMAP.md and the benchmark self-test,
 on every minor version from that oldest Python to the newest it lists,
 under its 20-minute timeout."""
@@ -120,6 +122,24 @@ def test_the_search_re_verifies_at_one_site():
             and node.func.attr == "evaluate_many"
         ]
     assert [name for name, _ in sites] == ["search.py"], sites
+
+
+HAND_WRITTEN = {"__eq__", "__repr__", "__setattr__", "__delattr__"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_only_polynomial_writes_its_own_record_machinery(path):
+    # a record is a namedtuple, whose equality, repr and immutability are
+    # the tuple's; Polynomial, a plain class, is the one that writes its own
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        (node.name, item.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name != "Polynomial"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in HAND_WRITTEN
+    ]
+    assert not found, f"{path.name}: hand-written record methods {found}"
 
 
 def _probes_a_private_field(node: ast.AST) -> bool:

@@ -356,6 +356,18 @@ def test_brute_force_limit_and_order():
     assert len(ws) == 3
 
 
+def test_brute_force_limit_below_one_is_rejected():
+    # a limit of 0 used to return one solution: the count was checked only
+    # after a solution was kept
+    p = parse("x + y - z")
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="^limit must be >= 1$"):
+            brute_force_solutions(p, 10, limit=limit)
+        with pytest.raises(ValueError, match="^limit must be >= 1$"):
+            build_witness(p, "brute", limit=limit)
+    assert len(brute_force_solutions(p, 10, limit=1)) == 1
+
+
 def test_brute_force_root_beyond_float_range():
     # 50**200 is far above the largest float; the isolated root stays exact
     ws = brute_force_solutions(parse("x^200-y^200"), 50)
