@@ -67,19 +67,21 @@ largest member below u, or u itself for a set {u, w}; the group's mask A
 holds the t of its sets.  Coloring u with c closes ``(M & A) << d`` for each group of u whose
 key members lie in M, the class of c with u: one shift per group, not one
 test per set.  For Schur every set filed under u has no member below t and
-the offset u, so a coloring costs one shift.  The closed bits not yet in
-``blk[c]`` are new; when one of them is also set in the ``blk`` of every
-other color, that read value has no color left, the coloring is dead (a
-prune) and the next color is tried.  The search keeps one undo trail, an
-entry per colored value: its color, its new bits as one int and the color
-limit it was tried under.  A step forward pushes one entry; a step back pops
-one, and undoing its bits is one xor, last in, first out.  A bit set as its
-layer is read joins the entry of the smallest u whose set closes it.  Only
-read layers are checked, and those reach at most one past the deepest bad
-coloring so far, so a pruned branch dies before it could go deeper: the
-deepest coloring, the first full coloring, the Forced verdict and the layers
-read are those of the same search without the check, in fewer nodes
-(``stats.prunes`` counts the dead colorings).
+the offset u, so u has one group and a coloring costs one shift, read
+without a loop over groups.  The closed bits not yet in ``blk[c]`` are new;
+when one of them is also set in the ``blk`` of every other color, that read
+value has no color left, the coloring is dead (a prune) and the next color
+is tried.  The undo trail holds an entry per colored value: its color, its
+new bits as one int and the color limit it was tried under, in three lists
+made once per search and indexed by the value, so no entry is pushed,
+popped or built as a tuple.  A step forward writes the entry of its value;
+a step back reads it, and undoing its bits is one xor, last in, first out.
+A bit set as its layer is read joins the entry of the smallest u whose set
+closes it.  Only read layers are checked, and those reach at most one past
+the deepest bad coloring so far, so a pruned branch dies before it could go
+deeper: the deepest coloring, the first full coloring, the Forced verdict
+and the layers read are those of the same search without the check, in
+fewer nodes (``stats.prunes`` counts the dead colorings).
 """
 
 from __future__ import annotations
@@ -205,16 +207,23 @@ def _first_bad_coloring(
     refused run and backs up.  A step that would spend more than the budget
     stops the search at exactly ``budget`` nodes, inside the run if need be.
 
-    Coloring v + 1 with c closes, in one int ``new``, every read value set
-    whose other members all have color c: ``(members & a) << d`` for each
-    group ``[rem, d, a]`` of v whose ``rem`` lies in ``members``, the class of
-    c with v + 1.  The bits not yet in ``blk[c]`` are new; the coloring is
-    dead when one of them is in the ``blk`` of every other color.  Otherwise
-    ``trail`` gets the entry (c, new, limit), and the step back from v + 2 pops
-    it: ``blk[c] ^= new``, the class of c loses v + 1, and the limit at v + 1
-    is restored.  ``bit`` (1 << v), ``limit`` and the depth reached are
-    locals that move with each step; the trail is copied only when the depth
-    grows, and the deepest coloring is read off the last copy.
+    The scan keeps ``blk[c]`` of the color it stops at in ``b``.  Coloring
+    v + 1 with c closes every read value set whose other members all have
+    color c: ``(members & a) << d`` for each group ``[rem, d, a]`` of v whose
+    ``rem`` lies in ``members``, the class of c with v + 1.  A value with one
+    group (``sole[v]``; every value of Schur's form) reads it without a
+    loop.  ``nb`` is ``b`` with the closed bits and ``new = nb ^ b`` the
+    bits not yet blocked (``new & ~b`` would build a negative int each
+    step); the coloring is dead when one of them is in the ``blk`` of every
+    other color.  Otherwise ``blk[c]`` becomes ``nb`` (written only when
+    ``new`` is not 0) and the trail entry of v + 1 is written: the lists
+    ``colors``, ``news`` and ``limits``, made once for the search and
+    indexed by v, get c, ``new`` and the limit.  The step back from v + 2
+    reads that entry: ``blk[c] ^= new``, the class of c loses v + 1, and the
+    limit at v + 1 is restored.  ``bit`` (1 << v, read from ``bits``),
+    ``limit`` and the depth reached are locals that move with each step; the
+    colors are copied only when the depth grows, and the deepest coloring is
+    the last copy.
     """
     r = min(r, n)
     read: list[list[tuple[int, ...]]] = []
@@ -222,8 +231,10 @@ def _first_bad_coloring(
     blk = [0] * r  # blk[c]: bit w set when color c closes a value set at w + 1
     others = [tuple(o for o in reversed(range(r)) if o != c) for c in range(r)]  # sparsest first
     groups: list[list[list[int]]] = []  # groups[u]: [rem, d, a], closing (members & a) << d
+    sole: list[Optional[list[int]]] = []  # sole[u]: the group of u when it is its only one
     group_of: list[dict[int, list[int]]] = []  # group_of[u]: d << u | rem -> its group of u
     value_bit = [0]  # value_bit[x]: the bit of the read value x, one entry per layer read
+    bits = [1 << i for i in range(n + 1)]  # bits[i]: 1 << i, read in place of a shift
     clock = time.perf_counter
     reading = 0.0  # seconds spent reading layers
 
@@ -236,8 +247,9 @@ def _first_bad_coloring(
         w = len(read)
         read.append(layer)
         groups.append([])
+        sole.append(None)
         group_of.append({})
-        bit = 1 << w
+        bit = bits[w]
         if not layer:
             value_bit.append(bit)
             return
@@ -252,16 +264,19 @@ def _first_bad_coloring(
                 closed = True
                 continue
             u = mask.bit_length() - 1
-            low = mask ^ 1 << u or mask  # the members below u + 1, or u + 1 alone
+            low = mask ^ bits[u] or mask  # the members below u + 1, or u + 1 alone
             t = low.bit_length() - 1
-            rem, d = low ^ 1 << t, w - t
+            tb = bits[t]
+            rem, d = low ^ tb, w - t
             key = d << u | rem  # one int per (rem, d): rem has no bit at u or above
             group = group_of[u].get(key)
             if group is None:
                 group = group_of[u][key] = [rem, d, 0]
-                groups[u].append(group)
-            group[2] |= 1 << t
-            c = trail[u][0]
+                at = groups[u]
+                at.append(group)
+                sole[u] = group if len(at) == 1 else None
+            group[2] |= tb
+            c = colors[u]
             if classes[c] & mask == mask and owner.get(c, u) >= u:
                 owner[c] = u
         value_bit[w + 1] = bit
@@ -271,11 +286,14 @@ def _first_bad_coloring(
         else:
             for c, u in owner.items():
                 blk[c] |= bit
-                _, bits, lim = trail[u]
-                trail[u] = (c, bits | bit, lim)
+                news[u] |= bit
 
-    deepest: list[tuple[int, int, int]] = []  # the trail of the deepest bad coloring
-    trail: list[tuple[int, int, int]] = []  # trail[u]: color of u + 1, bits it set in blk, limit at u + 1
+    # the trail, indexed by u: the color of u + 1, the bits it set in blk and
+    # the color limit it was tried under
+    colors = [0] * n
+    news = [0] * n
+    limits = [0] * n
+    deepest: list[int] = []  # the colors of the deepest bad coloring
     nodes = prunes = depth = 0
     exhausted = False
     v = color = 0  # the value v + 1 tries the colors from ``color`` up
@@ -283,43 +301,11 @@ def _first_bad_coloring(
     take()
     while True:
         c = color
-        while c < limit and blk[c] & bit:  # refused: it closes a set at v + 1
-            c += 1
-        if c < limit:
-            nodes += c + 1 - color
-            if nodes > budget:
-                nodes, exhausted = budget, True
+        while c < limit:
+            b = blk[c]
+            if not b & bit:
                 break
-            members = classes[c] | bit
-            new = 0
-            for rem, d, a in groups[v]:
-                if members & rem == rem:
-                    new |= (members & a) << d
-            new &= ~blk[c]
-            if new:
-                dead = new
-                for o in others[c]:
-                    dead &= blk[o]
-                    if not dead:
-                        break
-                else:  # a read value would have no color left
-                    prunes += 1
-                    color = c + 1
-                    continue
-            blk[c] |= new
-            classes[c] = members
-            trail.append((c, new, limit))
-            if c + 1 == limit < r:  # a new color opens the next
-                limit += 1
-            v += 1
-            bit <<= 1
-            color = 0
-            if v > depth:
-                depth = v
-                deepest = trail[:]
-                if v == n:
-                    break
-                take()
+            c += 1  # refused: it closes a set at v + 1
         else:
             nodes += limit - color
             if nodes > budget:
@@ -327,13 +313,56 @@ def _first_bad_coloring(
                 break
             if not v:
                 break
-            c, new, limit = trail.pop()  # no color left at v + 1: back to v
-            v -= 1
-            bit >>= 1
-            blk[c] ^= new
+            v -= 1  # no color left at v + 1: back to v
+            c = colors[v]
+            limit = limits[v]
+            bit = bits[v]
+            blk[c] ^= news[v]
             classes[c] ^= bit
             color = c + 1
-    return [c for c, _, _ in deepest], read, exhausted, nodes, prunes, reading * 1000
+            continue
+        nodes += c + 1 - color
+        if nodes > budget:
+            nodes, exhausted = budget, True
+            break
+        members = classes[c] | bit
+        group = sole[v]
+        if group is not None:
+            rem, d, a = group
+            nb = (members & a) << d | b if not rem or members & rem == rem else b
+        else:
+            nb = b
+            for rem, d, a in groups[v]:
+                if members & rem == rem:
+                    nb |= (members & a) << d
+        new = nb ^ b
+        if new:
+            dead = new
+            for o in others[c]:
+                dead &= blk[o]
+                if not dead:
+                    break
+            else:  # a read value would have no color left
+                prunes += 1
+                color = c + 1
+                continue
+            blk[c] = nb
+        classes[c] = members
+        colors[v] = c
+        news[v] = new
+        limits[v] = limit
+        if c + 1 == limit < r:  # a new color opens the next
+            limit += 1
+        v += 1
+        bit = bits[v]
+        color = 0
+        if v > depth:
+            depth = v
+            deepest = colors[:v]
+            if v == n:
+                break
+            take()
+    return deepest, read, exhausted, nodes, prunes, reading * 1000
 
 
 def find_bad_coloring(

@@ -591,8 +591,13 @@ def build_witness(
     """CLI entry: construct witnesses by the requested method.
 
     ``auto`` prefers the reduct lift for l.e.v. polynomials, then the
-    nonlinear lift, then bounded brute force.
+    nonlinear lift, then bounded brute force.  ``n_bound`` and ``limit`` are
+    checked before any method runs, so each method refuses the same values.
     """
+    if n_bound < 1:
+        raise ValueError("bound must be >= 1")
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     if method == "auto":
         for attempt in ("reduct", "nlp"):
             try:

@@ -1296,29 +1296,38 @@ def test_kernel_counts_are_pinned(case, expected):
 
 # The 13 searches of the threshold-scan and bad-coloring benchmark workloads,
 # as the benchmark runs them: a threshold task searches [1..threshold + 1]
-# under the default budget.  (form, r, N, injective, budget) -> (kind, nodes,
-# prunes, depth_max, constraints)
+# under the default budget; and two capped searches outside the benchmark
+# whose values mostly have no group or several, so that their steps take the
+# kernel's loop over groups, not its one-group read.  (form, r, N, injective,
+# budget) -> (kind, nodes, prunes, depth_max, constraints, coloring), the
+# coloring as its digits, None unless the kind is BAD_COLORING
 BENCHMARK_SEARCHES = {
     "threshold-scan": [
-        (("x + y - z", 2, 6, False, None), (FORCED, 11, 0, 4, 6)),
-        (("x + y - z", 3, 15, False, None), (FORCED, 420, 74, 13, 49)),
-        (("x + y - z", 2, 10, True, None), (FORCED, 37, 7, 8, 16)),
+        (("x + y - z", 2, 6, False, None), (FORCED, 11, 0, 4, 6, None)),
+        (("x + y - z", 3, 15, False, None), (FORCED, 420, 74, 13, 49, None)),
+        (("x + y - z", 2, 10, True, None), (FORCED, 37, 7, 8, 16, None)),
         # the kernel-bound task of the threshold-scan workload
-        (("x + y - z", 3, 25, True, None), (FORCED, 20582, 4561, 23, 132)),
-        (("x1 + x2 + x3 - x4", 2, 12, False, None), (FORCED, 39, 3, 10, 41)),
-        (("x1 + x2 + x3 + x4 - x5", 2, 20, False, None), (FORCED, 97, 9, 18, 295)),
-        (("x + 2*y - z", 2, 12, False, None), (FORCED, 39, 3, 10, 25)),
-        (("x + 3*y - z", 2, 20, False, None), (FORCED, 99, 10, 18, 51)),
+        (("x + y - z", 3, 25, True, None), (FORCED, 20582, 4561, 23, 132, None)),
+        (("x1 + x2 + x3 - x4", 2, 12, False, None), (FORCED, 39, 3, 10, 41, None)),
+        (("x1 + x2 + x3 + x4 - x5", 2, 20, False, None), (FORCED, 97, 9, 18, 295, None)),
+        (("x + 2*y - z", 2, 12, False, None), (FORCED, 39, 3, 10, 25, None)),
+        (("x + 3*y - z", 2, 20, False, None), (FORCED, 99, 10, 18, 51, None)),
         # x + 4y = z files most of its value sets as groups of one
-        (("x + 4*y - z", 2, 30, False, None), (FORCED, 213, 23, 28, 91)),
+        (("x + 4*y - z", 2, 30, False, None), (FORCED, 213, 23, 28, 91, None)),
     ],
     "bad-coloring": [
-        (("x + y - z", 4, 40, False, None), (BAD_COLORING, 11559, 1414, 40, 400)),
-        (("x1 + x2 + x3 - x4", 3, 30, False, None), (BAD_COLORING, 977, 0, 30, 785)),
+        (("x + y - z", 4, 40, False, None),
+         (BAD_COLORING, 11559, 1414, 40, 400, "0102010301232312312030302132132321030102")),
+        (("x1 + x2 + x3 - x4", 3, 30, False, None),
+         (BAD_COLORING, 977, 0, 30, 785, "001111002222002222002222001111")),
         # weak Schur: a bad coloring of [1..23]
-        (("x + y - z", 3, 23, True, None), (BAD_COLORING, 999, 168, 23, 121)),
+        (("x + y - z", 3, 23, True, None), (BAD_COLORING, 999, 168, 23, 121, "00101110220222202212101")),
         # the capped task of the bad-coloring workload
-        (("x + y - z", 4, 44, False, 250_000), (INCONCLUSIVE, 250000, 40937, 43, 484)),
+        (("x + y - z", 4, 44, False, 250_000), (INCONCLUSIVE, 250000, 40937, 43, 484, None)),
+    ],
+    "many-group": [
+        (("x1 + x2 + x3 + x4 - x5", 3, 95, False, 100_000), (INCONCLUSIVE, 100000, 0, 69, 45237, None)),
+        (("x^2 + y^2 - z^2", 2, 300, False, 100_000), (INCONCLUSIVE, 100000, 0, 204, 134, None)),
     ],
 }
 # the kernel nodes of one traced pass of each workload (search.kernel.nodes)
@@ -1334,12 +1343,15 @@ BENCHMARK_NODES = {"threshold-scan": 21_537, "bad-coloring": 263_535}
          for (text, r, n, injective, _), _ in rows])
 def test_benchmark_searches_are_pinned(workload, case, expected):
     rows = BENCHMARK_SEARCHES[workload]
-    assert sum(nodes for _, (_, nodes, *_) in rows) == BENCHMARK_NODES[workload]
+    if workload in BENCHMARK_NODES:
+        assert sum(nodes for _, (_, nodes, *_) in rows) == BENCHMARK_NODES[workload]
     text, r, n, injective, budget = case
     outcome = find_bad_coloring(
         parse(text), r, n, injective, budget=budget or search.DEFAULT_NODE_BUDGET)
     stats = outcome.stats
-    assert (outcome.kind, stats.nodes, stats.prunes, stats.depth_max, stats.constraints) == expected
+    coloring = "".join(map(str, outcome.coloring.colors)) if outcome.coloring else None
+    assert (outcome.kind, stats.nodes, stats.prunes, stats.depth_max, stats.constraints,
+            coloring) == expected
 
 
 def test_huge_exponent_does_not_stall_the_bounded_walk():

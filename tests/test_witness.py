@@ -368,6 +368,20 @@ def test_brute_force_limit_below_one_is_rejected():
     assert len(brute_force_solutions(p, 10, limit=1)) == 1
 
 
+@pytest.mark.parametrize("method", ["auto", "reduct", "nlp", "brute"])
+def test_build_witness_checks_its_arguments_for_every_method(method):
+    # the lifts used to accept a limit or bound below 1 that brute force refused
+    p = parse("x + y - z")  # the reduct lift applies, the nonlinear lift does not
+    for limit in (0, -5):
+        with pytest.raises(ValueError, match="^limit must be >= 1$"):
+            build_witness(p, method, limit=limit)
+    for n_bound in (0, -5):
+        with pytest.raises(ValueError, match="^bound must be >= 1$"):
+            build_witness(p, method, n_bound=n_bound)
+    with pytest.raises(ValueError, match="^bound must be >= 1$"):
+        build_witness(p, method, n_bound=0, limit=0)
+
+
 def test_brute_force_root_beyond_float_range():
     # 50**200 is far above the largest float; the isolated root stays exact
     ws = brute_force_solutions(parse("x^200-y^200"), 50)
