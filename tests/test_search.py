@@ -1067,6 +1067,7 @@ def _oracle_bad_coloring(p, r, n, injective=False):
 @example(SCHUR, 3, 9, True)
 @example(parse("x + y - 2*z"), 2, 9, True)  # dead colorings set bits that must clear
 @example(parse("a + b + c - 2*d"), 3, 8, False)
+@example(parse("x1 + x2 + x3 - x4"), 2, 9, False)  # {1, 2, 3, 6} takes over {1, 3, 5}'s group
 def test_kernel_returns_the_lexicographically_first_bad_coloring(p, r, n, injective):
     # relabelling a bad coloring by first appearance gives a canonical one
     # that is no larger, so the first canonical bad coloring the search
