@@ -265,14 +265,14 @@ def test_kept_facts_change_no_identity_copy_or_pickle(text):
 
 
 @pytest.mark.parametrize("text", [LEV, THM42])
-def test_copy_and_pickle_rebuild_without_the_builder(monkeypatch, text):
+def test_copy_and_pickle_rebuild_without_build(monkeypatch, text):
     # a copy or pickle reads the canonical table once: no term is summed
     # again by ``_build`` and no record is validated again
     p = parse(text)
     made = (p, p.monomials[0])
 
     def refuse(*args):
-        raise AssertionError("rebuilt through the builder")
+        raise AssertionError("rebuilt through _build or validated again")
 
     monkeypatch.setattr(poly, "_build", refuse)
     monkeypatch.setattr(poly, "_check_factors", refuse)
