@@ -1,6 +1,7 @@
 """Partition-regularity analysis toolkit for integer polynomials."""
 
-from .classify import Certificate, Verdict, classify, rado_condition, replay_certificate
+from .check import replay_certificate
+from .classify import Certificate, Verdict, classify, rado_condition
 from .poly import (
     ConstantTermError,
     DegreeProfile,

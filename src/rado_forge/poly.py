@@ -42,7 +42,7 @@ from __future__ import annotations
 import re
 from operator import add, itemgetter, mul
 from collections import namedtuple
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = [
     "PolySyntaxError",
@@ -451,6 +451,42 @@ def _degree_profile(p: Polynomial) -> DegreeProfile:
     ])
     mults = tuple([max(1, l) for l in levels])
     return DegreeProfile(max(p._degrees.values()), nonlinear, levels, mults)
+
+
+# -- shapes that the classifier and the checks both read ---------------------
+
+
+def negate_all_variables(p: Polynomial) -> Polynomial:
+    """P(-x1,...,-xn): monomials of odd total degree flip sign."""
+    return Polynomial.from_terms(
+        (
+            (-m.coefficient if m.degree % 2 else m.coefficient),
+            m.exponent_map(),
+        )
+        for m in p.monomials
+    )
+
+
+def _is_two_variable_difference(p: Polynomial) -> bool:
+    """c*(x - y): the lone linear PR shape without injective solutions."""
+    return (
+        len(p.coefficients) == 2
+        and p.is_linear
+        and p.coefficients[0] == -p.coefficients[1]
+    )
+
+
+def _multiplicative_sides(p: Polynomial) -> Optional[tuple[Monomial, Monomial]]:
+    """Match the shape prod(x_i^{a_i}) - prod(y_j^{b_j}): exactly two
+    monomials, coefficients (1,-1) up to global sign, disjoint supports."""
+    if len(p.monomials) != 2:
+        return None
+    m1, m2 = p.monomials
+    if {m1.coefficient, m2.coefficient} != {1, -1}:
+        return None
+    if set(m1.variables) & set(m2.variables):
+        return None
+    return (m1, m2) if m1.coefficient == 1 else (m2, m1)
 
 
 # -- parsing ---------------------------------------------------------------

@@ -33,17 +33,15 @@ search over [1..max_n]: ``rado_number`` is ``depth_max + 1`` of a Forced
 ``find_bad_coloring``, one more than the length of the deepest bad coloring
 the search reaches.  Re-verifying that coloring covers every shorter interval.
 
-Two checks guard each search, each one pass over the tuples it read, made
-after the kernel and before any outcome is built, an Inconclusive one
-included.  Every tuple of every layer read, the layer above the deepest
-coloring too, is re-verified by the polynomial in one ``evaluate_many``
-call, in the layers' variable order (``Layers.variables``); the first tuple
-in read order at which p is not 0 raises ``AssertionError``.  The coloring
-re-check does not trust the kernel's masks: one ``_first_monochromatic``
-call reads the tuples of the layers up to the coloring's length, each until
-a value's color, looked up in one table, leaves its first value's, and
-refuses the coloring when some tuple's colors all agree.
-``monochromatic_solution`` makes the same check over the oracle's tuples.
+Two checks from ``check`` guard each search, each one pass over the tuples
+it read, made after the kernel and before any outcome is built, an
+Inconclusive one included.  ``_verify_solutions`` re-verifies every tuple of
+every layer read, the layer above the deepest coloring too, in the layers'
+variable order (``Layers.variables``).  ``_first_monochromatic`` does not
+trust the kernel's masks: it reads the tuples of the layers up to the
+coloring's length and refuses the coloring when some tuple's colors all
+agree.  ``monochromatic_solution`` makes the same check over the oracle's
+tuples.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
@@ -89,8 +87,9 @@ from __future__ import annotations
 import itertools
 import time
 from collections import namedtuple
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional
 
+from .check import _first_monochromatic, _verify_solutions
 from .poly import Polynomial
 from .solutions import brute_force_solutions, solution_layers
 
@@ -387,10 +386,7 @@ def find_bad_coloring(
     )
     kernel_ended = time.perf_counter()
     rows = list(itertools.chain.from_iterable(read))
-    if rows:  # independent re-verification of every tuple read
-        bad = next(itertools.compress(rows, p.evaluate_many(layers.variables, rows)), None)
-        if bad is not None:
-            raise AssertionError(f"enumerator produced a non-solution: {dict(zip(layers.variables, bad))}")
+    _verify_solutions(p, layers.variables, rows)
     enumerate_ms = reading_ms + (time.perf_counter() - kernel_ended + kernel_started - started) * 1000
     deepest = Coloring(tuple(found))
     colored = len(rows) - sum(map(len, read[deepest.n :]))  # the rows of read[: deepest.n]
@@ -419,22 +415,6 @@ def rado_number(
     coloring reached.  The budget caps that one search."""
     outcome = find_bad_coloring(p, r, max_n, injective, budget)
     return outcome.stats.depth_max + 1 if outcome.kind == FORCED else None
-
-
-def _first_monochromatic(
-    rows: list[tuple[int, ...]], by_value: Sequence[Optional[int]]
-) -> Optional[tuple[int, ...]]:
-    """The first of ``rows`` whose values all share one color, where
-    ``by_value[v]`` is the color of v.  One pass over the rows, each read
-    until a value leaves the color of its first."""
-    for row in rows:
-        color = by_value[row[0]]
-        for v in row:
-            if by_value[v] != color:
-                break
-        else:
-            return row
-    return None
 
 
 def monochromatic_solution(

@@ -42,13 +42,11 @@ that read what it moves, and a linear term none at all (it steps by its
 slope); a leaf of a lone linear variable costs one ``divmod``.  On the
 threshold forms the walk reads no term but at the roots of its groups.
 
-Every tuple either enumerator emits is re-verified exactly by the
-polynomial, not by the walk's terms: the oracle calls ``evaluate`` on each
-tuple; the layers name their variable order (``Layers.variables``), and
-the search that reads them re-verifies every tuple it read in one
-``evaluate_many`` call, which reads the tuples a column at a time, once per
-search and before it builds any outcome.  A non-zero value raises
-``AssertionError`` naming that tuple.
+Every tuple either enumerator hands out is re-verified exactly by
+``check._verify_solutions``, not by the walk's terms or the grid's
+``evaluate``: the oracle's on the solutions it returns, the layers' by the
+search that reads them, once per search, in the variable order the layers
+name (``Layers.variables``).
 """
 
 from __future__ import annotations
@@ -60,6 +58,7 @@ import math
 from collections import namedtuple
 from typing import Any, Callable, Iterator, Optional, Sequence
 
+from .check import _verify_solutions
 from .poly import Polynomial
 
 __all__ = [
@@ -230,7 +229,8 @@ def brute_force_solutions(
     wherever it appears, it is solved for exactly (divisibility plus integer
     root) instead of enumerated; otherwise the full grid is walked.  Each
     power x^d of a prefix value is raised once per value, not once per
-    prefix.  Every emitted tuple is re-verified through ``evaluate``.
+    prefix.  Every tuple returned is re-verified by
+    ``check._verify_solutions``, which does not use ``evaluate``.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
@@ -240,18 +240,13 @@ def brute_force_solutions(
         return []
     variables = p.variables
     n = len(variables)
-    results: list[Witness] = []
 
-    def emit(values: tuple[int, ...]) -> bool:
-        if injective and len(set(values)) != n:
-            return False
-        assignment = dict(zip(variables, values))
-        if p.evaluate(assignment) != 0:  # independent re-verification
-            raise AssertionError(f"enumerator produced a non-solution: {assignment}")
-        results.append(Witness(assignment, 0, "BruteForce"))
-        return limit is not None and len(results) >= limit
-
-    if split:
+    def solutions() -> Iterator[tuple[int, ...]]:
+        if not split:
+            for tup in itertools.product(range(1, n_bound + 1), repeat=n):
+                if p.evaluate(dict(zip(variables, tup))) == 0:
+                    yield tup
+            return
         e, with_terms, without_terms = split
         # (x, d) -> x^d; one prefix position meets each value once, uncached
         power = functools.cache(pow) if n > 2 else pow
@@ -271,15 +266,14 @@ def brute_force_solutions(
             else:
                 roots = (root,) if root is not None and root <= n_bound else ()
             for z in roots:
-                if emit(prefix + (z,)):
-                    return results
-        return results
+                yield prefix + (z,)
 
-    for tup in itertools.product(range(1, n_bound + 1), repeat=n):
-        if p.evaluate(dict(zip(variables, tup))) == 0:
-            if emit(tup):
-                return results
-    return results
+    found = solutions()
+    if injective:
+        found = (values for values in found if len(set(values)) == n)
+    rows = list(itertools.islice(found, limit))
+    _verify_solutions(p, variables, rows)
+    return [Witness(dict(zip(variables, values)), 0, "BruteForce") for values in rows]
 
 
 def _lone(p: Polynomial) -> dict[int, tuple[int, int]]:

@@ -37,11 +37,10 @@ from .classify import (
     NotLevError,
     _exclusive_groups,
     _zero_sum,
-    negate_all_variables,
     nonlinear_shape,
     to_lev_form,
 )
-from .poly import Polynomial, _build, _exponents
+from .poly import Polynomial, _build, _exponents, negate_all_variables
 from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
 
 __all__ = [

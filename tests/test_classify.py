@@ -300,12 +300,14 @@ def test_replay_multiplicative_not_pr_matches_exhaustive_oracle(a, b, scale):
 
 def test_one_signed_coefficients_need_no_subset_sums(monkeypatch):
     classify_mod = importlib.import_module("rado_forge.classify")
+    check_mod = importlib.import_module("rado_forge.check")
 
     def refuse(*args):
         raise AssertionError("a one-signed list needs no subset sums")
 
-    for name in ("_SubsetTable", "_subset_sums", "_sum_bits"):
-        monkeypatch.setattr(classify_mod, name, refuse)
+    monkeypatch.setattr(classify_mod, "_SubsetTable", refuse)
+    for name in ("_subset_sums", "_sum_bits"):  # replay's, in check
+        monkeypatch.setattr(check_mod, name, refuse)
     powers = [2**i for i in range(40)]  # 2^40 distinct subset sums
     assert rado_condition(powers) is None
     assert rado_condition([-c for c in powers]) is None
@@ -930,8 +932,10 @@ def _thm35_without(key):
             Verdict(PR, "yes", Certificate("RadoLinear", {"coefficients": [1, 1, -1], "J": "12"})),
         ),
         lambda: (parse("x + y - z"), Verdict(PR, "yes", Certificate("NoSuchTheorem", {}))),
+        lambda: (parse("x + y - z"), Verdict(PR, "yes", {"theorem": "RadoLinear"})),
     ],
-    ids=["radolinear-empty", "thm35-without-F", "radolinear-J-string", "unknown-tag"],
+    ids=["radolinear-empty", "thm35-without-F", "radolinear-J-string", "unknown-tag",
+         "certificate-not-a-record"],
 )
 def test_replay_malformed_payload_is_false(claim):
     p, verdict = claim()

@@ -17,7 +17,7 @@ from rado_forge.corpus import load_fixtures
 from rado_forge.poly import parse
 from rado_forge.witness import HypothesisFailure, build_witness
 
-CLASSIFY = Path(__file__).resolve().parents[1] / "src" / "rado_forge" / "classify.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "rado_forge"
 
 FACTS = ("_groups", "_zero_sum", "_lev", "_shape", "_ones")
 # the functions that read or fill a kept fact
@@ -112,11 +112,17 @@ def _called_names(function: ast.FunctionDef) -> set[str]:
     return names
 
 
+def _functions(name: str) -> dict[str, ast.FunctionDef]:
+    """The module-level functions of ``src/rado_forge/<name>``, by name."""
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
 def test_replay_reads_no_kept_fact():
-    tree = ast.parse(CLASSIFY.read_text(encoding="utf-8"))
-    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert READERS - {"_ones_substitution"} <= set(defined)
-    # every function of classify.py that replay reaches, from its entry point
+    assert READERS - {"_ones_substitution"} <= set(_functions("classify.py"))
+    # every function of check.py, and of poly.py whose helpers it shares
+    # with the classifier, that replay reaches from its entry point
+    defined = {**_functions("poly.py"), **_functions("check.py")}
     reached, todo = set(), ["replay_certificate"]
     while todo:
         name = todo.pop()
@@ -124,7 +130,8 @@ def test_replay_reads_no_kept_fact():
             continue
         reached.add(name)
         todo.extend(n for n in _called_names(defined[name]) if n in defined)
-    assert {"_replay", "_replay_over_n", "_exclusive_degree_one"} <= reached
+    assert {"_replay", "_replay_over_n", "_exclusive_degree_one", "_multiplicative_sides",
+            "_is_two_variable_difference", "negate_all_variables"} <= reached
     for name in reached:
         used = _called_names(defined[name])
         assert not used & READERS, (name, used & READERS)

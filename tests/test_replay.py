@@ -211,6 +211,7 @@ def test_sign_flip_fields_are_checked():
         dict(payload, sign_map=dict(payload["sign_map"], x1=1)),
         dict(payload, flipped="x1*y1 + x2*y2 + x3"),
         {k: val for k, val in payload.items() if k != "sign_map"},
+        dict(payload, sign_map={v: -1.0 for v in payload["sign_map"]}),
     ]
     for bad in tampered:
         assert not replay_certificate(p, Verdict(PR, "yes", Certificate("Thm3.5", bad)))
@@ -226,7 +227,7 @@ def test_sign_flip_fields_are_checked():
 # -- determined fields ---------------------------------------------------------------
 
 
-def _tampered(text, constant, **fields):
+def _tampered(text, constant, /, **fields):
     """The genuine verdict with some payload fields replaced; a callable
     field maps the genuine value to the tampered one."""
     p = parse(text)
@@ -249,8 +250,23 @@ def _tampered(text, constant, **fields):
         lambda: _tampered(
             "t1*t2*x^2 + t3*t4*y^2 - t5*t6*z^2", 0, exclusive_choice=lambda c: c + c[:1]
         ),
+        # True == 1 and 1.0 == 1: a bool or a float does not pass for an int
+        lambda: _tampered("x + y - z", 0, J=[True, 3]),
+        lambda: _tampered("x + y - z", 0, coefficients=[1.0, 1, -1]),
+        lambda: _tampered("x + y - z", 0, coefficients=[True, True, -1]),
+        lambda: _tampered("x + y - z", -1, constant=-1.0),
+        lambda: _tampered("x + y - z", -1, diagonal=1.0),
+        lambda: _tampered("2*x^2 - 3*y^2", 0, degree=2.0),
+        lambda: _tampered("x*y - z*w", 0, common_sum=float),
+        lambda: _tampered("x1*y1 + x2*y1*y2 - x3", 0, F=lambda f: [[True] + g[1:] if g else g for g in f]),
+        # nor a str for a list of one-letter names
+        lambda: _tampered("a*b*x^2 + c*d*y^2 - e*f*z^2", 0, exclusive_choice=lambda c: ["".join(g) for g in c]),
     ],
-    ids=["diagonal", "passive_vars", "q1-q2-swapped", "q1", "F-overlong", "exclusive_choice-overlong"],
+    ids=[
+        "diagonal", "passive_vars", "q1-q2-swapped", "q1", "F-overlong", "exclusive_choice-overlong",
+        "J-bool", "coefficients-float", "coefficients-bool", "constant-float", "diagonal-float",
+        "degree-float", "common_sum-float", "F-bool", "exclusive_choice-strings",
+    ],
 )
 def test_replay_checks_every_determined_field(claim):
     p, verdict = claim()
@@ -299,19 +315,13 @@ def test_replay_runs_no_classifier_rule(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("replay ran the classifier")
 
-    # replay's own helpers, and the shape tests it shares with the rules;
-    # every other function and class defined in classify is refused
-    replay_helpers = {
-        "replay_certificate", "_replay", "_replay_over_n", "_fields_are", "_index_sum",
-        "_zero_sum_free", "_no_equal_sums", "_subset_sums", "_sum_bits",
-        "_exclusive_degree_one", "_multiplicative_sides", "_is_two_variable_difference",
-        "negate_all_variables",
-    }
+    # every function and class defined in classify is refused: replay and
+    # its helpers are defined in check, the shape tests it shares with the
+    # rules in poly
     refused = [
         name for name, value in vars(classify_mod).items()
         if (inspect.isfunction(value) or inspect.isclass(value))
         and value.__module__ == classify_mod.__name__
-        and name not in replay_helpers
     ]
     assert {"classify", "rado_condition", "_SubsetTable", "_equal_sum_subsets"} <= set(refused)
     for name in refused:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rado_forge import search, solutions, witness
+from rado_forge import check, search, solutions, witness
 from rado_forge.cli import main
 from rado_forge.poly import EmptyPolynomialError, Polynomial, parse
 from rado_forge.search import (
@@ -509,20 +509,20 @@ def test_column_check_finds_the_first_monochromatic_tuple(text, data):
     coloring = Coloring(colors)
     rows = enumerate_constraints(p, n)
     first = _first_monochromatic_per_tuple(rows, coloring)
-    assert search._first_monochromatic(rows, (None, *colors)) == first
+    assert check._first_monochromatic(rows, (None, *colors)) == first
     # first lexicographic: the oracle's rows are in lexicographic order
     monochromatic = [t for t in rows if len({coloring.color_of(v) for v in t}) == 1]
     assert first == min(monochromatic, default=None)
     assert monochromatic_solution(p, coloring) == first
     for layer in solutions.solution_layers(p, n, False):
-        found = search._first_monochromatic(layer, (None, *colors))
+        found = check._first_monochromatic(layer, (None, *colors))
         assert found == _first_monochromatic_per_tuple(layer, coloring)
 
 
 def test_column_check_of_one_column():
     # a one-variable row is monochromatic by itself
-    assert search._first_monochromatic([(2,), (1,)], (None, 0, 1)) == (2,)
-    assert search._first_monochromatic([], (None, 0, 1)) is None
+    assert check._first_monochromatic([(2,), (1,)], (None, 0, 1)) == (2,)
+    assert check._first_monochromatic([], (None, 0, 1)) is None
 
 
 # -- rado_number ----------------------------------------------------------

@@ -9,7 +9,9 @@ with ``getattr(obj, "_name", default)``: the facts a polynomial keeps start
 as None.  Importing the package compiles no annotation: its records are
 ``collections.namedtuple`` classes, not ``typing.NamedTuple`` ones, and no
 class but ``Polynomial`` writes its own ``__eq__``, ``__repr__``,
-``__setattr__`` or ``__delattr__``.  The CI
+``__setattr__`` or ``__delattr__``.  ``check.py``, which re-checks the
+classifier's and the search's claims, imports only ``poly`` and the
+standard library.  The CI
 workflow runs the tier-1 command of ROADMAP.md and the benchmark self-test,
 on every minor version from that oldest Python to the newest it lists,
 under its 20-minute timeout."""
@@ -109,10 +111,11 @@ def test_importing_the_package_compiles_no_annotation():
 
 
 def test_the_search_re_verifies_at_one_site():
-    # one evaluate_many call in search.py and solutions.py: find_bad_coloring's,
-    # over every tuple it read
-    sites = []
-    for name in ("search.py", "solutions.py"):
+    # one evaluate_many call in search.py, solutions.py and check.py:
+    # check._verify_solutions's, which find_bad_coloring makes over every
+    # tuple it read and the oracle over every solution it returns
+    sites, verifies = [], []
+    for name in ("search.py", "solutions.py", "check.py"):
         tree = ast.parse((ROOT / "src" / "rado_forge" / name).read_text(encoding="utf-8"))
         sites += [
             (name, node.lineno)
@@ -121,7 +124,49 @@ def test_the_search_re_verifies_at_one_site():
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "evaluate_many"
         ]
-    assert [name for name, _ in sites] == ["search.py"], sites
+        verifies += [
+            name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_verify_solutions"
+        ]
+    assert [name for name, _ in sites] == ["check.py"], sites
+    assert verifies == ["search.py", "solutions.py"]
+
+
+def _imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) of each import in a module, with relative imports as
+    ``.name`` and ``from . import name`` as ``.name`` too."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            if node.module:
+                found.append((node.lineno, dots + node.module))
+            else:
+                found += [(node.lineno, dots + alias.name) for alias in node.names]
+        elif isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            if callee in ("__import__", "import_module"):
+                found.append((node.lineno, "a dynamic import"))
+    return found
+
+
+def test_check_imports_only_poly_and_the_standard_library():
+    # the re-checks cannot run the classifier, an enumerator or the search
+    # kernel whose claims they check: check.py imports nothing else
+    tree = ast.parse((ROOT / "src" / "rado_forge" / "check.py").read_text(encoding="utf-8"))
+    imported = _imports(tree)
+    assert ".poly" in [name for _, name in imported], imported
+    refused = [
+        (line, name)
+        for line, name in imported
+        if name != ".poly" and name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not refused, f"check.py imports beyond poly and the standard library: {refused}"
 
 
 HAND_WRITTEN = {"__eq__", "__repr__", "__setattr__", "__delattr__"}
