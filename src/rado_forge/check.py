@@ -8,7 +8,9 @@ the classifier, an enumerator or the search kernel whose claim it checks;
 ``tests/test_source.py`` refuses any other import.
 
 * ``replay_certificate`` re-validates a classifier verdict from the
-  polynomial and the verdict alone.
+  polynomial and the verdict alone.  A K2Analysis certificate nests the
+  multiplicative certificate of Q1 - Q2, and replay checks that one level
+  and no other nesting.
 * ``_verify_solutions`` re-evaluates the solution tuples an enumerator hands
   out, in one ``evaluate_many`` call: the search's, over every tuple it
   read, and the oracle ``brute_force_solutions``'s, over every solution it
@@ -26,7 +28,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable, Optional, Sequence
 
-from . import poly
 from .poly import Polynomial, _is_two_variable_difference, _multiplicative_sides, monomial_gcd
 from .poly import negate_all_variables
 
@@ -330,13 +331,15 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
         reduced = Polynomial.from_terms([(1, q1), (-1, q2)])
         by_sign = {m.coefficient: m.monic_text() for m in reduced.monomials}
         fields = {"gcd": d.monic_text(), "q1": by_sign[1], "q2": by_sign[-1]}
-        # parse is read off poly at the call, where perfbench/tracing.py wraps it
-        if not _fields_are(claim, **fields) or poly.parse(claim["reduced"]) != reduced:
+        if not _fields_are(claim, reduced=str(reduced), **fields):
             return False
         if claim["case"] == "variable_difference":
             return _fields_are(claim, status=PR, injective="no") and reduced.is_linear
-        # the reduced form's certificate states the verdict about p
+        # the reduced form's multiplicative certificate states the verdict
+        # about p; it is replayed as that theorem, one level and no deeper
         inner = claim["inner"]
+        if claim["case"] != "reduced" or inner["theorem"] != "MultiplicativeRado":
+            return False
         given = dict(inner["payload"], status=claim["status"], injective=claim["injective"])
-        return claim["case"] == "reduced" and _replay_over_n(reduced, inner["theorem"], given)
+        return _replay_over_n(reduced, "MultiplicativeRado", given)
     return False

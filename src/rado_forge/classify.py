@@ -6,10 +6,12 @@ whose certificate carries the witnessing combinatorial data: the zero-sum
 index set J, the exclusive-variable designations, the F_i product sets, the
 (D, Q1, Q2) two-monomial decomposition, or the exponent subset pair (I1, I2).
 When they fail it returns UNKNOWN, and its trace names the hypotheses that
-failed.  The top-level ``classify`` dispatcher is one loop over a fixed rule
-table, ordered so that exact equivalences fire before pure sufficiency
-conditions: it returns the first conclusive verdict and otherwise collects
-each rule's failure trace, then tries homogeneous necessity.
+failed.  The top-level ``classify`` dispatcher runs each rule at most once,
+exact equivalences before pure sufficiency conditions: it returns the first
+conclusive verdict and otherwise collects each rule's failure trace, then
+tries homogeneous necessity.  A two-monomial form belongs to the K2
+analysis, which runs the multiplicative rule on its coprime difference;
+the l.e.v. and nonlinear rules need three or more monomials.
 
 Status strings: "PR", "NOT_PR", "UNKNOWN".  Injective: "yes"/"no"/"unknown".
 All index sets in payloads are 1-based (matching the usual statement of the
@@ -382,12 +384,17 @@ def classify_affine(p: Polynomial, constant: int) -> Verdict:
 # -- multiplicative (difference of coprime monomials) ------------------------
 
 
+# The trace line of a form outside the rule's shape; the dispatcher writes it
+# for a two-monomial form that K2 does not decide, without running the rule.
+_SHAPE_MISMATCH = "multiplicative: shape mismatch"
+
+
 def classify_multiplicative(p: Polynomial) -> Verdict:
     """Exact classification of monomial differences: PR iff some nonempty
     exponent subsets of the two sides have equal sums."""
     sides = _multiplicative_sides(p)
     if sides is None:
-        return _unknown("multiplicative: shape mismatch")
+        return _unknown(_SHAPE_MISMATCH)
     left, right = sides
     a = tuple(e for _, e in left.exponents)
     b = tuple(e for _, e in right.exponents)
@@ -540,25 +547,19 @@ def to_lev_form(p: Polynomial) -> LevForm:
 
 
 def classify_lev(p: Polynomial) -> Verdict:
-    """Sufficiency for linear-in-each-variable polynomials: at least three
-    monomials, an exclusive variable for every monomial, and the zero-sum
-    condition.  Two-monomial l.e.v. polynomials delegate to the
-    multiplicative equivalence (three or more variables required there);
-    a two-monomial form with no exclusive variable in some monomial has
-    overlapping supports, which that rule rejects too."""
+    """Sufficiency for linear-in-each-variable polynomials (Thm 3.5): an
+    exclusive variable for every monomial, the zero-sum condition, and at
+    least three monomials, checked in that order.  A two-monomial form is
+    UNKNOWN here; ``classify_k2`` decides it."""
     try:
         form = to_lev_form(p)
     except NoExclusiveSetError:
         return _unknown("lev: some monomial has no exclusive variable")
-    if len(p.monomials) == 2:
-        verdict = classify_multiplicative(p)
-        if verdict.status != UNKNOWN:
-            return verdict
     j = _zero_sum(p)
     if not j:
         return _unknown("lev: coefficients admit no zero-sum subset")
     if len(p.monomials) < 3:
-        return _unknown("lev: fewer than three monomials, and the multiplicative rule does not apply")
+        return _unknown("lev: fewer than three monomials")
     f_sets = [list(f) for f in form.f_sets]
     cert = Certificate(
         "Thm3.5",
@@ -659,7 +660,9 @@ def classify_nonlinear(p: Polynomial) -> Verdict:
 
 def classify_k2(p: Polynomial) -> Verdict:
     """Two-monomial analysis: factor out the monomial gcd D and decide on the
-    coprime difference R = Q1 - Q2, whose regularity is equivalent to P's."""
+    coprime difference R = Q1 - Q2, whose regularity is equivalent to P's.
+    R has the multiplicative rule's shape, so that rule, run here and only
+    here, always answers PR or NOT_PR with a certificate."""
     if len(p.monomials) != 2:
         raise NotTwoMonomialsError(f"{p} does not have exactly two monomials")
     not_applicable = _unknown(
@@ -701,15 +704,10 @@ def classify_k2(p: Polynomial) -> Verdict:
     inner = classify_multiplicative(reduced)
     if p == reduced:
         return inner
-    # p is c * D * (Q1 - Q2): the delegated certificate talks about the
-    # reduced polynomial, so wrap it with the decomposition
+    # p is c * D * (Q1 - Q2): the inner certificate talks about the reduced
+    # polynomial, so wrap it with the decomposition
     cert = Certificate(
-        "K2Analysis",
-        dict(
-            decomposition,
-            case="reduced",
-            inner=inner.certificate.to_json() if inner.certificate else None,
-        ),
+        "K2Analysis", dict(decomposition, case="reduced", inner=inner.certificate.to_json())
     )
     return Verdict(inner.status, inner.injective, cert, inner.trace, (note,))
 
@@ -774,23 +772,12 @@ def _literature_notes(p: Polynomial) -> list[str]:
 
 # -- dispatcher ----------------------------------------------------------------
 
-# The rules for nonlinear polynomials, in dispatch order: (whether the rule
-# applies, the rule, the trace line written in its place when it does not).
-_RULES = (
-    (
-        lambda p: len(p.monomials) == 2,
-        classify_k2,
-        "k2/multiplicative: not applicable (monomial count != 2)",
-    ),
-    (lambda p: len(p.monomials) == 2, classify_multiplicative, None),
-    (lambda p: p.is_lev, classify_lev, "lev: not linear in each variable"),
-    (lambda p: not p.is_lev, classify_nonlinear, None),
-)
-
 
 def classify(p: Polynomial, ring: str = "N") -> Verdict:
-    """Run every implemented decision procedure in fixed order and return the
-    first conclusive verdict; UNKNOWN carries the hypothesis-failure trace.
+    """Run the implemented decision procedures in fixed order, each at most
+    once, and return the first conclusive verdict; UNKNOWN carries the
+    hypothesis-failure trace.  A nonlinear form runs ``classify_k2`` when it
+    has two monomials, then ``classify_lev`` or ``classify_nonlinear``.
 
     ``ring="Z"`` additionally tries the all-variables sign flip: a polynomial
     whose flipped form is certified PR over the positive integers is PR over
@@ -806,15 +793,23 @@ def classify(p: Polynomial, ring: str = "N") -> Verdict:
         return classify_linear(p).with_notes(notes)
     trace = ["linear: not applicable (nonlinear monomial present)"]
 
-    for applies, rule, skipped in _RULES:
-        if not applies(p):
-            if skipped is not None:
-                trace.append(skipped)
-            continue
-        verdict = rule(p)
+    if len(p.monomials) == 2:
+        verdict = classify_k2(p)
         if verdict.status != UNKNOWN:
             return verdict.with_trace(trace).with_notes(notes)
-        trace.extend(verdict.trace)
+        # K2 decides every form of the multiplicative rule's shape, so the
+        # rule, which K2 runs on Q1 - Q2, is not run again
+        trace += [*verdict.trace, _SHAPE_MISMATCH]
+    else:
+        trace.append("k2/multiplicative: not applicable (monomial count != 2)")
+    if p.is_lev:
+        verdict = classify_lev(p)
+    else:
+        trace.append("lev: not linear in each variable")
+        verdict = classify_nonlinear(p)
+    if verdict.status != UNKNOWN:
+        return verdict.with_trace(trace).with_notes(notes)
+    trace.extend(verdict.trace)
 
     if p.is_homogeneous and not _zero_sum(p):
         cert = Certificate(

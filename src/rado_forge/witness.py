@@ -40,7 +40,7 @@ from .classify import (
     nonlinear_shape,
     to_lev_form,
 )
-from .poly import Polynomial, _build, _exponents, negate_all_variables
+from .poly import Polynomial, _build, _exponents
 from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "reduct_lift_formal_check",
     "nlp_lift",
     "nlp_lift_formal_check",
-    "negate_transform",
     "brute_force_solutions",
     "primes_above",
     "witness_via_reduct",
@@ -316,19 +315,6 @@ def nlp_lift_formal_check(
             mapping[x_var] = (alpha_beta[x_var], dict.fromkeys(i_sets[i][j], 1))
     eta = {v: p.degree_of(v) for v in p.degree_profile().nonlinear}
     return _identity_holds(p, mapping, residue, eta)
-
-
-def negate_transform(p: Polynomial, w: Witness) -> Witness:
-    """Negate every assigned value: yields a witness (over the negative
-    integers) for the polynomial whose odd-degree monomials flip sign."""
-    if p.evaluate(w.assignment) != 0:
-        raise ValueError("witness does not solve the polynomial")
-    flipped = negate_all_variables(p)
-    assignment = {v: -val for v, val in w.assignment.items()}
-    value = flipped.evaluate(assignment)
-    if value != 0:
-        raise AssertionError("negated witness does not solve the flipped polynomial")
-    return Witness(assignment, value, w.provenance, dict(w.trace, negated=True))
 
 
 # -- default generators ------------------------------------------------------

@@ -530,15 +530,15 @@ def test_classify_lev_examples():
     )
 
 
-def test_classify_lev_two_monomials_delegates():
-    v = classify_lev(parse("x*y - z"))
-    assert v.certificate.theorem == "MultiplicativeRado"
-    assert (v.status, v.injective) == (PR, "yes")
-    # not a monomial difference, and too few monomials for Thm 3.5
-    _assert_unknown(
-        classify_lev(parse("2*x*y - 2*z*w")),
-        "lev: fewer than three monomials, and the multiplicative rule does not apply",
-    )
+def test_classify_lev_needs_three_monomials():
+    # Thm 3.5 needs three monomials; classify_k2 decides two, the monomial
+    # difference x*y - z among them, and classify_lev does not delegate
+    for text in ("x*y - z", "2*x*y - 2*z*w"):
+        _assert_unknown(classify_lev(parse(text)), "lev: fewer than three monomials")
+    assert classify_k2(parse("x*y - z")).certificate.theorem == "MultiplicativeRado"
+    # the earlier checks keep their order: no exclusive variable, then no zero sum
+    _assert_unknown(classify_lev(parse("x*y - x")), "lev: some monomial has no exclusive variable")
+    _assert_unknown(classify_lev(parse("x*y - 2*z")), "lev: coefficients admit no zero-sum subset")
 
 
 def test_classify_lev_rejects_non_lev():
@@ -745,14 +745,41 @@ def test_classify_runs_each_shape_check_once(monkeypatch):
         "t1*t2*x^2 + t3*t4*y^2 - t5*t6*z^2",
         "x^2*y - x*y*z",
         "x + y - z",
+        "3*x*y - 2*z",
+        "2*x^2 - 3*y^2",
+        "2*x*y - 2*z*w",
     ]
+    # the rules are counted by code object, so a call through a reference
+    # bound before the test runs is counted too
+    rules = {
+        getattr(classify_mod, name).__code__: name
+        for name in ("classify_linear", "classify_affine", "classify_multiplicative",
+                     "classify_k2", "classify_lev", "classify_nonlinear")
+    }
+    k2 = classify_mod.classify_k2.__code__
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in rules:
+            runs.append((rules[frame.f_code], frame.f_back.f_code is k2))
+
     for text in texts:
         calls.clear()
-        classify(parse(text))
+        p = parse(text)
+        runs.clear()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            classify(p)
+        finally:
+            sys.setprofile(previous)
         assert calls.get("exclusive_variables", 0) <= 1, text
         assert calls.get("nonlinear_shape", 0) <= 1, text
         assert calls.get("_degree_profile", 0) <= 1, text
         assert calls.get("rado_condition", 0) <= 2, text
+        names = [name for name, _under_k2 in runs]
+        assert names and len(names) == len(set(names)), (text, names)
+        assert all(under_k2 for name, under_k2 in runs if name == "classify_multiplicative"), text
 
 
 def test_classify_square_fixture_never_pr_with_failure_trace():

@@ -36,7 +36,7 @@ from rado_forge.poly import parse, parse_with_constant
 TABLE = Path(__file__).with_name("replay_table.json")
 
 # (text, ring): every theorem, every RadoAffine case (a nonzero constant
-# routes the text to classify_affine), K2's inner recursion, no certificate,
+# routes the text to classify_affine), K2's one inner level, no certificate,
 # and ring Z with and without the sign flip
 FORMS = [
     ("x + y - z", "N"),  # RadoLinear
@@ -245,6 +245,8 @@ def _tampered(text, constant, /, **fields):
         lambda: _tampered("x + y - 3*z", -3, diagonal=-10),
         lambda: _tampered("w^2*x1 + w^2*x2*z - w*x3*x4*z", 0, passive_vars=["z"]),
         lambda: _tampered("2*x*y - 2*z*w", 0, q1="w*z", q2="x*y"),
+        # the genuine reduced form is -w*z + x*y; this spelling parses equal
+        lambda: _tampered("2*x*y - 2*z*w", 0, reduced="-z*w + x*y"),
         lambda: _tampered("x^2*y - x*y*z", 0, q1="z"),
         lambda: _tampered("x1*y1 + x2*y1*y2 - x3", 0, F=lambda f: f + [[1]]),
         lambda: _tampered(
@@ -263,7 +265,8 @@ def _tampered(text, constant, /, **fields):
         lambda: _tampered("a*b*x^2 + c*d*y^2 - e*f*z^2", 0, exclusive_choice=lambda c: ["".join(g) for g in c]),
     ],
     ids=[
-        "diagonal", "passive_vars", "q1-q2-swapped", "q1", "F-overlong", "exclusive_choice-overlong",
+        "diagonal", "passive_vars", "q1-q2-swapped", "reduced-not-canonical", "q1", "F-overlong",
+        "exclusive_choice-overlong",
         "J-bool", "coefficients-float", "coefficients-bool", "constant-float", "diagonal-float",
         "degree-float", "common_sum-float", "F-bool", "exclusive_choice-strings",
     ],
@@ -271,6 +274,25 @@ def _tampered(text, constant, /, **fields):
 def test_replay_checks_every_determined_field(claim):
     p, verdict = claim()
     assert not replay_certificate(p, verdict)
+
+
+def _k2_nested(layers):
+    """The genuine K2Analysis verdict on 2*x*y - 2*z*w with its certificate
+    wrapped ``layers`` times in a K2Analysis of the same decomposition."""
+    p = parse("2*x*y - 2*z*w")
+    v = classify(p)
+    cert = v.certificate
+    for _ in range(layers):
+        cert = Certificate("K2Analysis", dict(v.certificate.payload, inner=cert.to_json()))
+    return p, Verdict(v.status, v.injective, cert)
+
+
+@pytest.mark.parametrize("layers", [0, 1, 5, 3000])
+def test_replay_checks_exactly_one_k2_level(layers):
+    # the genuine certificate replays; a K2Analysis nested in itself does not,
+    # at any depth, so no answer depends on the recursion limit
+    p, v = _k2_nested(layers)
+    assert replay_certificate(p, v) is (layers == 0)
 
 
 def test_replay_given_the_constant_checks_the_affine_payload():

@@ -11,7 +11,8 @@ as None.  Importing the package compiles no annotation: its records are
 class but ``Polynomial`` writes its own ``__eq__``, ``__repr__``,
 ``__setattr__`` or ``__delattr__``.  ``check.py``, which re-checks the
 classifier's and the search's claims, imports only ``poly`` and the
-standard library.  The CI
+standard library.  Every name in a submodule's ``__all__`` is in the
+package's or has a caller in ``src/`` or ``perfbench/``.  The CI
 workflow runs the tier-1 command of ROADMAP.md and the benchmark self-test,
 on every minor version from that oldest Python to the newest it lists,
 under its 20-minute timeout."""
@@ -167,6 +168,62 @@ def test_check_imports_only_poly_and_the_standard_library():
         if name != ".poly" and name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert not refused, f"check.py imports beyond poly and the standard library: {refused}"
+
+
+def _exported(path: Path) -> list[str]:
+    """The names a module lists in its literal ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _references(node: ast.AST, inside: frozenset = frozenset()):
+    """Every name read in ``node``, as a name or an attribute, except a
+    name read inside a definition of that name (its own body)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        name = node.attr
+    else:
+        name = None
+    if name is not None and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+# the tests' symbolic reference for the lift identity, which a checkable
+# witness claim is to use (ROADMAP item 4)
+UNCALLED_EXPORTS = {"reduct_lift_formal_check", "nlp_lift_formal_check"}
+
+
+def test_every_exported_name_has_a_caller():
+    # a name in a submodule's __all__ is public through the package, or
+    # something in src/ or perfbench/ uses it; the benchmark tracer looks up
+    # (module, attribute) pairs, which count as uses
+    package = set(_exported(ROOT / "src" / "rado_forge" / "__init__.py"))
+    used = set()
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
+        used.update(_references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    tracing = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    [layers] = [
+        node.value for node in tracing.body
+        if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "LAYERS"
+    ]
+    used.update(attr for sites in ast.literal_eval(layers).values() for _module, attr in sites)
+    assert UNCALLED_EXPORTS <= set(_exported(ROOT / "src" / "rado_forge" / "witness.py"))
+    uncalled = [
+        (path.name, name)
+        for path in MODULES
+        if not path.name.startswith("__")
+        for name in _exported(path)
+        if name not in package and name not in used and name not in UNCALLED_EXPORTS
+    ]
+    assert not uncalled, f"exported names with no caller in src/ or perfbench/: {uncalled}"
 
 
 HAND_WRITTEN = {"__eq__", "__repr__", "__setattr__", "__delattr__"}

@@ -35,10 +35,8 @@ from rado_forge.witness import (
     NotAPTildeSolutionError,
     NotAReductSolutionError,
     SearchSpaceTooLargeError,
-    Witness,
     brute_force_solutions,
     build_witness,
-    negate_transform,
     nlp_lift,
     nlp_lift_formal_check,
     primes_above,
@@ -286,35 +284,6 @@ def test_a_hand_built_shape_that_fits_still_lifts():
     assert w.value == 0 == p.evaluate(w.assignment)
     assert w.assignment["z1"] == WORKED_ALPHA["z1"] * w.trace["gamma"]["2,1"]
     assert nlp_lift_formal_check(p, hand_built, WORKED_ALPHA)
-
-
-# -- negate_transform ----------------------------------------------------------
-
-
-def test_negate_transform_examples():
-    p = parse("x1*y1 + x2*y2 - x3")
-    w = witness_via_reduct(p)
-    flipped = negate_transform(p, w)
-    q = parse("x1*y1 + x2*y2 + x3")
-    assert q.evaluate(flipped.assignment) == 0
-    assert all(v < 0 for v in flipped.assignment.values())
-
-    w = Witness({"x": 1, "y": 1, "z": 2}, 0, "BruteForce")
-    flipped = negate_transform(parse("x + y - z"), w)
-    assert flipped.assignment == {"x": -1, "y": -1, "z": -2}
-    assert parse("x + y - z").evaluate(flipped.assignment) == 0  # all-odd degrees
-
-
-def test_negate_transform_even_polynomial():
-    p = parse("x^2 - y^2")
-    w = Witness({"x": 3, "y": 3}, 0, "BruteForce")
-    flipped = negate_transform(p, w)
-    assert p.evaluate(flipped.assignment) == 0
-
-
-def test_negate_transform_rejects_non_witness():
-    with pytest.raises(ValueError):
-        negate_transform(parse("x + y - z"), Witness({"x": 1, "y": 1, "z": 5}, 0, "BruteForce"))
 
 
 # -- brute force ----------------------------------------------------------
