@@ -101,11 +101,12 @@ class Verdict(namedtuple("Verdict", ["status", "injective", "certificate", "trac
     def with_notes(self, notes: list[str]) -> "Verdict":
         return self._replace(notes=self.notes + tuple(notes)) if notes else self
 
-    def to_json(self, input_text: str, canonical: str) -> dict[str, Any]:
+    def to_json(self, input_text: str, canonical: str, ring: str = "N") -> dict[str, Any]:
         return {
             "schema": 1,
             "input": input_text,
             "canonical": canonical,
+            "ring": ring,
             "status": self.status,
             "injective": self.injective,
             "certificate": self.certificate.to_json() if self.certificate else None,

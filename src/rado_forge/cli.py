@@ -148,7 +148,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         verdict = classify(p, ring=args.ring)
         canonical = str(p)
     if args.json:
-        _emit(verdict.to_json(args.polynomial, canonical))
+        _emit(verdict.to_json(args.polynomial, canonical, args.ring))
     else:
         print(f"polynomial : {canonical}")
         ring = "positive integers" if args.ring == "N" else "nonzero integers"

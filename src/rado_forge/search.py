@@ -73,13 +73,14 @@ is tried.  The undo trail holds an entry per colored value: its color, its
 new bits as one int and the color limit it was tried under, in three lists
 made once per search and indexed by the value, so no entry is pushed,
 popped or built as a tuple.  A step forward writes the entry of its value;
-a step back reads it, and undoing its bits is one xor, last in, first out.
-A bit set as its layer is read joins the entry of the smallest u whose set
-closes it.  Only read layers are checked, and those reach at most one past
-the deepest bad coloring so far, so a pruned branch dies before it could go
-deeper: the deepest coloring, the first full coloring, the Forced verdict
-and the layers read are those of the same search without the check, in
-fewer nodes (``stats.prunes`` counts the dead colorings).
+a step back reads it, and undoing its bits is one subtraction, last in,
+first out.  A bit set as its layer is read joins the entry of the smallest
+u whose set closes it.  Only read layers are checked, and those reach at
+most one past the deepest bad coloring so far, so a pruned branch dies
+before it could go deeper: the deepest coloring, the first full coloring,
+the Forced verdict and the layers read are those of the same search
+without the check, in fewer nodes (``stats.prunes`` counts the dead
+colorings).
 """
 
 from __future__ import annotations
@@ -205,37 +206,78 @@ def _first_bad_coloring(
     refused colors below it as one node each; with none left it charges the
     refused run and backs up.  A step that would spend more than the budget
     stops the search at exactly ``budget`` nodes, inside the run if need be.
+    The nodes are kept by visit, not by try: a visit to v + 1 that runs out
+    of colors has spent ``limit`` nodes, one per color, and a colored value
+    on the trail has spent its color plus one.  ``room`` is the budget less
+    those nodes, so a try of c at v + 1 stays within the budget when
+    c < room, a back step stays within it when ``limit <= room``, and the
+    search stops having spent ``budget - room`` nodes (a cut sets ``room``
+    to 0).
 
     The scan keeps ``blk[c]`` of the color it stops at in ``b``.  Coloring
     v + 1 with c closes every read value set whose other members all have
     color c: ``(members & a) << d`` for each group ``[rem, d, a]`` of v whose
     ``rem`` lies in ``members``, the class of c with v + 1.  A value with one
     group (``sole[v]``; every value of Schur's form) reads it without a
-    loop.  ``nb`` is ``b`` with the closed bits and ``new = nb ^ b`` the
-    bits not yet blocked (``new & ~b`` would build a negative int each
-    step); the coloring is dead when one of them is in the ``blk`` of every
-    other color.  Otherwise ``blk[c]`` becomes ``nb`` (written only when
-    ``new`` is not 0) and the trail entry of v + 1 is written: the lists
-    ``colors``, ``news`` and ``limits``, made once for the search and
-    indexed by v, get c, ``new`` and the limit.  The step back from v + 2
-    reads that entry: ``blk[c] ^= new``, the class of c loses v + 1, and the
-    limit at v + 1 is restored.  ``bit`` (1 << v), ``limit`` and the depth
-    reached are locals that move with each step; the colors are copied only
-    when the depth grows, and the deepest coloring is the last copy.
+    loop.  ``nb`` is ``b`` with the closed bits and ``new = nb - b`` the
+    bits not yet blocked; the coloring is dead when one of them is in the
+    ``blk`` of every other color.  Otherwise ``blk[c]`` becomes ``nb``
+    (written only when ``new`` is not 0) and the trail entry of v + 1 is
+    written: the lists ``colors``, ``news`` and ``limits``, made once for
+    the search and indexed by v, get c, ``new`` and the limit.  The step
+    back from v + 2 reads that entry: ``blk[c] -= news[v]``, the class of c
+    loses v + 1, and the limit at v + 1 is restored.  ``bit`` (1 << v),
+    ``limit`` and the depth reached are locals that move with each step;
+    the colors are copied only when the depth grows, and the deepest
+    coloring is the last copy.
+
+    The dead check reads ``others[c]``: the first two other colors,
+    sparsest first, inline, and the rest in a loop only when both leave a
+    bit.  A list of fewer than two other colors is padded with the
+    sentinel color r, whose ``blk[r]`` is -1 (every bit set), so one and
+    two colors take the same step as more.
+
+    The step adds and subtracts ints where three invariants make the bits
+    disjoint or nested, because CPython specializes int ``+`` and ``-``
+    and not the bit operations: v + 1 is in no class when it is colored,
+    so ``members = classes[c] + bit``; ``nb`` holds ``b``, so ``nb - b``
+    is ``nb ^ b``; and every bit of ``blk[c]`` that a trail entry holds was
+    set by that entry alone, while it was in no ``blk[c]`` or entry (a step
+    sets only ``new``, and ``take()`` adds a new layer's bit to one entry's
+    ``news`` and to ``blk``), so when the entry is undone, last in, first
+    out, its bits are all in ``blk[c]``.  A step forward doubles ``bit``
+    with ``bit += bit``.  Where bits can overlap, in the closure
+    ``(members & a) << d``, the loop over several groups and ``take()``,
+    the step keeps ``|``, ``&`` and ``<<``.
     """
     r = min(r, n)
     read: list[list[tuple[int, ...]]] = []
     classes = [0] * r  # classes[c]: bit i set when i + 1 has color c
-    blk = [0] * r  # blk[c]: bit w set when color c closes a value set at w + 1
-    others = [tuple(o for o in reversed(range(r)) if o != c) for c in range(r)]  # sparsest first
+    # blk[c]: bit w set when color c closes a value set at w + 1; blk[r], the
+    # sentinel color, has every bit set
+    blk = [0] * r + [-1]
+    others = []  # others[c]: the first two other colors and the rest
+    for c in range(r):
+        rest = list(reversed(range(r)))  # sparsest first
+        rest.remove(c)
+        o1, o2 = (rest + [r, r])[:2]  # padded with the sentinel color r
+        others.append((o1, o2, tuple(rest[2:])))
     groups: list[list[list[int]]] = []  # groups[u]: [rem, d, a], closing (members & a) << d
     sole: list[Optional[list[int]]] = []  # sole[u]: the group of u when it is its only one
     group_of: list[dict[int, list[int]]] = []  # group_of[u]: d << u | rem -> its group of u
     value_bit = [0]  # value_bit[x]: the bit of the read value x, one entry per layer read
     clock = time.perf_counter
     reading = 0.0  # seconds spent reading layers
+    # the trail, indexed by u: the color of u + 1, the bits it set in blk and
+    # the color limit it was tried under
+    colors = [0] * n
+    news = [0] * n
+    limits = [0] * n
 
-    def take() -> None:
+    # what the search loop shares with take() is bound as defaults, so that
+    # the loop reads plain locals, not closure cells
+    def take(r=r, blk=blk, classes=classes, groups=groups, sole=sole, colors=colors,
+             news=news) -> None:
         """Reads the next layer, files its value sets and blocks what they close."""
         nonlocal reading
         started = clock()
@@ -283,13 +325,9 @@ def _first_bad_coloring(
                 blk[c] |= bit
                 news[u] |= bit
 
-    # the trail, indexed by u: the color of u + 1, the bits it set in blk and
-    # the color limit it was tried under
-    colors = [0] * n
-    news = [0] * n
-    limits = [0] * n
     deepest: list[int] = []  # the colors of the deepest bad coloring
-    nodes = prunes = depth = 0
+    room = budget  # the budget less the nodes of finished visits and of the trail
+    prunes = depth = 0
     exhausted = False
     v = color = 0  # the value v + 1 tries the colors from ``color`` up
     bit = limit = 1  # 1 << v; the colors v + 1 may take, one past those of 1..v, at most r
@@ -302,25 +340,25 @@ def _first_bad_coloring(
                 break
             c += 1  # refused: it closes a set at v + 1
         else:
-            nodes += limit - color
-            if nodes > budget:
-                nodes, exhausted = budget, True
+            if limit > room:
+                room, exhausted = 0, True
                 break
             if not v:
+                room -= limit
                 break
             v -= 1  # no color left at v + 1: back to v
             c = colors[v]
+            color = c + 1
+            room += color - limit
             limit = limits[v]
             bit >>= 1
-            blk[c] ^= news[v]
-            classes[c] ^= bit
-            color = c + 1
+            blk[c] -= news[v]
+            classes[c] -= bit
             continue
-        nodes += c + 1 - color
-        if nodes > budget:
-            nodes, exhausted = budget, True
+        if c >= room:
+            room, exhausted = 0, True
             break
-        members = classes[c] | bit
+        members = classes[c] + bit
         group = sole[v]
         if group is not None:
             rem, d, a = group
@@ -330,26 +368,29 @@ def _first_bad_coloring(
             for rem, d, a in groups[v]:
                 if members & rem == rem:
                     nb |= (members & a) << d
-        new = nb ^ b
+        new = nb - b
         if new:
-            dead = new
-            for o in others[c]:
-                dead &= blk[o]
-                if not dead:
-                    break
-            else:  # a read value would have no color left
-                prunes += 1
-                color = c + 1
-                continue
+            o1, o2, more = others[c]
+            dead = new & blk[o1] & blk[o2]
+            if dead:
+                for o in more:
+                    dead &= blk[o]
+                    if not dead:
+                        break
+                else:  # a read value would have no color left
+                    prunes += 1
+                    color = c + 1
+                    continue
             blk[c] = nb
         classes[c] = members
+        room -= c + 1
         colors[v] = c
         news[v] = new
         limits[v] = limit
-        if c + 1 == limit < r:  # a new color opens the next
+        if limit < r and c + 1 == limit:  # a new color opens the next
             limit += 1
         v += 1
-        bit <<= 1
+        bit += bit
         color = 0
         if v > depth:
             depth = v
@@ -357,7 +398,7 @@ def _first_bad_coloring(
             if v == n:
                 break
             take()
-    return deepest, read, exhausted, nodes, prunes, reading * 1000
+    return deepest, read, exhausted, budget - room, prunes, reading * 1000
 
 
 def find_bad_coloring(

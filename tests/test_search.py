@@ -1134,6 +1134,10 @@ def _reference_search(p, r, n, injective, budget):
 @example(SCHUR, 4, 10, True, 57)  # cut inside a run of refused colors
 @example(parse("x + y - 2*z"), 3, 9, False, None)  # one-member value sets
 @example(parse("a + b + c - d"), 3, 10, False, None)  # value sets of four values
+@example(SCHUR, 1, 6, False, None)  # one color: its other colors are the sentinel alone
+@example(SCHUR, 5, 12, True, 200)  # five colors: two other colors inline, two in the loop
+# five colors: the loop over the last two other colors stops once and prunes once
+@example(parse("x + 3*y - 4*z"), 5, 60, True, None)
 def test_kernel_matches_a_recomputing_reference(p, r, n, injective, budget):
     outcome = find_bad_coloring(p, r, n, injective, **({} if budget is None else {"budget": budget}))
     stats = outcome.stats
@@ -1280,6 +1284,8 @@ KERNEL_COUNTS = [
     (("x1*y1 + x2*y1*y2 - x3", 2, 21, False, None), (FORCED, 233, 16, 20)),
     (("x1*y1 + x2*y1*y2 - x3", 2, 25, True, None), (BAD_COLORING, 41, 0, 25)),
     (("x*z - y*z + x - y", 2, 12, False, None), (FORCED, 1, 0, 0)),
+    # five colors: a prune reads two other colors inline and two in the loop
+    (("x + y - z", 5, 45, False, None), (BAD_COLORING, 931367, 97733, 45)),
     # two capped searches whose values mostly have no group or several, so
     # that their steps take the kernel's loop over groups
     (("x1 + x2 + x3 + x4 - x5", 3, 95, False, 100_000), (INCONCLUSIVE, 100000, 0, 69)),
