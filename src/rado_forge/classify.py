@@ -164,11 +164,12 @@ class _SubsetTable:
     A dense row is an int with bit s + offset set for each sum s, where
     offset is the total magnitude of the negative values, so no sum has a
     negative bit index; a sparse row is a set of sums, never changed once
-    made.  Only ``grow``, ``pick`` and ``sums`` know which kind a row is.  A dense table
-    also keeps ``reach``, every nonempty subset sum, so a question no subset
-    answers costs one pass; a sparse table could hold 2^k sums there, so it
-    keeps ``floor[j]``, the least sum of j or more values, and ``pick``
-    grows it only to counts that can still reach the target.
+    made.  ``grow``, ``first`` and ``pick`` serve both kinds, and ``sums``
+    lists the sums of a dense row.  A dense table also keeps ``reach``,
+    every nonempty subset sum, so a question no subset answers costs one
+    pass; a sparse table could hold 2^k sums there, so it keeps
+    ``floor[j]``, the least sum of j or more values, and ``pick`` grows it
+    only to counts that can still reach the target.
     """
 
     def __init__(self, values: tuple[int, ...], dense: bool):
@@ -207,10 +208,8 @@ class _SubsetTable:
                 exact[i].append(row)
         return row
 
-    def sums(self, row: Any) -> list[int]:
-        """The sums in a row, in increasing order."""
-        if not self.dense:
-            return sorted(row)
+    def sums(self, row: int) -> list[int]:
+        """The sums in a dense row, in increasing order."""
         digits = bin(row)[:1:-1]  # digits[i] is bit i
         return [i - self.offset for i, d in enumerate(digits) if d == "1"]
 

@@ -8,10 +8,10 @@ checkable bad coloring.  Neither outcome is ever a partition-regularity
 claim; that language stays in the classifier.
 
 The search reads the solutions of p in layers by their largest value, from
-``solutions.solution_layers``: layer v + 1 when it first colors v.  It reads
-only value sets, so a layer holds one representative per orbit of
-interchangeable variables, and ``stats.constraints`` counts the
-representatives read.  A layer read costs what the layer holds: an empty
+``solutions.solution_layers``, as the pair (variables, layers): layer
+v + 1 when it first colors v.  It reads only value sets, so a layer holds
+one representative per orbit of interchangeable variables, and
+``stats.constraints`` counts the representatives read.  A layer read costs what the layer holds: an empty
 layer touches no pending root, free prefix, owner table or mask, and the
 walk retires a group once no later layer can reach it.  What is paid once
 per search is the layers' setup, the search for the first layer over the
@@ -36,12 +36,12 @@ the search reaches.  Re-verifying that coloring covers every shorter interval.
 Two checks from ``check`` guard each search, each one pass over the tuples
 it read, made after the kernel and before any outcome is built, an
 Inconclusive one included.  ``_verify_solutions`` re-verifies every tuple of
-every layer read, the layer above the deepest coloring too, in the layers'
-variable order (``Layers.variables``).  ``_first_monochromatic`` does not
-trust the kernel's masks: it reads the tuples of the layers up to the
-coloring's length and refuses the coloring when some tuple's colors all
-agree.  ``monochromatic_solution`` makes the same check over the oracle's
-tuples.
+every layer read, the layer above the deepest coloring too, in the
+variables that ``solution_layers`` returns with the layers.
+``_first_monochromatic`` does not trust the kernel's masks: it reads the
+tuples of the layers up to the coloring's length and refuses the coloring
+when some tuple's colors all agree.  ``monochromatic_solution`` makes the
+same check over the oracle's tuples.
 
 The backtracking is one iterative depth-first search, so its depth is not
 bounded by the recursion limit.  Symmetry breaking: color(1) = 0, and color
@@ -420,14 +420,14 @@ def find_bad_coloring(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     started = time.perf_counter()
-    layers = solution_layers(p, n_bound, injective)
+    variables, layers = solution_layers(p, n_bound, injective)
     kernel_started = time.perf_counter()
     found, read, exhausted, nodes, prunes, reading_ms = _first_bad_coloring(
-        iter(layers), r, n_bound, budget
+        layers, r, n_bound, budget
     )
     kernel_ended = time.perf_counter()
     rows = list(itertools.chain.from_iterable(read))
-    _verify_solutions(p, layers.variables, rows)
+    _verify_solutions(p, variables, rows)
     enumerate_ms = reading_ms + (time.perf_counter() - kernel_ended + kernel_started - started) * 1000
     deepest = Coloring(tuple(found))
     colored = len(rows) - sum(map(len, read[deepest.n :]))  # the rows of read[: deepest.n]

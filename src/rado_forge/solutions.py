@@ -5,12 +5,13 @@ coloring search.
 ``brute_force_solutions`` is the oracle: every solution in [1..N]^k, in
 lexicographic order of the values of the variables in name order, each as a
 ``Witness``, the verified-assignment record the lifts return too.
-``solution_layers`` is what the search reads.  A solution is a plain tuple of
-values, and the layers hold them by their largest value: layer v holds the
-tuples whose largest value is v.  The search reads only value sets, so a
-layer holds one representative per orbit of interchangeable variables (two
-are interchangeable when swapping them maps p to p or -p): the tuples that
-are nondecreasing inside each block of them.  A permutation keeps a tuple's
+``solution_layers`` is what the search reads: the pair (variables, layers),
+the variable at each position of the tuples and an iterator of the layers.
+A solution is a plain tuple of values, and layer v holds the tuples whose
+largest value is v.  The search reads only value sets, so a layer holds one
+representative per orbit of interchangeable variables (two are
+interchangeable when swapping them maps p to p or -p): the tuples that are
+nondecreasing inside each block of them.  A permutation keeps a tuple's
 values, so the value sets of every layer are those of the full enumeration,
 which the tests check against the oracle.
 
@@ -32,7 +33,8 @@ The layers pick it by the form's shape, not its name (``_solved_position``),
 and one walk serves every choice (``_walker``): every monomial rises in each
 variable, so the completions of a prefix bound p from below and from above,
 and a position stops rising once 0 falls outside a bound that its value
-moves away from 0.
+moves away from 0.  The walk does not recurse, so no number of variables
+meets the recursion limit.
 
 A small search reads a few dozen tuples, so what a layer read costs is
 machinery paid per layer, per walk step and per leaf, not per solution:
@@ -45,8 +47,8 @@ threshold forms the walk reads no term but at the roots of its groups.
 Every tuple either enumerator hands out is re-verified exactly by
 ``check._verify_solutions``, not by the walk's terms or the grid's
 ``evaluate``: the oracle's on the solutions it returns, the layers' by the
-search that reads them, once per search, in the variable order the layers
-name (``Layers.variables``).
+search that reads them, once per search, in the variable order that
+``solution_layers`` returns with them.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from .poly import Polynomial
 
 __all__ = [
     "DEFAULT_ENUM_BUDGET",
-    "Layers",
     "SearchSpaceTooLargeError",
     "Witness",
     "brute_force_solutions",
@@ -302,21 +303,14 @@ def _bounding(p: Polynomial, lone: dict[int, tuple[int, int]]) -> list[int]:
 
 
 def _solved_position(
-    p: Polynomial,
-    lone: Optional[dict[int, tuple[int, int]]] = None,
-    bounding: Optional[list[int]] = None,
+    p: Polynomial, lone: dict[int, tuple[int, int]], bounding: list[int]
 ) -> Optional[int]:
     """The position of the variable the layers solve for: one that bounds
-    the walk (``_bounding``), which leaves the fewest candidates; else a lone
-    one (``_lone``); else the last variable when ``_isolation_split`` applies
-    to it; else None (the grid is walked).  A tie goes to the least exponent,
-    so that higher powers are walked, where the bounds cut them short, then
-    to the later name.  ``solution_layers`` passes the ``lone`` and
-    ``bounding`` it has computed; without them they are computed here."""
-    if lone is None:
-        lone = _lone(p)
-    if bounding is None:
-        bounding = _bounding(p, lone)
+    the walk (``bounding``, from ``_bounding``), which leaves the fewest
+    candidates; else a lone one (``lone``, from ``_lone``); else the last
+    variable when ``_isolation_split`` applies to it; else None (the grid
+    is walked).  A tie goes to the least exponent, so that higher powers are
+    walked, where the bounds cut them short, then to the later name."""
     chosen = bounding or lone
     if chosen:
         return min(chosen, key=lambda i: (lone[i][1], -i))
@@ -373,6 +367,12 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     A leaf's first sum is the terms' value there, unless they hold the
     variable solved for.
 
+    Each free position of a group is one generator, ``walk``: above the
+    last it yields the first sum at each value its checks admit, and
+    ``layer`` starts the next position's walk there; the last appends its
+    leaves to the layer's list.  The walks of a group are a list, the
+    deepest last, so nothing recurses and the layer's state is its own.
+
     A step re-evaluates only what it moves: the terms that read its fill or
     its greatest-completion slot (``_moving``).  The rest of each sum is
     fixed while the step runs over its values: the first sum's is the total
@@ -428,15 +428,12 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
         start += size
     floor, ceiling = -hi, -lo  # the first sum's least value, the second's greatest
     t = [1] * (k + 1) + [0] * k + [max_n]  # the greatest completion is set by each layer
-    found: list[tuple[tuple[int, ...], int]] = []
-    steps: list[tuple] = []
-    final = -1
 
-    def walk(i: int, total: int) -> None:
+    def walk(step: tuple, leaf: bool, total: int, found: list) -> Iterator[int]:
         (j, stop, one, rises, falls, reads, settles, slope, at_top, slope2,
-         moving, still2, moving2) = steps[i]
+         moving, still2, moving2) = step
         h = k + 1 + j  # j's place in the greatest completion
-        x0, last, leaf = t[j], t[h], i == final
+        x0, last = t[j], t[h]
         if slope is None:
             fixed = total - _term_value(moving, t)
         else:  # the first sum one value before x0, to step by the slope
@@ -473,7 +470,7 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
             if leaf:
                 found.append((tuple(t[:k]), total))
             else:
-                walk(i + 1, total)
+                yield total
         if one:
             t[j] = x0
         else:
@@ -482,8 +479,7 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
             t[h] = last
 
     def layer(n: int) -> list[tuple[tuple[int, ...], int]]:
-        nonlocal found, steps, final
-        found = []
+        found: list[tuple[tuple[int, ...], int]] = []
         t[k + 1 : 2 * k + 1] = [n] * k
         below = 0  # the greatest completion is n - 1 before this position
         for group in groups[:]:
@@ -497,8 +493,15 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
                 if not up:
                     groups.remove(group)
             elif always or _term_value(second_sum, t, ceiling + 1) <= ceiling:
-                if steps:
-                    walk(0, total)
+                if steps:  # one walk per free position, the deepest last: no recursion
+                    walks = [walk(steps[0], final == 0, total, found)]
+                    while walks:
+                        for total in walks[-1]:
+                            i = len(walks)
+                            walks.append(walk(steps[i], i == final, total, found))
+                            break
+                        else:
+                            walks.pop()
                 else:
                     found.append((tuple(t[:k]), total))
             t[top] = 1
@@ -546,28 +549,19 @@ def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[
     return sorted(map(tuple, blocks), key=lambda block: (-len(block), block))
 
 
-class Layers:
-    """What ``solution_layers`` returns: the layers, iterable once, with
-    ``variables``, the variable at each position of their tuples."""
-
-    def __init__(self, variables: list[str], layers: Iterator[list[tuple[int, ...]]]) -> None:
-        self.variables = variables
-        self._layers = layers
-
-    def __iter__(self) -> Iterator[list[tuple[int, ...]]]:
-        return self._layers  # a reader that iterates pays no frame per layer
-
-
-def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:
-    """For N = 1..max_n, the solutions of p whose largest value is N, in
-    lexicographic order, one per orbit of permutations inside the blocks of
+def solution_layers(
+    p: Polynomial, max_n: int, injective: bool
+) -> tuple[list[str], Iterator[list[tuple[int, ...]]]]:
+    """The pair (variables, layers).  For N = 1..max_n, ``layers`` yields
+    the solutions of p whose largest value is N, in lexicographic order, one
+    per orbit of permutations inside the blocks of
     ``_interchangeable_blocks``: the tuples nondecreasing inside each block.
     A tuple lists the variables block by block, lone ones last when none
-    bounds the walk, then the variable solved for; ``variables`` of the
-    result names them.  The candidate budget, ``DEFAULT_ENUM_BUDGET``, is
-    read when layer 1 is read; reading the first layer N whose candidates
-    exceed it raises, as ``_check_candidates(N, sizes)`` would, before that
-    layer is built.  A one-signed form's layers are empty.
+    bounds the walk, then the variable solved for; ``variables`` names
+    them.  The candidate budget, ``DEFAULT_ENUM_BUDGET``, is read when
+    layer 1 is read; reading the first layer N whose candidates exceed it
+    raises, as ``_check_candidates(N, sizes)`` would, before that layer is
+    built.  A one-signed form's layers are empty.
 
     Layer N walks only the prefixes whose largest entry is N and whose
     completions can reach 0 (``_walker``).  The variable at
@@ -651,4 +645,4 @@ def solution_layers(p: Polynomial, max_n: int, injective: bool) -> Layers:
             found.sort()
             yield found
 
-    return Layers(variables, layers())
+    return variables, layers()

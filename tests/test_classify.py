@@ -407,6 +407,10 @@ def test_classify_linear_scaled_difference_not_injective():
 def test_classify_linear_rejects_nonlinear():
     with pytest.raises(NotLinearError):
         classify_linear(parse("x*y - z"))
+    # and so does the affine rule, whatever the constant
+    for constant in (-2, 1):
+        with pytest.raises(NotLinearError, match=r"^x\*y - z is not linear$"):
+            classify_affine(parse("x*y - z"), constant)
 
 
 # -- classify_affine ----------------------------------------------------------
@@ -828,6 +832,10 @@ def test_classify_ring_z():
 
     v = classify(parse("x^2 + y^2 + z^2"), ring="Z")
     assert v.status == UNKNOWN
+
+    for ring in ("Q", "n", ""):
+        with pytest.raises(ValueError, match=f"^ring must be 'N' or 'Z', got {ring!r}$"):
+            classify(parse("x + y - z"), ring=ring)
 
 
 def test_negate_all_variables():

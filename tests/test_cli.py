@@ -36,11 +36,13 @@ from rado_forge.search import Coloring, monochromatic_solution
 
 VERDICT_SCHEMA = {
     "type": "object",
-    "required": ["schema", "input", "canonical", "status", "injective", "certificate", "trace", "notes"],
+    "required": ["schema", "input", "canonical", "ring", "status", "injective", "certificate", "trace",
+                 "notes"],
     "properties": {
         "schema": {"const": 1},
         "input": {"type": "string"},
         "canonical": {"type": "string"},
+        "ring": {"enum": ["N", "Z"]},
         "status": {"enum": ["PR", "NOT_PR", "UNKNOWN"]},
         "injective": {"enum": ["yes", "no", "unknown"]},
         "certificate": {
@@ -214,9 +216,15 @@ def test_classify_constant_is_refused_on_a_nonlinear_form(capsys, json_flag):
 
 def test_classify_json_schema(capsys):
     for text in ["x1 + x2 - y1*y2", "x + y - 3*z", "x*y + x*z - y*z"]:
-        code, payload = run_json(capsys, ["classify", text, "--json"])
-        jsonschema.validate(payload, VERDICT_SCHEMA)
-        assert json.loads(json.dumps(payload)) == payload  # round-trips
+        for ring in ("N", "Z"):
+            code, payload = run_json(capsys, ["classify", text, "--ring", ring, "--json"])
+            jsonschema.validate(payload, VERDICT_SCHEMA)
+            assert payload["ring"] == ring
+            assert json.loads(json.dumps(payload)) == payload  # round-trips
+    # a verdict without its ring, or over another ring, does not pass
+    for bad in (dict(payload, ring="Q"), {k: v for k, v in payload.items() if k != "ring"}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, VERDICT_SCHEMA)
 
 
 def test_classify_ring_z(capsys):

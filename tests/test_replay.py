@@ -263,12 +263,16 @@ def _tampered(text, constant, /, **fields):
         lambda: _tampered("x1*y1 + x2*y1*y2 - x3", 0, F=lambda f: [[True] + g[1:] if g else g for g in f]),
         # nor a str for a list of one-letter names
         lambda: _tampered("a*b*x^2 + c*d*y^2 - e*f*z^2", 0, exclusive_choice=lambda c: ["".join(g) for g in c]),
+        # x*y divides x^2*y, so the gcd leaves no second variable to differ:
+        # the payload of x^2*y - x*y*z, which does, is no K2 decomposition here
+        lambda: (parse("x^2*y - x*y"), classify(parse("x^2*y - x*y*z"))),
     ],
     ids=[
         "diagonal", "passive_vars", "q1-q2-swapped", "reduced-not-canonical", "q1", "F-overlong",
         "exclusive_choice-overlong",
         "J-bool", "coefficients-float", "coefficients-bool", "constant-float", "diagonal-float",
         "degree-float", "common_sum-float", "F-bool", "exclusive_choice-strings",
+        "K2Analysis-one-monomial-divides-the-other",
     ],
 )
 def test_replay_checks_every_determined_field(claim):

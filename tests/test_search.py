@@ -64,6 +64,13 @@ def _value_sets(layer, value):
     return {frozenset(t) - {value} for t in layer}
 
 
+def _solved_position(p):
+    """The position ``solution_layers`` solves for, from the lone and
+    bounding positions it derives first."""
+    lone = solutions._lone(p)
+    return solutions._solved_position(p, lone, solutions._bounding(p, lone))
+
+
 def _oracle_layers(p, n, injective):
     """The oracle's solutions in [1..n], grouped by their largest value."""
     layers = [[] for _ in range(n)]
@@ -96,7 +103,7 @@ def test_layered_enumeration_matches_oracle(text):
     p = parse(text)
     for injective in (False, True):
         for n in range(1, 11):
-            layered = solutions.solution_layers(p, n, injective)
+            _, layered = solutions.solution_layers(p, n, injective)
             oracle = _oracle_layers(p, n, injective)
             assert [_value_sets(layer, v) for v, layer in enumerate(layered, 1)] == [
                 _value_sets(layer, v) for v, layer in enumerate(oracle, 1)], (n, injective)
@@ -128,16 +135,37 @@ def test_layers_hold_the_oracle_representatives_in_order(text):
     # largest value, rearranged into the layers' variable order, kept when
     # nondecreasing inside each block of interchangeable variables, sorted
     p = parse(text)
-    blocks = solutions._interchangeable_blocks(p, solutions._solved_position(p))
+    blocks = solutions._interchangeable_blocks(p, _solved_position(p))
     for injective in (False, True):
         for n in range(1, 11):
-            layered = solutions.solution_layers(p, n, injective)
-            index = [p.variables.index(v) for v in layered.variables]
+            variables, layered = solutions.solution_layers(p, n, injective)
+            index = [p.variables.index(v) for v in variables]
             expected = [[] for _ in range(n)]
             for t in enumerate_constraints(p, n, injective):
                 if all(t[i] <= t[j] for block in blocks for i, j in zip(block, block[1:])):
                     expected[max(t) - 1].append(tuple(t[i] for i in index))
             assert list(layered) == [sorted(layer) for layer in expected], (n, injective)
+
+
+def test_a_wide_form_does_not_meet_the_recursion_limit():
+    # the walk sets 300 free positions per leaf; with the recursion limit a
+    # few dozen frames above this test's own depth, the search and its
+    # layers are those at the default limit
+    p = parse(" + ".join(f"x{i}" for i in range(1, 301)) + " - 300*y")
+
+    def run():
+        outcome = find_bad_coloring(p, 2, 2)
+        _, layers = solutions.solution_layers(p, 2, False)
+        return outcome.kind, outcome.coloring, outcome.stats.nodes, list(layers)
+
+    expected = run()
+    assert expected[0] == FORCED and expected[3] == [[(1,) * 301], [(2,) * 301]]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        assert run() == expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _moving_reference(terms, fill, top):
@@ -192,14 +220,14 @@ def test_the_budget_raises_at_the_first_layer_over_it(text, injective, monkeypat
     # check at every layer would, with the same text, after the same layers
     p = parse(text)
     max_n = 12
-    sizes = [len(b) for b in solutions._interchangeable_blocks(p, solutions._solved_position(p))]
-    unlimited = list(solutions.solution_layers(p, max_n, injective))
+    sizes = [len(b) for b in solutions._interchangeable_blocks(p, _solved_position(p))]
+    unlimited = list(solutions.solution_layers(p, max_n, injective)[1])
     counts = [math.prod(math.comb(n + s - 1, s) for s in sizes) for n in range(1, max_n + 1)]
     for count in (counts[5], counts[9]):
         for budget in (count - 1, count, count + 1):
             monkeypatch.setattr(solutions, "DEFAULT_ENUM_BUDGET", budget)
             wall = next((n for n in range(1, max_n + 1) if _candidates_raise(n, sizes)), None)
-            layers = iter(solutions.solution_layers(p, max_n, injective))
+            _, layers = solutions.solution_layers(p, max_n, injective)
             for n in range(1, (wall or max_n + 1)):
                 assert next(layers) == unlimited[n - 1], (budget, n)
             if wall is None:
@@ -219,7 +247,7 @@ def test_enumeration_budget_message_matches_oracle(text, monkeypatch):
     with pytest.raises(SearchSpaceTooLargeError) as oracle:
         brute_force_solutions(p, 40)
     with pytest.raises(SearchSpaceTooLargeError) as layered:
-        list(solutions.solution_layers(p, 40, False))
+        list(solutions.solution_layers(p, 40, False)[1])
     for error in (oracle, layered):
         assert re.fullmatch(r"\d+ candidate tuples exceed the budget of 30", str(error.value))
 
@@ -411,10 +439,9 @@ def _planted(p, n, injective):
     """The search's layers of p, with the non-solution (2, 2, 5) after the
     solutions of layer 5: every 2-coloring of x + y = z dies at 5, so that
     is the last layer its search reads."""
-    layers = solutions.solution_layers(p, n, injective)
-    return solutions.Layers(
-        layers.variables,
-        (layer + [(2, 2, 5)] if value == 5 else layer for value, layer in enumerate(layers, 1)))
+    variables, layers = solutions.solution_layers(p, n, injective)
+    return variables, (
+        layer + [(2, 2, 5)] if value == 5 else layer for value, layer in enumerate(layers, 1))
 
 
 @pytest.mark.parametrize("run", [find_bad_coloring, rado_number])
@@ -514,7 +541,7 @@ def test_column_check_finds_the_first_monochromatic_tuple(text, data):
     monochromatic = [t for t in rows if len({coloring.color_of(v) for v in t}) == 1]
     assert first == min(monochromatic, default=None)
     assert monochromatic_solution(p, coloring) == first
-    for layer in solutions.solution_layers(p, n, False):
+    for layer in solutions.solution_layers(p, n, False)[1]:
         found = check._first_monochromatic(layer, (None, *colors))
         assert found == _first_monochromatic_per_tuple(layer, coloring)
 
@@ -541,6 +568,13 @@ def test_bound_below_one_is_rejected():
         for run in (find_bad_coloring, rado_number):
             with pytest.raises(ValueError, match="^bound must be >= 1$"):
                 run(SCHUR, 2, bound)
+
+
+def test_fewer_than_one_color_is_rejected():
+    for r in (0, -2):
+        for run in (find_bad_coloring, rado_number):
+            with pytest.raises(ValueError, match="^need at least one color$"):
+                run(SCHUR, r, 5)
 
 
 def test_negative_budget_is_rejected():
@@ -629,7 +663,7 @@ def test_every_tuple_read_is_re_verified_once(text, r, n, injective, budget, mon
     outcome = find_bad_coloring(p, r, n, injective, **kwargs)
     (read,) = reads
     assert len(read) == min(outcome.stats.depth_max + 1, n)
-    assert read == list(itertools.islice(solutions.solution_layers(p, n, injective), len(read)))
+    assert read == list(itertools.islice(solutions.solution_layers(p, n, injective)[1], len(read)))
     assert calls == [[t for layer in read for t in layer]]
     assert 0 < len(calls[0]) == outcome.stats.constraints
     calls.clear()
@@ -827,7 +861,7 @@ def test_search_reads_layers_only_as_it_reaches_them():
 )
 def test_interchangeable_blocks(text, expected):
     p = parse(text)
-    solved = solutions._solved_position(p)
+    solved = _solved_position(p)
     blocks = solutions._interchangeable_blocks(p, solved)
     assert [{p.variables[i] for i in b} for b in blocks if len(b) > 1] == expected
     # a partition of every position except the one solved for, largest block first
@@ -880,7 +914,7 @@ def _search_polynomials(draw):
 @example(parse("2*a + b + c - d"), True, 12)  # the larger block comes later by name
 @example(parse("a*c + b*c - c^2"), False, 12)  # no isolation split: the grid is reduced
 def test_reduced_layers_match_singleton_layers(p, injective, n):
-    reduced = solutions.solution_layers(p, n, injective)
+    _, reduced = solutions.solution_layers(p, n, injective)
     full = _oracle_layers(p, n, injective)
     for value, (few, every) in enumerate(zip(reduced, full, strict=True), start=1):
         assert _value_sets(few, value) == _value_sets(every, value), value
@@ -949,7 +983,7 @@ def test_lone_tie_solves_the_least_exponent(text):
     # both lone variables stand on the side of more than one monomial, so
     # neither bounds the walk; the linear one is solved for, whatever its name
     p = parse(text)
-    solved = p.variables[solutions._solved_position(p)]
+    solved = p.variables[_solved_position(p)]
     assert p.degree_of(solved) == 1
     assert any(m.exponents == ((solved, 1),) for m in p.monomials)
 
@@ -999,7 +1033,7 @@ def test_bounded_layers_match_unbounded_layers(p, injective, n):
     # the walk cut on both sides keeps every solution: each layer is a plain
     # filter of [1..n]^k, in the layers' variable order (blocks, then the
     # bounding variable solved for) and nondecreasing inside each block
-    solved = solutions._solved_position(p)
+    solved = _solved_position(p)
     assert solved in solutions._bounding(p, solutions._lone(p))
     blocks = solutions._interchangeable_blocks(p, solved)
     variables = [p.variables[i] for block in blocks for i in block] + [p.variables[solved]]
@@ -1011,7 +1045,7 @@ def test_bounded_layers_match_unbounded_layers(p, injective, n):
             continue
         if p.evaluate(dict(zip(variables, t))) == 0:
             expected[max(t) - 1].append(t)
-    assert list(solutions.solution_layers(p, n, injective)) == expected
+    assert list(solutions.solution_layers(p, n, injective)[1]) == expected
 
 
 def test_candidate_wall_counts_representatives():

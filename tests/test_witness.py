@@ -116,6 +116,24 @@ def test_reduct_lift_rejects_non_solutions():
         reduct_lift(form, (1, 1, 1, 0), (2, 3, 5))
 
 
+@pytest.mark.parametrize(
+    "alpha, y_values, error, message",
+    [
+        ((1, 4, 3), (2, 3, 5), NotAReductSolutionError, "need 4 alpha values, got 3"),
+        ((1, 4, 3, 1, 1), (2, 3, 5), NotAReductSolutionError, "need 4 alpha values, got 5"),
+        ((1, 4, 3, 1), (2, 3), ValueError, "need 3 y values, got 2"),
+        ((1, 4, 3, 1), (2, 3, 5, 7), ValueError, "need 3 y values, got 4"),
+        ((1, 4, 3, 1), (2, 0, 5), ValueError, "y values must be positive"),
+        ((1, 4, 3, 1), (-2, 3, 5), ValueError, "y values must be positive"),
+    ],
+)
+def test_reduct_lift_checks_its_arguments(alpha, y_values, error, message):
+    # (1, 4, 3, 1) solves the reduct; the counts and the y values are checked too
+    form = to_lev_form(parse("2*x1+3*x2*y1*y2-5*x3*y1+x4*y2*y3"))
+    with pytest.raises(error, match=f"^{message}$"):
+        reduct_lift(form, alpha, y_values)
+
+
 def test_reduct_lift_formal_identity():
     form = to_lev_form(parse("x1*y1 + x2*y1*y2 - x3"))
     assert reduct_lift_formal_check(form, (1, 2, 3))
@@ -349,6 +367,11 @@ def test_build_witness_checks_its_arguments_for_every_method(method):
             build_witness(p, method, n_bound=n_bound)
     with pytest.raises(ValueError, match="^bound must be >= 1$"):
         build_witness(p, method, n_bound=0, limit=0)
+
+
+def test_build_witness_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        build_witness(parse("x + y - z"), method="bogus")
 
 
 def test_brute_force_root_beyond_float_range():
