@@ -122,6 +122,9 @@ class Coloring(namedtuple("Coloring", ["colors"])):
         return len(self.colors)
 
     def color_of(self, value: int) -> int:
+        """The color of ``value``; ``IndexError`` outside [1..n]."""
+        if value < 1:
+            raise IndexError(f"value {value} is outside [1..{self.n}]")
         return self.colors[value - 1]
 
     def classes(self) -> list[list[int]]:

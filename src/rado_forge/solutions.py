@@ -29,8 +29,9 @@ one solve step: divide, then take an exact root by integer Newton steps
 puts the root above the caller's bound.  A lone linear variable c*v is the
 exception: the layers solve it with one ``divmod`` per leaf.
 The oracle solves for the last variable when it occurs with one exponent.
-The layers pick it by the form's shape, not its name (``_solved_position``),
-and one walk serves every choice (``_walker``): every monomial rises in each
+The layers pick it by the form's shape, not its name, in ``_layout``, the
+one pass over p that also blocks and orders the other variables; and one
+walk serves every choice (``_walker``): every monomial rises in each
 variable, so the completions of a prefix bound p from below and from above,
 and a position stops rising once 0 falls outside a bound that its value
 moves away from 0.  The walk does not recurse, so no number of variables
@@ -38,11 +39,12 @@ meets the recursion limit.
 
 A small search reads a few dozen tuples, so what a layer read costs is
 machinery paid per layer, per walk step and per leaf, not per solution:
-the setup, paid once per search, derives the blocks, the solved position
-and each walk step's moving terms; a walk step re-evaluates only the terms
-that read what it moves, and a linear term none at all (it steps by its
-slope); a leaf of a lone linear variable costs one ``divmod``.  On the
-threshold forms the walk reads no term but at the roots of its groups.
+the setup, paid once per search, derives the layout and the moving terms
+of each distinct walk step, which every group shares; a walk step
+re-evaluates only the terms that read what it moves, and a linear term none
+at all (it steps by its slope); a leaf of a lone linear variable costs one
+``divmod``.  On the threshold forms the walk reads no term but at the roots
+of its groups.
 
 Every tuple either enumerator hands out is re-verified exactly by
 ``check._verify_solutions``, not by the walk's terms or the grid's
@@ -277,44 +279,75 @@ def brute_force_solutions(
     return [Witness(dict(zip(variables, values)), 0, "BruteForce") for values in rows]
 
 
-def _lone(p: Polynomial) -> dict[int, tuple[int, int]]:
-    """The positions of the variables that occur in one monomial c*v^e
-    only, each with its (c, e); none when p has fewer than two variables."""
-    if len(p.variables) < 2:
-        return {}
-    alone: dict[str, tuple[int, int]] = {}
-    shared: set[str] = set()  # in a monomial of two variables, or in two monomials
-    for c, exponents in p.monomials:
-        if len(exponents) > 1:
-            shared.update([v for v, _ in exponents])
+def _layout(p: Polynomial) -> tuple[Optional[int], list[tuple[int, ...]]]:
+    """The position of the variable the layers solve for, or None, and the
+    others in blocks of interchangeable variables, in walk order, from one
+    pass that files each monomial under the positions it holds.  In a form
+    of two or more variables, v is lone when it occurs in one monomial c*v^e
+    only, and bounds the walk when that monomial is the only one of its
+    sign.  The layers solve for a bounding variable, which leaves the fewest
+    candidates; else a lone one; else the last variable when it has one
+    exponent (``_isolation_split``'s case); else none.  A tie goes to the
+    least exponent, so that the bounds cut the higher powers short, then to
+    the later name.  Two variables are interchangeable when swapping them
+    maps p to p or -p, an equivalence: each position is tested against each
+    block's first member, on the monomials that hold either, each looked up
+    among p's (renaming p costs more than a whole small search); one that
+    holds neither fixes the sign at +1.  The blocks go largest first, then
+    by position, and lone ones last when nothing bounds the walk."""
+    variables, monomials = p.variables, p.monomials
+    at = dict(zip(variables, range(len(variables))))
+    held: list[dict[int, int]] = [{} for _ in variables]  # per position: monomial -> exponent
+    coefficient = {}
+    positive = 0  # the monomials of each sign
+    for m, (c, exponents) in enumerate(monomials):
+        coefficient[exponents] = c
+        positive += c > 0
+        for v, e in exponents:
+            held[at[v]][m] = e
+    lone = {}  # position -> e, of its one monomial c*v^e
+    bounding = []
+    if len(variables) > 1:
+        for i, exps in enumerate(held):
+            if len(exps) == 1:
+                c, exponents = monomials[next(iter(exps))]
+                if len(exponents) == 1:
+                    lone[i] = exponents[0][1]
+                    if (positive if c > 0 else len(monomials) - positive) == 1:
+                        bounding.append(i)
+    solved = None
+    if lone:
+        solved = min(bounding or lone, key=lambda i: (lone[i], -i))
+    elif len(variables) > 1 and len(set(held[-1].values())) == 1:
+        solved = len(variables) - 1
+
+    def interchangeable(i: int, j: int) -> bool:
+        swap = {variables[i]: variables[j], variables[j]: variables[i]}
+        touched = held[i].keys() | held[j].keys()
+        sign = 0 if len(touched) == len(monomials) else 1  # p's image is sign * p
+        for m in touched:
+            c, exponents = monomials[m]
+            swapped = [(swap.get(x, x), e) for x, e in exponents]
+            if len(swapped) > 1:
+                swapped.sort()
+            image = coefficient.get(tuple(swapped), 0)
+            if image != sign * c if sign else image not in (c, -c):
+                return False
+            sign = image // c
+        return True
+
+    blocks: list[list[int]] = []
+    for i in range(len(variables)):
+        if i == solved:
+            continue
+        for block in blocks:
+            if interchangeable(block[0], i):
+                block.append(i)
+                break
         else:
-            ((v, e),) = exponents
-            if v in alone:
-                shared.add(v)
-            alone[v] = (c, e)
-    return {p.variables.index(v): ce for v, ce in alone.items() if v not in shared}
-
-
-def _bounding(p: Polynomial, lone: dict[int, tuple[int, int]]) -> list[int]:
-    """The lone positions whose monomial is the only one of its sign."""
-    positive = sum(c > 0 for c in p.coefficients)
-    negative = len(p.coefficients) - positive
-    return [i for i, (c, _) in lone.items() if (positive if c > 0 else negative) == 1]
-
-
-def _solved_position(
-    p: Polynomial, lone: dict[int, tuple[int, int]], bounding: list[int]
-) -> Optional[int]:
-    """The position of the variable the layers solve for: one that bounds
-    the walk (``bounding``, from ``_bounding``), which leaves the fewest
-    candidates; else a lone one (``lone``, from ``_lone``); else the last
-    variable when ``_isolation_split`` applies to it; else None (the grid
-    is walked).  A tie goes to the least exponent, so that higher powers are
-    walked, where the bounds cut them short, then to the later name."""
-    chosen = bounding or lone
-    if chosen:
-        return min(chosen, key=lambda i: (lone[i][1], -i))
-    return len(p.variables) - 1 if _isolation_split(p) else None
+            blocks.append([i])
+    return solved, sorted(map(tuple, blocks), key=lambda block: (
+        not bounding and block[0] in lone, -len(block), block))
 
 
 def _moving(terms: list, fill: range, top: int) -> tuple[list, list, Optional[int], int]:
@@ -383,12 +416,15 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     moving terms are read through ``_term_value``, which skips powers that
     decide a sum, against the bound less the fixed part.
 
-    A layer costs what it walks: one completion list serves every group of
-    every layer, the loop over a group's last free position appends its
-    leaves itself, a fill of one position writes one slot, and a position's
-    greatest completion is written only when some sum reads it.  With no
-    positive term the first sum at a group's root only falls as n grows, so
-    a group whose root fails it is retired for every later layer."""
+    A layer costs what it walks, and the setup what the form holds: a step
+    depends only on its position and where its fill stops (its block's top
+    in that block's group, the block's end in the others), so the groups
+    share it.  One completion list serves every group of every layer, the
+    loop over a group's last free position appends its leaves itself, a
+    fill of one position writes one slot, and a position's greatest
+    completion is written only when some sum reads it.  With no positive
+    term the first sum at a group's root only falls as n grows, so a group
+    whose root fails it is retired for every later layer."""
     k = sum(sizes)
     up: set[int] = set()  # positions in a positive term
     down: set[int] = set()  # positions in a negative term
@@ -405,25 +441,28 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
         second_sum.append((c, second))
     always = not up and -sum(c for c, _ in terms) >= lo  # each term is at most its coefficient
     read = up if always else up | down  # positions whose greatest completion a sum reads
+
+    def make_step(j: int, stop: int) -> tuple:  # j's value fills t[j:stop]
+        fill, h = range(j, stop), k + 1 + j  # h: j's place in the greatest completion
+        _, moving, slope, at_top = _moving(first_sum, fill, h)
+        # the second sum is read only when a check needs it
+        still2, moving2, slope2, _ = ([], [], 0, 0) if always else _moving(second_sum, fill, h)
+        return (j, stop, stop - j == 1, j in up, j in down, j in read,
+                not up or up.isdisjoint(fill), slope, at_top, slope2, moving, still2, moving2)
+
     block_ends: list[int] = []  # one past the block of each position
     for size in sizes:
         block_ends += [len(block_ends) + size] * size
+    # in the groups of the other blocks, j fills to its block's end
+    outer = [make_step(j, end) for j, end in enumerate(block_ends)] if len(sizes) > 1 else []
     groups = []
     start = 0
     for size in sizes:
         top = start + size - 1  # t[top] = n; the blocks before stay below n
-        steps = []  # per free position: its fill, the sums it moves, and what they read
-        for j in range(k):
-            if j != top:
-                stop = top if start <= j < top else block_ends[j]  # j's value fills t[j:stop]
-                fill, h = range(j, stop), k + 1 + j  # h: j's place in the greatest completion
-                _, moving, slope, at_top = _moving(first_sum, fill, h)
-                # the second sum is read only when a check needs it
-                still2, moving2, slope2, _ = (
-                    ([], [], 0, 0) if always else _moving(second_sum, fill, h))
-                steps.append((j, stop, stop - j == 1, j in up, j in down, j in read,
-                              not up or up.isdisjoint(fill), slope, at_top, slope2,
-                              moving, still2, moving2))
+        steps = outer[:start]  # per free position
+        for j in range(start, top):  # in its own block's group, j fills to below t[top]
+            steps.append(make_step(j, top))
+        steps += outer[top + 1 :]
         groups.append((top, start, steps, len(steps) - 1))
         start += size
     floor, ceiling = -hi, -lo  # the first sum's least value, the second's greatest
@@ -510,74 +549,28 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     return layer
 
 
-def _interchangeable_blocks(p: Polynomial, solved: Optional[int]) -> list[tuple[int, ...]]:
-    """The enumerated positions of p (every variable but the one at
-    ``solved``, from ``_solved_position``) in blocks of interchangeable
-    variables, largest block first, then by position.  Two variables are
-    interchangeable when swapping them maps p to p or -p; that is an
-    equivalence, so each position is tested against the first member of
-    each block.  The test looks up the image of each canonical monomial
-    among p's, without building each renamed polynomial (that costs more
-    than a whole small search), and stops at the first monomial whose image
-    is missing or has another coefficient than the sign so far allows."""
-    variables = p.variables
-    coefficient = {exponents: c for c, exponents in p.monomials}
-
-    def interchangeable(u: str, v: str) -> bool:
-        swap = {u: v, v: u}
-        sign = 0  # p's image is sign * p
-        for c, exponents in p.monomials:
-            swapped = [(swap.get(x, x), e) for x, e in exponents]
-            if len(swapped) > 1:
-                swapped.sort()
-            image = coefficient.get(tuple(swapped), 0)
-            if image != sign * c if sign else image not in (c, -c):
-                return False
-            sign = image // c
-        return True
-
-    blocks: list[list[int]] = []
-    for i in range(len(variables)):
-        if i == solved:
-            continue
-        for block in blocks:
-            if interchangeable(variables[block[0]], variables[i]):
-                block.append(i)
-                break
-        else:
-            blocks.append([i])
-    return sorted(map(tuple, blocks), key=lambda block: (-len(block), block))
-
-
 def solution_layers(
     p: Polynomial, max_n: int, injective: bool
 ) -> tuple[list[str], Iterator[list[tuple[int, ...]]]]:
     """The pair (variables, layers).  For N = 1..max_n, ``layers`` yields
     the solutions of p whose largest value is N, in lexicographic order, one
-    per orbit of permutations inside the blocks of
-    ``_interchangeable_blocks``: the tuples nondecreasing inside each block.
-    A tuple lists the variables block by block, lone ones last when none
-    bounds the walk, then the variable solved for; ``variables`` names
-    them.  The candidate budget, ``DEFAULT_ENUM_BUDGET``, is read when
-    layer 1 is read; reading the first layer N whose candidates exceed it
-    raises, as ``_check_candidates(N, sizes)`` would, before that layer is
-    built.  A one-signed form's layers are empty.
+    per orbit of permutations inside the blocks of ``_layout``: the tuples
+    nondecreasing inside each block.  A tuple lists the variables block by
+    block, in ``_layout``'s order, then the variable solved for;
+    ``variables`` names them.  The candidate budget, ``DEFAULT_ENUM_BUDGET``,
+    is read when layer 1 is read; reading the first layer N whose candidates
+    exceed it raises, as ``_check_candidates(N, sizes)`` would, before that
+    layer is built.  A one-signed form's layers are empty.
 
     Layer N walks only the prefixes whose largest entry is N and whose
-    completions can reach 0 (``_walker``).  The variable at
-    ``_solved_position`` is solved for by ``_solve``, and a root above N
-    waits for its own layer; a prefix that every value solves joins each
-    later layer.  With no variable solved for, the walk's leaves are the
+    completions can reach 0 (``_walker``).  The variable that ``_layout``
+    picks is solved for by ``_solve``, and a root above N waits for its own
+    layer; a prefix that every value solves joins each later layer.  With no variable solved for, the walk's leaves are the
     solutions.  The layers are not re-verified here: the reader re-verifies
     every tuple it read, once per search (``search.find_bad_coloring``).
     """
     k = len(p.variables)
-    lone = _lone(p)
-    bounding = _bounding(p, lone)
-    position = _solved_position(p, lone, bounding)
-    blocks = _interchangeable_blocks(p, position)
-    if not bounding:  # lone variables last
-        blocks.sort(key=lambda block: block[0] in lone)
+    position, blocks = _layout(p)
     order = list(itertools.chain.from_iterable(blocks))
     sizes = list(map(len, blocks))
     if position is not None:

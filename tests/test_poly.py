@@ -259,6 +259,7 @@ def _monomial(text):
 def test_monomial_gcd_examples():
     assert monomial_gcd(_monomial("x*y^2"), _monomial("y*z")).monic_text() == "y"
     assert monomial_gcd(_monomial("x"), _monomial("y")).exponents == ()
+    assert str(Monomial(3, ())) == "3"  # a bare constant prints as its coefficient
     assert monomial_gcd(_monomial("x^2*y"), _monomial("x*y")).monic_text() == "x*y"
 
 
@@ -373,6 +374,11 @@ def test_monomial_validation():
         Monomial(1, (("x", 0),))
     with pytest.raises(ValueError):
         Monomial(1, (("y", 1), ("x", 1)))
+    # a name that is not a variable name, in a record and in a term
+    with pytest.raises(ValueError, match="^invalid variable name: '2x'$"):
+        Monomial(1, [("2x", 1)])
+    with pytest.raises(ValueError, match="^invalid variable name: 'x y'$"):
+        Polynomial.from_terms([(1, {"x y": 1})])
     # any iterable of pairs is kept as a tuple of tuples: hashable, and equal
     # to the monomial given a tuple
     built = Monomial(1, (("x", 1),))

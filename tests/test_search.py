@@ -1,6 +1,7 @@
 """Coloring search tests: Schur fixtures, oracle equivalence, determinism."""
 
 import argparse
+import collections
 import importlib
 import importlib.util
 import inspect
@@ -62,13 +63,6 @@ def _value_sets(layer, value):
     """The distinct value sets of the layer of ``value``, each without
     ``value`` itself: what the search files when it reads the layer."""
     return {frozenset(t) - {value} for t in layer}
-
-
-def _solved_position(p):
-    """The position ``solution_layers`` solves for, from the lone and
-    bounding positions it derives first."""
-    lone = solutions._lone(p)
-    return solutions._solved_position(p, lone, solutions._bounding(p, lone))
 
 
 def _oracle_layers(p, n, injective):
@@ -135,7 +129,7 @@ def test_layers_hold_the_oracle_representatives_in_order(text):
     # largest value, rearranged into the layers' variable order, kept when
     # nondecreasing inside each block of interchangeable variables, sorted
     p = parse(text)
-    blocks = solutions._interchangeable_blocks(p, _solved_position(p))
+    _, blocks = solutions._layout(p)
     for injective in (False, True):
         for n in range(1, 11):
             variables, layered = solutions.solution_layers(p, n, injective)
@@ -166,6 +160,35 @@ def test_a_wide_form_does_not_meet_the_recursion_limit():
         assert run() == expected
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_each_walk_step_is_built_once_per_form(monkeypatch):
+    # y bounds the walk and no two x's are interchangeable: 40 blocks of one.
+    # A step depends only on its position and where its fill stops, so the
+    # groups share it: at most two per position and sum, not one per block
+    # and position (40 * 39 = 1,560 for the first sum alone)
+    built = []
+    moving = solutions._moving
+
+    def counted(terms, fill, top):
+        built.append((id(terms), fill, top))
+        return moving(terms, fill, top)
+
+    monkeypatch.setattr(solutions, "_moving", counted)
+    p = parse(" + ".join(f"{i}*x{i}" for i in range(1, 41)) + " - y")
+    assert list(solutions.solution_layers(p, 1, False)[1]) == [[]]
+    per_position = collections.Counter((terms, fill.start) for terms, fill, _ in built)
+    assert built and len(set(built)) == len(built) and max(per_position.values()) <= 2
+
+
+def test_a_wide_form_over_the_budget_raises_promptly():
+    # 400 blocks of one hold 2^400 candidates at N = 2; the layout tests
+    # each pair on the two monomials that hold it, and each step is built once
+    p = parse(" + ".join(f"{i}*x{i}" for i in range(1, 401)) + " - y")
+    started = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLargeError):
+        find_bad_coloring(p, 2, 2)
+    assert time.perf_counter() - started < 2.0
 
 
 def _moving_reference(terms, fill, top):
@@ -220,7 +243,7 @@ def test_the_budget_raises_at_the_first_layer_over_it(text, injective, monkeypat
     # check at every layer would, with the same text, after the same layers
     p = parse(text)
     max_n = 12
-    sizes = [len(b) for b in solutions._interchangeable_blocks(p, _solved_position(p))]
+    sizes = [len(b) for b in solutions._layout(p)[1]]
     unlimited = list(solutions.solution_layers(p, max_n, injective)[1])
     counts = [math.prod(math.comb(n + s - 1, s) for s in sizes) for n in range(1, max_n + 1)]
     for count in (counts[5], counts[9]):
@@ -504,6 +527,14 @@ def test_forced_monotone_spot_check():
 
 
 # -- monochromatic_solution ----------------------------------------------------------
+
+
+def test_color_of_reads_only_values_of_the_coloring():
+    coloring = Coloring((0, 1, 1))
+    assert [coloring.color_of(v) for v in (1, 2, 3)] == [0, 1, 1]
+    for value in (0, -1, -3, 4):  # below 1, an index would read the colors from the end
+        with pytest.raises(IndexError):
+            coloring.color_of(value)
 
 
 def test_monochromatic_solution_examples():
@@ -861,8 +892,7 @@ def test_search_reads_layers_only_as_it_reaches_them():
 )
 def test_interchangeable_blocks(text, expected):
     p = parse(text)
-    solved = _solved_position(p)
-    blocks = solutions._interchangeable_blocks(p, solved)
+    solved, blocks = solutions._layout(p)
     assert [{p.variables[i] for i in b} for b in blocks if len(b) > 1] == expected
     # a partition of every position except the one solved for, largest block first
     positions = sorted(i for b in blocks for i in b)
@@ -919,14 +949,18 @@ def test_reduced_layers_match_singleton_layers(p, injective, n):
     for value, (few, every) in enumerate(zip(reduced, full, strict=True), start=1):
         assert _value_sets(few, value) == _value_sets(every, value), value
         assert len(few) <= len(every)
+    layout = solutions._layout
+
+    def singletons(p):  # the layout with each block split into blocks of one
+        solved, blocks = layout(p)
+        return solved, [(i,) for block in blocks for i in block]
+
     for r in (1, 2, 3):
         for budget in (1, 7, 100, None):
             kwargs = {} if budget is None else {"budget": budget}
             fast = find_bad_coloring(p, r, n, injective, **kwargs)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(
-                    solutions, "_interchangeable_blocks",
-                    lambda p, solved: [(i,) for i in range(len(p.variables)) if i != solved])
+                patch.setattr(solutions, "_layout", singletons)
                 slow = find_bad_coloring(p, r, n, injective, **kwargs)
             assert (fast.kind, fast.coloring) == (slow.kind, slow.coloring), (r, budget)
             assert (fast.stats.nodes, fast.stats.depth_max) == (
@@ -983,7 +1017,7 @@ def test_lone_tie_solves_the_least_exponent(text):
     # both lone variables stand on the side of more than one monomial, so
     # neither bounds the walk; the linear one is solved for, whatever its name
     p = parse(text)
-    solved = p.variables[_solved_position(p)]
+    solved = p.variables[solutions._layout(p)[0]]
     assert p.degree_of(solved) == 1
     assert any(m.exponents == ((solved, 1),) for m in p.monomials)
 
@@ -1033,9 +1067,11 @@ def test_bounded_layers_match_unbounded_layers(p, injective, n):
     # the walk cut on both sides keeps every solution: each layer is a plain
     # filter of [1..n]^k, in the layers' variable order (blocks, then the
     # bounding variable solved for) and nondecreasing inside each block
-    solved = _solved_position(p)
-    assert solved in solutions._bounding(p, solutions._lone(p))
-    blocks = solutions._interchangeable_blocks(p, solved)
+    solved, blocks = solutions._layout(p)
+    # it bounds the walk: it stands alone in one monomial, the only one of its sign
+    (lead,) = [m for m in p.monomials if p.variables[solved] in m.variables]
+    assert lead.variables == (p.variables[solved],)
+    assert [m for m in p.monomials if (m.coefficient > 0) == (lead.coefficient > 0)] == [lead]
     variables = [p.variables[i] for block in blocks for i in block] + [p.variables[solved]]
     ends = list(itertools.accumulate(map(len, blocks)))
     rising = [j for j in range(len(variables) - 1) if j + 1 not in ends]  # t[j] <= t[j + 1]

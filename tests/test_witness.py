@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gen_support import (
@@ -501,6 +501,7 @@ def test_default_reduct_lift_answers_a_long_form():
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-50, 50).filter(bool), min_size=3, max_size=24))
+@example([-4, -3, 4])  # the least s leaves two entries equal: one more step of s
 def test_constructed_alpha_is_distinct_zero_sum(coeffs):
     assume(min(coeffs) < 0 < max(coeffs))
     alpha = witness._constructed_alpha(coeffs)
