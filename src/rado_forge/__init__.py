@@ -15,7 +15,8 @@ from .poly import (
     parse_with_constant,
 )
 from .search import Coloring, SearchOutcome, find_bad_coloring, rado_number
-from .witness import Witness, build_witness
+from .solutions import Witness
+from .witness import build_witness
 
 __version__ = "0.1.0"
 

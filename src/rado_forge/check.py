@@ -74,7 +74,10 @@ def _first_monochromatic(
 
 # -- certificate replay --------------------------------------------------------
 
-_INT = frozenset([int])  # the one type of a claimed index
+
+def _list_of(value: Any, kind: type) -> bool:
+    """``value`` is a list of items of type exactly ``kind`` (a bool is no int)."""
+    return type(value) is list and all(type(item) is kind for item in value)
 
 
 def _index_sum(values: list[int], indices: list[int]) -> int:
@@ -197,6 +200,8 @@ def _replay(p: Polynomial, verdict: Any, constant: Optional[int]) -> bool:
     cert = verdict.certificate
     if cert is None:
         return (verdict.status, verdict.injective) == (UNKNOWN, "unknown")
+    if type(cert.payload) is not dict:
+        return False
     if constant is not None:
         stated = cert.payload["constant"] if cert.theorem == "RadoAffine" else 0
         if stated != constant:
@@ -283,19 +288,20 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
     if tag == "Thm3.5":
         if not p.is_lev or len(p.monomials) < 3:
             return False
-        designated, products = claim["linear_vars"], claim["product_vars"]
+        designated, products, f_claim = claim["linear_vars"], claim["product_vars"], claim["F"]
         owner = _exclusive_degree_one(p)
         held = [m.exponent_map() for m in p.monomials]  # each monomial's variables, as keys
         f_sets = [[j + 1 for j, y in enumerate(products) if y in vs] for vs in held]
         return (
             _fields_are(claim, status=PR, injective="yes", coefficients=coeffs)
             and _index_sum(coeffs, claim["J"]) == 0
+            and _list_of(designated, str) and _list_of(products, str)
+            and _list_of(f_claim, list) and all(_list_of(f, int) for f in f_claim)
             and len(designated) == len(p.monomials)
             and set(designated) | set(products) == set(p.variables)
             and not set(designated) & set(products)
             and list(map(owner.get, designated)) == list(range(len(designated)))
-            and [sorted(f) for f in claim["F"]] == f_sets
-            and _INT.issuperset(map(type, itertools.chain.from_iterable(claim["F"])))
+            and [sorted(f) for f in f_claim] == f_sets
         )
     if tag == "Thm4.2":
         prof, choice = p.degree_profile(), claim["exclusive_choice"]
@@ -303,6 +309,7 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
         owner = _exclusive_degree_one(p)
         return (
             len(p.monomials) >= 3
+            and _list_of(choice, list)
             and _fields_are(
                 claim, status=PR, injective="yes", coefficients=coeffs, levels=list(prof.levels),
                 multiplicities=list(prof.multiplicities), nonlinear_vars=list(prof.nonlinear),
@@ -311,8 +318,7 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
             and _index_sum(coeffs, claim["J"]) == 0
             and len(choice) == len(p.monomials)
             and all(
-                type(group) is list
-                and len(group) == need == len(set(group))
+                len(group) == need == len(set(group))
                 and set(map(owner.get, group)) == {i}
                 for i, (group, need) in enumerate(zip(choice, prof.multiplicities))
             )
@@ -338,8 +344,8 @@ def _replay_over_n(p: Polynomial, tag: str, claim: dict[str, Any]) -> bool:
         # the reduced form's multiplicative certificate states the verdict
         # about p; it is replayed as that theorem, one level and no deeper
         inner = claim["inner"]
-        if claim["case"] != "reduced" or inner["theorem"] != "MultiplicativeRado":
+        if type(inner) is not dict or (claim["case"], inner["theorem"]) != ("reduced", "MultiplicativeRado"):
             return False
         given = dict(inner["payload"], status=claim["status"], injective=claim["injective"])
-        return _replay_over_n(reduced, "MultiplicativeRado", given)
+        return type(inner["payload"]) is dict and _replay_over_n(reduced, "MultiplicativeRado", given)
     return False

@@ -15,9 +15,9 @@ the l.e.v. and nonlinear rules need three or more monomials.
 
 Status strings: "PR", "NOT_PR", "UNKNOWN".  Injective: "yes"/"no"/"unknown".
 All index sets in payloads are 1-based (matching the usual statement of the
-theorems).  ``replay_certificate``, named here too, lives in ``check``, which
-imports nothing from this module: it re-checks a verdict from the polynomial
-and the verdict's claim alone, ring Z included.
+theorems).  The status constants and ``replay_certificate`` live in
+``check``, which imports nothing from this module: it re-checks a verdict
+from the polynomial and the verdict's claim alone, ring Z included.
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ import itertools
 from collections import namedtuple
 from typing import Any, Callable, Optional
 
-from .check import _BITSET_LIMIT, NOT_PR, PR, UNKNOWN, replay_certificate
+from .check import _BITSET_LIMIT, NOT_PR, PR, UNKNOWN
+from .check import replay_certificate  # noqa: F401 - perfbench/tracing.py wraps classify.replay_certificate
 from .poly import Polynomial, _is_two_variable_difference, _multiplicative_sides, monomial_gcd
 from .poly import negate_all_variables, parse  # noqa: F401 - perfbench/tracing.py wraps classify.parse
 
 __all__ = [
-    "PR",
-    "NOT_PR",
-    "UNKNOWN",
     "NotLinearError",
     "NoConstantTermError",
     "NotLevError",
@@ -55,7 +53,6 @@ __all__ = [
     "classify_nonlinear",
     "classify_k2",
     "classify",
-    "replay_certificate",
 ]
 
 class NotLinearError(ValueError):

@@ -48,6 +48,7 @@ import sys
 from typing import Any, Optional
 
 from . import corpus as corpus_mod
+from .check import NOT_PR, PR, UNKNOWN
 from .classify import classify, classify_affine
 from .poly import (
     ConstantTermError,
@@ -77,7 +78,7 @@ EXIT_CORPUS_MISMATCH = 5
 EXIT_PARSE_ERROR = 64
 EXIT_ERROR = 70
 
-_STATUS_EXIT = {"PR": EXIT_PR, "NOT_PR": EXIT_NOT_PR, "UNKNOWN": EXIT_UNKNOWN}
+_STATUS_EXIT = {PR: EXIT_PR, NOT_PR: EXIT_NOT_PR, UNKNOWN: EXIT_UNKNOWN}
 
 
 def _positive_int(text: str) -> int:

@@ -41,23 +41,17 @@ from .classify import (
     to_lev_form,
 )
 from .poly import Polynomial, _build, _exponents
-from .solutions import SearchSpaceTooLargeError, Witness, brute_force_solutions
+from .solutions import Witness, brute_force_solutions
 
 __all__ = [
-    "NoExclusiveSetError",
     "NotAReductSolutionError",
     "NotAPTildeSolutionError",
     "GValuesNotDistinctError",
-    "SearchSpaceTooLargeError",
     "HypothesisFailure",
-    "Witness",
-    "LevForm",
-    "to_lev_form",
     "reduct_lift",
     "reduct_lift_formal_check",
     "nlp_lift",
     "nlp_lift_formal_check",
-    "brute_force_solutions",
     "primes_above",
     "witness_via_reduct",
     "witness_via_nlp",

@@ -16,11 +16,12 @@ from gen_support import (
     random_lev_polynomial,
     random_nonlinear_polynomial,
 )
+from rado_forge.check import replay_certificate
 from rado_forge.classify import (
     classify,
     nonlinear_shape,
     rado_condition,
-    replay_certificate,
+    to_lev_form,
 )
 from rado_forge.cli import main
 from rado_forge.corpus import run_corpus
@@ -32,12 +33,11 @@ from rado_forge.search import (
     find_bad_coloring,
     rado_number,
 )
+from rado_forge.solutions import brute_force_solutions
 from rado_forge.witness import (
-    brute_force_solutions,
     nlp_lift_formal_check,
     reduct_lift,
     reduct_lift_formal_check,
-    to_lev_form,
     witness_via_nlp,
 )
 

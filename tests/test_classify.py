@@ -12,10 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen_support import polynomials, random_nonlinear_polynomial
+from rado_forge.check import NOT_PR, PR, UNKNOWN, replay_certificate
 from rado_forge.classify import (
-    NOT_PR,
-    PR,
-    UNKNOWN,
     Certificate,
     NoConstantTermError,
     NotLinearError,
@@ -30,11 +28,9 @@ from rado_forge.classify import (
     classify_multiplicative,
     classify_nonlinear,
     exclusive_variables,
-    negate_all_variables,
     rado_condition,
-    replay_certificate,
 )
-from rado_forge.poly import Polynomial, parse, parse_with_constant
+from rado_forge.poly import Polynomial, negate_all_variables, parse, parse_with_constant
 from rado_forge.search import find_bad_coloring
 
 

@@ -155,9 +155,17 @@ def test_exported_names_resolve():
     for module in modules.values():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
-    # the l.e.v. form builder lives in classify, and witness re-exports it
-    for name in ("to_lev_form", "NoExclusiveSetError"):
-        assert getattr(modules["witness"], name) is getattr(modules["classify"], name)
+    # one home per name: no two submodules export the same name, and an
+    # exported class or function was defined in the module that exports it
+    homes: dict[str, str] = {}
+    for key, module in modules.items():
+        if key == "rado_forge":
+            continue
+        for name in getattr(module, "__all__", ()):
+            assert homes.setdefault(name, key) == key, (name, homes[name], key)
+            value = getattr(module, name)
+            if callable(value):
+                assert value.__module__ == module.__name__, (key, name, value.__module__)
 
 
 def test_classify_unknown_carries_note(capsys):

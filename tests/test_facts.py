@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from rado_forge.classify import ExclusiveAssignment, classify, replay_certificate
+from rado_forge.check import replay_certificate
+from rado_forge.classify import ExclusiveAssignment, classify
 from rado_forge.corpus import load_fixtures
 from rado_forge.poly import parse
 from rado_forge.witness import HypothesisFailure, build_witness

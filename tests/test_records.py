@@ -8,16 +8,14 @@ import pickle
 
 import pytest
 
+from rado_forge.check import PR, UNKNOWN, replay_certificate
 from rado_forge.classify import (
-    PR,
-    UNKNOWN,
     Certificate,
     NonlinearShape,
     Verdict,
     classify,
     exclusive_variables,
     nonlinear_shape,
-    replay_certificate,
     to_lev_form,
 )
 from rado_forge.corpus import load_fixtures

@@ -19,19 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from rado_forge.classify import (
-    NOT_PR,
-    PR,
-    UNKNOWN,
-    Certificate,
-    Verdict,
-    classify,
-    classify_affine,
-    negate_all_variables,
-    replay_certificate,
-)
+from rado_forge.check import NOT_PR, PR, UNKNOWN, replay_certificate
+from rado_forge.classify import Certificate, Verdict, classify, classify_affine
 from rado_forge.corpus import load_fixtures
-from rado_forge.poly import parse, parse_with_constant
+from rado_forge.poly import negate_all_variables, parse, parse_with_constant
 
 TABLE = Path(__file__).with_name("replay_table.json")
 
@@ -280,6 +271,55 @@ def test_replay_checks_every_determined_field(claim):
     assert not replay_certificate(p, verdict)
 
 
+LEV = "a*x + b*x - c*x"  # Thm3.5, linear_vars ['a', 'b', 'c'], product_vars ['x']
+
+
+def _as_pairs(text):
+    """The genuine verdict with its payload given as a list of (key, value)
+    pairs, which ``dict`` would take as the same mapping."""
+    p = parse(text)
+    v = classify(p)
+    return p, Verdict(v.status, v.injective, Certificate(v.certificate.theorem, list(v.certificate.payload.items())))
+
+
+@pytest.mark.parametrize(
+    "claim",
+    [
+        # names are a list of str: a str iterates as one-letter names, and
+        # JSON carries "abc" as readily as ["a", "b", "c"]
+        lambda: _tampered(LEV, 0, linear_vars="abc"),
+        lambda: _tampered(LEV, 0, linear_vars=tuple),
+        lambda: _tampered(LEV, 0, linear_vars=dict.fromkeys),
+        lambda: _tampered(LEV, 0, product_vars="x"),
+        lambda: _tampered(LEV, 0, product_vars=tuple),
+        lambda: _tampered(LEV, 0, product_vars=dict.fromkeys),
+        # F is a list of lists of int, its members in any order
+        lambda: _tampered(LEV, 0, F=lambda f: [tuple(g) for g in f]),
+        lambda: _tampered(LEV, 0, F=lambda f: tuple(f)),
+        lambda: _tampered(LEV, 0, F=lambda f: [set(g) for g in f]),
+        lambda: _tampered(LEV, 0, F=lambda f: [dict.fromkeys(g) for g in f]),
+        lambda: _tampered("t1*t2*x^2 + t3*t4*y^2 - t5*t6*z^2", 0, exclusive_choice=tuple),
+        lambda: _tampered("2*x*y - 2*z*w", 0, inner=lambda i: dict(i, payload=list(i["payload"].items()))),
+        lambda: _as_pairs(LEV),
+    ],
+    ids=[
+        "linear_vars-str", "linear_vars-tuple", "linear_vars-dict",
+        "product_vars-str", "product_vars-tuple", "product_vars-dict",
+        "F-tuples", "F-tuple", "F-sets", "F-dicts",
+        "exclusive_choice-tuple", "inner.payload-pairs", "payload-pairs",
+    ],
+)
+def test_replay_refuses_wrong_typed_fields(claim):
+    p, verdict = claim()
+    assert not replay_certificate(p, verdict)
+
+
+def test_replay_takes_f_members_in_any_order():
+    p, v = _tampered("x1*y1 + x2*y1*y2 - x3", 0, F=lambda f: [g[::-1] for g in f])
+    assert v.certificate.payload["F"][1] == [2, 1]
+    assert replay_certificate(p, v)
+
+
 def _k2_nested(layers):
     """The genuine K2Analysis verdict on 2*x*y - 2*z*w with its certificate
     wrapped ``layers`` times in a K2Analysis of the same decomposition."""
@@ -358,7 +398,8 @@ def test_replay_runs_no_classifier_rule(monkeypatch):
 
 def test_replay_rejects_forgeries_under_python_o():
     script = """
-from rado_forge.classify import Certificate, Verdict, classify, replay_certificate
+from rado_forge.check import replay_certificate
+from rado_forge.classify import Certificate, Verdict, classify
 from rado_forge.poly import parse
 p = parse("x1*y1 + x2*y1*y2 - x3")
 v = classify(p)

@@ -33,7 +33,8 @@ from rado_forge.search import (
     monochromatic_solution,
     rado_number,
 )
-from rado_forge.witness import SearchSpaceTooLargeError, brute_force_solutions, build_witness
+from rado_forge.solutions import SearchSpaceTooLargeError, brute_force_solutions
+from rado_forge.witness import build_witness
 
 SCHUR = parse("x + y - z")
 

@@ -12,10 +12,14 @@ class but ``Polynomial`` writes its own ``__eq__``, ``__repr__``,
 ``__setattr__`` or ``__delattr__``.  ``check.py``, which re-checks the
 classifier's and the search's claims, imports only ``poly`` and the
 standard library.  Every name in a submodule's ``__all__`` is in the
-package's or has a caller in ``src/`` or ``perfbench/``.  The CI
-workflow runs the tier-1 command of ROADMAP.md and the benchmark self-test,
-on every minor version from that oldest Python to the newest it lists,
-under its 20-minute timeout."""
+package's or has a caller in ``src/`` or ``perfbench/``.  Each public name
+has one home: a submodule exports only the names it binds itself, by a
+top-level ``def``, ``class`` or assignment, never one it imports; and every
+``from rado_forge.<module> import name`` in ``src/`` and ``tests/``, a
+relative import in the package included, reads the name from the module
+that binds it.  The CI workflow runs the tier-1 command of ROADMAP.md and
+the benchmark self-test, on every minor version from that oldest Python to
+the newest it lists, under its 20-minute timeout."""
 
 import ast
 import re
@@ -224,6 +228,59 @@ def test_every_exported_name_has_a_caller():
         if name not in package and name not in used and name not in UNCALLED_EXPORTS
     ]
     assert not uncalled, f"exported names with no caller in src/ or perfbench/: {uncalled}"
+
+
+def _bound(path: Path) -> set[str]:
+    """The names a module binds itself, by a top-level def, class or
+    assignment; not the names it imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+BOUND = {path.stem: _bound(path) for path in MODULES}
+
+
+def test_a_submodule_exports_only_the_names_it_binds():
+    # a name re-exported through a second module has two homes
+    reexported = [
+        (path.name, name)
+        for path in MODULES
+        if not path.name.startswith("__")
+        for name in _exported(path)
+        if name not in BOUND[path.stem]
+    ]
+    assert not reexported, f"exported but not bound by the exporting module: {reexported}"
+
+
+def test_every_import_reads_a_name_from_its_home():
+    # from rado_forge.<m> import n, or from .<m> import n inside the
+    # package, names the module that binds n
+    package = ROOT / "src" / "rado_forge"
+    sources = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    astray = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            if node.level == 1 and path.parent == package:
+                module = node.module
+            elif node.level == 0 and node.module.startswith("rado_forge."):
+                module = node.module.removeprefix("rado_forge.")
+            else:
+                continue
+            astray += [
+                (path.name, node.lineno, module, alias.name)
+                for alias in node.names
+                if alias.name not in BOUND[module]
+            ]
+    assert not astray, f"imports that read a name through a module that does not bind it: {astray}"
 
 
 HAND_WRITTEN = {"__eq__", "__repr__", "__setattr__", "__delattr__"}

@@ -20,29 +20,28 @@ from gen_support import (
     random_nonlinear_polynomial,
 )
 from rado_forge import poly, solutions, witness
+from rado_forge.check import replay_certificate
 from rado_forge.classify import (
+    NoExclusiveSetError,
     NonlinearShape,
     classify,
     nonlinear_shape,
-    replay_certificate,
+    to_lev_form,
 )
 from rado_forge.corpus import load_fixtures
 from rado_forge.poly import Polynomial, parse
+from rado_forge.solutions import SearchSpaceTooLargeError, brute_force_solutions
 from rado_forge.witness import (
     GValuesNotDistinctError,
     HypothesisFailure,
-    NoExclusiveSetError,
     NotAPTildeSolutionError,
     NotAReductSolutionError,
-    SearchSpaceTooLargeError,
-    brute_force_solutions,
     build_witness,
     nlp_lift,
     nlp_lift_formal_check,
     primes_above,
     reduct_lift,
     reduct_lift_formal_check,
-    to_lev_form,
     witness_via_nlp,
     witness_via_reduct,
 )
