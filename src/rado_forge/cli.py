@@ -14,7 +14,8 @@ Exit codes are a stable API for scripted pipelines:
       malformed line or holds a polynomial that does not parse, or
       ``classify --allow-constant`` on a form with a nonzero constant that
       is nonlinear or goes with ``--ring Z``), 64 = malformed polynomial
-      (position diagnostics), 70 = internal error
+      (position diagnostics), 70 = internal error, or a reader that closed
+      stdout before the output was written (no traceback)
 
 Exit 2 is both classify's UNKNOWN and a usage error, so a malformed
 ``classify`` command line (``classify "x+y-z" --ring Q``) reads as UNKNOWN.
@@ -376,7 +377,16 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run() -> None:  # console script entry
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed reader raises here, not at exit
+    except BrokenPipeError:
+        # stdout's reader is gone: what is left goes to devnull, so that the
+        # flush at exit does not raise again (the Python docs' SIGPIPE note)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

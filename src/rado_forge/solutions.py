@@ -39,12 +39,12 @@ meets the recursion limit.
 
 A small search reads a few dozen tuples, so what a layer read costs is
 machinery paid per layer, per walk step and per leaf, not per solution:
-the setup, paid once per search, derives the layout and the moving terms
-of each distinct walk step, which every group shares; a walk step
-re-evaluates only the terms that read what it moves, and a linear term none
-at all (it steps by its slope); a leaf of a lone linear variable costs one
-``divmod``.  On the threshold forms the walk reads no term but at the roots
-of its groups.
+the setup, paid once per search, derives the layout, indexes the terms once
+by the slots they read and splits off each distinct walk step's moving
+terms, which every group shares; a walk step steps each sum by its slope
+and re-evaluates only the other terms that read what it moves; a leaf of a
+lone linear variable costs one ``divmod``.  On the threshold forms the walk
+reads no term but at the roots of its groups.
 
 Every tuple either enumerator hands out is re-verified exactly by
 ``check._verify_solutions``, not by the walk's terms or the grid's
@@ -117,11 +117,15 @@ class Witness(namedtuple("Witness", ["assignment", "value", "provenance", "trace
 def _integer_root(value: int, e: int) -> Optional[int]:
     """Exact e-th root of a positive integer, or None.  Integer Newton steps
     from 2^ceil(bits/e), which is above the root, fall to floor(value^(1/e))
-    in O(log bits) steps; no float range limits the size of ``value``."""
+    in O(log bits) steps; no float range limits the size of ``value``.  A
+    value of at most e bits is below 2^e, so its only possible root is 1,
+    and no step is taken."""
     if value < 1:
         return None
     if e == 1:
         return value
+    if value.bit_length() <= e:
+        return 1 if value == 1 else None
     root = 1 << -(-value.bit_length() // e)
     while (step := ((e - 1) * root + value // root ** (e - 1)) // e) < root:
         root = step
@@ -165,13 +169,12 @@ def _isolation_split(p: Polynomial):
     return exponents.pop(), with_terms, without_terms
 
 
-def _term_value(terms, prefix: Sequence[int], floor: Optional[int] = None) -> int:
-    """Sum over the terms of coeff * prod(prefix[i] ** e).  With a ``floor``
-    and the positive terms first, a negative term's power x^e that alone
-    takes the sum below the floor is not computed, since
+def _term_value(terms, prefix: Sequence[int], floor: Optional[int] = None, total: int = 0) -> int:
+    """``total`` plus the sum over the terms of coeff * prod(prefix[i] ** e).
+    With a ``floor`` and the positive terms first, a negative term's power
+    x^e that alone takes the sum below the floor is not computed, since
     x^e >= 2^((x.bit_length() - 1) * e): the sum is then below the floor, and
     ``floor - 1`` stands for it."""
-    total = 0
     for coeff, exps in terms:
         for i, e in exps:
             if e == 1:
@@ -350,39 +353,33 @@ def _layout(p: Polynomial) -> tuple[Optional[int], list[tuple[int, ...]]]:
         not bounding and block[0] in lone, -len(block), block))
 
 
-def _moving(terms: list, fill: range, top: int) -> tuple[list, list, Optional[int], int]:
-    """One sum's terms split for a step that moves the slots ``fill`` and
-    ``top`` to its value x: those that read none of them, whose value the
-    step leaves fixed, and those that read one.  When each of those is one
-    linear factor c*t[i], their value is slope * x, ``at_top`` of it read
-    from ``top``; else slope is None."""
-    still, moving = [], []
-    slope: Optional[int] = 0
-    at_top = 0
-    for term in terms:
-        c, exps = term
-        if len(exps) == 1:  # one factor: tested without the loop
-            (i, e), = exps
-            if i != top and i not in fill:
-                still.append(term)
-                continue
-            moving.append(term)
-            if slope is not None and e == 1:
-                slope += c
-                if i == top:
-                    at_top += c
-            else:
-                slope = None
-            continue
-        for i, _ in exps:
-            if i == top or i in fill:
-                break
+def _term_index(terms: list, width: int) -> Callable:
+    """One sum's terms over the ``width`` slots of a walk's t, indexed once by
+    the slots they read.  ``split`` gives a step that moves the slots
+    ``fill`` and ``top`` (not in ``fill``) the slope and ``at_top`` of its
+    linear terms, from running totals, and its other moving terms, in order,
+    from ``read`` (the same terms at the same ordinals), by bisection."""
+    per_slot = [0] * width
+    filed: dict[int, list[int]] = {}  # slot -> ordinals of the other terms that read it
+    for m, (c, exps) in enumerate(terms):
+        if len(exps) == 1 and exps[0][1] == 1:
+            per_slot[exps[0][0]] += c
         else:
-            still.append(term)
-            continue
-        moving.append(term)
-        slope = None
-    return still, moving, slope, at_top
+            for i, _ in exps:
+                filed.setdefault(i, []).append(m)
+    running = [0, *itertools.accumulate(per_slot)]  # running[i]: the linear c below slot i
+    slots = sorted(filed)
+
+    def split(fill: range, top: int, read: list) -> tuple[int, int, list]:
+        at_top = running[top + 1] - running[top]
+        slope = running[fill.stop] - running[fill.start] + at_top
+        moving = filed.get(top, [])
+        cut = slots and slots[bisect.bisect_left(slots, fill.start) : bisect.bisect_left(slots, fill.stop)]
+        if cut:  # each term once, in the terms' order
+            moving = sorted({*moving, *itertools.chain.from_iterable(map(filed.__getitem__, cut))})
+        return slope, at_top, [read[m] for m in moving]
+
+    return split
 
 
 def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Callable:
@@ -407,14 +404,14 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
     deepest last, so nothing recurses and the layer's state is its own.
 
     A step re-evaluates only what it moves: the terms that read its fill or
-    its greatest-completion slot (``_moving``).  The rest of each sum is
-    fixed while the step runs over its values: the first sum's is the total
-    passed in less the moving part at entry, the second's is computed when
-    a check first needs it.  When every moving term of a sum is linear, the
-    sum is its fixed part plus a slope times the value, and no term is read:
-    the first sum steps by its slope from one value to the next.  Other
-    moving terms are read through ``_term_value``, which skips powers that
-    decide a sum, against the bound less the fixed part.
+    its greatest-completion slot, split off by ``_term_index`` (the second
+    sum reads each term in the other half of t, at the mirrored slots).
+    Each sum is a fixed part, a slope times the value and the other moving
+    terms, added to the rest by ``_term_value``, which skips powers that
+    decide the sum against its bound.  The first sum's fixed part is the
+    total passed in less the moving part at entry; the second's is the whole
+    second sum less its moving part, once a check needs it and no power was
+    skipped in it.
 
     A layer costs what it walks, and the setup what the form holds: a step
     depends only on its position and where its fill stops (its block's top
@@ -441,14 +438,16 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
         second_sum.append((c, second))
     always = not up and -sum(c for c, _ in terms) >= lo  # each term is at most its coefficient
     read = up if always else up | down  # positions whose greatest completion a sum reads
+    ups = sorted(up)  # cut by bisection to a fill
+    split = _term_index(first_sum, 2 * k + 2)  # and the second sum's, at the mirrored slots
 
     def make_step(j: int, stop: int) -> tuple:  # j's value fills t[j:stop]
         fill, h = range(j, stop), k + 1 + j  # h: j's place in the greatest completion
-        _, moving, slope, at_top = _moving(first_sum, fill, h)
-        # the second sum is read only when a check needs it
-        still2, moving2, slope2, _ = ([], [], 0, 0) if always else _moving(second_sum, fill, h)
+        slope, at_top, moving = split(fill, h, first_sum)
+        slope2, _, moving2 = (0, 0, []) if always else split(range(h, stop + k + 1), j, second_sum)
+        settles = bisect.bisect_left(ups, j) == bisect.bisect_left(ups, stop)  # no fill in up
         return (j, stop, stop - j == 1, j in up, j in down, j in read,
-                not up or up.isdisjoint(fill), slope, at_top, slope2, moving, still2, moving2)
+                settles, slope, at_top, slope2, moving, moving2)
 
     block_ends: list[int] = []  # one past the block of each position
     for size in sizes:
@@ -470,13 +469,12 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
 
     def walk(step: tuple, leaf: bool, total: int, found: list) -> Iterator[int]:
         (j, stop, one, rises, falls, reads, settles, slope, at_top, slope2,
-         moving, still2, moving2) = step
+         moving, moving2) = step
         h = k + 1 + j  # j's place in the greatest completion
         x0, last = t[j], t[h]
-        if slope is None:
+        total += at_top * (x0 - last) - slope  # the first sum one value before x0
+        if moving:  # less the other moving terms, which are read at each value
             fixed = total - _term_value(moving, t)
-        else:  # the first sum one value before x0, to step by the slope
-            total += at_top * (x0 - last) - slope
         fixed2 = None  # the second sum's fixed part, once a check needs it
         sure = always
         for x in range(x0, last + 1):
@@ -486,21 +484,24 @@ def _walker(sizes: list[int], terms: list, lo: int, hi: int, max_n: int) -> Call
                 t[j:stop] = [x] * (stop - j)
             if reads:
                 t[h] = x
-            if slope is not None:
-                total += slope
-            elif x > x0 or rises:  # else the first sum is the one passed in
-                total = fixed + _term_value(moving, t, floor - fixed)
+            total += slope
+            if moving:
+                fixed += slope
+                if x > x0 or rises:  # else the first sum is the one passed in
+                    total = _term_value(moving, t, floor, fixed)
             if total < floor:
                 if rises:
                     continue
                 break
             if not sure:
                 if fixed2 is None:
-                    fixed2 = _term_value(still2, t)
-                if slope2 is not None:
-                    second = fixed2 + slope2 * x
+                    second = _term_value(second_sum, t, ceiling + 1)
+                    if second != ceiling:  # no power skipped: exact, and the rest is fixed
+                        fixed2 = second - slope2 * x - (_term_value(moving2, t) if moving2 else 0)
                 else:
-                    second = fixed2 + _term_value(moving2, t, ceiling + 1 - fixed2)
+                    second = fixed2 + slope2 * x
+                    if moving2:
+                        second = _term_value(moving2, t, ceiling + 1, second)
                 if second > ceiling:
                     if falls:
                         continue
@@ -598,7 +599,13 @@ def solution_layers(
         if len(lead_terms) == 1 and not lead_terms[0][1]:  # a lone c*v^e, negated if need be
             c = lead_terms[0][0]
             terms = [(d if c > 0 else -d, exps) for d, exps in rest_terms]
-            lo, hi = abs(c), abs(c) * max_n**e
+            lo, hi = abs(c), abs(c) * max_n
+            if e > 1:  # the rest stays above -2^bits on [1..max_n], so any hi from
+                # 2^bits up decides the same: a power of more bits is not raised
+                bits = len(terms).bit_length() + max(
+                    ((-d).bit_length() + sum(f for _, f in exps) * max_n.bit_length()
+                     for d, exps in terms if d < 0), default=0)
+                hi = 1 << bits if e * (max_n.bit_length() - 1) >= bits else lo * max_n**e
     linear = lo and e == 1  # a lone linear variable: one divmod per leaf solves it
     walk = None if p.is_one_signed else _walker(sizes, terms, lo, hi, max_n)
 

@@ -146,6 +146,23 @@ def test_module_entry_points_exit_as_the_console_script(capsys):
             assert (done.returncode, done.stdout) == (code, out), (module, argv)
 
 
+def test_a_closed_stdout_exits_70_without_a_traceback():
+    # the reader is gone before the first write, as in `rado-forge corpus
+    # list | true`: exit 1 would read as NOT_PR or "threshold not found"
+    env = dict(os.environ, PYTHONPATH=str(Path(rado_forge.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "from rado_forge.cli import run; run()", "corpus", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_ERROR
+    assert "Traceback" not in done.stderr
+
+
 def test_exported_names_resolve():
     # the package's and every module's __all__ name only what is importable
     modules = {"rado_forge": rado_forge}

@@ -121,6 +121,9 @@ _LAYER_FORMS = [  # those of test_layered_enumeration_matches_oracle, then
     # beside the lone variable solved for, so that linear steps check a
     # second sum that falls as they rise
     "x + y - 3*z", "2*x + 3*y - 5*z", "5*z - x - 2*y", "x*y + y - 2*z", "3*d - a - 2*e + 2*b^2",
+    # blocks whose steps move several non-linear terms, and steps that move
+    # linear and non-linear terms at once
+    "x1*y + x2*y + x3*y - z", "x1 + x2 + x3*y^2 - 2*z", "x1*y + x2*y - z^2 + w",
 ]
 
 
@@ -165,21 +168,37 @@ def test_a_wide_form_does_not_meet_the_recursion_limit():
 
 def test_each_walk_step_is_built_once_per_form(monkeypatch):
     # y bounds the walk and no two x's are interchangeable: 40 blocks of one.
-    # A step depends only on its position and where its fill stops, so the
-    # groups share it: at most two per position and sum, not one per block
-    # and position (40 * 39 = 1,560 for the first sum alone)
-    built = []
-    moving = solutions._moving
+    # The form's terms are indexed once, and a step depends only on its
+    # position and where its fill stops, so the groups share it: at most two
+    # splits per position and sum, not one per block and position (40 * 39 =
+    # 1,560 for the first sum alone)
+    indexed, built = [], []
+    term_index = solutions._term_index
 
-    def counted(terms, fill, top):
-        built.append((id(terms), fill, top))
-        return moving(terms, fill, top)
+    def counted(terms, width):
+        split = term_index(terms, width)
+        indexed.append(width)
 
-    monkeypatch.setattr(solutions, "_moving", counted)
+        def counted_split(fill, top, read):
+            built.append((id(read), fill, top))
+            return split(fill, top, read)
+
+        return counted_split
+
+    monkeypatch.setattr(solutions, "_term_index", counted)
     p = parse(" + ".join(f"{i}*x{i}" for i in range(1, 41)) + " - y")
     assert list(solutions.solution_layers(p, 1, False)[1]) == [[]]
-    per_position = collections.Counter((terms, fill.start) for terms, fill, _ in built)
-    assert built and len(set(built)) == len(built) and max(per_position.values()) <= 2
+    per_position = collections.Counter((read, fill.start) for read, fill, _ in built)
+    assert len(indexed) == 1 and built and len(set(built)) == len(built)
+    assert max(per_position.values()) <= 2
+    # a block's steps cost what they move, not the block's width squared:
+    # Hindman's x1 + ... + x2400 - y1*y2 (seconds when each step scanned
+    # every term and kept the second sum's others)
+    monkeypatch.undo()
+    hindman = parse(" + ".join(f"x{i}" for i in range(1, 2401)) + " - y1*y2")
+    started = time.perf_counter()
+    assert find_bad_coloring(hindman, 2, 2).kind == BAD_COLORING
+    assert time.perf_counter() - started < 1.0
 
 
 def test_a_wide_form_over_the_budget_raises_promptly():
@@ -192,31 +211,36 @@ def test_a_wide_form_over_the_budget_raises_promptly():
     assert time.perf_counter() - started < 2.0
 
 
-def _moving_reference(terms, fill, top):
-    """``solutions._moving`` by one loop over every term's factors."""
-    still, moving, slope, at_top = [], [], 0, 0
+def _split_reference(terms, fill, top):
+    """``solutions._term_index``'s split by one loop over every term's factors:
+    the slope and ``at_top`` of the linear terms it moves, and the others."""
+    slope = at_top = 0
+    moving = []
     for c, exps in terms:
-        if not any(i == top or i in fill for i, _ in exps):
-            still.append((c, exps))
-            continue
-        moving.append((c, exps))
-        if slope is not None and len(exps) == 1 and exps[0][1] == 1:
-            slope += c
+        if len(exps) == 1 and exps[0][1] == 1:
+            slope += c * (exps[0][0] == top or exps[0][0] in fill)
             at_top += c * (exps[0][0] == top)
-        else:
-            slope = None
-    return still, moving, slope, at_top
+        elif any(i == top or i in fill for i, _ in exps):
+            moving.append((c, exps))
+    return slope, at_top, moving
 
 
 @pytest.mark.parametrize("fill", [range(0), range(1, 2), range(0, 3), range(2, 5)])
 @pytest.mark.parametrize("top", [0, 2, 4, 7])
 def test_a_step_splits_its_terms_as_one_loop_over_the_factors_does(fill, top):
-    # one-factor terms, linear and not, beside terms of two and three factors
-    terms = [(1, [(0, 1)]), (3, [(2, 1)]), (-2, [(4, 1)]), (5, [(3, 2)]), (-1, [(7, 1)]),
+    # one-factor terms, linear and not, beside terms of two and three factors,
+    # on a walk's t: the least completion in slots 0..9, the greatest in
+    # 10..19.  A step moves its fill and top's slot in the greatest; the
+    # second sum's step is the same split at the mirrored slots
+    least = [(1, [(0, 1)]), (3, [(2, 1)]), (-2, [(4, 1)]), (5, [(3, 2)]), (-1, [(7, 1)]),
              (2, [(1, 1), (5, 1)]), (-4, [(2, 1), (6, 2)]), (1, [(5, 1), (6, 1), (8, 3)])]
+    terms = least + [(-c, [(i + 10, e) for i, e in exps]) for c, exps in least]
+    terms += [(1, [(2, 1), (12, 1)]), (-3, [(top, 1), (10 + top, 2)])]
     for k in range(len(terms) + 1):
         for chosen in (terms[:k], terms[k:], terms[::-1][:k]):
-            assert solutions._moving(chosen, fill, top) == _moving_reference(chosen, fill, top)
+            split = solutions._term_index(chosen, 20)
+            for moved, at in ((fill, 10 + top), (range(10 + fill.start, 10 + fill.stop), top)):
+                assert split(moved, at, chosen) == _split_reference(chosen, moved, at)
 
 
 def _candidates_raise(n, sizes):
@@ -1437,6 +1461,29 @@ def test_huge_exponent_does_not_stall_the_bounded_walk():
     assert (huge.kind, huge.coloring, huge.stats.nodes) == (
         small.kind, small.coloring, small.stats.nodes)
     assert huge.kind == BAD_COLORING
+
+
+def test_a_huge_exponent_on_the_variable_solved_for_does_not_stall():
+    # z = 1 is the only root that x + y in [2..12] can have: neither the
+    # walk's floor 6^(10^7) nor a Newton step from 2^(10^7 - 1) is computed
+    started = time.perf_counter()
+    huge = find_bad_coloring(parse("x + y - z^10000000"), 2, 6)
+    assert time.perf_counter() - started < 1.0
+    small = find_bad_coloring(parse("x + y - z^40"), 2, 6)
+    assert (huge.kind, huge.coloring, huge.stats.nodes) == (
+        small.kind, small.coloring, small.stats.nodes)
+
+
+def test_huge_exponent_does_not_stall_the_second_sum():
+    # w's step moves w*y^(10^7) in the second sum, which reads y at its
+    # greatest completion: the sum's fixed part is read with the powers that
+    # decide it skipped, not as the whole sum raised in full
+    started = time.perf_counter()
+    huge = find_bad_coloring(parse("z + x - w*y^10000000"), 2, 5)
+    assert time.perf_counter() - started < 1.0
+    small = find_bad_coloring(parse("z + x - w*y^40"), 2, 5)
+    assert (huge.kind, huge.coloring, huge.stats.nodes) == (
+        small.kind, small.coloring, small.stats.nodes)
 
 
 def test_the_oracle_raises_each_power_once_per_value():
