@@ -249,7 +249,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"stats: nodes={stats.nodes} constraints={stats.constraints}"
             f" ms={int(stats.ms)} depth_max={stats.depth_max}"
             f" enumerate_ms={int(stats.enumerate_ms)} prunes={stats.prunes}"
-            f" search_ms={int(stats.search_ms)}"
+            f" search_ms={int(stats.search_ms)} jumps={stats.jumps}"
         )
     return EXIT_INCONCLUSIVE if outcome.kind == INCONCLUSIVE else 0
 

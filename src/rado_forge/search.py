@@ -81,6 +81,27 @@ before it could go deeper: the deepest coloring, the first full coloring,
 the Forced verdict and the layers read are those of the same search
 without the check, in fewer nodes (``stats.prunes`` counts the dead
 colorings).
+
+The search backjumps at leaf dead ends (Gaschnig 1979; Prosser 1993).  A
+leaf is a visit to v + 1 that runs out of colors without coloring v + 1.
+When its limit is r, so that the symmetry breaking excluded no color, it
+backs up straight to the highest value that a reason for its failure names.
+A refused color's reason is the value set that blocks it at v + 1.  A pruned
+color's reason covers each read value w it left with no color: the value set
+it closed at w, less v + 1 itself, and the value sets that block w in the
+other colors.  Each blocked pair of a value and a color is named by its
+lowest value set, the one whose highest other member is least; a set of
+v + 1 and w alone names nothing.  The values between are undone last in,
+first out, and keep the nodes they spent; the value jumped to takes its next
+color as on any step back, and a leaf whose reasons name no value ends the
+search Forced.  Every value a reason names keeps its color in each coloring
+the jump skips, so that coloring leaves v + 1 no color, or leaves a read
+value w no color once v + 1 has one: it is no bad coloring of [1..v + 1]
+and reaches no deeper than the search has been.  So the first full coloring,
+a Forced verdict, a decided search's depth and the layers it reads are those
+of the search without jumps, whose nodes are a supersequence of these;
+within a node budget the search gets at least as deep.  ``stats.jumps``
+counts the jumps that skipped at least one value.
 """
 
 from __future__ import annotations
@@ -136,15 +157,16 @@ class Coloring(namedtuple("Coloring", ["colors"])):
 
 
 class SearchStats(namedtuple("SearchStats", ["nodes", "constraints", "ms", "depth_max",
-                                             "enumerate_ms", "prunes", "search_ms"],
-                             defaults=(0, 0, 0.0, 0, 0.0, 0, 0.0))):
+                                             "enumerate_ms", "prunes", "search_ms", "jumps"],
+                             defaults=(0, 0, 0.0, 0, 0.0, 0, 0.0, 0))):
     """The counts and times of one search, built once it has ended."""
 
     # constraints: solutions read, one representative per orbit; depth_max:
     # length of the deepest bad coloring reached; enumerate_ms: part of ms
     # spent building, reading and re-verifying layers; prunes: colorings the
     # forward check refused as dead; search_ms: part of ms spent in the
-    # kernel, filing layers included, reading them not
+    # kernel, filing layers included, reading them not; jumps: leaf dead
+    # ends that backed up past at least one value
     __slots__ = ()
 
     def to_json(self) -> dict[str, Any]:
@@ -156,6 +178,7 @@ class SearchStats(namedtuple("SearchStats", ["nodes", "constraints", "ms", "dept
             "enumerate_ms": int(self.enumerate_ms),
             "prunes": self.prunes,
             "search_ms": int(self.search_ms),
+            "jumps": self.jumps,
         }
 
 
@@ -193,14 +216,15 @@ def enumerate_constraints(
 
 def _first_bad_coloring(
     layers: Iterator[list[tuple[int, ...]]], r: int, n: int, budget: int
-) -> tuple[list[int], list[list[tuple[int, ...]]], bool, int, int, float]:
+) -> tuple[list[int], list[list[tuple[int, ...]]], bool, int, int, int, float]:
     """Depth-first search over canonical colorings of 1..n, in branch order,
     reading layer v + 1 from ``layers`` when it first reaches depth v, with
     forward checking against the layers read.
 
     Returns (the deepest bad coloring reached, the layers read, budget
-    exhausted, the nodes spent, the colorings pruned, the milliseconds spent
-    reading layers).  The search stops at its first coloring of all of 1..n.
+    exhausted, the nodes spent, the colorings pruned, the jumps that skipped
+    a value, the milliseconds spent reading layers).  The search stops at
+    its first coloring of all of 1..n.
     A canonical coloring of 1..n uses at most n colors, so more than n colors
     change nothing.
 
@@ -252,6 +276,26 @@ def _first_bad_coloring(
     with ``bit += bit``.  Where bits can overlap, in the closure
     ``(members & a) << d``, the loop over several groups and ``take()``,
     the step keeps ``|``, ``&`` and ``<<``.
+
+    A dead end at v + 1 jumps (see the module notes) when the visit is a
+    leaf and ``limit == r``.  ``want`` is set to ``bit`` by the step forward
+    that starts a visit, and each prune adds its ``dead`` bits; after a step
+    back every bit of ``want`` lies above ``bit``, so ``want & bit`` marks a
+    leaf.  The target is the larger of two values.  One is ``top``, the
+    highest lower member t = w - d of a value set that closed a dead value w,
+    through the group ``[rem, d, a]`` of v that closed it; t = v, a set of
+    v + 1 and w + 1 alone, names nothing.  With one group, every dead bit
+    gives its t at once.  With several, the dead values of c are
+    ``dead & ~blk[c]``, since a value dead for one color is blocked in every
+    other, and each takes the least t among the groups that close it in c.
+    The other is the first trail entry u, scanning down from v - 1 and
+    stopping above ``top``, whose ``news[u]`` meets ``want``: the owner of
+    a refused color's block at v + 1 or of a dead value's block in another
+    color.  No entry of a pruned color holds a bit new to that color, so
+    every entry that the scan meets is a reason, and the owner of a block is
+    its lowest value set.  The jump undoes the entries above the target,
+    leaving ``room`` as it is, and then takes the ordinary step back; a
+    target of -1 undoes them all and ends the search Forced.
     """
     r = min(r, n)
     read: list[list[tuple[int, ...]]] = []
@@ -330,10 +374,11 @@ def _first_bad_coloring(
 
     deepest: list[int] = []  # the colors of the deepest bad coloring
     room = budget  # the budget less the nodes of finished visits and of the trail
-    prunes = depth = 0
+    prunes = jumps = depth = 0
     exhausted = False
     v = color = 0  # the value v + 1 tries the colors from ``color`` up
     bit = limit = 1  # 1 << v; the colors v + 1 may take, one past those of 1..v, at most r
+    want = bit  # bit, when the visit to v + 1 is a leaf, and the values its prunes left dead
     take()
     while True:
         c = color
@@ -346,6 +391,42 @@ def _first_bad_coloring(
             if limit > room:
                 room, exhausted = 0, True
                 break
+            if want & bit and limit == r:  # a leaf: jump past the values no reason names
+                top = -1  # the highest lower member of a value set that closed a dead value
+                dead = want - bit
+                if dead:
+                    group = sole[v]
+                    if group is not None:
+                        top = (dead >> group[1] & bit - 1).bit_length() - 1
+                    else:
+                        for c in range(r):
+                            members = classes[c] + bit
+                            rest = dead & ~blk[c]  # the dead values of c
+                            while rest:
+                                w = rest.bit_length() - 1
+                                rest -= 1 << w
+                                low = v  # the least t below v of a value set that closed w
+                                for rem, d, a in groups[v]:
+                                    t = w - d
+                                    if 0 <= t and (members & a) >> t & 1 and members & rem == rem:
+                                        if t == v:  # {v + 1, w + 1} closed w: it names no value
+                                            low = -1
+                                            break
+                                        if t < low:
+                                            low = t
+                                if top < low < v:
+                                    top = low
+                u = v - 1
+                while u > top and not news[u] & want:
+                    u -= 1
+                if u < v - 1:
+                    jumps += 1
+                    while v > u + 1:
+                        v -= 1
+                        bit >>= 1
+                        c = colors[v]
+                        blk[c] -= news[v]
+                        classes[c] -= bit
             if not v:
                 room -= limit
                 break
@@ -382,6 +463,7 @@ def _first_bad_coloring(
                         break
                 else:  # a read value would have no color left
                     prunes += 1
+                    want |= dead
                     color = c + 1
                     continue
             blk[c] = nb
@@ -394,6 +476,7 @@ def _first_bad_coloring(
             limit += 1
         v += 1
         bit += bit
+        want = bit
         color = 0
         if v > depth:
             depth = v
@@ -401,7 +484,7 @@ def _first_bad_coloring(
             if v == n:
                 break
             take()
-    return deepest, read, exhausted, budget - room, prunes, reading * 1000
+    return deepest, read, exhausted, budget - room, prunes, jumps, reading * 1000
 
 
 def find_bad_coloring(
@@ -425,7 +508,7 @@ def find_bad_coloring(
     started = time.perf_counter()
     variables, layers = solution_layers(p, n_bound, injective)
     kernel_started = time.perf_counter()
-    found, read, exhausted, nodes, prunes, reading_ms = _first_bad_coloring(
+    found, read, exhausted, nodes, prunes, jumps, reading_ms = _first_bad_coloring(
         layers, r, n_bound, budget
     )
     kernel_ended = time.perf_counter()
@@ -438,7 +521,7 @@ def find_bad_coloring(
         raise AssertionError("search produced an invalid bad coloring")
     stats = SearchStats(
         nodes, len(rows), (time.perf_counter() - started) * 1000, deepest.n, enumerate_ms,
-        prunes, (kernel_ended - kernel_started) * 1000 - reading_ms,
+        prunes, (kernel_ended - kernel_started) * 1000 - reading_ms, jumps,
     )
     if deepest.n == n_bound:
         return SearchOutcome(BAD_COLORING, deepest, stats)

@@ -24,10 +24,12 @@ check at that layer, only if the reader reaches it.  A one-signed form has
 no solution, and answers empty within its budget, unwalked.
 
 Both solve for one variable instead of enumerating it, through ``_solve``, the
-one solve step: divide, then take an exact root by integer Newton steps
-(``_integer_root``), none of them taken when the target's bit length alone
-puts the root above the caller's bound.  A lone linear variable c*v is the
-exception: the layers solve it with one ``divmod`` per leaf.
+one solve step: divide, then take an exact root (``_integer_root``): a small
+root from the target's leading bits, screened modulo a prime before its
+power is raised, a larger one by integer Newton steps, and none at all when
+the target's bit length alone puts the root above the caller's bound.  A
+lone linear variable c*v is the exception: the layers solve it with one
+``divmod`` per leaf.
 The oracle solves for the last variable when it occurs with one exponent.
 The layers pick it by the form's shape, not its name, in ``_layout``, the
 one pass over p that also blocks and orders the other variables; and one
@@ -114,19 +116,37 @@ class Witness(namedtuple("Witness", ["assignment", "value", "provenance", "trace
         }
 
 
+# A prime: r^e mod it screens a candidate root before r^e is raised in full
+_ROOT_SCREEN = (1 << 61) - 1
+
+
 def _integer_root(value: int, e: int) -> Optional[int]:
-    """Exact e-th root of a positive integer, or None.  Integer Newton steps
-    from 2^ceil(bits/e), which is above the root, fall to floor(value^(1/e))
-    in O(log bits) steps; no float range limits the size of ``value``.  A
-    value of at most e bits is below 2^e, so its only possible root is 1,
-    and no step is taken."""
+    """Exact e-th root of a positive integer, or None.  A value of at most e
+    bits is below 2^e, so its only possible root is 1, and no step is taken.
+    A root below 2^21 (bits // e <= 20) is the nearest integer to
+    2^(log2(value) / e), read from the leading 64 bits of ``value``: the
+    error of that float is below 10^-8, so no other integer can be the root.
+    It is screened by ``pow(root, e, _ROOT_SCREEN)`` against
+    ``value % _ROOT_SCREEN``, and only a root that passes is raised to the
+    e-th power, once, to confirm it.  A larger root is found by integer
+    Newton steps from 2^ceil(bits/e), which is above it, falling to
+    floor(value^(1/e)) in O(log bits) steps; each step divides ``value`` by
+    a power as large as it, which for a small root and a large e would cost
+    a huge power per step.  No float range limits the size of ``value``."""
     if value < 1:
         return None
     if e == 1:
         return value
-    if value.bit_length() <= e:
+    bits = value.bit_length()
+    if bits <= e:
         return 1 if value == 1 else None
-    root = 1 << -(-value.bit_length() // e)
+    if bits // e <= 20:
+        shift = max(bits - 64, 0)
+        root = round(2 ** ((math.log2(value >> shift) + shift) / e))
+        if pow(root, e, _ROOT_SCREEN) == value % _ROOT_SCREEN and root**e == value:
+            return root
+        return None
+    root = 1 << -(-bits // e)
     while (step := ((e - 1) * root + value // root ** (e - 1)) // e) < root:
         root = step
     return root if root**e == value else None

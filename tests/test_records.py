@@ -82,7 +82,7 @@ def test_a_record_holding_a_dict_is_unhashable():
 
 def test_the_search_records_hash_and_are_their_tuples():
     stats = SearchStats(nodes=8, constraints=4, depth_max=4)
-    assert stats == (8, 4, 0.0, 4, 0.0, 0, 0.0) and hash(stats) == hash(tuple(stats))
+    assert stats == (8, 4, 0.0, 4, 0.0, 0, 0.0, 0) and hash(stats) == hash(tuple(stats))
     assert stats != SearchStats(nodes=8, constraints=4, depth_max=5)
     outcome = _outcome()
     assert outcome == ("bad_coloring", ((0, 1, 1, 0),), tuple(stats))
@@ -179,7 +179,7 @@ def test_witnesses_built_without_a_trace_do_not_share_a_dict():
             _outcome,
             "SearchOutcome(kind='bad_coloring', coloring=Coloring(colors=(0, 1, 1, 0)),"
             " stats=SearchStats(nodes=8, constraints=4, ms=0.0, depth_max=4, enumerate_ms=0.0,"
-            " prunes=0, search_ms=0.0))",
+            " prunes=0, search_ms=0.0, jumps=0))",
         ),
         (
             _witness,
